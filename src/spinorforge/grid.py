@@ -3,8 +3,10 @@
 Fields live on the nodes of a uniform grid over [x0, x0+Lx] x [y0, y0+Ly]
 with equal spacing h in both directions; arrays are indexed [i, j] for the
 node (x0 + i h, y0 + j h), grid axes leading and any component axes
-trailing.  Derivatives are second-order central differences inside and
-second-order one-sided at the boundary (numpy.gradient with edge_order=2).
+trailing.  First derivatives are second-order central differences inside;
+at the boundary a one-sided 4-point stencil whose leading error term matches
+the interior one keeps the error a smooth O(h^2) field (see `_d1`), and
+`order=4` selects 5-point verification stencils.
 
 The induced metric is restricted to the conformal form mu^2 (dx^2 + dy^2),
 which keeps the frame geometry closed-form: with e1 = dx/mu, e2 = dy/mu,

@@ -59,7 +59,7 @@ class ImmersionData:
             raise ValueError("ambient dimension must be at least 3")
         gram = np.einsum("xyia,xyja->xyij", frames, frames)
         dev = np.max(np.abs(gram - np.eye(n)))
-        if dev > tol:
+        if not dev <= tol:
             raise ValueError(f"frame orthonormality violated by {dev:.3e}")
         if np.any(np.linalg.det(frames) < 0):
             raise ValueError("frames must be positively oriented (det +1)")
@@ -76,7 +76,7 @@ class ImmersionData:
             B = np.asarray(B, dtype=np.float64)
             if B.shape != (nx, ny, 2, 2, q):
                 raise ValueError(f"B must be (nx, ny, 2, 2, {q})")
-        if np.max(np.abs(B - np.swapaxes(B, 2, 3))) > tol:
+        if not np.max(np.abs(B - np.swapaxes(B, 2, 3))) <= tol:
             raise ValueError("second fundamental form must be symmetric")
         zeros = np.zeros((nx, ny, q, q))
         theta_x = zeros if theta_x is None else np.array(theta_x, dtype=np.float64)
@@ -84,7 +84,7 @@ class ImmersionData:
         for th in (theta_x, theta_y):
             if th.shape != (nx, ny, q, q):
                 raise ValueError("normal connection coefficients must be (nx, ny, q, q)")
-            if np.max(np.abs(th + np.swapaxes(th, 2, 3))) > tol:
+            if not np.max(np.abs(th + np.swapaxes(th, 2, 3))) <= tol:
                 raise ValueError("normal connection coefficients must be skew")
         # immutable value semantics: residual evaluators never mutate data
         B = np.array(B, dtype=np.float64)
@@ -128,7 +128,7 @@ class EKTData:
             raise ValueError("EKTData fields must be T:(nx,ny,2), f:(nx,ny), "
                              "S:(nx,ny,2,2)")
         dev = np.max(np.abs(np.sum(T * T, axis=-1) + f * f - 1.0))
-        if dev > tol:
+        if not dev <= tol:
             raise ValueError(f"|T|^2 + f^2 = 1 violated by {dev:.3e}")
         self.grid = grid
         self.T = T
@@ -453,7 +453,7 @@ def hn_u_residual(data, u_field, alg, tol=1e-8):
     l = np.array(alg.params["l"], dtype=np.float64)
     norms = np.linalg.norm(u, axis=-1)
     dev = np.max(np.abs(norms - np.linalg.norm(l)))
-    if dev > tol:
+    if not dev <= tol:
         raise ValueError(f"|U| must equal |l| everywhere; off by {dev:.3e}")
     mu = grid.mu
     uT = u[..., :2]

@@ -21,9 +21,15 @@ Path-independence is a checked property of the input, not an assumption:
 """
 
 import numpy as np
-from scipy.linalg import expm
 
-_EXPM_TERMS = 40
+# phi(zA) = alpha I + beta N switches from the eigenvalue form to the
+# near-repeated forms when |z^2 d| (half the eigenvalue gap, squared) is below
+# _NEAR_REPEATED, and to the Taylor series when also |z tr A / 2| < _SMALL_MEAN.
+# The thresholds balance the cancellation of each closed form (a few ulp at
+# most) against the length of the series.
+_NEAR_REPEATED = 0.01
+_SMALL_MEAN = 0.25
+_TAYLOR_TERMS = 14
 
 
 # =============================================================================
@@ -108,17 +114,97 @@ class S3Model:
         return g / nrm, drift
 
 
-def _phi_series(M):
-    """phi(M) = sum_k M^k / (k + 1)! = (e^M - 1) M^{-1}, batched; evaluated
-    as a series so singular M needs no special casing."""
+def _cosh_sinhc(q):
+    """(cosh r, sinh r / r) with r = sqrt(q), for real q of either sign: both
+    are even in r, so cos and sin of sqrt(-q) when q < 0, and sinh r / r = 1
+    at r = 0."""
+    q = np.asarray(q, float)
+    r = np.sqrt(np.abs(q))
+    pos = q >= 0
+    c = np.where(pos, np.cosh(r), np.cos(r))
+    s = np.where(pos, np.sinh(r), np.sin(r))
+    return c, np.divide(s, r, out=np.ones_like(r), where=r > 0)
+
+
+def expm(M):
+    """Matrix exponential of a batch (..., 2, 2) of real matrices, closed form.
+
+    With s = tr M / 2 and r^2 = s^2 - det M, (M - sI)^2 = r^2 I
+    (Cayley-Hamilton), so e^M = e^s (cosh r I + (sinh r / r)(M - sI)).
+    r^2 is formed as ((m00 - m11)/2)^2 + m01 m10, which does not cancel when
+    the eigenvalues nearly coincide.
+    """
     M = np.asarray(M, float)
-    eye = np.broadcast_to(np.eye(M.shape[-1]), M.shape).copy()
-    out = eye.copy()
-    term = eye.copy()
-    for k in range(1, _EXPM_TERMS):
-        term = term @ M / (k + 1)
-        out = out + term
+    s = 0.5 * (M[..., 0, 0] + M[..., 1, 1])
+    a = 0.5 * (M[..., 0, 0] - M[..., 1, 1])
+    bc = M[..., 0, 1] * M[..., 1, 0]
+    r2 = a * a + bc
+    c, sc = _cosh_sinhc(r2)
+    es = np.exp(s)
+    ess = es * sc
+    big = es * c + ess * np.abs(a)
+    small = es * c - ess * np.abs(a)
+    # for real r the smaller diagonal entry is e^s (cosh r - |a| sinh r / r)
+    # = e^{s-r} + e^s (sinh r / r) bc / (r + |a|); this form keeps e^{s-r}
+    # accurate where cosh r and |a| sinh r / r cancel (r >> 1, e.g. diag A)
+    r = np.sqrt(np.maximum(r2, 0.0))
+    ra = r + np.abs(a)
+    small = np.where(r2 > 0, np.exp(s - r) + ess * np.divide(
+        bc, ra, out=np.zeros_like(ra), where=ra > 0), small)
+    out = np.empty(M.shape)
+    out[..., 0, 0] = np.where(a >= 0, big, small)
+    out[..., 1, 1] = np.where(a >= 0, small, big)
+    out[..., 0, 1] = ess * M[..., 0, 1]
+    out[..., 1, 0] = ess * M[..., 1, 0]
     return out
+
+
+def _phi1(x):
+    """(e^x - 1)/x on real or complex arrays, 1 at x = 0."""
+    return np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0)
+
+
+def _phi_coefficients(u, q):
+    """alpha, gamma with phi(uI + P) = alpha I + gamma P, for
+    phi(X) = sum_k X^k / (k+1)! = integral_0^1 e^{tau X} d tau and any 2x2 P
+    with P^2 = qI.  The eigenvalues of uI + P are u +- sqrt(q).
+
+      * apart (|q| >= _NEAR_REPEATED): alpha is the mean and gamma the divided
+        difference of the scalar phi over the two eigenvalues (a complex
+        conjugate pair when q < 0);
+      * near-repeated, |u| >= _SMALL_MEAN: the integrals in closed form,
+        over u^2 - q = product of the eigenvalues, bounded away from 0 here;
+      * near-repeated, |u| < _SMALL_MEAN: the Taylor series in the basis
+        (I, P), Horner form, _TAYLOR_TERMS terms.
+    """
+    u, q = np.broadcast_arrays(np.asarray(u, float), np.asarray(q, float))
+    alpha = np.empty(u.shape)
+    gamma = np.empty(u.shape)
+    apart = np.abs(q) >= _NEAR_REPEATED
+    series = ~apart & (np.abs(u) < _SMALL_MEAN)
+    mid = ~apart & ~series
+
+    w = np.sqrt(q[apart] + 0j)
+    fp, fm = _phi1(u[apart] + w), _phi1(u[apart] - w)
+    alpha[apart] = (0.5 * (fp + fm)).real
+    gamma[apart] = ((fp - fm) / (2.0 * w)).real
+
+    um, qm = u[mid], q[mid]
+    c, sc = _cosh_sinhc(qm)
+    c1 = c - 1.0
+    eu, em1 = np.exp(um), np.expm1(um)
+    den = um * um - qm
+    alpha[mid] = (um * (eu * c1 + em1) - qm * eu * sc) / den
+    gamma[mid] = (eu * (um * sc - c1) - em1) / den
+
+    us, qs = u[series], q[series]
+    a, b = np.ones(us.shape), np.zeros(us.shape)
+    for k in range(_TAYLOR_TERMS, 0, -1):
+        # (a I + b P) <- I + (uI + P)(a I + b P) / (k + 1)
+        a, b = 1.0 + (us * a + qs * b) / (k + 1), (a + us * b) / (k + 1)
+    alpha[series] = a
+    gamma[series] = b
+    return alpha, gamma
 
 
 class SemidirectModel:
@@ -130,12 +216,21 @@ class SemidirectModel:
 
     def __init__(self, A):
         self.A = np.asarray(A, dtype=np.float64).reshape(2, 2)
+        # A = s I + N with N traceless, so N^2 = d I
+        self._s = 0.5 * np.trace(self.A)
+        self._N = self.A - self._s * np.eye(2)
+        self._d = self._N[0, 0] ** 2 + self._N[0, 1] * self._N[1, 0]
 
     def identity(self):
         return np.zeros(3)
 
     def _expA(self, z):
         return expm(np.asarray(z, float)[..., None, None] * self.A)
+
+    def _phi(self, z):
+        """alpha, beta with phi(zA) = (e^{zA} - I)(zA)^{-1} = alpha I + beta N."""
+        alpha, gamma = _phi_coefficients(z * self._s, z * z * self._d)
+        return alpha, z * gamma
 
     def multiply(self, g, h):
         g = np.asarray(g, float)
@@ -153,16 +248,18 @@ class SemidirectModel:
 
     def exp(self, v, t=1.0):
         v = np.asarray(v, float)
-        w, s = v[..., :2], v[..., 2]
-        phi = _phi_series((t * s)[..., None, None] * self.A)
-        x = t * np.einsum("...ij,...j->...i", phi, w)
-        return np.concatenate([x, (t * s)[..., None]], axis=-1)
+        w, z = v[..., :2], t * v[..., 2]
+        alpha, beta = self._phi(z)
+        x = t * (alpha[..., None] * w + beta[..., None] * (w @ self._N.T))
+        return np.concatenate([x, z[..., None]], axis=-1)
 
     def log(self, g):
         g = np.asarray(g, float)
-        z = g[..., 2]
-        phi = _phi_series(z[..., None, None] * self.A)
-        w = np.linalg.solve(phi, g[..., :2][..., None])[..., 0]
+        x, z = g[..., :2], g[..., 2]
+        alpha, beta = self._phi(z)
+        # (alpha I + beta N)^{-1} = (alpha I - beta N) / (alpha^2 - beta^2 d)
+        det = alpha * alpha - beta * beta * self._d
+        w = (alpha / det)[..., None] * x - (beta / det)[..., None] * (x @ self._N.T)
         return np.concatenate([w, z[..., None]], axis=-1)
 
     def normalize(self, g):
@@ -370,6 +467,10 @@ def maurer_cartan_pullback(F, model, grid, order=2):
     reconstruction so the instrument error stays far below the O(h^2)
     quantity being measured.
     """
+    need = 5 if order == 4 else 4
+    if min(np.shape(F)[:2]) < need:
+        raise ValueError(f"the order-{order} Maurer-Cartan pullback needs at "
+                         f"least {need} nodes per axis; got {np.shape(F)[:2]}")
     h = grid.h
 
     def _shift_log(Fm, inv, k):

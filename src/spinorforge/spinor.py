@@ -88,12 +88,12 @@ class SpinorField:
         values = np.asarray(values, dtype=np.float64)
         if values.shape != grid.shape + (1 << n,):
             raise ValueError("spinor values must be (nx, ny, 2**n)")
-        if non_grade_norm(values, n, range(0, n + 1, 2)) > tol:
+        if not non_grade_norm(values, n, range(0, n + 1, 2)) <= tol:
             raise ValueError("spinor representatives must be even")
         unit = gp_array(reverse_array(values, n), values, n)
         unit[..., 0] -= 1.0
         dev = float(np.max(np.abs(unit)))
-        if dev > tol:
+        if not dev <= tol:
             raise ValueError(f"rev(phi) phi = 1 violated by {dev:.3e}")
         self.grid = grid
         self.n = n
@@ -308,8 +308,9 @@ def solve_killing(problem, holonomy_tol=None, spin_tol=1e-8):
         drift = max(drift, _columns(0, nx))
 
     # plaquette holonomy: A -> B -> C -> D -> A, defect per unit area
-    Einv_x = _edge_operators(-eta_x, h, 0, n)
-    Einv_y = _edge_operators(-eta_y, h, 1, n)
+    # the edge operators are exponentials of bivectors: rev(exp(b)) = exp(-b)
+    Einv_x = reverse_array(Ex, n)
+    Einv_y = reverse_array(Ey, n)
     loop = gp_array(Ey[1:, :], Ex[:, :-1], n)                 # BC after AB
     loop = gp_array(Einv_x[:, 1:], loop, n)                   # CD
     loop = gp_array(Einv_y[:-1, :], loop, n)                  # DA

@@ -1,10 +1,14 @@
 """CLI contract: exit codes, reports, mesh export, determinism, schemas."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spinorforge
 from spinorforge import fixtures, lie_algebra as la
 from spinorforge.cli import main
 from spinorforge.meshexport import (export_mesh, grid_faces,
@@ -191,6 +195,26 @@ def test_empty_grid_rejected(tmp_path):
     path = tmp_path / "bad.json"
     dump_json(blob, path)
     assert main(["reconstruct", str(path)]) == 3
+
+
+def test_reconstruct_undersized_grid_names_minimum(tmp_path, capsys):
+    # the order-4 verification stencils need five nodes per axis
+    out = tmp_path / "rec.json"
+    assert main(["reconstruct", "--fixture", "sphere-r3", "--grid-n", "4",
+                 "-o", str(out)]) == 3
+    assert "at least 5 nodes" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, spinorforge.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.dirname(spinorforge.__path__[0]),
+                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_cmc_fixture_and_file(tmp_path):

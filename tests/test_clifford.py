@@ -12,8 +12,8 @@ import pytest
 from spinorforge.clifford import (
     Multivector, SpinElement, SkewOperator, OffDiagOperator,
     adjoint_action, bivector_of_offdiag, bivector_of_skew, blade_tables,
-    canonical_spin_sign, commutator, exp_array, skew_of_bivector,
-    spin_bracket, spin_lift,
+    canonical_spin_sign, commutator, exp_array, grade_indices, reverse_array,
+    skew_of_bivector, spin_bracket, spin_lift,
 )
 
 rng = np.random.default_rng(20240611)
@@ -177,6 +177,17 @@ def test_reversal_involution_and_antiautomorphism(n):
         assert a.reversal().reversal().allclose(a, tol=0.0)
         assert (a * b).reversal().allclose(b.reversal() * a.reversal(), tol=1e-10)
         assert a.reversal().allclose(oracle_reversal(a), tol=0.0)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_reverse_of_exp_array_is_exp_of_negated_bivector(n):
+    # rev(exp(b)) = exp(-b) for bivector fields b: the identity behind the
+    # inverse edge operators of the spinor transport
+    b = np.zeros((9, 7, 1 << n))
+    idx = grade_indices(n, 2)
+    b[..., idx] = rng.normal(size=(9, 7, len(idx)))
+    got = reverse_array(exp_array(b, n), n)
+    assert np.max(np.abs(got - exp_array(-b, n))) <= 1e-14
 
 
 # =============================================================================

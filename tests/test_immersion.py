@@ -54,10 +54,40 @@ def test_rejects_negative_orientation():
         ImmersionData(grid, frames, S=np.zeros((3, 3, 2, 2)))
 
 
+def test_rejects_nan_frames():
+    grid = ParamGrid(3, 3, 0.5)
+    frames = np.broadcast_to(np.eye(3), (3, 3, 3, 3)).copy()
+    frames[1, 2, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="orthonormality"):
+        ImmersionData(grid, frames, S=np.zeros((3, 3, 2, 2)))
+
+
+def test_rejects_nan_second_fundamental_form_and_normal_connection():
+    grid = ParamGrid(3, 3, 0.5)
+    frames = np.broadcast_to(np.eye(4), (3, 3, 4, 4)).copy()
+    B = np.zeros((3, 3, 2, 2, 2))
+    B[0, 0, 0, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="symmetric"):
+        ImmersionData(grid, frames, B=B)
+    theta = np.zeros((3, 3, 2, 2))
+    theta[2, 1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="skew"):
+        ImmersionData(grid, frames, B=np.zeros((3, 3, 2, 2, 2)), theta_x=theta)
+
+
 def test_ekt_norm_invariant_enforced():
     grid = ParamGrid(3, 3, 0.5)
     T = np.zeros((3, 3, 2))
     T[..., 0] = 0.5
+    with pytest.raises(ValueError):
+        EKTData(grid, T, np.zeros((3, 3)), np.zeros((3, 3, 2, 2)), -1.0, 0.5)
+
+
+def test_ekt_rejects_nan_tangent_field():
+    grid = ParamGrid(3, 3, 0.5)
+    T = np.zeros((3, 3, 2))
+    T[..., 0] = 1.0
+    T[1, 1, 0] = np.nan
     with pytest.raises(ValueError):
         EKTData(grid, T, np.zeros((3, 3)), np.zeros((3, 3, 2, 2)), -1.0, 0.5)
 
@@ -380,6 +410,14 @@ def test_hn_u_norm_precondition():
     fx = fixtures.horosphere_h3(5)
     with pytest.raises(ValueError):
         hn_u_residual(fx.data, 2.0 * fx.extras["u_field"], fx.alg)
+
+
+def test_hn_u_norm_precondition_rejects_nan():
+    fx = fixtures.horosphere_h3(5)
+    u = np.array(fx.extras["u_field"], dtype=float)
+    u[2, 3, 0] = np.nan
+    with pytest.raises(ValueError):
+        hn_u_residual(fx.data, u, fx.alg)
 
 
 def test_hn_u_norm_is_discretely_constant():

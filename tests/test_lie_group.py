@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from spinorforge.grid import ParamGrid
-from spinorforge.lie_algebra import hn, rn, s3, sol3, semidirect
+from spinorforge.lie_algebra import h2xr, hn, rn, s3, sol3, semidirect
 from spinorforge.lie_group import (
-    GroupElement, IntegrationError, LieValuedOneForm, darboux_integrate,
-    group_exp, left_translate, maurer_cartan_pullback, model_for,
-    structure_residual,
+    GroupElement, IntegrationError, LieValuedOneForm, SemidirectModel,
+    darboux_integrate, expm, group_exp, left_translate, maurer_cartan_pullback,
+    model_for, structure_residual,
 )
 
 rng = np.random.default_rng(97)
@@ -126,6 +126,74 @@ def test_semidirect_exp_series_oracle():
             fact *= (k + 1)
         want = np.concatenate([acc @ w, [sc]])
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_expm_matches_scipy():
+    from scipy.linalg import expm as scipy_expm
+    M = rng.normal(size=(500, 2, 2))
+    M *= (2.0 * rng.random(500) / np.linalg.norm(M, ord=2, axis=(1, 2)))[:, None, None]
+    special = np.array([
+        np.zeros((2, 2)),
+        [[0.3, 1.0], [0.0, 0.3]],                  # Jordan block
+        [[0.5, 1e-9], [1e-9, 0.5 + 1e-8]],         # near-repeated pair
+        [[0.0, -1.5], [1.5, 0.0]],                 # rotation generator
+    ])
+    M = np.concatenate([M, special]).reshape(9, 56, 2, 2)
+    got, want = expm(M), scipy_expm(M)
+    err = np.max(np.abs(got - want), axis=(-2, -1))
+    assert np.all(err <= 1e-13 * np.linalg.norm(want, ord=2, axis=(-2, -1)))
+
+
+def test_expm_keeps_small_entries_of_stiff_matrices():
+    # the contracting entry e^{-z} of exp(z diag(-1, 1)) (Sol3) far from z = 0
+    # must not be lost to cancellation between cosh z and sinh z
+    z = np.array([0.5, 5.0, 20.0, -20.0])
+    got = expm(z[:, None, None] * np.diag([-1.0, 1.0]))
+    assert np.allclose(got[:, 0, 0], np.exp(-z), rtol=1e-14, atol=0.0)
+    assert np.allclose(got[:, 1, 1], np.exp(z), rtol=1e-14, atol=0.0)
+    assert np.all(got[:, 0, 1] == 0.0) and np.all(got[:, 1, 0] == 0.0)
+
+
+def series_phi(M):
+    """sum_k M^k / (k+1)!, 60 terms, one 2x2 matrix at a time."""
+    out = np.zeros((2, 2))
+    power, fact = np.eye(2), 1.0
+    for k in range(60):
+        out += power / (fact * (k + 1))
+        power = power @ M
+        fact *= k + 1
+    return out
+
+
+# catalog A's (Sol3, H2xR), the ones of the tests above and of the acceptance
+# suite, a rotation (complex eigenvalues) and a Jordan block (repeated)
+SEMIDIRECT_AS = [sol3().params["A"], h2xr().params["A"],
+                 [[0.4, -0.3], [1.1, 0.2]], [[0.3, -0.7], [0.5, 0.1]],
+                 [[1.2, -0.4], [0.9, 2.0]], [[0.5, 1.0], [-0.2, 0.7]],
+                 [[0.0, -1.0], [1.0, 0.0]], [[0.7, 1.0], [0.0, 0.7]]]
+# z = 0.2, -0.7 reach the near-repeated closed form and the short series
+# for some of the A's above, 2 the eigenvalue form for all but the Jordan block
+SEMIDIRECT_ZS = [0.0, 1e-12, 1e-6, 0.2, -0.7, 2.0]
+
+
+@pytest.mark.parametrize("A", SEMIDIRECT_AS, ids=str)
+def test_semidirect_exp_log_match_series_batched(A):
+    model = SemidirectModel(A)
+    A = np.asarray(A)
+    z = np.repeat(SEMIDIRECT_ZS, 7)
+    x = rng.normal(size=(len(z), 2))
+    v = np.concatenate([x, z[:, None]], axis=-1).reshape(6, 7, 3)
+    phis = [series_phi(zk * A) for zk in z]
+    want_exp = np.array([p @ xk for p, xk in zip(phis, x)]).reshape(6, 7, 2)
+    want_log = np.array([np.linalg.solve(p, xk)
+                         for p, xk in zip(phis, x)]).reshape(6, 7, 2)
+    got_exp, got_log = model.exp(v), model.log(v)
+    assert np.array_equal(got_exp[..., 2], v[..., 2])
+    assert np.array_equal(got_log[..., 2], v[..., 2])
+    assert np.max(np.abs(got_exp[..., :2] - want_exp)) \
+        <= 1e-13 * max(1.0, np.max(np.abs(want_exp)))
+    assert np.max(np.abs(got_log[..., :2] - want_log)) \
+        <= 1e-13 * max(1.0, np.max(np.abs(want_log)))
 
 
 @pytest.mark.parametrize("alg", ALGS, ids=lambda a: a.catalog_tag)

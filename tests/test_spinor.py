@@ -167,6 +167,16 @@ def test_xi_of_identity_spinor_is_frame_map():
     assert np.max(np.abs(normals[..., 0, :] - np.array([0, 0, 1.0]))) <= 1e-15
 
 
+@pytest.mark.parametrize("slot", [0, 1], ids=["even", "odd"])
+def test_spinor_field_rejects_nan(slot):
+    grid = ParamGrid(4, 4, 0.5)
+    vals = np.zeros(grid.shape + (8,))
+    vals[..., 0] = 1.0
+    vals[2, 1, slot] = np.nan
+    with pytest.raises(ValueError):
+        SpinorField(grid, 3, vals)
+
+
 def random_unit_field(grid, n):
     vals = np.zeros(grid.shape + (1 << n,))
     for i in range(grid.nx):
