@@ -22,7 +22,7 @@ from .lie_algebra import (
 )
 from .lie_group import (
     GroupElement, LieValuedOneForm, darboux_integrate, group_exp,
-    group_multiply, maurer_cartan_pullback, model_for, structure_residual,
+    maurer_cartan_pullback, model_for, structure_residual,
 )
 from .immersion import (
     EKTData, ImmersionData, ekt_compat_residuals, ekt_integrability_residuals,

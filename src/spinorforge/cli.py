@@ -5,7 +5,7 @@ reconstruct, cmc, export.  All structured I/O is JSON against the schemas
 in `serialization` (print them with --schema); meshes are OBJ or binary
 PLY.  Exit codes: 0 success, 2 residual above tolerance / not integrable,
 3 input error, 4 numerical failure.  Outputs are deterministic for fixed
-inputs; SPINORFORGE_THREADS caps the solver's worker parallelism.
+inputs.
 """
 
 import argparse
@@ -73,7 +73,7 @@ class RunConfig:
 
     def __post_init__(self):
         for name, value in self.tolerances.items():
-            if value is not None and value <= 0:
+            if value is not None and not value > 0:
                 raise InputError(f"tolerance {name} must be positive")
         needs_input = self.command in ("check-algebra", "check-frame",
                                        "check-gcr", "solve", "reconstruct",
@@ -338,8 +338,7 @@ COMMANDS = {
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="spinorforge",
-        description="Submanifolds of metric Lie groups through spin geometry",
-        epilog="SPINORFORGE_THREADS caps worker parallelism in the solver.")
+        description="Submanifolds of metric Lie groups through spin geometry")
     parser.add_argument("--schema", choices=sorted(SCHEMAS),
                         help="print a JSON schema and exit")
     parser.add_argument("-v", "--verbose", action="store_true",

@@ -375,11 +375,40 @@ class OffDiagOperator:
 
     def full_matrix(self):
         """[[0, -u*], [u, 0]] on R^p + R^q."""
-        n = self.n
-        out = np.zeros((n, n))
-        out[self.p:, :self.p] = self.matrix
-        out[:self.p, self.p:] = -self.matrix.T
-        return out
+        return offdiag_skew_array(self.matrix)
+
+
+def offdiag_skew_array(u):
+    """Skew matrices [[0, -u*], [u, 0]] of off-diagonal operator fields
+    u (..., q, p) -> (..., p + q, p + q)."""
+    u = np.asarray(u, dtype=np.float64)
+    q, p = u.shape[-2:]
+    out = np.zeros(u.shape[:-2] + (p + q, p + q))
+    out[..., p:, :p] = u
+    out[..., :p, p:] = -np.swapaxes(u, -1, -2)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _bivector_pairs(n):
+    """Index arrays (j, k, blade) over the pairs j < k, blade = mask of e_j e_k."""
+    j, k = np.triu_indices(n, 1)
+    return j, k, (1 << j) | (1 << k)
+
+
+def bivector_array(m):
+    """Bivector coefficients (..., 2**n) of skew matrix fields (..., n, n).
+
+    The coefficient of e_j e_k (j < k) is m[..., k, j]; only the strictly
+    lower triangle is read, so a matrix that is skew up to rounding maps as
+    its lower triangle does.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    n = m.shape[-1]
+    j, k, blade = _bivector_pairs(n)
+    out = np.zeros(m.shape[:-2] + (1 << n,))
+    out[..., blade] = m[..., k, j]
+    return out
 
 
 def bivector_of_skew(u):
@@ -393,22 +422,15 @@ def bivector_of_skew(u):
         m = np.asarray(u, dtype=np.float64)
         if not np.array_equal(m, -m.T):
             raise ValueError("matrix is not antisymmetric")
-    n = m.shape[0]
-    c = np.zeros(1 << n)
-    for j in range(n):
-        for k in range(j + 1, n):
-            c[(1 << j) | (1 << k)] = m[k, j]
-    return Multivector(n, c)
+    return Multivector(m.shape[0], bivector_array(m))
 
 
 def skew_of_bivector(b):
     """Inverse of bivector_of_skew (grade-1 commutator action as a matrix)."""
-    n = b.n
-    m = np.zeros((n, n))
-    for j in range(n):
-        for k in range(j + 1, n):
-            m[k, j] = b.coeffs[(1 << j) | (1 << k)]
-            m[j, k] = -m[k, j]
+    j, k, blade = _bivector_pairs(b.n)
+    m = np.zeros((b.n, b.n))
+    m[k, j] = b.coeffs[blade]
+    m[j, k] = -b.coeffs[blade]
     return m
 
 
@@ -419,12 +441,7 @@ def bivector_of_offdiag(u):
     """
     if not isinstance(u, OffDiagOperator):
         raise TypeError("bivector_of_offdiag expects an OffDiagOperator")
-    n = u.n
-    c = np.zeros(1 << n)
-    for j in range(u.p):
-        for r in range(u.q):
-            c[(1 << j) | (1 << (u.p + r))] = u.matrix[r, j]
-    return Multivector(n, c)
+    return bivector_of_skew(u.full_matrix())
 
 
 # =============================================================================
@@ -477,14 +494,30 @@ class SpinElement:
 
     def adjoint_matrix(self):
         """The SO(n) matrix of x -> g * x * reversal(g) on vectors."""
-        n = self.n
-        cols = []
-        for i in range(n):
-            cols.append(adjoint_action(self, Multivector.basis_vector(n, i)).vector())
-        return np.column_stack(cols)
+        m, impurity = adjoint_array(self.value.coeffs, self.n)
+        if not impurity <= 1e-10:
+            raise ValueError(f"adjoint action left grade-1: impurity {impurity:.3e}")
+        return m
 
     def __repr__(self):
         return f"SpinElement({self.value!r})"
+
+
+def adjoint_array(g, n):
+    """Matrices (..., n, n) of x -> g * x * reversal(g) on vectors, for a
+    field of multivectors g (..., 2**n); column k is the image of e_k.
+
+    Returns (matrices, impurity), impurity being the largest coefficient the
+    images carry outside grade 1 (zero up to rounding for spin elements).
+    """
+    g = np.asarray(g, dtype=np.float64)
+    rev = reverse_array(g, n)
+    cols, impurity = [], []
+    for k in range(n):
+        out = gp_array(gp_array(g, vector_array(np.eye(n)[k], n), n), rev, n)
+        impurity.append(non_grade_norm(out, n, (1,)))
+        cols.append(vector_part_array(out, n))
+    return np.stack(cols, axis=-1), float(np.max(impurity))
 
 
 def adjoint_action(a, x):
@@ -540,23 +573,23 @@ def _givens_factor(T, tol):
     return undo
 
 
-def spin_lift(T, special=True, tol=SPIN_TOL):
+def spin_lift(T, tol=SPIN_TOL):
     """A spin element a with Ad(a) = T, for T in SO(n).
 
     The two lifts +-a are equally valid; the returned representative is
     normalized to nonnegative scalar part (ties broken by the first nonzero
-    bivector coefficient).  `special` keeps the det +1 requirement on; a
-    reflection (det < 0) is always rejected since it has no spin lift.
+    bivector coefficient).  The orthogonality gate pins |det T| to 1, and a
+    reflection (det < 0) is rejected since it has no spin lift.
     """
     T = np.asarray(T, dtype=np.float64)
     n = T.shape[0]
     if T.shape != (n, n):
         raise ValueError("spin_lift needs a square matrix")
     ortho = np.max(np.abs(T.T @ T - np.eye(n)))
-    if ortho > tol:
+    if not ortho <= tol:
         raise ValueError(f"matrix is not orthogonal: |T^T T - I| = {ortho:.3e}")
     det = np.linalg.det(T)
-    if det < 0 or (special and abs(det - 1.0) > 1e-8):
+    if det < 0:
         raise ValueError(f"matrix is not special orthogonal (det = {det:g})")
     a = Multivector.scalar(n, 1.0)
     for (p, q, th) in _givens_factor(T, tol=1e-300):

@@ -294,22 +294,17 @@ def ekt_gamma_bivector(data, X, vertex):
 # Gauss / Codazzi / Ricci
 # =============================================================================
 
-def _gamma_matrices(alg, v):
-    """Gamma(v) matrices for a field of algebra vectors v (..., n)."""
-    return np.einsum("...i,ijk->...kj", v, alg.gamma)
-
-
 def ambient_curvature_frame(data, alg):
     """R^G(e1, e2) pulled back through the frame, as per-node skew matrices
     acting on frame components."""
     U = data.frames
     fX = U[..., 0]                    # G-coordinates of f(e1): column 0
     fY = U[..., 1]
-    GX = _gamma_matrices(alg, fX)
-    GY = _gamma_matrices(alg, fY)
+    GX = alg.gamma_op(fX)
+    GY = alg.gamma_op(fY)
     P = GX @ GY
     br = np.einsum("xyi,xyj,ijk->xyk", fX, fY, alg.c)
-    Rhat = P - np.swapaxes(P, 2, 3) - _gamma_matrices(alg, br)
+    Rhat = P - np.swapaxes(P, 2, 3) - alg.gamma_op(br)
     Ut = np.swapaxes(U, 2, 3)
     return Ut @ Rhat @ U
 

@@ -62,8 +62,9 @@ class MetricLieAlgebra:
                          self.c)
 
     def gamma_op(self, X):
-        """Matrix of Y -> Gamma(X) Y in the distinguished basis."""
-        return np.einsum("i,ijk->kj", np.asarray(X, float), self.gamma)
+        """Matrix of Y -> Gamma(X) Y in the distinguished basis; X may be a
+        field of vectors (..., n), giving matrices (..., n, n)."""
+        return np.einsum("...i,ijk->...kj", np.asarray(X, float), self.gamma)
 
     def connection(self, X, Y):
         return np.einsum("i,j,ijk->k", np.asarray(X, float), np.asarray(Y, float),
@@ -233,7 +234,7 @@ def unimodular(mu1, mu2, mu3):
     alg = MetricLieAlgebra(c, catalog_tag="Unimodular",
                            params={"mu": list(mus)})
     want = unimodular_gamma_matrix(mus, np.eye(3))
-    got = np.stack([alg.gamma_op(e) for e in np.eye(3)], axis=0)
+    got = alg.gamma_op(np.eye(3))
     if np.max(np.abs(got - want)) > 1e-14:
         raise AssertionError("unimodular connection does not match its defining form")
     return alg

@@ -380,10 +380,6 @@ class GroupElement:
         return f"GroupElement({self.model.name}, {self.payload})"
 
 
-def group_multiply(g, h):
-    return g * h
-
-
 def group_exp(alg_or_model, v, t=1.0):
     """One-parameter subgroup exp(t v) in the matching group model."""
     model = alg_or_model if hasattr(alg_or_model, "payload_dim") \

@@ -259,26 +259,46 @@ def surface_to_dict(F, model):
             "payload": np.asarray(F).reshape(-1).tolist()}
 
 
+def _model_dimension(params):
+    """The `n` of an abelian / H^n surface model, 3 when absent."""
+    n = int(params.get("n", 3))
+    if n < 1:
+        raise ValueError(f"model dimension n must be positive, got {n}")
+    return n
+
+
 def surface_from_dict(d):
     from .lie_group import AbelianModel, HnModel, S3Model, SemidirectModel
     _validated(d, SURFACE_SCHEMA, "surface")
     name = d["model"]["name"]
     params = d["model"].get("params", {})
-    if name == "abelian":
-        model = AbelianModel(int(params.get("n", 3)))
-    elif name == "s3":
-        model = S3Model()
-    elif name == "semidirect":
-        model = SemidirectModel(np.array(params["A"]))
-    elif name == "hn":
-        model = HnModel(int(params.get("n", 3)))
-    else:
-        raise InputError(f"unknown model {name!r}")
-    payload = np.array(d["payload"], dtype=np.float64)
     try:
-        F = payload.reshape(d["nx"], d["ny"], model.payload_dim)
+        if name == "abelian":
+            model = AbelianModel(_model_dimension(params))
+        elif name == "s3":
+            model = S3Model()
+        elif name == "semidirect":
+            if "A" not in params:
+                raise ValueError("the semidirect model needs params.A")
+            A = np.array(params["A"], dtype=np.float64)
+            if A.size != 4 or not np.all(np.isfinite(A)):
+                raise ValueError("params.A must be a finite 2x2 matrix")
+            model = SemidirectModel(A)
+        elif name == "hn":
+            model = HnModel(_model_dimension(params))
+        else:
+            raise ValueError(f"unknown model {name!r}")
+        payload = np.array(d["payload"], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise InputError(f"invalid surface: {err}")
+    try:
+        F = payload.reshape(int(d["nx"]), int(d["ny"]), model.payload_dim)
     except ValueError:
         raise InputError("surface payload length does not match the grid")
+    if not np.all(np.isfinite(F)):
+        raise InputError("surface payload has non-finite entries")
+    if name == "hn" and np.any(F[..., -1] <= 0):
+        raise InputError("H^n payload must lie in the half space a_n > 0")
     return F, model
 
 

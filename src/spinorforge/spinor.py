@@ -29,14 +29,12 @@ e3 e1) ~ (i, j, k) on bivectors, and quaternions are stored as pairs
 (a, b) = a + j b with (a, b)(c, d) = (ac - conj(b) d, conj(a) d + b c).
 """
 
-import os
-
 import numpy as np
 
 from .clifford import (
-    Multivector, SpinElement, bivector_of_offdiag, bivector_of_skew,
-    exp_array, gp_array, non_grade_norm, OffDiagOperator,
-    reverse_array, spin_lift, vector_array, vector_part_array,
+    Multivector, SpinElement, adjoint_array, bivector_array, exp_array,
+    gp_array, non_grade_norm, offdiag_skew_array, reverse_array, spin_lift,
+    vector_array,
 )
 from .lie_group import (
     LieValuedOneForm, darboux_integrate, maurer_cartan_pullback, model_for,
@@ -155,30 +153,9 @@ def phi_from_psi_pair(p, q):
 # Connection assembly
 # =============================================================================
 
-def _bivector_field(m):
-    """Skew matrix fields (nx, ny, n, n) -> bivector coefficient arrays."""
-    n = m.shape[-1]
-    out = np.zeros(m.shape[:-2] + (1 << n,))
-    for j in range(n):
-        for k in range(j + 1, n):
-            out[..., (1 << j) | (1 << k)] = m[..., k, j]
-    return out
-
-
-def _mixed_bivector_field(Ba, mu):
-    """sum_j e_j B(X, e_j) for X = mu e_a, from B[a] slices (nx, ny, 2, q)."""
-    q = Ba.shape[-1]
-    n = q + 2
-    out = np.zeros(Ba.shape[:-2] + (1 << n,))
-    for j in range(2):
-        for r in range(q):
-            out[..., (1 << j) | (1 << (2 + r))] = mu * Ba[..., j, r]
-    return out
-
-
-def spin_connection_fields(data):
-    """Bivector coefficients of the (Levi-Civita + normal) spin connection
-    along the coordinate directions dx, dy."""
+def spin_connection_matrices(data):
+    """Skew matrices of the (Levi-Civita + normal) connection along the
+    coordinate directions dx, dy."""
     grid = data.grid
     n = data.n
     wx, wy = grid.rotation_coefficients()
@@ -188,54 +165,54 @@ def spin_connection_fields(data):
         m[..., 1, 0] = w
         m[..., 0, 1] = -w
         m[..., 2:, 2:] = theta
-        out.append(_bivector_field(m))
+        out.append(m)
     return out[0], out[1]
 
 
-def gamma_pullback_matrices(data, alg):
-    """Gamma(f(dx)), Gamma(f(dy)) pulled back to frame coordinates."""
-    U = data.frames
-    Ut = np.swapaxes(U, 2, 3)
-    mu = data.grid.mu
-    out = []
-    for a in range(2):
-        fX = mu[..., None] * U[..., a]
-        G = np.einsum("xyi,ijk->xykj", fX, alg.gamma)
-        out.append(Ut @ G @ U)
-    return out[0], out[1]
+def gamma_frame_matrix(alg, frames, X):
+    """U^T Gamma(f(X)) U: the catalog connection along the frame image of X
+    (tangent frame components (..., 2)), pulled back to frame coordinates;
+    skew up to rounding."""
+    fX = np.einsum("...ia,...a->...i", frames[..., :2], X)
+    return np.swapaxes(frames, -1, -2) @ alg.gamma_op(fX) @ frames
+
+
+def eta_matrix(alg, frames, B, X, spin=0.0):
+    """Skew-matrix form of eta(X) = -1/2 spin - 1/2 sum_j e_j B(X, e_j)
+    + 1/2 Gamma(X) for X in tangent frame components (..., 2), broadcast over
+    the leading node axes of frames (..., n, n) and B (..., 2, 2, q)."""
+    BX = np.einsum("...a,...ajr->...rj", X, B)     # B(X, .): R^2 -> R^q
+    return -0.5 * spin - 0.5 * offdiag_skew_array(BX) \
+        + 0.5 * gamma_frame_matrix(alg, frames, X)
+
+
+def _coordinate_direction(mu, a):
+    """Tangent frame components mu e_a of the coordinate vector d_a."""
+    X = np.zeros(mu.shape + (2,))
+    X[..., a] = mu
+    return X
 
 
 def connection_coefficient_fields(problem):
     """eta(dx), eta(dy) as coefficient arrays: d_a [phi] = eta_a [phi]."""
     data, alg = problem.data, problem.alg
-    mu = data.grid.mu
-    sx, sy = spin_connection_fields(data)
-    gx, gy = gamma_pullback_matrices(data, alg)
     etas = []
-    for a, (s, g) in enumerate(((sx, gx), (sy, gy))):
-        bb = _mixed_bivector_field(data.B[:, :, a], mu)
-        etas.append(-0.5 * s - 0.5 * bb + 0.5 * _bivector_field(g))
+    for a, spin in enumerate(spin_connection_matrices(data)):
+        X = _coordinate_direction(data.grid.mu, a)
+        etas.append(bivector_array(eta_matrix(alg, data.frames, data.B, X,
+                                              spin)))
     return etas[0], etas[1]
 
 
 def killing_rhs(problem, phi, X, vertex):
     """Right-hand side -1/2 sum_j e_j B(X, e_j) phi + 1/2 Gamma(X) phi of the
     covariant spinor equation, at one node, X in tangent frame components."""
-    data, alg = problem.data, problem.alg
-    n = data.n
-    q = data.q
+    data = problem.data
     if isinstance(phi, SpinElement):
         phi = phi.value
-    X = np.asarray(X, dtype=np.float64)
-    i0, j0 = vertex
-    # sum_j e_j B(X, e_j): B(X, e_j)_r = sum_a X_a B[a, j, r]
-    BX = np.einsum("a,abr->br", X, data.B[i0, j0])
-    bb = bivector_of_offdiag(OffDiagOperator(2, q, BX.T))
-    U = data.frames[i0, j0]
-    fX = U[:, :2] @ X
-    gmat = U.T @ np.einsum("i,ijk->kj", fX, alg.gamma) @ U
-    gb = bivector_of_skew(0.5 * (gmat - gmat.T))  # exact-skew the conjugation
-    return (-0.5) * (bb * phi) + 0.5 * (gb * phi)
+    m = eta_matrix(problem.alg, data.frames[vertex], data.B[vertex],
+                   np.asarray(X, dtype=np.float64))
+    return Multivector(data.n, bivector_array(m)) * phi
 
 
 # =============================================================================
@@ -267,8 +244,6 @@ def solve_killing(problem, holonomy_tol=None, spin_tol=1e-8):
     Returns (SpinorField, report) where report carries the holonomy (max
     loop-transport defect per unit coordinate area), the threshold used,
     the NOT-INTEGRABLE flag and the unit-norm renormalization drift.
-    Column transports are independent given the bottom row and run in a
-    thread pool when SPINORFORGE_THREADS asks for more than one worker.
     """
     data, alg = problem.data, problem.alg
     grid = problem.grid
@@ -288,24 +263,10 @@ def solve_killing(problem, holonomy_tol=None, spin_tol=1e-8):
         values[i + 1, 0], d = _renormalize(step, n)
         drift = max(drift, d)
 
-    def _columns(lo, hi):
-        local = 0.0
-        for j in range(ny - 1):
-            step = gp_array(Ey[lo:hi, j], values[lo:hi, j], n)
-            values[lo:hi, j + 1], d = _renormalize(step, n)
-            local = max(local, d)
-        return local
-
-    workers = int(os.environ.get("SPINORFORGE_THREADS", "1") or "1")
-    if workers > 1 and nx >= 2 * workers:
-        from concurrent.futures import ThreadPoolExecutor
-        bounds = np.linspace(0, nx, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for d in pool.map(lambda se: _columns(*se),
-                              zip(bounds[:-1], bounds[1:])):
-                drift = max(drift, d)
-    else:
-        drift = max(drift, _columns(0, nx))
+    for j in range(ny - 1):
+        step = gp_array(Ey[:, j], values[:, j], n)
+        values[:, j + 1], d = _renormalize(step, n)
+        drift = max(drift, d)
 
     # plaquette holonomy: A -> B -> C -> D -> A, defect per unit area
     # the edge operators are exponentials of bivectors: rev(exp(b)) = exp(-b)
@@ -338,23 +299,12 @@ def xi_from_spinor(field, problem, purity_tol=1e-10):
     """
     grid = field.grid
     n = field.n
-    q = n - 2
     mu = grid.mu
-    rev = reverse_array(field.values, n)
-    vecs = []
-    coords = np.zeros(grid.shape + (n,))
-    results = []
-    for k in range(n):
-        coords[:] = 0.0
-        coords[..., k] = 1.0
-        out = gp_array(gp_array(rev, vector_array(coords, n), n),
-                       field.values, n)
-        impurity = non_grade_norm(out, n, (1,))
-        if impurity > purity_tol:
-            raise ValueError(f"xi output is not a vector: off-grade mass "
-                             f"{impurity:.3e} signals spinor corruption")
-        results.append(vector_part_array(out, n))
-    results = np.stack(results, axis=2)       # (nx, ny, frame index, G index)
+    adj, impurity = adjoint_array(reverse_array(field.values, n), n)
+    if not impurity <= purity_tol:
+        raise ValueError(f"xi output is not a vector: off-grade mass "
+                         f"{impurity:.3e} signals spinor corruption")
+    results = np.swapaxes(adj, 2, 3)          # (nx, ny, frame index, G index)
     xi_x = mu[..., None] * results[:, :, 0]
     xi_y = mu[..., None] * results[:, :, 1]
     return LieValuedOneForm(grid, xi_x, xi_y), results[:, :, 2:]
@@ -363,15 +313,9 @@ def xi_from_spinor(field, problem, purity_tol=1e-10):
 def frame_map_at(field, problem, vertex):
     """The matrix xi o frame^{-1} at a node: columns are xi(underline-e_i)
     against the distinguished basis; orthogonal for a clean solve."""
-    n = field.n
-    U = problem.data.frames[vertex]
-    rev = reverse_array(field.values[vertex], n)
-    cols = []
-    for i in range(n):
-        v = gp_array(gp_array(rev, vector_array(U[i], n), n),
-                     field.values[vertex], n)
-        cols.append(vector_part_array(v, n))
-    return np.column_stack(cols)
+    adj, _ = adjoint_array(reverse_array(field.values[vertex], field.n),
+                           field.n)
+    return adj @ problem.data.frames[vertex].T
 
 
 def normalize_spinor(field, problem, orth_tol=1e-6):
@@ -645,16 +589,17 @@ def dirac_residual(field, problem, H_vec=None):
     H_vec = np.asarray(H_vec, dtype=np.float64)
     if H_vec.ndim == 2:
         H_vec = H_vec[..., None]
-    sx, sy = spin_connection_fields(data)
-    gx, gy = gamma_pullback_matrices(data, alg)
+    sx, sy = map(bivector_array, spin_connection_matrices(data))
+    gx, gy = (bivector_array(gamma_frame_matrix(
+        alg, data.frames, _coordinate_direction(mu, a))) for a in range(2))
     vals = field.values
     e1 = vector_array(np.eye(n)[0], n)
     e2 = vector_array(np.eye(n)[1], n)
     nab_x = grid.dx(vals) + 0.5 * gp_array(sx, vals, n)
     nab_y = grid.dy(vals) + 0.5 * gp_array(sy, vals, n)
     D = (gp_array(e1, nab_x, n) + gp_array(e2, nab_y, n)) / mu[..., None]
-    gamma_el = 0.5 * (gp_array(e1, _bivector_field(gx), n) +
-                      gp_array(e2, _bivector_field(gy), n)) / mu[..., None]
+    gamma_el = 0.5 * (gp_array(e1, gx, n) + gp_array(e2, gy, n)) \
+        / mu[..., None]
     Hcoords = np.zeros(grid.shape + (n,))
     Hcoords[..., 2:] = H_vec
     rhs = gp_array(vector_array(Hcoords, n) + gamma_el, vals, n)

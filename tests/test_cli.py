@@ -4,9 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinorforge
 from spinorforge import fixtures, lie_algebra as la
@@ -14,8 +17,8 @@ from spinorforge.cli import main
 from spinorforge.meshexport import (export_mesh, grid_faces,
                                     read_obj_vertices, read_ply_vertices)
 from spinorforge.lie_group import model_for
-from spinorforge.serialization import (cmc_to_dict, dump_json, load_json,
-                                       problem_to_dict)
+from spinorforge.serialization import (SURFACE_SCHEMA, cmc_to_dict,
+                                       dump_json, load_json, problem_to_dict)
 
 
 def write_problem(tmp_path, fx, name="problem.json"):
@@ -181,6 +184,78 @@ def test_reconstruct_not_integrable_exits_two(tmp_path):
                  "--grid-n", "17", "-o", str(out)]) == 2
     report = load_json(out)
     assert not report["integrable"]
+
+
+@pytest.mark.parametrize("model,payload,code", [
+    ({"name": "semidirect"}, [0.0] * 12, 3),
+    ({"name": "s3"}, [float("nan")] * 16, 3),
+    ({"name": "hn", "params": {"n": 3}}, [0.0, 0.0, 1.0] * 3 + [0.0] * 3, 3),
+    ({"name": "abelian"}, [0.5] * 12, 0),
+    ({"name": "hn", "params": {}}, [0.5] * 12, 0),
+], ids=["semidirect-without-A", "s3-nan", "hn-outside-half-space",
+        "abelian-default-n", "hn-default-n"])
+def test_export_surface_exit_codes(tmp_path, model, payload, code):
+    path = tmp_path / "surface.json"
+    dump_json({"model": model, "nx": 2, "ny": 2, "payload": payload}, path)
+    assert main(["export", str(path), "-o", str(tmp_path / "m.obj")]) == code
+
+
+_NONFINITE = [float("nan"), float("inf"), float("-inf")]
+_WRONG_PARAM = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 6), st.text(max_size=3),
+    st.floats(-5, 5), st.sampled_from(_NONFINITE),
+    st.lists(st.integers(-1, 2), max_size=5),
+    st.just([[float("nan"), 0.0], [0.0, 1.0]]))
+
+
+@st.composite
+def surface_blobs(draw):
+    """Surface JSON for every schema model name, starting from params valid
+    for all of them; each param may be dropped or given a wrong value, the
+    payload length may be off by one and one entry may be non-finite."""
+    model = {"name": draw(st.sampled_from(
+        SURFACE_SCHEMA["properties"]["model"]["properties"]["name"]["enum"]))}
+    params = {"n": 3, "A": [[-1.0, 0.0], [0.0, 1.0]]}
+    for key in list(params):
+        how = draw(st.sampled_from(["keep", "keep", "drop", "wrong"]))
+        if how == "drop":
+            del params[key]
+        elif how == "wrong":
+            params[key] = draw(_WRONG_PARAM)
+    shape = draw(st.sampled_from(["dict", "dict", "absent", "wrong"]))
+    if shape != "absent":
+        model["params"] = params if shape == "dict" else draw(_WRONG_PARAM)
+    nx, ny = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    dim = 4 if model["name"] == "s3" else 3
+    length = nx * ny * dim + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    # positive entries keep H^n payloads in the half space
+    low = draw(st.sampled_from([0.25, -3.0]))
+    payload = draw(st.lists(st.floats(low, 3), min_size=length,
+                            max_size=length))
+    bad = draw(st.sampled_from([None, None, None] + _NONFINITE))
+    if bad is not None:
+        payload[draw(st.integers(0, length - 1))] = bad
+    return {"model": model, "nx": nx, "ny": ny, "payload": payload}
+
+
+@given(surface_blobs(), st.sampled_from(["obj", "ply"]))
+@settings(max_examples=100, deadline=None)
+def test_export_fuzz_exits_cleanly(blob, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "surface.json")
+        dump_json(blob, path)
+        code = main(["export", path, "--format", fmt,
+                     "-o", os.path.join(tmp, "mesh." + fmt)])
+    assert code in (0, 3)
+
+
+@pytest.mark.parametrize("flag,value", [("--tol", "nan"),
+                                        ("--holonomy-tol", "nan"),
+                                        ("--holonomy-tol", "-1")],
+                         ids=["tol-nan", "holonomy-nan", "holonomy-negative"])
+def test_tolerance_must_be_positive(tmp_path, flag, value):
+    assert main(["solve", "--fixture", "sphere-r3", "--grid-n", "9",
+                 f"{flag}={value}", "-o", str(tmp_path / "r.json")]) == 3
 
 
 def test_reconstruct_missing_input_is_input_error(tmp_path):

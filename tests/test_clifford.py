@@ -11,8 +11,9 @@ import pytest
 
 from spinorforge.clifford import (
     Multivector, SpinElement, SkewOperator, OffDiagOperator,
-    adjoint_action, bivector_of_offdiag, bivector_of_skew, blade_tables,
-    canonical_spin_sign, commutator, exp_array, grade_indices, reverse_array,
+    adjoint_action, adjoint_array, bivector_array, bivector_of_offdiag,
+    bivector_of_skew, blade_tables, canonical_spin_sign, commutator,
+    exp_array, grade_indices, offdiag_skew_array, reverse_array,
     skew_of_bivector, spin_bracket, spin_lift,
 )
 
@@ -289,6 +290,64 @@ def test_skew_of_bivector_roundtrip():
     for _ in range(20):
         u = random_skew(5)
         assert np.allclose(skew_of_bivector(bivector_of_skew(u)), u.matrix)
+
+
+def loop_bivector_of_skew(m):
+    """Reference: one node, the double loop over the pairs j < k."""
+    n = m.shape[0]
+    c = np.zeros(1 << n)
+    for j in range(n):
+        for k in range(j + 1, n):
+            c[(1 << j) | (1 << k)] = m[k, j]
+    return c
+
+
+def loop_bivector_of_offdiag(u, p, q):
+    """Reference: one node, sum_{j<=p} e_j u(e_j) coefficient by coefficient."""
+    c = np.zeros(1 << (p + q))
+    for j in range(p):
+        for r in range(q):
+            c[(1 << j) | (1 << (p + r))] = u[r, j]
+    return c
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_bivector_field_kernel_matches_node_loops(n):
+    # the field kernel and the scalar wrappers over it reproduce the
+    # per-node loops exactly: both are pure gathers
+    m = rng.normal(size=(4, 5, n, n))
+    m = m - np.swapaxes(m, -1, -2)
+    field = bivector_array(m)
+    for p in range(1, n):
+        q = n - p
+        u = rng.normal(size=(4, 5, q, p))
+        off = bivector_array(offdiag_skew_array(u))
+        for idx in np.ndindex(4, 5):
+            want = loop_bivector_of_offdiag(u[idx], p, q)
+            assert np.array_equal(off[idx], want)
+            got = bivector_of_offdiag(OffDiagOperator(p, q, u[idx])).coeffs
+            assert np.array_equal(got, want)
+    for idx in np.ndindex(4, 5):
+        want = loop_bivector_of_skew(m[idx])
+        assert np.array_equal(field[idx], want)
+        biv = bivector_of_skew(m[idx])
+        assert np.array_equal(biv.coeffs, want)
+        assert np.array_equal(skew_of_bivector(biv), m[idx])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_adjoint_field_kernel_matches_node_action(n):
+    g = np.array([[random_spin(n).value.coeffs for _ in range(5)]
+                  for _ in range(4)])
+    mats, impurity = adjoint_array(g, n)
+    assert impurity <= 1e-12
+    for idx in np.ndindex(4, 5):
+        a = SpinElement(Multivector(n, g[idx]), tol=1e-9)
+        want = np.column_stack([
+            adjoint_action(a, Multivector.basis_vector(n, k)).vector()
+            for k in range(n)])
+        assert np.max(np.abs(mats[idx] - want)) <= 1e-14
+        assert np.array_equal(a.adjoint_matrix(), mats[idx])
 
 
 # =============================================================================

@@ -1,14 +1,13 @@
 """Killing transport, holonomy, xi, normalization, reconstruction, Dirac."""
 
-import os
-
 import numpy as np
 import pytest
 
 from spinorforge import fixtures, lie_algebra as la
 from spinorforge.clifford import (
-    Multivector, SpinElement, bivector_of_skew, exp_array, gp_array,
-    reverse_array, vector_array, vector_part_array,
+    Multivector, OffDiagOperator, SpinElement, bivector_of_offdiag,
+    bivector_of_skew, exp_array, gp_array, reverse_array, vector_array,
+    vector_part_array,
 )
 from spinorforge.grid import ParamGrid
 from spinorforge.immersion import ImmersionData, ekt_gamma_bivector
@@ -96,6 +95,41 @@ def test_rhs_matches_ekt_bivector_form():
         assert got.allclose(want, tol=1e-11)
 
 
+@pytest.mark.parametrize("make", [fixtures.s3_sphere,
+                                  fixtures.sphere_r4_twisted])
+def test_connection_fields_match_node_assembly(make):
+    # eta_a = -1/2 spin_a - 1/2 sum_j e_j B(mu e_a, e_j) + 1/2 Gamma(mu e_a),
+    # assembled node by node through the scalar dictionaries; the rhs at a
+    # node is sum_a X_a (eta_a + 1/2 spin_a) / mu applied to phi
+    fx = make(9)
+    data, grid, alg = fx.data, fx.grid, fx.alg
+    n, q = data.n, data.q
+    prob = KillingProblem(data, alg)
+    etas = connection_coefficient_fields(prob)
+    ws = grid.rotation_coefficients()
+    thetas = (data.theta_x, data.theta_y)
+    phi = random_spin(n).value
+    for idx in np.ndindex(grid.shape):
+        U, mu = data.frames[idx], grid.mu[idx]
+        X = rng.normal(size=2)
+        eta_X = np.zeros(1 << n)
+        for a in range(2):
+            spin = np.zeros((n, n))
+            spin[1, 0], spin[0, 1] = ws[a][idx], -ws[a][idx]
+            theta = thetas[a][idx]
+            spin[2:, 2:] = 0.5 * (theta - theta.T)
+            spin = bivector_of_skew(spin).coeffs
+            bb = bivector_of_offdiag(
+                OffDiagOperator(2, q, mu * data.B[idx][a].T)).coeffs
+            g = U.T @ alg.gamma_op(mu * U[:, a]) @ U
+            gb = bivector_of_skew(0.5 * (g - g.T)).coeffs
+            want = -0.5 * spin - 0.5 * bb + 0.5 * gb
+            assert np.max(np.abs(etas[a][idx] - want)) <= 1e-14
+            eta_X += X[a] * (etas[a][idx] + 0.5 * spin) / mu
+        got = killing_rhs(prob, phi, X, idx)
+        assert got.allclose(Multivector(n, eta_X) * phi, tol=1e-14)
+
+
 # =============================================================================
 # Transport
 # =============================================================================
@@ -138,18 +172,6 @@ def test_holonomy_order_and_breakage():
         fx = fixtures.sphere_r3(n, codazzi_eps=1e-2)
         _, rep = solve_killing(KillingProblem(fx.data, fx.alg))
         assert rep["holonomy"] > 1e-3
-
-
-def test_threaded_columns_match_serial():
-    fx = fixtures.sphere_r3(17)
-    prob = KillingProblem(fx.data, fx.alg)
-    serial, _ = solve_killing(prob)
-    os.environ["SPINORFORGE_THREADS"] = "3"
-    try:
-        threaded, _ = solve_killing(prob)
-    finally:
-        os.environ.pop("SPINORFORGE_THREADS")
-    assert np.array_equal(serial.values, threaded.values)
 
 
 # =============================================================================
