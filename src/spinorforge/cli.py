@@ -174,10 +174,10 @@ def _residual_command(cfg, names, residual_fields):
     out = _out(cfg, "report.json")
     base, _ = os.path.splitext(out)
     report = {"residuals": {}}
-    worst = 0.0
     for name, fld in zip(names, residual_fields):
         report["residuals"][name] = field_report(fld, f"{base}.{name}.json")
-        worst = max(worst, report["residuals"][name]["max"])
+    # np.max, unlike max(), keeps a NaN worst so that it fails the gate
+    worst = float(np.max([r["max"] for r in report["residuals"].values()]))
     return report, worst, out
 
 

@@ -467,7 +467,7 @@ class SpinElement:
         if not value.is_even(tol):
             raise ValueError("spin element has odd-grade coefficients")
         unit = value.reversal() * value - Multivector.scalar(value.n, 1.0)
-        if unit.max_norm() > tol:
+        if not unit.max_norm() <= tol:
             raise ValueError(
                 f"reversal(g)*g deviates from 1 by {unit.max_norm():.3e} "
                 f"(tolerance {tol:.1e})")
@@ -542,72 +542,69 @@ def adjoint_action(a, x):
     return out.grade(1)
 
 
-def _givens_factor(T, tol):
-    """Factor special-orthogonal T into plane rotations, T = prod R(p,q,theta).
+def spin_lift_array(T, tol=SPIN_TOL):
+    """Spin lifts a (..., 2**n), Ad(a) = T, of rotation fields T (..., n, n).
 
-    Returns the factors in application order (their product, leftmost first,
-    reproduces T).
-    """
-    n = T.shape[0]
-    work = T.copy()
-    undo = []  # rotations applied to the left of `work`
-    for j in range(n - 1):
-        for i in range(n - 1, j, -1):
-            a, b = work[i - 1, j], work[i, j]
-            r = math.hypot(a, b)
-            if r <= tol:
-                continue
-            c, s = a / r, b / r
-            # rotate rows (i-1, i) so that work[i, j] -> 0
-            rows = work[[i - 1, i], :].copy()
-            work[i - 1, :] = c * rows[0] + s * rows[1]
-            work[i, :] = -s * rows[0] + c * rows[1]
-            undo.append((i - 1, i, math.atan2(b, a)))
-    # work is now upper triangular and orthogonal => diagonal of +-1;
-    # for det +1 input with clean factorization the diagonal is +1.
-    if np.max(np.abs(work - np.eye(n))) > 1e-8:
-        raise ValueError("Givens factorization failed; input not special "
-                         "orthogonal within tolerance")
-    # G_m ... G_1 T = I with G_k = R(p, q, -theta_k), so T = R_1 R_2 ... R_m:
-    # the inverse factors multiply back in append order.
-    return undo
-
-
-def spin_lift(T, tol=SPIN_TOL):
-    """A spin element a with Ad(a) = T, for T in SO(n).
-
-    The two lifts +-a are equally valid; the returned representative is
-    normalized to nonnegative scalar part (ties broken by the first nonzero
-    bivector coefficient).  The orthogonality gate pins |det T| to 1, and a
+    Every node is factored into Givens rotations of the planes (i-1, i) in
+    one order (columns j, rows i from n-1 down to j+1); the lift is the
+    product of their half-angle rotors, signed by `canonical_spin_sign`.
+    The orthogonality gate pins |det T| to 1, and a field with any
     reflection (det < 0) is rejected since it has no spin lift.
     """
     T = np.asarray(T, dtype=np.float64)
-    n = T.shape[0]
-    if T.shape != (n, n):
+    if T.ndim < 2 or T.shape[-2] != T.shape[-1]:
         raise ValueError("spin_lift needs a square matrix")
-    ortho = np.max(np.abs(T.T @ T - np.eye(n)))
+    n = T.shape[-1]
+    eye = np.eye(n)
+    ortho = np.max(np.abs(np.swapaxes(T, -1, -2) @ T - eye))
     if not ortho <= tol:
         raise ValueError(f"matrix is not orthogonal: |T^T T - I| = {ortho:.3e}")
     det = np.linalg.det(T)
-    if det < 0:
-        raise ValueError(f"matrix is not special orthogonal (det = {det:g})")
-    a = Multivector.scalar(n, 1.0)
-    for (p, q, th) in _givens_factor(T, tol=1e-300):
-        rotor = Multivector.scalar(n, math.cos(th / 2)) + \
-            Multivector.blade(n, (1 << p) | (1 << q), math.sin(th / 2))
-        a = a * rotor
-    a = canonical_spin_sign(a)
-    return SpinElement(a)
+    if np.any(det < 0):
+        raise ValueError(f"matrix is not special orthogonal "
+                         f"(det = {np.min(det):g})")
+    work = T.copy()
+    a = np.zeros(T.shape[:-2] + (1 << n,))
+    a[..., 0] = 1.0
+    for j in range(n - 1):
+        for i in range(n - 1, j, -1):
+            # copies: the row update below writes to the entries read here
+            x, y = work[..., i - 1, j].copy(), work[..., i, j].copy()
+            r = np.hypot(x, y)
+            live = r > 1e-300   # a vanishing pair needs no rotation
+            c = np.divide(x, r, out=np.ones_like(r), where=live)[..., None]
+            s = np.divide(y, r, out=np.zeros_like(r), where=live)[..., None]
+            # rotate rows (i-1, i) so that work[i, j] -> 0
+            row0, row1 = work[..., i - 1, :].copy(), work[..., i, :].copy()
+            work[..., i - 1, :] = c * row0 + s * row1
+            work[..., i, :] = -s * row0 + c * row1
+            half = np.where(live, np.arctan2(y, x), 0.0) / 2
+            rotor = np.zeros_like(a)
+            rotor[..., 0] = np.cos(half)
+            rotor[..., (1 << (i - 1)) | (1 << i)] = np.sin(half)
+            # G_m ... G_1 T = I with G_k = R(i-1, i, -theta_k), so
+            # T = R_1 R_2 ... R_m: the rotors multiply in the order applied
+            a = gp_array(a, rotor, n)
+    # work is now upper triangular and orthogonal => diagonal of +-1;
+    # for det +1 input with clean factorization the diagonal is +1.
+    if not np.max(np.abs(work - eye)) <= 1e-8:
+        raise ValueError("Givens factorization failed; input not special "
+                         "orthogonal within tolerance")
+    return _canonical_sign_array(a)
+
+
+def _canonical_sign_array(a):
+    """a (..., 2**n) times the sign of each node's first nonzero entry."""
+    lead = np.take_along_axis(a, np.argmax(a != 0, axis=-1)[..., None], -1)
+    return np.where(lead < 0, -a, a)
+
+
+def spin_lift(T, tol=SPIN_TOL):
+    """The spin element of one T in SO(n): a node of `spin_lift_array`."""
+    return SpinElement(Multivector(np.shape(T)[-1], spin_lift_array(T, tol)))
 
 
 def canonical_spin_sign(a):
     """Pick the representative of {a, -a} with nonnegative scalar part;
     scalar-part ties broken by the first nonzero coefficient."""
-    s = a.coeffs[0]
-    if s < 0:
-        return -a
-    if s == 0:
-        for c in a.coeffs[1:]:
-            if c != 0:
-                return a if c > 0 else -a
-    return a
+    return Multivector(a.n, _canonical_sign_array(a.coeffs))

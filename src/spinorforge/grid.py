@@ -28,13 +28,15 @@ class ParamGrid:
     def __init__(self, nx, ny, h, mu=None, x0=0.0, y0=0.0):
         if nx < 2 or ny < 2:
             raise ValueError("grids need nx, ny >= 2")
-        if not h > 0:
-            raise ValueError("grid spacing must be positive")
+        if not 0 < h < np.inf:
+            raise ValueError("grid spacing must be positive and finite")
         self.nx = int(nx)
         self.ny = int(ny)
         self.h = float(h)
         self.x0 = float(x0)
         self.y0 = float(y0)
+        if not np.isfinite([self.x0, self.y0]).all():
+            raise ValueError("grid origin must be finite")
         if mu is None:
             mu = np.ones((self.nx, self.ny))
         elif callable(mu):
@@ -42,8 +44,8 @@ class ParamGrid:
         mu = np.asarray(mu, dtype=np.float64)
         if mu.shape != (self.nx, self.ny):
             raise ValueError(f"mu must have shape {(self.nx, self.ny)}")
-        if not np.all(mu > 0):
-            raise ValueError("conformal factor must be positive everywhere")
+        if not np.all((mu > 0) & (mu < np.inf)):
+            raise ValueError("conformal factor must be positive and finite")
         self.mu = mu
 
     # ---- coordinates ----------------------------------------------------

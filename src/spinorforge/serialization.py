@@ -299,6 +299,8 @@ def surface_from_dict(d):
         raise InputError("surface payload has non-finite entries")
     if name == "hn" and np.any(F[..., -1] <= 0):
         raise InputError("H^n payload must lie in the half space a_n > 0")
+    if name == "s3" and np.max(np.abs(np.linalg.norm(F, axis=-1) - 1)) > 1e-6:
+        raise InputError("S^3 payload must be unit quaternions")
     return F, model
 
 

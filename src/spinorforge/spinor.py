@@ -34,7 +34,7 @@ import numpy as np
 from .clifford import (
     Multivector, SpinElement, adjoint_array, bivector_array, exp_array,
     gp_array, non_grade_norm, offdiag_skew_array, reverse_array, spin_lift,
-    vector_array,
+    spin_lift_array, vector_array,
 )
 from .lie_group import (
     LieValuedOneForm, darboux_integrate, maurer_cartan_pullback, model_for,
@@ -464,32 +464,32 @@ def _continuous_normal_frames(zx, zy, mu, n):
         frames[..., 2] = np.cross(e1, e2)
         return frames
 
-    def complete(i, j, seed):
-        basis = [e1[i, j], e2[i, j]]
+    def complete(t1, t2, seed):   # over a slice of nodes
         cols = []
         for r in range(q):
-            v = seed[:, r]
-            for b in basis + cols:
-                v = v - (b @ v) * b
-            nv = np.linalg.norm(v)
-            if nv < 1e-8:
+            v = seed[..., r]
+            for b in [t1, t2] + cols:
+                v = v - np.einsum("...i,...i->...", b, v)[..., None] * b
+            nv = np.linalg.norm(v, axis=-1, keepdims=True)
+            if np.any(nv < 1e-8):
                 raise ValueError("degenerate normal completion; immersion "
                                  "nearly tangent to the seed frame")
             cols.append(v / nv)
-        return np.column_stack(cols)
+        return np.stack(cols, axis=-1)
 
     # seed at the origin: complete the tangent pair by QR, fix orientation
     A = np.column_stack([e1[0, 0], e2[0, 0], np.eye(n)])
     qmat, _ = np.linalg.qr(A)
     seed = qmat[:, 2:2 + q].copy()
-    frames[0, 0, :, 2:] = complete(0, 0, seed)
+    frames[0, 0, :, 2:] = complete(e1[0, 0], e2[0, 0], seed)
     if np.linalg.det(frames[0, 0]) < 0:
         frames[0, 0, :, n - 1] *= -1.0
     for i in range(1, nx):
-        frames[i, 0, :, 2:] = complete(i, 0, frames[i - 1, 0, :, 2:])
+        frames[i, 0, :, 2:] = complete(e1[i, 0], e2[i, 0],
+                                       frames[i - 1, 0, :, 2:])
     for j in range(1, ny):
-        for i in range(nx):
-            frames[i, j, :, 2:] = complete(i, j, frames[i, j - 1, :, 2:])
+        frames[:, j, :, 2:] = complete(e1[:, j], e2[:, j],
+                                       frames[:, j - 1, :, 2:])
     return frames
 
 
@@ -550,23 +550,17 @@ def spinor_of_immersion(F, alg, grid, conformal_tol=None):
 
 def _continuous_spin_lift(frames):
     """Reversed spin lifts of the frame rotations, sign-matched along the
-    spanning tree so the field is continuous."""
-    nx, ny, n, _ = frames.shape
-    values = np.zeros((nx, ny, 1 << n))
-
-    def lift(i, j, prev):
-        a = spin_lift(frames[i, j]).value.reversal().coeffs
-        if prev is not None and np.linalg.norm(a - prev) > np.linalg.norm(a + prev):
-            a = -a
-        return a
-
-    values[0, 0] = lift(0, 0, None)
-    for i in range(1, nx):
-        values[i, 0] = lift(i, 0, values[i - 1, 0])
-    for j in range(1, ny):
-        for i in range(nx):
-            values[i, j] = lift(i, j, values[i, j - 1])
-    return values
+    spanning tree so the field is continuous: a node flips when its dot
+    product with its tree parent is negative; the flips compose down it."""
+    n = frames.shape[-1]
+    values = reverse_array(spin_lift_array(frames), n)
+    flip = np.ones(frames.shape[:2])
+    flip[1:, 0] = np.where(np.einsum(
+        "xk,xk->x", values[1:, 0], values[:-1, 0]) < 0, -1.0, 1.0)
+    flip[:, 1:] = np.where(np.einsum(
+        "xyk,xyk->xy", values[:, 1:], values[:, :-1]) < 0, -1.0, 1.0)
+    flip[:, 0] = np.cumprod(flip[:, 0])
+    return values * np.cumprod(flip, axis=1)[..., None]
 
 
 # =============================================================================

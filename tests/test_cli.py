@@ -16,9 +16,11 @@ from spinorforge import fixtures, lie_algebra as la
 from spinorforge.cli import main
 from spinorforge.meshexport import (export_mesh, grid_faces,
                                     read_obj_vertices, read_ply_vertices)
+from spinorforge.grid import ParamGrid
 from spinorforge.lie_group import model_for
-from spinorforge.serialization import (SURFACE_SCHEMA, cmc_to_dict,
-                                       dump_json, load_json, problem_to_dict)
+from spinorforge.serialization import (SURFACE_SCHEMA, InputError, cmc_to_dict,
+                                       dump_json, load_json, problem_from_dict,
+                                       problem_to_dict)
 
 
 def write_problem(tmp_path, fx, name="problem.json"):
@@ -189,11 +191,12 @@ def test_reconstruct_not_integrable_exits_two(tmp_path):
 @pytest.mark.parametrize("model,payload,code", [
     ({"name": "semidirect"}, [0.0] * 12, 3),
     ({"name": "s3"}, [float("nan")] * 16, 3),
+    ({"name": "s3"}, [0.0] * 16, 3),
     ({"name": "hn", "params": {"n": 3}}, [0.0, 0.0, 1.0] * 3 + [0.0] * 3, 3),
     ({"name": "abelian"}, [0.5] * 12, 0),
     ({"name": "hn", "params": {}}, [0.5] * 12, 0),
-], ids=["semidirect-without-A", "s3-nan", "hn-outside-half-space",
-        "abelian-default-n", "hn-default-n"])
+], ids=["semidirect-without-A", "s3-nan", "s3-not-unit",
+        "hn-outside-half-space", "abelian-default-n", "hn-default-n"])
 def test_export_surface_exit_codes(tmp_path, model, payload, code):
     path = tmp_path / "surface.json"
     dump_json({"model": model, "nx": 2, "ny": 2, "payload": payload}, path)
@@ -270,6 +273,38 @@ def test_empty_grid_rejected(tmp_path):
     path = tmp_path / "bad.json"
     dump_json(blob, path)
     assert main(["reconstruct", str(path)]) == 3
+
+
+@pytest.mark.parametrize("key", ["mu", "h", "x0", "y0"])
+def test_grid_rejects_non_finite(key):
+    kwargs = {"mu": np.ones((5, 5)), "h": 0.1, "x0": 0.0, "y0": 0.0}
+    if key == "mu":
+        kwargs["mu"][2, 3] = np.inf
+    else:
+        kwargs[key] = np.inf
+    with pytest.raises(ValueError):
+        ParamGrid(5, 5, **kwargs)
+
+
+def test_check_gcr_rejects_infinite_mu(tmp_path):
+    fx = fixtures.sphere_r3(9)
+    blob = problem_to_dict(fx.data, fx.alg)
+    blob["grid"]["mu"][4][4] = float("inf")
+    path = tmp_path / "inf.json"
+    dump_json(blob, path)
+    assert main(["check-gcr", str(path), "-o", str(tmp_path / "r.json")]) == 3
+
+
+def test_nan_base_spinor_rejected(tmp_path, capsys):
+    fx = fixtures.sphere_r3(9)
+    blob = problem_to_dict(fx.data, fx.alg)
+    blob["base_spinor"] = [float("nan")] + [0.0] * 7
+    with pytest.raises(InputError, match="deviates from 1"):
+        problem_from_dict(blob)
+    path = tmp_path / "nan.json"
+    dump_json(blob, path)
+    assert main(["solve", str(path), "-o", str(tmp_path / "r.json")]) == 3
+    assert "deviates from 1" in capsys.readouterr().err
 
 
 def test_reconstruct_undersized_grid_names_minimum(tmp_path, capsys):

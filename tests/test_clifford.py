@@ -6,6 +6,8 @@ anticommutation signs plus e_i * e_i = -1 eliminations.  It shares no code
 with the popcount sign table it checks.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from spinorforge.clifford import (
     adjoint_action, adjoint_array, bivector_array, bivector_of_offdiag,
     bivector_of_skew, blade_tables, canonical_spin_sign, commutator,
     exp_array, grade_indices, offdiag_skew_array, reverse_array,
-    skew_of_bivector, spin_bracket, spin_lift,
+    skew_of_bivector, spin_bracket, spin_lift, spin_lift_array,
 )
 
 rng = np.random.default_rng(20240611)
@@ -483,6 +485,95 @@ def test_spin_lift_rejects_reflections_and_non_orthogonal():
         spin_lift(T)
     with pytest.raises(ValueError):
         spin_lift(np.eye(3) * 1.5)
+
+
+def reference_givens_factor(T, tol):
+    """The per-node Givens factorization the array lift replaced, verbatim."""
+    n = T.shape[0]
+    work = T.copy()
+    undo = []  # rotations applied to the left of `work`
+    for j in range(n - 1):
+        for i in range(n - 1, j, -1):
+            a, b = work[i - 1, j], work[i, j]
+            r = math.hypot(a, b)
+            if r <= tol:
+                continue
+            c, s = a / r, b / r
+            # rotate rows (i-1, i) so that work[i, j] -> 0
+            rows = work[[i - 1, i], :].copy()
+            work[i - 1, :] = c * rows[0] + s * rows[1]
+            work[i, :] = -s * rows[0] + c * rows[1]
+            undo.append((i - 1, i, math.atan2(b, a)))
+    if np.max(np.abs(work - np.eye(n))) > 1e-8:
+        raise ValueError("Givens factorization failed; input not special "
+                         "orthogonal within tolerance")
+    return undo
+
+
+def reference_canonical_sign(a):
+    s = a.coeffs[0]
+    if s < 0:
+        return -a
+    if s == 0:
+        for c in a.coeffs[1:]:
+            if c != 0:
+                return a if c > 0 else -a
+    return a
+
+
+def reference_spin_lift(T):
+    """Coefficients of the per-node lift the array lift replaced."""
+    n = T.shape[0]
+    a = Multivector.scalar(n, 1.0)
+    for (p, q, th) in reference_givens_factor(T, tol=1e-300):
+        rotor = Multivector.scalar(n, math.cos(th / 2)) + \
+            Multivector.blade(n, (1 << p) | (1 << q), math.sin(th / 2))
+        a = a * rotor
+    return reference_canonical_sign(a).coeffs
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_spin_lift_array_matches_node_reference(n):
+    Ts = np.array([random_so(n) for _ in range(50)])
+    want = np.array([reference_spin_lift(T) for T in Ts])
+    assert np.max(np.abs(spin_lift_array(Ts) - want)) <= 1e-14
+    assert np.max(np.abs(np.array([spin_lift(T).value.coeffs for T in Ts])
+                         - want)) <= 1e-14
+    field = Ts[:20].reshape(4, 5, n, n)
+    assert np.max(np.abs(spin_lift_array(field)
+                         - want[:20].reshape(4, 5, -1))) <= 1e-14
+    assert np.array_equal(spin_lift_array(np.eye(n)),
+                          reference_spin_lift(np.eye(n)))
+
+
+@pytest.mark.parametrize("diag", [(-1, -1, 1), (-1, -1, -1, -1)])
+def test_spin_lift_array_half_turns(diag):
+    T = np.diag(np.array(diag, dtype=float))
+    a = spin_lift_array(T)
+    assert np.max(np.abs(a - reference_spin_lift(T))) <= 1e-14
+    assert np.max(np.abs(spin_lift(T).adjoint_matrix() - T)) <= 1e-14
+
+
+def test_canonical_sign_matches_reference_on_ties():
+    for _ in range(50):
+        c = rng.normal(size=16)
+        c[:rng.integers(0, 17)] = 0.0
+        a = Multivector(4, c)
+        assert np.array_equal(canonical_spin_sign(a).coeffs,
+                              reference_canonical_sign(a).coeffs)
+
+
+@pytest.mark.parametrize("bad", ["reflection", "nan"])
+def test_spin_lift_array_rejects_one_bad_node(bad):
+    field = np.array([random_so(3) for _ in range(6)]).reshape(2, 3, 3, 3)
+    field[1, 2, :, 0] = -field[1, 2, :, 0] if bad == "reflection" else np.nan
+    with pytest.raises(ValueError):
+        spin_lift_array(field)
+
+
+def test_spin_element_rejects_nan():
+    with pytest.raises(ValueError, match="deviates from 1"):
+        SpinElement(Multivector(3, [np.nan] + [0.0] * 7))
 
 
 def test_spin_element_closure_and_invariant():

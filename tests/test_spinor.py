@@ -6,8 +6,8 @@ import pytest
 from spinorforge import fixtures, lie_algebra as la
 from spinorforge.clifford import (
     Multivector, OffDiagOperator, SpinElement, bivector_of_offdiag,
-    bivector_of_skew, exp_array, gp_array, reverse_array, vector_array,
-    vector_part_array,
+    bivector_of_skew, exp_array, gp_array, reverse_array, spin_lift,
+    vector_array, vector_part_array,
 )
 from spinorforge.grid import ParamGrid
 from spinorforge.immersion import ImmersionData, ekt_gamma_bivector
@@ -440,6 +440,80 @@ def test_nonconformal_rejected():
     F = np.stack([X, 2.0 * Y, np.zeros_like(X)], axis=-1)
     with pytest.raises(ValueError):
         spinor_of_immersion(F, la.rn(3), grid)
+
+
+def reference_normal_frames(e1, e2):
+    """Frames [e1 | e2 | normals] with the normals marched node by node, as
+    the converse did before its column sweep (q > 1 branch, verbatim)."""
+    nx, ny, n = e1.shape
+    q = n - 2
+    frames = np.zeros((nx, ny, n, n))
+    frames[..., 0] = e1
+    frames[..., 1] = e2
+
+    def complete(i, j, seed):
+        basis = [e1[i, j], e2[i, j]]
+        cols = []
+        for r in range(q):
+            v = seed[:, r]
+            for b in basis + cols:
+                v = v - (b @ v) * b
+            nv = np.linalg.norm(v)
+            if nv < 1e-8:
+                raise ValueError("degenerate normal completion; immersion "
+                                 "nearly tangent to the seed frame")
+            cols.append(v / nv)
+        return np.column_stack(cols)
+
+    A = np.column_stack([e1[0, 0], e2[0, 0], np.eye(n)])
+    qmat, _ = np.linalg.qr(A)
+    seed = qmat[:, 2:2 + q].copy()
+    frames[0, 0, :, 2:] = complete(0, 0, seed)
+    if np.linalg.det(frames[0, 0]) < 0:
+        frames[0, 0, :, n - 1] *= -1.0
+    for i in range(1, nx):
+        frames[i, 0, :, 2:] = complete(i, 0, frames[i - 1, 0, :, 2:])
+    for j in range(1, ny):
+        for i in range(nx):
+            frames[i, j, :, 2:] = complete(i, j, frames[i, j - 1, :, 2:])
+    return frames
+
+
+def reference_continuous_spin_lift(frames):
+    """The per-node sign-matched lift the array code replaced, verbatim."""
+    nx, ny, n, _ = frames.shape
+    values = np.zeros((nx, ny, 1 << n))
+
+    def lift(i, j, prev):
+        a = spin_lift(frames[i, j]).value.reversal().coeffs
+        if prev is not None and np.linalg.norm(a - prev) > np.linalg.norm(a + prev):
+            a = -a
+        return a
+
+    values[0, 0] = lift(0, 0, None)
+    for i in range(1, nx):
+        values[i, 0] = lift(i, 0, values[i - 1, 0])
+    for j in range(1, ny):
+        for i in range(nx):
+            values[i, j] = lift(i, j, values[i, j - 1])
+    return values
+
+
+@pytest.mark.parametrize("make", [fixtures.sphere_r3,
+                                  fixtures.sphere_r4_twisted,
+                                  fixtures.sol3_plane])
+def test_converse_matches_node_reference(make):
+    fx = make(33)
+    field, data = spinor_of_immersion(fx.F, fx.alg, fx.grid)
+    frames, values = data.frames, field.values
+    if frames.shape[-1] > 3:
+        want = reference_normal_frames(frames[..., 0], frames[..., 1])
+        assert np.max(np.abs(frames - want)) <= 1e-14
+    want = reference_continuous_spin_lift(frames)
+    assert np.max(np.abs(values - want)) <= 1e-14
+    # every spanning-tree edge (bottom row, then the columns) is sign matched
+    assert np.all(np.einsum("xk,xk->x", values[1:, 0], values[:-1, 0]) > 0)
+    assert np.all(np.einsum("xyk,xyk->xy", values[:, 1:], values[:, :-1]) > 0)
 
 
 # =============================================================================
