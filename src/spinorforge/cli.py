@@ -95,15 +95,29 @@ def _out(cfg, default_name):
     return default_name
 
 
+# One minimum for every grid command, so that a problem file one command
+# accepts the others accept too: the order-4 verification stencils of
+# reconstruct need five nodes per axis (the order-2 stencils, four).
+MIN_GRID_NODES = 5
+
+
+def _check_grid(cfg, grid):
+    if min(grid.shape) < MIN_GRID_NODES:
+        raise InputError(f"{cfg.command} needs at least {MIN_GRID_NODES} "
+                         f"nodes per axis; got a {grid.nx} x {grid.ny} grid")
+
+
 def _load_problem(cfg):
     if cfg.fixture:
         if cfg.fixture not in SURFACE_FIXTURES:
             raise InputError(f"unknown fixture {cfg.fixture!r}; known: "
                              f"{sorted(SURFACE_FIXTURES)}")
         fx = SURFACE_FIXTURES[cfg.fixture](cfg.grid_n)
-        return fx.data, fx.alg, None, fx.F[0, 0], fx.extras.get("u_field")
-    blob = load_json(cfg.input_path)
-    return problem_from_dict(blob)
+        loaded = fx.data, fx.alg, None, fx.F[0, 0], fx.extras.get("u_field")
+    else:
+        loaded = problem_from_dict(load_json(cfg.input_path))
+    _check_grid(cfg, loaded[0].grid)
+    return loaded
 
 
 def _tol(cfg, name, default):
@@ -274,6 +288,7 @@ def cmd_cmc(cfg, args):
         data, pot = WeierstrassData(grid, z), HPotential(1.0, (0.0, 0.0, 0.0))
     else:
         data, pot = cmc_from_dict(load_json(cfg.input_path))
+    _check_grid(cfg, data.grid)
     out = _out(cfg, "cmc-report.json")
     base, _ = os.path.splitext(out)
     f = weier_f_from_g(data, pot)

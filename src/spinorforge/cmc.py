@@ -53,6 +53,8 @@ class HPotential:
 
     def __init__(self, H, mu):
         self.H = float(H)
+        if not np.isfinite(self.H):
+            raise ValueError("the mean curvature H must be finite")
         mu = tuple(float(m) for m in mu)
         if len(mu) != 3 or not all(np.isfinite(mu)):
             raise ValueError("the potential needs three finite constants")
@@ -133,6 +135,8 @@ class WeierstrassData:
 
     def __init__(self, grid, g, weier_f=None, nu=None):
         g = np.asarray(g, dtype=complex)
+        if not np.all(np.isfinite(g)):
+            raise ValueError("the Gauss map g has non-finite entries")
         if g.shape != grid.shape:
             raise ValueError("Gauss map samples must match the grid")
         if nu is None:

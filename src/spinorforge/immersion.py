@@ -50,6 +50,15 @@ class ImmersionData:
     def __init__(self, grid, frames, B=None, S=None, theta_x=None, theta_y=None,
                  tol=FRAME_TOL):
         frames = np.array(frames, dtype=np.float64)
+        # named here: the gates below would only report a broken property
+        for name, arr, gate in (("frames", frames, "orthonormality"),
+                                ("S", S, "symmetric-form"),
+                                ("B", B, "symmetric-form"),
+                                ("theta_x", theta_x, "skew"),
+                                ("theta_y", theta_y, "skew")):
+            if arr is not None and not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} has non-finite entries, so it "
+                                 f"fails the {gate} check")
         nx, ny = grid.shape
         n = frames.shape[-1]
         if frames.shape != (nx, ny, n, n):

@@ -36,9 +36,11 @@ class MetricLieAlgebra:
 
     def __init__(self, c, catalog_tag="custom", params=None, gamma=None):
         c = np.array(c, dtype=np.float64)
-        n = c.shape[0]
+        n = c.shape[0] if c.ndim else 0
         if c.shape != (n, n, n) or not 1 <= n <= MAX_DIM:
             raise ValueError(f"structure constants must be (n,n,n), n<=8; got {c.shape}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("structure constants have non-finite entries")
         if not np.array_equal(c, -np.swapaxes(c, 0, 1)):
             raise ValueError("structure constants are not antisymmetric in (i, j)")
         jac = jacobi_residual(c)
@@ -53,6 +55,9 @@ class MetricLieAlgebra:
             gamma = koszul_connection(self)
         else:
             gamma = np.array(gamma, dtype=np.float64)
+            if gamma.shape != (n, n, n) or not np.all(np.isfinite(gamma)):
+                raise ValueError(f"connection coefficients must be a finite "
+                                 f"(n,n,n) array; got shape {gamma.shape}")
         gamma.flags.writeable = False
         self.gamma = gamma
 

@@ -323,26 +323,71 @@ class HnModel:
         return g, 0.0
 
 
+def _model_dimension(params):
+    """The `n` of an abelian / H^n model, 3 when absent."""
+    n = int(params.get("n", 3))
+    if n < 1:
+        raise ValueError(f"model dimension n must be positive, got {n}")
+    return n
+
+
+def _model_matrix(params):
+    """The matrix A of a semidirect model."""
+    if "A" not in params:
+        raise ValueError("the semidirect model needs params.A")
+    A = np.array(params["A"], dtype=np.float64)
+    if A.size != 4 or not np.all(np.isfinite(A)):
+        raise ValueError("params.A must be a finite 2x2 matrix")
+    return A
+
+
+MODELS = {
+    "abelian": lambda params: AbelianModel(_model_dimension(params)),
+    "s3": lambda params: S3Model(),
+    "semidirect": lambda params: SemidirectModel(_model_matrix(params)),
+    "hn": lambda params: HnModel(_model_dimension(params)),
+}
+
+
+def model_params(model):
+    """The params dict that, with `model.name`, names `model`;
+    `model_from_params` inverts it."""
+    if model.name == "semidirect":
+        return {"A": model.A.tolist()}
+    if model.name in ("abelian", "hn"):
+        return {"n": model.n}
+    return {}
+
+
+def model_from_params(name, params):
+    """The group model named by `name` (a key of MODELS) and its params;
+    ValueError for unknown names and for an n < 1 or a non-finite or
+    non-2x2 A."""
+    if name not in MODELS:
+        raise ValueError(f"unknown model {name!r}")
+    return MODELS[name](params)
+
+
+# group model name of each catalog tag that has a closed-form model
+_TAG_MODELS = {"Rn": "abelian", "S3": "s3", "SemiDirect": "semidirect",
+               "Sol3": "semidirect", "H2xR": "semidirect", "Hn": "hn"}
+
+
 def model_for(alg):
     """The group model matching a catalog algebra."""
     tag = alg.catalog_tag
-    if tag == "Rn":
-        return AbelianModel(alg.n)
-    if tag == "S3":
-        return S3Model()
-    if tag in ("SemiDirect", "Sol3", "H2xR"):
-        return SemidirectModel(np.array(alg.params["A"]))
     if tag == "Hn":
-        l = np.array(alg.params.get("l"))
+        l = alg.params.get("l")
         want = np.zeros(alg.n)
         want[-1] = 1.0
-        if not np.allclose(l, want):
+        if np.shape(l) != want.shape or not np.allclose(l, want):
             raise ValueError("group model for H^n only covers the default "
                              "e_n-dual form l")
-        return HnModel(alg.n)
     if tag in ("EKappaTau", "Unimodular"):
         raise ValueError(f"no closed-form group model registered for {tag!r}")
-    raise ValueError(f"no group model for catalog tag {tag!r}")
+    if tag not in _TAG_MODELS:
+        raise ValueError(f"no group model for catalog tag {tag!r}")
+    return model_from_params(_TAG_MODELS[tag], {**alg.params, "n": alg.n})
 
 
 class GroupElement:
@@ -443,7 +488,7 @@ def darboux_integrate(xi, alg, base=None, stats=None):
     if not np.all(np.isfinite(F)):
         bad = np.argwhere(~np.isfinite(F).all(axis=-1))
         raise IntegrationError("Darboux integration diverged",
-                               cell=tuple(bad[0]))
+                               cell=tuple(bad[0].tolist()))
     if stats is not None:
         stats["renorm_drift"] = drift
     return F

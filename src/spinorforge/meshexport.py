@@ -5,10 +5,10 @@ coordinates (x1, x2, z) and the H^3 half-space coordinates map directly;
 S^3 points are stereographically projected from a configurable pole (default
 the antipode of the identity).  Quad cells of the structured grid are split
 into two triangles.  OBJ uses shortest-round-trip decimal doubles and PLY
-stores float64, so the two formats carry identical coordinates.
+stores float64, so the two formats carry identical coordinates.  Each
+writer formats or packs a whole file section in one call (one %-format of
+all vertex lines, one structured-array `tobytes` of all PLY faces).
 """
-
-import struct
 
 import numpy as np
 
@@ -59,12 +59,16 @@ def embed_r3(F, model, pole=None):
 
 
 def write_obj(path, vertices, faces):
+    # %r of a Python float: shortest round-trip decimal, exact on re-parse
+    coords = np.asarray(vertices, dtype=np.float64).reshape(-1).tolist()
+    corners = (np.asarray(faces) + 1).reshape(-1).tolist()
     with open(path, "w") as fh:
-        for v in vertices:
-            # shortest round-trip decimals, exact on re-parse
-            fh.write(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
-        for f in faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+        fh.write(("v %r %r %r\n" * (len(coords) // 3)) % tuple(coords))
+        fh.write(("f %d %d %d\n" * (len(corners) // 3)) % tuple(corners))
+
+
+# one PLY face record: the corner count, then three little-endian int32
+_PLY_FACE = np.dtype([("count", "u1"), ("corners", "<i4", (3,))])
 
 
 def write_ply(path, vertices, faces):
@@ -76,11 +80,13 @@ def write_ply(path, vertices, faces):
         f"element face {len(faces)}\n"
         "property list uchar int vertex_indices\n"
         "end_header\n")
+    records = np.empty(len(faces), dtype=_PLY_FACE)
+    records["count"] = 3
+    records["corners"] = faces
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(np.asarray(vertices, dtype="<f8").tobytes())
-        for f in faces:
-            fh.write(struct.pack("<B3i", 3, int(f[0]), int(f[1]), int(f[2])))
+        fh.write(records.tobytes())
 
 
 def read_obj_vertices(path):

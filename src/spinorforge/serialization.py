@@ -1,20 +1,30 @@
 """JSON input/output: schemas, loaders, residual reports.
 
-All structured I/O is JSON.  Floating point numbers round-trip exactly
-(shortest-repr doubles both ways) and every writer sorts keys, so identical
-inputs produce byte-identical outputs.  The schemas are available
-programmatically and through the command line's --schema flag.
+All structured I/O is JSON.  `dump_json` writes one compact line with sorted
+keys through the C encoder of the standard library, so identical inputs
+produce byte-identical outputs; floats are written with `float.__repr__`
+(shortest round-trip digits) and read back bit-exactly, and NaN / Infinity
+use the standard library's literals.
+
+Inputs are checked against the JSON schemas in `SCHEMAS` (also printed by
+the command line's --schema flag) by a small built-in checker.  It
+implements exactly the keywords those schemas use (`SCHEMA_KEYWORDS`), with
+JSON Schema semantics: an `integer` may be written `2.0`, booleans are
+neither numbers nor integers, and `enum` tells `true` from `1`.  A violation
+is reported with its path and rule, e.g.
+`grid.nx: 1 is less than the minimum of 2`.
 """
 
 import json
+import reprlib
 
 import numpy as np
-from jsonschema import ValidationError, validate
 
 from . import lie_algebra as la
 from .clifford import Multivector, SpinElement
 from .grid import ParamGrid
 from .immersion import ImmersionData
+from .lie_group import model_for, model_from_params, model_params
 
 
 class InputError(ValueError):
@@ -122,11 +132,128 @@ SCHEMAS = {
 }
 
 
+# =============================================================================
+# Schema check
+# =============================================================================
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int)
+                                            or v.is_integer()),
+}
+
+_short = reprlib.Repr()
+_short.maxlist = _short.maxdict = 4
+
+
+def _same(a, b):
+    """JSON value equality: true and 1 differ, 1 and 1.0 do not."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+# Each keyword yields (path, message) per violation; the type-specific ones
+# ignore values of other types, as in JSON Schema.
+
+def _check_type(value, types, path):
+    types = [types] if isinstance(types, str) else types
+    if not any(_TYPES[t](value) for t in types):
+        yield path, (f"{_short.repr(value)} is not of type "
+                     f"{' or '.join(map(repr, types))}")
+
+
+def _check_properties(value, properties, path):
+    if isinstance(value, dict):
+        for key, schema in properties.items():
+            if key in value:
+                yield from _violations(value[key], schema, path + (key,))
+
+
+def _check_required(value, keys, path):
+    if isinstance(value, dict):
+        for key in keys:
+            if key not in value:
+                yield path, f"{key!r} is a required property"
+
+
+def _check_minimum(value, bound, path):
+    if _is_number(value) and value < bound:
+        yield path, f"{value!r} is less than the minimum of {bound!r}"
+
+
+def _check_exclusive_minimum(value, bound, path):
+    if _is_number(value) and value <= bound:
+        yield path, (f"{value!r} is less than or equal to the minimum of "
+                     f"{bound!r}")
+
+
+def _check_enum(value, options, path):
+    if not any(_same(value, option) for option in options):
+        yield path, f"{_short.repr(value)} is not one of {options!r}"
+
+
+def _check_items(value, schema, path):
+    if isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _violations(item, schema, path + (index,))
+
+
+def _check_min_items(value, count, path):
+    if isinstance(value, list) and len(value) < count:
+        yield path, f"{_short.repr(value)} has fewer than {count} items"
+
+
+def _check_max_items(value, count, path):
+    if isinstance(value, list) and len(value) > count:
+        yield path, f"{_short.repr(value)} has more than {count} items"
+
+
+SCHEMA_KEYWORDS = {
+    "type": _check_type,
+    "properties": _check_properties,
+    "required": _check_required,
+    "minimum": _check_minimum,
+    "exclusiveMinimum": _check_exclusive_minimum,
+    "enum": _check_enum,
+    "items": _check_items,
+    "minItems": _check_min_items,
+    "maxItems": _check_max_items,
+}
+
+
+def _violations(value, schema, path=()):
+    for keyword, rule in schema.items():
+        yield from SCHEMA_KEYWORDS[keyword](value, rule, path)
+
+
+def schema_violation(payload, schema):
+    """The first rule of `schema` that `payload` breaks, as
+    "path: message", or None when the payload conforms."""
+    for path, message in _violations(payload, schema):
+        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
+                        for p in path).lstrip(".")
+        return f"{where}: {message}" if where else message
+    return None
+
+
 def _validated(payload, schema, what):
-    try:
-        validate(payload, schema)
-    except ValidationError as err:
-        raise InputError(f"{what} does not match its schema: {err.message}")
+    problem = schema_violation(payload, schema)
+    if problem is not None:
+        raise InputError(f"{what} does not match its schema: {problem}")
     return payload
 
 
@@ -139,10 +266,12 @@ def load_json(path):
 
 
 def dump_json(payload, path):
+    """Write `payload` as one line of JSON with sorted keys.  Without
+    `indent`, `json.dumps` runs the standard library's C encoder."""
+    text = json.dumps(payload, sort_keys=True) + "\n"
     try:
         with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            fh.write(text)
     except OSError as err:
         raise InputError(f"cannot write {path}: {err}")
 
@@ -151,12 +280,27 @@ def dump_json(payload, path):
 # Domain objects <-> dicts
 # =============================================================================
 
+def _float_array(value, name):
+    """`value` as a float64 array; InputError naming `name` when the JSON
+    value is ragged or holds non-numbers."""
+    try:
+        return np.array(value, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise InputError(f"{name} is not a numeric array: {err}")
+
+
+def _finite(arr, name):
+    if not np.all(np.isfinite(arr)):
+        raise InputError(f"{name} has non-finite entries")
+
+
 def grid_from_dict(d):
     _validated(d, GRID_SCHEMA, "grid")
     mu = d.get("mu")
     try:
-        return ParamGrid(d["nx"], d["ny"], d["h"],
-                         mu=None if mu is None else np.array(mu),
+        if mu is not None:
+            mu = _float_array(mu, "grid.mu")
+        return ParamGrid(d["nx"], d["ny"], d["h"], mu=mu,
                          x0=d.get("x0", 0.0), y0=d.get("y0", 0.0))
     except ValueError as err:
         raise InputError(str(err))
@@ -173,32 +317,49 @@ def algebra_from_dict(d):
         if "c" in d:
             return la.algebra_from_dict(d)
         return la.catalog_build(d["tag"], d.get("params"))
-    except (ValueError, KeyError) as err:
+    except (TypeError, ValueError, KeyError) as err:
         raise InputError(f"invalid algebra: {err}")
 
 
 def problem_from_dict(d):
-    """(ImmersionData, algebra, base_spinor, base_point) from a problem blob."""
+    """(ImmersionData, algebra, base_spinor, base_point, u_field) from a
+    problem blob."""
     _validated(d, PROBLEM_SCHEMA, "problem")
     grid = grid_from_dict(d["grid"])
     alg = algebra_from_dict(d["algebra"])
+    arrays = {key: _float_array(d[key], key)
+              for key in ("frames", "S", "B", "theta_x", "theta_y",
+                          "base_spinor", "base_point", "u_field") if key in d}
     try:
-        data = ImmersionData(
-            grid, np.array(d["frames"], dtype=np.float64),
-            S=None if "S" not in d else np.array(d["S"], dtype=np.float64),
-            B=None if "B" not in d else np.array(d["B"], dtype=np.float64),
-            theta_x=None if "theta_x" not in d else np.array(d["theta_x"]),
-            theta_y=None if "theta_y" not in d else np.array(d["theta_y"]))
+        data = ImmersionData(grid, arrays["frames"], S=arrays.get("S"),
+                             B=arrays.get("B"), theta_x=arrays.get("theta_x"),
+                             theta_y=arrays.get("theta_y"))
     except ValueError as err:
         raise InputError(f"invalid immersion data: {err}")
     base_spinor = None
-    if "base_spinor" in d:
+    if "base_spinor" in arrays:
+        coeffs = arrays["base_spinor"]
         try:
-            base_spinor = SpinElement(Multivector(alg.n, d["base_spinor"]))
+            if coeffs.ndim != 1:
+                raise ValueError("coefficients must be a flat list")
+            base_spinor = SpinElement(Multivector(alg.n, coeffs))
         except ValueError as err:
             raise InputError(f"invalid base spinor: {err}")
-    base_point = np.array(d["base_point"]) if "base_point" in d else None
-    u_field = np.array(d["u_field"]) if "u_field" in d else None
+    base_point = arrays.get("base_point")
+    if base_point is not None:
+        _finite(base_point, "base_point")
+        try:
+            dim = model_for(alg).payload_dim
+        except ValueError:
+            # no group model: only reconstruct uses the point, and it
+            # rejects the algebra itself
+            dim = base_point.size
+        if base_point.shape != (dim,):
+            raise InputError(f"base_point must be a point of {dim} "
+                             f"coordinates; got shape {base_point.shape}")
+    u_field = arrays.get("u_field")
+    if u_field is not None:
+        _finite(u_field, "u_field")
     return data, alg, base_spinor, base_point, u_field
 
 
@@ -229,11 +390,11 @@ def cmc_from_dict(d):
     from .cmc import HPotential, WeierstrassData
     _validated(d, CMC_SCHEMA, "cmc problem")
     grid = grid_from_dict(d["grid"])
-    g = np.array(d["g"], dtype=np.float64)
+    g = _float_array(d["g"], "g")
     if g.shape != grid.shape + (2,):
         raise InputError("g samples must be (nx, ny, 2) re/im pairs")
-    pot = HPotential(d["potential"]["H"], d["potential"]["mu"])
     try:
+        pot = HPotential(d["potential"]["H"], d["potential"]["mu"])
         data = WeierstrassData(grid, g[..., 0] + 1j * g[..., 1])
     except ValueError as err:
         raise InputError(str(err))
@@ -248,46 +409,17 @@ def cmc_to_dict(data, pot):
 
 
 def surface_to_dict(F, model):
-    params = {}
-    if model.name == "semidirect":
-        params["A"] = model.A.tolist()
-    if model.name in ("abelian", "hn"):
-        params["n"] = model.n
     nx, ny = F.shape[:2]
-    return {"model": {"name": model.name, "params": params},
+    return {"model": {"name": model.name, "params": model_params(model)},
             "nx": nx, "ny": ny,
             "payload": np.asarray(F).reshape(-1).tolist()}
 
 
-def _model_dimension(params):
-    """The `n` of an abelian / H^n surface model, 3 when absent."""
-    n = int(params.get("n", 3))
-    if n < 1:
-        raise ValueError(f"model dimension n must be positive, got {n}")
-    return n
-
-
 def surface_from_dict(d):
-    from .lie_group import AbelianModel, HnModel, S3Model, SemidirectModel
     _validated(d, SURFACE_SCHEMA, "surface")
     name = d["model"]["name"]
-    params = d["model"].get("params", {})
     try:
-        if name == "abelian":
-            model = AbelianModel(_model_dimension(params))
-        elif name == "s3":
-            model = S3Model()
-        elif name == "semidirect":
-            if "A" not in params:
-                raise ValueError("the semidirect model needs params.A")
-            A = np.array(params["A"], dtype=np.float64)
-            if A.size != 4 or not np.all(np.isfinite(A)):
-                raise ValueError("params.A must be a finite 2x2 matrix")
-            model = SemidirectModel(A)
-        elif name == "hn":
-            model = HnModel(_model_dimension(params))
-        else:
-            raise ValueError(f"unknown model {name!r}")
+        model = model_from_params(name, d["model"].get("params", {}))
         payload = np.array(d["payload"], dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as err:
         raise InputError(f"invalid surface: {err}")

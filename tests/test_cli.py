@@ -1,5 +1,8 @@
 """CLI contract: exit codes, reports, mesh export, determinism, schemas."""
 
+import contextlib
+import functools
+import io
 import json
 import os
 import subprocess
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 
 import spinorforge
 from spinorforge import fixtures, lie_algebra as la
-from spinorforge.cli import main
+from spinorforge.cli import SURFACE_FIXTURES, main
 from spinorforge.meshexport import (export_mesh, grid_faces,
                                     read_obj_vertices, read_ply_vertices)
 from spinorforge.grid import ParamGrid
@@ -371,3 +374,108 @@ def test_reports_byte_identical(tmp_path):
     ra = a.read_bytes().replace(str(tmp_path / "a").encode(), b"OUT")
     rb = b.read_bytes().replace(str(tmp_path / "b").encode(), b"OUT")
     assert ra == rb
+
+
+# =============================================================================
+# Input fuzz: problem and CMC files through the commands that read them
+# =============================================================================
+
+_PROBLEM_FIXTURES = ("sphere-r3", "sphere-r4-twisted", "s3-sphere",
+                     "sol3-plane")
+
+
+@functools.lru_cache(maxsize=None)
+def _problem_text(name, n):
+    fx = SURFACE_FIXTURES[name](n)
+    spinor = np.zeros(1 << fx.alg.n)
+    spinor[0] = 1.0
+    return json.dumps(problem_to_dict(fx.data, fx.alg, base_spinor=spinor,
+                                      base_point=fx.F[0, 0]), sort_keys=True)
+
+
+@functools.lru_cache(maxsize=None)
+def _cmc_text(n):
+    from spinorforge.cmc import HPotential, WeierstrassData
+    half = 0.75
+    h = 2 * half / (n - 1)
+    X, Y = ParamGrid(n, n, h, x0=-half, y0=-half).mesh()
+    z = X + 1j * Y
+    grid = ParamGrid(n, n, h, mu=2.0 / (1.0 + np.abs(z) ** 2),
+                     x0=-half, y0=-half)
+    return json.dumps(cmc_to_dict(WeierstrassData(grid, z),
+                                  HPotential(1.0, (0.0, 0.0, 0.0))),
+                      sort_keys=True)
+
+
+# the values a fuzzed input may break, by dotted path
+_PROBLEM_KEYS = ("grid", "grid.nx", "grid.ny", "grid.h", "grid.x0", "grid.y0",
+                 "grid.mu", "algebra.c", "algebra.gamma", "frames", "S", "B",
+                 "theta_x", "theta_y", "base_spinor", "base_point")
+_CMC_KEYS = ("grid", "grid.nx", "grid.h", "grid.mu", "potential",
+             "potential.H", "potential.mu", "g")
+
+
+@st.composite
+def broken_inputs(draw):
+    """(command, file text) for an input no command may accept: truncated
+    JSON, a non-finite, missing or extra entry, a value of the wrong type,
+    or a grid with fewer than five nodes per axis."""
+    command = draw(st.sampled_from(["check-gcr", "solve", "reconstruct",
+                                    "cmc"]))
+    how = draw(st.sampled_from(["truncate", "non-finite", "mis-shape",
+                                "mistype", "small-grid"]))
+    if how == "small-grid":
+        n = draw(st.integers(2, 4))
+        return command, _cmc_text(n) if command == "cmc" else \
+            _problem_text(draw(st.sampled_from(_PROBLEM_FIXTURES)), n)
+    text = _cmc_text(9) if command == "cmc" else \
+        _problem_text(draw(st.sampled_from(_PROBLEM_FIXTURES)), 9)
+    if how == "truncate":
+        return command, text[:draw(st.integers(0, len(text) - 1))]
+    blob = json.loads(text)
+    keys = _CMC_KEYS if command == "cmc" else _PROBLEM_KEYS
+    *parents, leaf = draw(st.sampled_from(
+        [k for k in keys if k.split(".")[0] in blob])).split(".")
+    holder = blob
+    for key in parents:
+        holder = holder[key]
+    # descend to a random entry of a nested array
+    while isinstance(holder[leaf], list) and holder[leaf] \
+            and draw(st.booleans()):
+        holder, leaf = holder[leaf], draw(
+            st.integers(0, len(holder[leaf]) - 1))
+    value = holder[leaf]
+    if how == "non-finite":
+        while isinstance(value, (list, dict)):
+            holder, leaf = value, draw(st.sampled_from(
+                list(value) if isinstance(value, dict)
+                else range(len(value))))
+            value = holder[leaf]
+        holder[leaf] = draw(st.sampled_from([float("nan"), float("inf"),
+                                             float("-inf")]))
+    elif how == "mis-shape":
+        if isinstance(value, list) and value:
+            holder[leaf] = draw(st.sampled_from(
+                [value[:-1], value + value[-1:], [value]]))
+        else:
+            holder[leaf] = [value, value]
+    else:
+        holder[leaf] = draw(st.sampled_from(["x", {"k": 1}, [[]]]
+                                            if isinstance(leaf, str)
+                                            else ["x", {"k": 1}, None, []]))
+    return command, json.dumps(blob)
+
+
+@given(broken_inputs())
+@settings(max_examples=80, deadline=None)
+def test_broken_inputs_exit_three_or_four(case):
+    command, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, path, "-o", os.path.join(tmp, "r.json")])
+    assert code in (3, 4), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
