@@ -19,7 +19,7 @@ import numpy as np
 from . import fixtures, lie_algebra as la
 from .cmc import (SingularPotentialError, dirac2_residual,
                   gauss_map_pde_residual, weier_f_from_g, xi_from_weierstrass)
-from .immersion import frame_compat_residuals, gcr_residuals
+from .immersion import frame_compat_residuals, gcr_residuals, hn_u_residual
 from .lie_group import (IntegrationError, darboux_integrate, model_for,
                         structure_residual)
 from .meshexport import FORMATS, export_mesh
@@ -184,12 +184,11 @@ def cmd_check_algebra(cfg, args):
     return EXIT_OK if report["pass"] else EXIT_RESIDUAL
 
 
-def _residual_command(cfg, names, residual_fields):
+def _residual_command(cfg, fields):
     out = _out(cfg, "report.json")
     base, _ = os.path.splitext(out)
-    report = {"residuals": {}}
-    for name, fld in zip(names, residual_fields):
-        report["residuals"][name] = field_report(fld, f"{base}.{name}.json")
+    report = {"residuals": {name: field_report(fld, f"{base}.{name}.json")
+                            for name, fld in fields.items()}}
     # np.max, unlike max(), keeps a NaN worst so that it fails the gate
     worst = float(np.max([r["max"] for r in report["residuals"].values()]))
     return report, worst, out
@@ -198,13 +197,11 @@ def _residual_command(cfg, names, residual_fields):
 def cmd_check_frame(cfg, args):
     data, alg, _, _, u_field = _load_problem(cfg)
     rT, rf = frame_compat_residuals(data, alg)
-    names, fields = ["tangent", "normal"], [rT, rf]
-    if u_field is not None and alg.catalog_tag == "Hn":
-        from .immersion import hn_u_residual
-        names.append("structure_field")
-        fields.append(hn_u_residual(data, u_field, alg))
+    fields = {"tangent": rT, "normal": rf}
+    if u_field is not None:
+        fields["structure_field"] = hn_u_residual(data, u_field, alg)
     tol = _tol(cfg, "residual", 10.0 * data.grid.h ** 2)
-    report, worst, out = _residual_command(cfg, names, fields)
+    report, worst, out = _residual_command(cfg, fields)
     report.update({"tolerance": tol, "pass": bool(worst <= tol)})
     dump_json(report, out)
     _say(cfg, f"frame residuals max {worst:.3e} vs tolerance {tol:.3e}")
@@ -213,10 +210,9 @@ def cmd_check_frame(cfg, args):
 
 def cmd_check_gcr(cfg, args):
     data, alg, _, _, _ = _load_problem(cfg)
-    gauss, codazzi, ricci = gcr_residuals(data, alg)
+    fields = dict(zip(("gauss", "codazzi", "ricci"), gcr_residuals(data, alg)))
     tol = _tol(cfg, "residual", 10.0 * data.grid.h ** 2)
-    report, worst, out = _residual_command(
-        cfg, ("gauss", "codazzi", "ricci"), (gauss, codazzi, ricci))
+    report, worst, out = _residual_command(cfg, fields)
     report.update({"tolerance": tol, "pass": bool(worst <= tol)})
     dump_json(report, out)
     _say(cfg, f"gcr residuals max {worst:.3e} vs tolerance {tol:.3e}")
@@ -299,12 +295,10 @@ def cmd_cmc(cfg, args):
     sres = structure_residual(xi, alg)
     tol = _tol(cfg, "structure",
                10.0 * data.grid.h ** 2 * max(1.0, float(np.max(data.grid.mu)) ** 2))
-    if pot.mu == (0.0, 0.0, 0.0):
-        model = model_for(la.rn(3))
-    elif pot.mu == (1.0, 1.0, 1.0):
-        model = model_for(la.s3())
-    else:
-        model = None    # no closed-form group model registered: report only
+    try:
+        model = model_for(alg)
+    except ValueError:
+        model = None    # no closed-form group model: report only
     report = {
         "pde": field_report(pde, f"{base}.pde.json"),
         "dirac_companion": field_report(companion, f"{base}.companion.json"),
@@ -312,7 +306,7 @@ def cmd_cmc(cfg, args):
         "structure_tolerance": tol,
         "pass": bool(np.max(sres) <= tol),
     }
-    if model is not None:   # groups with a registered closed-form model
+    if model is not None:
         F = darboux_integrate(xi, model, base=model.identity())
         mesh_path = f"{base}.surface.{cfg.export_format}"
         export_mesh(F, model, cfg.export_format, mesh_path, pole=cfg.pole)

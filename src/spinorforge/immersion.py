@@ -33,6 +33,7 @@ derivatives use the grid's second-order stencils.
 
 import numpy as np
 
+from . import lie_algebra as la
 from .clifford import Multivector
 
 FRAME_TOL = 1e-10
@@ -446,15 +447,17 @@ def hn_u_residual(data, u_field, alg, tol=1e-8):
         nabla_X U + |U|^2 X - <X, U> U + B(X, U^T) - B*(X, U^N) = 0
 
     per node, maxed over the metric frame directions.  u_field holds the
-    frame components of U (length 2 + q per node); |U| must equal |l|.
+    frame components of U (length 2 + q per node); |U| must equal |l|, with
+    l read off the structure constants, l_i = c[i, j, j] for any j != i.
     """
-    if alg.catalog_tag != "Hn":
-        raise ValueError("hn_u_residual expects an H^n catalog algebra")
+    l = np.where(np.arange(alg.n) < alg.n - 1, alg.c[:, -1, -1],
+                 alg.c[:, 0, 0])
+    if not (np.any(l) and np.array_equal(alg.c, la.hn_constants(l))):
+        raise ValueError("hn_u_residual expects an H^n algebra")
     grid, q = data.grid, data.q
     u = np.asarray(u_field, dtype=np.float64)
     if u.shape != grid.shape + (2 + q,):
         raise ValueError("u_field must have frame components (nx, ny, 2 + q)")
-    l = np.array(alg.params["l"], dtype=np.float64)
     norms = np.linalg.norm(u, axis=-1)
     dev = np.max(np.abs(norms - np.linalg.norm(l)))
     if not dev <= tol:

@@ -157,12 +157,15 @@ def hn(n, l=None):
     l = np.asarray(l, dtype=np.float64)
     if l.shape != (n,) or not np.any(l):
         raise ValueError("H^n requires a nonzero linear form l of length n")
-    c = np.zeros((n, n, n))
-    eye = np.eye(n)
-    for i in range(n):
-        for j in range(n):
-            c[i, j] = l[i] * eye[j] - l[j] * eye[i]
-    return MetricLieAlgebra(c, catalog_tag="Hn", params={"n": n, "l": l.tolist()})
+    return MetricLieAlgebra(hn_constants(l), catalog_tag="Hn",
+                            params={"n": n, "l": l.tolist()})
+
+
+def hn_constants(l):
+    """The structure constants of H^n with the linear form l,
+    c[i, j, k] = l_i delta_jk - l_j delta_ik."""
+    eye = np.eye(len(l))
+    return l[:, None, None] * eye - l[:, None] * eye[:, None]
 
 
 def s3():
@@ -197,6 +200,13 @@ def semidirect(A, catalog_tag="SemiDirect"):
     A = np.asarray(A, dtype=np.float64)
     if A.shape != (2, 2):
         raise ValueError("semidirect products take a 2x2 matrix")
+    return MetricLieAlgebra(semidirect_constants(A), catalog_tag=catalog_tag,
+                            params={"A": A.tolist()})
+
+
+def semidirect_constants(A):
+    """The structure constants of R^2 x_A R for a 2x2 matrix A; A is
+    c[2, :2, :2].T."""
     (a, b), (cc, d) = A
     c = np.zeros((3, 3, 3))
     c[2, 0, 0] = a
@@ -207,8 +217,7 @@ def semidirect(A, catalog_tag="SemiDirect"):
     c[2, 1, 1] = d
     c[1, 2, 0] = -b
     c[1, 2, 1] = -d
-    return MetricLieAlgebra(c, catalog_tag=catalog_tag,
-                            params={"A": A.tolist()})
+    return c
 
 
 def sol3():

@@ -1,7 +1,7 @@
 """Explicit group models, Darboux integration, and the structure equation.
 
-Each catalog algebra has a concrete group model with closed-form product,
-one-parameter subgroups and logarithm:
+The structure constants alone pick an algebra's group model (`model_for`),
+with closed-form product, one-parameter subgroups and logarithm:
 
   * abelian R^n           -- payload: vector in R^n
   * S^3                   -- payload: unit quaternion (w, v1, v2, v3) in the
@@ -21,6 +21,8 @@ Path-independence is a checked property of the input, not an assumption:
 """
 
 import numpy as np
+
+from . import lie_algebra as la
 
 # phi(zA) = alpha I + beta N switches from the eigenvalue form to the
 # near-repeated forms when |z^2 d| (half the eigenvalue gap, squared) is below
@@ -368,26 +370,26 @@ def model_from_params(name, params):
     return MODELS[name](params)
 
 
-# group model name of each catalog tag that has a closed-form model
-_TAG_MODELS = {"Rn": "abelian", "S3": "s3", "SemiDirect": "semidirect",
-               "Sol3": "semidirect", "H2xR": "semidirect", "Hn": "hn"}
+_S3_C = la.s3().c
 
 
 def model_for(alg):
-    """The group model matching a catalog algebra."""
-    tag = alg.catalog_tag
-    if tag == "Hn":
-        l = alg.params.get("l")
-        want = np.zeros(alg.n)
-        want[-1] = 1.0
-        if np.shape(l) != want.shape or not np.allclose(l, want):
-            raise ValueError("group model for H^n only covers the default "
-                             "e_n-dual form l")
-    if tag in ("EKappaTau", "Unimodular"):
-        raise ValueError(f"no closed-form group model registered for {tag!r}")
-    if tag not in _TAG_MODELS:
-        raise ValueError(f"no group model for catalog tag {tag!r}")
-    return model_from_params(_TAG_MODELS[tag], {**alg.params, "n": alg.n})
+    """The group model of an algebra's structure constants c: R^n (c = 0),
+    H^n (the c of hn(n), tested first so that H^3 = R^2 x_I R keeps its
+    half-space coordinates), S^3 (the c of s3()), R^2 x_A R (n = 3, the c of
+    semidirect(A) with A = c[2, :2, :2]^T); ValueError for any other c."""
+    c, n = alg.c, alg.n
+    if not c.any():
+        return AbelianModel(n)
+    if np.array_equal(c, la.hn_constants(np.eye(n)[-1])):
+        return HnModel(n)
+    if n == 3:
+        if np.array_equal(c, _S3_C):
+            return S3Model()
+        A = c[2, :2, :2].T
+        if np.array_equal(c, la.semidirect_constants(A)):
+            return SemidirectModel(A)
+    raise ValueError("structure constants have no closed-form group model")
 
 
 class GroupElement:
@@ -569,7 +571,3 @@ def structure_residual(xi, alg):
     br = np.einsum("xyi,xyj,ijk->xyk", xi.xi_x, xi.xi_y, alg.c)
     return np.linalg.norm(dxi + br, axis=-1)
 
-
-def left_translate(F, model, b):
-    """Apply L_b to a whole grid of payloads."""
-    return model.multiply(np.asarray(b, float), F)

@@ -89,25 +89,6 @@ def write_ply(path, vertices, faces):
         fh.write(records.tobytes())
 
 
-def read_obj_vertices(path):
-    verts = []
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("v "):
-                verts.append([float(t) for t in line.split()[1:4]])
-    return np.array(verts)
-
-
-def read_ply_vertices(path):
-    with open(path, "rb") as fh:
-        header = b""
-        while not header.endswith(b"end_header\n"):
-            header += fh.readline()
-        nvert = int([ln for ln in header.decode().splitlines()
-                     if ln.startswith("element vertex")][0].split()[-1])
-        return np.frombuffer(fh.read(24 * nvert), dtype="<f8").reshape(-1, 3)
-
-
 def export_mesh(F, model, fmt, path, pole=None):
     """Write the surface grid as OBJ or binary PLY; returns the vertex array."""
     if fmt not in FORMATS:

@@ -135,11 +135,6 @@ def pair_to_phi(z1, z2):
     return out
 
 
-def quat_pair_mult(a, b, c, d):
-    """(a + j b)(c + j d) as complex pairs."""
-    return a * c - np.conj(b) * d, np.conj(a) * d + b * c
-
-
 def psi_from_phi_pair(z1, z2):
     """[psi] = z1 - j i z2 = (z1, -i z2) in complex-pair form."""
     return z1, -1j * z2
@@ -364,7 +359,7 @@ def reconstruct_immersion(problem, base_point=None, holonomy_tol=None,
         structure_tol = 10.0 * h * h * max(1.0, float(np.max(grid.mu)) ** 2)
     report["structure_max"] = float(np.max(sres))
     report["structure_tol"] = float(structure_tol)
-    if strict and report["structure_max"] > structure_tol:
+    if strict and not report["structure_max"] <= structure_tol:
         raise NotIntegrableError(
             f"structure residual {report['structure_max']:.3e} above "
             f"threshold {structure_tol:.3e}", report)

@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 import spinorforge
 from spinorforge import fixtures, lie_algebra as la
 from spinorforge.cli import SURFACE_FIXTURES, main
-from spinorforge.meshexport import (export_mesh, grid_faces,
-                                    read_obj_vertices, read_ply_vertices)
+from spinorforge.meshexport import export_mesh, grid_faces
 from spinorforge.grid import ParamGrid
 from spinorforge.lie_group import model_for
 from spinorforge.serialization import (SURFACE_SCHEMA, InputError, cmc_to_dict,
@@ -30,6 +29,25 @@ def write_problem(tmp_path, fx, name="problem.json"):
     path = tmp_path / name
     dump_json(problem_to_dict(fx.data, fx.alg, base_point=fx.F[0, 0]), path)
     return path
+
+
+def read_obj_vertices(path):
+    with open(path) as fh:
+        return np.array([[float(t) for t in line.split()[1:4]]
+                         for line in fh if line.startswith("v ")])
+
+
+def read_ply_vertices(path):
+    with open(path, "rb") as fh:
+        header = b""
+        while not header.endswith(b"end_header\n"):
+            line = fh.readline()
+            if not line:
+                raise ValueError(f"{path}: PLY header has no end_header")
+            header += line
+        nvert = int([ln for ln in header.decode().splitlines()
+                     if ln.startswith("element vertex")][0].split()[-1])
+        return np.frombuffer(fh.read(24 * nvert), dtype="<f8").reshape(-1, 3)
 
 
 # =============================================================================
@@ -65,6 +83,14 @@ def test_obj_ply_identical_vertices(tmp_path):
     vo = read_obj_vertices(tmp_path / "s.obj")
     vp = read_ply_vertices(tmp_path / "s.ply")
     assert np.max(np.abs(vo - vp)) <= 1e-12
+
+
+def test_read_ply_vertices_stops_at_a_truncated_header(tmp_path):
+    path = tmp_path / "t.ply"
+    path.write_bytes(b"ply\nformat binary_little_endian 1.0\n"
+                     b"element vertex 4\n")
+    with pytest.raises(ValueError, match="no end_header"):
+        read_ply_vertices(path)
 
 
 def test_s3_stereographic_pole(tmp_path):
@@ -151,6 +177,29 @@ def test_check_frame_hn_structure_field(tmp_path):
     assert report["residuals"]["structure_field"]["max"] <= 1e-12
 
 
+def test_check_frame_hn_reads_l_from_c(tmp_path):
+    # a u_field is checked against the l of c; params need not carry it
+    fx = fixtures.horosphere_h3(9)
+    blob = problem_to_dict(fx.data, fx.alg, u_field=fx.extras["u_field"])
+    blob["algebra"]["params"] = {}
+    path = tmp_path / "horo.json"
+    dump_json(blob, path)
+    out = tmp_path / "frame.json"
+    assert main(["check-frame", str(path), "-o", str(out)]) == 0
+    assert load_json(out)["residuals"]["structure_field"]["max"] <= 1e-12
+
+
+def test_check_frame_u_field_outside_hn_is_input_error(tmp_path, capsys):
+    fx = fixtures.horosphere_h3(9)
+    blob = problem_to_dict(fx.data, la.sol3(), u_field=fx.extras["u_field"])
+    blob["algebra"]["tag"] = "Hn"
+    path = tmp_path / "horo.json"
+    dump_json(blob, path)
+    assert main(["check-frame", str(path),
+                 "-o", str(tmp_path / "frame.json")]) == 3
+    assert "expects an H^n algebra" in capsys.readouterr().err
+
+
 def test_solve_and_reports(tmp_path):
     out = tmp_path / "solve.json"
     assert main(["solve", "--fixture", "s3-sphere", "--grid-n", "17",
@@ -181,6 +230,27 @@ def test_reconstruct_writes_mesh_and_report(tmp_path):
                  "--format", "obj"]) == 0
     vo = read_obj_vertices(out2)
     assert np.max(np.abs(vo - verts)) <= 1e-12
+
+
+@pytest.mark.parametrize("label", [
+    {"params": {"A": [[3.0, 0.0], [0.0, 0.5]]}}, {"tag": "Rn"},
+    {"tag": "custom"}], ids=["wrong-params-A", "Rn-tag", "custom-tag"])
+def test_reconstruct_takes_the_group_from_c(tmp_path, label):
+    # Sol_3's c with any tag or params.A gives the Sol_3 surface
+    fx = fixtures.sol3_plane(17)
+    blob = problem_to_dict(fx.data, fx.alg, base_point=fx.F[0, 0])
+    surfaces, reports = [], []
+    for name, algebra in (("ref", {}), ("labelled", label)):
+        blob["algebra"].update(algebra)
+        path = tmp_path / f"{name}.json"
+        dump_json(blob, path)
+        out = tmp_path / f"{name}.rec.json"
+        assert main(["reconstruct", str(path), "-o", str(out)]) == 0
+        reports.append(load_json(out))
+        surfaces.append((tmp_path / f"{name}.rec.surface.json").read_bytes())
+    assert surfaces[0] == surfaces[1]
+    assert reports[0]["isometry_error"] == reports[1]["isometry_error"]
+    assert reports[1]["isometry_error"] <= 5 * fx.data.grid.h ** 2
 
 
 def test_reconstruct_not_integrable_exits_two(tmp_path):
@@ -464,6 +534,47 @@ def broken_inputs(draw):
                                             if isinstance(leaf, str)
                                             else ["x", {"k": 1}, None, []]))
     return command, json.dumps(blob)
+
+
+# the fixtures whose reconstruct writes a surface
+_SURFACE_NAMES = ("sphere-r3", "s3-sphere", "s3-equator", "sol3-plane",
+                  "h2xr-slice", "horosphere-h3")
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-9, 9)
+    | st.floats(-5, 5) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+
+
+def _reconstructed_surface(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.json")
+        dump_json(blob, path)
+        assert main(["reconstruct", path,
+                     "-o", os.path.join(tmp, "rec.json")]) == 0
+        with open(os.path.join(tmp, "rec.surface.json"), "rb") as fh:
+            return fh.read()
+
+
+@functools.lru_cache(maxsize=None)
+def _surface_problem_text(name):
+    fx = SURFACE_FIXTURES[name](9)
+    return json.dumps(problem_to_dict(fx.data, fx.alg))
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_surface(name):
+    return _reconstructed_surface(json.loads(_surface_problem_text(name)))
+
+
+@given(st.sampled_from(_SURFACE_NAMES),
+       st.sampled_from(sorted(la.CATALOG) + ["custom"]) | st.text(max_size=8),
+       st.dictionaries(st.sampled_from(["A", "l", "n", "mu", "kappa"])
+                       | st.text(max_size=3), _JSON_VALUES, max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_reconstruct_surface_ignores_tag_and_params(name, tag, params):
+    blob = json.loads(_surface_problem_text(name))
+    blob["algebra"].update(tag=tag, params=params)
+    assert _reconstructed_surface(blob) == _reference_surface(name)
 
 
 @given(broken_inputs())

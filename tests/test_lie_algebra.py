@@ -8,7 +8,8 @@ import pytest
 from spinorforge.clifford import Multivector, commutator
 from spinorforge.lie_algebra import (
     MetricLieAlgebra, algebra_from_dict, algebra_to_dict, catalog_build,
-    curvature, e_kappa_tau, gamma_as_bivector, h2xr, hn, jacobi_residual,
+    curvature, e_kappa_tau, gamma_as_bivector, h2xr, hn, hn_constants,
+    jacobi_residual,
     koszul_connection, rn, s3, sectional_curvature, semidirect, sol3,
     torsion_residual, unimodular,
 )
@@ -143,6 +144,20 @@ def test_unimodular_zero_is_abelian():
 def test_ekt_rejects_tau_zero():
     with pytest.raises(ValueError):
         e_kappa_tau(-1.0, 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_hn_constants_match_the_loop_bit_for_bit(n):
+    # the per-pair loop the broadcast form replaced, as the reference
+    for _ in range(20):
+        l = rng.normal(size=n) * rng.choice([1e-200, 1.0, 1e200], size=n)
+        l[rng.random(n) < 0.3] = -0.0
+        want = np.zeros((n, n, n))
+        eye = np.eye(n)
+        for i in range(n):
+            for j in range(n):
+                want[i, j] = l[i] * eye[j] - l[j] * eye[i]
+        assert want.tobytes() == hn_constants(l).tobytes()
 
 
 def test_hn_rejects_zero_form():

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from spinorforge.grid import ParamGrid
-from spinorforge.lie_algebra import h2xr, hn, rn, s3, sol3, semidirect
+from spinorforge.lie_algebra import (
+    algebra_from_dict, algebra_to_dict, e_kappa_tau, h2xr, hn, rn, s3, sol3,
+    semidirect, unimodular,
+)
 from spinorforge.lie_group import (
-    GroupElement, IntegrationError, LieValuedOneForm, SemidirectModel,
-    darboux_integrate, expm, group_exp, left_translate, maurer_cartan_pullback,
-    model_for, structure_residual,
+    AbelianModel, GroupElement, HnModel, IntegrationError, LieValuedOneForm,
+    S3Model, SemidirectModel, darboux_integrate, expm, group_exp,
+    maurer_cartan_pullback, model_for, structure_residual,
 )
 
 rng = np.random.default_rng(97)
@@ -29,6 +32,61 @@ def random_payload(model):
         g[-1] = np.exp(g[-1])
         return g
     raise AssertionError(model.name)
+
+
+# =============================================================================
+# The group model from the structure constants
+# =============================================================================
+
+# (algebra, model type, A of a semidirect model); E(4, 1) and
+# unimodular(1, 1, 1) have the c of S^3, unimodular(1, -1, 0) the c of
+# R^2 x_A R with A = [[0, 1], [1, 0]]
+RANDOM_A = rng.normal(size=(2, 2))
+MODEL_CASES = [
+    (rn(3), AbelianModel, None), (rn(4), AbelianModel, None),
+    (hn(2), HnModel, None), (hn(3), HnModel, None), (s3(), S3Model, None),
+    (sol3(), SemidirectModel, [[-1.0, 0.0], [0.0, 1.0]]),
+    (h2xr(), SemidirectModel, [[1.0, 0.0], [0.0, 0.0]]),
+    (semidirect(RANDOM_A), SemidirectModel, RANDOM_A),
+    (e_kappa_tau(4.0, 1.0), S3Model, None),
+    (unimodular(1.0, 1.0, 1.0), S3Model, None),
+    (unimodular(0.0, 0.0, 0.0), AbelianModel, None),
+    (unimodular(1.0, -1.0, 0.0), SemidirectModel, [[0.0, 1.0], [1.0, 0.0]]),
+]
+MODEL_IDS = ["rn3", "rn4", "hn2", "hn3", "s3", "sol3", "h2xr", "semidirect",
+             "ekt-4-1", "unimodular-111", "unimodular-000", "unimodular-1m10"]
+
+
+def assert_model(model, kind, A, n):
+    assert type(model) is kind
+    if kind is SemidirectModel:
+        assert np.array_equal(model.A, A)
+    elif kind is not S3Model:
+        assert model.n == n
+
+
+@pytest.mark.parametrize("alg,kind,A", MODEL_CASES, ids=MODEL_IDS)
+def test_model_for_reads_the_structure_constants(alg, kind, A):
+    assert_model(model_for(alg), kind, A, alg.n)
+
+
+@pytest.mark.parametrize("label", [
+    {"tag": "custom"}, {"tag": "Rn"}, {"tag": "S3"}, {"params": {}},
+    {"params": {"A": [[3.0, 0.0], [0.0, 0.5]], "n": 5, "l": [1.0]}},
+], ids=["custom-tag", "Rn-tag", "S3-tag", "no-params", "wrong-params"])
+@pytest.mark.parametrize("alg,kind,A", MODEL_CASES, ids=MODEL_IDS)
+def test_model_for_ignores_tag_and_params(alg, kind, A, label):
+    again = algebra_from_dict({**algebra_to_dict(alg), **label})
+    assert_model(model_for(again), kind, A, alg.n)
+
+
+@pytest.mark.parametrize("alg", [e_kappa_tau(-1.0, 0.5),
+                                 e_kappa_tau(1.0, 0.25),
+                                 unimodular(0.4, -0.7, 1.3)],
+                         ids=["ekt-m1-05", "ekt-1-025", "unimodular-generic"])
+def test_model_for_rejects_algebras_without_a_model(alg):
+    with pytest.raises(ValueError, match="no closed-form group model"):
+        model_for(alg)
 
 
 # =============================================================================
@@ -274,6 +332,11 @@ def test_roundtrip_reconstruct_then_pullback():
         ratio = errs[0] / errs[1]
         assert 2.0 <= ratio <= 8.0  # O(h^2)
         assert errs[1] <= 5e-3
+
+
+def left_translate(F, model, b):
+    """Apply L_b to a whole grid of payloads."""
+    return model.multiply(np.asarray(b, float), F)
 
 
 def test_left_invariance_exact_group_identity():

@@ -326,10 +326,9 @@ def test_model_names_match_the_surface_schema():
     assert sorted(names["enum"]) == sorted(MODELS)
 
 
-def test_semidirect_algebra_without_A_has_no_model():
+def test_semidirect_algebra_without_A_reads_A_from_c():
     alg = la.algebra_from_dict({**la.algebra_to_dict(la.sol3()), "params": {}})
-    with pytest.raises(ValueError, match="needs params.A"):
-        model_for(alg)
+    assert np.array_equal(model_for(alg).A, [[-1.0, 0.0], [0.0, 1.0]])
 
 
 # =============================================================================

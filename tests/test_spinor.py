@@ -361,6 +361,13 @@ def test_not_integrable_raises():
     assert not report["integrable"]
 
 
+def test_structure_gate_rejects_nan_tolerance():
+    fx = fixtures.sphere_r3(9)
+    prob = KillingProblem(fx.data, fx.alg)
+    with pytest.raises(NotIntegrableError, match="structure residual"):
+        reconstruct_immersion(prob, structure_tol=float("nan"))
+
+
 # =============================================================================
 # Converse
 # =============================================================================
