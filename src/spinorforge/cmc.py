@@ -33,7 +33,8 @@ covered; nothing here solves the PDE, validation and reconstruction only.
 
 import numpy as np
 
-from .lie_group import LieValuedOneForm, maurer_cartan_pullback, model_for
+from .lie_group import (LieValuedOneForm, maurer_cartan_pullback, model_for,
+                        second_fundamental_form)
 
 
 class SingularPotentialError(ValueError):
@@ -99,11 +100,14 @@ def h_potential_wirtinger(pot, g):
     return R_g, R_gb
 
 
-def stereographic(nu, pole_tol=0.0):
+POLE_TOL = 0.0      # 1 + nu3 at or below which a normal is the south pole
+
+
+def stereographic(nu):
     """g = (nu1 + i nu2) / (1 + nu3); rejected at the south pole -e3."""
     nu = np.asarray(nu, dtype=np.float64)
     denom = 1.0 + nu[..., 2]
-    if np.min(denom) <= pole_tol:
+    if np.min(denom) <= POLE_TOL:
         raise ValueError("stereographic projection undefined at -e3")
     return (nu[..., 0] + 1j * nu[..., 1]) / denom
 
@@ -164,15 +168,18 @@ class WeierstrassData:
 # Density, auxiliary scalars, 1-form
 # =============================================================================
 
-def weier_f_from_g(data, pot, r_min=1e-10):
+R_MIN = 1e-10       # |R(g)| below which the H-potential is singular
+
+
+def weier_f_from_g(data, pot):
     """f = 4 g_z / R(g) with discrete Wirtinger g_z; raises on a singular
     potential, naming the first offending vertex."""
     R = h_potential(pot, data.g)
-    small = np.abs(R) < r_min
+    small = np.abs(R) < R_MIN
     if np.any(small):
         vertex = tuple(int(v) for v in np.argwhere(small)[0])
         raise SingularPotentialError(
-            f"H-potential magnitude below {r_min:g}", vertex=vertex)
+            f"H-potential magnitude below {R_MIN:g}", vertex=vertex)
     return 4.0 * data.grid.dz(data.g) / R
 
 
@@ -218,14 +225,14 @@ def xi_from_weierstrass(data, pot, f=None):
     return LieValuedOneForm(data.grid, np.real(V), np.real(1j * V))
 
 
-def gauss_map_pde_residual(data, pot, r_min=1e-10):
+def gauss_map_pde_residual(data, pot):
     """Residual of the structure equation of the Gauss map,
     g_{z zbar} - (R_g/R) g_z g_zbar - (R_gbar/R - conj(R_g)/conj(R)) |g_z|^2."""
     grid = data.grid
     g = data.g
     R = h_potential(pot, g)
-    if np.min(np.abs(R)) < r_min:
-        vertex = tuple(int(v) for v in np.argwhere(np.abs(R) < r_min)[0])
+    if np.min(np.abs(R)) < R_MIN:
+        vertex = tuple(int(v) for v in np.argwhere(np.abs(R) < R_MIN)[0])
         raise SingularPotentialError("H-potential vanishes on the stencil",
                                      vertex=vertex)
     R_g, R_gb = h_potential_wirtinger(pot, g)
@@ -312,14 +319,6 @@ def mesh_mean_curvature(F, alg, grid, orient_to=None):
     if orient_to is not None:
         flip = np.sign(np.einsum("xyi,xyi->xy", nu, orient_to))
         nu *= flip[..., None]
-    gam = alg.gamma
-    second = {}
-    for a, za in enumerate((zx, zy)):
-        for b, zb in enumerate((zx, zy)):
-            D = (grid.dx(zb, 4) if a == 0 else grid.dy(zb, 4)) \
-                + np.einsum("xyi,ijk,xyj->xyk", za, gam, zb)
-            second[a, b] = np.einsum("xyi,xyi->xy", D, nu)
-    L = second[0, 0]
-    M = 0.5 * (second[0, 1] + second[1, 0])
-    N = second[1, 1]
+    B = second_fundamental_form(zx, zy, nu[..., None], grid, alg, 4)[..., 0]
+    L, M, N = B[..., 0, 0], B[..., 0, 1], B[..., 1, 1]
     return (G * L - 2.0 * Ff * M + E * N) / (2.0 * (E * G - Ff ** 2))

@@ -265,8 +265,9 @@ def horosphere_h3(n_nodes):
     data = ImmersionData(grid, frames, S=S)
     u_field = np.zeros(grid.shape + (3,))
     u_field[..., 2] = 1.0
-    return SurfaceFixture(alg=alg, grid=grid, data=data,
-                          F=np.zeros(grid.shape + (3,)),
+    U, V = grid.mesh()
+    F = np.stack([U, V, np.ones(grid.shape)], axis=-1)
+    return SurfaceFixture(alg=alg, grid=grid, data=data, F=F,
                           extras={"u_field": u_field})
 
 

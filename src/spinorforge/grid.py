@@ -3,10 +3,14 @@
 Fields live on the nodes of a uniform grid over [x0, x0+Lx] x [y0, y0+Ly]
 with equal spacing h in both directions; arrays are indexed [i, j] for the
 node (x0 + i h, y0 + j h), grid axes leading and any component axes
-trailing.  First derivatives are second-order central differences inside;
-at the boundary a one-sided 4-point stencil whose leading error term matches
-the interior one keeps the error a smooth O(h^2) field (see `_d1`), and
-`order=4` selects 5-point verification stencils.
+trailing.
+
+`STENCILS` is the one source of the finite-difference stencils, applied by
+`difference` to fields (`ParamGrid.dx`, ...) and to group maps
+(`lie_group.maurer_cartan_pullback`).  First derivatives are second-order
+central differences inside; at the boundary a one-sided 4-point stencil
+whose leading error term matches the interior one keeps the error a smooth
+O(h^2) field, and `order=4` selects 5-point verification stencils.
 
 The induced metric is restricted to the conformal form mu^2 (dx^2 + dy^2),
 which keeps the frame geometry closed-form: with e1 = dx/mu, e2 = dy/mu,
@@ -18,6 +22,67 @@ and the Gaussian curvature is K = -Laplacian(log mu) / mu^2.
 """
 
 import numpy as np
+
+# (derivative, order) -> (interior row, edge rows); a row (offsets, weights,
+# divisor) is sum_k weight_k f(x + offset_k h) / (divisor h^derivative),
+# summed in the listed order.  Edge rows are for nodes 0, 1, ...; the far end
+# mirrors them (offsets negated, weights times (-1)^derivative).
+STENCILS = {
+    # the edge row's leading error +h^2/6 f_xxx matches the central one, so
+    # the error field is smooth and survives further differentiation
+    (1, 2): (((1, -1), (1.0, -1.0), 2.0),
+             [((0, 1, 2, 3), (-2.0, 3.5, -2.0, 0.5), 1.0)]),
+    # verification grade: 5-point central inside, one-sided at the edges
+    (1, 4): (((2, 1, -1, -2), (-1.0, 8.0, -8.0, 1.0), 12.0),
+             [((0, 1, 2, 3, 4),
+               (-25.0 / 12.0, 4.0, -3.0, 4.0 / 3.0, -0.25), 1.0),
+              ((-1, 0, 1, 2, 3),
+               (-0.25, -5.0 / 6.0, 1.5, -0.5, 1.0 / 12.0), 1.0)]),
+    # O(h^2) at the edge too, where nested first derivatives give O(h)
+    (2, 2): (((1, 0, -1), (1.0, -2.0, 1.0), 1.0),
+             [((0, 1, 2, 3), (2.0, -5.0, 4.0, -1.0), 1.0)]),
+}
+
+
+def _apply_row(sample, lo, hi, row):
+    """One row on the nodes lo <= x < hi, skipping samples of None (terms
+    known to vanish).  Terms after the first add or subtract |w| f, which
+    rounds like the written-out formulas, complex fields included."""
+    offsets, weights, divisor = row
+    acc = None
+    for k, w in zip(offsets, weights):
+        f = sample(lo, hi, k)
+        if f is None:
+            continue
+        if acc is None:
+            acc = f if w == 1 else -f if w == -1 else w * f
+        else:
+            t = f if abs(w) == 1 else abs(w) * f
+            acc = acc + t if w > 0 else acc - t
+    return acc if divisor == 1 else acc / divisor
+
+
+def difference(sample, size, h, derivative, order):
+    """The `derivative`-th derivative at `order` over `size` nodes of spacing
+    h, stacked along the leading axis, from `sample(lo, hi, k)` = f(x + k h)
+    for the nodes lo <= x < hi; ValueError for an order without a stencil
+    and for fewer nodes than the edge rows reach."""
+    if (derivative, order) not in STENCILS:
+        raise ValueError(f"no order-{order} stencil for derivative "
+                         f"{derivative}; known: {sorted(STENCILS)}")
+    interior, edges = STENCILS[derivative, order]
+    need = max(i + max(row[0]) for i, row in enumerate(edges)) + 1
+    if size < need:
+        raise ValueError(f"order-{order} derivatives need at least {need} "
+                         f"nodes per axis; got {size}")
+    e, sign = len(edges), (-1) ** derivative
+    far = [([-k for k in offs], [sign * w for w in ws], div)
+           for offs, ws, div in edges]
+    blocks = [_apply_row(sample, i, i + 1, row) for i, row in enumerate(edges)]
+    blocks.append(_apply_row(sample, e, size - e, interior))
+    blocks += [_apply_row(sample, size - 1 - i, size - i, far[i])
+               for i in reversed(range(e))]
+    return np.concatenate(blocks) / h ** derivative
 
 
 class ParamGrid:
@@ -69,44 +134,17 @@ class ParamGrid:
         return m
 
     # ---- flat derivatives ------------------------------------------------
-    def _d1(self, f, axis):
-        """First derivative, second order, with the boundary stencil
-        (-2, 7/2, -2, 1/2)/h whose leading error +h^2/6 f''' matches the
-        interior central difference: the truncation error is then a smooth
-        field over the whole grid and survives further differentiation
-        (curvatures, holonomy) at full order."""
+    def _diff(self, f, axis, derivative, order):
         f = np.moveaxis(np.asarray(f), axis, 0)
-        if f.shape[0] < 4:
-            raise ValueError("matched-stencil derivatives need >= 4 nodes")
-        out = np.empty_like(f)
-        out[1:-1] = (f[2:] - f[:-2]) / 2.0
-        out[0] = -2.0 * f[0] + 3.5 * f[1] - 2.0 * f[2] + 0.5 * f[3]
-        out[-1] = 2.0 * f[-1] - 3.5 * f[-2] + 2.0 * f[-3] - 0.5 * f[-4]
-        return np.moveaxis(out, 0, axis) / self.h
-
-    def _d1_order4(self, f, axis):
-        """Fourth-order first derivative (verification-grade accuracy):
-        5-point central inside, one-sided 5-point at the two boundary layers."""
-        f = np.moveaxis(np.asarray(f), axis, 0)
-        if f.shape[0] < 5:
-            raise ValueError("order-4 derivatives need >= 5 nodes")
-        out = np.empty_like(f)
-        out[2:-2] = (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / 12.0
-        out[0] = -25.0 / 12.0 * f[0] + 4.0 * f[1] - 3.0 * f[2] \
-            + 4.0 / 3.0 * f[3] - 0.25 * f[4]
-        out[1] = -0.25 * f[0] - 5.0 / 6.0 * f[1] + 1.5 * f[2] \
-            - 0.5 * f[3] + 1.0 / 12.0 * f[4]
-        out[-1] = 25.0 / 12.0 * f[-1] - 4.0 * f[-2] + 3.0 * f[-3] \
-            - 4.0 / 3.0 * f[-4] + 0.25 * f[-5]
-        out[-2] = 0.25 * f[-1] + 5.0 / 6.0 * f[-2] - 1.5 * f[-3] \
-            + 0.5 * f[-4] - 1.0 / 12.0 * f[-5]
-        return np.moveaxis(out, 0, axis) / self.h
+        out = difference(lambda lo, hi, k: f[lo + k:hi + k], f.shape[0],
+                         self.h, derivative, order)
+        return np.moveaxis(out, 0, axis)
 
     def dx(self, f, order=2):
-        return self._d1(f, 0) if order == 2 else self._d1_order4(f, 0)
+        return self._diff(f, 0, 1, order)
 
     def dy(self, f, order=2):
-        return self._d1(f, 1) if order == 2 else self._d1_order4(f, 1)
+        return self._diff(f, 1, 1, order)
 
     def dz(self, f):
         """Wirtinger d/dz = (d/dx - i d/dy) / 2 on complex fields."""
@@ -115,24 +153,11 @@ class ParamGrid:
     def dzbar(self, f):
         return 0.5 * (self.dx(f) + 1j * self.dy(f))
 
-    def _d2(self, f, axis):
-        # second derivative, O(h^2) everywhere: central inside, one-sided
-        # 4-point stencil at the boundary (nested gradients would drop to
-        # O(h) there)
-        f = np.moveaxis(np.asarray(f, float), axis, 0)
-        if f.shape[0] < 4:
-            raise ValueError("second derivatives need at least 4 nodes")
-        out = np.empty_like(f)
-        out[1:-1] = f[2:] - 2.0 * f[1:-1] + f[:-2]
-        out[0] = 2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]
-        out[-1] = 2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]
-        return np.moveaxis(out, 0, axis) / self.h ** 2
-
     def d2x(self, f):
-        return self._d2(f, 0)
+        return self._diff(f, 0, 2, 2)
 
     def d2y(self, f):
-        return self._d2(f, 1)
+        return self._diff(f, 1, 2, 2)
 
     # ---- conformal frame geometry -----------------------------------------
     def rotation_coefficients(self):

@@ -18,11 +18,16 @@ vertex values), a Magnus step with O(h^3) local and O(h^2) global error,
 along the fixed spanning tree "bottom row first, then every column".
 Path-independence is a checked property of the input, not an assumption:
 `structure_residual` evaluates |d xi (dx, dy) + [xi(dx), xi(dy)]| per node.
+
+Conversely, `maurer_cartan_pullback` applies the `grid.STENCILS` first
+derivatives to log differences of a group map F, and `second_fundamental_form`
+and `normal_connection` are the one extraction of (B, theta) from the result.
 """
 
 import numpy as np
 
 from . import lie_algebra as la
+from .grid import difference
 
 # phi(zA) = alpha I + beta N switches from the eigenvalue form to the
 # near-repeated forms when |z^2 d| (half the eigenvalue gap, squared) is below
@@ -497,66 +502,50 @@ def darboux_integrate(xi, alg, base=None, stats=None):
 
 
 def maurer_cartan_pullback(F, model, grid, order=2):
-    """omega_G(F_* d/dx), omega_G(F_* d/dy) by log differences.
-
-    order=2 (default): central (log(F^-1 F(+h)) - log(F^-1 F(-h))) / 2h
-    inside, truncation error +h^2/6 d^3; boundary rows use the one-sided
-    4-point stencil (7/2 f_1 - 2 f_2 + 1/2 f_3)/h with f_k = log(F^-1 F(kh))
-    whose leading error is the same +h^2/6 d^3, so the error field is a
-    smooth O(h^2) function across the whole grid and survives one more
-    differentiation (second-fundamental-form extraction) at O(h^2).
-
-    order=4: verification-grade 5-point stencils, used when measuring a
-    reconstruction so the instrument error stays far below the O(h^2)
-    quantity being measured.
-    """
-    need = 5 if order == 4 else 4
-    if min(np.shape(F)[:2]) < need:
-        raise ValueError(f"the order-{order} Maurer-Cartan pullback needs at "
-                         f"least {need} nodes per axis; got {np.shape(F)[:2]}")
-    h = grid.h
-
-    def _shift_log(Fm, inv, k):
-        """log(F(x)^-1 F(x + k h)) rows for every admissible x."""
-        if k > 0:
-            return model.log(model.multiply(inv[:-k], Fm[k:]))
-        return model.log(model.multiply(inv[-k:], Fm[:k]))
-
-    def _d2nd(axis):
+    """omega_G(F_* d/dx), omega_G(F_* d/dy): the `grid.STENCILS` first
+    derivative at `order` of f_k = log(F(x)^-1 F(x + k h)), skipping the
+    vanishing f_0.  order=2 has the same leading error +h^2/6 d^3 inside and
+    at the edges, so the O(h^2) error field is smooth and survives the
+    second-fundamental-form extraction; order=4 is the verification grade,
+    whose error stays far below the O(h^2) quantities a reconstruction check
+    measures."""
+    def along(axis):
         Fm = np.moveaxis(F, axis, 0)
         inv = model.inverse(Fm)
-        out = np.empty(Fm.shape[:-1] + (model.n,))
-        fwd = _shift_log(Fm, inv, 1)
-        bwd = _shift_log(Fm, inv, -1)
-        out[1:-1] = (fwd[1:] - bwd[:-1]) / (2 * h)
-        out[0] = (3.5 * fwd[0] - 2.0 * _shift_log(Fm, inv, 2)[0]
-                  + 0.5 * _shift_log(Fm, inv, 3)[0]) / h
-        out[-1] = -(3.5 * bwd[-1] - 2.0 * _shift_log(Fm, inv, -2)[-1]
-                    + 0.5 * _shift_log(Fm, inv, -3)[-1]) / h
-        return np.moveaxis(out, 0, axis)
+        d = difference(lambda lo, hi, k: None if k == 0 else model.log(
+            model.multiply(inv[lo:hi], Fm[lo + k:hi + k])),
+            Fm.shape[0], grid.h, 1, order)
+        return np.moveaxis(d, 0, axis)
 
-    def _d4th(axis):
-        Fm = np.moveaxis(F, axis, 0)
-        inv = model.inverse(Fm)
-        out = np.empty(Fm.shape[:-1] + (model.n,))
-        p1, p2 = _shift_log(Fm, inv, 1), _shift_log(Fm, inv, 2)
-        p3, p4 = _shift_log(Fm, inv, 3), _shift_log(Fm, inv, 4)
-        m1, m2 = _shift_log(Fm, inv, -1), _shift_log(Fm, inv, -2)
-        m3, m4 = _shift_log(Fm, inv, -3), _shift_log(Fm, inv, -4)
-        out[2:-2] = (-p2[2:] + 8.0 * p1[2:-1] - 8.0 * m1[1:-2] + m2[:-2]) \
-            / (12.0 * h)
-        out[0] = (4.0 * p1[0] - 3.0 * p2[0] + 4.0 / 3.0 * p3[0]
-                  - 0.25 * p4[0]) / h
-        out[1] = (-0.25 * m1[0] + 1.5 * p1[1] - 0.5 * p2[1]
-                  + 1.0 / 12.0 * p3[1]) / h
-        out[-1] = -(4.0 * m1[-1] - 3.0 * m2[-1] + 4.0 / 3.0 * m3[-1]
-                    - 0.25 * m4[-1]) / h
-        out[-2] = -(-0.25 * p1[-1] + 1.5 * m1[-2] - 0.5 * m2[-2]
-                    + 1.0 / 12.0 * m3[-2]) / h
-        return np.moveaxis(out, 0, axis)
+    return along(0), along(1)
 
-    d = _d4th if order == 4 else _d2nd
-    return d(0), d(1)
+
+def second_fundamental_form(zx, zy, normals, grid, alg, order):
+    """<(D_ab + D_ba)/2, n_r>, (nx, ny, 2, 2, q) and not divided by the
+    metric, with D_ab = nabla^G_{d_a} F_* d_b = d_a z_b + Gamma(z_a) z_b from
+    the pullbacks z_a, normals (nx, ny, n, q) and derivatives at `order`."""
+    z = (zx, zy)
+    d = (grid.dx, grid.dy)
+    D = {(a, b): d[a](z[b], order)
+         + np.einsum("xyi,ijk,xyj->xyk", z[a], alg.gamma, z[b])
+         for a in range(2) for b in range(2)}
+    B = np.empty(zx.shape[:2] + (2, 2, normals.shape[-1]))
+    for a, b in D:
+        B[:, :, a, b] = np.einsum("xyi,xyir->xyr", 0.5 * (D[a, b] + D[b, a]),
+                                  normals)
+    return B
+
+
+def normal_connection(zx, zy, normals, grid, alg):
+    """theta_x, theta_y: the skew part of <nabla^G_{d_a} n_s, n_r>, each
+    (nx, ny, q, q), for normals (nx, ny, n, q) along the pullbacks z_x, z_y."""
+    out = []
+    for za, d in ((zx, grid.dx), (zy, grid.dy)):
+        dn = d(normals) + np.einsum("xyi,ijk,xyjr->xykr", za, alg.gamma,
+                                    normals)
+        th = np.einsum("xyis,xyir->xyrs", dn, normals)
+        out.append(0.5 * (th - np.swapaxes(th, 2, 3)))
+    return out[0], out[1]
 
 
 def structure_residual(xi, alg):

@@ -38,7 +38,7 @@ from .clifford import (
 )
 from .lie_group import (
     LieValuedOneForm, darboux_integrate, maurer_cartan_pullback, model_for,
-    structure_residual,
+    normal_connection, second_fundamental_form, structure_residual,
 )
 from .immersion import ImmersionData
 
@@ -286,7 +286,11 @@ def solve_killing(problem, holonomy_tol=None, spin_tol=1e-8):
 # xi, normalization, reconstruction
 # =============================================================================
 
-def xi_from_spinor(field, problem, purity_tol=1e-10):
+PURITY_TOL = 1e-10      # off-grade mass of xi that signals spinor corruption
+ORTH_TOL = 1e-6         # largest defect of xi o frame^-1 at the base node
+
+
+def xi_from_spinor(field, problem):
     """xi(dx), xi(dy) = rev([phi]) [X] [phi] plus the normal-direction values
     xi(n_r); raises if the output fails grade-1 purity (spinor corruption).
 
@@ -296,7 +300,7 @@ def xi_from_spinor(field, problem, purity_tol=1e-10):
     n = field.n
     mu = grid.mu
     adj, impurity = adjoint_array(reverse_array(field.values, n), n)
-    if not impurity <= purity_tol:
+    if not impurity <= PURITY_TOL:
         raise ValueError(f"xi output is not a vector: off-grade mass "
                          f"{impurity:.3e} signals spinor corruption")
     results = np.swapaxes(adj, 2, 3)          # (nx, ny, frame index, G index)
@@ -313,16 +317,16 @@ def frame_map_at(field, problem, vertex):
     return adj @ problem.data.frames[vertex].T
 
 
-def normalize_spinor(field, problem, orth_tol=1e-6):
+def normalize_spinor(field, problem):
     """Right-multiply the whole field by the spin lift of T = xi o frame^{-1}
     measured at the base node, after which xi matches the frame isometry.
 
-    T is checked orthogonal to `orth_tol` (discretization-level), projected
+    T is checked orthogonal to ORTH_TOL (discretization-level), projected
     to the nearest rotation, and lifted with the deterministic sign rule.
     """
     T = frame_map_at(field, problem, (0, 0))
     dev = np.max(np.abs(T.T @ T - np.eye(field.n)))
-    if dev > orth_tol:
+    if dev > ORTH_TOL:
         raise ValueError(f"xi o frame^-1 is not orthogonal (deviation "
                          f"{dev:.3e}); the solve did not produce a spin field")
     if np.linalg.det(T) < 0:
@@ -372,13 +376,6 @@ def reconstruct_immersion(problem, base_point=None, holonomy_tol=None,
     return F, field, report
 
 
-def _ambient_derivative(zeta_a, zeta_b, grid, alg, axis, order=2):
-    """nabla^G along coordinate direction `axis` of the field zeta_b, in the
-    left trivialization: d zeta_b + Gamma(zeta_axis) zeta_b."""
-    d = grid.dx(zeta_b, order) if axis == 0 else grid.dy(zeta_b, order)
-    return d + np.einsum("xyi,ijk,xyj->xyk", zeta_a, alg.gamma, zeta_b)
-
-
 def verify_reconstruction(F, problem, xi_normals):
     """Isometry, second-fundamental-form and normal-connection errors of a
     reconstructed immersion, via fourth-order discrete differentiation of F
@@ -408,29 +405,14 @@ def verify_reconstruction(F, problem, xi_normals):
             v -= np.einsum("xyi,xyi->xy", normals[..., s], v)[..., None] \
                 * normals[..., s]
         normals[..., r] = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    # second fundamental form of F, symmetrized over the two argument orders
-    B_err = 0.0
-    D = {}
-    for a, za in enumerate((zx, zy)):
-        for b, zb in enumerate((zx, zy)):
-            D[a, b] = _ambient_derivative(za, zb, grid, alg, a, order=4)
-    for a in range(2):
-        for b in range(2):
-            Dab = 0.5 * (D[a, b] + D[b, a])
-            got = np.einsum("xyi,xyir->xyr", Dab, normals) / mu2[..., None]
-            B_err = max(B_err, float(np.max(np.abs(got - data.B[:, :, a, b]))))
+    B = second_fundamental_form(zx, zy, normals, grid, alg, 4) \
+        / mu2[..., None, None, None]
+    B_err = float(np.max(np.abs(B - data.B)))
     theta_err = 0.0
     if q > 1:
-        for a in range(2):
-            za = (zx, zy)[a]
-            dtheta = (grid.dx, grid.dy)[a]
-            want = (data.theta_x, data.theta_y)[a]
-            dn = dtheta(normals) + np.einsum(
-                "xyi,ijk,xyjr->xykr", za, alg.gamma, normals)
-            got = np.einsum("xyis,xyir->xyrs", dn, normals)
-            got = 0.5 * (got - np.swapaxes(got, 2, 3))
-            theta_err = max(theta_err,
-                            float(np.max(np.abs(got - want))))
+        for got, want in zip(normal_connection(zx, zy, normals, grid, alg),
+                             (data.theta_x, data.theta_y)):
+            theta_err = max(theta_err, float(np.max(np.abs(got - want))))
     return {"isometry_error": iso, "second_fundamental_error": B_err,
             "normal_connection_error": theta_err}
 
@@ -488,7 +470,13 @@ def _continuous_normal_frames(zx, zy, mu, n):
     return frames
 
 
-def spinor_of_immersion(F, alg, grid, conformal_tol=None):
+# the discrete pullback of an exactly conformal chart deviates by O(h^2):
+# gate the conformality defect at max(25 h^2, 1e-4), well above that but far
+# below order-one anisotropy
+CONFORMAL_TOL_H2, CONFORMAL_TOL_MIN = 25.0, 1e-4
+
+
+def spinor_of_immersion(F, alg, grid):
     """Extract (SpinorField, ImmersionData) from an immersed grid F.
 
     The pullback of the Maurer-Cartan form gives the induced metric (checked
@@ -501,10 +489,7 @@ def spinor_of_immersion(F, alg, grid, conformal_tol=None):
     model = model_for(alg)
     n = alg.n
     q = n - 2
-    if conformal_tol is None:
-        # the discrete pullback of an exactly conformal chart deviates by
-        # O(h^2); gate well above that but far below order-one anisotropy
-        conformal_tol = max(25.0 * grid.h ** 2, 1e-4)
+    conformal_tol = max(CONFORMAL_TOL_H2 * grid.h ** 2, CONFORMAL_TOL_MIN)
     zx, zy = maurer_cartan_pullback(F, model, grid)
     gxx = np.einsum("xyi,xyi->xy", zx, zx)
     gxy = np.einsum("xyi,xyi->xy", zx, zy)
@@ -521,21 +506,12 @@ def spinor_of_immersion(F, alg, grid, conformal_tol=None):
                           y0=grid.y0)
     frames = _continuous_normal_frames(zx, zy, mu, n)
     normals = frames[..., 2:]
-    B = np.zeros(grid.shape + (2, 2, q))
-    for a, za in enumerate((zx, zy)):
-        for b, zb in enumerate((zx, zy)):
-            D = _ambient_derivative(za, zb, out_grid, alg, a)
-            B[:, :, a, b] = np.einsum("xyi,xyir->xyr", D, normals) \
-                / mu[..., None] ** 2
-    B = 0.5 * (B + np.swapaxes(B, 2, 3))
-    kwargs = {}
+    B = second_fundamental_form(zx, zy, normals, out_grid, alg, 2) \
+        / mu[..., None, None, None] ** 2
     if q > 1:
-        for a, (za, key) in enumerate(((zx, "theta_x"), (zy, "theta_y"))):
-            dn = (out_grid.dx, out_grid.dy)[a](normals) + np.einsum(
-                "xyi,ijk,xyjr->xykr", za, alg.gamma, normals)
-            th = np.einsum("xyis,xyir->xyrs", dn, normals)
-            kwargs[key] = 0.5 * (th - np.swapaxes(th, 2, 3))
-        data = ImmersionData(out_grid, frames, B=B, **kwargs)
+        theta_x, theta_y = normal_connection(zx, zy, normals, out_grid, alg)
+        data = ImmersionData(out_grid, frames, B=B, theta_x=theta_x,
+                             theta_y=theta_y)
     else:
         data = ImmersionData(out_grid, frames, S=B[..., 0])
     values = _continuous_spin_lift(frames)

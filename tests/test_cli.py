@@ -22,7 +22,7 @@ from spinorforge.grid import ParamGrid
 from spinorforge.lie_group import model_for
 from spinorforge.serialization import (SURFACE_SCHEMA, InputError, cmc_to_dict,
                                        dump_json, load_json, problem_from_dict,
-                                       problem_to_dict)
+                                       problem_to_dict, surface_from_dict)
 
 
 def write_problem(tmp_path, fx, name="problem.json"):
@@ -590,3 +590,15 @@ def test_broken_inputs_exit_three_or_four(case):
             code = main([command, path, "-o", os.path.join(tmp, "r.json")])
     assert code in (3, 4), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("name", _SURFACE_NAMES)
+def test_reconstruct_fixture_exits_zero(tmp_path, name):
+    # the fixture's F[0, 0] is the base point, so it must be a group point
+    out = tmp_path / "rec.json"
+    assert main(["reconstruct", "--fixture", name, "--grid-n", "9",
+                 "-o", str(out)]) == 0
+    if name == "horosphere-h3":
+        # the flat horosphere a_3 = 1 is reconstructed exactly
+        F, _ = surface_from_dict(load_json(load_json(out)["surface_path"]))
+        assert np.array_equal(F, fixtures.horosphere_h3(9).F)
