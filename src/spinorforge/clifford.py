@@ -13,6 +13,11 @@ n is capped at 8, i.e. 256 coefficients; everything is plain float64 numpy
 and the low-level kernels broadcast over leading axes so that fields of
 multivectors (grids) go through the same code path.
 
+`exp_array` is the general exponential of any multivector (a Taylor series
+with scaling and squaring).  Bivector fields, the transport steps of the
+spinor solver, go through `bivector_exp_array`, which is exact and free of
+geometric products for n <= 4 (Spin(3) and Spin(4) = Sp(1) x Sp(1)).
+
 Multivectors are immutable values; all operations return new objects.
 """
 
@@ -136,10 +141,12 @@ def non_grade_norm(a, n, keep):
 
 
 def exp_array(a, n, terms=18):
-    """Clifford exponential by scaling-and-squaring plus Taylor series.
+    """Clifford exponential of any multivector field by scaling-and-squaring
+    plus Taylor series.
 
-    Intended for bivector arguments (transport steps), where the series
-    converges fast after scaling to max-norm <= 0.5.
+    This is the general series, `terms` geometric products per field plus
+    one per squaring; the series converges fast after scaling to max-norm
+    <= 0.5.  Bivector fields have the closed form `bivector_exp_array`.
     """
     a = np.asarray(a, dtype=np.float64)
     m = float(np.max(np.abs(a))) if a.size else 0.0
@@ -155,6 +162,64 @@ def exp_array(a, n, terms=18):
     for _ in range(s):
         out = gp_array(out, out, n)
     return out
+
+
+@lru_cache(maxsize=None)
+def _pseudoscalar_gathers(n):
+    """With I the top blade of Cl_n, per bivector blade: its complement
+    I ^ blade, the sign of blade * complement (the I part of b^2 pairs each
+    blade with its complement) and the sign of I * blade."""
+    signs, _ = blade_tables(n)
+    top = (1 << n) - 1
+    biv = grade_indices(n, 2)
+    return top ^ biv, signs[biv, top ^ biv], signs[top, biv]
+
+
+def bivector_exp_array(a, n):
+    """exp(b) of bivector fields b (..., 2**n) in closed form for n <= 4;
+    coefficients outside grade 2 are not read.  For n >= 5 this is
+    `exp_array`.
+
+    For n <= 3 every bivector is simple: b^2 = -|b|^2 and
+    exp(b) = cos|b| + (sin|b| / |b|) b.  For n = 4 the pseudoscalar
+    I = e1234 has I^2 = +1 and is central in the even algebra, so
+    (1 +- I)/2 split b^2 = s + p I into the real squares s +- p, and with
+    C+- = cos t+-, S+- = sin t+- / t+-, t+- = sqrt(-(s +- p)),
+
+        exp(b) = (C+ + C-)/2 + (C+ - C-)/2 I + (S+ + S-)/2 b + (S+ - S-)/2 I b
+
+    (the invariant decomposition of Roelfs & De Keninck, arXiv:2107.03771).
+    p and I b are index/sign gathers; no geometric product is taken.
+    """
+    if n >= 5:
+        return exp_array(a, n)
+    a = np.asarray(a, dtype=np.float64)
+    biv = grade_indices(n, 2)
+    b = a[..., biv]
+    out = np.zeros(a.shape)
+    s = -np.sum(b * b, axis=-1)
+    if n < 4:
+        c, sc = _cos_sinc(s)
+        out[..., 0] = c
+        out[..., biv] = sc[..., None] * b
+        return out
+    comp, pair_sign, i_sign = _pseudoscalar_gathers(n)
+    p = np.sum(pair_sign * b * a[..., comp], axis=-1)
+    cp, sp = _cos_sinc(s + p)
+    cm, sm = _cos_sinc(s - p)
+    out[..., 0] = 0.5 * (cp + cm)
+    out[..., -1] = 0.5 * (cp - cm)
+    out[..., biv] = 0.5 * (sp + sm)[..., None] * b
+    out[..., comp] += 0.5 * (sp - sm)[..., None] * i_sign * b
+    return out
+
+
+def _cos_sinc(lam):
+    """(cos t, sin t / t) with t = sqrt(-lam) for lam <= 0 (a positive lam,
+    rounding of a vanishing square, counts as 0); sin t / t = 1 at t = 0."""
+    t = np.sqrt(-np.minimum(lam, 0.0))
+    return np.cos(t), np.divide(np.sin(t), t, out=np.ones_like(t),
+                                where=t > 0)
 
 
 # =============================================================================

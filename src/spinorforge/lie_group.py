@@ -468,6 +468,13 @@ class IntegrationError(RuntimeError):
         self.cell = cell
 
 
+def first_non_finite(values):
+    """Grid index (a tuple) of the first node of values (..., k) with a
+    non-finite entry, None when all are finite."""
+    bad = np.argwhere(~np.isfinite(values).all(axis=-1))
+    return tuple(bad[0].tolist()) if len(bad) else None
+
+
 def darboux_integrate(xi, alg, base=None, stats=None):
     """Integrate F* omega_G = xi over the grid: F(0,0) = base, midpoint step
     F_next = F * exp(h * (xi_here + xi_there)/2) along the spanning tree
@@ -483,19 +490,18 @@ def darboux_integrate(xi, alg, base=None, stats=None):
         base = base.payload
     F = np.zeros((nx, ny, model.payload_dim))
     F[0, 0] = model.identity() if base is None else np.asarray(base, float)
+    row = model.exp(0.5 * (xi.xi_x[:-1, 0] + xi.xi_x[1:, 0]), h)
+    cols = model.exp(0.5 * (xi.xi_y[:, :-1] + xi.xi_y[:, 1:]), h)
     drift = 0.0
     for i in range(nx - 1):
-        step = model.exp(0.5 * (xi.xi_x[i, 0] + xi.xi_x[i + 1, 0]), h)
-        F[i + 1, 0], d = model.normalize(model.multiply(F[i, 0], step))
+        F[i + 1, 0], d = model.normalize(model.multiply(F[i, 0], row[i]))
         drift = max(drift, d)
     for j in range(ny - 1):
-        step = model.exp(0.5 * (xi.xi_y[:, j] + xi.xi_y[:, j + 1]), h)
-        F[:, j + 1], d = model.normalize(model.multiply(F[:, j], step))
+        F[:, j + 1], d = model.normalize(model.multiply(F[:, j], cols[:, j]))
         drift = max(drift, d)
-    if not np.all(np.isfinite(F)):
-        bad = np.argwhere(~np.isfinite(F).all(axis=-1))
-        raise IntegrationError("Darboux integration diverged",
-                               cell=tuple(bad[0].tolist()))
+    cell = first_non_finite(F)
+    if cell is not None:
+        raise IntegrationError("Darboux integration diverged", cell=cell)
     if stats is not None:
         stats["renorm_drift"] = drift
     return F

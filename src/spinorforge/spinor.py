@@ -32,13 +32,14 @@ e3 e1) ~ (i, j, k) on bivectors, and quaternions are stored as pairs
 import numpy as np
 
 from .clifford import (
-    Multivector, SpinElement, adjoint_array, bivector_array, exp_array,
-    gp_array, non_grade_norm, offdiag_skew_array, reverse_array, spin_lift,
-    spin_lift_array, vector_array,
+    Multivector, SpinElement, adjoint_array, bivector_array,
+    bivector_exp_array, gp_array, non_grade_norm, offdiag_skew_array,
+    reverse_array, spin_lift, spin_lift_array, vector_array,
 )
 from .lie_group import (
-    LieValuedOneForm, darboux_integrate, maurer_cartan_pullback, model_for,
-    normal_connection, second_fundamental_form, structure_residual,
+    IntegrationError, LieValuedOneForm, darboux_integrate, first_non_finite,
+    maurer_cartan_pullback, model_for, normal_connection,
+    second_fundamental_form, structure_residual,
 )
 from .immersion import ImmersionData
 
@@ -229,7 +230,20 @@ def _edge_operators(eta, h, axis, n):
     """exp(h (eta_i + eta_{i+1}) / 2) along an axis, for all edges."""
     e = np.moveaxis(eta, axis, 0)
     mid = 0.5 * (e[:-1] + e[1:]) * h
-    return np.moveaxis(exp_array(mid, n), 0, axis)
+    return np.moveaxis(bivector_exp_array(mid, n), 0, axis)
+
+
+def _transport_row(start, E, n):
+    """start, E[0] start, E[1] E[0] start, ...: the prefix products along
+    one row by doubling (Hillis-Steele), ceil(log2 len) products of whole
+    row slices, then one renormalization; returns (row, drift)."""
+    row = np.concatenate([start[None], E])
+    d = 1
+    while d < len(row):
+        row[d:] = gp_array(row[d:], row[:-d], n)
+        d *= 2
+    row[1:], drift = _renormalize(row[1:], n)
+    return row, drift
 
 
 def solve_killing(problem, holonomy_tol=None, spin_tol=1e-8):
@@ -244,20 +258,20 @@ def solve_killing(problem, holonomy_tol=None, spin_tol=1e-8):
     grid = problem.grid
     n = alg.n
     h = grid.h
-    nx, ny = grid.shape
+    ny = grid.shape[1]
     if holonomy_tol is None:
         holonomy_tol = 10.0 * h * h
     eta_x, eta_y = connection_coefficient_fields(problem)
-    Ex = _edge_operators(eta_x, h, 0, n)      # (nx-1, ny, 2^n)
-    Ey = _edge_operators(eta_y, h, 1, n)      # (nx, ny-1, 2^n)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        Ex = _edge_operators(eta_x, h, 0, n)      # (nx-1, ny, 2^n)
+        Ey = _edge_operators(eta_y, h, 1, n)      # (nx, ny-1, 2^n)
+    for E in (Ex, Ey):
+        cell = first_non_finite(E)
+        if cell is not None:
+            raise IntegrationError("spin transport diverged", cell=cell)
     values = np.zeros(grid.shape + (1 << n,))
-    values[0, 0] = problem.base_spinor.value.coeffs
-    drift = 0.0
-    for i in range(nx - 1):
-        step = gp_array(Ex[i, 0], values[i, 0], n)
-        values[i + 1, 0], d = _renormalize(step, n)
-        drift = max(drift, d)
-
+    values[:, 0], drift = _transport_row(problem.base_spinor.value.coeffs,
+                                         Ex[:, 0], n)
     for j in range(ny - 1):
         step = gp_array(Ey[:, j], values[:, j], n)
         values[:, j + 1], d = _renormalize(step, n)

@@ -388,6 +388,37 @@ def test_reconstruct_undersized_grid_names_minimum(tmp_path, capsys):
     assert "at least 5 nodes" in capsys.readouterr().err
 
 
+def _scaled_shape_operator_problem(tmp_path, scale):
+    fx = fixtures.sphere_r3(9)
+    blob = problem_to_dict(fx.data, fx.alg, base_point=fx.F[0, 0])
+    blob["S"] = (np.array(blob["S"]) * scale).tolist()
+    path = tmp_path / "scaled.json"
+    dump_json(blob, path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["solve", "reconstruct"])
+def test_overflowing_transport_exits_four_and_names_the_edge(tmp_path, capsys,
+                                                             command):
+    # |h eta|^2 overflows, so the edge rotors are not finite
+    path = _scaled_shape_operator_problem(tmp_path, 1e300)
+    assert main([command, str(path), "-o", str(tmp_path / "r.json")]) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure: spin transport diverged at cell (" in err
+    assert "Traceback" not in err
+    assert "must be even" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "reconstruct"])
+def test_huge_but_finite_transport_is_not_integrable(tmp_path, capsys,
+                                                      command):
+    path = _scaled_shape_operator_problem(tmp_path, 1e150)
+    assert main([command, str(path), "-o", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "must be even" not in err
+
+
 def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, spinorforge.cli; print('scipy' in sys.modules)"
     env = dict(os.environ)

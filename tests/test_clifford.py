@@ -13,10 +13,10 @@ import pytest
 
 from spinorforge.clifford import (
     Multivector, SpinElement, SkewOperator, OffDiagOperator,
-    adjoint_action, adjoint_array, bivector_array, bivector_of_offdiag,
-    bivector_of_skew, blade_tables, canonical_spin_sign, commutator,
-    exp_array, grade_indices, offdiag_skew_array, reverse_array,
-    skew_of_bivector, spin_bracket, spin_lift, spin_lift_array,
+    adjoint_action, adjoint_array, bivector_array, bivector_exp_array,
+    bivector_of_offdiag, bivector_of_skew, blade_tables, canonical_spin_sign,
+    commutator, exp_array, gp_array, grade_indices, offdiag_skew_array,
+    reverse_array, skew_of_bivector, spin_bracket, spin_lift, spin_lift_array,
 )
 
 rng = np.random.default_rng(20240611)
@@ -191,6 +191,120 @@ def test_reverse_of_exp_array_is_exp_of_negated_bivector(n):
     b[..., idx] = rng.normal(size=(9, 7, len(idx)))
     got = reverse_array(exp_array(b, n), n)
     assert np.max(np.abs(got - exp_array(-b, n))) <= 1e-14
+
+
+# =============================================================================
+# Closed-form bivector exponential
+# =============================================================================
+
+def random_bivector_field(n, shape, max_norm):
+    """Bivector fields whose Euclidean coefficient norm is uniform in
+    [0, max_norm]."""
+    idx = grade_indices(n, 2)
+    b = rng.normal(size=shape + (len(idx),))
+    b *= rng.uniform(0.0, max_norm, size=shape + (1,)) \
+        / np.linalg.norm(b, axis=-1, keepdims=True)
+    out = np.zeros(shape + (1 << n,))
+    out[..., idx] = b
+    return out
+
+
+def unit_defect(g, n):
+    unit = gp_array(reverse_array(g, n), g, n)
+    unit[..., 0] -= 1.0
+    return np.max(np.abs(unit))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bivector_exp_matches_the_series(n):
+    idx = grade_indices(n, 2)
+    small = np.zeros((40, 30, 1 << n))
+    small[..., idx] = rng.uniform(-0.1, 0.1, size=(40, 30, len(idx)))
+    assert np.max(np.abs(bivector_exp_array(small, n)
+                         - exp_array(small, n))) <= 1e-14
+    # one field at a time: exp_array scales by the field's largest entry
+    for b in random_bivector_field(n, (20, 50), 3.0):
+        assert np.max(np.abs(bivector_exp_array(b, n)
+                             - exp_array(b, n))) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_adjoint_of_bivector_exp_is_the_rotation_exponential(n):
+    # [b, x] = U x for b = bivector_of_skew(U), so Ad(exp b) = expm(2U)
+    from scipy.linalg import expm
+    for _ in range(30):
+        m = rng.normal(size=(n, n))
+        U = m - m.T
+        U *= rng.uniform(0.0, 3.0) / np.linalg.norm(U)
+        want = expm(2.0 * U)
+        b = bivector_of_skew(U).coeffs
+        for g in (bivector_exp_array(b, n), exp_array(b, n)):
+            got, impurity = adjoint_array(g, n)
+            assert np.max(np.abs(got - want)) <= 1e-12
+            assert impurity <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bivector_exp_is_unit(n):
+    g = bivector_exp_array(random_bivector_field(n, (60, 40), 3.0), n)
+    assert unit_defect(g, n) <= 2e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bivector_exp_of_zero_is_one(n):
+    one = np.zeros((5, 1 << n))
+    one[:, 0] = 1.0
+    assert np.array_equal(bivector_exp_array(np.zeros((5, 1 << n)), n), one)
+
+
+def test_bivector_exp_of_a_tiny_bivector():
+    for n in (3, 4):
+        b = random_bivector_field(n, (50,), 1.0)
+        b *= 1e-9 / np.linalg.norm(b, axis=-1, keepdims=True)
+        got = bivector_exp_array(b, n)
+        assert np.max(np.abs(got - exp_array(b, n))) <= 1e-16
+        assert np.max(np.abs(got[:, 1:] - b[:, 1:])) <= 1e-24
+
+
+def test_bivector_exp_of_a_simple_bivector_in_four_dimensions():
+    # b = 0.7 e12 + 0.3 e13 + 0.4 e14 = e1 (0.7 e2 + 0.3 e3 + 0.4 e4) is
+    # simple: b^2 = -|b|^2 has no e1234 part (p = 0)
+    b = np.zeros(16)
+    b[[0b0011, 0b0101, 0b1001]] = [0.7, 0.3, 0.4]
+    got = bivector_exp_array(b, 4)
+    t = np.sqrt(0.74)
+    want = np.sin(t) / t * b
+    want[0] = np.cos(t)
+    assert got[0b1111] == 0.0
+    assert np.max(np.abs(got - want)) <= 1e-16
+    assert np.max(np.abs(got - exp_array(b, 4))) <= 1e-14
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_bivector_exp_of_isoclinic_bivectors(sign):
+    # b = theta (e12 +- e34): e12 and e34 commute, so exp b is the product
+    # of two plane rotors, and one of s +- p vanishes
+    for theta in (0.0, 1e-9, 0.3, 1.0, 2.5):
+        b12 = np.zeros(16)
+        b12[0b0011] = theta
+        b34 = np.zeros(16)
+        b34[0b1100] = sign * theta
+        got = bivector_exp_array(b12 + b34, 4)
+        want = gp_array(bivector_exp_array(b12, 4),
+                        bivector_exp_array(b34, 4), 4)
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert np.max(np.abs(got - exp_array(b12 + b34, 4))) <= 1e-14
+        assert unit_defect(got, 4) <= 2e-15
+
+
+def test_bivector_exp_in_one_dimension_is_one():
+    assert np.array_equal(bivector_exp_array(np.array([0.0, 0.0]), 1),
+                          np.array([1.0, 0.0]))
+
+
+def test_bivector_exp_in_five_dimensions_is_the_series():
+    b = random_bivector_field(5, (4, 3), 2.0)
+    assert np.array_equal(bivector_exp_array(b, 5), exp_array(b, 5))
 
 
 # =============================================================================

@@ -355,6 +355,52 @@ def test_left_invariance_exact_group_identity():
     assert np.max(np.abs(F2 - want)) <= 1e-10
 
 
+def loop_darboux(xi, alg, base=None, stats=None):
+    """darboux_integrate before its steps were batched, verbatim: one
+    model.exp per bottom-row node and per column."""
+    model = alg if hasattr(alg, "payload_dim") else model_for(alg)
+    grid, h = xi.grid, xi.grid.h
+    nx, ny = grid.shape
+    if isinstance(base, GroupElement):
+        base = base.payload
+    F = np.zeros((nx, ny, model.payload_dim))
+    F[0, 0] = model.identity() if base is None else np.asarray(base, float)
+    drift = 0.0
+    for i in range(nx - 1):
+        step = model.exp(0.5 * (xi.xi_x[i, 0] + xi.xi_x[i + 1, 0]), h)
+        F[i + 1, 0], d = model.normalize(model.multiply(F[i, 0], step))
+        drift = max(drift, d)
+    for j in range(ny - 1):
+        step = model.exp(0.5 * (xi.xi_y[:, j] + xi.xi_y[:, j + 1]), h)
+        F[:, j + 1], d = model.normalize(model.multiply(F[:, j], step))
+        drift = max(drift, d)
+    if not np.all(np.isfinite(F)):
+        bad = np.argwhere(~np.isfinite(F).all(axis=-1))
+        raise IntegrationError("Darboux integration diverged",
+                               cell=tuple(bad[0].tolist()))
+    if stats is not None:
+        stats["renorm_drift"] = drift
+    return F
+
+
+@pytest.mark.parametrize("alg", ALGS + [h2xr(), rn(4), hn(4)],
+                         ids=["R3", "S3", "Sol3", "semidirect", "H3", "H2xR",
+                              "R4", "H4"])
+def test_batched_darboux_steps_match_the_loop_bit_for_bit(alg):
+    model = model_for(alg)
+    for nx, ny, scale in ((5, 5, 0.3), (17, 9, 1.0), (33, 40, 0.3)):
+        grid = ParamGrid(nx, ny, 1.0 / (nx - 1))
+        xi = LieValuedOneForm(grid,
+                              rng.normal(size=grid.shape + (alg.n,)) * scale,
+                              rng.normal(size=grid.shape + (alg.n,)) * scale)
+        base = random_payload(model)
+        stats, want_stats = {}, {}
+        got = darboux_integrate(xi, alg, base, stats=stats)
+        want = loop_darboux(xi, alg, base, stats=want_stats)
+        assert np.array_equal(got, want)
+        assert stats == want_stats
+
+
 def test_divergent_integration_reports_cell():
     alg = hn(3)
     grid = ParamGrid(5, 5, 1.0)

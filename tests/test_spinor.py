@@ -1,19 +1,22 @@
 """Killing transport, holonomy, xi, normalization, reconstruction, Dirac."""
 
+import math
+
 import numpy as np
 import pytest
 
-from spinorforge import fixtures, lie_algebra as la
+from spinorforge import clifford, fixtures, lie_algebra as la, spinor
 from spinorforge.clifford import (
-    Multivector, OffDiagOperator, SpinElement, bivector_of_offdiag,
-    bivector_of_skew, exp_array, gp_array, reverse_array, spin_lift,
-    vector_array, vector_part_array,
+    Multivector, OffDiagOperator, SpinElement, bivector_exp_array,
+    bivector_of_offdiag, bivector_of_skew, exp_array, gp_array, grade_indices,
+    reverse_array, spin_lift, vector_array, vector_part_array,
 )
 from spinorforge.grid import ParamGrid
 from spinorforge.immersion import ImmersionData, ekt_gamma_bivector
 from spinorforge.lie_group import structure_residual
 from spinorforge.spinor import (
-    KillingProblem, NotIntegrableError, SpinorField, connection_coefficient_fields,
+    KillingProblem, NotIntegrableError, SpinorField, _edge_operators,
+    _renormalize, _transport_row, connection_coefficient_fields,
     dirac_residual, killing_rhs, mean_curvature_vector, pair_dirac_residual,
     normalize_spinor, pair_to_phi, phi_from_psi_pair, phi_to_pair,
     psi_from_phi_pair, reconstruct_immersion, solve_killing,
@@ -172,6 +175,87 @@ def test_holonomy_order_and_breakage():
         fx = fixtures.sphere_r3(n, codazzi_eps=1e-2)
         _, rep = solve_killing(KillingProblem(fx.data, fx.alg))
         assert rep["holonomy"] > 1e-3
+
+
+def loop_bottom_row(Ex, values, n):
+    """The bottom row of solve_killing before the doubling scan, verbatim:
+    one node per step, each renormalized."""
+    nx = values.shape[0]
+    drift = 0.0
+    for i in range(nx - 1):
+        step = gp_array(Ex[i, 0], values[i, 0], n)
+        values[i + 1, 0], d = _renormalize(step, n)
+        drift = max(drift, d)
+    return values, drift
+
+
+def random_edge_rotors(n, count, max_norm=0.3):
+    idx = grade_indices(n, 2)
+    b = np.zeros((count, 1 << n))
+    b[:, idx] = rng.uniform(-max_norm, max_norm, size=(count, len(idx)))
+    return bivector_exp_array(b, n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("nx", [5, 6, 17, 33, 100])
+def test_row_scan_matches_the_loop(n, nx):
+    Ex = random_edge_rotors(n, nx - 1)[:, None]
+    start = random_spin(n).value.coeffs
+    values = np.zeros((nx, 1, 1 << n))
+    values[0, 0] = start
+    want, want_drift = loop_bottom_row(Ex, values, n)
+    got, drift = _transport_row(start, Ex[:, 0], n)
+    assert np.array_equal(got[0], start)
+    assert np.max(np.abs(got - want[:, 0])) <= 1e-13
+    assert want_drift <= 1e-13
+    assert drift <= 1e-13
+
+
+@pytest.mark.parametrize("make", [fixtures.sphere_r3, fixtures.s3_sphere,
+                                  fixtures.sphere_r4_twisted,
+                                  fixtures.sol3_plane])
+def test_renorm_drift_stays_at_rounding(make):
+    fx = make(33)
+    _, report = solve_killing(KillingProblem(fx.data, fx.alg))
+    assert report["renorm_drift"] <= 1e-13
+
+
+@pytest.fixture
+def gp_calls(monkeypatch):
+    """Counts geometric products taken through spinor's and clifford's
+    gp_array."""
+    calls = []
+
+    def counted(a, b, n):
+        calls.append(n)
+        return gp_array(a, b, n)
+
+    monkeypatch.setattr(spinor, "gp_array", counted)
+    monkeypatch.setattr(clifford, "gp_array", counted)
+    return calls
+
+
+def test_edge_operators_take_no_geometric_product(gp_calls):
+    for n in (2, 3, 4):
+        eta = np.zeros((9, 7, 1 << n))
+        eta[..., grade_indices(n, 2)] = rng.normal(
+            size=(9, 7, len(grade_indices(n, 2))))
+        for axis in (0, 1):
+            _edge_operators(eta, 0.1, axis, n)
+    assert gp_calls == []
+    # the series for n >= 5 is seen by the counter
+    eta = np.zeros((3, 3, 32))
+    eta[..., grade_indices(5, 2)] = 0.1
+    _edge_operators(eta, 0.1, 0, 5)
+    assert len(gp_calls) >= 18
+
+
+@pytest.mark.parametrize("nx", [5, 6, 17, 33, 100])
+def test_row_scan_takes_log_depth_products(gp_calls, nx):
+    start, E = random_spin(3).value.coeffs, random_edge_rotors(3, nx - 1)
+    gp_calls.clear()
+    _transport_row(start, E, 3)
+    assert len(gp_calls) == math.ceil(math.log2(nx)) + 2
 
 
 # =============================================================================
