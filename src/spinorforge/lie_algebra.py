@@ -44,7 +44,7 @@ class MetricLieAlgebra:
         if not np.array_equal(c, -np.swapaxes(c, 0, 1)):
             raise ValueError("structure constants are not antisymmetric in (i, j)")
         jac = jacobi_residual(c)
-        if jac > JACOBI_TOL:
+        if not jac <= JACOBI_TOL:     # NaN when c * c overflows
             raise ValueError(f"Jacobi identity violated: residual {jac:.3e}")
         c.flags.writeable = False
         self.n = n
@@ -63,8 +63,9 @@ class MetricLieAlgebra:
 
     # ---- pointwise algebra ------------------------------------------------
     def bracket(self, X, Y):
-        return np.einsum("i,j,ijk->k", np.asarray(X, float), np.asarray(Y, float),
-                         self.c)
+        """[X, Y]; X and Y may be fields (..., n) that broadcast together."""
+        return np.einsum("...i,...j,ijk->...k", np.asarray(X, float),
+                         np.asarray(Y, float), self.c)
 
     def gamma_op(self, X):
         """Matrix of Y -> Gamma(X) Y in the distinguished basis; X may be a
@@ -72,8 +73,9 @@ class MetricLieAlgebra:
         return np.einsum("...i,ijk->...kj", np.asarray(X, float), self.gamma)
 
     def connection(self, X, Y):
-        return np.einsum("i,j,ijk->k", np.asarray(X, float), np.asarray(Y, float),
-                         self.gamma)
+        """Gamma(X) Y, broadcasting like `bracket`."""
+        return np.einsum("...i,...j,ijk->...k", np.asarray(X, float),
+                         np.asarray(Y, float), self.gamma)
 
     def __repr__(self):
         return f"MetricLieAlgebra(n={self.n}, tag={self.catalog_tag!r})"
@@ -139,8 +141,15 @@ def gamma_as_bivector(alg, X):
 # Catalog
 # =============================================================================
 
+def _check_dim(n):
+    # before any (n, n, n) array is allocated
+    if not 1 <= n <= MAX_DIM:
+        raise ValueError(f"dimension must be 1..{MAX_DIM}; got {n}")
+
+
 def rn(n):
     """Abelian R^n."""
+    _check_dim(n)
     return MetricLieAlgebra(np.zeros((n, n, n)), catalog_tag="Rn",
                             params={"n": n})
 
@@ -151,6 +160,7 @@ def hn(n, l=None):
     Default l is the e_n coordinate form; any nonzero l is accepted.
     Every left-invariant metric here has constant curvature -|l|^2.
     """
+    _check_dim(n)
     if l is None:
         l = np.zeros(n)
         l[n - 1] = 1.0
@@ -271,16 +281,20 @@ def unimodular_gamma_matrix(mus, Xs):
     return out
 
 
+# tag: (builder from a params dict, the params the command line defaults to)
 CATALOG = {
-    "Rn": lambda params: rn(int(params["n"])),
-    "Hn": lambda params: hn(int(params["n"]), params.get("l")),
-    "S3": lambda params: s3(),
-    "EKappaTau": lambda params: e_kappa_tau(float(params["kappa"]),
-                                            float(params["tau"])),
-    "SemiDirect": lambda params: semidirect(params["A"]),
-    "Sol3": lambda params: sol3(),
-    "H2xR": lambda params: h2xr(),
-    "Unimodular": lambda params: unimodular(*map(float, params["mu"])),
+    "Rn": (lambda params: rn(int(params["n"])), {"n": 3}),
+    "Hn": (lambda params: hn(int(params["n"]), params.get("l")), {"n": 3}),
+    "S3": (lambda params: s3(), {}),
+    "EKappaTau": (lambda params: e_kappa_tau(float(params["kappa"]),
+                                             float(params["tau"])),
+                  {"kappa": -1.0, "tau": 0.5}),
+    "SemiDirect": (lambda params: semidirect(params["A"]),
+                   {"A": [[1.0, 0.0], [0.0, 1.0]]}),
+    "Sol3": (lambda params: sol3(), {}),
+    "H2xR": (lambda params: h2xr(), {}),
+    "Unimodular": (lambda params: unimodular(*map(float, params["mu"])),
+                   {"mu": [1.0, 1.0, 1.0]}),
 }
 
 
@@ -289,7 +303,7 @@ def catalog_build(tag, params=None):
     if tag not in CATALOG:
         raise ValueError(f"unknown catalog tag {tag!r}; "
                          f"known: {sorted(CATALOG)}")
-    return CATALOG[tag](params or {})
+    return CATALOG[tag][0](params or {})
 
 
 # =============================================================================

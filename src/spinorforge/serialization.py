@@ -317,7 +317,7 @@ def algebra_from_dict(d):
         if "c" in d:
             return la.algebra_from_dict(d)
         return la.catalog_build(d["tag"], d.get("params"))
-    except (TypeError, ValueError, KeyError) as err:
+    except (TypeError, ValueError, KeyError, OverflowError) as err:
         raise InputError(f"invalid algebra: {err}")
 
 

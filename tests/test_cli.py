@@ -1,5 +1,6 @@
 """CLI contract: exit codes, reports, mesh export, determinism, schemas."""
 
+import argparse
 import contextlib
 import functools
 import io
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import spinorforge
 from spinorforge import fixtures, lie_algebra as la
-from spinorforge.cli import SURFACE_FIXTURES, main
+from spinorforge.cli import SURFACE_FIXTURES, build_parser, main
 from spinorforge.meshexport import export_mesh, grid_faces
 from spinorforge.grid import ParamGrid
 from spinorforge.lie_group import model_for
@@ -633,3 +634,202 @@ def test_reconstruct_fixture_exits_zero(tmp_path, name):
         # the flat horosphere a_3 = 1 is reconstructed exactly
         F, _ = surface_from_dict(load_json(load_json(out)["surface_path"]))
         assert np.array_equal(F, fixtures.horosphere_h3(9).F)
+
+
+# =============================================================================
+# Option table and usage errors
+# =============================================================================
+
+_SOURCE = {"input", "--fixture", "--grid-n"}
+_MESH = {"--format", "--pole"}
+# the options each command reads, besides -v and -o
+COMMAND_OPTIONS = {
+    "catalog": {"--group", "--params"},
+    "check-algebra": {"input", "--tol"},
+    "check-frame": _SOURCE | {"--tol"},
+    "check-gcr": _SOURCE | {"--tol"},
+    "solve": _SOURCE | {"--holonomy-tol", "--spin-norm-tol"},
+    "reconstruct": _SOURCE | {"--holonomy-tol", "--structure-tol"} | _MESH,
+    "cmc": _SOURCE | {"--structure-tol"} | _MESH,
+    "export": {"input"} | _MESH,
+}
+
+
+def _settable(parser):
+    """Each value a parser sets, named by its long option or its dest."""
+    return [a.option_strings[-1] if a.option_strings else a.dest
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    parser = build_parser()
+    assert _settable(parser) == ["--schema", "command"]
+    commands = _subparsers(parser)
+    assert set(commands) == set(COMMAND_OPTIONS)
+    total = 0
+    for name, sub in commands.items():
+        settable = _settable(sub)
+        assert len(settable) == len(set(settable))
+        assert set(settable) == COMMAND_OPTIONS[name] | {"--verbose",
+                                                         "--output"}
+        total += len(settable)
+    assert total == 49
+
+
+def _main_err(argv, capsys):
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--fixture", "sphere-r3", "--grid-n", "9", "--tol=1"],
+    ["check-gcr", "--fixture", "sphere-r3", "--grid-n", "9",
+     "--format", "ply"],
+    ["export", "surface.json", "--holonomy-tol=1"],
+    ["check-algebra", "alg.json", "--pole", "1", "0", "0", "0"],
+], ids=["solve-tol", "check-gcr-format", "export-holonomy-tol",
+        "check-algebra-pole"])
+def test_an_option_the_command_does_not_read_exits_three(tmp_path, capsys,
+                                                         argv):
+    code, err = _main_err(argv + ["-o", str(tmp_path / "out")], capsys)
+    assert code == 3
+    assert err.startswith("input error: unrecognized arguments: ")
+    assert not list(tmp_path.iterdir())
+
+
+def test_nan_tolerance_exits_three(tmp_path, capsys):
+    code, err = _main_err(["check-gcr", "--fixture", "sphere-r3",
+                           "--grid-n", "9", "--tol=nan",
+                           "-o", str(tmp_path / "r.json")], capsys)
+    assert code == 3
+    assert "argument --tol: must be positive" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--fixture", "sphere-r3", "--grid-n", "abc"],
+    ["no-such-command"],
+    ["-v", "solve", "--fixture", "sphere-r3", "--grid-n", "9"],
+    ["--schema", "nope"],
+], ids=["grid-n-abc", "unknown-command", "top-level-v", "unknown-schema"])
+def test_usage_errors_exit_three(tmp_path, capsys, argv):
+    code, err = _main_err(argv, capsys)
+    assert code == 3
+    assert err.startswith("input error: ")
+
+
+def test_usage_error_through_the_module_entry_point(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.dirname(spinorforge.__path__[0]),
+                      env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "spinorforge.cli", "solve", "--fixture",
+         "sphere-r3", "--grid-n", "9", "--spin-norm-tol", "-1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3
+    assert done.stderr.startswith("input error: argument --spin-norm-tol")
+    assert "Traceback" not in done.stderr
+
+
+def test_input_file_and_fixture_are_exclusive(tmp_path, capsys):
+    path = write_problem(tmp_path, fixtures.sphere_r3(9))
+    out = str(tmp_path / "r.json")
+    code, err = _main_err(["solve", str(path), "--fixture", "sphere-r3",
+                           "-o", out], capsys)
+    assert code == 3 and "not both" in err
+    code, err = _main_err(["check-gcr", str(path), "--grid-n", "9",
+                           "-o", out], capsys)
+    assert code == 3 and "--grid-n sizes a fixture" in err
+    code, err = _main_err(["cmc", "--grid-n", "9", "-o", out], capsys)
+    assert code == 3 and "needs an input file or --fixture" in err
+    assert not os.path.exists(out)
+    # each alone is accepted
+    assert main(["check-gcr", str(path), "-o", out]) == 0
+    assert main(["check-gcr", "--fixture", "sphere-r3", "--grid-n", "9",
+                 "-o", out]) == 0
+
+
+@pytest.mark.parametrize("command,fixture", [("check-gcr", "sphere-r3"),
+                                            ("cmc", "cmc-sphere")])
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_fixture_grid_below_minimum_exits_three(tmp_path, capsys, command,
+                                                fixture, n):
+    # --grid-n 1 divided by n - 1 while building the fixture
+    code, err = _main_err([command, "--fixture", fixture, "--grid-n", n,
+                           "-o", str(tmp_path / "r.json")], capsys)
+    assert code == 3 and "at least 5 nodes" in err
+
+
+def test_solve_verbose_prints_one_line(tmp_path, capsys):
+    assert main(["solve", "--fixture", "s3-sphere", "--grid-n", "9", "-v",
+                 "-o", str(tmp_path / "s.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("holonomy ")
+
+
+# =============================================================================
+# catalog: tags in any case, parameters through the algebra schema
+# =============================================================================
+
+def test_catalog_group_is_a_tag_in_any_case(tmp_path, capsys):
+    for group in ("sol3", "Sol3", "SOL3"):
+        assert main(["catalog", "--group", group,
+                     "-o", str(tmp_path / f"{group}.json")]) == 0
+    out = capsys.readouterr().out.split("\n")
+    assert out[0].startswith("Sol3  (n = 3")
+    texts = {(tmp_path / f"{g}.json").read_text()
+             for g in ("sol3", "Sol3", "SOL3")}
+    assert len(texts) == 1
+
+
+def test_catalog_unknown_group_lists_the_tags(capsys):
+    code, err = _main_err(["catalog", "--group", "ekt"], capsys)
+    assert code == 3
+    for tag in la.CATALOG:
+        assert repr(tag) in err
+    assert main(["catalog", "--group", "ekappatau"]) == 0
+
+
+@pytest.mark.parametrize("group,params", [
+    ("rn", "[1]"), ("hn", '{"n": 0}'), ("rn", '{"n": null}'),
+    ("unimodular", '{"mu": [1]}'), ("rn", '{"n": Infinity}'),
+    ("hn", '{"n": 100000}'), ("semidirect", '{"A": "x"}'),
+    ("ekappatau", "null"), ("sol3", "{not json"),
+], ids=["rn-list", "hn-zero", "rn-null", "unimodular-short-mu", "rn-inf",
+        "hn-huge", "semidirect-string", "ekappatau-null", "not-json"])
+def test_catalog_bad_params_exit_three(capsys, group, params):
+    code, err = _main_err(["catalog", "--group", group, "--params", params],
+                          capsys)
+    assert code == 3
+    assert err.startswith("input error: ") and "Traceback" not in err
+
+
+@given(st.sampled_from(sorted(la.CATALOG)),
+       st.dictionaries(st.sampled_from(["n", "l", "A", "mu", "kappa", "tau"])
+                       | st.text(max_size=3), _JSON_VALUES, max_size=3)
+       | _JSON_VALUES)
+@settings(max_examples=60, deadline=None)
+def test_catalog_params_fuzz_exits_cleanly(group, params):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+        code = main(["catalog", "--group", group,
+                     "--params", json.dumps(params)])
+    assert code in (0, 3), err.getvalue()
+
+
+def test_tag_only_hn_of_dimension_zero_is_input_error(tmp_path, capsys):
+    fx = fixtures.sphere_r3(9)
+    blob = problem_to_dict(fx.data, fx.alg)
+    blob["algebra"] = {"tag": "Hn", "params": {"n": 0}}
+    path = tmp_path / "hn0.json"
+    dump_json(blob, path)
+    code, err = _main_err(["check-gcr", str(path),
+                           "-o", str(tmp_path / "r.json")], capsys)
+    assert code == 3
+    assert "dimension must be 1..8" in err and "Traceback" not in err

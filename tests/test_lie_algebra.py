@@ -7,7 +7,8 @@ import pytest
 
 from spinorforge.clifford import Multivector, commutator
 from spinorforge.lie_algebra import (
-    MetricLieAlgebra, algebra_from_dict, algebra_to_dict, catalog_build,
+    CATALOG, MetricLieAlgebra, algebra_from_dict, algebra_to_dict,
+    catalog_build,
     curvature, e_kappa_tau, gamma_as_bivector, h2xr, hn, hn_constants,
     jacobi_residual,
     koszul_connection, rn, s3, sectional_curvature, semidirect, sol3,
@@ -278,3 +279,48 @@ def test_catalog_build_dispatch():
 def test_koszul_recomputation_idempotent():
     for alg in ALL_ALGEBRAS:
         assert np.array_equal(koszul_connection(alg), alg.gamma)
+
+
+# =============================================================================
+# Broadcasting, dimension and overflow gates, catalog defaults
+# =============================================================================
+
+@pytest.mark.parametrize("alg", ALL_ALGEBRAS, ids=lambda a: f"{a.catalog_tag}{a.n}")
+def test_bracket_and_connection_broadcast(alg):
+    X = rng.normal(size=(4, 1, alg.n))
+    Y = rng.normal(size=(1, 5, alg.n))
+    for op in (alg.bracket, alg.connection):
+        field = op(X, Y)
+        assert field.shape == (4, 5, alg.n)
+        for a, b in np.ndindex(4, 5):
+            assert np.max(np.abs(field[a, b] - op(X[a, 0], Y[0, b]))) <= 1e-14
+
+
+@pytest.mark.parametrize("alg", ALL_ALGEBRAS, ids=lambda a: f"{a.catalog_tag}{a.n}")
+def test_basis_pair_torsion_matches_the_pairwise_loop(alg):
+    eye = np.eye(alg.n)
+    loop = max(float(np.max(np.abs(torsion_residual(alg, eye[i], eye[j]))))
+               for i in range(alg.n) for j in range(alg.n))
+    pairs = float(np.max(np.abs(torsion_residual(alg, eye[:, None],
+                                                 eye[None, :]))))
+    assert pairs == loop
+
+
+@pytest.mark.parametrize("build", [rn, hn], ids=["rn", "hn"])
+@pytest.mark.parametrize("n", [0, -1, 9])
+def test_dimension_outside_one_to_eight_rejected(build, n):
+    with pytest.raises(ValueError, match="dimension must be 1..8"):
+        build(n)
+
+
+def test_overflowing_jacobi_residual_rejected():
+    # sigma = kappa / (2 tau) is finite, but c * c overflows to a NaN residual
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="Jacobi"):
+        e_kappa_tau(5.0, 1e-300)
+
+
+@pytest.mark.parametrize("tag", sorted(CATALOG))
+def test_catalog_defaults_build(tag):
+    builder, defaults = CATALOG[tag]
+    assert catalog_build(tag, defaults).catalog_tag == tag
