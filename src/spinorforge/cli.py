@@ -21,7 +21,7 @@ from .cmc import (SingularPotentialError, dirac2_residual,
                   gauss_map_pde_residual, weier_f_from_g, xi_from_weierstrass)
 from .immersion import frame_compat_residuals, gcr_residuals, hn_u_residual
 from .lie_group import (IntegrationError, darboux_integrate, model_for,
-                        structure_residual)
+                        structure_residual, structure_tolerance)
 from .meshexport import FORMATS, export_mesh
 from .serialization import (InputError, SCHEMAS, algebra_from_dict,
                             cmc_from_dict, dump_json, field_report, load_json,
@@ -237,16 +237,7 @@ def cmd_cmc(args):
     elif args.fixture != "cmc-sphere":
         raise InputError("the cmc command knows the fixture 'cmc-sphere'")
     else:
-        from .grid import ParamGrid
-        from .cmc import HPotential, WeierstrassData
-        half = 0.75
-        h = 2 * half / (n - 1)
-        base_grid = ParamGrid(n, n, h, x0=-half, y0=-half)
-        X, Y = base_grid.mesh()
-        z = X + 1j * Y
-        mu = 2.0 / (1.0 + np.abs(z) ** 2)
-        grid = ParamGrid(n, n, h, mu=mu, x0=-half, y0=-half)
-        data, pot = WeierstrassData(grid, z), HPotential(1.0, (0.0, 0.0, 0.0))
+        data, pot = fixtures.cmc_sphere(n)
     _check_grid(args, data.grid.shape)
     base, _ = os.path.splitext(args.output)
     f = weier_f_from_g(data, pot)
@@ -255,8 +246,7 @@ def cmd_cmc(args):
     xi = xi_from_weierstrass(data, pot, f)
     alg = la.unimodular(*pot.mu)
     sres = structure_residual(xi, alg)
-    tol = args.structure_tol or \
-        10.0 * data.grid.h ** 2 * max(1.0, float(np.max(data.grid.mu)) ** 2)
+    tol = args.structure_tol or structure_tolerance(data.grid)
     try:
         model = model_for(alg)
     except ValueError:

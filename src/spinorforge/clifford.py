@@ -128,6 +128,23 @@ def vector_array(v, n):
     return out
 
 
+def unit_defect(a, n):
+    """rev(a) a - 1 for fields of multivectors a (..., 2**n)."""
+    out = gp_array(reverse_array(a, n), a, n)
+    out[..., 0] -= 1.0
+    return out
+
+
+def spin_defects(a, n):
+    """(odd, unit): the largest |coefficient| of a field a (..., 2**n)
+    outside the even grades and of `unit_defect`; unit is nan for a
+    non-finite a, decided before the product, where inf * 0 would raise."""
+    odd = non_grade_norm(a, n, range(0, n + 1, 2))
+    if not np.all(np.isfinite(a)):
+        return odd, math.nan
+    return odd, float(np.max(np.abs(unit_defect(a, n))))
+
+
 def non_grade_norm(a, n, keep):
     """Max |coefficient| outside the listed grades."""
     a = np.asarray(a)
@@ -199,14 +216,14 @@ def bivector_exp_array(a, n):
     out = np.zeros(a.shape)
     s = -np.sum(b * b, axis=-1)
     if n < 4:
-        c, sc = _cos_sinc(s)
+        c, sc = cosh_sinhc(s)
         out[..., 0] = c
         out[..., biv] = sc[..., None] * b
         return out
     comp, pair_sign, i_sign = _pseudoscalar_gathers(n)
     p = np.sum(pair_sign * b * a[..., comp], axis=-1)
-    cp, sp = _cos_sinc(s + p)
-    cm, sm = _cos_sinc(s - p)
+    cp, sp = cosh_sinhc(s + p)
+    cm, sm = cosh_sinhc(s - p)
     out[..., 0] = 0.5 * (cp + cm)
     out[..., -1] = 0.5 * (cp - cm)
     out[..., biv] = 0.5 * (sp + sm)[..., None] * b
@@ -214,12 +231,17 @@ def bivector_exp_array(a, n):
     return out
 
 
-def _cos_sinc(lam):
-    """(cos t, sin t / t) with t = sqrt(-lam) for lam <= 0 (a positive lam,
-    rounding of a vanishing square, counts as 0); sin t / t = 1 at t = 0."""
-    t = np.sqrt(-np.minimum(lam, 0.0))
-    return np.cos(t), np.divide(np.sin(t), t, out=np.ones_like(t),
-                                where=t > 0)
+def cosh_sinhc(q):
+    """(cosh r, sinh r / r) with r = sqrt(q) for real q of either sign: cos
+    and sin of sqrt(-q) when q < 0, sinh r / r = 1 at r = 0; cosh and sinh
+    see r only where q > 0, so a large negative q cannot overflow them."""
+    q = np.asarray(q, float)
+    r = np.sqrt(np.abs(q))
+    pos = q > 0
+    rp = np.where(pos, r, 0.0)
+    c = np.where(pos, np.cosh(rp), np.cos(r))
+    s = np.where(pos, np.sinh(rp), np.sin(r))
+    return c, np.divide(s, r, out=np.ones_like(r), where=r > 0)
 
 
 # =============================================================================
@@ -278,11 +300,6 @@ class Multivector:
         return cls(n, vector_array(v, n))
 
     # ---- structure -----------------------------------------------------
-    @property
-    def dim(self):
-        """Algebra dimension n (the coefficient array has length 2**n)."""
-        return self.n
-
     def _check(self, other):
         if self.n != other.n:
             raise ValueError(
@@ -328,25 +345,12 @@ class Multivector:
     def grade(self, k):
         return Multivector(self.n, grade_project_array(self.coeffs, self.n, k))
 
-    def even_part(self):
-        _, grades = blade_tables(self.n)
-        c = np.where(grades % 2 == 0, self.coeffs, 0.0)
-        return Multivector(self.n, c)
-
-    def odd_part(self):
-        _, grades = blade_tables(self.n)
-        c = np.where(grades % 2 == 1, self.coeffs, 0.0)
-        return Multivector(self.n, c)
-
     def is_even(self, tol=0.0):
         return non_grade_norm(self.coeffs, self.n, range(0, self.n + 1, 2)) <= tol
 
     def vector(self):
         """Grade-1 coefficients as a plain length-n array."""
         return vector_part_array(self.coeffs, self.n).copy()
-
-    def scalar_part(self):
-        return float(self.coeffs[0])
 
     def norm(self):
         return float(np.linalg.norm(self.coeffs))
@@ -529,13 +533,12 @@ class SpinElement:
     def __init__(self, value, tol=SPIN_TOL):
         if not isinstance(value, Multivector):
             raise TypeError("SpinElement wraps a Multivector")
-        if not value.is_even(tol):
+        odd, unit = spin_defects(value.coeffs, value.n)
+        if not odd <= tol:
             raise ValueError("spin element has odd-grade coefficients")
-        unit = value.reversal() * value - Multivector.scalar(value.n, 1.0)
-        if not unit.max_norm() <= tol:
-            raise ValueError(
-                f"reversal(g)*g deviates from 1 by {unit.max_norm():.3e} "
-                f"(tolerance {tol:.1e})")
+        if not unit <= tol:
+            raise ValueError(f"reversal(g)*g deviates from 1 by {unit:.3e} "
+                             f"(tolerance {tol:.1e})")
         self.value = value
 
     @property

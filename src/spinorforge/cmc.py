@@ -33,7 +33,8 @@ covered; nothing here solves the PDE, validation and reconstruction only.
 
 import numpy as np
 
-from .lie_group import (LieValuedOneForm, maurer_cartan_pullback, model_for,
+from .lie_group import (LieValuedOneForm, first_fundamental_form,
+                        maurer_cartan_pullback, model_for,
                         second_fundamental_form)
 
 
@@ -128,16 +129,15 @@ POLE_ANGLE = 1e-3
 
 
 class WeierstrassData:
-    """Grid + Gauss map (+ optional density f); the unit normal is kept
-    consistent with g by construction.
+    """Grid + Gauss map; the unit normal is kept consistent with g.
 
     Charts whose normal comes within angle ~1e-3 of the south pole are
     rejected: the chart swap for g = infinity is not implemented.
     """
 
-    __slots__ = ("grid", "g", "weier_f", "nu")
+    __slots__ = ("grid", "g", "nu")
 
-    def __init__(self, grid, g, weier_f=None, nu=None):
+    def __init__(self, grid, g, nu=None):
         g = np.asarray(g, dtype=complex)
         if not np.all(np.isfinite(g)):
             raise ValueError("the Gauss map g has non-finite entries")
@@ -154,13 +154,8 @@ class WeierstrassData:
         if np.min(1.0 + nu[..., 2]) < 0.5 * POLE_ANGLE ** 2:
             raise ValueError("the normal field approaches the south pole; "
                              "chart swap is not supported")
-        if weier_f is not None:
-            weier_f = np.asarray(weier_f, dtype=complex)
-            if not np.all(np.isfinite(weier_f)):
-                raise ValueError("the density must be finite")
         self.grid = grid
         self.g = g
-        self.weier_f = weier_f
         self.nu = nu
 
 
@@ -187,8 +182,7 @@ def ab_scalars(data, pot, f=None):
     """The tangential drift A + iB of the surface Dirac operator,
     -(i/(4 mu)) conj(f) (mu1 nu1 (g^2-1) - i mu2 nu2 (g^2+1) + 2 mu3 nu3 g)."""
     if f is None:
-        f = data.weier_f if data.weier_f is not None \
-            else weier_f_from_g(data, pot)
+        f = weier_f_from_g(data, pot)
     g = data.g
     nu = data.nu
     m1, m2, m3 = pot.mu
@@ -202,8 +196,7 @@ def dirac2_residual(data, pot, f=None):
     """Residual of the companion first-order identity
     f_zbar / f + 2 g conj(g)_zbar / (1 + |g|^2) - mu (A + iB)."""
     if f is None:
-        f = data.weier_f if data.weier_f is not None \
-            else weier_f_from_g(data, pot)
+        f = weier_f_from_g(data, pot)
     grid = data.grid
     g = data.g
     ab = ab_scalars(data, pot, f)
@@ -216,8 +209,7 @@ def xi_from_weierstrass(data, pot, f=None):
     """The Lie-algebra-valued 1-form of the representation, expanded into
     (xi(dx), xi(dy)) via dz = dx + i dy."""
     if f is None:
-        f = data.weier_f if data.weier_f is not None \
-            else weier_f_from_g(data, pot)
+        f = weier_f_from_g(data, pot)
     gb2 = np.conj(data.g) ** 2
     V = np.stack([0.5 * f * (gb2 - 1.0),
                   0.5j * f * (gb2 + 1.0),
@@ -311,9 +303,7 @@ def mesh_mean_curvature(F, alg, grid, orient_to=None):
     """
     model = model_for(alg)
     zx, zy = maurer_cartan_pullback(F, model, grid, order=4)
-    E = np.einsum("xyi,xyi->xy", zx, zx)
-    Ff = np.einsum("xyi,xyi->xy", zx, zy)
-    G = np.einsum("xyi,xyi->xy", zy, zy)
+    E, Ff, G = first_fundamental_form(zx, zy)
     nu = np.cross(zx, zy)
     nu /= np.linalg.norm(nu, axis=-1, keepdims=True)
     if orient_to is not None:

@@ -14,6 +14,7 @@ come from hand formulas, never from the solvers they are used to check.
   * nil_cylinder   -- vertical cylinder data in E(0, tau) (T parallel, f = 0)
   * horosphere_h3  -- flat horosphere in H^3 with its structure field U
   * random_ekt_data-- smooth random (T, f, S) with |T|^2 + f^2 = 1
+  * cmc_sphere     -- Gauss-map data g = z of the unit sphere in R^3 (H = 1)
 """
 
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lie_algebra as la
+from .cmc import HPotential, WeierstrassData
 from .grid import ParamGrid
 from .immersion import EKTData, ImmersionData
 from .lie_group import model_for
@@ -28,13 +30,20 @@ from .lie_group import model_for
 
 @dataclass
 class SurfaceFixture:
-    """Analytic surface bundle: algebra, group model, data, embedding."""
+    """Analytic surface bundle: algebra, data, embedding; grid and model
+    are derived."""
     alg: object
-    grid: ParamGrid
     data: ImmersionData
     F: np.ndarray                 # (nx, ny, payload_dim) group points
-    model: object = None
     extras: dict = field(default_factory=dict)
+
+    @property
+    def grid(self):
+        return self.data.grid
+
+    @property
+    def model(self):
+        return model_for(self.alg)
 
 
 def _centered_grid(n_nodes, extent, mu):
@@ -76,8 +85,7 @@ def sphere_r3(n_nodes, radius=1.0, extent=0.5, codazzi_eps=0.0):
     if codazzi_eps:
         S[..., 0, 0] += codazzi_eps * np.sin(3.0 * U + 1.0) * np.cos(2.0 * V)
     data = ImmersionData(grid, frames, S=S)
-    return SurfaceFixture(alg=alg, grid=grid, data=data, F=P,
-                          model=model_for(alg),
+    return SurfaceFixture(alg=alg, data=data, F=P,
                           extras={"radius": r, "codazzi_eps": codazzi_eps})
 
 
@@ -109,8 +117,7 @@ def sphere_r4_twisted(n_nodes, radius=1.0, extent=1.0, twist=1.0):
     theta_y = np.broadcast_to(2.0 * twist * J, grid.shape + (2, 2)).copy()
     data = ImmersionData(grid, frames, B=B, theta_x=theta_x, theta_y=theta_y)
     F = np.concatenate([base.F, z[..., None]], axis=-1)
-    return SurfaceFixture(alg=la.rn(4), grid=grid, data=data, F=F,
-                          model=model_for(la.rn(4)),
+    return SurfaceFixture(alg=la.rn(4), data=data, F=F,
                           extras={"radius": radius, "twist": twist})
 
 
@@ -159,8 +166,7 @@ def s3_sphere(n_nodes, rho=np.pi / 4, extent=0.5):
     F = np.concatenate([np.full(grid.shape + (1,), cr), sr * n], axis=-1)
     ekt = EKTData(grid, T=frames[..., 2, :2].copy(), f=frames[..., 2, 2].copy(),
                   S=S, kappa=4.0, tau=1.0)
-    return SurfaceFixture(alg=alg, grid=grid, data=data, F=F,
-                          model=model_for(alg),
+    return SurfaceFixture(alg=alg, data=data, F=F,
                           extras={"rho": rho, "ekt": ekt})
 
 
@@ -189,7 +195,7 @@ def s3_equator(n_nodes, extent=0.5):
     frames = np.stack([e1, e2, nu], axis=-1)
     S = np.zeros(grid.shape + (2, 2))
     data = ImmersionData(grid, frames, S=S)
-    return SurfaceFixture(alg=alg, grid=grid, data=data, F=F, model=model)
+    return SurfaceFixture(alg=alg, data=data, F=F)
 
 
 # =============================================================================
@@ -208,8 +214,7 @@ def _vertical_slice(alg, n_nodes, v_lo, v_hi, z_of_v, mu_of_v):
     frames[..., 2, 1] = 1.0   # third direction = e2 tangent
     S = np.zeros(grid.shape + (2, 2))
     data = ImmersionData(grid, frames, S=S)
-    return SurfaceFixture(alg=alg, grid=grid, data=data, F=F,
-                          model=model_for(alg))
+    return SurfaceFixture(alg=alg, data=data, F=F)
 
 
 def sol3_plane(n_nodes):
@@ -267,8 +272,18 @@ def horosphere_h3(n_nodes):
     u_field[..., 2] = 1.0
     U, V = grid.mesh()
     F = np.stack([U, V, np.ones(grid.shape)], axis=-1)
-    return SurfaceFixture(alg=alg, grid=grid, data=data, F=F,
+    return SurfaceFixture(alg=alg, data=data, F=F,
                           extras={"u_field": u_field})
+
+
+def cmc_sphere(n_nodes):
+    """(WeierstrassData, HPotential) of the unit sphere in R^3: Gauss map
+    g = z on |x|, |y| <= 0.75, mu = 2 / (1 + |z|^2), H = 1, mu_i = 0."""
+    grid = ParamGrid(n_nodes, n_nodes, 1.5 / (n_nodes - 1), x0=-0.75,
+                     y0=-0.75,
+                     mu=lambda X, Y: 2.0 / (1.0 + np.abs(X + 1j * Y) ** 2))
+    X, Y = grid.mesh()
+    return WeierstrassData(grid, X + 1j * Y), HPotential(1.0, (0.0, 0.0, 0.0))
 
 
 def random_ekt_data(n_nodes, kappa, tau, seed=0):

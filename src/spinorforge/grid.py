@@ -127,12 +127,6 @@ class ParamGrid:
     def shape(self):
         return (self.nx, self.ny)
 
-    def interior(self):
-        """Boolean mask of interior nodes."""
-        m = np.zeros(self.shape, dtype=bool)
-        m[1:-1, 1:-1] = True
-        return m
-
     # ---- flat derivatives ------------------------------------------------
     def _diff(self, f, axis, derivative, order):
         f = np.moveaxis(np.asarray(f), axis, 0)

@@ -308,15 +308,9 @@ def ambient_curvature_frame(data, alg):
     """R^G(e1, e2) pulled back through the frame, as per-node skew matrices
     acting on frame components."""
     U = data.frames
-    fX = U[..., 0]                    # G-coordinates of f(e1): column 0
-    fY = U[..., 1]
-    GX = alg.gamma_op(fX)
-    GY = alg.gamma_op(fY)
-    P = GX @ GY
-    br = np.einsum("xyi,xyj,ijk->xyk", fX, fY, alg.c)
-    Rhat = P - np.swapaxes(P, 2, 3) - alg.gamma_op(br)
-    Ut = np.swapaxes(U, 2, 3)
-    return Ut @ Rhat @ U
+    # the G-coordinates of f(e1), f(e2) are the columns 0 and 1
+    Rhat = la.curvature_array(alg, U[..., 0], U[..., 1])
+    return np.swapaxes(U, 2, 3) @ Rhat @ U
 
 
 def _covariant_B(data):

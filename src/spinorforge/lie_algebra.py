@@ -18,6 +18,8 @@ R^2 x_A R (Sol_3 and H^2 x R as named instances), and the 3D unimodular
 family with diagonalized connection constants mu_1, mu_2, mu_3.
 """
 
+import numbers
+
 import numpy as np
 
 from .clifford import MAX_DIM, SkewOperator, bivector_of_skew
@@ -109,16 +111,22 @@ def torsion_residual(alg, X, Y):
     return alg.connection(X, Y) - alg.connection(Y, X) - alg.bracket(X, Y)
 
 
-def curvature(alg, X, Y):
-    """R(X,Y) = [Gamma(X), Gamma(Y)] - Gamma([X,Y]) as a SkewOperator.
+def curvature_array(alg, X, Y):
+    """Matrices (..., n, n) of R(X,Y) = [Gamma(X), Gamma(Y)] - Gamma([X,Y])
+    for vector fields X, Y (..., n) that broadcast together.
 
     The commutator is formed as P - P^T with P = Gamma(X) @ Gamma(Y), which
     is exactly antisymmetric in floating point and mathematically equal to
     the commutator of the two (skew) connection operators.
     """
     P = alg.gamma_op(X) @ alg.gamma_op(Y)
-    m = P - P.T - alg.gamma_op(alg.bracket(X, Y))
-    return SkewOperator(m)
+    return P - np.swapaxes(P, -1, -2) - alg.gamma_op(alg.bracket(X, Y))
+
+
+def curvature(alg, X, Y):
+    """R(X,Y) at one pair of vectors: a node of `curvature_array`, as a
+    SkewOperator."""
+    return SkewOperator(curvature_array(alg, X, Y))
 
 
 def sectional_curvature(alg, X, Y, tol=1e-12):
@@ -281,20 +289,42 @@ def unimodular_gamma_matrix(mus, Xs):
     return out
 
 
+def _real_param(value, name, ndim=0):
+    """A params entry as float64 when it is a real number (ndim 0) or lists
+    of them nested ndim deep; ValueError for bools, strings, other nestings."""
+    items = np.asarray(value, dtype=object)
+    if items.ndim != ndim or not all(isinstance(v, numbers.Real) and not
+                                     isinstance(v, bool) for v in items.flat):
+        what = f"{ndim}-deep lists of reals" if ndim else "a real number"
+        raise ValueError(f"params.{name} must be {what}; got {value!r}")
+    return items.astype(np.float64)
+
+
+def dimension_param(params, default=None):
+    """params["n"] (default when absent) as an int when it is an integral
+    number, 3 and 3.0 alike as the JSON schemas count integers."""
+    n = float(_real_param(params.get("n", default), "n"))
+    if not n.is_integer():
+        raise ValueError(f"params.n must be an integral number; got {n!r}")
+    return int(n)
+
+
 # tag: (builder from a params dict, the params the command line defaults to)
 CATALOG = {
-    "Rn": (lambda params: rn(int(params["n"])), {"n": 3}),
-    "Hn": (lambda params: hn(int(params["n"]), params.get("l")), {"n": 3}),
+    "Rn": (lambda params: rn(dimension_param(params)), {"n": 3}),
+    "Hn": (lambda params: hn(dimension_param(params), _real_param(
+        params["l"], "l", 1) if "l" in params else None), {"n": 3}),
     "S3": (lambda params: s3(), {}),
-    "EKappaTau": (lambda params: e_kappa_tau(float(params["kappa"]),
-                                             float(params["tau"])),
+    "EKappaTau": (lambda params: e_kappa_tau(
+        float(_real_param(params["kappa"], "kappa")),
+        float(_real_param(params["tau"], "tau"))),
                   {"kappa": -1.0, "tau": 0.5}),
-    "SemiDirect": (lambda params: semidirect(params["A"]),
+    "SemiDirect": (lambda params: semidirect(_real_param(params["A"], "A", 2)),
                    {"A": [[1.0, 0.0], [0.0, 1.0]]}),
     "Sol3": (lambda params: sol3(), {}),
     "H2xR": (lambda params: h2xr(), {}),
-    "Unimodular": (lambda params: unimodular(*map(float, params["mu"])),
-                   {"mu": [1.0, 1.0, 1.0]}),
+    "Unimodular": (lambda params: unimodular(
+        *_real_param(params["mu"], "mu", 1)), {"mu": [1.0, 1.0, 1.0]}),
 }
 
 

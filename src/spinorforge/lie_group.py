@@ -27,6 +27,7 @@ and `normal_connection` are the one extraction of (B, theta) from the result.
 import numpy as np
 
 from . import lie_algebra as la
+from .clifford import cosh_sinhc
 from .grid import difference
 
 # phi(zA) = alpha I + beta N switches from the eigenvalue form to the
@@ -121,18 +122,6 @@ class S3Model:
         return g / nrm, drift
 
 
-def _cosh_sinhc(q):
-    """(cosh r, sinh r / r) with r = sqrt(q), for real q of either sign: both
-    are even in r, so cos and sin of sqrt(-q) when q < 0, and sinh r / r = 1
-    at r = 0."""
-    q = np.asarray(q, float)
-    r = np.sqrt(np.abs(q))
-    pos = q >= 0
-    c = np.where(pos, np.cosh(r), np.cos(r))
-    s = np.where(pos, np.sinh(r), np.sin(r))
-    return c, np.divide(s, r, out=np.ones_like(r), where=r > 0)
-
-
 def expm(M):
     """Matrix exponential of a batch (..., 2, 2) of real matrices, closed form.
 
@@ -146,7 +135,7 @@ def expm(M):
     a = 0.5 * (M[..., 0, 0] - M[..., 1, 1])
     bc = M[..., 0, 1] * M[..., 1, 0]
     r2 = a * a + bc
-    c, sc = _cosh_sinhc(r2)
+    c, sc = cosh_sinhc(r2)
     es = np.exp(s)
     ess = es * sc
     big = es * c + ess * np.abs(a)
@@ -197,7 +186,7 @@ def _phi_coefficients(u, q):
     gamma[apart] = ((fp - fm) / (2.0 * w)).real
 
     um, qm = u[mid], q[mid]
-    c, sc = _cosh_sinhc(qm)
+    c, sc = cosh_sinhc(qm)
     c1 = c - 1.0
     eu, em1 = np.exp(um), np.expm1(um)
     den = um * um - qm
@@ -307,21 +296,14 @@ class HnModel:
     def exp(self, v, t=1.0):
         v = np.asarray(v, float)
         vn = t * v[..., -1]
-        an = np.exp(vn)
-        # (e^{vn} - 1)/vn, stable at vn = 0
-        small = np.abs(vn) < 1e-12
-        fac = np.where(small, 1.0 + vn / 2.0, np.expm1(vn) / np.where(small, 1.0, vn))
-        return np.concatenate([t * fac[..., None] * v[..., :-1], an[..., None]],
-                              axis=-1)
+        return np.concatenate([t * _phi1(vn)[..., None] * v[..., :-1],
+                               np.exp(vn)[..., None]], axis=-1)
 
     def log(self, g):
         g = np.asarray(g, float)
-        an = g[..., -1]
-        vn = np.log(an)
-        small = np.abs(vn) < 1e-12
-        fac = np.where(small, 1.0 - vn / 2.0, vn / np.where(small, 1.0, np.expm1(vn)))
-        return np.concatenate([fac[..., None] * g[..., :-1], vn[..., None]],
-                              axis=-1)
+        vn = np.log(g[..., -1])
+        return np.concatenate([(1.0 / _phi1(vn))[..., None] * g[..., :-1],
+                               vn[..., None]], axis=-1)
 
     def normalize(self, g):
         g = np.asarray(g, float)
@@ -332,7 +314,7 @@ class HnModel:
 
 def _model_dimension(params):
     """The `n` of an abelian / H^n model, 3 when absent."""
-    n = int(params.get("n", 3))
+    n = la.dimension_param(params, 3)
     if n < 1:
         raise ValueError(f"model dimension n must be positive, got {n}")
     return n
@@ -526,6 +508,13 @@ def maurer_cartan_pullback(F, model, grid, order=2):
     return along(0), along(1)
 
 
+def first_fundamental_form(zx, zy):
+    """(gxx, gxy, gyy), the inner products of the pullbacks z_x, z_y
+    (nx, ny, n), each (nx, ny)."""
+    return (np.einsum("xyi,xyi->xy", zx, zx), np.einsum("xyi,xyi->xy", zx, zy),
+            np.einsum("xyi,xyi->xy", zy, zy))
+
+
 def second_fundamental_form(zx, zy, normals, grid, alg, order):
     """<(D_ab + D_ba)/2, n_r>, (nx, ny, 2, 2, q) and not divided by the
     metric, with D_ab = nabla^G_{d_a} F_* d_b = d_a z_b + Gamma(z_a) z_b from
@@ -565,4 +554,10 @@ def structure_residual(xi, alg):
     dxi = grid.dx(xi.xi_y) - grid.dy(xi.xi_x)
     br = np.einsum("xyi,xyj,ijk->xyk", xi.xi_x, xi.xi_y, alg.c)
     return np.linalg.norm(dxi + br, axis=-1)
+
+
+def structure_tolerance(grid):
+    """The default gate of `structure_residual`: 10 h^2 max(1, max mu)^2, the
+    O(h^2) discretization error scaled by the largest metric factor."""
+    return 10.0 * grid.h ** 2 * max(1.0, float(np.max(grid.mu))) ** 2
 

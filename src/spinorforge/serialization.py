@@ -393,6 +393,7 @@ def cmc_from_dict(d):
     g = _float_array(d["g"], "g")
     if g.shape != grid.shape + (2,):
         raise InputError("g samples must be (nx, ny, 2) re/im pairs")
+    _finite(g, "g")     # before 1j * inf makes an inf * 0
     try:
         pot = HPotential(d["potential"]["H"], d["potential"]["mu"])
         data = WeierstrassData(grid, g[..., 0] + 1j * g[..., 1])

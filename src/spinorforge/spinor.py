@@ -12,9 +12,9 @@ where spin_conn(X) is the bivector of the Levi-Civita + normal connection
 matrix of the grid data, B enters as the mixed bivector of its off-diagonal
 operator, and Gamma(X) is the catalog connection pulled back through the
 frame.  The connection is flat exactly when the Gauss-Codazzi-Ricci
-equations hold; the solver reports the discrete holonomy (loop-transport
-defect per unit coordinate area, max over interior plaquettes) and flags
-the solution NOT-INTEGRABLE above threshold (default 10 h^2).
+equations hold; the solver reports the discrete holonomy, max |L - 1| per
+unit coordinate area over the plaquettes with L the transport around one,
+and flags the solution NOT-INTEGRABLE above threshold (default 10 h^2).
 
 The 1-form xi(X) = <<X phi, phi>> = rev([phi]) [X] [phi] maps adapted-frame
 coordinates to Lie-algebra coordinates; after right-multiplying the field
@@ -33,13 +33,14 @@ import numpy as np
 
 from .clifford import (
     Multivector, SpinElement, adjoint_array, bivector_array,
-    bivector_exp_array, gp_array, non_grade_norm, offdiag_skew_array,
-    reverse_array, spin_lift, spin_lift_array, vector_array,
+    bivector_exp_array, gp_array, offdiag_skew_array, reverse_array,
+    spin_defects, spin_lift, spin_lift_array, unit_defect, vector_array,
 )
 from .lie_group import (
-    IntegrationError, LieValuedOneForm, darboux_integrate, first_non_finite,
-    maurer_cartan_pullback, model_for, normal_connection,
-    second_fundamental_form, structure_residual,
+    IntegrationError, LieValuedOneForm, darboux_integrate,
+    first_fundamental_form, first_non_finite, maurer_cartan_pullback,
+    model_for, normal_connection, second_fundamental_form,
+    structure_residual, structure_tolerance,
 )
 from .immersion import ImmersionData
 
@@ -87,13 +88,11 @@ class SpinorField:
         values = np.asarray(values, dtype=np.float64)
         if values.shape != grid.shape + (1 << n,):
             raise ValueError("spinor values must be (nx, ny, 2**n)")
-        if not non_grade_norm(values, n, range(0, n + 1, 2)) <= tol:
+        odd, unit = spin_defects(values, n)
+        if not odd <= tol:
             raise ValueError("spinor representatives must be even")
-        unit = gp_array(reverse_array(values, n), values, n)
-        unit[..., 0] -= 1.0
-        dev = float(np.max(np.abs(unit)))
-        if not dev <= tol:
-            raise ValueError(f"rev(phi) phi = 1 violated by {dev:.3e}")
+        if not unit <= tol:
+            raise ValueError(f"rev(phi) phi = 1 violated by {unit:.3e}")
         self.grid = grid
         self.n = n
         self.values = values
@@ -216,13 +215,12 @@ def killing_rhs(problem, phi, X, vertex):
 # =============================================================================
 
 def _renormalize(values, n):
-    """One Newton-Schulz step toward rev(g) g = 1; returns (values, drift)."""
-    unit = gp_array(reverse_array(values, n), values, n)
-    dev = unit.copy()
-    dev[..., 0] -= 1.0
+    """One Newton-Schulz step g (3 - rev(g) g) / 2 toward rev(g) g = 1;
+    returns (values, drift), drift being the deviation before the step."""
+    dev = unit_defect(values, n)
     drift = float(np.max(np.abs(dev)))
-    corr = -0.5 * unit
-    corr[..., 0] += 1.5
+    corr = -0.5 * dev
+    corr[..., 0] += 1.0
     return gp_array(values, corr, n), drift
 
 
@@ -250,9 +248,12 @@ def solve_killing(problem, holonomy_tol=None, spin_tol=1e-8):
     """Integrate the flat-connection transport over the spanning tree
     (bottom row, then columns) and measure plaquette holonomy.
 
+    The edge rotors are unit to rounding, so the bottom row and the column
+    sweep each get one renormalization of all the nodes they produced.
+
     Returns (SpinorField, report) where report carries the holonomy (max
     loop-transport defect per unit coordinate area), the threshold used,
-    the NOT-INTEGRABLE flag and the unit-norm renormalization drift.
+    the NOT-INTEGRABLE flag and the unit-norm drift before renormalization.
     """
     data, alg = problem.data, problem.alg
     grid = problem.grid
@@ -273,19 +274,19 @@ def solve_killing(problem, holonomy_tol=None, spin_tol=1e-8):
     values[:, 0], drift = _transport_row(problem.base_spinor.value.coeffs,
                                          Ex[:, 0], n)
     for j in range(ny - 1):
-        step = gp_array(Ey[:, j], values[:, j], n)
-        values[:, j + 1], d = _renormalize(step, n)
-        drift = max(drift, d)
+        values[:, j + 1] = gp_array(Ey[:, j], values[:, j], n)
+    values[:, 1:], d = _renormalize(values[:, 1:], n)
+    drift = max(drift, d)
 
     # plaquette holonomy: A -> B -> C -> D -> A, defect per unit area
     # the edge operators are exponentials of bivectors: rev(exp(b)) = exp(-b)
-    Einv_x = reverse_array(Ex, n)
-    Einv_y = reverse_array(Ey, n)
     loop = gp_array(Ey[1:, :], Ex[:, :-1], n)                 # BC after AB
-    loop = gp_array(Einv_x[:, 1:], loop, n)                   # CD
-    loop = gp_array(Einv_y[:-1, :], loop, n)                  # DA
-    defect = gp_array(loop, values[:-1, :-1], n) - values[:-1, :-1]
-    holonomy = float(np.max(np.linalg.norm(defect, axis=-1))) / (h * h)
+    loop = gp_array(reverse_array(Ex[:, 1:], n), loop, n)     # CD
+    loop = gp_array(reverse_array(Ey[:-1, :], n), loop, n)    # DA
+    # |L phi - phi| = |L - 1|: right multiplication by a unit spinor is an
+    # isometry of the coefficient space, so the field drops out
+    loop[..., 0] -= 1.0
+    holonomy = float(np.max(np.linalg.norm(loop, axis=-1))) / (h * h)
     field = SpinorField(grid, n, values, tol=spin_tol)
     report = {
         "holonomy": holonomy,
@@ -363,8 +364,6 @@ def reconstruct_immersion(problem, base_point=None, holonomy_tol=None,
     Returns (F, field, report).  With strict=True a holonomy or structure
     residual above threshold raises NotIntegrableError carrying the report.
     """
-    grid = problem.grid
-    h = grid.h
     field, report = solve_killing(problem, holonomy_tol=holonomy_tol)
     if strict and not report["integrable"]:
         raise NotIntegrableError(
@@ -374,7 +373,7 @@ def reconstruct_immersion(problem, base_point=None, holonomy_tol=None,
     xi, xi_normals = xi_from_spinor(field, problem)
     sres = structure_residual(xi, problem.alg)
     if structure_tol is None:
-        structure_tol = 10.0 * h * h * max(1.0, float(np.max(grid.mu)) ** 2)
+        structure_tol = structure_tolerance(problem.grid)
     report["structure_max"] = float(np.max(sres))
     report["structure_tol"] = float(structure_tol)
     if strict and not report["structure_max"] <= structure_tol:
@@ -400,9 +399,7 @@ def verify_reconstruction(F, problem, xi_normals):
     mu2 = grid.mu ** 2
     model = model_for(alg)
     zx, zy = maurer_cartan_pullback(F, model, grid, order=4)
-    gxx = np.einsum("xyi,xyi->xy", zx, zx)
-    gxy = np.einsum("xyi,xyi->xy", zx, zy)
-    gyy = np.einsum("xyi,xyi->xy", zy, zy)
+    gxx, gxy, gyy = first_fundamental_form(zx, zy)
     # isometry defect on unit tangent frames: |<F_* e_a, F_* e_b> - delta_ab|
     iso = max(float(np.max(np.abs(gxx / mu2 - 1.0))),
               float(np.max(np.abs(gxy / mu2))),
@@ -505,9 +502,7 @@ def spinor_of_immersion(F, alg, grid):
     q = n - 2
     conformal_tol = max(CONFORMAL_TOL_H2 * grid.h ** 2, CONFORMAL_TOL_MIN)
     zx, zy = maurer_cartan_pullback(F, model, grid)
-    gxx = np.einsum("xyi,xyi->xy", zx, zx)
-    gxy = np.einsum("xyi,xyi->xy", zx, zy)
-    gyy = np.einsum("xyi,xyi->xy", zy, zy)
+    gxx, gxy, gyy = first_fundamental_form(zx, zy)
     if np.min(gxx) <= 0 or np.min(gyy) <= 0:
         raise ValueError("degenerate immersion: vanishing coordinate tangent")
     scale = float(np.max(gxx))
@@ -552,22 +547,14 @@ def _continuous_spin_lift(frames):
 # Dirac operators
 # =============================================================================
 
-def dirac_residual(field, problem, H_vec=None):
-    """Per-node norm of D phi - (H + gamma) phi with D = sum_j e_j nabla_{e_j}
-    and gamma = (1/2) sum_j e_j Gamma(e_j).
-
-    H_vec holds normal components of the prescribed mean curvature vector,
-    (nx, ny, q); defaults to the trace of the data's B.
-    """
+def dirac_residual(field, problem):
+    """Per-node norm of D phi - (H + gamma) phi with D = sum_j e_j nabla_{e_j},
+    gamma = (1/2) sum_j e_j Gamma(e_j) and H the mean curvature vector of
+    the data (the trace of its B)."""
     data, alg = problem.data, problem.alg
     grid = problem.grid
     n = alg.n
     mu = grid.mu
-    if H_vec is None:
-        H_vec = mean_curvature_vector(data)
-    H_vec = np.asarray(H_vec, dtype=np.float64)
-    if H_vec.ndim == 2:
-        H_vec = H_vec[..., None]
     sx, sy = map(bivector_array, spin_connection_matrices(data))
     gx, gy = (bivector_array(gamma_frame_matrix(
         alg, data.frames, _coordinate_direction(mu, a))) for a in range(2))
@@ -580,7 +567,7 @@ def dirac_residual(field, problem, H_vec=None):
     gamma_el = 0.5 * (gp_array(e1, gx, n) + gp_array(e2, gy, n)) \
         / mu[..., None]
     Hcoords = np.zeros(grid.shape + (n,))
-    Hcoords[..., 2:] = H_vec
+    Hcoords[..., 2:] = mean_curvature_vector(data)
     rhs = gp_array(vector_array(Hcoords, n) + gamma_el, vals, n)
     return np.linalg.norm(D - rhs, axis=-1)
 

@@ -20,7 +20,7 @@ from spinorforge import fixtures, lie_algebra as la
 from spinorforge.cli import SURFACE_FIXTURES, build_parser, main
 from spinorforge.meshexport import export_mesh, grid_faces
 from spinorforge.grid import ParamGrid
-from spinorforge.lie_group import model_for
+from spinorforge.lie_group import model_for, model_params
 from spinorforge.serialization import (SURFACE_SCHEMA, InputError, cmc_to_dict,
                                        dump_json, load_json, problem_from_dict,
                                        problem_to_dict, surface_from_dict)
@@ -269,8 +269,10 @@ def test_reconstruct_not_integrable_exits_two(tmp_path):
     ({"name": "hn", "params": {"n": 3}}, [0.0, 0.0, 1.0] * 3 + [0.0] * 3, 3),
     ({"name": "abelian"}, [0.5] * 12, 0),
     ({"name": "hn", "params": {}}, [0.5] * 12, 0),
+    ({"name": "hn", "params": {"n": 3.7}}, [0.5] * 12, 3),
 ], ids=["semidirect-without-A", "s3-nan", "s3-not-unit",
-        "hn-outside-half-space", "abelian-default-n", "hn-default-n"])
+        "hn-outside-half-space", "abelian-default-n", "hn-default-n",
+        "hn-non-integral-n"])
 def test_export_surface_exit_codes(tmp_path, model, payload, code):
     path = tmp_path / "surface.json"
     dump_json({"model": model, "nx": 2, "ny": 2, "payload": payload}, path)
@@ -367,6 +369,31 @@ def test_check_gcr_rejects_infinite_mu(tmp_path):
     path = tmp_path / "inf.json"
     dump_json(blob, path)
     assert main(["check-gcr", str(path), "-o", str(tmp_path / "r.json")]) == 3
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["solve", "reconstruct"])
+def test_infinite_base_spinor_rejected_before_any_product(tmp_path, capsys,
+                                                          command):
+    fx = fixtures.sphere_r3(9)
+    blob = problem_to_dict(fx.data, fx.alg)
+    blob["base_spinor"] = [1.0, 0.0, 0.0, float("inf")] + [0.0] * 4
+    path = tmp_path / "inf.json"
+    dump_json(blob, path)
+    assert main([command, str(path), "-o", str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err
+    assert "deviates from 1" in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_infinite_gauss_map_rejected_before_any_product(tmp_path, capsys):
+    blob = json.loads(_cmc_text(9))
+    blob["g"][0][0][1] = float("inf")
+    path = tmp_path / "inf.json"
+    dump_json(blob, path)
+    assert main(["cmc", str(path), "-o", str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err
+    assert "g has non-finite entries" in err and "Traceback" not in err
 
 
 def test_nan_base_spinor_rejected(tmp_path, capsys):
@@ -800,8 +827,11 @@ def test_catalog_unknown_group_lists_the_tags(capsys):
     ("unimodular", '{"mu": [1]}'), ("rn", '{"n": Infinity}'),
     ("hn", '{"n": 100000}'), ("semidirect", '{"A": "x"}'),
     ("ekappatau", "null"), ("sol3", "{not json"),
+    ("rn", '{"n": 3.7}'), ("rn", '{"n": true}'),
+    ("unimodular", '{"mu": "123"}'),
 ], ids=["rn-list", "hn-zero", "rn-null", "unimodular-short-mu", "rn-inf",
-        "hn-huge", "semidirect-string", "ekappatau-null", "not-json"])
+        "hn-huge", "semidirect-string", "ekappatau-null", "not-json",
+        "rn-non-integral", "rn-bool", "unimodular-string-mu"])
 def test_catalog_bad_params_exit_three(capsys, group, params):
     code, err = _main_err(["catalog", "--group", group, "--params", params],
                           capsys)
@@ -833,3 +863,31 @@ def test_tag_only_hn_of_dimension_zero_is_input_error(tmp_path, capsys):
                            "-o", str(tmp_path / "r.json")], capsys)
     assert code == 3
     assert "dimension must be 1..8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("params", [{"n": 3.7}, {"n": True}, {"n": "3"}],
+                         ids=["non-integral", "bool", "string"])
+def test_tag_only_problem_params_are_not_coerced(tmp_path, capsys, params):
+    fx = fixtures.sphere_r3(9)
+    blob = problem_to_dict(fx.data, fx.alg)
+    blob["algebra"] = {"tag": "Rn", "params": params}
+    path = tmp_path / "rn.json"
+    dump_json(blob, path)
+    code, err = _main_err(["check-gcr", str(path),
+                           "-o", str(tmp_path / "r.json")], capsys)
+    assert code == 3
+    assert "params.n must be" in err
+    assert "Traceback" not in err
+
+
+# =============================================================================
+# Fixture registry
+# =============================================================================
+
+def test_every_surface_fixture_carries_its_algebras_model():
+    for name, make in SURFACE_FIXTURES.items():
+        fx = make(5)
+        want = model_for(fx.alg)
+        assert type(fx.model) is type(want), name
+        assert model_params(fx.model) == model_params(want), name
+        assert fx.grid is fx.data.grid, name

@@ -15,8 +15,9 @@ from spinorforge.clifford import (
     Multivector, SpinElement, SkewOperator, OffDiagOperator,
     adjoint_action, adjoint_array, bivector_array, bivector_exp_array,
     bivector_of_offdiag, bivector_of_skew, blade_tables, canonical_spin_sign,
-    commutator, exp_array, gp_array, grade_indices, offdiag_skew_array,
-    reverse_array, skew_of_bivector, spin_bracket, spin_lift, spin_lift_array,
+    commutator, cosh_sinhc, exp_array, gp_array, grade_indices,
+    offdiag_skew_array, reverse_array, skew_of_bivector, spin_bracket,
+    spin_lift, spin_lift_array,
 )
 
 rng = np.random.default_rng(20240611)
@@ -305,6 +306,45 @@ def test_bivector_exp_in_one_dimension_is_one():
 def test_bivector_exp_in_five_dimensions_is_the_series():
     b = random_bivector_field(5, (4, 3), 2.0)
     assert np.array_equal(bivector_exp_array(b, 5), exp_array(b, 5))
+
+
+def former_cos_sinc(lam):
+    """The rotor kernel cosh_sinhc replaced, verbatim."""
+    t = np.sqrt(-np.minimum(lam, 0.0))
+    return np.cos(t), np.divide(np.sin(t), t, out=np.ones_like(t),
+                                where=t > 0)
+
+
+def former_cosh_sinhc(q):
+    """The 2x2 exponential kernel cosh_sinhc replaced, verbatim."""
+    q = np.asarray(q, float)
+    r = np.sqrt(np.abs(q))
+    pos = q >= 0
+    c = np.where(pos, np.cosh(r), np.cos(r))
+    s = np.where(pos, np.sinh(r), np.sin(r))
+    return c, np.divide(s, r, out=np.ones_like(r), where=r > 0)
+
+
+def test_cosh_sinhc_is_the_two_kernels_it_replaces():
+    q = np.concatenate([-rng.uniform(0.0, 60.0, 300),
+                        rng.uniform(0.0, 60.0, 300),
+                        [0.0, -1e-300, 1e-300, -1e-20, 1e-20, -700.0 ** 2]])
+    got = cosh_sinhc(q)
+    for g, w in zip(got, former_cosh_sinhc(q)):
+        assert np.array_equal(g, w)
+    neg = q <= 0
+    for g, w in zip(got, former_cos_sinc(q[neg])):
+        assert np.array_equal(g[neg], w)
+    c, s = cosh_sinhc(2.25)
+    assert (c, s) == (np.cosh(1.5), np.sinh(1.5) / 1.5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cosh_sinhc_takes_no_hyperbolic_function_of_a_negative_q():
+    # sqrt(-q) = 1e3: cosh would overflow; cos and sin are all that is used
+    c, s = cosh_sinhc(np.array([-1e6, -1.0]))
+    assert np.array_equal(c, np.cos([1e3, 1.0]))
+    assert np.array_equal(s, np.sin([1e3, 1.0]) / [1e3, 1.0])
 
 
 # =============================================================================
@@ -688,6 +728,16 @@ def test_spin_lift_array_rejects_one_bad_node(bad):
 def test_spin_element_rejects_nan():
     with pytest.raises(ValueError, match="deviates from 1"):
         SpinElement(Multivector(3, [np.nan] + [0.0] * 7))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("slot", [0, 0b011, 0b110])
+def test_spin_element_gates_infinity_before_any_product(slot):
+    coeffs = np.zeros(8)
+    coeffs[0] = 1.0
+    coeffs[slot] = np.inf
+    with pytest.raises(ValueError, match="deviates from 1 by nan"):
+        SpinElement(Multivector(3, coeffs))
 
 
 def test_spin_element_closure_and_invariant():

@@ -9,7 +9,7 @@ from spinorforge.clifford import Multivector, commutator
 from spinorforge.lie_algebra import (
     CATALOG, MetricLieAlgebra, algebra_from_dict, algebra_to_dict,
     catalog_build,
-    curvature, e_kappa_tau, gamma_as_bivector, h2xr, hn, hn_constants,
+    curvature, curvature_array, e_kappa_tau, gamma_as_bivector, h2xr, hn, hn_constants,
     jacobi_residual,
     koszul_connection, rn, s3, sectional_curvature, semidirect, sol3,
     torsion_residual, unimodular,
@@ -195,6 +195,17 @@ def test_curvature_antisymmetries(alg):
         assert np.max(np.abs(R + R2)) <= 1e-12
 
 
+@pytest.mark.parametrize("alg", ALL_ALGEBRAS, ids=lambda a: f"{a.catalog_tag}{a.n}")
+def test_curvature_array_is_curvature_at_every_node(alg):
+    X, Y = rng.normal(size=(2, 4, 3, alg.n))
+    R = curvature_array(alg, X, Y)
+    assert R.shape == (4, 3, alg.n, alg.n)
+    assert np.array_equal(R, -np.swapaxes(R, -1, -2))
+    for idx in np.ndindex(4, 3):
+        want = curvature(alg, X[idx], Y[idx]).matrix
+        assert np.max(np.abs(R[idx] - want)) <= 1e-13
+
+
 def test_abelian_curvature_zero():
     alg = rn(4)
     X, Y = rng.normal(size=4), rng.normal(size=4)
@@ -318,6 +329,28 @@ def test_overflowing_jacobi_residual_rejected():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match="Jacobi"):
         e_kappa_tau(5.0, 1e-300)
+
+
+@pytest.mark.parametrize("tag,params", [
+    ("Rn", {"n": 3.7}), ("Rn", {"n": True}), ("Hn", {"n": "3"}),
+    ("Hn", {"n": 3, "l": ["0", "0", "1"]}), ("Hn", {"n": 3, "l": True}),
+    ("EKappaTau", {"kappa": "-1", "tau": 0.5}),
+    ("EKappaTau", {"kappa": -1.0, "tau": [0.5]}),
+    ("SemiDirect", {"A": [[1, 0], [0, True]]}), ("SemiDirect", {"A": "1001"}),
+    ("Unimodular", {"mu": "123"}), ("Unimodular", {"mu": [1, 2, False]}),
+])
+def test_catalog_params_are_not_coerced(tag, params):
+    with pytest.raises(ValueError, match="params"):
+        catalog_build(tag, params)
+
+
+@pytest.mark.parametrize("tag,params,n", [
+    ("Rn", {"n": 3.0}, 3), ("Hn", {"n": 4.0, "l": [0, 0, 0, 2]}, 4),
+    ("Unimodular", {"mu": [1, 2, 3]}, 3),
+    ("SemiDirect", {"A": [[1, 0], [0, -1]]}, 3),
+])
+def test_catalog_params_take_integral_and_real_numbers(tag, params, n):
+    assert catalog_build(tag, params).n == n
 
 
 @pytest.mark.parametrize("tag", sorted(CATALOG))

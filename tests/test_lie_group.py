@@ -254,6 +254,29 @@ def test_semidirect_exp_log_match_series_batched(A):
         <= 1e-13 * max(1.0, np.max(np.abs(want_log)))
 
 
+def test_hn_exp_log_agree_with_their_former_small_argument_branches():
+    # the closed forms had their own (e^x - 1)/x with a Taylor branch below
+    # |x| = 1e-12; through _phi1 they agree to two ulp
+    vn = np.array([0.0, 1e-300, -1e-15, 3e-13, -1e-12, 1e-12, 2e-12, 1e-6,
+                   -0.3, 0.7, 2.5, -4.0])
+    v = np.column_stack([rng.normal(size=(len(vn), 2)), vn])
+    small = np.abs(vn) < 1e-12
+    fac = np.where(small, 1.0 + vn / 2.0,
+                   np.expm1(vn) / np.where(small, 1.0, vn))
+    want = np.column_stack([fac[:, None] * v[:, :2], np.exp(vn)])
+    model = HnModel(3)
+    got = model.exp(v)
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+    g = want
+    ln = np.log(g[:, -1])
+    small = np.abs(ln) < 1e-12
+    fac = np.where(small, 1.0 - ln / 2.0,
+                   ln / np.where(small, 1.0, np.expm1(ln)))
+    want = np.column_stack([fac[:, None] * g[:, :2], ln])
+    got = model.log(g)
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+
+
 @pytest.mark.parametrize("alg", ALGS, ids=lambda a: a.catalog_tag)
 def test_log_inverts_exp(alg):
     model = model_for(alg)

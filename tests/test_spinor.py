@@ -258,6 +258,50 @@ def test_row_scan_takes_log_depth_products(gp_calls, nx):
     assert len(gp_calls) == math.ceil(math.log2(nx)) + 2
 
 
+def per_column_transport(problem):
+    """The spin field and holonomy of solve_killing with a Newton-Schulz
+    step after every column and the plaquette defect taken as
+    |L phi - phi|, the form the single renormalization of the column sweep
+    and |L - 1| replaced."""
+    grid, n, h = problem.grid, problem.alg.n, problem.grid.h
+    eta_x, eta_y = connection_coefficient_fields(problem)
+    Ex = _edge_operators(eta_x, h, 0, n)
+    Ey = _edge_operators(eta_y, h, 1, n)
+    values = np.zeros(grid.shape + (1 << n,))
+    values[:, 0], _ = _transport_row(problem.base_spinor.value.coeffs,
+                                     Ex[:, 0], n)
+    for j in range(grid.shape[1] - 1):
+        values[:, j + 1], _ = _renormalize(
+            gp_array(Ey[:, j], values[:, j], n), n)
+    loop = gp_array(Ey[1:, :], Ex[:, :-1], n)
+    loop = gp_array(reverse_array(Ex, n)[:, 1:], loop, n)
+    loop = gp_array(reverse_array(Ey, n)[:-1, :], loop, n)
+    defect = gp_array(loop, values[:-1, :-1], n) - values[:-1, :-1]
+    return values, float(np.max(np.linalg.norm(defect, axis=-1))) / h ** 2
+
+
+@pytest.mark.parametrize("make", [fixtures.sphere_r3, fixtures.s3_sphere,
+                                  fixtures.sphere_r4_twisted,
+                                  fixtures.sol3_plane])
+def test_column_sweep_renormalizes_once(gp_calls, make):
+    fx = make(33)
+    problem = KillingProblem(fx.data, fx.alg,
+                             base_spinor=random_spin(fx.alg.n))
+    nx, ny = fx.grid.shape
+    gp_calls.clear()
+    field, report = solve_killing(problem)
+    # the row scan with its renormalization, one product per column step
+    # and one renormalization of the sweep, three products per plaquette
+    # loop, and the unit gate of the finished field
+    assert len(gp_calls) == (math.ceil(math.log2(nx)) + 2) + (ny - 1 + 2) \
+        + 3 + 1
+    values, holonomy = per_column_transport(problem)
+    assert np.max(np.abs(field.values - values)) <= 1e-14
+    # the plaquette defects themselves agree to rounding
+    assert abs(report["holonomy"] - holonomy) * fx.grid.h ** 2 <= 1e-15
+    assert report["renorm_drift"] <= 1e-13
+
+
 # =============================================================================
 # xi
 # =============================================================================
@@ -271,6 +315,17 @@ def test_xi_of_identity_spinor_is_frame_map():
     assert np.max(np.abs(xi.xi_x - np.array([1.0, 0, 0]))) <= 1e-15
     assert np.max(np.abs(xi.xi_y - np.array([0, 1.0, 0]))) <= 1e-15
     assert np.max(np.abs(normals[..., 0, :] - np.array([0, 0, 1.0]))) <= 1e-15
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_spinor_field_gates_non_finite_values_before_any_product(value):
+    grid = ParamGrid(4, 4, 0.5)
+    vals = np.zeros(grid.shape + (8,))
+    vals[..., 0] = 1.0
+    vals[2, 1, 0b011] = value
+    with pytest.raises(ValueError, match="violated by nan"):
+        SpinorField(grid, 3, vals)
 
 
 @pytest.mark.parametrize("slot", [0, 1], ids=["even", "odd"])
