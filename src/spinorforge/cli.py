@@ -23,10 +23,10 @@ from .immersion import frame_compat_residuals, gcr_residuals, hn_u_residual
 from .lie_group import (IntegrationError, darboux_integrate, model_for,
                         structure_residual, structure_tolerance)
 from .meshexport import FORMATS, export_mesh
-from .serialization import (InputError, SCHEMAS, algebra_from_dict,
-                            cmc_from_dict, dump_json, field_report, load_json,
-                            problem_from_dict, surface_from_dict,
-                            surface_to_dict)
+from .serialization import (InputError, SCHEMAS, algebra_and_gamma,
+                            algebra_from_dict, cmc_from_dict, dump_json,
+                            field_report, load_json, problem_from_dict,
+                            surface_from_dict, surface_to_dict)
 from .spinor import (KillingProblem, NotIntegrableError, reconstruct_immersion,
                      solve_killing)
 
@@ -160,15 +160,14 @@ def cmd_catalog(args):
 
 
 def cmd_check_algebra(args):
-    alg = algebra_from_dict(load_json(args.input))
-    tol = args.tol or 1e-10
+    alg, gamma = algebra_and_gamma(load_json(args.input))
+    tol = args.tol or la.KOSZUL_TOL
     jac = la.jacobi_residual(alg.c)
-    compat = float(np.max(np.abs(alg.gamma + np.swapaxes(alg.gamma, 1, 2))))
-    koszul_dev = float(np.max(np.abs(la.koszul_connection(alg) - alg.gamma)))
-    # torsion is bilinear: the basis pairs (e_i, e_j) decide it
-    eye = np.eye(alg.n)
-    torsion = float(np.max(np.abs(
-        la.torsion_residual(alg, eye[:, None], eye[None, :]))))
+    with np.errstate(over="ignore"):    # an overflow is inf: it fails
+        compat = float(np.max(np.abs(gamma + np.swapaxes(gamma, 1, 2))))
+        koszul_dev = float(np.max(np.abs(alg.gamma - gamma)))
+        # torsion T(e_i, e_j) = gamma[i, j] - gamma[j, i] - c[i, j]
+        torsion = float(np.max(np.abs(gamma - gamma.swapaxes(0, 1) - alg.c)))
     report = {"jacobi": jac, "metric_compatibility": compat,
               "koszul_deviation": koszul_dev, "torsion": torsion,
               "tolerance": tol,
@@ -295,18 +294,13 @@ def tolerance(text):
     return value
 
 
-def catalog_tag(text):
-    """A `lie_algebra.CATALOG` tag written in any case."""
-    return {tag.lower(): tag for tag in la.CATALOG}.get(text.lower(), text)
-
-
 # Every option of every command; `COMMANDS` says which command takes which.
 OPTIONS = {
     "input": {"help": "input JSON path"},
     "--fixture": {"help": "named analytic fixture instead of an input file"},
     "--grid-n": {"type": int,
                  "help": f"fixture grid resolution (default {GRID_N})"},
-    "--group": {"required": True, "type": catalog_tag,
+    "--group": {"required": True, "type": la.catalog_tag,
                 "choices": sorted(la.CATALOG),
                 "help": "catalog tag, in any case"},
     "--params": {"help": "JSON object of variant parameters"},

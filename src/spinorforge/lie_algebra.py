@@ -7,7 +7,8 @@ Structure constants are stored densely, c[i, j, k] meaning
     [e_i, e_j] = sum_k c[i, j, k] e_k,
 
 and the Levi-Civita connection coefficients gamma[i, j, k] likewise,
-Gamma(e_i) e_j = sum_k gamma[i, j, k] e_k, produced by the Koszul formula
+Gamma(e_i) e_j = sum_k gamma[i, j, k] e_k.  The structure constants are
+the only input: gamma is always derived from them by the Koszul formula
 
     <Gamma(X) Y, Z> = (<[X,Y],Z> + <[Z,X],Y> - <[Y,Z],X>) / 2.
 
@@ -25,6 +26,7 @@ import numpy as np
 from .clifford import MAX_DIM, SkewOperator, bivector_of_skew
 
 JACOBI_TOL = 1e-12
+KOSZUL_TOL = 1e-10      # how far a given gamma may lie from Koszul(c)
 
 
 # =============================================================================
@@ -32,11 +34,13 @@ JACOBI_TOL = 1e-12
 # =============================================================================
 
 class MetricLieAlgebra:
-    """Orthonormal-frame Lie algebra data: structure constants + connection."""
+    """Orthonormal-frame Lie algebra data: the structure constants c, and
+    the Levi-Civita connection gamma that the Koszul formula derives from
+    them (it is not an input)."""
 
     __slots__ = ("n", "c", "gamma", "catalog_tag", "params")
 
-    def __init__(self, c, catalog_tag="custom", params=None, gamma=None):
+    def __init__(self, c, catalog_tag="custom", params=None):
         c = np.array(c, dtype=np.float64)
         n = c.shape[0] if c.ndim else 0
         if c.shape != (n, n, n) or not 1 <= n <= MAX_DIM:
@@ -53,13 +57,7 @@ class MetricLieAlgebra:
         self.c = c
         self.catalog_tag = catalog_tag
         self.params = dict(params or {})
-        if gamma is None:
-            gamma = koszul_connection(self)
-        else:
-            gamma = np.array(gamma, dtype=np.float64)
-            if gamma.shape != (n, n, n) or not np.all(np.isfinite(gamma)):
-                raise ValueError(f"connection coefficients must be a finite "
-                                 f"(n,n,n) array; got shape {gamma.shape}")
+        gamma = koszul_connection(c)
         gamma.flags.writeable = False
         self.gamma = gamma
 
@@ -86,8 +84,11 @@ class MetricLieAlgebra:
 def jacobi_residual(c):
     """Max-norm of the cyclic sum [[e_i,e_j],e_k] + cycles."""
     c = np.asarray(c, dtype=np.float64)
-    d = np.einsum("ijl,lkm->ijkm", c, c)
-    cyc = d + np.einsum("jkim->ijkm", d) + np.einsum("kijm->ijkm", d)
+    # an overflowing c * c makes inf - inf = NaN here, silently: a
+    # non-finite residual fails MetricLieAlgebra's `not jac <= JACOBI_TOL`
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.einsum("ijl,lkm->ijkm", c, c)
+        cyc = d + np.einsum("jkim->ijkm", d) + np.einsum("kijm->ijkm", d)
     return float(np.max(np.abs(cyc))) if cyc.size else 0.0
 
 
@@ -256,7 +257,8 @@ def unimodular(mu1, mu2, mu3):
     The structure constants are recovered through torsion-freeness,
     [e_i, e_j] = Gamma(e_i) e_j - Gamma(e_j) e_i, giving the Milnor form
     [e1,e2] = (mu1+mu2) e3 and cyclic; building the algebra re-runs the
-    Koszul formula, so the stated connection is validated on construction.
+    Koszul formula, so the stated connection is validated on construction,
+    to a rounding error that grows with max|mu|.
     """
     mus = (float(mu1), float(mu2), float(mu3))
     c = np.zeros((3, 3, 3))
@@ -267,8 +269,8 @@ def unimodular(mu1, mu2, mu3):
                            params={"mu": list(mus)})
     want = unimodular_gamma_matrix(mus, np.eye(3))
     got = alg.gamma_op(np.eye(3))
-    if np.max(np.abs(got - want)) > 1e-14:
-        raise AssertionError("unimodular connection does not match its defining form")
+    if not np.max(np.abs(got - want)) <= 1e-14 * max(1.0, *map(abs, mus)):
+        raise ValueError("unimodular connection does not match its defining form")
     return alg
 
 
@@ -289,7 +291,7 @@ def unimodular_gamma_matrix(mus, Xs):
     return out
 
 
-def _real_param(value, name, ndim=0):
+def real_param(value, name, ndim=0):
     """A params entry as float64 when it is a real number (ndim 0) or lists
     of them nested ndim deep; ValueError for bools, strings, other nestings."""
     items = np.asarray(value, dtype=object)
@@ -303,7 +305,7 @@ def _real_param(value, name, ndim=0):
 def dimension_param(params, default=None):
     """params["n"] (default when absent) as an int when it is an integral
     number, 3 and 3.0 alike as the JSON schemas count integers."""
-    n = float(_real_param(params.get("n", default), "n"))
+    n = float(real_param(params.get("n", default), "n"))
     if not n.is_integer():
         raise ValueError(f"params.n must be an integral number; got {n!r}")
     return int(n)
@@ -312,28 +314,36 @@ def dimension_param(params, default=None):
 # tag: (builder from a params dict, the params the command line defaults to)
 CATALOG = {
     "Rn": (lambda params: rn(dimension_param(params)), {"n": 3}),
-    "Hn": (lambda params: hn(dimension_param(params), _real_param(
+    "Hn": (lambda params: hn(dimension_param(params), real_param(
         params["l"], "l", 1) if "l" in params else None), {"n": 3}),
     "S3": (lambda params: s3(), {}),
     "EKappaTau": (lambda params: e_kappa_tau(
-        float(_real_param(params["kappa"], "kappa")),
-        float(_real_param(params["tau"], "tau"))),
+        float(real_param(params["kappa"], "kappa")),
+        float(real_param(params["tau"], "tau"))),
                   {"kappa": -1.0, "tau": 0.5}),
-    "SemiDirect": (lambda params: semidirect(_real_param(params["A"], "A", 2)),
+    "SemiDirect": (lambda params: semidirect(real_param(params["A"], "A", 2)),
                    {"A": [[1.0, 0.0], [0.0, 1.0]]}),
     "Sol3": (lambda params: sol3(), {}),
     "H2xR": (lambda params: h2xr(), {}),
     "Unimodular": (lambda params: unimodular(
-        *_real_param(params["mu"], "mu", 1)), {"mu": [1.0, 1.0, 1.0]}),
+        *real_param(params["mu"], "mu", 1)), {"mu": [1.0, 1.0, 1.0]}),
 }
 
 
+def catalog_tag(text):
+    """The `CATALOG` tag that `text` names in any case; `text` itself when
+    it names none."""
+    return {tag.lower(): tag for tag in CATALOG}.get(text.lower(), text)
+
+
 def catalog_build(tag, params=None):
-    """Build a catalog algebra by tag; params is the variant-specific dict."""
-    if tag not in CATALOG:
+    """Build a catalog algebra by tag, in any case; params is the
+    variant-specific dict."""
+    key = catalog_tag(tag)
+    if key not in CATALOG:
         raise ValueError(f"unknown catalog tag {tag!r}; "
                          f"known: {sorted(CATALOG)}")
-    return CATALOG[tag][0](params or {})
+    return CATALOG[key][0](params or {})
 
 
 # =============================================================================
@@ -350,5 +360,6 @@ def algebra_to_dict(alg):
 
 
 def algebra_from_dict(d):
+    """The algebra of a dict's `c`; a `gamma` in it is not read."""
     return MetricLieAlgebra(np.array(d["c"]), catalog_tag=d.get("tag", "custom"),
-                            params=d.get("params"), gamma=np.array(d["gamma"]))
+                            params=d.get("params"))

@@ -321,11 +321,15 @@ def _model_dimension(params):
 
 
 def _model_matrix(params):
-    """The matrix A of a semidirect model."""
+    """The matrix A of a semidirect model: real numbers, not strings or
+    bools, that JSON nests as a 2x2 matrix."""
     if "A" not in params:
         raise ValueError("the semidirect model needs params.A")
-    A = np.array(params["A"], dtype=np.float64)
-    if A.size != 4 or not np.all(np.isfinite(A)):
+    try:
+        A = la.real_param(params["A"], "A", 2)
+    except ValueError as err:
+        raise ValueError(f"a finite 2x2 matrix is needed: {err}")
+    if A.shape != (2, 2) or not np.all(np.isfinite(A)):
         raise ValueError("params.A must be a finite 2x2 matrix")
     return A
 
@@ -350,8 +354,8 @@ def model_params(model):
 
 def model_from_params(name, params):
     """The group model named by `name` (a key of MODELS) and its params;
-    ValueError for unknown names and for an n < 1 or a non-finite or
-    non-2x2 A."""
+    ValueError for unknown names and for an n < 1 or an A that is not a
+    finite 2x2 matrix of real numbers."""
     if name not in MODELS:
         raise ValueError(f"unknown model {name!r}")
     return MODELS[name](params)

@@ -311,14 +311,31 @@ def grid_to_dict(grid):
             "y0": grid.y0, "mu": grid.mu.tolist()}
 
 
-def algebra_from_dict(d):
+def algebra_and_gamma(d):
+    """The algebra of an algebra blob, built from `c` or the tag, and the
+    blob's own finite (n, n, n) `gamma`, Koszul(c) when it has none."""
     _validated(d, ALGEBRA_SCHEMA, "algebra")
     try:
-        if "c" in d:
-            return la.algebra_from_dict(d)
-        return la.catalog_build(d["tag"], d.get("params"))
+        alg = la.algebra_from_dict(d) if "c" in d else \
+            la.catalog_build(d["tag"], d.get("params"))
     except (TypeError, ValueError, KeyError, OverflowError) as err:
         raise InputError(f"invalid algebra: {err}")
+    gamma = _float_array(d.get("gamma", alg.gamma), "algebra.gamma")
+    if gamma.shape != alg.gamma.shape or not np.all(np.isfinite(gamma)):
+        raise InputError(f"algebra.gamma must be a finite {alg.gamma.shape} "
+                         f"array; got shape {gamma.shape}")
+    return alg, gamma
+
+
+def algebra_from_dict(d):
+    """The algebra of a blob, whose `gamma`, if any, must be Koszul(c)."""
+    alg, gamma = algebra_and_gamma(d)
+    with np.errstate(over="ignore"):    # an overflow is inf: it fails too
+        deviation = float(np.max(np.abs(gamma - alg.gamma)))
+    if not deviation <= la.KOSZUL_TOL:
+        raise InputError(f"algebra.gamma deviates from Koszul(c) by "
+                         f"{deviation:.3e} > {la.KOSZUL_TOL:g}")
+    return alg
 
 
 def problem_from_dict(d):

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -270,9 +271,11 @@ def test_reconstruct_not_integrable_exits_two(tmp_path):
     ({"name": "abelian"}, [0.5] * 12, 0),
     ({"name": "hn", "params": {}}, [0.5] * 12, 0),
     ({"name": "hn", "params": {"n": 3.7}}, [0.5] * 12, 3),
+    ({"name": "semidirect", "params": {"A": [["1", "0"], ["0", "-1"]]}},
+     [0.0] * 12, 3),
 ], ids=["semidirect-without-A", "s3-nan", "s3-not-unit",
         "hn-outside-half-space", "abelian-default-n", "hn-default-n",
-        "hn-non-integral-n"])
+        "hn-non-integral-n", "semidirect-string-A"])
 def test_export_surface_exit_codes(tmp_path, model, payload, code):
     path = tmp_path / "surface.json"
     dump_json({"model": model, "nx": 2, "ny": 2, "payload": payload}, path)
@@ -878,6 +881,129 @@ def test_tag_only_problem_params_are_not_coerced(tmp_path, capsys, params):
     assert code == 3
     assert "params.n must be" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("group,params", [
+    ("semidirect", '{"A": [[1e200, 1e200], [1e200, 1e200]]}'),
+    ("ekappatau", '{"kappa": 5, "tau": 1e-300}'),
+], ids=["semidirect-overflow", "ekappatau-overflow"])
+def test_catalog_overflowing_constants_fail_jacobi_without_warning(
+        capsys, group, params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _main_err(["catalog", "--group", group,
+                               "--params", params], capsys)
+    assert code == 3 and "Jacobi" in err
+
+
+_ORDINARY_MU = [123.456, 789.012, 345.678]
+
+
+def test_unimodular_with_ordinary_mu_builds(tmp_path, capsys):
+    code, err = _main_err(["catalog", "--group", "unimodular", "--params",
+                           json.dumps({"mu": _ORDINARY_MU})], capsys)
+    assert code == 0 and "Traceback" not in err
+    blob = json.loads(_cmc_text(9))
+    blob["potential"]["mu"] = _ORDINARY_MU
+    path = tmp_path / "cmc.json"
+    dump_json(blob, path)
+    code, err = _main_err(["cmc", str(path),
+                           "-o", str(tmp_path / "r.json")], capsys)
+    assert code in (0, 2) and "Traceback" not in err
+
+
+def test_tag_only_algebra_is_read_in_any_case(tmp_path):
+    fx = fixtures.sol3_plane(9)
+    blob = problem_to_dict(fx.data, fx.alg)
+    texts = []
+    for tag in ("sol3", "Sol3"):
+        blob["algebra"] = {"tag": tag}
+        dump_json(blob, tmp_path / f"{tag}.json")
+        out = tmp_path / tag / "r.json"
+        out.parent.mkdir()
+        assert main(["check-gcr", str(tmp_path / f"{tag}.json"),
+                     "-o", str(out)]) == 0
+        texts.append(b"".join(
+            f.read_bytes().replace(str(out.parent).encode(), b"OUT")
+            for f in sorted(out.parent.iterdir())))
+    assert texts[0] == texts[1]
+
+
+# =============================================================================
+# Algebra files: the connection is Koszul(c), a file's gamma is checked
+# =============================================================================
+
+def _deviating_gamma(gamma):
+    gamma[0][1][2], gamma[0][2][1] = 0.3, -0.3
+    return gamma
+
+
+def _set_entry(value):
+    def mutate(gamma):
+        gamma[0][1][2] = value
+        return gamma
+    return mutate
+
+
+# ways to break the all-zero gamma of the sphere-r3 algebra (c = 0)
+_BAD_GAMMAS = {
+    "deviating": _deviating_gamma,
+    "ragged": lambda g: [g[0][:-1]] + g[1:],
+    "non-numeric": _set_entry("x"),
+    "non-finite": _set_entry(float("inf")),
+    "broadcast": lambda g: g[0],
+}
+
+
+@pytest.mark.parametrize("command,how", [
+    (command, how)
+    for command in ("solve", "reconstruct", "check-gcr", "check-frame",
+                    "check-algebra")
+    for how in sorted(_BAD_GAMMAS)
+    if (command, how) != ("check-algebra", "deviating")])
+def test_a_gamma_other_than_koszul_of_c_is_input_error(tmp_path, capsys,
+                                                       command, how):
+    fx = fixtures.sphere_r3(17)
+    blob = problem_to_dict(fx.data, fx.alg, base_point=fx.F[0, 0])
+    blob["algebra"]["gamma"] = _BAD_GAMMAS[how](blob["algebra"]["gamma"])
+    path = tmp_path / "in.json"
+    dump_json(blob["algebra"] if command == "check-algebra" else blob, path)
+    code, err = _main_err([command, str(path),
+                           "-o", str(tmp_path / "r.json")], capsys)
+    assert code == 3
+    assert err.startswith("input error: ") and "algebra.gamma" in err
+
+
+def test_check_algebra_reports_on_the_files_own_gamma(tmp_path):
+    alg = la.algebra_to_dict(la.rn(3))
+    bad = _deviating_gamma(json.loads(json.dumps(alg["gamma"])))
+    huge = np.zeros((3, 3, 3))
+    huge[0, 1, 2] = huge[0, 2, 1] = 1e308      # gamma + gamma^T overflows
+    cases = [({k: v for k, v in alg.items() if k != "gamma"}, 0,
+              {"koszul_deviation": 0.0, "torsion": 0.0}),
+             ({**alg, "gamma": bad}, 2,
+              {"koszul_deviation": 0.3, "torsion": 0.3,
+               "metric_compatibility": 0.0}),
+             ({**alg, "gamma": huge.tolist()}, 2,
+              {"metric_compatibility": float("inf")})]
+    for blob, code, want in cases:
+        path = tmp_path / "alg.json"
+        dump_json(blob, path)
+        out = tmp_path / "report.json"
+        assert main(["check-algebra", str(path), "-o", str(out)]) == code
+        report = load_json(out)
+        assert {key: report[key] for key in want} == want
+
+
+def test_custom_algebra_without_gamma_loads(tmp_path):
+    fx = fixtures.sol3_plane(9)
+    blob = problem_to_dict(fx.data, fx.alg)
+    del blob["algebra"]["gamma"]
+    blob["algebra"]["tag"] = "custom"
+    path = tmp_path / "p.json"
+    dump_json(blob, path)
+    assert main(["check-gcr", str(path),
+                 "-o", str(tmp_path / "r.json")]) == 0
 
 
 # =============================================================================

@@ -137,6 +137,14 @@ def test_unimodular_gamma_bivector_form():
         assert biv.allclose(want, tol=1e-12)
 
 
+def test_unimodular_builds_for_any_mu_up_to_a_million():
+    # the construction cross-check's rounding grows with max|mu|
+    mus = rng.choice([-1.0, 1.0], size=(200, 3)) * 10.0 ** rng.uniform(
+        -3.0, 6.0, size=(200, 3))
+    for mu in [(123.456, 789.012, 345.678), (1e5 + 0.1, 3.3, 7.7), *mus]:
+        assert unimodular(*mu).params["mu"] == list(mu)
+
+
 def test_unimodular_zero_is_abelian():
     alg = unimodular(0.0, 0.0, 0.0)
     assert np.all(alg.c == 0.0) and np.all(alg.gamma == 0.0)
