@@ -314,9 +314,9 @@ def test_model_params_round_trip(alg):
     ("semidirect", {}, "needs params.A"),
     ("semidirect", {"A": [[1.0, float("inf")], [0.0, 1.0]]}, "finite 2x2"),
     ("semidirect", {"A": [1.0, 2.0, 3.0]}, "finite 2x2"),
+    ("sol3", {}, "unknown model"),
     ("semidirect", {"A": [["1", "0"], ["0", "-1"]]}, "finite 2x2"),
     ("semidirect", {"A": [[True, False], [False, True]]}, "finite 2x2"),
-    ("sol3", {}, "unknown model"),
 ])
 def test_model_from_params_gates(name, params, match):
     with pytest.raises(ValueError, match=match):
