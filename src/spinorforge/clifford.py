@@ -13,6 +13,17 @@ n is capped at 8, i.e. 256 coefficients; everything is plain float64 numpy
 and the low-level kernels broadcast over leading axes so that fields of
 multivectors (grids) go through the same code path.
 
+`gp_array`, the geometric product every other kernel is built on, keeps
+this full layout but multiplies only live blades: a blade is live when some
+node has a nonzero or non-finite coefficient in it, found by one reduction
+per operand.  Spinor fields, edge rotors and holonomy loops are even, so a
+product of two of them touches a quarter of the 2**n x 2**n blade pairs
+(the quaternions for n = 3, Sp(1) x Sp(1) for n = 4).  The term table of
+each pattern of live blades is cached, and each live row of the left
+factor is one numpy call over all nodes.  Terms are added in the order of
+the dense loop over all blades, and the skipped ones are exact zeros, so
+the products are bit-identical to it.
+
 `exp_array` is the general exponential of any multivector (a Taylor series
 with scaling and squaring).  Bivector fields, the transport steps of the
 spinor solver, go through `bivector_exp_array`, which is exact and free of
@@ -85,23 +96,78 @@ def grade_indices(n, k):
 # Array kernels (broadcast over leading axes, last axis = 2**n coefficients)
 # =============================================================================
 
-def gp_array(a, b, n):
-    """Geometric product of coefficient arrays, broadcasting leading axes."""
+def _blade_weights(x, dim):
+    """Per-blade sums of |coefficient| over all nodes of x (..., dim): zero
+    exactly where every node's coefficient is zero, nan or inf where any
+    node is non-finite."""
+    flat = x.reshape(-1, dim)
+    return np.ones(flat.shape[0]) @ np.abs(flat)
+
+
+def _blade_major(x, blades, shape):
+    """The listed blades of x (..., dim) over the nodes of `shape`, which
+    x's leading axes broadcast to: a (len(blades), nodes) copy."""
+    out = x.reshape(-1, x.shape[-1]).T[blades]
+    if x.shape[:-1] != shape:
+        lead = (1,) * (len(shape) - x.ndim + 1) + x.shape[:-1]
+        out = np.broadcast_to(out.reshape(blades.shape + lead),
+                              blades.shape + shape)
+    return out.reshape(len(blades), math.prod(shape))
+
+
+@lru_cache(maxsize=256)
+def _gp_terms(n, live_a, live_b):
+    """Term table of a product whose live blades are the boolean masks
+    live_a, live_b (as bytes): the live rows i and columns j, and per live
+    row, ascending, the signs s(i, j) over the live columns (a column
+    vector) and the output blades i ^ j they land on."""
     signs, _ = blade_tables(n)
+    rows = np.flatnonzero(np.frombuffer(live_a, dtype=bool))
+    cols = np.flatnonzero(np.frombuffer(live_b, dtype=bool))
+    terms = tuple((signs[i, cols, None].astype(np.float64), i ^ cols)
+                  for i in rows)
+    for table in (rows, cols) + sum(terms, ()):
+        table.flags.writeable = False
+    return rows, cols, terms
+
+
+def gp_array(a, b, n):
+    """Geometric product of coefficient arrays, broadcasting leading axes.
+
+    Only live blades are multiplied: a blade is live when some node has a
+    nonzero (or non-finite) coefficient in it.  Output blade k is the sum of
+    s(i, j) a_i b_j over the live pairs i ^ j = k, added in ascending i to a
+    zero start, which is the order of the dense row loop over all 2**n
+    blades; the pairs left out contribute exact +-0, so finite inputs give
+    bit-identical results.  When a is non-finite every column stays live,
+    so inf * 0 makes the same nan the dense loop makes.  Each live row of a
+    is one numpy call over all nodes and live columns, on blade-major
+    copies of the live coefficients.
+    """
     dim = 1 << n
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    out = np.zeros(shape + (dim,))
-    all_idx = np.arange(dim)
-    for i in range(dim):
-        ai = a[..., i]
-        if not np.any(ai):
-            continue
-        # for fixed i, j -> i ^ j permutes the blades; gather instead of scatter
-        contrib = signs[i] * ai[..., None] * b
-        out += contrib[..., i ^ all_idx]
-    return out
+    shape = a.shape[:-1]
+    if b.shape[:-1] != shape:
+        shape = np.broadcast_shapes(shape, b.shape[:-1])
+    weights = _blade_weights(a, dim)
+    live_a = weights != 0
+    if math.isfinite(weights.sum()):   # an overflow only costs speed
+        live_b = _blade_weights(b, dim) != 0
+    else:
+        live_b = np.ones(dim, dtype=bool)
+    rows, cols, terms = _gp_terms(n, live_a.tobytes(), live_b.tobytes())
+    at = _blade_major(a, rows, shape)
+    bt = _blade_major(b, cols, shape)
+    out = np.zeros((dim, math.prod(shape)))
+    for ai, (sign, blades) in zip(at, terms):
+        t = sign * ai
+        t *= bt
+        if len(cols) == dim:   # blades = i ^ cols is then its own inverse
+            out += t[blades]
+        else:
+            out[blades] += t
+    return np.ascontiguousarray(out.T).reshape(shape + (dim,))
 
 
 def reverse_array(a, n):

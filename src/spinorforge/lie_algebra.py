@@ -302,6 +302,21 @@ def real_param(value, name, ndim=0):
     return items.astype(np.float64)
 
 
+def real_array(value, name):
+    """A JSON array of numbers as float64; ValueError naming `name` when it
+    is ragged or holds strings, bools or other non-numbers (one bool among
+    numbers still converts, as numpy reads it)."""
+    try:
+        items = np.array(value)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{name} is not a numeric array: {err}") from None
+    if items.dtype.kind not in "iuf":
+        what = {"b": "booleans", "U": "strings"}.get(items.dtype.kind,
+                                                     "non-numbers")
+        raise ValueError(f"{name} is not a numeric array: it holds {what}")
+    return items.astype(np.float64, copy=False)
+
+
 def dimension_param(params, default=None):
     """params["n"] (default when absent) as an int when it is an integral
     number, 3 and 3.0 alike as the JSON schemas count integers."""
@@ -361,5 +376,6 @@ def algebra_to_dict(alg):
 
 def algebra_from_dict(d):
     """The algebra of a dict's `c`; a `gamma` in it is not read."""
-    return MetricLieAlgebra(np.array(d["c"]), catalog_tag=d.get("tag", "custom"),
+    return MetricLieAlgebra(real_array(d["c"], "c"),
+                            catalog_tag=d.get("tag", "custom"),
                             params=d.get("params"))

@@ -461,13 +461,31 @@ def first_non_finite(values):
     return tuple(bad[0].tolist()) if len(bad) else None
 
 
+def _step(model, g, cells):
+    """model.normalize of one Darboux step's products g, the payloads of
+    the grid `cells`; a product the model rejects (H^n: a_n <= 0 after an
+    underflow) is an IntegrationError naming the first such cell."""
+    try:
+        return model.normalize(g)
+    except ValueError as err:
+        for cell, node in zip(cells, np.reshape(g, (-1, g.shape[-1]))):
+            try:
+                model.normalize(node)
+            except ValueError:
+                raise IntegrationError(f"Darboux integration failed: {err}",
+                                       cell=cell) from None
+        raise
+
+
 def darboux_integrate(xi, alg, base=None, stats=None):
     """Integrate F* omega_G = xi over the grid: F(0,0) = base, midpoint step
     F_next = F * exp(h * (xi_here + xi_there)/2) along the spanning tree
     (bottom row, then all columns at once).
 
     Returns the (nx, ny, payload_dim) grid of group payloads.  `stats`, when
-    given, receives the unit-norm renormalization drift (S^3 only).
+    given, receives the unit-norm renormalization drift (S^3 only).  A base
+    the model rejects is a ValueError; a step that leaves the group or
+    overflows is an IntegrationError naming its cell.
     """
     model = alg if hasattr(alg, "payload_dim") else model_for(alg)
     grid, h = xi.grid, xi.grid.h
@@ -476,14 +494,17 @@ def darboux_integrate(xi, alg, base=None, stats=None):
         base = base.payload
     F = np.zeros((nx, ny, model.payload_dim))
     F[0, 0] = model.identity() if base is None else np.asarray(base, float)
+    model.normalize(F[0, 0])    # a base point off the group is a ValueError
     row = model.exp(0.5 * (xi.xi_x[:-1, 0] + xi.xi_x[1:, 0]), h)
     cols = model.exp(0.5 * (xi.xi_y[:, :-1] + xi.xi_y[:, 1:]), h)
     drift = 0.0
     for i in range(nx - 1):
-        F[i + 1, 0], d = model.normalize(model.multiply(F[i, 0], row[i]))
+        F[i + 1, 0], d = _step(model, model.multiply(F[i, 0], row[i]),
+                               [(i + 1, 0)])
         drift = max(drift, d)
     for j in range(ny - 1):
-        F[:, j + 1], d = model.normalize(model.multiply(F[:, j], cols[:, j]))
+        F[:, j + 1], d = _step(model, model.multiply(F[:, j], cols[:, j]),
+                               ((k, j + 1) for k in range(nx)))
         drift = max(drift, d)
     cell = first_non_finite(F)
     if cell is not None:

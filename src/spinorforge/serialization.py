@@ -282,11 +282,11 @@ def dump_json(payload, path):
 
 def _float_array(value, name):
     """`value` as a float64 array; InputError naming `name` when the JSON
-    value is ragged or holds non-numbers."""
+    value is ragged or holds non-numbers (`lie_algebra.real_array`)."""
     try:
-        return np.array(value, dtype=np.float64)
-    except (TypeError, ValueError) as err:
-        raise InputError(f"{name} is not a numeric array: {err}")
+        return la.real_array(value, name)
+    except ValueError as err:
+        raise InputError(str(err)) from None
 
 
 def _finite(arr, name):
@@ -438,9 +438,9 @@ def surface_from_dict(d):
     name = d["model"]["name"]
     try:
         model = model_from_params(name, d["model"].get("params", {}))
-        payload = np.array(d["payload"], dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as err:
         raise InputError(f"invalid surface: {err}")
+    payload = _float_array(d["payload"], "payload")
     try:
         F = payload.reshape(int(d["nx"]), int(d["ny"]), model.payload_dim)
     except ValueError:

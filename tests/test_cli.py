@@ -273,9 +273,10 @@ def test_reconstruct_not_integrable_exits_two(tmp_path):
     ({"name": "hn", "params": {"n": 3.7}}, [0.5] * 12, 3),
     ({"name": "semidirect", "params": {"A": [["1", "0"], ["0", "-1"]]}},
      [0.0] * 12, 3),
+    ({"name": "abelian"}, ["0.5"] * 12, 3),
 ], ids=["semidirect-without-A", "s3-nan", "s3-not-unit",
         "hn-outside-half-space", "abelian-default-n", "hn-default-n",
-        "hn-non-integral-n", "semidirect-string-A"])
+        "hn-non-integral-n", "semidirect-string-A", "abelian-string-payload"])
 def test_export_surface_exit_codes(tmp_path, model, payload, code):
     path = tmp_path / "surface.json"
     dump_json({"model": model, "nx": 2, "ny": 2, "payload": payload}, path)
@@ -952,6 +953,7 @@ _BAD_GAMMAS = {
     "non-numeric": _set_entry("x"),
     "non-finite": _set_entry(float("inf")),
     "broadcast": lambda g: g[0],
+    "numeric-string": _set_entry("0"),
 }
 
 
@@ -993,6 +995,20 @@ def test_check_algebra_reports_on_the_files_own_gamma(tmp_path):
         assert main(["check-algebra", str(path), "-o", str(out)]) == code
         report = load_json(out)
         assert {key: report[key] for key in want} == want
+
+
+@pytest.mark.parametrize("command", ["check-gcr", "solve", "reconstruct"])
+def test_a_numeric_string_in_an_array_is_input_error(tmp_path, capsys,
+                                                     command):
+    fx = fixtures.sphere_r3(9)
+    blob = problem_to_dict(fx.data, fx.alg)
+    blob["frames"][0][0][0][0] = repr(blob["frames"][0][0][0][0])
+    path = tmp_path / "in.json"
+    dump_json(blob, path)
+    code, err = _main_err([command, str(path),
+                           "-o", str(tmp_path / "r.json")], capsys)
+    assert code == 3
+    assert err.startswith("input error: frames is not a numeric array")
 
 
 def test_custom_algebra_without_gamma_loads(tmp_path):

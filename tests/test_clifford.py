@@ -792,3 +792,106 @@ def test_property_pairing_symmetry(phi, psi):
     scale = max(1.0, phi.max_norm() * psi.max_norm())
     assert spin_bracket(phi, psi).allclose(
         spin_bracket(psi, phi).reversal(), tol=1e-12 * scale)
+
+
+# =============================================================================
+# gp_array against the dense row loop it replaced
+# =============================================================================
+
+def dense_row_gp(a, b, n):
+    """gp_array before it multiplied only live blades, verbatim."""
+    signs, _ = blade_tables(n)
+    dim = 1 << n
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    out = np.zeros(shape + (dim,))
+    all_idx = np.arange(dim)
+    for i in range(dim):
+        ai = a[..., i]
+        if not np.any(ai):
+            continue
+        # for fixed i, j -> i ^ j permutes the blades; gather instead of scatter
+        contrib = signs[i] * ai[..., None] * b
+        out += contrib[..., i ^ all_idx]
+    return out
+
+
+def assert_bit_identical(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()     # zero signs included
+
+
+def operand(kind, n, shape):
+    """Random coefficients (*shape, 2**n) on the blades `kind` names."""
+    _, grades = blade_tables(n)
+    dim = 1 << n
+    live = {"dense": np.ones(dim, bool), "even": grades % 2 == 0,
+            "odd": grades % 2 == 1, "single": np.arange(dim) == dim - 1,
+            "zero": np.zeros(dim, bool)}[kind]
+    return rng.normal(size=shape + (dim,)) * live
+
+
+KINDS = ("dense", "even", "odd", "single", "zero")
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("shape_a,shape_b", [((), ()), ((5, 1), (1, 7)),
+                                             ((6,), ()), ((), (6,))])
+def test_gp_array_is_the_dense_row_loop_bit_for_bit(n, shape_a, shape_b):
+    for kind_a in KINDS:
+        for kind_b in KINDS:
+            a = operand(kind_a, n, shape_a)
+            b = operand(kind_b, n, shape_b)
+            assert_bit_identical(gp_array(a, b, n), dense_row_gp(a, b, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gp_array_on_transport_sized_fields(n):
+    # 129^2 nodes, the largest grid the benchmark transports
+    for kind_a, kind_b in (("even", "even"), ("even", "single"),
+                           ("odd", "even"), ("dense", "dense")):
+        a = operand(kind_a, n, (129, 129))
+        b = operand(kind_b, n, (129, 129))
+        assert_bit_identical(gp_array(a, b, n), dense_row_gp(a, b, n))
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_gp_array_sees_a_lone_subnormal_coefficient(n):
+    a = np.zeros((33, 33, 1 << n))
+    a[17, 5, 3] = 5e-324
+    b = 1.0 + rng.random((33, 33, 1 << n))
+    got = gp_array(a, b, n)
+    assert np.count_nonzero(got) == 1 << n     # the node's products survive
+    assert_bit_identical(got, dense_row_gp(a, b, n))
+    assert_bit_identical(gp_array(b, a, n), dense_row_gp(b, a, n))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", KINDS)
+def test_gp_array_keeps_the_non_finite_nodes_of_the_row_loop(bad, kind):
+    n = 3
+    a = operand("even", n, (9, 9))
+    a[4, 2, 5] = bad
+    b = operand(kind, n, (9, 9))
+    with np.errstate(invalid="ignore"):
+        for x, y in ((a, b), (b, a)):
+            got, want = gp_array(x, y, n), dense_row_gp(x, y, n)
+            assert np.array_equal(np.isfinite(got).all(axis=-1),
+                                  np.isfinite(want).all(axis=-1))
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_property_gp_array_on_random_live_blades(n, data):
+    dim = 1 << n
+    mask_a = data.draw(st.integers(0, (1 << dim) - 1))
+    mask_b = data.draw(st.integers(0, (1 << dim) - 1))
+    shape_a, shape_b = data.draw(st.sampled_from(
+        [((), ()), ((3,), (3,)), ((2, 1), (1, 4)), ((), (5,))]))
+    live = lambda mask: np.array([mask >> k & 1 for k in range(dim)], bool)
+    seed = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    a = seed.normal(size=shape_a + (dim,)) * live(mask_a)
+    b = seed.normal(size=shape_b + (dim,)) * live(mask_b)
+    assert_bit_identical(gp_array(a, b, n), dense_row_gp(a, b, n))

@@ -365,3 +365,18 @@ def test_catalog_params_take_integral_and_real_numbers(tag, params, n):
 def test_catalog_defaults_build(tag):
     builder, defaults = CATALOG[tag]
     assert catalog_build(tag, defaults).catalog_tag == tag
+
+
+@pytest.mark.parametrize("c,match", [
+    ([[["0"]]], "it holds strings"), ([[[False]]], "it holds booleans"),
+    ([[[None]]], "it holds non-numbers"),
+    ([[[0.0, 0.0]], [[0.0]]], ""),      # numpy words the ragged case itself
+], ids=["strings", "booleans", "none", "ragged"])
+def test_structure_constants_of_a_blob_are_not_coerced(c, match):
+    with pytest.raises(ValueError, match="c is not a numeric array: " + match):
+        algebra_from_dict({"tag": "x", "c": c})
+
+
+def test_structure_constants_of_a_blob_take_integers_and_floats():
+    assert algebra_from_dict({"tag": "x", "c": [[[0]]]}).n == 1
+    assert algebra_from_dict({"tag": "x", "c": [[[0.0]]]}).n == 1

@@ -433,6 +433,31 @@ def test_divergent_integration_reports_cell():
         darboux_integrate(xi, alg, None)
 
 
+def test_leaving_the_half_space_is_an_integration_error_naming_its_cell():
+    alg = hn(3)
+    grid = ParamGrid(9, 9, 1.0 / 8)
+    # exp(-375) per step: a_n underflows to 0 at the second bottom-row step
+    xi = constant_form(grid, alg, np.array([0.0, 0.0, -3000.0]), np.zeros(3))
+    with pytest.raises(IntegrationError, match="half space") as err:
+        darboux_integrate(xi, alg, None)
+    assert err.value.cell == (2, 0)
+    # in the column sweep the cell is the first node of the failing column
+    xi_y = np.zeros(grid.shape + (3,))
+    xi_y[4:, :, 2] = -3000.0
+    xi = LieValuedOneForm(grid, np.zeros(grid.shape + (3,)), xi_y)
+    with pytest.raises(IntegrationError) as err:
+        darboux_integrate(xi, alg, None)
+    assert err.value.cell == (4, 2)
+
+
+def test_a_base_point_outside_the_half_space_stays_a_value_error():
+    alg = hn(3)
+    xi = constant_form(ParamGrid(5, 5, 0.25), alg, np.zeros(3), np.zeros(3))
+    for base in ([0.0, 0.0, 0.0], [0.0, 0.0, -1.0]):
+        with pytest.raises(ValueError, match="half space"):
+            darboux_integrate(xi, alg, base)
+
+
 # =============================================================================
 # Structure equation
 # =============================================================================
