@@ -25,7 +25,7 @@ from .lie_group import (IntegrationError, darboux_integrate, model_for,
 from .meshexport import FORMATS, export_mesh
 from .serialization import (InputError, SCHEMAS, algebra_and_gamma,
                             algebra_from_dict, cmc_from_dict, dump_json,
-                            field_report, load_json, problem_from_dict,
+                            field_report, problem_from_dict, read_json,
                             surface_from_dict, surface_to_dict)
 from .spinor import (KillingProblem, NotIntegrableError, reconstruct_immersion,
                      solve_killing)
@@ -88,7 +88,7 @@ def _fixture_n(args):
 def _load_problem(args):
     n = _fixture_n(args)
     if n is None:
-        loaded = problem_from_dict(load_json(args.input))
+        loaded = read_json(args.input, problem_from_dict)
     elif args.fixture not in SURFACE_FIXTURES:
         raise InputError(f"unknown fixture {args.fixture!r}; known: "
                          f"{sorted(SURFACE_FIXTURES)}")
@@ -160,7 +160,7 @@ def cmd_catalog(args):
 
 
 def cmd_check_algebra(args):
-    alg, gamma = algebra_and_gamma(load_json(args.input))
+    alg, gamma = read_json(args.input, algebra_and_gamma)
     tol = args.tol or la.KOSZUL_TOL
     jac = la.jacobi_residual(alg.c)
     with np.errstate(over="ignore"):    # an overflow is inf: it fails
@@ -232,7 +232,7 @@ def cmd_reconstruct(args):
 def cmd_cmc(args):
     n = _fixture_n(args)
     if n is None:
-        data, pot = cmc_from_dict(load_json(args.input))
+        data, pot = read_json(args.input, cmc_from_dict)
     elif args.fixture != "cmc-sphere":
         raise InputError("the cmc command knows the fixture 'cmc-sphere'")
     else:
@@ -268,7 +268,7 @@ def cmd_cmc(args):
 
 def cmd_export(args):
     out = args.output or f"surface.{args.format}"
-    F, model = surface_from_dict(load_json(args.input))
+    F, model = read_json(args.input, surface_from_dict)
     export_mesh(F, model, args.format, out, pole=args.pole)
     _say(args, f"wrote {out}")
     return EXIT_OK

@@ -93,8 +93,13 @@ class ParamGrid:
     def __init__(self, nx, ny, h, mu=None, x0=0.0, y0=0.0):
         if nx < 2 or ny < 2:
             raise ValueError("grids need nx, ny >= 2")
-        if not 0 < h < np.inf:
-            raise ValueError("grid spacing must be positive and finite")
+        # the stencils and tolerances divide by h^2 and mu^2, so the squares
+        # must be positive and finite too; an overflow is inf: it fails
+        with np.errstate(over="ignore"):
+            h2 = h * h
+        if not (h > 0 and 0 < h2 < np.inf):
+            raise ValueError(f"grid spacing h must be positive with h^2 "
+                             f"positive and finite; got h = {h!r}")
         self.nx = int(nx)
         self.ny = int(ny)
         self.h = float(h)
@@ -109,8 +114,11 @@ class ParamGrid:
         mu = np.asarray(mu, dtype=np.float64)
         if mu.shape != (self.nx, self.ny):
             raise ValueError(f"mu must have shape {(self.nx, self.ny)}")
-        if not np.all((mu > 0) & (mu < np.inf)):
-            raise ValueError("conformal factor must be positive and finite")
+        with np.errstate(over="ignore"):
+            mu2 = mu * mu
+        if not np.all((mu > 0) & (mu2 > 0) & (mu2 < np.inf)):
+            raise ValueError("conformal factor mu must be positive with mu^2 "
+                             "positive and finite")
         self.mu = mu
 
     # ---- coordinates ----------------------------------------------------

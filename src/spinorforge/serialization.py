@@ -13,8 +13,18 @@ JSON Schema semantics: an `integer` may be written `2.0`, booleans are
 neither numbers nor integers, and `enum` tells `true` from `1`.  A violation
 is reported with its path and rule, e.g.
 `grid.nx: 1 is less than the minimum of 2`.
+
+`read_json` reads an input file and converts it with the cyclic garbage
+collector paused.  A problem file decodes into some 10^5 small lists, and
+each few hundred of those allocations would start a collection that walks
+the live tree although a decoded JSON tree has no cycles and so nothing to
+free.  The conversion runs inside the pause too, so that the tree is freed
+by reference counting before the collector resumes and the first collection
+after it does not walk the tree either.  The collector is re-enabled only if
+it was enabled on entry, whatever the outcome of the read.
 """
 
+import gc
 import json
 import reprlib
 
@@ -258,11 +268,25 @@ def _validated(payload, schema, what):
 
 
 def load_json(path):
+    """The JSON value in the file at `path`; InputError when the file
+    cannot be read or decoded, nesting too deep for the decoder included."""
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, json.JSONDecodeError, RecursionError) as err:
         raise InputError(f"cannot read JSON from {path}: {err}")
+
+
+def read_json(path, convert):
+    """`convert(load_json(path))` with the cyclic garbage collector paused
+    (see the module docstring)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return convert(load_json(path))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def dump_json(payload, path):
@@ -302,6 +326,8 @@ def grid_from_dict(d):
             mu = _float_array(mu, "grid.mu")
         return ParamGrid(d["nx"], d["ny"], d["h"], mu=mu,
                          x0=d.get("x0", 0.0), y0=d.get("y0", 0.0))
+    except OverflowError:   # float() of an integer beyond the float range
+        raise InputError("grid h, x0 and y0 must be within the float range")
     except ValueError as err:
         raise InputError(str(err))
 

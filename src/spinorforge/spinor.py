@@ -252,7 +252,8 @@ def solve_killing(problem, holonomy_tol=None, spin_tol=1e-8):
     sweep each get one renormalization of all the nodes they produced.
 
     Returns (SpinorField, report) where report carries the holonomy (max
-    loop-transport defect per unit coordinate area), the threshold used,
+    loop-transport defect per unit coordinate area), the worst plaquette
+    `holonomy_argmax` as [i, j] of its lower-left node, the threshold used,
     the NOT-INTEGRABLE flag and the unit-norm drift before renormalization.
     """
     data, alg = problem.data, problem.alg
@@ -286,10 +287,14 @@ def solve_killing(problem, holonomy_tol=None, spin_tol=1e-8):
     # |L phi - phi| = |L - 1|: right multiplication by a unit spinor is an
     # isometry of the coefficient space, so the field drops out
     loop[..., 0] -= 1.0
-    holonomy = float(np.max(np.linalg.norm(loop, axis=-1))) / (h * h)
+    defect = np.linalg.norm(loop, axis=-1)
+    # the worst plaquette, named by its lower-left node (first NaN if any)
+    worst = np.unravel_index(np.argmax(defect), defect.shape)
+    holonomy = float(defect[worst]) / (h * h)
     field = SpinorField(grid, n, values, tol=spin_tol)
     report = {
         "holonomy": holonomy,
+        "holonomy_argmax": [int(i) for i in worst],
         "holonomy_tol": float(holonomy_tol),
         "integrable": bool(holonomy <= holonomy_tol),
         "renorm_drift": drift,
@@ -366,9 +371,10 @@ def reconstruct_immersion(problem, base_point=None, holonomy_tol=None,
     """
     field, report = solve_killing(problem, holonomy_tol=holonomy_tol)
     if strict and not report["integrable"]:
+        i, j = report["holonomy_argmax"]
         raise NotIntegrableError(
             f"holonomy {report['holonomy']:.3e} above threshold "
-            f"{report['holonomy_tol']:.3e}", report)
+            f"{report['holonomy_tol']:.3e} at plaquette ({i}, {j})", report)
     field = normalize_spinor(field, problem)
     xi, xi_normals = xi_from_spinor(field, problem)
     sres = structure_residual(xi, problem.alg)

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import functools
+import gc
 import io
 import json
 import os
@@ -355,15 +356,86 @@ def test_empty_grid_rejected(tmp_path):
     assert main(["reconstruct", str(path)]) == 3
 
 
-@pytest.mark.parametrize("key", ["mu", "h", "x0", "y0"])
-def test_grid_rejects_non_finite(key):
+# values of h and mu whose squares underflow to 0 or overflow to inf
+SQUARE_PROBES = [("h", 1e-170), ("h", 1e160), ("mu", 1e-200), ("mu", 1e200)]
+SQUARE_PROBE_IDS = [f"{key}={value:g}" for key, value in SQUARE_PROBES]
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [pytest.param(key, np.inf, id=key) for key in ["mu", "h", "x0", "y0"]]
+    + [pytest.param(key, value, id=name)
+       for (key, value), name in zip(SQUARE_PROBES, SQUARE_PROBE_IDS)])
+def test_grid_rejects_non_finite(key, value):
     kwargs = {"mu": np.ones((5, 5)), "h": 0.1, "x0": 0.0, "y0": 0.0}
     if key == "mu":
-        kwargs["mu"][2, 3] = np.inf
+        kwargs["mu"][2, 3] = value
     else:
-        kwargs[key] = np.inf
+        kwargs[key] = value
     with pytest.raises(ValueError):
         ParamGrid(5, 5, **kwargs)
+
+
+@pytest.mark.parametrize("key,value", SQUARE_PROBES, ids=SQUARE_PROBE_IDS)
+@pytest.mark.parametrize("command", ["check-frame", "check-gcr", "solve",
+                                     "reconstruct"])
+def test_grid_squares_out_of_range_are_input_errors(tmp_path, capsys, command,
+                                                    key, value):
+    fx = fixtures.sphere_r3(9)
+    blob = problem_to_dict(fx.data, fx.alg, base_point=fx.F[0, 0])
+    if key == "h":
+        blob["grid"]["h"] = value
+    else:
+        blob["grid"]["mu"] = np.full((9, 9), value).tolist()
+    path = tmp_path / "problem.json"
+    dump_json(blob, path)
+    assert main([command, str(path), "-o", str(tmp_path / "r.json")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and f"{key}^2" in lines[0], lines
+
+
+@pytest.mark.parametrize("key", ["h", "x0"])
+def test_grid_integers_beyond_the_float_range_are_input_errors(tmp_path, capsys,
+                                                               key):
+    fx = fixtures.sphere_r3(9)
+    blob = problem_to_dict(fx.data, fx.alg)
+    blob["grid"][key] = 10 ** 400
+    path = tmp_path / "problem.json"
+    dump_json(blob, path)
+    assert main(["check-gcr", str(path), "-o", str(tmp_path / "r.json")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "input error: grid h, x0 and y0 must be within the float range"]
+
+
+@pytest.mark.parametrize("command", ["solve", "check-algebra", "cmc",
+                                     "export"])
+def test_too_deeply_nested_json_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main([command, str(path), "-o", str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot read JSON from {path}")
+    assert gc.isenabled()
+
+
+def test_reports_locate_the_worst_plaquette(tmp_path):
+    fx = fixtures.sphere_r3(17)
+    blob = problem_to_dict(fx.data, fx.alg, base_point=fx.F[0, 0])
+    S = np.array(blob["S"])
+    S[8, 8] += 0.1 * np.eye(2)
+    blob["S"] = S.tolist()
+    path = tmp_path / "bumped.json"
+    dump_json(blob, path)
+    # the plaquettes named by their lower-left node that touch node (8, 8)
+    touching = [[7, 7], [7, 8], [8, 7], [8, 8]]
+    assert main(["solve", str(path), "-o", str(tmp_path / "s.json")]) == 2
+    solved = load_json(tmp_path / "s.json")
+    assert solved["holonomy_argmax"] in touching
+    assert main(["reconstruct", str(path), "-o", str(tmp_path / "r.json")]) == 2
+    report = load_json(tmp_path / "r.json")
+    i, j = report["holonomy_argmax"]
+    assert [i, j] == solved["holonomy_argmax"]
+    assert report["error"].endswith(f" at plaquette ({i}, {j})")
 
 
 def test_check_gcr_rejects_infinite_mu(tmp_path):

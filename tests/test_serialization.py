@@ -1,7 +1,9 @@
-"""JSON and mesh writers, the built-in schema check, group-model params and
-the non-finite gates at the input boundary."""
+"""JSON and mesh writers, the built-in schema check, group-model params, the
+non-finite gates at the input boundary and reads with the collector paused."""
 
+import contextlib
 import functools
+import gc
 import json
 import math
 import os
@@ -26,8 +28,9 @@ from spinorforge.lie_group import (MODELS, IntegrationError, LieValuedOneForm,
 from spinorforge.meshexport import embed_r3, grid_faces, write_obj, write_ply
 from spinorforge.serialization import (SCHEMA_KEYWORDS, SCHEMAS, InputError,
                                        dump_json, load_json, problem_from_dict,
-                                       problem_to_dict, schema_violation,
-                                       surface_from_dict, surface_to_dict)
+                                       problem_to_dict, read_json,
+                                       schema_violation, surface_from_dict,
+                                       surface_to_dict)
 
 
 # =============================================================================
@@ -378,3 +381,85 @@ def test_integration_error_names_cell_with_plain_integers():
     xi = LieValuedOneForm(grid, xi_x, np.zeros((3, 3, 3)))
     with pytest.raises(IntegrationError, match=r"at cell \(1, 0\)$"):
         darboux_integrate(xi, la.rn(3))
+
+
+# =============================================================================
+# Reads with the cyclic garbage collector paused
+# =============================================================================
+
+# deeper than the C decoder's recursion limit
+TOO_DEEP = "[" * 100000 + "]" * 100000
+
+
+@contextlib.contextmanager
+def counted_collections():
+    """The generations of the collections that start inside the block."""
+    started = []
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(hook)
+    try:
+        yield started
+    finally:
+        gc.callbacks.remove(hook)
+
+
+def test_read_json_runs_no_collection(tmp_path):
+    fx = fixtures.sphere_r3(65)
+    path = tmp_path / "sphere-r3.json"
+    dump_json(problem_to_dict(fx.data, fx.alg, base_point=fx.F[0, 0]), path)
+    assert gc.isenabled()
+    # the mechanism: decoding and converting the same file with the
+    # collector running starts collections that walk the decoded tree
+    with counted_collections() as running:
+        problem_from_dict(load_json(path))
+    with counted_collections() as paused:
+        data, *_ = read_json(path, problem_from_dict)
+    assert len(running) > 0
+    assert paused == []
+    assert gc.isenabled()
+    np.testing.assert_array_equal(data.frames, fx.data.frames)
+
+
+@pytest.mark.parametrize("text,fails", [
+    ("[1, 2]", None),
+    ("[1, 2", "cannot read JSON"),
+    (TOO_DEEP, "cannot read JSON"),
+    ("[1, 2]", "rejected by convert"),
+], ids=["success", "decode-error", "too-deep", "convert-error"])
+def test_read_json_restores_the_collector(tmp_path, text, fails):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    paused = []
+
+    def convert(value):
+        paused.append(not gc.isenabled())
+        if fails:
+            raise InputError("rejected by convert")
+        return value
+
+    assert gc.isenabled()
+    if fails is None:
+        assert read_json(path, convert) == [1, 2]
+    else:
+        with pytest.raises(InputError, match=fails):
+            read_json(path, convert)
+    assert gc.isenabled()
+    # convert ran, and with the collector paused, unless the decode failed
+    assert paused == ([] if fails == "cannot read JSON" else [True])
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "[1, 2"])
+def test_read_json_leaves_a_disabled_collector_disabled(tmp_path, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    gc.disable()
+    try:
+        with contextlib.suppress(InputError):
+            read_json(path, list)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
