@@ -21,8 +21,8 @@ from .lie_algebra import (
     sol3, torsion_residual, unimodular,
 )
 from .lie_group import (
-    GroupElement, LieValuedOneForm, darboux_integrate, group_exp,
-    maurer_cartan_pullback, model_for, structure_residual,
+    LieValuedOneForm, darboux_integrate, maurer_cartan_pullback, model_for,
+    structure_residual,
 )
 from .immersion import (
     EKTData, ImmersionData, ekt_compat_residuals, ekt_integrability_residuals,

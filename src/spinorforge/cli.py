@@ -19,10 +19,11 @@ import numpy as np
 from . import fixtures, lie_algebra as la
 from .cmc import (SingularPotentialError, dirac2_residual,
                   gauss_map_pde_residual, weier_f_from_g, xi_from_weierstrass)
+from .grid import STENCILS, nodes_needed
 from .immersion import frame_compat_residuals, gcr_residuals, hn_u_residual
 from .lie_group import (IntegrationError, darboux_integrate, model_for,
                         structure_residual, structure_tolerance)
-from .meshexport import FORMATS, export_mesh
+from .meshexport import FORMATS, check_r3_embedding, export_mesh
 from .serialization import (InputError, SCHEMAS, algebra_and_gamma,
                             algebra_from_dict, cmc_from_dict, dump_json,
                             field_report, problem_from_dict, read_json,
@@ -57,9 +58,9 @@ def _say(args, message):
 
 
 # One minimum for every grid command, so that a problem file one command
-# accepts the others accept too: the order-4 verification stencils of
-# reconstruct need five nodes per axis (the order-2 stencils, four).
-MIN_GRID_NODES = 5
+# accepts the others accept too: the widest reach of any stencil's edge rows
+# (the order-4 verification stencils of reconstruct).
+MIN_GRID_NODES = max(nodes_needed(edges) for _, edges in STENCILS.values())
 
 
 def _check_grid(args, shape):
@@ -210,6 +211,9 @@ def cmd_solve(args):
 
 def cmd_reconstruct(args):
     data, alg, base_spinor, base_point, _ = _load_problem(args)
+    # before any work: the surface needs a group model with an R^3 mesh
+    model = model_for(alg)
+    check_r3_embedding(model, model.payload_dim)
     problem = KillingProblem(data, alg, base_spinor=base_spinor)
     try:
         F, _, report = reconstruct_immersion(
@@ -222,7 +226,7 @@ def cmd_reconstruct(args):
         _say(args, f"NOT-INTEGRABLE: {err}")
         return EXIT_RESIDUAL
     report = dict(report)
-    _write_surface(args, F, model_for(alg), report)
+    _write_surface(args, F, model, report)
     dump_json(report, args.output)
     _say(args, f"isometry error {report['isometry_error']:.3e}, "
                f"|B_F - B| {report['second_fundamental_error']:.3e}")
@@ -258,7 +262,7 @@ def cmd_cmc(args):
         "pass": bool(np.max(sres) <= tol),
     }
     if model is not None:
-        F = darboux_integrate(xi, model, base=model.identity())
+        F = darboux_integrate(xi, alg)
         _write_surface(args, F, model, report)
     dump_json(report, args.output)
     _say(args, f"pde {report['pde']['max']:.3e}  "

@@ -7,8 +7,9 @@ global sign convention, used by every other module, is
 
     X * Y + Y * X = -2 <X, Y>   for vectors X, Y      (so e_i * e_i = -1).
 
-Blade product signs are precomputed once per algebra by per-bit popcount
-counting (anticommutation swaps plus one factor -1 per contracted pair).
+Blade product signs are precomputed once per algebra by popcount counting
+over the whole table at once (anticommutation swaps plus one factor -1 per
+contracted pair).
 n is capped at 8, i.e. 256 coefficients; everything is plain float64 numpy
 and the low-level kernels broadcast over leading axes so that fields of
 multivectors (grids) go through the same code path.
@@ -44,34 +45,24 @@ MAX_DIM = 8
 # Blade tables
 # =============================================================================
 
-def _popcount(idx):
-    idx = np.asarray(idx)
-    return np.array([bin(int(i)).count("1") for i in idx.ravel()],
-                    dtype=np.int64).reshape(idx.shape)
-
-
 @lru_cache(maxsize=None)
 def blade_tables(n):
     """Sign table and grade table of Cl_n.
 
     Returns (signs, grades) where signs[i, j] is the sign of blade_i * blade_j
     (the product blade index is always i ^ j) and grades[i] is the blade grade.
-    The sign counts, for every generator of j, the generators of i it must be
-    moved past, and adds one factor -1 per generator shared by i and j.
+    The sign counts, for every generator g of j, the generators of i it must
+    be moved past (the grade of i >> (g + 1)), and adds one factor -1 per
+    generator shared by i and j (the grade of i & j).
     """
     if not 1 <= n <= MAX_DIM:
         raise ValueError(f"algebra dimension must be in 1..{MAX_DIM}, got {n}")
-    dim = 1 << n
-    grades = _popcount(np.arange(dim))
-    signs = np.empty((dim, dim), dtype=np.int8)
-    for i in range(dim):
-        for j in range(dim):
-            swaps = 0
-            for g in range(n):
-                if j >> g & 1:
-                    swaps += bin(i >> (g + 1)).count("1")
-            swaps += bin(i & j).count("1")  # e_g * e_g = -1 per shared bit
-            signs[i, j] = -1 if swaps & 1 else 1
+    idx = np.arange(1 << n)
+    grades = sum((idx >> g) & 1 for g in range(n))
+    i, j = idx[:, None], idx[None, :]
+    swaps = grades[i & j] + sum((j >> g & 1) * grades[i >> (g + 1)]
+                                for g in range(n))
+    signs = np.where(swaps & 1, -1, 1).astype(np.int8)
     signs.flags.writeable = False
     grades.flags.writeable = False
     return signs, grades
@@ -676,7 +667,7 @@ def adjoint_action(a, x):
     return out.grade(1)
 
 
-def spin_lift_array(T, tol=SPIN_TOL):
+def spin_lift_array(T):
     """Spin lifts a (..., 2**n), Ad(a) = T, of rotation fields T (..., n, n).
 
     Every node is factored into Givens rotations of the planes (i-1, i) in
@@ -691,7 +682,7 @@ def spin_lift_array(T, tol=SPIN_TOL):
     n = T.shape[-1]
     eye = np.eye(n)
     ortho = np.max(np.abs(np.swapaxes(T, -1, -2) @ T - eye))
-    if not ortho <= tol:
+    if not ortho <= SPIN_TOL:
         raise ValueError(f"matrix is not orthogonal: |T^T T - I| = {ortho:.3e}")
     det = np.linalg.det(T)
     if np.any(det < 0):
@@ -733,9 +724,9 @@ def _canonical_sign_array(a):
     return np.where(lead < 0, -a, a)
 
 
-def spin_lift(T, tol=SPIN_TOL):
+def spin_lift(T):
     """The spin element of one T in SO(n): a node of `spin_lift_array`."""
-    return SpinElement(Multivector(np.shape(T)[-1], spin_lift_array(T, tol)))
+    return SpinElement(Multivector(np.shape(T)[-1], spin_lift_array(T)))
 
 
 def canonical_spin_sign(a):

@@ -44,6 +44,16 @@ STENCILS = {
 }
 
 
+# the smallest normal float: a square below it has an overflowing reciprocal
+_TINY = np.finfo(float).tiny
+
+
+def nodes_needed(edges):
+    """The fewest nodes per axis that a stencil's edge rows reach: the row
+    of node i reads up to node i + its largest offset."""
+    return max(i + max(row[0]) for i, row in enumerate(edges)) + 1
+
+
 def _apply_row(sample, lo, hi, row):
     """One row on the nodes lo <= x < hi, skipping samples of None (terms
     known to vanish).  Terms after the first add or subtract |w| f, which
@@ -71,7 +81,7 @@ def difference(sample, size, h, derivative, order):
         raise ValueError(f"no order-{order} stencil for derivative "
                          f"{derivative}; known: {sorted(STENCILS)}")
     interior, edges = STENCILS[derivative, order]
-    need = max(i + max(row[0]) for i, row in enumerate(edges)) + 1
+    need = nodes_needed(edges)
     if size < need:
         raise ValueError(f"order-{order} derivatives need at least {need} "
                          f"nodes per axis; got {size}")
@@ -94,12 +104,13 @@ class ParamGrid:
         if nx < 2 or ny < 2:
             raise ValueError("grids need nx, ny >= 2")
         # the stencils and tolerances divide by h^2 and mu^2, so the squares
-        # must be positive and finite too; an overflow is inf: it fails
+        # must be finite normal floats, whose reciprocals do not overflow;
+        # an overflow is inf: it fails
         with np.errstate(over="ignore"):
             h2 = h * h
-        if not (h > 0 and 0 < h2 < np.inf):
+        if not (h > 0 and _TINY <= h2 < np.inf):
             raise ValueError(f"grid spacing h must be positive with h^2 "
-                             f"positive and finite; got h = {h!r}")
+                             f"normal and finite; got h = {h!r}")
         self.nx = int(nx)
         self.ny = int(ny)
         self.h = float(h)
@@ -116,9 +127,9 @@ class ParamGrid:
             raise ValueError(f"mu must have shape {(self.nx, self.ny)}")
         with np.errstate(over="ignore"):
             mu2 = mu * mu
-        if not np.all((mu > 0) & (mu2 > 0) & (mu2 < np.inf)):
+        if not np.all((mu > 0) & (mu2 >= _TINY) & (mu2 < np.inf)):
             raise ValueError("conformal factor mu must be positive with mu^2 "
-                             "positive and finite")
+                             "normal and finite")
         self.mu = mu
 
     # ---- coordinates ----------------------------------------------------

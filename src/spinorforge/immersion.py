@@ -37,6 +37,8 @@ from . import lie_algebra as la
 from .clifford import Multivector
 
 FRAME_TOL = 1e-10
+# how far |U| of an H^n structure field may stray from |l|
+U_NORM_TOL = 1e-8
 
 
 # =============================================================================
@@ -48,8 +50,8 @@ class ImmersionData:
 
     __slots__ = ("grid", "n", "q", "frames", "B", "theta_x", "theta_y")
 
-    def __init__(self, grid, frames, B=None, S=None, theta_x=None, theta_y=None,
-                 tol=FRAME_TOL):
+    def __init__(self, grid, frames, B=None, S=None, theta_x=None,
+                 theta_y=None):
         frames = np.array(frames, dtype=np.float64)
         # named here: the gates below would only report a broken property
         for name, arr, gate in (("frames", frames, "orthonormality"),
@@ -69,7 +71,7 @@ class ImmersionData:
             raise ValueError("ambient dimension must be at least 3")
         gram = np.einsum("xyia,xyja->xyij", frames, frames)
         dev = np.max(np.abs(gram - np.eye(n)))
-        if not dev <= tol:
+        if not dev <= FRAME_TOL:
             raise ValueError(f"frame orthonormality violated by {dev:.3e}")
         if np.any(np.linalg.det(frames) < 0):
             raise ValueError("frames must be positively oriented (det +1)")
@@ -86,7 +88,7 @@ class ImmersionData:
             B = np.asarray(B, dtype=np.float64)
             if B.shape != (nx, ny, 2, 2, q):
                 raise ValueError(f"B must be (nx, ny, 2, 2, {q})")
-        if not np.max(np.abs(B - np.swapaxes(B, 2, 3))) <= tol:
+        if not np.max(np.abs(B - np.swapaxes(B, 2, 3))) <= FRAME_TOL:
             raise ValueError("second fundamental form must be symmetric")
         zeros = np.zeros((nx, ny, q, q))
         theta_x = zeros if theta_x is None else np.array(theta_x, dtype=np.float64)
@@ -94,7 +96,7 @@ class ImmersionData:
         for th in (theta_x, theta_y):
             if th.shape != (nx, ny, q, q):
                 raise ValueError("normal connection coefficients must be (nx, ny, q, q)")
-            if not np.max(np.abs(th + np.swapaxes(th, 2, 3))) <= tol:
+            if not np.max(np.abs(th + np.swapaxes(th, 2, 3))) <= FRAME_TOL:
                 raise ValueError("normal connection coefficients must be skew")
         # immutable value semantics: residual evaluators never mutate data
         B = np.array(B, dtype=np.float64)
@@ -129,7 +131,7 @@ class EKTData:
 
     __slots__ = ("grid", "T", "f", "S", "kappa", "tau")
 
-    def __init__(self, grid, T, f, S, kappa, tau, tol=FRAME_TOL):
+    def __init__(self, grid, T, f, S, kappa, tau):
         T = np.asarray(T, dtype=np.float64)
         f = np.asarray(f, dtype=np.float64)
         S = np.asarray(S, dtype=np.float64)
@@ -138,7 +140,7 @@ class EKTData:
             raise ValueError("EKTData fields must be T:(nx,ny,2), f:(nx,ny), "
                              "S:(nx,ny,2,2)")
         dev = np.max(np.abs(np.sum(T * T, axis=-1) + f * f - 1.0))
-        if not dev <= tol:
+        if not dev <= FRAME_TOL:
             raise ValueError(f"|T|^2 + f^2 = 1 violated by {dev:.3e}")
         self.grid = grid
         self.T = T
@@ -435,7 +437,7 @@ def ekt_integrability_residuals(data):
 # H^n distinguished field
 # =============================================================================
 
-def hn_u_residual(data, u_field, alg, tol=1e-8):
+def hn_u_residual(data, u_field, alg):
     """Residual of the H^n structure-field equation
 
         nabla_X U + |U|^2 X - <X, U> U + B(X, U^T) - B*(X, U^N) = 0
@@ -454,7 +456,7 @@ def hn_u_residual(data, u_field, alg, tol=1e-8):
         raise ValueError("u_field must have frame components (nx, ny, 2 + q)")
     norms = np.linalg.norm(u, axis=-1)
     dev = np.max(np.abs(norms - np.linalg.norm(l)))
-    if not dev <= tol:
+    if not dev <= U_NORM_TOL:
         raise ValueError(f"|U| must equal |l| everywhere; off by {dev:.3e}")
     mu = grid.mu
     uT = u[..., :2]

@@ -27,6 +27,7 @@ from .clifford import MAX_DIM, SkewOperator, bivector_of_skew
 
 JACOBI_TOL = 1e-12
 KOSZUL_TOL = 1e-10      # how far a given gamma may lie from Koszul(c)
+PLANE_TOL = 1e-12       # the least |X ^ Y|^2 of a sectional-curvature plane
 
 
 # =============================================================================
@@ -130,12 +131,12 @@ def curvature(alg, X, Y):
     return SkewOperator(curvature_array(alg, X, Y))
 
 
-def sectional_curvature(alg, X, Y, tol=1e-12):
+def sectional_curvature(alg, X, Y):
     """K(X, Y) = <R(X,Y)Y, X> / (|X|^2 |Y|^2 - <X,Y>^2)."""
     X = np.asarray(X, float)
     Y = np.asarray(Y, float)
     denom = X @ X * (Y @ Y) - (X @ Y) ** 2
-    if denom <= tol:
+    if denom <= PLANE_TOL:
         raise ValueError("degenerate plane: X and Y are parallel")
     return float(curvature(alg, X, Y)(Y) @ X) / denom
 

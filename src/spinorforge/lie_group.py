@@ -97,14 +97,10 @@ class S3Model:
         return out
 
     def exp(self, v, t=1.0):
-        v = np.asarray(v, float)
-        theta = t * np.linalg.norm(v, axis=-1)
-        out = np.zeros(v.shape[:-1] + (4,))
-        out[..., 0] = np.cos(theta)
-        nrm = np.linalg.norm(v, axis=-1)
-        axis = np.where(nrm[..., None] > 0, v / np.where(nrm == 0, 1.0, nrm)[..., None], 0.0)
-        out[..., 1:] = np.sin(theta)[..., None] * axis
-        return out
+        """(cos |tv|, sin |tv| tv / |tv|)."""
+        tv = t * np.asarray(v, float)
+        c, sc = cosh_sinhc(-np.sum(tv * tv, axis=-1))
+        return np.concatenate([c[..., None], sc[..., None] * tv], axis=-1)
 
     def log(self, g):
         g = np.asarray(g, float)
@@ -112,7 +108,7 @@ class S3Model:
         vec = g[..., 1:]
         s = np.linalg.norm(vec, axis=-1)
         theta = np.arctan2(s, w)
-        fac = np.where(s > 0, theta / np.where(s == 0, 1.0, s), 1.0)
+        fac = np.divide(theta, s, out=np.ones_like(s), where=s > 0)
         return fac[..., None] * vec
 
     def normalize(self, g):
@@ -383,48 +379,6 @@ def model_for(alg):
     raise ValueError("structure constants have no closed-form group model")
 
 
-class GroupElement:
-    """A model-tagged group point; arithmetic sugar over the model kernels."""
-
-    __slots__ = ("model", "payload")
-
-    def __init__(self, model, payload):
-        payload = np.asarray(payload, dtype=np.float64)
-        if payload.shape != (model.payload_dim,):
-            raise ValueError(f"payload shape {payload.shape} does not match "
-                             f"model {model.name}")
-        self.model = model
-        self.payload = payload
-
-    @classmethod
-    def identity(cls, model):
-        return cls(model, model.identity())
-
-    def __mul__(self, other):
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        if type(self.model) is not type(other.model):
-            raise ValueError("model mismatch in group product")
-        return GroupElement(self.model, self.model.multiply(self.payload,
-                                                            other.payload))
-
-    def inverse(self):
-        return GroupElement(self.model, self.model.inverse(self.payload))
-
-    def log(self):
-        return self.model.log(self.payload)
-
-    def __repr__(self):
-        return f"GroupElement({self.model.name}, {self.payload})"
-
-
-def group_exp(alg_or_model, v, t=1.0):
-    """One-parameter subgroup exp(t v) in the matching group model."""
-    model = alg_or_model if hasattr(alg_or_model, "payload_dim") \
-        else model_for(alg_or_model)
-    return GroupElement(model, model.exp(np.asarray(v, float), t))
-
-
 # =============================================================================
 # 1-forms, Darboux integration, structure equation
 # =============================================================================
@@ -478,20 +432,19 @@ def _step(model, g, cells):
 
 
 def darboux_integrate(xi, alg, base=None, stats=None):
-    """Integrate F* omega_G = xi over the grid: F(0,0) = base, midpoint step
-    F_next = F * exp(h * (xi_here + xi_there)/2) along the spanning tree
-    (bottom row, then all columns at once).
+    """Integrate F* omega_G = xi over the grid in the group model of `alg`
+    (`model_for`): F(0,0) = base, a payload array (the identity when None),
+    and the midpoint step F_next = F * exp(h * (xi_here + xi_there)/2) along
+    the spanning tree (bottom row, then all columns at once).
 
     Returns the (nx, ny, payload_dim) grid of group payloads.  `stats`, when
     given, receives the unit-norm renormalization drift (S^3 only).  A base
     the model rejects is a ValueError; a step that leaves the group or
     overflows is an IntegrationError naming its cell.
     """
-    model = alg if hasattr(alg, "payload_dim") else model_for(alg)
+    model = model_for(alg)
     grid, h = xi.grid, xi.grid.h
     nx, ny = grid.shape
-    if isinstance(base, GroupElement):
-        base = base.payload
     F = np.zeros((nx, ny, model.payload_dim))
     F[0, 0] = model.identity() if base is None else np.asarray(base, float)
     model.normalize(F[0, 0])    # a base point off the group is a ValueError

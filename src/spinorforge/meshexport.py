@@ -47,15 +47,20 @@ def stereographic_s3(F, pole=None):
     return F[..., 1:] / denom[..., None]
 
 
+def check_r3_embedding(model, dim):
+    """ValueError unless the model's payloads of dimension `dim` have an R^3
+    embedding: S^3 points project stereographically, and payloads of
+    dimension 3 are their own coordinates."""
+    if model.name != "s3" and dim != 3:
+        raise ValueError(f"no R^3 embedding for {model.name} payloads of "
+                         f"dimension {dim}")
+
+
 def embed_r3(F, model, pole=None):
     """The model's R^3 vertex coordinates for a payload grid."""
     F = np.asarray(F, dtype=np.float64)
-    if model.name == "s3":
-        return stereographic_s3(F, pole)
-    if F.shape[-1] != 3:
-        raise ValueError(f"no R^3 embedding for {model.name} payloads of "
-                         f"dimension {F.shape[-1]}")
-    return F
+    check_r3_embedding(model, F.shape[-1])
+    return stereographic_s3(F, pole) if model.name == "s3" else F
 
 
 def write_obj(path, vertices, faces):

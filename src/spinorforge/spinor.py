@@ -386,9 +386,8 @@ def reconstruct_immersion(problem, base_point=None, holonomy_tol=None,
         raise NotIntegrableError(
             f"structure residual {report['structure_max']:.3e} above "
             f"threshold {structure_tol:.3e}", report)
-    model = model_for(problem.alg)
     stats = {}
-    F = darboux_integrate(xi, model, base=base_point, stats=stats)
+    F = darboux_integrate(xi, problem.alg, base=base_point, stats=stats)
     report.update(verify_reconstruction(F, problem, xi_normals))
     report["renorm_drift"] = max(report["renorm_drift"],
                                  stats.get("renorm_drift", 0.0))

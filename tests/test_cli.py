@@ -19,9 +19,11 @@ from hypothesis import strategies as st
 
 import spinorforge
 from spinorforge import fixtures, lie_algebra as la
-from spinorforge.cli import SURFACE_FIXTURES, build_parser, main
+from spinorforge import spinor
+from spinorforge.cli import (MIN_GRID_NODES, SURFACE_FIXTURES, build_parser,
+                             main)
 from spinorforge.meshexport import export_mesh, grid_faces
-from spinorforge.grid import ParamGrid
+from spinorforge.grid import STENCILS, ParamGrid, difference
 from spinorforge.lie_group import model_for, model_params
 from spinorforge.serialization import (SURFACE_SCHEMA, InputError, cmc_to_dict,
                                        dump_json, load_json, problem_from_dict,
@@ -357,7 +359,9 @@ def test_empty_grid_rejected(tmp_path):
 
 
 # values of h and mu whose squares underflow to 0 or overflow to inf
-SQUARE_PROBES = [("h", 1e-170), ("h", 1e160), ("mu", 1e-200), ("mu", 1e200)]
+# values of h and mu whose squares are subnormal: their reciprocals overflow
+SQUARE_PROBES = [("h", 1e-170), ("h", 1e160), ("mu", 1e-200), ("mu", 1e200),
+                 ("h", 1e-160), ("mu", 1e-160)]
 SQUARE_PROBE_IDS = [f"{key}={value:g}" for key, value in SQUARE_PROBES]
 
 
@@ -490,6 +494,60 @@ def test_reconstruct_undersized_grid_names_minimum(tmp_path, capsys):
     assert main(["reconstruct", "--fixture", "sphere-r3", "--grid-n", "4",
                  "-o", str(out)]) == 3
     assert "at least 5 nodes" in capsys.readouterr().err
+
+
+def test_min_grid_nodes_is_the_widest_stencil_reach():
+    def fewest_nodes(derivative, order):
+        for size in range(1, 20):
+            f = np.zeros(size)
+            try:
+                difference(lambda lo, hi, k: f[lo + k:hi + k], size, 1.0,
+                           derivative, order)
+                return size
+            except ValueError:
+                pass
+    assert MIN_GRID_NODES == max(fewest_nodes(*key) for key in STENCILS) == 5
+
+
+def _r4(n):
+    fx = fixtures.sphere_r4_twisted(n)
+    return problem_to_dict(fx.data, fx.alg)
+
+
+def _r4_not_integrable(n):
+    blob = _r4(n)
+    B = np.array(blob["B"])
+    B[n // 2, n // 2] *= 3.0
+    blob["B"] = B.tolist()
+    return blob
+
+
+def _no_model(n):
+    fx = fixtures.sphere_r3(n)
+    return problem_to_dict(fx.data, la.e_kappa_tau(-1.0, 0.5))
+
+
+NO_MESH = "input error: no R^3 embedding for abelian payloads of dimension 4"
+
+
+@pytest.mark.parametrize("make,message", [
+    (_r4, NO_MESH), (_r4_not_integrable, NO_MESH),
+    (_no_model, "input error: structure constants have no closed-form "
+                "group model"),
+], ids=["r4", "r4-not-integrable", "no-model"])
+def test_reconstruct_without_a_mesh_fails_before_the_solve(
+        tmp_path, capsys, monkeypatch, make, message):
+    calls = []
+    solve = spinor.solve_killing
+    monkeypatch.setattr(spinor, "solve_killing",
+                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    path = tmp_path / "problem.json"
+    dump_json(make(9), path)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["reconstruct", str(path), "-o", str(out / "r.json")]) == 3
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert calls == [] and list(out.iterdir()) == []
 
 
 def _scaled_shape_operator_problem(tmp_path, scale):

@@ -98,6 +98,35 @@ def test_sign_table_matches_symbolic_oracle_everywhere():
                 assert signs[i, j] == s, (n, i, j)
 
 
+def loop_blade_tables(n):
+    """blade_tables before it was vectorized, verbatim: one Python loop per
+    (i, j, g)."""
+    dim = 1 << n
+    grades = np.array([bin(int(i)).count("1") for i in range(dim)],
+                      dtype=np.int64)
+    signs = np.empty((dim, dim), dtype=np.int8)
+    for i in range(dim):
+        for j in range(dim):
+            swaps = 0
+            for g in range(n):
+                if j >> g & 1:
+                    swaps += bin(i >> (g + 1)).count("1")
+            swaps += bin(i & j).count("1")  # e_g * e_g = -1 per shared bit
+            signs[i, j] = -1 if swaps & 1 else 1
+    return signs, grades
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_sign_table_matches_the_former_loop_beyond_the_oracle(n):
+    # the symbolic oracle above stops at n = 5
+    signs, grades = blade_tables(n)
+    want_signs, want_grades = loop_blade_tables(n)
+    assert signs.dtype == want_signs.dtype
+    assert grades.dtype == want_grades.dtype
+    assert np.array_equal(signs, want_signs)
+    assert np.array_equal(grades, want_grades)
+
+
 def test_generator_square_is_minus_one():
     e1 = Multivector.basis_vector(3, 0)
     assert (e1 * e1).allclose(Multivector.scalar(3, -1.0))

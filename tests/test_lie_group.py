@@ -9,9 +9,9 @@ from spinorforge.lie_algebra import (
     semidirect, unimodular,
 )
 from spinorforge.lie_group import (
-    AbelianModel, GroupElement, HnModel, IntegrationError, LieValuedOneForm,
-    S3Model, SemidirectModel, darboux_integrate, expm, group_exp,
-    maurer_cartan_pullback, model_for, structure_residual,
+    AbelianModel, HnModel, IntegrationError, LieValuedOneForm, S3Model,
+    SemidirectModel, darboux_integrate, expm, maurer_cartan_pullback,
+    model_for, structure_residual,
 )
 
 rng = np.random.default_rng(97)
@@ -103,12 +103,12 @@ def test_hn_product_matches_closed_form():
 @pytest.mark.parametrize("alg", ALGS, ids=lambda a: a.catalog_tag)
 def test_identity_and_inverse(alg):
     model = model_for(alg)
-    e = GroupElement.identity(model)
+    e = model.identity()
     for _ in range(30):
-        g = GroupElement(model, random_payload(model))
-        assert np.allclose((g * e).payload, g.payload, atol=1e-12)
-        assert np.allclose((e * g).payload, g.payload, atol=1e-12)
-        assert np.allclose((g * g.inverse()).payload, e.payload, atol=1e-12)
+        g = random_payload(model)
+        assert np.allclose(model.multiply(g, e), g, atol=1e-12)
+        assert np.allclose(model.multiply(e, g), g, atol=1e-12)
+        assert np.allclose(model.multiply(g, model.inverse(g)), e, atol=1e-12)
 
 
 @pytest.mark.parametrize("alg", ALGS, ids=lambda a: a.catalog_tag)
@@ -128,8 +128,7 @@ def test_associativity_random_triples(alg):
 @pytest.mark.parametrize("alg", ALGS, ids=lambda a: a.catalog_tag)
 def test_exp_zero_is_identity(alg):
     model = model_for(alg)
-    assert np.allclose(group_exp(alg, np.zeros(model.n)).payload,
-                       model.identity())
+    assert np.allclose(model.exp(np.zeros(model.n)), model.identity())
 
 
 @pytest.mark.parametrize("alg", ALGS, ids=lambda a: a.catalog_tag)
@@ -138,10 +137,63 @@ def test_one_parameter_subgroup(alg):
     for _ in range(40):
         v = rng.normal(size=model.n)
         st = rng.normal(size=2)
-        lhs = group_exp(alg, v, st[0] + st[1]).payload
-        rhs = model.multiply(group_exp(alg, v, st[0]).payload,
-                             group_exp(alg, v, st[1]).payload)
+        lhs = model.exp(v, st[0] + st[1])
+        rhs = model.multiply(model.exp(v, st[0]), model.exp(v, st[1]))
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
+
+
+def former_s3_exp(v, t=1.0):
+    """S3Model.exp before it went through cosh_sinhc, verbatim."""
+    v = np.asarray(v, float)
+    theta = t * np.linalg.norm(v, axis=-1)
+    out = np.zeros(v.shape[:-1] + (4,))
+    out[..., 0] = np.cos(theta)
+    nrm = np.linalg.norm(v, axis=-1)
+    axis = np.where(nrm[..., None] > 0, v / np.where(nrm == 0, 1.0, nrm)[..., None], 0.0)
+    out[..., 1:] = np.sin(theta)[..., None] * axis
+    return out
+
+
+def former_s3_log(g):
+    """S3Model.log before its one np.divide guard, verbatim."""
+    g = np.asarray(g, float)
+    w = np.clip(g[..., 0], -1.0, 1.0)
+    vec = g[..., 1:]
+    s = np.linalg.norm(vec, axis=-1)
+    theta = np.arctan2(s, w)
+    fac = np.where(s > 0, theta / np.where(s == 0, 1.0, s), 1.0)
+    return fac[..., None] * vec
+
+
+@pytest.mark.parametrize("t", [1.0, 0.03, -0.7])
+def test_s3_exp_agrees_with_its_former_formula(t):
+    model = S3Model()
+    axes = rng.normal(size=(200, 3))
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    v = np.logspace(-8, 1, 200)[:, None] * axes
+    assert np.max(np.abs(model.exp(v, t) - former_s3_exp(v, t))) <= 1e-14
+    for one in v[::37]:
+        assert np.max(np.abs(model.exp(one, t) - former_s3_exp(one, t))) \
+            <= 1e-14
+    zero = np.zeros((3, 3))
+    assert np.array_equal(model.exp(zero, t), former_s3_exp(zero, t))
+    assert np.array_equal(model.exp(zero[0], t), former_s3_exp(zero[0], t))
+
+
+def test_s3_log_is_bit_identical_to_its_former_guards():
+    model = S3Model()
+    q = rng.normal(size=(300, 4))
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    tiny = np.array([[1.0, 1e-300, 0.0, 0.0], [-1.0, 0.0, 0.0, 1e-200],
+                     [1.0, 1e-17, -2e-17, 3e-18]])
+    poles = np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+                      [1.0 + 1e-16, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    odd = np.array([[np.nan, 0.1, 0.2, 0.3], [0.5, np.nan, 0.0, 0.0],
+                    [0.3, np.inf, 0.0, 0.0]])
+    for g in (q, tiny, poles, q[0], poles[1]):
+        np.testing.assert_array_equal(model.log(g), former_s3_log(g))
+    with np.errstate(invalid="ignore"):
+        np.testing.assert_array_equal(model.log(odd), former_s3_log(odd))
 
 
 def test_s3_exp_e3_closed_form():
@@ -149,7 +201,7 @@ def test_s3_exp_e3_closed_form():
     model = model_for(s3())
     v = np.array([0.0, 0.0, 1.0])
     for t in (0.3, 1.2, -0.8):
-        got = group_exp(s3(), v, t).payload
+        got = model.exp(v, t)
         q = model.identity()
         m = 4096
         dt = t / m
@@ -172,7 +224,7 @@ def test_semidirect_exp_series_oracle():
     alg = semidirect(A)
     for _ in range(20):
         v = rng.normal(size=3)
-        got = group_exp(alg, v).payload
+        got = model_for(alg).exp(v)
         w, sc = v[:2], v[2]
         M = sc * A
         acc = np.zeros((2, 2))
@@ -282,7 +334,7 @@ def test_log_inverts_exp(alg):
     model = model_for(alg)
     for _ in range(40):
         v = rng.normal(size=model.n) * 0.8
-        g = group_exp(alg, v).payload
+        g = model.exp(v)
         assert np.max(np.abs(model.log(g) - v)) <= 1e-10
 
 
@@ -324,7 +376,7 @@ def test_constant_form_on_s3_matches_group_exp():
     base = random_payload(model)
     F = darboux_integrate(constant_form(grid, alg, v, np.zeros(3)), alg, base)
     for i in (5, 17, 32):
-        want = model.multiply(base, group_exp(alg, v, i * grid.h).payload)
+        want = model.multiply(base, model.exp(v, i * grid.h))
         assert np.max(np.abs(F[i, 0] - want)) <= 1e-12
         assert np.max(np.abs(F[i, 3] - want)) <= 1e-12  # zero y-component
 
@@ -381,11 +433,9 @@ def test_left_invariance_exact_group_identity():
 def loop_darboux(xi, alg, base=None, stats=None):
     """darboux_integrate before its steps were batched, verbatim: one
     model.exp per bottom-row node and per column."""
-    model = alg if hasattr(alg, "payload_dim") else model_for(alg)
+    model = model_for(alg)
     grid, h = xi.grid, xi.grid.h
     nx, ny = grid.shape
-    if isinstance(base, GroupElement):
-        base = base.payload
     F = np.zeros((nx, ny, model.payload_dim))
     F[0, 0] = model.identity() if base is None else np.asarray(base, float)
     drift = 0.0
@@ -490,10 +540,9 @@ def test_structure_residual_refinement_on_exact_pullback():
             b = np.array([-0.3, 1.1, 0.5])
             F = np.zeros(grid.shape + (model.payload_dim,))
             for i in range(grid.nx):
-                ga = group_exp(alg, a, grid.xs()[i]).payload
+                ga = model.exp(a, grid.xs()[i])
                 F[i] = model.multiply(
-                    ga, np.stack([group_exp(alg, b, y).payload
-                                  for y in grid.ys()]))
+                    ga, np.stack([model.exp(b, y) for y in grid.ys()]))
             xi_x, xi_y = maurer_cartan_pullback(F, model, grid)
             # the pullback itself carries an O(h^2) difference error, and the
             # structure residual of the exact form is another O(h^2)

@@ -1,0 +1,37 @@
+"""tools/output_digests.py: the output sweep gives the same listing twice."""
+
+import importlib.util
+import os
+import pathlib
+
+import spinorforge
+
+TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+SRC = os.path.dirname(spinorforge.__path__[0])
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("output_digests", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_a_sweep_run_twice_lists_identical_outputs(tmp_path):
+    tool = load_tool()
+    runs = (tool.grid_runs(["sphere-r3", "s3-sphere"], sizes=(9,),
+                           commands=("reconstruct",))
+            + tool.catalog_runs(["S3"]))
+    first = tool.sweep(SRC, tmp_path / "a", runs)
+    second = tool.sweep(SRC, tmp_path / "b", runs)
+    assert first == second
+    done = [line.split() for line in first if line.startswith("run ")]
+    # the three runs, then check-algebra on the algebra and two exports
+    assert [words[4] for words in done] == ["reconstruct", "reconstruct",
+                                            "catalog", "check-algebra",
+                                            "export", "export"]
+    assert all(words[1] == "0" for words in done)
+    files = {line.split()[-1] for line in first if line.startswith("file ")}
+    assert {"sphere-r3-9.reconstruct.surface.json",
+            "s3-sphere-9.reconstruct.surface.export.ply",
+            "algebra-S3.check-algebra.json"} <= files

@@ -1,0 +1,112 @@
+"""Digest every output of a fixed sweep of CLI runs, to compare two trees.
+
+    python3 tools/output_digests.py SRC OUT > listing.txt
+
+SRC is the `src` directory of a checkout and OUT a new output directory.
+Each run is a fresh `python -m spinorforge.cli` with PYTHONPATH set to SRC
+and OUT as its working directory, so every path it names is relative.
+The sweep is:
+
+  * check-frame, check-gcr, solve and reconstruct, each with -v, on every
+    surface fixture at --grid-n 17 and 33;
+  * cmc on the cmc-sphere fixture;
+  * catalog -o for every catalog tag, then check-algebra on each algebra
+    file written;
+  * export to PLY of every surface JSON written.
+
+The listing has one line per run, `run EXIT SHA(stdout) SHA(stderr) ARGV`,
+with OUT masked in stdout and stderr, then one line per file in OUT,
+`file SHA PATH`, in sorted order.  Two checkouts that compute the same
+outputs give byte-identical listings, and so does one checkout run twice.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+GRID_SIZES = (17, 33)
+GRID_COMMANDS = ("check-frame", "check-gcr", "solve", "reconstruct")
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def grid_runs(fixtures, sizes=GRID_SIZES, commands=GRID_COMMANDS):
+    """The argv of every grid-command run on the surface fixtures."""
+    return [[command, "--fixture", name, "--grid-n", str(n), "-v",
+             "-o", f"{name}-{n}.{command}.json"]
+            for name in fixtures for n in sizes for command in commands]
+
+
+def catalog_runs(tags):
+    return [["catalog", "--group", tag, "-o", f"algebra-{tag}.json"]
+            for tag in tags]
+
+
+def follow_up_runs(out):
+    """check-algebra on every written algebra and export of every written
+    surface, in sorted order of the files."""
+    out = Path(out)
+    runs = [["check-algebra", path.name, "-v",
+             "-o", f"{path.stem}.check-algebra.json"]
+            for path in sorted(out.glob("algebra-*.json"))]
+    runs += [["export", path.name, "--format", "ply", "-v",
+              "-o", path.name[:-len(".json")] + ".export.ply"]
+             for path in sorted(out.glob("*.surface.json"))]
+    return runs
+
+
+def run(src, out, argv):
+    """One CLI run in out: its listing line."""
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    done = subprocess.run([sys.executable, "-m", "spinorforge.cli", *argv],
+                          cwd=out, env=env, capture_output=True, timeout=600)
+    mask = str(Path(out).resolve()).encode()
+    stdout, stderr = (s.replace(mask, b"OUT")
+                      for s in (done.stdout, done.stderr))
+    return (f"run {done.returncode} {_sha(stdout)} {_sha(stderr)} "
+            f"{' '.join(argv)}")
+
+
+def file_lines(out):
+    out = Path(out)
+    return [f"file {_sha(path.read_bytes())} {path.relative_to(out)}"
+            for path in sorted(out.rglob("*")) if path.is_file()]
+
+
+def sweep(src, out, runs):
+    """Run `runs` in out, then the follow-up runs on what they wrote;
+    returns the listing lines."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    lines = [run(src, out, argv) for argv in runs]
+    lines += [run(src, out, argv) for argv in follow_up_runs(out)]
+    return lines + file_lines(out)
+
+
+def full_sweep_runs(src):
+    """The runs of the full sweep, naming the fixtures and catalog tags of
+    the checkout at src."""
+    sys.path.insert(0, str(Path(src).resolve()))
+    from spinorforge import cli, lie_algebra
+    return (grid_runs(sorted(cli.SURFACE_FIXTURES))
+            + [["cmc", "--fixture", "cmc-sphere", "-v", "-o", "cmc.json"]]
+            + catalog_runs(sorted(lie_algebra.CATALOG)))
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print("usage: python3 tools/output_digests.py SRC OUT", file=sys.stderr)
+        return 3
+    src, out = argv
+    for line in sweep(src, out, full_sweep_runs(src)):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
