@@ -166,23 +166,27 @@ class WeierstrassData:
 R_MIN = 1e-10       # |R(g)| below which the H-potential is singular
 
 
-def weier_f_from_g(data, pot):
-    """f = 4 g_z / R(g) with discrete Wirtinger g_z; raises on a singular
-    potential, naming the first offending vertex."""
+def _regular_potential(data, pot):
+    """R(g) at every node; raises on a singular potential, naming the first
+    vertex where |R| < R_MIN."""
     R = h_potential(pot, data.g)
     small = np.abs(R) < R_MIN
     if np.any(small):
         vertex = tuple(int(v) for v in np.argwhere(small)[0])
         raise SingularPotentialError(
             f"H-potential magnitude below {R_MIN:g}", vertex=vertex)
-    return 4.0 * data.grid.dz(data.g) / R
+    return R
 
 
-def ab_scalars(data, pot, f=None):
+def weier_f_from_g(data, pot):
+    """f = 4 g_z / R(g) with discrete Wirtinger g_z; raises on a singular
+    potential, naming the first offending vertex."""
+    return 4.0 * data.grid.dz(data.g) / _regular_potential(data, pot)
+
+
+def ab_scalars(data, pot, f):
     """The tangential drift A + iB of the surface Dirac operator,
     -(i/(4 mu)) conj(f) (mu1 nu1 (g^2-1) - i mu2 nu2 (g^2+1) + 2 mu3 nu3 g)."""
-    if f is None:
-        f = weier_f_from_g(data, pot)
     g = data.g
     nu = data.nu
     m1, m2, m3 = pot.mu
@@ -192,11 +196,9 @@ def ab_scalars(data, pot, f=None):
         + 2.0 * m3 * nu[..., 2] * g)
 
 
-def dirac2_residual(data, pot, f=None):
+def dirac2_residual(data, pot, f):
     """Residual of the companion first-order identity
     f_zbar / f + 2 g conj(g)_zbar / (1 + |g|^2) - mu (A + iB)."""
-    if f is None:
-        f = weier_f_from_g(data, pot)
     grid = data.grid
     g = data.g
     ab = ab_scalars(data, pot, f)
@@ -222,11 +224,7 @@ def gauss_map_pde_residual(data, pot):
     g_{z zbar} - (R_g/R) g_z g_zbar - (R_gbar/R - conj(R_g)/conj(R)) |g_z|^2."""
     grid = data.grid
     g = data.g
-    R = h_potential(pot, g)
-    if np.min(np.abs(R)) < R_MIN:
-        vertex = tuple(int(v) for v in np.argwhere(np.abs(R) < R_MIN)[0])
-        raise SingularPotentialError("H-potential vanishes on the stencil",
-                                     vertex=vertex)
+    R = _regular_potential(data, pot)
     R_g, R_gb = h_potential_wirtinger(pot, g)
     gz = grid.dz(g)
     gzb = grid.dzbar(g)
@@ -236,7 +234,7 @@ def gauss_map_pde_residual(data, pot):
     return np.abs(gzzb - rhs)
 
 
-def dirac_system_residual(z1, z2, data, pot, f=None):
+def dirac_system_residual(z1, z2, data, pot, f):
     """Per-node residual pair of the first-order system satisfied by the
     complex spinor components over a conformal chart:
 

@@ -178,15 +178,15 @@ def frame_compat_residual_fields(data, alg):
     T = data.T                        # (nx, ny, n, 2)
     f = data.f[..., 0]                # (nx, ny, n)
     S = data.S                        # (nx, ny, 2, 2)
-    gamma = alg.gamma
     # covariant derivative of each T_j along e_a = d_a / mu
     dT = np.stack([grid.covariant_dx(T), grid.covariant_dy(T)], axis=-1)
     dT /= mu[..., None, None, None]   # (nx, ny, n, 2, a)
     df = np.stack([grid.dx(f), grid.dy(f)], axis=-1) / mu[..., None, None]
-    # <e_a, T_i> is the a-th frame component of T_i
-    # sum_{i,k} gamma[i,j,k] T_i^a T_k^b  and  sum_{i,k} gamma[i,j,k] f_k T_i^a
-    gTT = np.einsum("ijk,xyia,xykb->xyjba", gamma, T, T)
-    gTf = np.einsum("ijk,xyia,xyk->xyja", gamma, T, f)
+    # <e_a, T_i> is the a-th frame component of T_i, so column a of T is
+    # the vector X_a: <Gamma(X_a) e_j, X_b> and <Gamma(X_a) e_j, f>
+    G = alg.gamma_op(np.swapaxes(T, -1, -2))      # (nx, ny, a, k, j)
+    gTT = np.einsum("xyakj,xykb->xyjba", G, T)
+    gTf = np.einsum("xyakj,xyk->xyja", G, f)
     res_T = dT - gTT - np.einsum("xyj,xyba->xyjba", f, S)
     hXT = np.einsum("xyba,xyjb->xyja", S, T)
     res_f = df - gTf + hXT
@@ -245,37 +245,28 @@ def gamma_tilde(data, alg, X, vertex, method="general"):
     n = data.n
     T = data.T[i0, j0]                # (n, 2)
     f = data.f[i0, j0, :, 0]          # (n,)
-    XT = T @ X                        # <X, T_i>
-    gamma = alg.gamma
+    G = alg.gamma_op(T @ X)           # G[k, j] = <Gamma(X) e_j, e_k>
     out = Multivector.zero(2)
     if method == "general":
-        for i in range(n):
-            if XT[i] == 0.0:
-                continue
-            for j in range(n):
-                for k in range(j + 1, n):
-                    g = gamma[i, j, k]
-                    if g == 0.0:
-                        continue
-                    Tj = Multivector.from_vector(T[j], 2)
-                    Tk = Multivector.from_vector(T[k], 2)
-                    term = (Tj * Tk - Tk * Tj) * 0.5 + (f[k] * Tj - f[j] * Tk)
-                    out = out + (XT[i] * g) * term
+        for j in range(n):
+            for k in range(j + 1, n):
+                if G[k, j] == 0.0:
+                    continue
+                Tj = Multivector.from_vector(T[j], 2)
+                Tk = Multivector.from_vector(T[k], 2)
+                term = (Tj * Tk - Tk * Tj) * 0.5 + (f[k] * Tj - f[j] * Tk)
+                out = out + G[k, j] * term
         return out
     if method == "dim3":
         if n != 3:
             raise ValueError("the shortcut form needs ambient dimension 3")
         omega = Multivector.blade(2, 0b11)
         eps = {(0, 1): (2, 1.0), (0, 2): (1, -1.0), (1, 2): (0, 1.0)}
-        for i in range(3):
-            if XT[i] == 0.0:
+        for (j, k), (l, sgn) in eps.items():
+            if G[k, j] == 0.0:
                 continue
-            for (j, k), (l, sgn) in eps.items():
-                g = gamma[i, j, k]
-                if g == 0.0:
-                    continue
-                vec = Multivector.from_vector(T[l], 2)
-                out = out + (XT[i] * g * sgn) * ((f[l] - vec) * omega)
+            vec = Multivector.from_vector(T[l], 2)
+            out = out + (G[k, j] * sgn) * ((f[l] - vec) * omega)
         return out
     raise ValueError(f"unknown method {method!r}")
 

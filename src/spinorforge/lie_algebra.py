@@ -65,21 +65,25 @@ class MetricLieAlgebra:
     # ---- pointwise algebra ------------------------------------------------
     def bracket(self, X, Y):
         """[X, Y]; X and Y may be fields (..., n) that broadcast together."""
-        return np.einsum("...i,...j,ijk->...k", np.asarray(X, float),
-                         np.asarray(Y, float), self.c)
+        return np.einsum("...kj,...j->...k", _operator(X, self.c), Y)
 
     def gamma_op(self, X):
         """Matrix of Y -> Gamma(X) Y in the distinguished basis; X may be a
         field of vectors (..., n), giving matrices (..., n, n)."""
-        return np.einsum("...i,ijk->...kj", np.asarray(X, float), self.gamma)
+        return _operator(X, self.gamma)
 
     def connection(self, X, Y):
         """Gamma(X) Y, broadcasting like `bracket`."""
-        return np.einsum("...i,...j,ijk->...k", np.asarray(X, float),
-                         np.asarray(Y, float), self.gamma)
+        return np.einsum("...kj,...j->...k", self.gamma_op(X), Y)
 
     def __repr__(self):
         return f"MetricLieAlgebra(n={self.n}, tag={self.catalog_tag!r})"
+
+
+def _operator(X, t):
+    """Matrices (..., n, n) of Y -> sum_ij X_i Y_j t[i, j, :]: with `bracket`
+    and `connection`, the only code that contracts c or gamma."""
+    return np.einsum("...i,ijk->...kj", np.asarray(X, float), t)
 
 
 def jacobi_residual(c):

@@ -38,6 +38,7 @@ from .grid import difference
 _NEAR_REPEATED = 0.01
 _SMALL_MEAN = 0.25
 _TAYLOR_TERMS = 14
+UNIT_TOL = 1e-8         # the most by which an S^3 point's norm may miss 1
 
 
 # =============================================================================
@@ -112,9 +113,14 @@ class S3Model:
         return fac[..., None] * vec
 
     def normalize(self, g):
+        """(g / |g|, max ||g| - 1|); a ValueError unless that is at most
+        UNIT_TOL (so also when it is NaN)."""
         g = np.asarray(g, float)
         nrm = np.linalg.norm(g, axis=-1, keepdims=True)
         drift = float(np.max(np.abs(nrm - 1.0))) if g.size else 0.0
+        if not drift <= UNIT_TOL:
+            raise ValueError(f"S^3 points must be unit quaternions: |q| is "
+                             f"off 1 by {drift:.3e} > {UNIT_TOL:g}")
         return g / nrm, drift
 
 
@@ -499,8 +505,7 @@ def second_fundamental_form(zx, zy, normals, grid, alg, order):
     the pullbacks z_a, normals (nx, ny, n, q) and derivatives at `order`."""
     z = (zx, zy)
     d = (grid.dx, grid.dy)
-    D = {(a, b): d[a](z[b], order)
-         + np.einsum("xyi,ijk,xyj->xyk", z[a], alg.gamma, z[b])
+    D = {(a, b): d[a](z[b], order) + alg.connection(z[a], z[b])
          for a in range(2) for b in range(2)}
     B = np.empty(zx.shape[:2] + (2, 2, normals.shape[-1]))
     for a, b in D:
@@ -514,7 +519,7 @@ def normal_connection(zx, zy, normals, grid, alg):
     (nx, ny, q, q), for normals (nx, ny, n, q) along the pullbacks z_x, z_y."""
     out = []
     for za, d in ((zx, grid.dx), (zy, grid.dy)):
-        dn = d(normals) + np.einsum("xyi,ijk,xyjr->xykr", za, alg.gamma,
+        dn = d(normals) + np.einsum("xykj,xyjr->xykr", alg.gamma_op(za),
                                     normals)
         th = np.einsum("xyis,xyir->xyrs", dn, normals)
         out.append(0.5 * (th - np.swapaxes(th, 2, 3)))
@@ -530,8 +535,7 @@ def structure_residual(xi, alg):
     """
     grid = xi.grid
     dxi = grid.dx(xi.xi_y) - grid.dy(xi.xi_x)
-    br = np.einsum("xyi,xyj,ijk->xyk", xi.xi_x, xi.xi_y, alg.c)
-    return np.linalg.norm(dxi + br, axis=-1)
+    return np.linalg.norm(dxi + alg.bracket(xi.xi_x, xi.xi_y), axis=-1)
 
 
 def structure_tolerance(grid):

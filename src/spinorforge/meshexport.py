@@ -31,14 +31,15 @@ def grid_faces(nx, ny):
 def stereographic_s3(F, pole=None):
     """Project unit quaternions to R^3 from `pole` (default (-1, 0, 0, 0)):
     first rotate the pole to -identity by a left translation, then apply
-    v / (1 + w)."""
+    v / (1 + w).  A pole that `S3Model.normalize` rejects is a ValueError."""
     F = np.asarray(F, dtype=np.float64)
     if pole is not None:
         pole = np.asarray(pole, dtype=np.float64)
-        if pole.shape != (4,) or abs(np.linalg.norm(pole) - 1.0) > 1e-8:
+        if pole.shape != (4,):
             raise ValueError("the projection pole must be a unit quaternion")
         from .lie_group import S3Model
         model = S3Model()
+        model.normalize(pole)
         rot = -model.inverse(pole)
         F = model.multiply(rot, F)
     denom = 1.0 + F[..., 0]

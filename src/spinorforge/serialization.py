@@ -460,10 +460,12 @@ def surface_to_dict(F, model):
 
 
 def surface_from_dict(d):
+    """(F, model) of a surface blob: F as read, once `model.normalize`
+    accepts it (S^3: unit quaternions, H^n: the half space)."""
     _validated(d, SURFACE_SCHEMA, "surface")
-    name = d["model"]["name"]
     try:
-        model = model_from_params(name, d["model"].get("params", {}))
+        model = model_from_params(d["model"]["name"],
+                                  d["model"].get("params", {}))
     except (TypeError, ValueError, OverflowError) as err:
         raise InputError(f"invalid surface: {err}")
     payload = _float_array(d["payload"], "payload")
@@ -473,10 +475,7 @@ def surface_from_dict(d):
         raise InputError("surface payload length does not match the grid")
     if not np.all(np.isfinite(F)):
         raise InputError("surface payload has non-finite entries")
-    if name == "hn" and np.any(F[..., -1] <= 0):
-        raise InputError("H^n payload must lie in the half space a_n > 0")
-    if name == "s3" and np.max(np.abs(np.linalg.norm(F, axis=-1) - 1)) > 1e-6:
-        raise InputError("S^3 payload must be unit quaternions")
+    model.normalize(F)      # a ValueError (exit 3) for points off the group
     return F, model
 
 

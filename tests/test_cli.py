@@ -27,7 +27,8 @@ from spinorforge.grid import STENCILS, ParamGrid, difference
 from spinorforge.lie_group import model_for, model_params
 from spinorforge.serialization import (SURFACE_SCHEMA, InputError, cmc_to_dict,
                                        dump_json, load_json, problem_from_dict,
-                                       problem_to_dict, surface_from_dict)
+                                       problem_to_dict, surface_from_dict,
+                                       surface_to_dict)
 
 
 def write_problem(tmp_path, fx, name="problem.json"):
@@ -277,9 +278,12 @@ def test_reconstruct_not_integrable_exits_two(tmp_path):
     ({"name": "semidirect", "params": {"A": [["1", "0"], ["0", "-1"]]}},
      [0.0] * 12, 3),
     ({"name": "abelian"}, ["0.5"] * 12, 3),
+    ({"name": "s3"}, [1.0, 0.0, 0.0, 0.0] * 3 + [1.0 + 1e-7, 0.0, 0.0, 0.0],
+     3),
 ], ids=["semidirect-without-A", "s3-nan", "s3-not-unit",
         "hn-outside-half-space", "abelian-default-n", "hn-default-n",
-        "hn-non-integral-n", "semidirect-string-A", "abelian-string-payload"])
+        "hn-non-integral-n", "semidirect-string-A", "abelian-string-payload",
+        "s3-off-by-1e-7"])
 def test_export_surface_exit_codes(tmp_path, model, payload, code):
     path = tmp_path / "surface.json"
     dump_json({"model": model, "nx": 2, "ny": 2, "payload": payload}, path)
@@ -527,14 +531,32 @@ def _no_model(n):
     return problem_to_dict(fx.data, la.e_kappa_tau(-1.0, 0.5))
 
 
+def _based(fixture, point):
+    """A fixture's problem whose base point is `point`."""
+    def make(n):
+        fx = fixture(n)
+        return problem_to_dict(fx.data, fx.alg, base_point=point)
+    return make
+
+
 NO_MESH = "input error: no R^3 embedding for abelian payloads of dimension 4"
+OFF_S3 = "input error: S^3 points must be unit quaternions: |q| is off 1 by "
 
 
 @pytest.mark.parametrize("make,message", [
     (_r4, NO_MESH), (_r4_not_integrable, NO_MESH),
     (_no_model, "input error: structure constants have no closed-form "
                 "group model"),
-], ids=["r4", "r4-not-integrable", "no-model"])
+    (_based(fixtures.s3_sphere, [2.0, 0.0, 0.0, 0.0]),
+     OFF_S3 + "1.000e+00 > 1e-08"),
+    (_based(fixtures.s3_sphere, [0.0, 0.0, 0.0, 0.0]),
+     OFF_S3 + "1.000e+00 > 1e-08"),
+    (_based(fixtures.s3_sphere, [1.0 + 2e-8, 0.0, 0.0, 0.0]),
+     OFF_S3 + "2.000e-08 > 1e-08"),
+    (_based(fixtures.horosphere_h3, [0.0, 0.0, -1.0]),
+     "input error: H^n payload left the half space a_n > 0"),
+], ids=["r4", "r4-not-integrable", "no-model", "s3-base-norm-two",
+        "s3-base-zero", "s3-base-off-2e-8", "h3-base-outside-half-space"])
 def test_reconstruct_without_a_mesh_fails_before_the_solve(
         tmp_path, capsys, monkeypatch, make, message):
     calls = []
@@ -548,6 +570,19 @@ def test_reconstruct_without_a_mesh_fails_before_the_solve(
     assert main(["reconstruct", str(path), "-o", str(out / "r.json")]) == 3
     assert capsys.readouterr().err.splitlines() == [message]
     assert calls == [] and list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("pole", [["nan"] * 4, ["2", "0", "0", "0"]],
+                         ids=["nan", "norm-two"])
+def test_export_rejects_a_pole_off_s3(tmp_path, capsys, pole):
+    fx = fixtures.s3_equator(9)
+    path = tmp_path / "surface.json"
+    dump_json(surface_to_dict(fx.F, fx.model), path)
+    out = tmp_path / "m.obj"
+    assert main(["export", str(path), "--pole", *pole, "-o", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(OFF_S3)
+    assert not out.exists()
 
 
 def _scaled_shape_operator_problem(tmp_path, scale):

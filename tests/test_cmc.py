@@ -151,6 +151,10 @@ def test_singular_potential_reported_with_vertex():
     with pytest.raises(SingularPotentialError) as err:
         weier_f_from_g(data, HPotential(0.0, (0.0, 0.0, 0.0)))
     assert err.value.vertex is not None
+    # the PDE residual applies the same gate, with the same message
+    with pytest.raises(SingularPotentialError) as pde_err:
+        gauss_map_pde_residual(data, HPotential(0.0, (0.0, 0.0, 0.0)))
+    assert str(pde_err.value) == str(err.value)
 
 
 def test_r3_sphere_reconstruction_mean_curvature():

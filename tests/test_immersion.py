@@ -445,3 +445,66 @@ def test_hn_u_perturbation_scales_linearly():
         res.append(np.max(hn_u_residual(fx.data, u, fx.alg)))
     assert 1.8 <= res[1] / res[0] <= 2.2
     assert res[0] >= 1e-4
+
+def former_gamma_tilde(data, alg, X, vertex, method="general"):
+    """gamma_tilde as it read gamma entry by entry, before it went through
+    alg.gamma_op; kept verbatim below the docstring."""
+    if data.q != 1:
+        raise ValueError("gamma_tilde is defined for hypersurfaces (q = 1)")
+    i0, j0 = vertex
+    X = np.asarray(X, dtype=np.float64)
+    n = data.n
+    T = data.T[i0, j0]                # (n, 2)
+    f = data.f[i0, j0, :, 0]          # (n,)
+    XT = T @ X                        # <X, T_i>
+    gamma = alg.gamma
+    out = Multivector.zero(2)
+    if method == "general":
+        for i in range(n):
+            if XT[i] == 0.0:
+                continue
+            for j in range(n):
+                for k in range(j + 1, n):
+                    g = gamma[i, j, k]
+                    if g == 0.0:
+                        continue
+                    Tj = Multivector.from_vector(T[j], 2)
+                    Tk = Multivector.from_vector(T[k], 2)
+                    term = (Tj * Tk - Tk * Tj) * 0.5 + (f[k] * Tj - f[j] * Tk)
+                    out = out + (XT[i] * g) * term
+        return out
+    if method == "dim3":
+        if n != 3:
+            raise ValueError("the shortcut form needs ambient dimension 3")
+        omega = Multivector.blade(2, 0b11)
+        eps = {(0, 1): (2, 1.0), (0, 2): (1, -1.0), (1, 2): (0, 1.0)}
+        for i in range(3):
+            if XT[i] == 0.0:
+                continue
+            for (j, k), (l, sgn) in eps.items():
+                g = gamma[i, j, k]
+                if g == 0.0:
+                    continue
+                vec = Multivector.from_vector(T[l], 2)
+                out = out + (XT[i] * g * sgn) * ((f[l] - vec) * omega)
+        return out
+    raise ValueError(f"unknown method {method!r}")
+
+
+@pytest.mark.parametrize("tag", sorted(la.CATALOG) + ["random-semidirect",
+                                                      "random-unimodular"])
+def test_gamma_tilde_agrees_with_its_former_loops(tag):
+    local = np.random.default_rng(2333)
+    alg = {"random-semidirect": lambda: la.semidirect(local.normal(size=(2, 2))),
+           "random-unimodular": lambda: la.unimodular(*local.normal(size=3))}.get(
+        tag, lambda: la.catalog_build(tag, la.CATALOG[tag][1]))()
+    for _ in range(20):
+        q, _ = np.linalg.qr(local.normal(size=(alg.n, alg.n)))
+        q[:, 0] *= np.linalg.det(q)               # orientation +1
+        data = one_vertex_data(alg, q, np.zeros((2, 2)))
+        X = local.normal(size=2)
+        for method in ("general", "dim3"):
+            got = gamma_tilde(data, alg, X, (0, 0), method=method)
+            want = former_gamma_tilde(data, alg, X, (0, 0), method=method)
+            scale = max(1.0, float(np.max(np.abs(want.coeffs))))
+            assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-14 * scale

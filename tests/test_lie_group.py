@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
+from spinorforge import fixtures
 from spinorforge.grid import ParamGrid
+from spinorforge.immersion import frame_compat_residual_fields
 from spinorforge.lie_algebra import (
-    algebra_from_dict, algebra_to_dict, e_kappa_tau, h2xr, hn, rn, s3, sol3,
-    semidirect, unimodular,
+    CATALOG, algebra_from_dict, algebra_to_dict, catalog_build, e_kappa_tau,
+    h2xr, hn, rn, s3, sol3, semidirect, unimodular,
 )
 from spinorforge.lie_group import (
     AbelianModel, HnModel, IntegrationError, LieValuedOneForm, S3Model,
     SemidirectModel, darboux_integrate, expm, maurer_cartan_pullback,
-    model_for, structure_residual,
+    model_for, normal_connection, second_fundamental_form, structure_residual,
 )
 
 rng = np.random.default_rng(97)
@@ -550,3 +552,117 @@ def test_structure_residual_refinement_on_exact_pullback():
                 LieValuedOneForm(grid, xi_x, xi_y), alg)))
         ratio = res[0] / res[1]
         assert 2.5 <= ratio <= 6.5
+
+
+# =============================================================================
+# Only the algebra contracts c and gamma
+# =============================================================================
+# The functions below are the code that contracted c and gamma itself before
+# every caller went through MetricLieAlgebra.bracket/connection/gamma_op,
+# kept verbatim with their einsum strings.
+
+def former_second_fundamental_form(zx, zy, normals, grid, alg, order):
+    z = (zx, zy)
+    d = (grid.dx, grid.dy)
+    D = {(a, b): d[a](z[b], order)
+         + np.einsum("xyi,ijk,xyj->xyk", z[a], alg.gamma, z[b])
+         for a in range(2) for b in range(2)}
+    B = np.empty(zx.shape[:2] + (2, 2, normals.shape[-1]))
+    for a, b in D:
+        B[:, :, a, b] = np.einsum("xyi,xyir->xyr", 0.5 * (D[a, b] + D[b, a]),
+                                  normals)
+    return B
+
+
+def former_normal_connection(zx, zy, normals, grid, alg):
+    out = []
+    for za, d in ((zx, grid.dx), (zy, grid.dy)):
+        dn = d(normals) + np.einsum("xyi,ijk,xyjr->xykr", za, alg.gamma,
+                                    normals)
+        th = np.einsum("xyis,xyir->xyrs", dn, normals)
+        out.append(0.5 * (th - np.swapaxes(th, 2, 3)))
+    return out[0], out[1]
+
+
+def former_structure_residual(xi, alg):
+    grid = xi.grid
+    dxi = grid.dx(xi.xi_y) - grid.dy(xi.xi_x)
+    br = np.einsum("xyi,xyj,ijk->xyk", xi.xi_x, xi.xi_y, alg.c)
+    return np.linalg.norm(dxi + br, axis=-1)
+
+
+def former_frame_compat_residual_fields(data, alg):
+    if data.q != 1:
+        raise ValueError("frame equations require a rank-1 normal bundle; "
+                         "use gcr_residuals for general corank")
+    if alg.n != data.n:
+        raise ValueError("algebra dimension does not match the data")
+    grid = data.grid
+    mu = grid.mu
+    T = data.T                        # (nx, ny, n, 2)
+    f = data.f[..., 0]                # (nx, ny, n)
+    S = data.S                        # (nx, ny, 2, 2)
+    gamma = alg.gamma
+    # covariant derivative of each T_j along e_a = d_a / mu
+    dT = np.stack([grid.covariant_dx(T), grid.covariant_dy(T)], axis=-1)
+    dT /= mu[..., None, None, None]   # (nx, ny, n, 2, a)
+    df = np.stack([grid.dx(f), grid.dy(f)], axis=-1) / mu[..., None, None]
+    # <e_a, T_i> is the a-th frame component of T_i
+    # sum_{i,k} gamma[i,j,k] T_i^a T_k^b  and  sum_{i,k} gamma[i,j,k] f_k T_i^a
+    gTT = np.einsum("ijk,xyia,xykb->xyjba", gamma, T, T)
+    gTf = np.einsum("ijk,xyia,xyk->xyja", gamma, T, f)
+    res_T = dT - gTT - np.einsum("xyj,xyba->xyjba", f, S)
+    hXT = np.einsum("xyba,xyjb->xyja", S, T)
+    res_f = df - gTf + hXT
+    return res_T, res_f
+
+
+_LOCAL = np.random.default_rng(1609)
+CONTRACTION_ALGEBRAS = (
+    [(tag, catalog_build(tag, params)) for tag, (_, params) in CATALOG.items()]
+    + [("random-semidirect", semidirect(_LOCAL.normal(size=(2, 2)))),
+       ("random-unimodular", unimodular(*_LOCAL.normal(size=3)))])
+
+
+@pytest.mark.parametrize("tag,alg", CONTRACTION_ALGEBRAS,
+                         ids=[tag for tag, _ in CONTRACTION_ALGEBRAS])
+def test_contractions_agree_with_their_former_einsums(tag, alg):
+    local = np.random.default_rng(6289)
+    n = alg.n
+    grid = ParamGrid(17, 17, 0.0625, mu=local.uniform(0.5, 2.0, (17, 17)))
+    X, Y = local.normal(size=(2, 17, 17, n))
+    normals = local.normal(size=(17, 17, n, 2))
+    data = fixtures.sphere_r3(17).data          # q = 1 and n = 3
+    xi = LieValuedOneForm(grid, X, Y)
+    pairs = {
+        "bracket": (alg.bracket(X, Y),
+                    np.einsum("...i,...j,ijk->...k", X, Y, alg.c)),
+        "connection": (alg.connection(X, Y),
+                       np.einsum("...i,...j,ijk->...k", X, Y, alg.gamma)),
+        "structure_residual": (structure_residual(xi, alg),
+                               former_structure_residual(xi, alg)),
+        "frame_compat": (
+            np.concatenate([r.ravel() for r in
+                            frame_compat_residual_fields(data, alg)]),
+            np.concatenate([r.ravel() for r in
+                            former_frame_compat_residual_fields(data, alg)])),
+    }
+    for order in (2, 4):
+        pairs[f"second_fundamental_form-{order}"] = (
+            second_fundamental_form(X, Y, normals, grid, alg, order),
+            former_second_fundamental_form(X, Y, normals, grid, alg, order))
+    pairs["normal_connection"] = (
+        np.stack(normal_connection(X, Y, normals, grid, alg)),
+        np.stack(former_normal_connection(X, Y, normals, grid, alg)))
+    for name, (got, want) in pairs.items():
+        assert got.shape == want.shape, name
+        if tag in CATALOG and not (name == "connection"
+                                   and tag == "EKappaTau"):
+            assert np.array_equal(got, want), name
+        else:
+            # EKappaTau's gamma holds +-1.5: the former connection string
+            # multiplied X_i Y_j before gamma, second_fundamental_form's
+            # X_i gamma before Y_j, so no one order reproduces both bit for
+            # bit; the algebra multiplies in the latter order
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-15 * scale, name

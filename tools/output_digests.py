@@ -9,10 +9,14 @@ The sweep is:
 
   * check-frame, check-gcr, solve and reconstruct, each with -v, on every
     surface fixture at --grid-n 17 and 33;
+  * solve and reconstruct, each with -v, on a problem file of every surface
+    fixture at --grid-n 17, written with SRC's `problem_to_dict` and the
+    fixture's own base point (the file is listed too);
   * cmc on the cmc-sphere fixture;
   * catalog -o for every catalog tag, then check-algebra on each algebra
     file written;
-  * export to PLY of every surface JSON written.
+  * export to PLY of every surface JSON written, and export to OBJ from
+    the pole (0, 0, 0, 1) of every S^3 surface JSON written.
 
 The listing has one line per run, `run EXIT SHA(stdout) SHA(stderr) ARGV`,
 with OUT masked in stdout and stderr, then one line per file in OUT,
@@ -21,6 +25,7 @@ outputs give byte-identical listings, and so does one checkout run twice.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -28,6 +33,8 @@ from pathlib import Path
 
 GRID_SIZES = (17, 33)
 GRID_COMMANDS = ("check-frame", "check-gcr", "solve", "reconstruct")
+FILE_SIZE = 17
+FILE_COMMANDS = ("solve", "reconstruct")
 
 
 def _sha(data):
@@ -41,21 +48,43 @@ def grid_runs(fixtures, sizes=GRID_SIZES, commands=GRID_COMMANDS):
             for name in fixtures for n in sizes for command in commands]
 
 
+def problem_file_runs(out, fixtures, n=FILE_SIZE):
+    """Write each fixture's problem at grid size n to out, with its own base
+    point, and return the argv of the FILE_COMMANDS runs on it."""
+    from spinorforge.serialization import dump_json, problem_to_dict
+    runs = []
+    for name, make in fixtures.items():
+        fx = make(n)
+        path = f"{name}-{n}.problem.json"
+        dump_json(problem_to_dict(fx.data, fx.alg, base_point=fx.F[0, 0]),
+                  Path(out) / path)
+        runs += [[command, path, "-v", "-o", f"{name}-{n}.file-{command}.json"]
+                 for command in FILE_COMMANDS]
+    return runs
+
+
 def catalog_runs(tags):
     return [["catalog", "--group", tag, "-o", f"algebra-{tag}.json"]
             for tag in tags]
 
 
-def follow_up_runs(out):
+def follow_up_runs(out, poles=False):
     """check-algebra on every written algebra and export of every written
-    surface, in sorted order of the files."""
+    surface, in sorted order of the files; with `poles`, also an export
+    from the pole (0, 0, 0, 1) of every S^3 surface."""
     out = Path(out)
+    surfaces = sorted(out.glob("*.surface.json"))
     runs = [["check-algebra", path.name, "-v",
              "-o", f"{path.stem}.check-algebra.json"]
             for path in sorted(out.glob("algebra-*.json"))]
     runs += [["export", path.name, "--format", "ply", "-v",
               "-o", path.name[:-len(".json")] + ".export.ply"]
-             for path in sorted(out.glob("*.surface.json"))]
+             for path in surfaces]
+    if poles:
+        runs += [["export", path.name, "--pole", "0", "0", "0", "1", "-v",
+                  "-o", path.name[:-len(".json")] + ".pole.obj"]
+                 for path in surfaces
+                 if json.loads(path.read_text())["model"]["name"] == "s3"]
     return runs
 
 
@@ -77,22 +106,24 @@ def file_lines(out):
             for path in sorted(out.rglob("*")) if path.is_file()]
 
 
-def sweep(src, out, runs):
+def sweep(src, out, runs, poles=False):
     """Run `runs` in out, then the follow-up runs on what they wrote;
     returns the listing lines."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     lines = [run(src, out, argv) for argv in runs]
-    lines += [run(src, out, argv) for argv in follow_up_runs(out)]
+    lines += [run(src, out, argv) for argv in follow_up_runs(out, poles)]
     return lines + file_lines(out)
 
 
-def full_sweep_runs(src):
+def full_sweep_runs(src, out):
     """The runs of the full sweep, naming the fixtures and catalog tags of
-    the checkout at src."""
+    the checkout at src; writes its problem files to out."""
     sys.path.insert(0, str(Path(src).resolve()))
     from spinorforge import cli, lie_algebra
-    return (grid_runs(sorted(cli.SURFACE_FIXTURES))
+    fixtures = dict(sorted(cli.SURFACE_FIXTURES.items()))
+    Path(out).mkdir(parents=True, exist_ok=True)
+    return (grid_runs(fixtures) + problem_file_runs(out, fixtures)
             + [["cmc", "--fixture", "cmc-sphere", "-v", "-o", "cmc.json"]]
             + catalog_runs(sorted(lie_algebra.CATALOG)))
 
@@ -103,7 +134,7 @@ def main(argv=None):
         print("usage: python3 tools/output_digests.py SRC OUT", file=sys.stderr)
         return 3
     src, out = argv
-    for line in sweep(src, out, full_sweep_runs(src)):
+    for line in sweep(src, out, full_sweep_runs(src, out), poles=True):
         print(line)
     return 0
 
