@@ -211,12 +211,9 @@ def cmd_solve(args):
 
 def cmd_reconstruct(args):
     data, alg, base_spinor, base_point, _ = _load_problem(args)
-    # before any work: the surface needs a group model with an R^3 mesh,
-    # and a base point that model accepts
+    # before any work: the surface needs a group model with an R^3 mesh
     model = model_for(alg)
     check_r3_embedding(model, model.payload_dim)
-    if base_point is not None:
-        model.normalize(base_point)
     problem = KillingProblem(data, alg, base_spinor=base_spinor)
     try:
         F, _, report = reconstruct_immersion(

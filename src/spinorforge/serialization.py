@@ -34,7 +34,7 @@ from . import lie_algebra as la
 from .clifford import Multivector, SpinElement
 from .grid import ParamGrid
 from .immersion import ImmersionData
-from .lie_group import model_for, model_from_params, model_params
+from .lie_group import AbelianModel, model_for, model_from_params, model_params
 
 
 class InputError(ValueError):
@@ -392,14 +392,19 @@ def problem_from_dict(d):
     if base_point is not None:
         _finite(base_point, "base_point")
         try:
-            dim = model_for(alg).payload_dim
+            model = model_for(alg)
         except ValueError:
             # no group model: only reconstruct uses the point, and it
-            # rejects the algebra itself
-            dim = base_point.size
+            # rejects the algebra itself; R^n asks only for a vector
+            model = AbelianModel(base_point.size)
+        dim = model.payload_dim
         if base_point.shape != (dim,):
             raise InputError(f"base_point must be a point of {dim} "
                              f"coordinates; got shape {base_point.shape}")
+        try:
+            model.normalize(base_point)
+        except ValueError as err:
+            raise InputError(str(err))
     u_field = arrays.get("u_field")
     if u_field is not None:
         _finite(u_field, "u_field")
@@ -473,9 +478,11 @@ def surface_from_dict(d):
         F = payload.reshape(int(d["nx"]), int(d["ny"]), model.payload_dim)
     except ValueError:
         raise InputError("surface payload length does not match the grid")
-    if not np.all(np.isfinite(F)):
-        raise InputError("surface payload has non-finite entries")
-    model.normalize(F)      # a ValueError (exit 3) for points off the group
+    _finite(F, "surface payload")
+    try:
+        model.normalize(F)
+    except ValueError as err:
+        raise InputError(str(err))
     return F, model
 
 

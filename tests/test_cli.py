@@ -585,6 +585,18 @@ def test_export_rejects_a_pole_off_s3(tmp_path, capsys, pole):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["check-frame", "check-gcr", "solve"])
+def test_every_problem_command_rejects_a_base_point_off_the_group(
+        tmp_path, capsys, command):
+    path = tmp_path / "problem.json"
+    dump_json(_based(fixtures.s3_sphere, [2.0, 0.0, 0.0, 0.0])(9), path)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, str(path), "-o", str(out / "r.json")]) == 3
+    assert capsys.readouterr().err.splitlines() == [OFF_S3 + "1.000e+00 > 1e-08"]
+    assert list(out.iterdir()) == []
+
+
 def _scaled_shape_operator_problem(tmp_path, scale):
     fx = fixtures.sphere_r3(9)
     blob = problem_to_dict(fx.data, fx.alg, base_point=fx.F[0, 0])

@@ -374,6 +374,34 @@ def test_problem_base_point_is_checked(point, match):
         problem_from_dict(blob)
 
 
+OFF_GROUP = [("s3", [1.0 + 1e-7, 0.0, 0.0, 0.0],
+              r"^S\^3 points must be unit quaternions: \|q\| is off 1 by"),
+             ("s3", [0.0, 0.0, 0.0, 0.0],
+              r"^S\^3 points must be unit quaternions: \|q\| is off 1 by"),
+             ("hn", [0.0, 0.0, -1.0], r"^H\^n payload left the half space")]
+
+
+@pytest.mark.parametrize("name,point,match", OFF_GROUP,
+                         ids=["s3-off-1e-7", "s3-zero", "h3-below"])
+def test_problem_base_point_off_the_group_is_an_input_error(name, point,
+                                                            match):
+    fx = (fixtures.s3_sphere if name == "s3" else fixtures.horosphere_h3)(5)
+    blob = problem_to_dict(fx.data, fx.alg, base_point=point)
+    with pytest.raises(InputError, match=match):
+        problem_from_dict(blob)
+
+
+@pytest.mark.parametrize("name,point,match", OFF_GROUP,
+                         ids=["s3-off-1e-7", "s3-zero", "h3-below"])
+def test_surface_payload_off_the_group_is_an_input_error(name, point, match):
+    model = model_for(la.s3() if name == "s3" else la.hn(3))
+    F = np.broadcast_to(model.identity(), (2, 2, model.payload_dim)).copy()
+    F[1, 0] = point
+    blob = json.loads(json.dumps(surface_to_dict(F, model)))
+    with pytest.raises(InputError, match=match):
+        surface_from_dict(blob)
+
+
 def test_integration_error_names_cell_with_plain_integers():
     grid = ParamGrid(3, 3, 0.5)
     xi_x = np.zeros((3, 3, 3))

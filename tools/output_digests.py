@@ -12,11 +12,12 @@ The sweep is:
   * solve and reconstruct, each with -v, on a problem file of every surface
     fixture at --grid-n 17, written with SRC's `problem_to_dict` and the
     fixture's own base point (the file is listed too);
+  * export to OBJ from the pole (0, 0, 0, 1) of every S^3 surface JSON
+    the reconstruct runs above write;
   * cmc on the cmc-sphere fixture;
   * catalog -o for every catalog tag, then check-algebra on each algebra
     file written;
-  * export to PLY of every surface JSON written, and export to OBJ from
-    the pole (0, 0, 0, 1) of every S^3 surface JSON written.
+  * export to PLY of every surface JSON written.
 
 The listing has one line per run, `run EXIT SHA(stdout) SHA(stderr) ARGV`,
 with OUT masked in stdout and stderr, then one line per file in OUT,
@@ -25,7 +26,6 @@ outputs give byte-identical listings, and so does one checkout run twice.
 """
 
 import hashlib
-import json
 import os
 import subprocess
 import sys
@@ -48,10 +48,11 @@ def grid_runs(fixtures, sizes=GRID_SIZES, commands=GRID_COMMANDS):
             for name in fixtures for n in sizes for command in commands]
 
 
-def problem_file_runs(out, fixtures, n=FILE_SIZE):
-    """Write each fixture's problem at grid size n to out, with its own base
-    point, and return the argv of the FILE_COMMANDS runs on it."""
+def problem_file_runs(out, fixtures):
+    """Write each fixture's problem at grid size FILE_SIZE to out, with its
+    own base point, and return the argv of the FILE_COMMANDS runs on it."""
     from spinorforge.serialization import dump_json, problem_to_dict
+    n = FILE_SIZE
     runs = []
     for name, make in fixtures.items():
         fx = make(n)
@@ -63,28 +64,34 @@ def problem_file_runs(out, fixtures, n=FILE_SIZE):
     return runs
 
 
+def pole_runs(fixtures):
+    """Export to OBJ from the pole (0, 0, 0, 1) of every surface JSON that
+    the grid and problem-file reconstruct runs write for an S^3 fixture."""
+    s3 = [name for name, make in fixtures.items()
+          if make(FILE_SIZE).model.name == "s3"]
+    surfaces = ([f"{name}-{n}.reconstruct.surface.json"
+                 for name in s3 for n in GRID_SIZES]
+                + [f"{name}-{FILE_SIZE}.file-reconstruct.surface.json"
+                   for name in s3])
+    return [["export", path, "--pole", "0", "0", "0", "1", "-v",
+             "-o", path[:-len(".json")] + ".pole.obj"] for path in surfaces]
+
+
 def catalog_runs(tags):
     return [["catalog", "--group", tag, "-o", f"algebra-{tag}.json"]
             for tag in tags]
 
 
-def follow_up_runs(out, poles=False):
+def follow_up_runs(out):
     """check-algebra on every written algebra and export of every written
-    surface, in sorted order of the files; with `poles`, also an export
-    from the pole (0, 0, 0, 1) of every S^3 surface."""
+    surface, in sorted order of the files."""
     out = Path(out)
-    surfaces = sorted(out.glob("*.surface.json"))
     runs = [["check-algebra", path.name, "-v",
              "-o", f"{path.stem}.check-algebra.json"]
             for path in sorted(out.glob("algebra-*.json"))]
     runs += [["export", path.name, "--format", "ply", "-v",
               "-o", path.name[:-len(".json")] + ".export.ply"]
-             for path in surfaces]
-    if poles:
-        runs += [["export", path.name, "--pole", "0", "0", "0", "1", "-v",
-                  "-o", path.name[:-len(".json")] + ".pole.obj"]
-                 for path in surfaces
-                 if json.loads(path.read_text())["model"]["name"] == "s3"]
+             for path in sorted(out.glob("*.surface.json"))]
     return runs
 
 
@@ -106,13 +113,13 @@ def file_lines(out):
             for path in sorted(out.rglob("*")) if path.is_file()]
 
 
-def sweep(src, out, runs, poles=False):
+def sweep(src, out, runs):
     """Run `runs` in out, then the follow-up runs on what they wrote;
     returns the listing lines."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     lines = [run(src, out, argv) for argv in runs]
-    lines += [run(src, out, argv) for argv in follow_up_runs(out, poles)]
+    lines += [run(src, out, argv) for argv in follow_up_runs(out)]
     return lines + file_lines(out)
 
 
@@ -124,6 +131,7 @@ def full_sweep_runs(src, out):
     fixtures = dict(sorted(cli.SURFACE_FIXTURES.items()))
     Path(out).mkdir(parents=True, exist_ok=True)
     return (grid_runs(fixtures) + problem_file_runs(out, fixtures)
+            + pole_runs(fixtures)
             + [["cmc", "--fixture", "cmc-sphere", "-v", "-o", "cmc.json"]]
             + catalog_runs(sorted(lie_algebra.CATALOG)))
 
@@ -134,7 +142,7 @@ def main(argv=None):
         print("usage: python3 tools/output_digests.py SRC OUT", file=sys.stderr)
         return 3
     src, out = argv
-    for line in sweep(src, out, full_sweep_runs(src, out), poles=True):
+    for line in sweep(src, out, full_sweep_runs(src, out)):
         print(line)
     return 0
 
