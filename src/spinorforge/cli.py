@@ -213,7 +213,7 @@ def cmd_reconstruct(args):
     data, alg, base_spinor, base_point, _ = _load_problem(args)
     # before any work: the surface needs a group model with an R^3 mesh
     model = model_for(alg)
-    check_r3_embedding(model, model.payload_dim)
+    check_r3_embedding(model, model.payload_dim, args.pole)
     problem = KillingProblem(data, alg, base_spinor=base_spinor)
     try:
         F, _, report = reconstruct_immersion(
@@ -242,18 +242,20 @@ def cmd_cmc(args):
     else:
         data, pot = fixtures.cmc_sphere(n)
     _check_grid(args, data.grid.shape)
+    alg = la.unimodular(*pot.mu)
+    try:
+        model = model_for(alg)
+    except ValueError:
+        model = None    # no closed-form group model: report only
+    if model is not None:    # before any work, as in reconstruct
+        check_r3_embedding(model, model.payload_dim, args.pole)
     base, _ = os.path.splitext(args.output)
     f = weier_f_from_g(data, pot)
     pde = gauss_map_pde_residual(data, pot)
     companion = dirac2_residual(data, pot, f)
     xi = xi_from_weierstrass(data, pot, f)
-    alg = la.unimodular(*pot.mu)
     sres = structure_residual(xi, alg)
     tol = args.structure_tol or structure_tolerance(data.grid)
-    try:
-        model = model_for(alg)
-    except ValueError:
-        model = None    # no closed-form group model: report only
     report = {
         "pde": field_report(pde, f"{base}.pde.json"),
         "dirac_companion": field_report(companion, f"{base}.companion.json"),
@@ -383,16 +385,10 @@ def main(argv=None):
             parser.print_help()
             return EXIT_INPUT
         return COMMANDS[args.command][0](args)
-    except InputError as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return EXIT_INPUT
     except (SingularPotentialError, IntegrationError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except NotIntegrableError as err:
-        print(f"not integrable: {err}", file=sys.stderr)
-        return EXIT_RESIDUAL
-    except ValueError as err:
+    except ValueError as err:    # InputError included
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as err:

@@ -415,9 +415,6 @@ class Multivector:
     def max_norm(self):
         return float(np.max(np.abs(self.coeffs)))
 
-    def exp(self):
-        return Multivector(self.n, exp_array(self.coeffs, self.n))
-
     def allclose(self, other, tol=1e-12):
         self._check(other)
         return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= tol)
@@ -575,6 +572,7 @@ def bivector_of_offdiag(u):
 # =============================================================================
 
 SPIN_TOL = 1e-10
+PURITY_TOL = 1e-10      # off-grade mass of g x rev(g) that signals corruption
 
 
 class SpinElement:
@@ -620,7 +618,7 @@ class SpinElement:
     def adjoint_matrix(self):
         """The SO(n) matrix of x -> g * x * reversal(g) on vectors."""
         m, impurity = adjoint_array(self.value.coeffs, self.n)
-        if not impurity <= 1e-10:
+        if not impurity <= PURITY_TOL:
             raise ValueError(f"adjoint action left grade-1: impurity {impurity:.3e}")
         return m
 

@@ -107,6 +107,8 @@ POLE_TOL = 0.0      # 1 + nu3 at or below which a normal is the south pole
 def stereographic(nu):
     """g = (nu1 + i nu2) / (1 + nu3); rejected at the south pole -e3."""
     nu = np.asarray(nu, dtype=np.float64)
+    if not np.all(np.isfinite(nu)):
+        raise ValueError("the normal nu has non-finite entries")
     denom = 1.0 + nu[..., 2]
     if np.min(denom) <= POLE_TOL:
         raise ValueError("stereographic projection undefined at -e3")
@@ -148,7 +150,7 @@ class WeierstrassData:
         else:
             nu = np.asarray(nu, dtype=np.float64)
             dev = np.max(np.abs(nu - inverse_stereographic(g)))
-            if dev > 1e-10:
+            if not dev <= 1e-10:
                 raise ValueError(f"nu and g disagree under stereographic "
                                  f"projection by {dev:.3e}")
         if np.min(1.0 + nu[..., 2]) < 0.5 * POLE_ANGLE ** 2:
@@ -246,7 +248,7 @@ def dirac_system_residual(z1, z2, data, pot, f):
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
     norm_dev = np.max(np.abs(np.abs(z1) ** 2 + np.abs(z2) ** 2 - 1.0))
-    if norm_dev > 1e-8:
+    if not norm_dev <= 1e-8:
         raise ValueError(f"|z1|^2 + |z2|^2 = 1 violated by {norm_dev:.3e}")
     grid = data.grid
     mu = grid.mu
@@ -270,6 +272,8 @@ def pair_from_weierstrass(g, f):
     (the represented surface is quadratic in the spinor)."""
     g = np.asarray(g, dtype=complex)
     f = np.asarray(f, dtype=complex)
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(f))):
+        raise ValueError("g and f must be finite for the identification")
     mu = 0.5 * np.abs(f) * (1.0 + np.abs(g) ** 2)
     if np.min(mu) <= 0:
         raise ValueError("the density must be nonzero for the identification")

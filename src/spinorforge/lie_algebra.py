@@ -256,44 +256,18 @@ def h2xr():
 
 
 def unimodular(mu1, mu2, mu3):
-    """3D unimodular group with connection Gamma(X) = X1 mu1 e23 + X2 mu2 e31
-    + X3 mu3 e12 in an orthonormal basis.
-
-    The structure constants are recovered through torsion-freeness,
-    [e_i, e_j] = Gamma(e_i) e_j - Gamma(e_j) e_i, giving the Milnor form
-    [e1,e2] = (mu1+mu2) e3 and cyclic; building the algebra re-runs the
-    Koszul formula, so the stated connection is validated on construction,
-    to a rounding error that grows with max|mu|.
+    """3D unimodular group in Milnor form, [e1,e2] = (mu1+mu2) e3 and
+    cyclic, in an orthonormal basis.  Its Koszul connection, like every
+    algebra's, comes from c alone; it is Gamma(X) = X1 mu1 e23 + X2 mu2 e31
+    + X3 mu3 e12, the form of the Meeks-Mira-Perez-Ros CMC representation.
     """
     mus = (float(mu1), float(mu2), float(mu3))
     c = np.zeros((3, 3, 3))
     for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         c[i, j, k] = mus[i] + mus[j]
         c[j, i, k] = -c[i, j, k]
-    alg = MetricLieAlgebra(c, catalog_tag="Unimodular",
-                           params={"mu": list(mus)})
-    want = unimodular_gamma_matrix(mus, np.eye(3))
-    got = alg.gamma_op(np.eye(3))
-    if not np.max(np.abs(got - want)) <= 1e-14 * max(1.0, *map(abs, mus)):
-        raise ValueError("unimodular connection does not match its defining form")
-    return alg
-
-
-def unimodular_gamma_matrix(mus, Xs):
-    """Stacked Gamma(X) matrices of the unimodular family, straight from the
-    diagonalized form (used as the construction-time cross-check)."""
-    Xs = np.atleast_2d(np.asarray(Xs, float))
-    out = np.zeros((Xs.shape[0], 3, 3))
-    for r, X in enumerate(Xs):
-        m = np.zeros((3, 3))
-        m[2, 1] = X[0] * mus[0]
-        m[1, 2] = -m[2, 1]
-        m[0, 2] = X[1] * mus[1]
-        m[2, 0] = -m[0, 2]
-        m[1, 0] = X[2] * mus[2]
-        m[0, 1] = -m[1, 0]
-        out[r] = m
-    return out
+    return MetricLieAlgebra(c, catalog_tag="Unimodular",
+                            params={"mu": list(mus)})
 
 
 def real_param(value, name, ndim=0):

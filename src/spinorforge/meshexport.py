@@ -12,6 +12,8 @@ all vertex lines, one structured-array `tobytes` of all PLY faces).
 
 import numpy as np
 
+from .lie_group import first_non_finite
+
 FORMATS = ("obj", "ply")
 
 
@@ -28,40 +30,45 @@ def grid_faces(nx, ny):
     return np.concatenate([t1, t2], axis=0)
 
 
-def stereographic_s3(F, pole=None):
-    """Project unit quaternions to R^3 from `pole` (default (-1, 0, 0, 0)):
-    first rotate the pole to -identity by a left translation, then apply
-    v / (1 + w).  A pole that `S3Model.normalize` rejects is a ValueError."""
-    F = np.asarray(F, dtype=np.float64)
+def stereographic_s3(F, model, pole=None):
+    """Project unit quaternions to R^3 from `pole` (default (-1, 0, 0, 0)),
+    a pole `check_r3_embedding` has passed: first rotate the pole to
+    -identity by a left translation, then apply v / (1 + w).  A non-finite
+    payload, or one at the projection pole, is a ValueError."""
+    cell = first_non_finite(F)
+    if cell is not None:
+        raise ValueError(f"S^3 payload at node {cell} is not finite")
     if pole is not None:
-        pole = np.asarray(pole, dtype=np.float64)
-        if pole.shape != (4,):
-            raise ValueError("the projection pole must be a unit quaternion")
-        from .lie_group import S3Model
-        model = S3Model()
-        model.normalize(pole)
-        rot = -model.inverse(pole)
-        F = model.multiply(rot, F)
+        F = model.multiply(-model.inverse(pole), F)
     denom = 1.0 + F[..., 0]
     if np.min(denom) <= 1e-12:
         raise ValueError("surface touches the projection pole; choose another")
     return F[..., 1:] / denom[..., None]
 
 
-def check_r3_embedding(model, dim):
+def check_r3_embedding(model, dim, pole=None):
     """ValueError unless the model's payloads of dimension `dim` have an R^3
-    embedding: S^3 points project stereographically, and payloads of
-    dimension 3 are their own coordinates."""
+    embedding from `pole`: S^3 points project stereographically from any
+    pole `model.normalize` passes (the antipode of the identity when None),
+    and payloads of dimension 3 are their own coordinates, with no pole."""
     if model.name != "s3" and dim != 3:
         raise ValueError(f"no R^3 embedding for {model.name} payloads of "
                          f"dimension {dim}")
+    if pole is None:
+        return
+    if model.name != "s3":
+        raise ValueError(f"a projection pole is read only for S^3 surfaces, "
+                         f"not {model.name}")
+    if np.shape(pole) != (4,):
+        raise ValueError("the projection pole must be a unit quaternion")
+    model.normalize(pole)
 
 
 def embed_r3(F, model, pole=None):
     """The model's R^3 vertex coordinates for a payload grid."""
     F = np.asarray(F, dtype=np.float64)
-    check_r3_embedding(model, F.shape[-1])
-    return stereographic_s3(F, pole) if model.name == "s3" else F
+    check_r3_embedding(model, F.shape[-1], pole)
+    return stereographic_s3(F, model, pole) if model.name == "s3" else F
 
 
 def write_obj(path, vertices, faces):

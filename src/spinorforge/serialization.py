@@ -34,7 +34,8 @@ from . import lie_algebra as la
 from .clifford import Multivector, SpinElement
 from .grid import ParamGrid
 from .immersion import ImmersionData
-from .lie_group import AbelianModel, model_for, model_from_params, model_params
+from .lie_group import (MODELS, AbelianModel, model_for, model_from_params,
+                        model_params)
 
 
 class InputError(ValueError):
@@ -110,7 +111,7 @@ SURFACE_SCHEMA = {
         "model": {
             "type": "object",
             "properties": {
-                "name": {"enum": ["abelian", "s3", "semidirect", "hn"]},
+                "name": {"enum": list(MODELS)},
                 "params": {"type": "object"},
             },
             "required": ["name"],

@@ -32,7 +32,7 @@ e3 e1) ~ (i, j, k) on bivectors, and quaternions are stored as pairs
 import numpy as np
 
 from .clifford import (
-    Multivector, SpinElement, adjoint_array, bivector_array,
+    PURITY_TOL, Multivector, SpinElement, adjoint_array, bivector_array,
     bivector_exp_array, gp_array, offdiag_skew_array, reverse_array,
     spin_defects, spin_lift, spin_lift_array, unit_defect, vector_array,
 )
@@ -306,7 +306,6 @@ def solve_killing(problem, holonomy_tol=None, spin_tol=1e-8):
 # xi, normalization, reconstruction
 # =============================================================================
 
-PURITY_TOL = 1e-10      # off-grade mass of xi that signals spinor corruption
 ORTH_TOL = 1e-6         # largest defect of xi o frame^-1 at the base node
 
 
@@ -502,6 +501,9 @@ def spinor_of_immersion(F, alg, grid):
     the frame rotation.  The result satisfies the Killing equation to O(h^2)
     and round-trips with the reconstruction up to a rigid motion.
     """
+    cell = first_non_finite(F)
+    if cell is not None:
+        raise ValueError(f"the immersion F is not finite at node {cell}")
     model = model_for(alg)
     n = alg.n
     q = n - 2

@@ -1210,3 +1210,85 @@ def test_every_surface_fixture_carries_its_algebras_model():
         assert type(fx.model) is type(want), name
         assert model_params(fx.model) == model_params(want), name
         assert fx.grid is fx.data.grid, name
+
+
+# =============================================================================
+# --pole is judged before any work, and only an S^3 surface reads it
+# =============================================================================
+
+NOT_S3 = ("input error: a projection pole is read only for S^3 surfaces, "
+          "not abelian")
+
+
+def _cmc_s3_file(tmp_path):
+    """The cmc-sphere Gauss map with the S^3 potential mu = (1, 1, 1)."""
+    from spinorforge.cmc import HPotential
+    data, _ = fixtures.cmc_sphere(9)
+    path = tmp_path / "cmc-s3.json"
+    dump_json(cmc_to_dict(data, HPotential(1.0, (1.0, 1.0, 1.0))), path)
+    return path
+
+
+@pytest.mark.parametrize("pole,message", [
+    (["nan"] * 4, OFF_S3 + "nan > 1e-08"),
+    (["2", "0", "0", "0"], OFF_S3 + "1.000e+00 > 1e-08"),
+], ids=["nan", "norm-two"])
+def test_reconstruct_judges_the_pole_before_the_solve(
+        tmp_path, capsys, monkeypatch, pole, message):
+    calls = []
+    solve = spinor.solve_killing
+    monkeypatch.setattr(spinor, "solve_killing",
+                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["reconstruct", "--fixture", "s3-sphere", "--grid-n", "9",
+                 "--pole", *pole, "-o", str(out / "r.json")]) == 3
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert calls == [] and list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["reconstruct", "--fixture", "sphere-r3", "--grid-n", "9",
+      "--pole", "1", "0", "0", "0"], NOT_S3),
+    (["cmc", "--fixture", "cmc-sphere", "--grid-n", "9",
+      "--pole", "1", "0", "0", "0"], NOT_S3),
+    (["cmc", "CMC_S3", "--pole", "nan", "nan", "nan", "nan"],
+     OFF_S3 + "nan > 1e-08"),
+    (["export", "R3_SURFACE", "--pole", "1", "0", "0", "0"], NOT_S3),
+], ids=["reconstruct-r3", "cmc-r3", "cmc-s3-nan", "export-r3"])
+def test_a_bad_or_misplaced_pole_exits_three_and_writes_nothing(
+        tmp_path, capsys, argv, message):
+    fx = fixtures.sphere_r3(9)
+    surface = tmp_path / "surface.json"
+    dump_json(surface_to_dict(fx.F, fx.model), surface)
+    inputs = {"CMC_S3": str(_cmc_s3_file(tmp_path)),
+              "R3_SURFACE": str(surface)}
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [inputs.get(word, word) for word in argv]
+    assert main(argv + ["-o", str(out / "r.json")]) == 3
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert list(out.iterdir()) == []
+
+
+def test_cmc_on_s3_projects_from_a_given_pole(tmp_path):
+    path = _cmc_s3_file(tmp_path)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["cmc", str(path), "-o", str(a)]) == 0
+    assert main(["cmc", str(path), "--pole", "0", "0", "0", "1",
+                 "-o", str(b)]) == 0
+    va = read_obj_vertices(tmp_path / "a.surface.obj")
+    vb = read_obj_vertices(tmp_path / "b.surface.obj")
+    assert np.all(np.isfinite(vb)) and np.max(np.abs(va - vb)) > 1e-3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_export_mesh_rejects_a_non_finite_s3_payload(tmp_path, bad):
+    fx = fixtures.s3_equator(9)
+    F = np.array(fx.F)
+    F[2, 3, 1] = bad
+    path = tmp_path / "m.obj"
+    with pytest.raises(ValueError,
+                       match=r"S\^3 payload at node \(2, 3\) is not finite"):
+        export_mesh(F, fx.model, "obj", path)
+    assert not path.exists()

@@ -285,3 +285,43 @@ def test_constant_spinor_flat_chart_zero_residual():
     r1, r2 = dirac_system_residual(z1, z2, data, HPotential(0.0, (0, 0, 0)),
                                    f=np.zeros(grid.shape, dtype=complex))
     assert np.max(r1) <= 1e-14 and np.max(r2) <= 1e-14
+
+
+# =============================================================================
+# Non-finite inputs are rejected where they enter
+# =============================================================================
+
+def test_data_rejects_a_nan_normal():
+    data, _ = fixtures.cmc_sphere(9)
+    nu = data.nu.copy()
+    nu[4, 4, 0] = np.nan
+    with pytest.raises(ValueError, match="nu and g disagree .* by nan"):
+        WeierstrassData(data.grid, data.g, nu)
+
+
+def test_dirac_system_residual_rejects_a_nan_spinor():
+    data, pot = fixtures.cmc_sphere(9)
+    f = weier_f_from_g(data, pot)
+    z1, z2, _ = pair_from_weierstrass(data.g, f)
+    z1[4, 4] = np.nan
+    with pytest.raises(ValueError, match=r"\|z1\|\^2 \+ \|z2\|\^2 = 1 "
+                                         r"violated by nan"):
+        dirac_system_residual(z1, z2, data, pot, f)
+
+
+@pytest.mark.parametrize("which", ["g", "f"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_pair_from_weierstrass_rejects_non_finite_input(which, bad):
+    gf = {"g": np.array([0.1 + 0.2j, 0.3j]), "f": np.array([1.0, 2.0 - 1j])}
+    gf[which][1] = bad
+    with pytest.raises(ValueError, match="g and f must be finite"):
+        pair_from_weierstrass(gf["g"], gf["f"])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("axis", [0, 2])
+def test_stereographic_rejects_a_non_finite_normal(bad, axis):
+    nu = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]])
+    nu[1, axis] = bad
+    with pytest.raises(ValueError, match="the normal nu has non-finite"):
+        stereographic(nu)

@@ -380,3 +380,34 @@ def test_structure_constants_of_a_blob_are_not_coerced(c, match):
 def test_structure_constants_of_a_blob_take_integers_and_floats():
     assert algebra_from_dict({"tag": "x", "c": [[[0]]]}).n == 1
     assert algebra_from_dict({"tag": "x", "c": [[[0.0]]]}).n == 1
+
+
+def former_unimodular_gamma_matrix(mus, Xs):
+    """Stacked Gamma(X) matrices of the unimodular family, straight from the
+    diagonalized form (used as the construction-time cross-check)."""
+    Xs = np.atleast_2d(np.asarray(Xs, float))
+    out = np.zeros((Xs.shape[0], 3, 3))
+    for r, X in enumerate(Xs):
+        m = np.zeros((3, 3))
+        m[2, 1] = X[0] * mus[0]
+        m[1, 2] = -m[2, 1]
+        m[0, 2] = X[1] * mus[1]
+        m[2, 0] = -m[0, 2]
+        m[1, 0] = X[2] * mus[2]
+        m[0, 1] = -m[1, 0]
+        out[r] = m
+    return out
+
+
+def test_unimodular_koszul_connection_is_the_milnor_form():
+    # the recipe of test_unimodular_builds_for_any_mu_up_to_a_million, on a
+    # generator of its own, and the extreme mu that cancel in c
+    draw = np.random.default_rng(1609)
+    mus = draw.choice([-1.0, 1.0], size=(200, 3)) * 10.0 ** draw.uniform(
+        -3.0, 6.0, size=(200, 3))
+    for mu in [(123.456, 789.012, 345.678), (1e5 + 0.1, 3.3, 7.7), *mus,
+               (1e16, 1.0, -1e16)]:
+        mu = tuple(float(m) for m in mu)
+        got = unimodular(*mu).gamma_op(np.eye(3))
+        want = former_unimodular_gamma_matrix(mu, np.eye(3))
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, *map(abs, mu))

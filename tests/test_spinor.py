@@ -708,3 +708,13 @@ def test_mean_curvature_vector():
     fx = fixtures.sphere_r3(5, radius=2.0)
     H = mean_curvature_vector(fx.data)
     assert np.max(np.abs(H - 0.5)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_spinor_of_immersion_names_a_non_finite_node(bad):
+    fx = fixtures.s3_sphere(9)
+    F = np.array(fx.F)
+    F[3, 5, 2] = bad
+    with pytest.raises(ValueError, match=r"the immersion F is not finite at "
+                                         r"node \(3, 5\)"):
+        spinor_of_immersion(F, fx.alg, fx.grid)

@@ -15,6 +15,10 @@ The sweep is:
   * export to OBJ from the pole (0, 0, 0, 1) of every S^3 surface JSON
     the reconstruct runs above write;
   * cmc on the cmc-sphere fixture;
+  * cmc, with -v, on a file of the cmc-sphere Gauss map at --grid-n 17,
+    written with SRC's `cmc_to_dict`, once with the fixture's potential and
+    once with the S^3 potential mu = (1, 1, 1), projected from the pole
+    (0, 0, 0, 1) (both files are listed too);
   * catalog -o for every catalog tag, then check-algebra on each algebra
     file written;
   * export to PLY of every surface JSON written.
@@ -77,6 +81,26 @@ def pole_runs(fixtures):
              "-o", path[:-len(".json")] + ".pole.obj"] for path in surfaces]
 
 
+def cmc_file_runs(out):
+    """Write the cmc-sphere Gauss map at grid size FILE_SIZE to out, with its
+    own potential and with the S^3 potential, and return the argv of the cmc
+    runs on them; the S^3 surface is projected from the pole (0, 0, 0, 1)."""
+    from spinorforge.cmc import HPotential
+    from spinorforge.fixtures import cmc_sphere
+    from spinorforge.serialization import cmc_to_dict, dump_json
+    data, pot = cmc_sphere(FILE_SIZE)
+    runs = []
+    for name, potential, pole in (
+            ("cmc-sphere", pot, []),
+            ("cmc-s3", HPotential(1.0, (1.0, 1.0, 1.0)),
+             ["--pole", "0", "0", "0", "1"])):
+        path = f"{name}-{FILE_SIZE}.cmc-input.json"
+        dump_json(cmc_to_dict(data, potential), Path(out) / path)
+        runs.append(["cmc", path, *pole, "-v",
+                     "-o", f"{name}-{FILE_SIZE}.file-cmc.json"])
+    return runs
+
+
 def catalog_runs(tags):
     return [["catalog", "--group", tag, "-o", f"algebra-{tag}.json"]
             for tag in tags]
@@ -133,6 +157,7 @@ def full_sweep_runs(src, out):
     return (grid_runs(fixtures) + problem_file_runs(out, fixtures)
             + pole_runs(fixtures)
             + [["cmc", "--fixture", "cmc-sphere", "-v", "-o", "cmc.json"]]
+            + cmc_file_runs(out)
             + catalog_runs(sorted(lie_algebra.CATALOG)))
 
 
