@@ -249,6 +249,10 @@ def cmd_cmc(args):
         model = None    # no closed-form group model: report only
     if model is not None:    # before any work, as in reconstruct
         check_r3_embedding(model, model.payload_dim, args.pole)
+    elif args.pole is not None:
+        raise InputError("a projection pole is read only for S^3 surfaces, "
+                         "and this potential's group has no model to "
+                         "integrate a surface in")
     base, _ = os.path.splitext(args.output)
     f = weier_f_from_g(data, pot)
     pde = gauss_map_pde_residual(data, pot)

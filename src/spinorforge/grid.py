@@ -7,7 +7,8 @@ trailing.
 
 `STENCILS` is the one source of the finite-difference stencils, applied by
 `difference` to fields (`ParamGrid.dx`, ...) and to group maps
-(`lie_group.maurer_cartan_pullback`).  First derivatives are second-order
+(`lie_group.maurer_cartan_pullback`, which reads the nodes and offsets each
+will sample from `stencil_blocks`).  First derivatives are second-order
 central differences inside; at the boundary a one-sided 4-point stencil
 whose leading error term matches the interior one keeps the error a smooth
 O(h^2) field, and `order=4` selects 5-point verification stencils.
@@ -72,11 +73,13 @@ def _apply_row(sample, lo, hi, row):
     return acc if divisor == 1 else acc / divisor
 
 
-def difference(sample, size, h, derivative, order):
-    """The `derivative`-th derivative at `order` over `size` nodes of spacing
-    h, stacked along the leading axis, from `sample(lo, hi, k)` = f(x + k h)
-    for the nodes lo <= x < hi; ValueError for an order without a stencil
-    and for fewer nodes than the edge rows reach."""
+def stencil_blocks(size, derivative, order):
+    """The blocks (lo, hi, row) of `difference` for the `derivative`-th
+    derivative at `order` over `size` nodes, in the order it stacks them:
+    each edge row on its one node 0, 1, ..., the interior row on the nodes
+    e <= x < size - e, and the mirrored edge rows on the last e nodes;
+    ValueError for an order without a stencil and for fewer nodes than the
+    edge rows reach."""
     if (derivative, order) not in STENCILS:
         raise ValueError(f"no order-{order} stencil for derivative "
                          f"{derivative}; known: {sorted(STENCILS)}")
@@ -88,10 +91,17 @@ def difference(sample, size, h, derivative, order):
     e, sign = len(edges), (-1) ** derivative
     far = [([-k for k in offs], [sign * w for w in ws], div)
            for offs, ws, div in edges]
-    blocks = [_apply_row(sample, i, i + 1, row) for i, row in enumerate(edges)]
-    blocks.append(_apply_row(sample, e, size - e, interior))
-    blocks += [_apply_row(sample, size - 1 - i, size - i, far[i])
-               for i in reversed(range(e))]
+    return ([(i, i + 1, row) for i, row in enumerate(edges)]
+            + [(e, size - e, interior)]
+            + [(size - 1 - i, size - i, far[i]) for i in reversed(range(e))])
+
+
+def difference(sample, size, h, derivative, order):
+    """The `derivative`-th derivative at `order` over `size` nodes of spacing
+    h, stacked along the leading axis, from `sample(lo, hi, k)` = f(x + k h)
+    for the nodes lo <= x < hi of each `stencil_blocks` block."""
+    blocks = [_apply_row(sample, lo, hi, row)
+              for lo, hi, row in stencil_blocks(size, derivative, order)]
     return np.concatenate(blocks) / h ** derivative
 
 

@@ -65,10 +65,15 @@ def check_r3_embedding(model, dim, pole=None):
 
 
 def embed_r3(F, model, pole=None):
-    """The model's R^3 vertex coordinates for a payload grid."""
+    """The model's R^3 vertex coordinates for a payload grid; a vertex that
+    is not finite is a ValueError naming its node."""
     F = np.asarray(F, dtype=np.float64)
     check_r3_embedding(model, F.shape[-1], pole)
-    return stereographic_s3(F, model, pole) if model.name == "s3" else F
+    vertices = stereographic_s3(F, model, pole) if model.name == "s3" else F
+    cell = first_non_finite(vertices)
+    if cell is not None:
+        raise ValueError(f"the vertex at node {cell} is not finite")
+    return vertices
 
 
 def write_obj(path, vertices, faces):

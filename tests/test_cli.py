@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -1290,5 +1291,44 @@ def test_export_mesh_rejects_a_non_finite_s3_payload(tmp_path, bad):
     path = tmp_path / "m.obj"
     with pytest.raises(ValueError,
                        match=r"S\^3 payload at node \(2, 3\) is not finite"):
+        export_mesh(F, fx.model, "obj", path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("pole", [["nan"] * 4, ["1", "0", "0", "0"]],
+                         ids=["nan", "unit"])
+def test_cmc_without_a_group_model_rejects_a_pole_before_any_work(
+        tmp_path, capsys, monkeypatch, pole):
+    from spinorforge import cli
+    from spinorforge.cmc import HPotential
+    data, _ = fixtures.cmc_sphere(9)
+    path = tmp_path / "cmc.json"
+    dump_json(cmc_to_dict(data, HPotential(1.0, (0.4, -0.7, 1.3))), path)
+    calls = []
+    weier = cli.weier_f_from_g
+    monkeypatch.setattr(cli, "weier_f_from_g",
+                        lambda *a: calls.append(1) or weier(*a))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["cmc", str(path), "--pole", *pole,
+                 "-o", str(out / "r.json")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "input error: a projection pole is read only for S^3 surfaces, and "
+        "this potential's group has no model to integrate a surface in"]
+    assert calls == [] and list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("make,node", [
+    (fixtures.sphere_r3, (1, 2)), (fixtures.sol3_plane, (4, 0)),
+    (fixtures.horosphere_h3, (0, 3)), (fixtures.s3_equator, (2, 3)),
+], ids=["R3", "Sol3", "H3", "S3"])
+def test_export_mesh_rejects_a_non_finite_payload_of_any_model(
+        tmp_path, make, node):
+    fx = make(5)
+    F = np.array(fx.F)
+    F[node][0] = np.nan
+    path = tmp_path / "m.obj"
+    with pytest.raises(ValueError, match=f"node {re.escape(str(node))} is "
+                                         f"not finite"):
         export_mesh(F, fx.model, "obj", path)
     assert not path.exists()

@@ -12,8 +12,9 @@ from spinorforge.lie_algebra import (
 )
 from spinorforge.lie_group import (
     AbelianModel, HnModel, IntegrationError, LieValuedOneForm, S3Model,
-    SemidirectModel, darboux_integrate, expm, maurer_cartan_pullback,
-    model_for, normal_connection, second_fundamental_form, structure_residual,
+    SemidirectModel, darboux_integrate, expm, first_non_finite,
+    maurer_cartan_pullback, model_for, normal_connection,
+    second_fundamental_form, structure_residual,
 )
 
 rng = np.random.default_rng(97)
@@ -508,6 +509,140 @@ def test_a_base_point_outside_the_half_space_stays_a_value_error():
     for base in ([0.0, 0.0, 0.0], [0.0, 0.0, -1.0]):
         with pytest.raises(ValueError, match="half space"):
             darboux_integrate(xi, alg, base)
+
+
+def _step(model, g, cells):
+    """The per-step judge of `step_darboux`, verbatim."""
+    try:
+        return model.normalize(g)
+    except ValueError as err:
+        for cell, node in zip(cells, np.reshape(g, (-1, g.shape[-1]))):
+            try:
+                model.normalize(node)
+            except ValueError:
+                raise IntegrationError(f"Darboux integration failed: {err}",
+                                       cell=cell) from None
+        raise
+
+
+def step_darboux(xi, alg, base=None, stats=None):
+    """darboux_integrate before its marches were prefix products, verbatim:
+    one model.multiply and judged model.normalize per bottom-row node and
+    per column."""
+    model = model_for(alg)
+    grid, h = xi.grid, xi.grid.h
+    nx, ny = grid.shape
+    F = np.zeros((nx, ny, model.payload_dim))
+    F[0, 0] = model.identity() if base is None else np.asarray(base, float)
+    model.normalize(F[0, 0])    # a base point off the group is a ValueError
+    row = model.exp(0.5 * (xi.xi_x[:-1, 0] + xi.xi_x[1:, 0]), h)
+    cols = model.exp(0.5 * (xi.xi_y[:, :-1] + xi.xi_y[:, 1:]), h)
+    drift = 0.0
+    for i in range(nx - 1):
+        F[i + 1, 0], d = _step(model, model.multiply(F[i, 0], row[i]),
+                               [(i + 1, 0)])
+        drift = max(drift, d)
+    for j in range(ny - 1):
+        F[:, j + 1], d = _step(model, model.multiply(F[:, j], cols[:, j]),
+                               ((k, j + 1) for k in range(nx)))
+        drift = max(drift, d)
+    cell = first_non_finite(F)
+    if cell is not None:
+        raise IntegrationError("Darboux integration diverged", cell=cell)
+    if stats is not None:
+        stats["renorm_drift"] = drift
+    return F
+
+
+def escaping_form(alg, value, where):
+    """A 1-form on a 9 x 9 grid whose last component is `value` from the
+    bottom-row node 3 on (where="row"), or along the columns of the rows
+    i >= 4 from node 3 on and of row 2 from node 6 on (where="column"), so
+    that the first cell to fail in march order (j, then i) is not the first
+    in index order; 100 value further on, where a march that stopped at the
+    first failure never gets."""
+    grid = ParamGrid(9, 9, 1.0 / 8)
+    xi_x = np.zeros(grid.shape + (alg.n,))
+    xi_y = np.zeros(grid.shape + (alg.n,))
+    xi_x[..., 0] = xi_y[..., 0] = 0.5
+    if where == "row":
+        xi_x[3:, 0, -1] = value
+        xi_x[6:, 0, -1] = 100 * value
+    else:
+        xi_y[4:, 3:, -1] = value
+        xi_y[2, 6:, -1] = value
+        xi_y[5:, 6:, -1] = 100 * value
+    return LieValuedOneForm(grid, xi_x, xi_y)
+
+
+@pytest.mark.parametrize("where", ["row", "column"])
+@pytest.mark.parametrize("alg,value,message", [
+    (hn(3), -3000.0, "Darboux integration failed: H^n payload left the half "
+                     "space a_n > 0"),
+    (hn(3), 3000.0, "Darboux integration diverged"),
+    (sol3(), 3000.0, "Darboux integration diverged"),
+    (h2xr(), 3000.0, "Darboux integration diverged"),
+], ids=["H3-underflow", "H3-overflow", "Sol3-overflow", "H2xR-overflow"])
+def test_a_march_that_leaves_the_group_fails_as_the_step_loop_did(
+        alg, value, message, where):
+    xi = escaping_form(alg, value, where)
+    with np.errstate(all="ignore"):
+        with pytest.raises((IntegrationError, ValueError)) as loop:
+            loop_darboux(xi, alg)
+        with pytest.raises(IntegrationError) as step:
+            step_darboux(xi, alg)
+    # the steps past the first failure warn of nothing (the suite makes a
+    # RuntimeWarning an error)
+    with pytest.raises(IntegrationError) as got:
+        darboux_integrate(xi, alg)
+    cell = got.value.cell
+    assert str(got.value) == f"{message} at cell {cell}"
+    assert (str(step.value), step.value.cell) == (str(got.value), cell)
+    if isinstance(loop.value, IntegrationError):
+        assert (str(loop.value), loop.value.cell) == (str(got.value), cell)
+    else:   # the loop let the model's ValueError through, with no cell
+        assert message.endswith(str(loop.value))
+    if "half space" in message:     # the march stops at the first failure
+        assert cell == ((5, 0) if where == "row" else (4, 5))
+
+
+def _counted(monkeypatch, cls, names):
+    """Count the calls of the methods `names` of the class `cls`."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapper(self, *args, _name=name, _method=getattr(cls, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(cls, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("alg", [rn(3), hn(3), sol3(), h2xr(), s3()],
+                         ids=["R3", "H3", "Sol3", "H2xR", "S3"])
+def test_darboux_marches_step_per_node_only_in_s3(monkeypatch, alg):
+    model = model_for(alg)
+    calls = _counted(monkeypatch, type(model), ["multiply"])
+    grid = ParamGrid(17, 9, 1.0 / 16)
+    xi = LieValuedOneForm(grid, rng.normal(size=grid.shape + (alg.n,)),
+                          rng.normal(size=grid.shape + (alg.n,)))
+    darboux_integrate(xi, alg)
+    # S^3 renormalizes before each next product: one call per step
+    assert calls["multiply"] == (16 + 8 if model.name == "s3" else 0)
+
+
+@pytest.mark.parametrize("shape", [(9, 9), (33, 40)], ids=["9x9", "33x40"])
+@pytest.mark.parametrize("order,per_axis", [(2, 3), (4, 5)],
+                         ids=["order2", "order4"])
+@pytest.mark.parametrize("alg", [sol3(), s3(), hn(3)],
+                         ids=["Sol3", "S3", "H3"])
+def test_pullback_makes_one_model_call_per_offset_and_one_for_the_edges(
+        monkeypatch, alg, order, per_axis, shape):
+    model = model_for(alg)
+    grid = ParamGrid(*shape, 1.0 / (shape[0] - 1))
+    F = curved_map(alg, grid)
+    calls = _counted(monkeypatch, type(model), ["multiply", "log"])
+    maurer_cartan_pullback(F, model, grid, order)
+    assert calls == {"multiply": 2 * per_axis, "log": 2 * per_axis}
 
 
 # =============================================================================

@@ -35,3 +35,18 @@ def test_a_sweep_run_twice_lists_identical_outputs(tmp_path):
     assert {"sphere-r3-9.reconstruct.surface.json",
             "s3-sphere-9.reconstruct.surface.export.ply",
             "algebra-S3.check-algebra.json"} <= files
+
+
+def test_converse_digests_are_repeatable_and_name_every_output():
+    tool = load_tool()
+    from spinorforge.cli import SURFACE_FIXTURES
+    fixtures = {name: SURFACE_FIXTURES[name]
+                for name in ("sphere-r3", "sphere-r4-twisted", "sol3-plane")}
+    first = tool.converse_lines(fixtures, sizes=(9,))
+    assert first == tool.converse_lines(fixtures, sizes=(9,))
+    parts = ["values", "frames", "mu", "B", "theta_x", "theta_y"]
+    assert [line.split()[2:] for line in first] == [
+        [f"{name}-9", part] for name in fixtures for part in parts]
+    # distinct fixtures give distinct spinors
+    values = [line.split()[1] for line in first if line.endswith(" values")]
+    assert len(set(values)) == 3

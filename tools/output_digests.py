@@ -21,12 +21,16 @@ The sweep is:
     (0, 0, 0, 1) (both files are listed too);
   * catalog -o for every catalog tag, then check-algebra on each algebra
     file written;
-  * export to PLY of every surface JSON written.
+  * export to PLY of every surface JSON written;
+  * the library converse `spinor_of_immersion`, which no command runs, on
+    every surface fixture at --grid-n 17 and 33, in this process with
+    SRC's package.
 
 The listing has one line per run, `run EXIT SHA(stdout) SHA(stderr) ARGV`,
 with OUT masked in stdout and stderr, then one line per file in OUT,
-`file SHA PATH`, in sorted order.  Two checkouts that compute the same
-outputs give byte-identical listings, and so does one checkout run twice.
+`file SHA PATH`, in sorted order, then one line per converse output,
+`converse SHA NAME-N PART`.  Two checkouts that compute the same outputs
+give byte-identical listings, and so does one checkout run twice.
 """
 
 import hashlib
@@ -147,6 +151,30 @@ def sweep(src, out, runs):
     return lines + file_lines(out)
 
 
+def converse_lines(fixtures, sizes=GRID_SIZES):
+    """Digest the converse `spinor_of_immersion` of each fixture's immersion
+    at each size: its spinor values, frames, mu, B and theta as raw float
+    bytes, one line `converse SHA NAME-N PART` each; a converse that fails
+    is one line `converse error SHA(message) NAME-N`."""
+    from spinorforge.spinor import spinor_of_immersion
+    lines = []
+    for name, make in fixtures.items():
+        for n in sizes:
+            fx = make(n)
+            try:
+                field, data = spinor_of_immersion(fx.F, fx.alg, fx.data.grid)
+            except (ValueError, RuntimeError) as err:
+                lines.append(f"converse error {_sha(str(err).encode())} "
+                             f"{name}-{n}")
+                continue
+            parts = {"values": field.values, "frames": data.frames,
+                     "mu": data.grid.mu, "B": data.B,
+                     "theta_x": data.theta_x, "theta_y": data.theta_y}
+            lines += [f"converse {_sha(array.tobytes())} {name}-{n} {part}"
+                      for part, array in parts.items()]
+    return lines
+
+
 def full_sweep_runs(src, out):
     """The runs of the full sweep, naming the fixtures and catalog tags of
     the checkout at src; writes its problem files to out."""
@@ -167,7 +195,10 @@ def main(argv=None):
         print("usage: python3 tools/output_digests.py SRC OUT", file=sys.stderr)
         return 3
     src, out = argv
-    for line in sweep(src, out, full_sweep_runs(src, out)):
+    lines = sweep(src, out, full_sweep_runs(src, out))
+    from spinorforge import cli     # SRC's, as full_sweep_runs put it first
+    lines += converse_lines(dict(sorted(cli.SURFACE_FIXTURES.items())))
+    for line in lines:
         print(line)
     return 0
 
