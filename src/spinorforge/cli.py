@@ -196,8 +196,7 @@ def cmd_check_gcr(args):
 def cmd_solve(args):
     data, alg, base_spinor, _, _ = _load_problem(args)
     problem = KillingProblem(data, alg, base_spinor=base_spinor)
-    field, report = solve_killing(problem, holonomy_tol=args.holonomy_tol,
-                                  spin_tol=args.spin_norm_tol)
+    field, report = solve_killing(problem, holonomy_tol=args.holonomy_tol)
     base, _ = os.path.splitext(args.output)
     spin_path = f"{base}.spinor.json"
     dump_json(field.values.reshape(-1).tolist(), spin_path)
@@ -321,8 +320,6 @@ OPTIONS = {
     "--structure-tol": {"type": tolerance,
                         "help": "structure-equation residual tolerance "
                                 "(default 10 h^2 max(1, max mu)^2)"},
-    "--spin-norm-tol": {"type": tolerance, "default": 1e-8,
-                        "help": "spinor unit-norm tolerance (default 1e-8)"},
     "--format": {"choices": FORMATS, "default": "obj",
                  "help": "mesh format (default obj)"},
     "--pole": {"type": float, "nargs": 4, "metavar": ("W", "X", "Y", "Z"),
@@ -343,8 +340,7 @@ COMMANDS = {
     "check-gcr": (cmd_check_gcr, "Gauss-Codazzi-Ricci residuals",
                   "report.json", SOURCE + ("--tol",)),
     "solve": (cmd_solve, "transport the Killing spinor and report holonomy",
-              "solve-report.json",
-              SOURCE + ("--holonomy-tol", "--spin-norm-tol")),
+              "solve-report.json", SOURCE + ("--holonomy-tol",)),
     "reconstruct": (cmd_reconstruct, "solve, integrate and export the surface",
                     "reconstruct-report.json",
                     SOURCE + ("--holonomy-tol", "--structure-tol") + MESH),

@@ -133,7 +133,7 @@ def gp_array(a, b, n):
     bit-identical results.  When a is non-finite every column stays live,
     so inf * 0 makes the same nan the dense loop makes.  Each live row of a
     is one numpy call over all nodes and live columns, on blade-major
-    copies of the live coefficients.
+    copies, added into the output blades i ^ cols, distinct within a row.
     """
     dim = 1 << n
     a = np.asarray(a, dtype=np.float64)
@@ -154,10 +154,7 @@ def gp_array(a, b, n):
     for ai, (sign, blades) in zip(at, terms):
         t = sign * ai
         t *= bt
-        if len(cols) == dim:   # blades = i ^ cols is then its own inverse
-            out += t[blades]
-        else:
-            out[blades] += t
+        out[blades] += t
     return np.ascontiguousarray(out.T).reshape(shape + (dim,))
 
 
@@ -209,9 +206,8 @@ def non_grade_norm(a, n, keep):
     mask = np.ones(1 << n, dtype=bool)
     for k in keep:
         mask[grades == k] = False
-    if not mask.any():
-        return 0.0
-    return float(np.max(np.abs(a[..., mask]))) if a[..., mask].size else 0.0
+    outside = a[..., mask]
+    return float(np.max(np.abs(outside))) if outside.size else 0.0
 
 
 def exp_array(a, n, terms=18):

@@ -131,7 +131,8 @@ POLE_ANGLE = 1e-3
 
 
 class WeierstrassData:
-    """Grid + Gauss map; the unit normal is kept consistent with g.
+    """Grid + Gauss map g; the unit normal nu is derived from g alone, as
+    its inverse stereographic projection.
 
     Charts whose normal comes within angle ~1e-3 of the south pole are
     rejected: the chart swap for g = infinity is not implemented.
@@ -139,20 +140,13 @@ class WeierstrassData:
 
     __slots__ = ("grid", "g", "nu")
 
-    def __init__(self, grid, g, nu=None):
+    def __init__(self, grid, g):
         g = np.asarray(g, dtype=complex)
         if not np.all(np.isfinite(g)):
             raise ValueError("the Gauss map g has non-finite entries")
         if g.shape != grid.shape:
             raise ValueError("Gauss map samples must match the grid")
-        if nu is None:
-            nu = inverse_stereographic(g)
-        else:
-            nu = np.asarray(nu, dtype=np.float64)
-            dev = np.max(np.abs(nu - inverse_stereographic(g)))
-            if not dev <= 1e-10:
-                raise ValueError(f"nu and g disagree under stereographic "
-                                 f"projection by {dev:.3e}")
+        nu = inverse_stereographic(g)
         if np.min(1.0 + nu[..., 2]) < 0.5 * POLE_ANGLE ** 2:
             raise ValueError("the normal field approaches the south pole; "
                              "chart swap is not supported")

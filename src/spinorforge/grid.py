@@ -185,7 +185,11 @@ class ParamGrid:
     # ---- conformal frame geometry -----------------------------------------
     def rotation_coefficients(self):
         """w(dx), w(dy) with w(X) = <nabla_X e1, e2> for the metric frame."""
-        return -self.dy(self.mu) / self.mu, self.dx(self.mu) / self.mu
+        return self._rotation(0), self._rotation(1)
+
+    def _rotation(self, axis):
+        """w(d_axis): -mu_y / mu along dx, +mu_x / mu along dy."""
+        return (-self.dy(self.mu) if axis == 0 else self.dx(self.mu)) / self.mu
 
     def gauss_curvature(self):
         lm = np.log(self.mu)
@@ -193,17 +197,15 @@ class ParamGrid:
 
     def covariant_dx(self, v):
         """nabla_{dx} of a tangent field given in frame components (..., 2)."""
-        wx, _ = self.rotation_coefficients()
-        return self._cov(v, self.dx, wx)
+        return self._cov(v, 0)
 
     def covariant_dy(self, v):
-        _, wy = self.rotation_coefficients()
-        return self._cov(v, self.dy, wy)
+        return self._cov(v, 1)
 
-    def _cov(self, v, d, w):
+    def _cov(self, v, axis):
         v = np.asarray(v, dtype=np.float64)
-        out = d(v)
-        w = w.reshape(w.shape + (1,) * (v.ndim - 3))
+        out = self._diff(v, axis, 1, 2)
+        w = self._rotation(axis).reshape(self.shape + (1,) * (v.ndim - 3))
         out[..., 0] -= w * v[..., 1]
         out[..., 1] += w * v[..., 0]
         return out

@@ -245,30 +245,22 @@ def gamma_tilde(data, alg, X, vertex, method="general"):
     n = data.n
     T = data.T[i0, j0]                # (n, 2)
     f = data.f[i0, j0, :, 0]          # (n,)
-    G = alg.gamma_op(T @ X)           # G[k, j] = <Gamma(X) e_j, e_k>
-    out = Multivector.zero(2)
+    G = alg.gamma_op(T @ X)           # G[k, j] = <Gamma(X) e_j, e_k>, skew
+    out = np.zeros(4)                 # Cl_2 coefficients of 1, e1, e2, e12
     if method == "general":
-        for j in range(n):
-            for k in range(j + 1, n):
-                if G[k, j] == 0.0:
-                    continue
-                Tj = Multivector.from_vector(T[j], 2)
-                Tk = Multivector.from_vector(T[k], 2)
-                term = (Tj * Tk - Tk * Tj) * 0.5 + (f[k] * Tj - f[j] * Tk)
-                out = out + G[k, j] * term
-        return out
-    if method == "dim3":
+        # sum_{j<k} G[k, j] (T_j ^ T_k + f_k T_j - f_j T_k); G is skew
+        out[1:3] = (f @ G) @ T
+        out[3] = T[:, 1] @ G @ T[:, 0]
+    elif method == "dim3":
         if n != 3:
             raise ValueError("the shortcut form needs ambient dimension 3")
-        omega = Multivector.blade(2, 0b11)
-        eps = {(0, 1): (2, 1.0), (0, 2): (1, -1.0), (1, 2): (0, 1.0)}
-        for (j, k), (l, sgn) in eps.items():
-            if G[k, j] == 0.0:
-                continue
-            vec = Multivector.from_vector(T[l], 2)
-            out = out + (G[k, j] * sgn) * ((f[l] - vec) * omega)
-        return out
-    raise ValueError(f"unknown method {method!r}")
+        # sum_l c_l (f_l - T_l) e12, c the axial vector of G
+        c = np.array([G[2, 1], -G[2, 0], G[1, 0]])
+        w = c @ T
+        out[1:] = -w[1], w[0], c @ f
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return Multivector(2, out)
 
 
 def ekt_gamma_bivector(data, X, vertex):

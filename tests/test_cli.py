@@ -857,7 +857,7 @@ COMMAND_OPTIONS = {
     "check-algebra": {"input", "--tol"},
     "check-frame": _SOURCE | {"--tol"},
     "check-gcr": _SOURCE | {"--tol"},
-    "solve": _SOURCE | {"--holonomy-tol", "--spin-norm-tol"},
+    "solve": _SOURCE | {"--holonomy-tol"},
     "reconstruct": _SOURCE | {"--holonomy-tol", "--structure-tol"} | _MESH,
     "cmc": _SOURCE | {"--structure-tol"} | _MESH,
     "export": {"input"} | _MESH,
@@ -887,7 +887,7 @@ def test_each_command_takes_only_the_options_it_reads():
         assert set(settable) == COMMAND_OPTIONS[name] | {"--verbose",
                                                          "--output"}
         total += len(settable)
-    assert total == 49
+    assert total == 48
 
 
 def _main_err(argv, capsys):
@@ -938,10 +938,10 @@ def test_usage_error_through_the_module_entry_point(tmp_path):
                       env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-m", "spinorforge.cli", "solve", "--fixture",
-         "sphere-r3", "--grid-n", "9", "--spin-norm-tol", "-1"],
+         "sphere-r3", "--grid-n", "9", "--holonomy-tol", "-1"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 3
-    assert done.stderr.startswith("input error: argument --spin-norm-tol")
+    assert done.stderr.startswith("input error: argument --holonomy-tol")
     assert "Traceback" not in done.stderr
 
 

@@ -493,11 +493,10 @@ def test_reconstruction_q2_twisted_sphere():
 def test_not_integrable_raises():
     fx = fixtures.sphere_r3(17, codazzi_eps=1e-2)
     prob = KillingProblem(fx.data, fx.alg)
-    with pytest.raises(NotIntegrableError):
+    with pytest.raises(NotIntegrableError) as err:
         reconstruct_immersion(prob)
-    # non-strict mode still returns the flagged report
-    F, _, report = reconstruct_immersion(prob, strict=False)
-    assert not report["integrable"]
+    # the error carries the flagged report
+    assert not err.value.report["integrable"]
 
 
 def test_structure_gate_rejects_nan_tolerance():
