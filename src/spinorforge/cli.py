@@ -19,10 +19,11 @@ import numpy as np
 from . import fixtures, lie_algebra as la
 from .cmc import (SingularPotentialError, dirac2_residual,
                   gauss_map_pde_residual, weier_f_from_g, xi_from_weierstrass)
-from .grid import STENCILS, nodes_needed
+from .grid import (STENCILS, check_step, nodes_needed, residual_tolerance,
+                   structure_tolerance)
 from .immersion import frame_compat_residuals, gcr_residuals, hn_u_residual
 from .lie_group import (IntegrationError, darboux_integrate, model_for,
-                        structure_residual, structure_tolerance)
+                        structure_residual)
 from .meshexport import FORMATS, check_r3_embedding, export_mesh
 from .serialization import (InputError, SCHEMAS, algebra_and_gamma,
                             algebra_from_dict, cmc_from_dict, dump_json,
@@ -69,6 +70,12 @@ def _check_grid(args, shape):
                          f"nodes per axis; got a {shape[0]} x {shape[1]} grid")
 
 
+def _check_loaded(args, grid):
+    """Judge a loaded grid before any work: its size, then its step."""
+    _check_grid(args, grid.shape)
+    check_step(grid)
+
+
 def _fixture_n(args):
     """The grid size of args.fixture, or None to read args.input.  Exactly
     one of the two is given, and --grid-n only with --fixture."""
@@ -96,14 +103,14 @@ def _load_problem(args):
     else:
         fx = SURFACE_FIXTURES[args.fixture](n)
         loaded = fx.data, fx.alg, None, fx.F[0, 0], fx.extras.get("u_field")
-    _check_grid(args, loaded[0].grid.shape)
+    _check_loaded(args, loaded[0].grid)
     return loaded
 
 
 def _residual_report(args, data, fields, what):
     """Dump each residual field beside the report and gate the worst one
     at --tol, by default 10 h^2."""
-    tol = args.tol or 10.0 * data.grid.h ** 2    # a given --tol is > 0
+    tol = args.tol or residual_tolerance(data.grid)    # a given --tol is > 0
     base, _ = os.path.splitext(args.output)
     report = {"residuals": {name: field_report(fld, f"{base}.{name}.json")
                             for name, fld in fields.items()}}
@@ -240,7 +247,7 @@ def cmd_cmc(args):
         raise InputError("the cmc command knows the fixture 'cmc-sphere'")
     else:
         data, pot = fixtures.cmc_sphere(n)
-    _check_grid(args, data.grid.shape)
+    _check_loaded(args, data.grid)
     alg = la.unimodular(*pot.mu)
     try:
         model = model_for(alg)

@@ -105,6 +105,32 @@ def difference(sample, size, h, derivative, order):
     return np.concatenate(blocks) / h ** derivative
 
 
+# The default gates scale with h^2, so they judge a grid only while its step
+# is short against the metric: a longest edge h max(mu) of at most MAX_STEP.
+MAX_STEP = 1.0
+
+
+def residual_tolerance(grid):
+    """The default gate of the O(h^2) residuals and the holonomy: 10 h^2."""
+    return 10.0 * grid.h ** 2
+
+
+def structure_tolerance(grid):
+    """The default gate of `structure_residual`: 10 h^2 max(1, max mu)^2, the
+    O(h^2) discretization error scaled by the largest metric factor."""
+    return residual_tolerance(grid) * max(1.0, float(np.max(grid.mu))) ** 2
+
+
+def check_step(grid):
+    """ValueError unless the grid's metric step h max(mu) is at most
+    MAX_STEP, where the O(h^2) gates mean something."""
+    step = grid.h * float(np.max(grid.mu))
+    if not step <= MAX_STEP:
+        raise ValueError(f"the grid step h max(mu) = {step:.3g} exceeds "
+                         f"{MAX_STEP:g}: the O(h^2) tolerances need a step "
+                         f"short against the metric")
+
+
 class ParamGrid:
     """Uniform simply connected rectangular grid, optional conformal factor."""
 
@@ -204,7 +230,7 @@ class ParamGrid:
 
     def _cov(self, v, axis):
         v = np.asarray(v, dtype=np.float64)
-        out = self._diff(v, axis, 1, 2)
+        out = (self.dx, self.dy)[axis](v)
         w = self._rotation(axis).reshape(self.shape + (1,) * (v.ndim - 3))
         out[..., 0] -= w * v[..., 1]
         out[..., 1] += w * v[..., 0]

@@ -601,9 +601,3 @@ def structure_residual(xi, alg):
     dxi = grid.dx(xi.xi_y) - grid.dy(xi.xi_x)
     return np.linalg.norm(dxi + alg.bracket(xi.xi_x, xi.xi_y), axis=-1)
 
-
-def structure_tolerance(grid):
-    """The default gate of `structure_residual`: 10 h^2 max(1, max mu)^2, the
-    O(h^2) discretization error scaled by the largest metric factor."""
-    return 10.0 * grid.h ** 2 * max(1.0, float(np.max(grid.mu))) ** 2
-

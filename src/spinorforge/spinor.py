@@ -15,6 +15,7 @@ frame.  The connection is flat exactly when the Gauss-Codazzi-Ricci
 equations hold; the solver reports the discrete holonomy, max |L - 1| per
 unit coordinate area over the plaquettes with L the transport around one,
 and flags the solution NOT-INTEGRABLE above threshold (default 10 h^2).
+Every spinor field is even and unit to the one fixed SPIN_NORM_TOL.
 
 The 1-form xi(X) = <<X phi, phi>> = rev([phi]) [X] [phi] maps adapted-frame
 coordinates to Lie-algebra coordinates; after right-multiplying the field
@@ -40,8 +41,9 @@ from .lie_group import (
     IntegrationError, LieValuedOneForm, darboux_integrate,
     first_fundamental_form, first_non_finite, maurer_cartan_pullback,
     model_for, normal_connection, second_fundamental_form,
-    structure_residual, structure_tolerance,
+    structure_residual,
 )
+from .grid import residual_tolerance, structure_tolerance
 from .immersion import ImmersionData
 
 
@@ -269,7 +271,7 @@ def solve_killing(problem, holonomy_tol=None):
     h = grid.h
     ny = grid.shape[1]
     if holonomy_tol is None:
-        holonomy_tol = 10.0 * h * h
+        holonomy_tol = residual_tolerance(grid)
     eta_x, eta_y = connection_coefficient_fields(problem)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         Ex = _edge_operators(eta_x, h, 0, n)      # (nx-1, ny, 2^n)
@@ -389,9 +391,11 @@ def reconstruct_immersion(problem, base_point=None, holonomy_tol=None,
     report["structure_max"] = float(np.max(sres))
     report["structure_tol"] = float(structure_tol)
     if not report["structure_max"] <= structure_tol:
+        # the worst node (the first NaN if any), as for the holonomy
+        i, j = np.unravel_index(np.argmax(sres), sres.shape)
         raise NotIntegrableError(
             f"structure residual {report['structure_max']:.3e} above "
-            f"threshold {structure_tol:.3e}", report)
+            f"threshold {structure_tol:.3e} at node ({i}, {j})", report)
     stats = {}
     F = darboux_integrate(xi, problem.alg, base=base_point, stats=stats)
     report.update(verify_reconstruction(F, problem, xi_normals))

@@ -1332,3 +1332,96 @@ def test_export_mesh_rejects_a_non_finite_payload_of_any_model(
                                          f"not finite"):
         export_mesh(F, fx.model, "obj", path)
     assert not path.exists()
+
+
+# =============================================================================
+# The grid-step gate, the fixed spin-norm tolerance, the structure gate's node
+# =============================================================================
+
+def _spaced_inputs(tmp_path, h):
+    """A sphere-r3 problem and the cmc-sphere Gauss map on 9 x 9 grids of
+    spacing h, keeping each fixture's mu (max mu = 2 for both)."""
+    from spinorforge.cmc import HPotential, WeierstrassData
+    from spinorforge.immersion import ImmersionData
+    fx = fixtures.sphere_r3(9)
+    data = ImmersionData(ParamGrid(9, 9, h, mu=fx.grid.mu), fx.data.frames,
+                         S=fx.data.S)
+    problem = tmp_path / "problem.json"
+    dump_json(problem_to_dict(data, fx.alg, base_point=fx.F[0, 0]), problem)
+    gauss, _ = fixtures.cmc_sphere(9)
+    cmc = tmp_path / "cmc.json"
+    dump_json(cmc_to_dict(WeierstrassData(ParamGrid(9, 9, h, mu=gauss.grid.mu),
+                                          gauss.g),
+                          HPotential(1.0, (0.0, 0.0, 0.0))), cmc)
+    return problem, cmc
+
+
+GRID_COMMANDS = ["check-frame", "check-gcr", "solve", "reconstruct", "cmc"]
+
+
+@pytest.mark.parametrize("command", GRID_COMMANDS)
+def test_an_absurd_grid_step_exits_three_before_any_work(tmp_path, capsys,
+                                                        command):
+    problem, cmc = _spaced_inputs(tmp_path, 1e150)
+    out = tmp_path / "out"
+    out.mkdir()
+    path = cmc if command == "cmc" else problem
+    assert main([command, str(path), "-o", str(out / "r.json")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "input error: the grid step h max(mu) = 2e+150 exceeds 1: the "
+        "O(h^2) tolerances need a step short against the metric"]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", GRID_COMMANDS)
+def test_a_grid_step_of_one_is_judged_by_the_gates(tmp_path, command):
+    problem, cmc = _spaced_inputs(tmp_path, 0.5)     # h max(mu) = 1
+    path = cmc if command == "cmc" else problem
+    assert main([command, str(path), "-o", str(tmp_path / "r.json")]) != 3
+
+
+# each fixture's exit at 5 nodes per axis, as before the step gate
+FIVE_NODE_EXITS = {("s3-sphere", "check-gcr"): 2,
+                   ("sphere-r4-twisted", "check-frame"): 3,
+                   ("sphere-r4-twisted", "reconstruct"): 3}
+
+
+def test_every_fixture_at_five_nodes_exits_as_before(tmp_path):
+    for name in SURFACE_FIXTURES:
+        for command in GRID_COMMANDS[:4]:
+            out = str(tmp_path / f"{name}.{command}.json")
+            assert main([command, "--fixture", name, "--grid-n", "5",
+                         "-o", out]) == FIVE_NODE_EXITS.get((name, command),
+                                                            0), (name, command)
+    assert main(["cmc", "--fixture", "cmc-sphere", "--grid-n", "5",
+                 "-o", str(tmp_path / "cmc.json")]) == 0
+
+
+def test_the_spin_norm_tolerance_is_not_an_option(tmp_path, capsys):
+    code, err = _main_err(["solve", "--fixture", "sphere-r3", "--grid-n", "9",
+                           "--spin-norm-tol", "1e-8",
+                           "-o", str(tmp_path / "r.json")], capsys)
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    assert err.startswith("input error: unrecognized arguments: "
+                          "--spin-norm-tol")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_structure_gate_names_the_worst_node(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["reconstruct", "--fixture", "sphere-r3", "--grid-n", "9",
+                 "--structure-tol", "1e-30", "-o", str(out)]) == 2
+    report = load_json(out)
+    fx = fixtures.sphere_r3(9)
+    problem = spinor.KillingProblem(fx.data, fx.alg)
+    field, _ = spinor.solve_killing(problem)
+    xi, _ = spinor.xi_from_spinor(spinor.normalize_spinor(field, problem),
+                                  problem)
+    sres = spinor.structure_residual(xi, fx.alg)
+    i, j = np.unravel_index(np.argmax(sres), sres.shape)
+    assert report["error"].endswith(f"above threshold 1.000e-30 at node "
+                                    f"({i}, {j})")
+    assert sorted(report) == ["error", "holonomy", "holonomy_argmax",
+                              "holonomy_tol", "integrable", "renorm_drift",
+                              "structure_max", "structure_tol"]

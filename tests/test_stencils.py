@@ -6,7 +6,8 @@ import pytest
 
 from spinorforge import fixtures
 from spinorforge.cmc import mesh_mean_curvature
-from spinorforge.grid import STENCILS, ParamGrid, difference
+from spinorforge.grid import (STENCILS, ParamGrid, check_step, difference,
+                             residual_tolerance, structure_tolerance)
 from spinorforge.lie_group import (
     AbelianModel, HnModel, S3Model, SemidirectModel, maurer_cartan_pullback,
     model_for,
@@ -360,3 +361,39 @@ def test_mesh_mean_curvature_matches_the_written_out_loop(name):
     want = _old_mesh_mean_curvature(fx.F, fx.alg, fx.grid)
     assert np.max(np.abs(got - want)) <= 1e-14
 
+
+
+# =============================================================================
+# Covariant derivatives and the O(h^2) gates
+# =============================================================================
+
+def test_covariant_derivatives_differentiate_mu_once_each(monkeypatch):
+    grid = fixtures.sphere_r3(9).grid
+    v = np.stack(grid.mesh(), axis=-1) ** 2
+    wx, wy = grid.rotation_coefficients()
+    want = [grid.dx(v), grid.dy(v)]
+    for out, w in zip(want, (wx, wy)):
+        out[..., 0] -= w * v[..., 1]
+        out[..., 1] += w * v[..., 0]
+    calls = []
+    diff = ParamGrid._diff
+
+    def counted(self, f, *args):
+        calls.append(f is self.mu)
+        return diff(self, f, *args)
+
+    monkeypatch.setattr(ParamGrid, "_diff", counted)
+    for covariant, expected in zip((grid.covariant_dx, grid.covariant_dy),
+                                   want):
+        calls.clear()
+        assert np.array_equal(covariant(v), expected)
+        assert calls.count(True) == 1
+
+
+def test_the_gates_share_one_residual_tolerance():
+    grid = fixtures.sphere_r3(17).grid          # max mu = 2
+    assert residual_tolerance(grid) == 10.0 * grid.h ** 2
+    assert structure_tolerance(grid) == 10.0 * grid.h ** 2 * 4.0
+    check_step(ParamGrid(3, 3, 0.5, mu=np.full((3, 3), 2.0)))
+    with pytest.raises(ValueError, match=r"h max\(mu\) = 1 exceeds 1"):
+        check_step(ParamGrid(3, 3, 0.5, mu=np.full((3, 3), np.nextafter(2, 3))))
