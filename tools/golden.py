@@ -329,11 +329,10 @@ def measure(tmp, repeats=4, seed=7):
                 got = record(argv, Path(tmp) / f"{name}.{i}")
             for (key, w), (_, g) in zip(_floats(want["values"]),
                                         _floats(got["values"])):
-                unit = BOUNDS[quantity(key)][0]
-                move = 0.0 if _same(w, g) else abs(g - w)
                 q = quantity(key)
-                worst[q] = max(worst.get(q, 0.0),
-                               move / (UNITS[unit](w, want["h"]) or 1.0))
+                move = 0.0 if _same(w, g) else abs(g - w)
+                unit = UNITS[BOUNDS[q][0]](w, want["h"])
+                worst[q] = max(worst.get(q, 0.0), move / unit)
     return worst
 
 
