@@ -342,7 +342,7 @@ COMMANDS = {
                              "writes its JSON", None, ("--group", "--params")),
     "check-algebra": (cmd_check_algebra, "validate an algebra JSON",
                       "algebra-report.json", ("input", "--tol")),
-    "check-frame": (cmd_check_frame, "frame-equation residuals (q = 1)",
+    "check-frame": (cmd_check_frame, "frame-equation residuals",
                     "report.json", SOURCE + ("--tol",)),
     "check-gcr": (cmd_check_gcr, "Gauss-Codazzi-Ricci residuals",
                   "report.json", SOURCE + ("--tol",)),

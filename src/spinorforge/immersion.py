@@ -12,9 +12,17 @@ B[a, b, r] = <B(e_a, e_b), n_r> (for q = 1 this is the shape operator S),
 and rank-q normal bundles additionally carry per-node skew connection
 coefficients theta_x, theta_y with (nabla^N_{dx} n)_r = dx n_r + theta_x[r,s] n_s.
 
+The frame moves by one matrix rule: nabla^G_X eps_c = sum_d
+(Omega(X) + shape_matrix(B, X))[d, c] eps_d on eps = (e1, e2, n_1, ...,
+n_q), Omega the Levi-Civita + normal connection (`frame_connection`) and
+shape_matrix(B, X) = [[0, -B(X)*], [B(X), 0]].  These two functions are
+the only code that places w, theta or B(X, .) into n x n matrices; the
+residuals below and the spinor connection (`spinor`) are built from them.
+
 Residual evaluators implemented here:
 
-  * frame_compat_residuals -- the q = 1 frame equations
+  * frame_compat_residuals -- the frame equations nabla^G_X E_j =
+    Gamma(X) E_j of the rows of U, for any corank; for q = 1 they read
         nabla_X T_j = sum_{i,k} Gamma_ij^k <X, T_i> T_k + f_j S(X)
         d f_j (X)   = sum_{i,k} Gamma_ij^k f_k <X, T_i> - h(X, T_j)
   * ekt_compat_residuals   -- the E(kappa, tau) reduction in terms of a
@@ -34,7 +42,7 @@ derivatives use the grid's second-order stencils.
 import numpy as np
 
 from . import lie_algebra as la
-from .clifford import Multivector
+from .clifford import Multivector, offdiag_skew_array
 
 FRAME_TOL = 1e-10
 # how far |U| of an H^n structure field may stray from |l|
@@ -162,43 +170,67 @@ def _rotJ(v):
 
 
 # =============================================================================
-# Frame compatibility (q = 1)
+# Frame motion and frame compatibility
 # =============================================================================
 
+def frame_connection(data):
+    """(Omega_x, Omega_y): skew matrices of the Levi-Civita + normal
+    connection along the coordinate directions dx, dy, acting on frame
+    components: nabla_{d_a} eps_c = sum_d Omega_a[d, c] eps_d, with
+    nabla e1 = w e2 and the normal block theta."""
+    grid = data.grid
+    n = data.n
+    wx, wy = grid.rotation_coefficients()
+    out = []
+    for w, theta in ((wx, data.theta_x), (wy, data.theta_y)):
+        m = np.zeros(grid.shape + (n, n))
+        m[..., 1, 0] = w
+        m[..., 0, 1] = -w
+        m[..., 2:, 2:] = theta
+        out.append(m)
+    return out[0], out[1]
+
+
+def shape_matrix(B, X):
+    """[[0, -B(X)*], [B(X), 0]] with B(X)[r, b] = <B(X, e_b), n_r>: the
+    second fundamental form's part of nabla^G_X on frame components, for X
+    in tangent frame components (..., 2) broadcast against B (..., 2, 2, q)."""
+    return offdiag_skew_array(np.einsum("...a,...ajr->...rj", X, B))
+
+
 def frame_compat_residual_fields(data, alg):
-    """Signed residuals of the two q = 1 frame equations: arrays indexed
-    [node, j, component, direction a] and [node, j, direction a]."""
-    if data.q != 1:
-        raise ValueError("frame equations require a rank-1 normal bundle; "
-                         "use gcr_residuals for general corank")
+    """Signed residuals of the frame equations nabla^G_{e_a} E_j =
+    Gamma(e_a) E_j, row j of U being E_j in frame components:
+
+        R_a = (d_a U + U Omega_a^T) / mu - G_a^T U + U shape_matrix(B, e_a)^T
+
+    with G_a = Gamma(e_a) on G-coordinates.  Returns the tangent and normal
+    columns, indexed [node, j, b, a] and [node, j, r, a]."""
     if alg.n != data.n:
         raise ValueError("algebra dimension does not match the data")
     grid = data.grid
-    mu = grid.mu
-    T = data.T                        # (nx, ny, n, 2)
-    f = data.f[..., 0]                # (nx, ny, n)
-    S = data.S                        # (nx, ny, 2, 2)
-    # covariant derivative of each T_j along e_a = d_a / mu
-    dT = np.stack([grid.covariant_dx(T), grid.covariant_dy(T)], axis=-1)
-    dT /= mu[..., None, None, None]   # (nx, ny, n, 2, a)
-    df = np.stack([grid.dx(f), grid.dy(f)], axis=-1) / mu[..., None, None]
-    # <e_a, T_i> is the a-th frame component of T_i, so column a of T is
-    # the vector X_a: <Gamma(X_a) e_j, X_b> and <Gamma(X_a) e_j, f>
-    G = alg.gamma_op(np.swapaxes(T, -1, -2))      # (nx, ny, a, k, j)
-    gTT = np.einsum("xyakj,xykb->xyjba", G, T)
-    gTf = np.einsum("xyakj,xyk->xyja", G, f)
-    res_T = dT - gTT - np.einsum("xyj,xyba->xyjba", f, S)
-    hXT = np.einsum("xyba,xyjb->xyja", S, T)
-    res_f = df - gTf + hXT
-    return res_T, res_f
+    mu = grid.mu[..., None, None]
+    U = data.frames
+    R = np.empty(U.shape + (2,))
+    for a, (d, omega) in enumerate(zip((grid.dx, grid.dy),
+                                       frame_connection(data))):
+        # column a of U holds the G-coordinates of e_a, so G[..., k, j] is
+        # <Gamma(e_a) E_j, E_k>
+        G = alg.gamma_op(U[..., a])
+        shape = shape_matrix(data.B, np.eye(2)[a])
+        # U M^T moves each row E_j by M
+        R[..., a] = (d(U) + np.einsum("xyjc,xydc->xyjd", U, omega)) / mu \
+            - np.einsum("xykj,xykc->xyjc", G, U) \
+            + np.einsum("xyjc,xydc->xyjd", U, shape)
+    return R[..., :2, :], R[..., 2:, :]
 
 
 def frame_compat_residuals(data, alg):
-    """Per-node max residuals of the two q = 1 frame equations over the
-    distinguished directions and the metric frame; returns (res_T, res_f)."""
+    """Per-node max residuals of the frame equations over the distinguished
+    directions and the metric frame; returns (res_T, res_f)."""
     res_T, res_f = frame_compat_residual_fields(data, alg)
     return (np.max(np.abs(res_T), axis=(2, 3, 4)),
-            np.max(np.abs(res_f), axis=(2, 3)))
+            np.max(np.abs(res_f), axis=(2, 3, 4)))
 
 
 def ekt_compat_residuals(data):
@@ -335,39 +367,28 @@ def gcr_residual_fields(data, alg):
     if alg.n != data.n:
         raise ValueError("algebra dimension does not match the data")
     grid = data.grid
-    q = data.q
-    RG = ambient_curvature_frame(data, alg)      # (nx, ny, n, n)
-    B = data.B
+    # RG[..., c, d] = <R^G(e1, e2) eps_c, eps_d>
+    RG = np.swapaxes(ambient_curvature_frame(data, alg), 2, 3)
+    B0, B1 = data.B[:, :, 0], data.B[:, :, 1]    # B(e1, .), B(e2, .)
     K = grid.gauss_curvature()
-    gauss = np.zeros(grid.shape + (2, 2))
-    codazzi = np.zeros(grid.shape + (2, q))
-    RT = {0: np.stack([np.zeros_like(K), -K], axis=-1),
-          1: np.stack([K, np.zeros_like(K)], axis=-1)}  # R^T(e1,e2) e_z
+    RT = np.zeros(grid.shape + (2, 2))           # [z, b] of R^T(e1,e2) e_z
+    RT[..., 0, 1] = -K
+    RT[..., 1, 0] = K
     covB = _covariant_B(data)
-    for zi in range(2):
-        # B*(X, B(Y,Z)) - B*(Y, B(X,Z)) with X=e1, Y=e2 and
-        # B*(e_a, N)_b = sum_r B[a, b, r] N_r
-        BYZ = B[:, :, 1, zi, :]                   # B(e2, Z)
-        BXZ = B[:, :, 0, zi, :]                   # B(e1, Z)
-        BsX = np.einsum("xybr,xyr->xyb", B[:, :, 0], BYZ)
-        BsY = np.einsum("xybr,xyr->xyb", B[:, :, 1], BXZ)
-        gauss[..., zi, :] = RG[..., :2, zi] - RT[zi] + BsX - BsY
-        codazzi[..., zi, :] = RG[..., 2:, zi] \
-            - covB[:, :, 0, 1, zi] + covB[:, :, 1, 0, zi]
-    if q == 1:
+    # B*(X, B(Y, Z)) - B*(Y, B(X, Z)) = M - M^T with B*(e_a, N)_b =
+    # sum_r B[a, b, r] N_r
+    M = np.einsum("xybr,xyzr->xyzb", B0, B1)
+    gauss = RG[..., :2, :2] - RT + M - np.swapaxes(M, 2, 3)
+    codazzi = RG[..., :2, 2:] - covB[:, :, 0, 1] + covB[:, :, 1, 0]
+    if data.q == 1:
         ricci = np.zeros(grid.shape + (1, 1))
     else:
         thx, thy = data.theta_x, data.theta_y
         RN = (grid.dx(thy) - grid.dy(thx) + thx @ thy - thy @ thx) \
             / grid.mu[..., None, None] ** 2
-        ricci = np.zeros(grid.shape + (q, q))
-        for r in range(q):
-            # B(e1, B*(e2, n_r)) - B(e2, B*(e1, n_r))
-            Bs2 = B[:, :, 1, :, r]                # B*(e2, n_r)_b = B[1, b, r]
-            Bs1 = B[:, :, 0, :, r]
-            term = np.einsum("xybs,xyb->xys", B[:, :, 0], Bs2) \
-                - np.einsum("xybs,xyb->xys", B[:, :, 1], Bs1)
-            ricci[..., r, :] = RG[..., 2:, 2 + r] - RN[..., r] + term
+        # B(e1, B*(e2, n_r)) - B(e2, B*(e1, n_r)) = P - P^T
+        P = np.einsum("xybs,xybr->xyrs", B0, B1)
+        ricci = RG[..., 2:, 2:] - RN + (P - np.swapaxes(P, 2, 3))
     return gauss, codazzi, ricci
 
 
@@ -378,11 +399,8 @@ def gcr_residuals(data, alg):
     bundle is flat and the B terms cancel in pairs.
     """
     gauss, codazzi, ricci = gcr_residual_fields(data, alg)
-    gmax = np.max(np.abs(gauss), axis=(2, 3))
-    cmax = np.max(np.abs(codazzi), axis=(2, 3))
-    rmax = np.zeros(data.grid.shape) if data.q == 1 \
-        else np.max(np.abs(ricci), axis=(2, 3))
-    return gmax, cmax, rmax
+    return tuple(np.max(np.abs(r), axis=(2, 3))
+                 for r in (gauss, codazzi, ricci))
 
 
 def ekt_integrability_residuals(data):
@@ -441,27 +459,15 @@ def hn_u_residual(data, u_field, alg):
     dev = np.max(np.abs(norms - np.linalg.norm(l)))
     if not dev <= U_NORM_TOL:
         raise ValueError(f"|U| must equal |l| everywhere; off by {dev:.3e}")
-    mu = grid.mu
-    uT = u[..., :2]
-    uN = u[..., 2:]
-    # direct-sum connection: rotate the tangent part, twist the normal part
-    du = np.stack([np.concatenate([grid.covariant_dx(uT),
-                                   grid.dx(uN) + np.einsum("xyrs,xys->xyr",
-                                                           data.theta_x, uN)],
-                                  axis=-1),
-                   np.concatenate([grid.covariant_dy(uT),
-                                   grid.dy(uN) + np.einsum("xyrs,xys->xyr",
-                                                           data.theta_y, uN)],
-                                  axis=-1)], axis=-1)
-    du /= mu[..., None, None]
-    B = data.B
-    out = np.zeros(grid.shape)
+    mu = grid.mu[..., None]
     u2 = np.sum(u * u, axis=-1)
-    for a in range(2):
-        res = du[..., a].copy()
+    out = np.zeros(grid.shape)
+    for a, (d, omega) in enumerate(zip((grid.dx, grid.dy),
+                                       frame_connection(data))):
+        shape = shape_matrix(data.B, np.eye(2)[a])
+        res = (d(u) + np.einsum("xycd,xyd->xyc", omega, u)) / mu
         res[..., a] += u2                                  # |U|^2 X
         res -= u[..., a:a + 1] * u                         # -<X,U> U
-        res[..., 2:] += np.einsum("xybr,xyb->xyr", B[:, :, a], uT)   # B(X, U^T)
-        res[..., :2] -= np.einsum("xybr,xyr->xyb", B[:, :, a], uN)   # -B*(X, U^N)
+        res += np.einsum("xycd,xyd->xyc", shape, u)  # B(X, U^T) - B*(X, U^N)
         out = np.maximum(out, np.max(np.abs(res), axis=-1))
     return out

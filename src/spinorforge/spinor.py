@@ -9,12 +9,13 @@ connection: in frame representation
     eta(X) = -1/2 spin_conn(X) - 1/2 sum_j e_j B(X, e_j) + 1/2 Gamma(X),
 
 where spin_conn(X) is the bivector of the Levi-Civita + normal connection
-matrix of the grid data, B enters as the mixed bivector of its off-diagonal
-operator, and Gamma(X) is the catalog connection pulled back through the
-frame.  The connection is flat exactly when the Gauss-Codazzi-Ricci
-equations hold; the solver reports the discrete holonomy, max |L - 1| per
-unit coordinate area over the plaquettes with L the transport around one,
-and flags the solution NOT-INTEGRABLE above threshold (default 10 h^2).
+matrix `immersion.frame_connection`, B enters as the bivector of
+`immersion.shape_matrix(B, X)` = [[0, -B(X)*], [B(X), 0]], and Gamma(X) is
+the catalog connection pulled back through the frame.  The connection is
+flat exactly when the Gauss-Codazzi-Ricci equations hold; the solver
+reports the discrete holonomy, max |L - 1| per unit coordinate area over
+the plaquettes with L the transport around one, and flags the solution
+NOT-INTEGRABLE above threshold (default 10 h^2).
 Every spinor field is even and unit to the one fixed SPIN_NORM_TOL.
 
 The 1-form xi(X) = <<X phi, phi>> = rev([phi]) [X] [phi] maps adapted-frame
@@ -34,7 +35,7 @@ import numpy as np
 
 from .clifford import (
     PURITY_TOL, Multivector, SpinElement, adjoint_array, bivector_array,
-    bivector_exp_array, gp_array, offdiag_skew_array, reverse_array,
+    bivector_exp_array, gp_array, reverse_array,
     spin_defects, spin_lift, spin_lift_array, unit_defect, vector_array,
 )
 from .lie_group import (
@@ -44,7 +45,7 @@ from .lie_group import (
     structure_residual,
 )
 from .grid import residual_tolerance, structure_tolerance
-from .immersion import ImmersionData
+from .immersion import ImmersionData, frame_connection, shape_matrix
 
 
 class NotIntegrableError(RuntimeError):
@@ -157,22 +158,6 @@ def phi_from_psi_pair(p, q):
 # Connection assembly
 # =============================================================================
 
-def spin_connection_matrices(data):
-    """Skew matrices of the (Levi-Civita + normal) connection along the
-    coordinate directions dx, dy."""
-    grid = data.grid
-    n = data.n
-    wx, wy = grid.rotation_coefficients()
-    out = []
-    for w, theta in ((wx, data.theta_x), (wy, data.theta_y)):
-        m = np.zeros(grid.shape + (n, n))
-        m[..., 1, 0] = w
-        m[..., 0, 1] = -w
-        m[..., 2:, 2:] = theta
-        out.append(m)
-    return out[0], out[1]
-
-
 def gamma_frame_matrix(alg, frames, X):
     """U^T Gamma(f(X)) U: the catalog connection along the frame image of X
     (tangent frame components (..., 2)), pulled back to frame coordinates;
@@ -185,8 +170,7 @@ def eta_matrix(alg, frames, B, X, spin=0.0):
     """Skew-matrix form of eta(X) = -1/2 spin - 1/2 sum_j e_j B(X, e_j)
     + 1/2 Gamma(X) for X in tangent frame components (..., 2), broadcast over
     the leading node axes of frames (..., n, n) and B (..., 2, 2, q)."""
-    BX = np.einsum("...a,...ajr->...rj", X, B)     # B(X, .): R^2 -> R^q
-    return -0.5 * spin - 0.5 * offdiag_skew_array(BX) \
+    return -0.5 * spin - 0.5 * shape_matrix(B, X) \
         + 0.5 * gamma_frame_matrix(alg, frames, X)
 
 
@@ -201,7 +185,7 @@ def connection_coefficient_fields(problem):
     """eta(dx), eta(dy) as coefficient arrays: d_a [phi] = eta_a [phi]."""
     data, alg = problem.data, problem.alg
     etas = []
-    for a, spin in enumerate(spin_connection_matrices(data)):
+    for a, spin in enumerate(frame_connection(data)):
         X = _coordinate_direction(data.grid.mu, a)
         etas.append(bivector_array(eta_matrix(alg, data.frames, data.B, X,
                                               spin)))
@@ -573,7 +557,7 @@ def dirac_residual(field, problem):
     grid = problem.grid
     n = alg.n
     mu = grid.mu
-    sx, sy = map(bivector_array, spin_connection_matrices(data))
+    sx, sy = map(bivector_array, frame_connection(data))
     gx, gy = (bivector_array(gamma_frame_matrix(
         alg, data.frames, _coordinate_direction(mu, a))) for a in range(2))
     vals = field.values

@@ -176,6 +176,16 @@ def test_check_frame_file_input(tmp_path):
     assert main(["check-frame", str(path), "-o", str(out)]) == 0
 
 
+def test_check_frame_at_corank_two(tmp_path):
+    out = tmp_path / "frame.json"
+    assert main(["check-frame", "--fixture", "sphere-r4-twisted",
+                 "--grid-n", "9", "-o", str(out)]) == 0
+    report = load_json(out)
+    assert sorted(report["residuals"]) == ["normal", "tangent"]
+    for entry in report["residuals"].values():
+        assert len(load_json(entry["field_path"])) == 9 * 9
+
+
 def test_check_frame_hn_structure_field(tmp_path):
     out = tmp_path / "horo.json"
     assert main(["check-frame", "--fixture", "horosphere-h3", "--grid-n", "9",
@@ -1382,7 +1392,6 @@ def test_a_grid_step_of_one_is_judged_by_the_gates(tmp_path, command):
 
 # each fixture's exit at 5 nodes per axis, as before the step gate
 FIVE_NODE_EXITS = {("s3-sphere", "check-gcr"): 2,
-                   ("sphere-r4-twisted", "check-frame"): 3,
                    ("sphere-r4-twisted", "reconstruct"): 3}
 
 

@@ -46,7 +46,7 @@ def test_the_known_failures_are_pinned():
     assert [n for n, code in exits.items() if code == 2] == [
         f"sphere-r3-broken.{c}" for c in golden.COMMANDS]
     assert sorted(n for n, code in exits.items() if code == 3) == [
-        "sphere-r4-twisted.check-frame", "sphere-r4-twisted.reconstruct"]
+        "sphere-r4-twisted.reconstruct"]
     assert load("sphere-r4-twisted.reconstruct")["stderr"] == (
         "input error: no R^3 embedding for abelian payloads of dimension 4\n")
 
