@@ -28,7 +28,7 @@ from .meshexport import FORMATS, check_r3_embedding, export_mesh
 from .serialization import (InputError, SCHEMAS, algebra_and_gamma,
                             algebra_from_dict, cmc_from_dict, dump_json,
                             field_report, problem_from_dict, read_json,
-                            surface_from_dict, surface_to_dict)
+                            surface_from_dict, write_surface)
 from .spinor import (KillingProblem, NotIntegrableError, reconstruct_immersion,
                      solve_killing)
 
@@ -127,9 +127,9 @@ def _write_surface(args, F, model, report):
     both files in it."""
     base, _ = os.path.splitext(args.output)
     report["mesh_path"] = f"{base}.surface.{args.format}"
-    export_mesh(F, model, args.format, report["mesh_path"], pole=args.pole)
     report["surface_path"] = f"{base}.surface.json"
-    dump_json(surface_to_dict(F, model), report["surface_path"])
+    write_surface(F, model, report["surface_path"], args.format,
+                  report["mesh_path"], pole=args.pole)
 
 
 # =============================================================================

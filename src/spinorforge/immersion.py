@@ -375,9 +375,13 @@ def gcr_residual_fields(data, alg):
     RT[..., 0, 1] = -K
     RT[..., 1, 0] = K
     covB = _covariant_B(data)
+    # The B products run on nodes-last copies of B0 and B1, where einsum's
+    # inner loop is over the nodes and not over a length-q axis.
+    Bt0, Bt1 = (np.ascontiguousarray(np.moveaxis(b, (0, 1), (2, 3)))
+                for b in (B0, B1))
     # B*(X, B(Y, Z)) - B*(Y, B(X, Z)) = M - M^T with B*(e_a, N)_b =
     # sum_r B[a, b, r] N_r
-    M = np.einsum("xybr,xyzr->xyzb", B0, B1)
+    M = np.moveaxis(np.einsum("brxy,zrxy->zbxy", Bt0, Bt1), (2, 3), (0, 1))
     gauss = RG[..., :2, :2] - RT + M - np.swapaxes(M, 2, 3)
     codazzi = RG[..., :2, 2:] - covB[:, :, 0, 1] + covB[:, :, 1, 0]
     if data.q == 1:
@@ -387,7 +391,8 @@ def gcr_residual_fields(data, alg):
         RN = (grid.dx(thy) - grid.dy(thx) + thx @ thy - thy @ thx) \
             / grid.mu[..., None, None] ** 2
         # B(e1, B*(e2, n_r)) - B(e2, B*(e1, n_r)) = P - P^T
-        P = np.einsum("xybs,xybr->xyrs", B0, B1)
+        P = np.moveaxis(np.einsum("bsxy,brxy->rsxy", Bt0, Bt1), (2, 3),
+                        (0, 1))
         ricci = RG[..., 2:, 2:] - RN + (P - np.swapaxes(P, 2, 3))
     return gauss, codazzi, ricci
 

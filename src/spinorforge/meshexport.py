@@ -1,13 +1,16 @@
 """OBJ / binary-PLY export of reconstructed surface grids.
 
 Vertices come from the group model's R^3 embedding: abelian R^3, semidirect
-coordinates (x1, x2, z) and the H^3 half-space coordinates map directly;
-S^3 points are stereographically projected from a configurable pole (default
-the antipode of the identity).  Quad cells of the structured grid are split
-into two triangles.  OBJ uses shortest-round-trip decimal doubles and PLY
-stores float64, so the two formats carry identical coordinates.  Each
-writer formats or packs a whole file section in one call (one %-format of
-all vertex lines, one structured-array `tobytes` of all PLY faces).
+coordinates (x1, x2, z) and the H^3 half-space coordinates are the payload
+itself; S^3 points are stereographically projected from a configurable pole
+(default the antipode of the identity).  Quad cells of the structured grid
+are split into two triangles.  OBJ writes each coordinate as its `repr`,
+the shortest round-trip decimal, and PLY stores float64, so the two formats
+carry identical coordinates.  A surface coordinate's text is made once and
+shared: when the vertices are the payload, `serialization.write_surface`
+hands `write_obj` the same texts that make the surface JSON.  Each writer
+formats or packs a whole file section in one call (one %-format of all
+vertex lines, one structured-array `tobytes` of all PLY faces).
 """
 
 import numpy as np
@@ -65,8 +68,9 @@ def check_r3_embedding(model, dim, pole=None):
 
 
 def embed_r3(F, model, pole=None):
-    """The model's R^3 vertex coordinates for a payload grid; a vertex that
-    is not finite is a ValueError naming its node."""
+    """The model's R^3 vertex coordinates for a payload grid: F itself, as a
+    float64 array, for every model but S^3.  A vertex that is not finite is
+    a ValueError naming its node."""
     F = np.asarray(F, dtype=np.float64)
     check_r3_embedding(model, F.shape[-1], pole)
     vertices = stereographic_s3(F, model, pole) if model.name == "s3" else F
@@ -77,11 +81,14 @@ def embed_r3(F, model, pole=None):
 
 
 def write_obj(path, vertices, faces):
-    # %r of a Python float: shortest round-trip decimal, exact on re-parse
-    coords = np.asarray(vertices, dtype=np.float64).reshape(-1).tolist()
+    """`vertices` are (m, 3) floats, or the flat list of their 3m texts.
+    %s of a Python float is its repr, the shortest round-trip decimal and
+    exact on re-parse, so both forms write the same bytes."""
+    coords = vertices if isinstance(vertices, list) else \
+        np.asarray(vertices, dtype=np.float64).reshape(-1).tolist()
     corners = (np.asarray(faces) + 1).reshape(-1).tolist()
     with open(path, "w") as fh:
-        fh.write(("v %r %r %r\n" * (len(coords) // 3)) % tuple(coords))
+        fh.write(("v %s %s %s\n" * (len(coords) // 3)) % tuple(coords))
         fh.write(("f %d %d %d\n" * (len(corners) // 3)) % tuple(corners))
 
 
@@ -107,16 +114,18 @@ def write_ply(path, vertices, faces):
         fh.write(records.tobytes())
 
 
-def export_mesh(F, model, fmt, path, pole=None):
-    """Write the surface grid as OBJ or binary PLY; returns the vertex array."""
+def write_mesh(path, fmt, vertices, nx, ny):
+    """Write an nx x ny vertex grid as OBJ or binary PLY: `vertices` are
+    (nx ny, 3) floats, or for OBJ the flat list of their texts."""
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}")
+    (write_obj if fmt == "obj" else write_ply)(path, vertices,
+                                               grid_faces(nx, ny))
+
+
+def export_mesh(F, model, fmt, path, pole=None):
+    """Write the surface grid as OBJ or binary PLY; returns the vertex array."""
     F = np.asarray(F, dtype=np.float64)
-    nx, ny = F.shape[:2]
     vertices = embed_r3(F, model, pole=pole).reshape(-1, 3)
-    faces = grid_faces(nx, ny)
-    if fmt == "obj":
-        write_obj(path, vertices, faces)
-    else:
-        write_ply(path, vertices, faces)
+    write_mesh(path, fmt, vertices, *F.shape[:2])
     return vertices

@@ -4,7 +4,10 @@ All structured I/O is JSON.  `dump_json` writes one compact line with sorted
 keys through the C encoder of the standard library, so identical inputs
 produce byte-identical outputs; floats are written with `float.__repr__`
 (shortest round-trip digits) and read back bit-exactly, and NaN / Infinity
-use the standard library's literals.
+use the standard library's literals.  `write_surface` writes the same
+bytes for a surface with the payload joined by hand: a surface coordinate's
+text is its `repr`, made once and shared by the surface JSON and an OBJ
+whose vertices are the payload (`meshexport`).
 
 Inputs are checked against the JSON schemas in `SCHEMAS` (also printed by
 the command line's --schema flag) by a small built-in checker.  It
@@ -36,6 +39,7 @@ from .grid import ParamGrid
 from .immersion import ImmersionData
 from .lie_group import (MODELS, AbelianModel, model_for, model_from_params,
                         model_params)
+from .meshexport import embed_r3, write_mesh
 
 
 class InputError(ValueError):
@@ -290,15 +294,18 @@ def read_json(path, convert):
             gc.enable()
 
 
-def dump_json(payload, path):
-    """Write `payload` as one line of JSON with sorted keys.  Without
-    `indent`, `json.dumps` runs the standard library's C encoder."""
-    text = json.dumps(payload, sort_keys=True) + "\n"
+def _write_text(text, path):
     try:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as err:
         raise InputError(f"cannot write {path}: {err}")
+
+
+def dump_json(payload, path):
+    """Write `payload` as one line of JSON with sorted keys.  Without
+    `indent`, `json.dumps` runs the standard library's C encoder."""
+    _write_text(json.dumps(payload, sort_keys=True) + "\n", path)
 
 
 # =============================================================================
@@ -458,11 +465,35 @@ def cmc_to_dict(data, pot):
             "g": g.tolist()}
 
 
-def surface_to_dict(F, model):
+def _surface_head(F, model):
     nx, ny = F.shape[:2]
     return {"model": {"name": model.name, "params": model_params(model)},
-            "nx": nx, "ny": ny,
+            "nx": nx, "ny": ny}
+
+
+def surface_to_dict(F, model):
+    return {**_surface_head(F, model),
             "payload": np.asarray(F).reshape(-1).tolist()}
+
+
+def write_surface(F, model, path, fmt, mesh_path, pole=None):
+    """Write the surface grid F as a mesh at `mesh_path` (OBJ or binary PLY,
+    as `meshexport.export_mesh` writes it), then as surface JSON at `path`,
+    byte for byte `dump_json(surface_to_dict(F, model), path)`.
+
+    Each coordinate of F is formatted once, by repr, after `embed_r3` has
+    judged every vertex finite: repr writes nan and inf, which are not JSON.
+    The JSON is its head from the C encoder with the joined texts after it,
+    as `payload` is the last key in sorted order, and an OBJ whose vertices
+    are F itself, as for every model but S^3, writes the same texts."""
+    F = np.asarray(F, dtype=np.float64)
+    vertices = embed_r3(F, model, pole)
+    texts = list(map(repr, F.reshape(-1).tolist()))
+    shared = fmt == "obj" and vertices is F
+    write_mesh(mesh_path, fmt, texts if shared else vertices.reshape(-1, 3),
+               *F.shape[:2])
+    head = json.dumps(_surface_head(F, model), sort_keys=True)
+    _write_text(f'{head[:-1]}, "payload": [{", ".join(texts)}]}}\n', path)
 
 
 def surface_from_dict(d):
@@ -475,6 +506,9 @@ def surface_from_dict(d):
     except (TypeError, ValueError, OverflowError) as err:
         raise InputError(f"invalid surface: {err}")
     payload = _float_array(d["payload"], "payload")
+    if payload.ndim != 1:
+        raise InputError(f"payload must be a flat list of coordinates; got "
+                         f"shape {payload.shape}")
     try:
         F = payload.reshape(int(d["nx"]), int(d["ny"]), model.payload_dim)
     except ValueError:

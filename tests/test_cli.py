@@ -301,6 +301,22 @@ def test_export_surface_exit_codes(tmp_path, model, payload, code):
     assert main(["export", str(path), "-o", str(tmp_path / "m.obj")]) == code
 
 
+@pytest.mark.parametrize("nest", [
+    lambda p: [p], lambda p: [p[i:i + 3] for i in range(0, len(p), 3)]],
+    ids=["wrapped", "triples"])
+def test_export_rejects_a_nested_payload(tmp_path, capsys, nest):
+    fx = fixtures.sphere_r3(5)
+    blob = surface_to_dict(fx.F, fx.model)
+    blob["payload"] = nest(blob["payload"])    # the right size, not flat
+    path = tmp_path / "surface.json"
+    dump_json(blob, path)
+    mesh = tmp_path / "m.obj"
+    assert main(["export", str(path), "-o", str(mesh)]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("input error: payload must be a flat list")
+    assert not mesh.exists()
+
+
 _NONFINITE = [float("nan"), float("inf"), float("-inf")]
 _WRONG_PARAM = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 6), st.text(max_size=3),

@@ -612,6 +612,64 @@ def test_gcr_residual_fields_agree_with_their_former_loops(name):
         assert np.array_equal(got, want)
 
 
+def nodes_first_gcr_residual_fields(data, alg):
+    """gcr_residual_fields as it read with its B products as einsums over
+    nodes-first B; kept verbatim below the docstring."""
+    if alg.n != data.n:
+        raise ValueError("algebra dimension does not match the data")
+    grid = data.grid
+    # RG[..., c, d] = <R^G(e1, e2) eps_c, eps_d>
+    RG = np.swapaxes(ambient_curvature_frame(data, alg), 2, 3)
+    B0, B1 = data.B[:, :, 0], data.B[:, :, 1]    # B(e1, .), B(e2, .)
+    K = grid.gauss_curvature()
+    RT = np.zeros(grid.shape + (2, 2))           # [z, b] of R^T(e1,e2) e_z
+    RT[..., 0, 1] = -K
+    RT[..., 1, 0] = K
+    covB = _covariant_B(data)
+    # B*(X, B(Y, Z)) - B*(Y, B(X, Z)) = M - M^T with B*(e_a, N)_b =
+    # sum_r B[a, b, r] N_r
+    M = np.einsum("xybr,xyzr->xyzb", B0, B1)
+    gauss = RG[..., :2, :2] - RT + M - np.swapaxes(M, 2, 3)
+    codazzi = RG[..., :2, 2:] - covB[:, :, 0, 1] + covB[:, :, 1, 0]
+    if data.q == 1:
+        ricci = np.zeros(grid.shape + (1, 1))
+    else:
+        thx, thy = data.theta_x, data.theta_y
+        RN = (grid.dx(thy) - grid.dy(thx) + thx @ thy - thy @ thx) \
+            / grid.mu[..., None, None] ** 2
+        # B(e1, B*(e2, n_r)) - B(e2, B*(e1, n_r)) = P - P^T
+        P = np.einsum("xybs,xybr->xyrs", B0, B1)
+        ricci = RG[..., 2:, 2:] - RN + (P - np.swapaxes(P, 2, 3))
+    return gauss, codazzi, ricci
+
+
+CORANK_TWO = [name for name, make in sorted(SURFACE_FIXTURES.items())
+              if make(5).data.q == 2]
+
+
+@pytest.mark.parametrize("perturbed", [False, True],
+                         ids=["fixture", "perturbed"])
+@pytest.mark.parametrize("n", [17, 129])
+@pytest.mark.parametrize("name", CORANK_TWO)
+def test_gcr_b_products_on_nodes_last_copies_agree_at_corank_two(
+        name, n, perturbed):
+    fx = SURFACE_FIXTURES[name](n)
+    data = fx.data
+    if perturbed:
+        # a seeded symmetric change of B, so that the Ricci B terms no
+        # longer cancel the curvature terms exactly
+        noise = np.random.default_rng(7).normal(size=data.B.shape)
+        B = data.B + 0.1 * (noise + np.swapaxes(noise, 2, 3))
+        data = ImmersionData(data.grid, data.frames, B=B,
+                             theta_x=data.theta_x, theta_y=data.theta_y)
+    gauss, _, ricci = gcr_residual_fields(data, fx.alg)
+    want_gauss, _, want_ricci = nodes_first_gcr_residual_fields(data, fx.alg)
+    assert np.array_equal(gauss, want_gauss)
+    assert np.array_equal(ricci, want_ricci)
+    if perturbed:
+        assert np.max(np.abs(ricci)) > 1e-3
+
+
 def test_hn_u_residual_agrees_with_its_former_blocks():
     fx = fixtures.horosphere_h3(17)
     U, V = fx.grid.mesh()

@@ -25,12 +25,13 @@ from spinorforge.immersion import ImmersionData
 from spinorforge.lie_group import (MODELS, IntegrationError, LieValuedOneForm,
                                    darboux_integrate, model_for,
                                    model_from_params, model_params)
+from spinorforge import serialization
 from spinorforge.meshexport import embed_r3, grid_faces, write_obj, write_ply
 from spinorforge.serialization import (SCHEMA_KEYWORDS, SCHEMAS, InputError,
                                        dump_json, load_json, problem_from_dict,
                                        problem_to_dict, read_json,
                                        schema_violation, surface_from_dict,
-                                       surface_to_dict)
+                                       surface_to_dict, write_surface)
 
 
 # =============================================================================
@@ -136,15 +137,153 @@ def test_mesh_writers_match_the_per_row_writers(tmp_path, name, n):
             (tmp_path / "old").read_bytes(), write.__name__
 
 
+def write_obj_texts(path, vertices, faces):
+    """write_obj given the repr texts of the vertices, as a surface's OBJ."""
+    write_obj(path, list(map(repr, vertices.reshape(-1).tolist())), faces)
+
+
 def test_mesh_writers_match_on_extreme_coordinates(tmp_path):
     vertices = np.array([SPECIAL_FLOATS[i:i + 3] for i in range(0, 12, 3)])
     faces = np.array([[0, 1, 2], [0, 2, 3]])
     for write, reference in ((write_obj, reference_write_obj),
+                             (write_obj_texts, reference_write_obj),
                              (write_ply, reference_write_ply)):
         write(tmp_path / "new", vertices, faces)
         reference(tmp_path / "old", vertices, faces)
         assert (tmp_path / "new").read_bytes() == \
             (tmp_path / "old").read_bytes(), write.__name__
+
+
+# =============================================================================
+# The surface writer against the JSON and mesh writers it replaced
+# =============================================================================
+
+def former_write_surface(F, model, path, fmt, mesh_path, pole=None):
+    """The mesh, then the surface JSON, as the writers before
+    `write_surface` wrote them: each file formats F on its own."""
+    vertices = embed_r3(F, model, pole).reshape(-1, 3)
+    write = reference_write_obj if fmt == "obj" else reference_write_ply
+    write(mesh_path, vertices, grid_faces(*F.shape[:2]))
+    dump_json(surface_to_dict(F, model), path)
+
+
+def assert_written_as_before(tmp_path, F, model, fmt, pole=None):
+    new, old = tmp_path / "new", tmp_path / "old"
+    for out, write in ((new, write_surface), (old, former_write_surface)):
+        out.mkdir()
+        write(F, model, out / "s.json", fmt, out / f"s.{fmt}", pole)
+    for name in ("s.json", f"s.{fmt}"):
+        assert (new / name).read_bytes() == (old / name).read_bytes(), name
+
+
+# every surface fixture whose group model has an R^3 mesh
+EMBEDDED = [name for name, make in sorted(SURFACE_FIXTURES.items())
+            if make(5).model.name == "s3" or make(5).F.shape[-1] == 3]
+S3_POLE = np.array([0.0, 0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("fmt", ["obj", "ply"])
+@pytest.mark.parametrize("name,pole", [(name, None) for name in EMBEDDED] + [
+    (name, S3_POLE) for name in EMBEDDED
+    if SURFACE_FIXTURES[name](5).model.name == "s3"],
+    ids=lambda v: "pole" if isinstance(v, np.ndarray) else v)
+def test_write_surface_writes_the_former_bytes(tmp_path, name, pole, fmt):
+    fx = SURFACE_FIXTURES[name](17)
+    assert_written_as_before(tmp_path, fx.F, fx.model, fmt, pole)
+
+
+def test_the_surface_fixtures_cover_every_model_with_a_mesh():
+    models = {SURFACE_FIXTURES[name](5).model.name for name in EMBEDDED}
+    assert models == {"abelian", "semidirect", "hn", "s3"}
+
+
+@pytest.mark.parametrize("fmt", ["obj", "ply"])
+def test_write_surface_writes_the_former_bytes_on_extreme_coordinates(
+        tmp_path, fmt):
+    finite = [x for x in SPECIAL_FLOATS if math.isfinite(x)][:12]
+    F = np.array(finite).reshape(2, 2, 3)
+    assert_written_as_before(tmp_path, F, model_for(la.rn(3)), fmt)
+
+
+@pytest.mark.parametrize("fmt", ["obj", "ply"])
+def test_the_cmc_surface_is_written_as_before(tmp_path, fmt):
+    from spinorforge.cli import main
+    out = tmp_path / "cmc.json"
+    assert main(["cmc", "--fixture", "cmc-sphere", "--grid-n", "17",
+                 "--format", fmt, "-o", str(out)]) == 0
+    # the payload reads back bit-exactly, so the former writers can
+    # rewrite both files from it
+    F, model = read_json(tmp_path / "cmc.surface.json", surface_from_dict)
+    former_write_surface(F, model, tmp_path / "old.json", fmt,
+                         tmp_path / f"old.{fmt}")
+    for new, old in (("cmc.surface.json", "old.json"),
+                     (f"cmc.surface.{fmt}", f"old.{fmt}")):
+        assert (tmp_path / new).read_bytes() == (tmp_path / old).read_bytes()
+
+
+@pytest.mark.parametrize("name,shared", [("sphere-r3", True),
+                                         ("sol3-plane", True),
+                                         ("horosphere-h3", True),
+                                         ("s3-sphere", False)])
+def test_an_obj_of_the_payload_reuses_the_payload_texts(
+        tmp_path, monkeypatch, name, shared):
+    fx = SURFACE_FIXTURES[name](5)
+    given = []
+    write_mesh = serialization.write_mesh
+    monkeypatch.setattr(serialization, "write_mesh",
+                        lambda path, fmt, vertices, nx, ny: given.append(
+                            vertices) or write_mesh(path, fmt, vertices, nx, ny))
+    write_surface(fx.F, fx.model, tmp_path / "s.json", "obj", tmp_path / "s.obj")
+    (vertices,) = given
+    if shared:
+        assert vertices == list(map(repr, fx.F.reshape(-1).tolist()))
+    else:     # S^3 vertices are projected, so formatted on their own
+        assert isinstance(vertices, np.ndarray) and vertices.shape == (25, 3)
+
+
+@pytest.mark.parametrize("name,node,match", [
+    ("sphere-r3", (1, 2), r"^the vertex at node \(1, 2\) is not finite$"),
+    ("sol3-plane", (4, 0), r"^the vertex at node \(4, 0\) is not finite$"),
+    ("s3-sphere", (2, 3), r"^S\^3 payload at node \(2, 3\) is not finite$"),
+])
+@pytest.mark.parametrize("fmt", ["obj", "ply"])
+def test_a_non_finite_payload_writes_neither_file(tmp_path, name, node, match,
+                                                  fmt):
+    fx = SURFACE_FIXTURES[name](5)
+    F = np.array(fx.F)
+    F[node][0] = np.nan
+    with pytest.raises(ValueError, match=match):
+        write_surface(F, fx.model, tmp_path / "s.json", fmt,
+                      tmp_path / f"s.{fmt}")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,fixture", [("reconstruct", "sphere-r3"),
+                                             ("reconstruct", "s3-sphere"),
+                                             ("cmc", "cmc-sphere")])
+def test_a_non_finite_surface_exits_three_and_writes_no_surface(
+        tmp_path, capsys, monkeypatch, command, fixture):
+    from spinorforge import cli
+    if command == "reconstruct":
+        solve = cli.reconstruct_immersion
+
+        def spoiled(*args, **kwargs):
+            F, field, report = solve(*args, **kwargs)
+            F = np.array(F)
+            F[2, 3, 0] = np.inf
+            return F, field, report
+        monkeypatch.setattr(cli, "reconstruct_immersion", spoiled)
+    else:
+        integrate = cli.darboux_integrate
+        monkeypatch.setattr(cli, "darboux_integrate",
+                            lambda *a: integrate(*a) + np.where(
+                                np.arange(3) == 0, np.inf, 0.0))
+    assert cli.main([command, "--fixture", fixture, "--grid-n", "9",
+                     "-o", str(tmp_path / "r.json")]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("input error: ") and "not finite" in line
+    assert not list(tmp_path.glob("r.surface.*"))
+    assert not (tmp_path / "r.json").exists()
 
 
 # =============================================================================

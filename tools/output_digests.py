@@ -19,6 +19,9 @@ The sweep is:
     written with SRC's `cmc_to_dict`, once with the fixture's potential and
     once with the S^3 potential mu = (1, 1, 1), projected from the pole
     (0, 0, 0, 1) (both files are listed too);
+  * reconstruct --format ply, with -v, on every surface fixture at
+    --grid-n 17, and again from the pole (0, 0, 0, 1) on the S^3 ones;
+    cmc --format ply on the cmc-sphere fixture and on both cmc files;
   * catalog -o for every catalog tag, then check-algebra on each algebra
     file written;
   * export to PLY of every surface JSON written;
@@ -105,6 +108,30 @@ def cmc_file_runs(out):
     return runs
 
 
+def ply_runs(fixtures):
+    """The PLY branch of the reconstruct and cmc surface writer: reconstruct
+    on every surface fixture at FILE_SIZE, and from the pole (0, 0, 0, 1) on
+    the S^3 ones; cmc on the cmc-sphere fixture and on the two files that
+    `cmc_file_runs` writes."""
+    n = FILE_SIZE
+    pole = ["--pole", "0", "0", "0", "1"]
+    runs = []
+    for name, make in fixtures.items():
+        runs.append(["reconstruct", "--fixture", name, "--grid-n", str(n),
+                     "--format", "ply", "-v",
+                     "-o", f"{name}-{n}.ply-reconstruct.json"])
+        if make(n).model.name == "s3":
+            runs.append(["reconstruct", "--fixture", name, "--grid-n", str(n),
+                         "--format", "ply", *pole, "-v",
+                         "-o", f"{name}-{n}.ply-pole-reconstruct.json"])
+    runs.append(["cmc", "--fixture", "cmc-sphere", "--format", "ply", "-v",
+                 "-o", "cmc-ply.json"])
+    runs += [["cmc", f"{name}-{n}.cmc-input.json", *p, "--format", "ply",
+              "-v", "-o", f"{name}-{n}.ply-file-cmc.json"]
+             for name, p in (("cmc-sphere", []), ("cmc-s3", pole))]
+    return runs
+
+
 def catalog_runs(tags):
     return [["catalog", "--group", tag, "-o", f"algebra-{tag}.json"]
             for tag in tags]
@@ -186,6 +213,7 @@ def full_sweep_runs(src, out):
             + pole_runs(fixtures)
             + [["cmc", "--fixture", "cmc-sphere", "-v", "-o", "cmc.json"]]
             + cmc_file_runs(out)
+            + ply_runs(fixtures)
             + catalog_runs(sorted(lie_algebra.CATALOG)))
 
 
