@@ -147,7 +147,7 @@ def cmd_catalog(args):
         params = {**params, **given} if isinstance(given, dict) else given
     alg = algebra_from_dict({"tag": args.group, "params": params})
     print(f"{args.group}  (n = {alg.n}, params = "
-          f"{json.dumps(alg.params, sort_keys=True)})")
+          f"{json.dumps(params, sort_keys=True)})")
     print("nonzero structure constants [e_i, e_j] = sum c_ijk e_k:")
     for i in range(alg.n):
         for j in range(i + 1, alg.n):
@@ -171,11 +171,10 @@ def cmd_check_algebra(args):
     alg, gamma = read_json(args.input, algebra_and_gamma)
     tol = args.tol or la.KOSZUL_TOL
     jac = la.jacobi_residual(alg.c)
-    with np.errstate(over="ignore"):    # an overflow is inf: it fails
-        compat = float(np.max(np.abs(gamma + np.swapaxes(gamma, 1, 2))))
-        koszul_dev = float(np.max(np.abs(alg.gamma - gamma)))
-        # torsion T(e_i, e_j) = gamma[i, j] - gamma[j, i] - c[i, j]
-        torsion = float(np.max(np.abs(gamma - gamma.swapaxes(0, 1) - alg.c)))
+    compat = float(np.max(np.abs(gamma + np.swapaxes(gamma, 1, 2))))
+    koszul_dev = float(np.max(np.abs(alg.gamma - gamma)))
+    # torsion T(e_i, e_j) = gamma[i, j] - gamma[j, i] - c[i, j]
+    torsion = float(np.max(np.abs(gamma - gamma.swapaxes(0, 1) - alg.c)))
     report = {"jacobi": jac, "metric_compatibility": compat,
               "koszul_deviation": koszul_dev, "torsion": torsion,
               "tolerance": tol,
@@ -391,11 +390,15 @@ def main(argv=None):
         if not args.command:
             parser.print_help()
             return EXIT_INPUT
-        return COMMANDS[args.command][0](args)
+        # an overflow or a division by zero is an inf or a NaN, which the
+        # gates fail, and not a warning
+        with np.errstate(all="ignore"):
+            return COMMANDS[args.command][0](args)
     except (SingularPotentialError, IntegrationError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as err:    # InputError included
+    except (ValueError, MemoryError) as err:    # InputError included
+        # a MemoryError is an input too large to allocate
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as err:

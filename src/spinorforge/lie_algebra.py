@@ -16,7 +16,11 @@ The catalog covers the models used downstream: abelian R^n, the hyperbolic
 group H^n with bracket l(X)Y - l(Y)X, the unit quaternions S^3 with bracket
 2 X x Y, E(kappa, tau) with tau != 0, plane-by-line semi-direct products
 R^2 x_A R (Sol_3 and H^2 x R as named instances), and the 3D unimodular
-family with diagonalized connection constants mu_1, mu_2, mu_3.
+family with diagonalized connection constants mu_1, mu_2, mu_3.  A
+builder's parameters only build c and are not kept: an algebra is its
+structure constants and a tag that labels them.  In JSON an algebra is
+{tag, c, gamma}; a blob without c names a catalog tag and the `params`
+that `catalog_build` reads to build c.
 """
 
 import numbers
@@ -39,9 +43,9 @@ class MetricLieAlgebra:
     the Levi-Civita connection gamma that the Koszul formula derives from
     them (it is not an input)."""
 
-    __slots__ = ("n", "c", "gamma", "catalog_tag", "params")
+    __slots__ = ("n", "c", "gamma", "catalog_tag")
 
-    def __init__(self, c, catalog_tag="custom", params=None):
+    def __init__(self, c, catalog_tag="custom"):
         c = np.array(c, dtype=np.float64)
         n = c.shape[0] if c.ndim else 0
         if c.shape != (n, n, n) or not 1 <= n <= MAX_DIM:
@@ -57,7 +61,6 @@ class MetricLieAlgebra:
         self.n = n
         self.c = c
         self.catalog_tag = catalog_tag
-        self.params = dict(params or {})
         gamma = koszul_connection(c)
         gamma.flags.writeable = False
         self.gamma = gamma
@@ -164,8 +167,7 @@ def _check_dim(n):
 def rn(n):
     """Abelian R^n."""
     _check_dim(n)
-    return MetricLieAlgebra(np.zeros((n, n, n)), catalog_tag="Rn",
-                            params={"n": n})
+    return MetricLieAlgebra(np.zeros((n, n, n)), catalog_tag="Rn")
 
 
 def hn(n, l=None):
@@ -181,8 +183,7 @@ def hn(n, l=None):
     l = np.asarray(l, dtype=np.float64)
     if l.shape != (n,) or not np.any(l):
         raise ValueError("H^n requires a nonzero linear form l of length n")
-    return MetricLieAlgebra(hn_constants(l), catalog_tag="Hn",
-                            params={"n": n, "l": l.tolist()})
+    return MetricLieAlgebra(hn_constants(l), catalog_tag="Hn")
 
 
 def hn_constants(l):
@@ -198,7 +199,7 @@ def s3():
     for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         c[i, j, k] = 2.0
         c[j, i, k] = -2.0
-    return MetricLieAlgebra(c, catalog_tag="S3", params={})
+    return MetricLieAlgebra(c, catalog_tag="S3")
 
 
 def e_kappa_tau(kappa, tau):
@@ -215,8 +216,7 @@ def e_kappa_tau(kappa, tau):
     c[2, 1, 0] = -sigma
     c[2, 0, 1] = sigma
     c[0, 2, 1] = -sigma
-    return MetricLieAlgebra(c, catalog_tag="EKappaTau",
-                            params={"kappa": kappa, "tau": tau, "sigma": sigma})
+    return MetricLieAlgebra(c, catalog_tag="EKappaTau")
 
 
 def semidirect(A, catalog_tag="SemiDirect"):
@@ -224,8 +224,7 @@ def semidirect(A, catalog_tag="SemiDirect"):
     A = np.asarray(A, dtype=np.float64)
     if A.shape != (2, 2):
         raise ValueError("semidirect products take a 2x2 matrix")
-    return MetricLieAlgebra(semidirect_constants(A), catalog_tag=catalog_tag,
-                            params={"A": A.tolist()})
+    return MetricLieAlgebra(semidirect_constants(A), catalog_tag=catalog_tag)
 
 
 def semidirect_constants(A):
@@ -246,8 +245,7 @@ def semidirect_constants(A):
 
 def sol3():
     """Sol_3 = R^2 x_A R with A = diag(-1, 1)."""
-    alg = semidirect(np.diag([-1.0, 1.0]), catalog_tag="Sol3")
-    return alg
+    return semidirect(np.diag([-1.0, 1.0]), catalog_tag="Sol3")
 
 
 def h2xr():
@@ -266,8 +264,7 @@ def unimodular(mu1, mu2, mu3):
     for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         c[i, j, k] = mus[i] + mus[j]
         c[j, i, k] = -c[i, j, k]
-    return MetricLieAlgebra(c, catalog_tag="Unimodular",
-                            params={"mu": list(mus)})
+    return MetricLieAlgebra(c, catalog_tag="Unimodular")
 
 
 def real_param(value, name, ndim=0):
@@ -345,16 +342,12 @@ def catalog_build(tag, params=None):
 # =============================================================================
 
 def algebra_to_dict(alg):
-    return {
-        "tag": alg.catalog_tag,
-        "params": alg.params,
-        "c": alg.c.tolist(),
-        "gamma": alg.gamma.tolist(),
-    }
+    return {"tag": alg.catalog_tag, "c": alg.c.tolist(),
+            "gamma": alg.gamma.tolist()}
 
 
 def algebra_from_dict(d):
-    """The algebra of a dict's `c`; a `gamma` in it is not read."""
+    """The algebra of a dict's `c`, labelled with its `tag`; its `gamma`
+    and `params` are not read."""
     return MetricLieAlgebra(real_array(d["c"], "c"),
-                            catalog_tag=d.get("tag", "custom"),
-                            params=d.get("params"))
+                            catalog_tag=d.get("tag", "custom"))

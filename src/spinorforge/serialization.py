@@ -453,6 +453,8 @@ def cmc_from_dict(d):
     try:
         pot = HPotential(d["potential"]["H"], d["potential"]["mu"])
         data = WeierstrassData(grid, g[..., 0] + 1j * g[..., 1])
+    except OverflowError:   # float() of an integer beyond the float range
+        raise InputError("potential H and mu must be within the float range")
     except ValueError as err:
         raise InputError(str(err))
     return data, pot

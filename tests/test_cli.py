@@ -1450,3 +1450,129 @@ def test_the_structure_gate_names_the_worst_node(tmp_path):
     assert sorted(report) == ["error", "holonomy", "holonomy_argmax",
                               "holonomy_tol", "integrable", "renorm_drift",
                               "structure_max", "structure_tol"]
+
+
+# =============================================================================
+# Catalog params build c and are not kept
+# =============================================================================
+
+@pytest.mark.parametrize("name,params", [
+    ("sol3-plane", {"A": [[-1.0, 0.0], {"a": 1}]}),
+    ("horosphere-h3", {"n": "x"}),
+], ids=["sol3-A-row-object", "hn-string-n"])
+@pytest.mark.parametrize("command", ["solve", "reconstruct"])
+def test_params_beside_c_are_neither_read_nor_kept(tmp_path, name, params,
+                                                    command):
+    blob = json.loads(_surface_problem_text(name))
+    blob["algebra"]["params"] = params
+    path = tmp_path / "problem.json"
+    dump_json(blob, path)
+    assert main([command, str(path), "-o", str(tmp_path / "r.json")]) == 0
+    loaded = problem_from_dict(load_json(path))
+    assert "params" not in problem_to_dict(*loaded)["algebra"]
+
+
+def test_catalog_prints_the_params_it_resolved_and_writes_none(tmp_path,
+                                                               capsys):
+    out = tmp_path / "f.json"
+    assert main(["catalog", "--group", "EKappaTau", "-o", str(out)]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header == 'EKappaTau  (n = 3, params = {"kappa": -1.0, "tau": 0.5})'
+    assert sorted(load_json(out)) == ["c", "gamma", "tag"]
+
+
+# =============================================================================
+# Floating-point trouble, oversized inputs
+# =============================================================================
+
+def _set_nested(blob, path, value):
+    *parents, leaf = path
+    for key in parents:
+        blob = blob[key]
+    blob[leaf] = value
+
+
+def _fp_problem(name):
+    fx = SURFACE_FIXTURES[name](9)
+    return problem_to_dict(fx.data, fx.alg, u_field=fx.extras.get("u_field"))
+
+
+def _fp_s3_surface():
+    fx = fixtures.s3_sphere(9)
+    F, _, _ = spinor.reconstruct_immersion(spinor.KillingProblem(fx.data,
+                                                                 fx.alg))
+    return surface_to_dict(F, model_for(fx.alg))
+
+
+def _fp_cmc():
+    return cmc_to_dict(*fixtures.cmc_sphere(9))
+
+
+# (command, input file blob, entry set, value, exit code)
+_FP_CASES = {
+    "gcr-overflow": ("check-gcr", lambda: _fp_problem("sphere-r3"),
+                     ("S", 3, 2, 0, 0), -1e308, 2),
+    "frame-overflow": ("check-frame", lambda: _fp_problem("sphere-r4-twisted"),
+                       ("theta_x", 3, 8, 0, 0), 1e308, 3),
+    "solve-overflow": ("solve", lambda: _fp_problem("sphere-r4-twisted"),
+                       ("theta_x", 3, 8, 0, 0), 1e308, 3),
+    "u-field-overflow": ("check-frame", lambda: _fp_problem("horosphere-h3"),
+                         ("u_field", 1, 7, 0), 1e308, 3),
+    "s3-payload-overflow": ("export", _fp_s3_surface, ("payload", 10),
+                            1e308, 3),
+    "cmc-zero-g": ("cmc", _fp_cmc, ("g", 0, 0, 0), 0.0, 2),
+    "cmc-huge-g": ("cmc", _fp_cmc, ("g", 2, 3, 0), 1e300, 4),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", _FP_CASES)
+def test_floating_point_trouble_is_judged_without_warnings(tmp_path, capsys,
+                                                           case):
+    command, make, entry, value, want = _FP_CASES[case]
+    blob = make()
+    _set_nested(blob, entry, value)
+    path = tmp_path / "input.json"
+    dump_json(blob, path)
+    code, err = _main_err([command, str(path),
+                           "-o", str(tmp_path / "r.json")], capsys)
+    assert code == want
+    assert len(err.splitlines()) <= 1
+    assert "Warning" not in err and "Traceback" not in err
+
+
+# 10^7 x 10^7 float64 nodes are 728 TiB, more than any 48-bit address
+# space: the allocation fails at once, touching no memory
+_HUGE_N = 10_000_000
+
+
+@pytest.mark.parametrize("how", ["fixture", "file"])
+def test_an_input_too_large_to_allocate_exits_three(tmp_path, capsys, how):
+    out = tmp_path / "out"
+    out.mkdir()
+    if how == "fixture":
+        argv = ["solve", "--fixture", "sphere-r3", "--grid-n", str(_HUGE_N)]
+    else:
+        path = tmp_path / "huge.json"
+        dump_json({"grid": {"nx": _HUGE_N, "ny": _HUGE_N, "h": 1e-7},
+                   "algebra": {"tag": "Rn"}, "frames": [], "S": []}, path)
+        argv = ["check-gcr", str(path)]
+    code, err = _main_err(argv + ["-o", str(out / "r.json")], capsys)
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("input error: ")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("entry", [("H",), ("mu", 1)], ids=["H", "mu"])
+def test_a_cmc_potential_beyond_the_float_range_exits_three(tmp_path, capsys,
+                                                            entry):
+    blob = json.loads(_cmc_text(9))
+    _set_nested(blob["potential"], entry, 10 ** 400)
+    path = tmp_path / "cmc.json"
+    with open(path, "w") as fh:
+        json.dump(blob, fh)
+    code, err = _main_err(["cmc", str(path), "-o", str(tmp_path / "r.json")],
+                          capsys)
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    assert err.startswith("input error: ") and "float range" in err

@@ -142,7 +142,10 @@ def test_unimodular_builds_for_any_mu_up_to_a_million():
     mus = rng.choice([-1.0, 1.0], size=(200, 3)) * 10.0 ** rng.uniform(
         -3.0, 6.0, size=(200, 3))
     for mu in [(123.456, 789.012, 345.678), (1e5 + 0.1, 3.3, 7.7), *mus]:
-        assert unimodular(*mu).params["mu"] == list(mu)
+        # [e1, e2] = (mu1 + mu2) e3 and cyclic
+        brackets = unimodular(*mu).c[[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+        assert brackets.tolist() == [mu[0] + mu[1], mu[1] + mu[2],
+                                     mu[2] + mu[0]]
 
 
 def test_unimodular_zero_is_abelian():
@@ -290,7 +293,9 @@ def test_json_roundtrip_exact(alg):
 def test_catalog_build_dispatch():
     assert catalog_build("Sol3").catalog_tag == "Sol3"
     assert catalog_build("Hn", {"n": 3}).n == 3
-    assert catalog_build("EKappaTau", {"kappa": 4.0, "tau": 1.0}).params["sigma"] == 2.0
+    # [e2, e3] = sigma e1 with sigma = kappa / (2 tau)
+    ekt = catalog_build("EKappaTau", {"kappa": 4.0, "tau": 1.0})
+    assert ekt.c[1, 2, 0] == 2.0
     with pytest.raises(ValueError):
         catalog_build("nope")
 

@@ -278,9 +278,10 @@ def series_phi(M):
     return out
 
 
-# catalog A's (Sol3, H2xR), the ones of the tests above and of the acceptance
-# suite, a rotation (complex eigenvalues) and a Jordan block (repeated)
-SEMIDIRECT_AS = [sol3().params["A"], h2xr().params["A"],
+# catalog A's (Sol3, H2xR; A = c[2, :2, :2]^T), the ones of the tests above
+# and of the acceptance suite, a rotation (complex eigenvalues) and a Jordan
+# block (repeated)
+SEMIDIRECT_AS = [*(alg.c[2, :2, :2].T.tolist() for alg in (sol3(), h2xr())),
                  [[0.4, -0.3], [1.1, 0.2]], [[0.3, -0.7], [0.5, 0.1]],
                  [[1.2, -0.4], [0.9, 2.0]], [[0.5, 1.0], [-0.2, 0.7]],
                  [[0.0, -1.0], [1.0, 0.0]], [[0.7, 1.0], [0.0, 0.7]]]
