@@ -2,11 +2,15 @@
 
 Commands: catalog, check-algebra, check-frame, check-gcr, solve,
 reconstruct, cmc, export.  Each command takes only the options it reads,
-as listed in `COMMANDS`.  All structured I/O is JSON against the schemas
-in `serialization` (print them with --schema); meshes are OBJ or binary
-PLY.  Exit codes: 0 success, 2 residual above tolerance / not integrable,
-3 input error (usage errors included), 4 numerical failure.  Outputs are
-deterministic for fixed inputs.
+as listed in `COMMANDS`.  A command writes only its side files (residual
+fields, the spinor, the mesh and surface JSON) and returns (exit code,
+report, -v line); `main` judges the -o path before the command runs, then
+writes the report to -o and prints the line under -v.  All structured I/O
+is JSON against the schemas in `serialization` (print them with --schema);
+meshes are OBJ or binary PLY.  Exit codes: 0 success, 2 residual above
+tolerance / not integrable, 3 input error (usage errors included), 4
+numerical failure.  Exits 3 and 4 write no files, unless a write itself
+fails.  Outputs are deterministic for fixed inputs.
 """
 
 import argparse
@@ -51,11 +55,6 @@ SURFACE_FIXTURES = {
 
 # a fixture's grid size when --grid-n is not given
 GRID_N = 33
-
-
-def _say(args, message):
-    if args.verbose:
-        print(message)
 
 
 # One minimum for every grid command, so that a problem file one command
@@ -117,9 +116,19 @@ def _residual_report(args, data, fields, what):
     # np.max, unlike max(), keeps a NaN worst so that it fails the gate
     worst = float(np.max([r["max"] for r in report["residuals"].values()]))
     report.update({"tolerance": tol, "pass": bool(worst <= tol)})
-    dump_json(report, args.output)
-    _say(args, f"{what} residuals max {worst:.3e} vs tolerance {tol:.3e}")
-    return EXIT_OK if report["pass"] else EXIT_RESIDUAL
+    return (EXIT_OK if report["pass"] else EXIT_RESIDUAL, report,
+            f"{what} residuals max {worst:.3e} vs tolerance {tol:.3e}")
+
+
+def _check_output(path):
+    """Judge -o, which also names the side files, before any work: a file
+    in a directory that exists.  None is catalog without -o."""
+    if path is None:
+        return
+    if not path or os.path.isdir(path):
+        raise InputError(f"-o must name a file; got {path!r}")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise InputError(f"-o {path}: no such directory")
 
 
 def _write_surface(args, F, model, report):
@@ -162,9 +171,7 @@ def cmd_catalog(args):
                 if alg.gamma[i, j, k] != 0.0:
                     print(f"  Gamma[{i + 1},{j + 1}]^{k + 1} = "
                           f"{alg.gamma[i, j, k]:g}")
-    if args.output:
-        dump_json(la.algebra_to_dict(alg), args.output)
-    return EXIT_OK
+    return EXIT_OK, la.algebra_to_dict(alg) if args.output else None, None
 
 
 def cmd_check_algebra(args):
@@ -179,9 +186,8 @@ def cmd_check_algebra(args):
               "koszul_deviation": koszul_dev, "torsion": torsion,
               "tolerance": tol,
               "pass": bool(max(jac, compat, koszul_dev, torsion) <= tol)}
-    dump_json(report, args.output)
-    _say(args, f"jacobi {jac:.3e}  compat {compat:.3e}  torsion {torsion:.3e}")
-    return EXIT_OK if report["pass"] else EXIT_RESIDUAL
+    return (EXIT_OK if report["pass"] else EXIT_RESIDUAL, report,
+            f"jacobi {jac:.3e}  compat {compat:.3e}  torsion {torsion:.3e}")
 
 
 def cmd_check_frame(args):
@@ -206,12 +212,10 @@ def cmd_solve(args):
     base, _ = os.path.splitext(args.output)
     spin_path = f"{base}.spinor.json"
     dump_json(field.values.reshape(-1).tolist(), spin_path)
-    report = dict(report)
     report["spinor_path"] = spin_path
-    dump_json(report, args.output)
-    _say(args, f"holonomy {report['holonomy']:.3e} "
-               f"(tolerance {report['holonomy_tol']:.3e})")
-    return EXIT_OK if report["integrable"] else EXIT_RESIDUAL
+    return (EXIT_OK if report["integrable"] else EXIT_RESIDUAL, report,
+            f"holonomy {report['holonomy']:.3e} "
+            f"(tolerance {report['holonomy_tol']:.3e})")
 
 
 def cmd_reconstruct(args):
@@ -225,17 +229,12 @@ def cmd_reconstruct(args):
             problem, base_point=base_point, holonomy_tol=args.holonomy_tol,
             structure_tol=args.structure_tol)
     except NotIntegrableError as err:
-        report = dict(err.report)
-        report["error"] = str(err)
-        dump_json(report, args.output)
-        _say(args, f"NOT-INTEGRABLE: {err}")
-        return EXIT_RESIDUAL
-    report = dict(report)
+        return (EXIT_RESIDUAL, {**err.report, "error": str(err)},
+                f"NOT-INTEGRABLE: {err}")
     _write_surface(args, F, model, report)
-    dump_json(report, args.output)
-    _say(args, f"isometry error {report['isometry_error']:.3e}, "
-               f"|B_F - B| {report['second_fundamental_error']:.3e}")
-    return EXIT_OK
+    return (EXIT_OK, report,
+            f"isometry error {report['isometry_error']:.3e}, "
+            f"|B_F - B| {report['second_fundamental_error']:.3e}")
 
 
 def cmd_cmc(args):
@@ -258,35 +257,32 @@ def cmd_cmc(args):
         raise InputError("a projection pole is read only for S^3 surfaces, "
                          "and this potential's group has no model to "
                          "integrate a surface in")
-    base, _ = os.path.splitext(args.output)
     f = weier_f_from_g(data, pot)
+    xi = xi_from_weierstrass(data, pot, f)
+    report = {}
+    if model is not None:    # first, as its integration or mesh may fail
+        _write_surface(args, darboux_integrate(xi, alg), model, report)
+    base, _ = os.path.splitext(args.output)
     pde = gauss_map_pde_residual(data, pot)
     companion = dirac2_residual(data, pot, f)
-    xi = xi_from_weierstrass(data, pot, f)
     sres = structure_residual(xi, alg)
     tol = args.structure_tol or structure_tolerance(data.grid)
-    report = {
+    report.update({
         "pde": field_report(pde, f"{base}.pde.json"),
         "dirac_companion": field_report(companion, f"{base}.companion.json"),
         "structure": field_report(sres, f"{base}.structure.json"),
         "structure_tolerance": tol,
         "pass": bool(np.max(sres) <= tol),
-    }
-    if model is not None:
-        F = darboux_integrate(xi, alg)
-        _write_surface(args, F, model, report)
-    dump_json(report, args.output)
-    _say(args, f"pde {report['pde']['max']:.3e}  "
-               f"structure {report['structure']['max']:.3e}")
-    return EXIT_OK if report["pass"] else EXIT_RESIDUAL
+    })
+    return (EXIT_OK if report["pass"] else EXIT_RESIDUAL, report,
+            f"pde {report['pde']['max']:.3e}  "
+            f"structure {report['structure']['max']:.3e}")
 
 
 def cmd_export(args):
-    out = args.output or f"surface.{args.format}"
     F, model = read_json(args.input, surface_from_dict)
-    export_mesh(F, model, args.format, out, pole=args.pole)
-    _say(args, f"wrote {out}")
-    return EXIT_OK
+    export_mesh(F, model, args.format, args.output, pole=args.pole)
+    return EXIT_OK, None, f"wrote {args.output}"
 
 
 # =============================================================================
@@ -302,10 +298,12 @@ class Parser(argparse.ArgumentParser):
 
 
 def tolerance(text):
-    """The type of the tolerance options: a float > 0, so not NaN."""
+    """The type of the tolerance options: a finite float > 0, so not NaN;
+    1e400 parses to inf and is rejected too."""
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive; got {text}")
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite; "
+                                         f"got {text}")
     return value
 
 
@@ -390,10 +388,18 @@ def main(argv=None):
         if not args.command:
             parser.print_help()
             return EXIT_INPUT
+        if args.command == "export" and args.output is None:
+            args.output = f"surface.{args.format}"
+        _check_output(args.output)
         # an overflow or a division by zero is an inf or a NaN, which the
         # gates fail, and not a warning
         with np.errstate(all="ignore"):
-            return COMMANDS[args.command][0](args)
+            code, report, line = COMMANDS[args.command][0](args)
+        if report is not None:
+            dump_json(report, args.output)
+        if args.verbose and line:
+            print(line)
+        return code
     except (SingularPotentialError, IntegrationError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -366,13 +366,29 @@ def test_export_fuzz_exits_cleanly(blob, fmt):
     assert code in (0, 3)
 
 
-@pytest.mark.parametrize("flag,value", [("--tol", "nan"),
-                                        ("--holonomy-tol", "nan"),
-                                        ("--holonomy-tol", "-1")],
-                         ids=["tol-nan", "holonomy-nan", "holonomy-negative"])
-def test_tolerance_must_be_positive(tmp_path, flag, value):
-    assert main(["solve", "--fixture", "sphere-r3", "--grid-n", "9",
-                 f"{flag}={value}", "-o", str(tmp_path / "r.json")]) == 3
+# each tolerance option on a command that reads it
+TOLERANCE_SOURCES = {"--tol": ["check-gcr", "--fixture", "sphere-r3"],
+                     "--holonomy-tol": ["solve", "--fixture", "sphere-r3"],
+                     "--structure-tol": ["cmc", "--fixture", "cmc-sphere"]}
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--tol", "nan"), ("--holonomy-tol", "nan"), ("--holonomy-tol", "-1"),
+    ("--tol", "inf"), ("--tol", "1e400"), ("--holonomy-tol", "inf"),
+    ("--holonomy-tol", "1e400"), ("--structure-tol", "inf"),
+    ("--structure-tol", "1e400"),
+], ids=["tol-nan", "holonomy-nan", "holonomy-negative", "tol-inf",
+        "tol-1e400", "holonomy-inf", "holonomy-1e400", "structure-inf",
+        "structure-1e400"])
+def test_tolerance_must_be_positive(tmp_path, capsys, flag, value):
+    # 1e400 parses to inf
+    code, err = _main_err(TOLERANCE_SOURCES[flag] + [
+        "--grid-n", "9", f"{flag}={value}", "-o", str(tmp_path / "r.json")],
+        capsys)
+    assert code == 3
+    assert err.splitlines() == [f"input error: argument {flag}: must be "
+                                f"positive and finite; got {value}"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reconstruct_missing_input_is_input_error(tmp_path):
@@ -935,14 +951,6 @@ def test_an_option_the_command_does_not_read_exits_three(tmp_path, capsys,
     assert code == 3
     assert err.startswith("input error: unrecognized arguments: ")
     assert not list(tmp_path.iterdir())
-
-
-def test_nan_tolerance_exits_three(tmp_path, capsys):
-    code, err = _main_err(["check-gcr", "--fixture", "sphere-r3",
-                           "--grid-n", "9", "--tol=nan",
-                           "-o", str(tmp_path / "r.json")], capsys)
-    assert code == 3
-    assert "argument --tol: must be positive" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -1576,3 +1584,72 @@ def test_a_cmc_potential_beyond_the_float_range_exits_three(tmp_path, capsys,
     assert code == 3
     assert len(err.splitlines()) == 1
     assert err.startswith("input error: ") and "float range" in err
+
+
+# =============================================================================
+# -o is judged before any work; exits 3 and 4 write no files
+# =============================================================================
+
+def _every_command_argv(inputs):
+    """One argv per command, without -o, on fixtures at 5 nodes per axis or
+    on files written to `inputs`."""
+    algebra, surface = inputs / "alg.json", inputs / "surface.json"
+    dump_json(la.algebra_to_dict(la.sol3()), algebra)
+    dump_json({"model": {"name": "abelian"}, "nx": 2, "ny": 2,
+               "payload": [0.5] * 12}, surface)
+    grid = ["--grid-n", "5"]
+    return {"catalog": ["catalog", "--group", "sol3"],
+            "check-algebra": ["check-algebra", str(algebra)],
+            "check-frame": ["check-frame", "--fixture", "sphere-r3", *grid],
+            "check-gcr": ["check-gcr", "--fixture", "sphere-r3", *grid],
+            "solve": ["solve", "--fixture", "sphere-r3", *grid],
+            "reconstruct": ["reconstruct", "--fixture", "sphere-r3", *grid],
+            "cmc": ["cmc", "--fixture", "cmc-sphere", *grid],
+            "export": ["export", str(surface)]}
+
+
+@pytest.mark.parametrize("output", ["", "d", "d/", "missing/r.json"],
+                         ids=["empty", "directory", "directory-slash",
+                              "missing-parent"])
+@pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
+def test_a_bad_output_path_exits_three_before_any_work(
+        tmp_path, capsys, monkeypatch, command, output):
+    inputs, work = tmp_path / "in", tmp_path / "work"
+    inputs.mkdir()
+    (work / "d").mkdir(parents=True)
+    argv = _every_command_argv(inputs)[command] + ["-v", "-o", output]
+    monkeypatch.chdir(work)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("input error: -o ")
+    assert out == ""
+    assert [p.name for p in work.rglob("*")] == ["d"]
+
+
+def test_export_judges_its_default_path(tmp_path, capsys, monkeypatch):
+    argv = _every_command_argv(tmp_path)["export"] + ["--format", "ply"]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "surface.ply").mkdir()
+    code, err = _main_err(argv, capsys)
+    assert code == 3
+    assert err == "input error: -o must name a file; got 'surface.ply'\n"
+    assert list((tmp_path / "surface.ply").iterdir()) == []
+
+
+def test_a_failing_cmc_surface_leaves_no_files(tmp_path, capsys):
+    diverging = tmp_path / "cmc-diverging.json"
+    blob = cmc_to_dict(*fixtures.cmc_sphere(9))
+    blob["g"][2][3][0] = 1e300
+    dump_json(blob, diverging)
+    out = tmp_path / "out"
+    out.mkdir()
+    for argv, code, message in [
+            ([str(diverging)], 4, "numerical failure: Darboux integration "
+                                  "diverged at cell (2, 3)"),
+            ([str(_cmc_s3_file(tmp_path)), "--pole", "1", "0", "0", "0"], 3,
+             "input error: surface touches the projection pole; "
+             "choose another")]:
+        assert _main_err(["cmc", *argv, "-o", str(out / "r.json")],
+                         capsys) == (code, message + "\n")
+        assert list(out.iterdir()) == []

@@ -24,6 +24,9 @@ The sweep is:
     cmc --format ply on the cmc-sphere fixture and on both cmc files;
   * catalog -o for every catalog tag, then check-algebra on each algebra
     file written;
+  * runs that must write no file: cmc on two files of the cmc-sphere Gauss
+    map at --grid-n 9 whose surface fails (see `leak_runs`), and check-gcr
+    and reconstruct with -o '' and with -o an existing directory;
   * export to PLY of every surface JSON written;
   * the library converse `spinor_of_immersion`, which no command runs, on
     every surface fixture at --grid-n 17 and 33, in this process with
@@ -137,6 +140,41 @@ def catalog_runs(tags):
             for tag in tags]
 
 
+LEAK_SIZE = 9
+LEAK_DIR = "existing-dir"
+
+
+def leak_runs(out):
+    """Runs that exit 3 or 4 and must write no file, so a leaked file shows
+    up as a `file` line: cmc on the cmc-sphere Gauss map at LEAK_SIZE with
+    g[2][3][0] = 1e300 (the Darboux integration diverges), and with the S^3
+    potential mu = (1, 1, 1) projected from the pole (1, 0, 0, 0), which
+    the surface touches (both files written with SRC's `cmc_to_dict`);
+    check-gcr and reconstruct with -o '' and with -o LEAK_DIR, a directory
+    made in out."""
+    from spinorforge.cmc import HPotential
+    from spinorforge.fixtures import cmc_sphere
+    from spinorforge.serialization import cmc_to_dict, dump_json
+    n = LEAK_SIZE
+    data, pot = cmc_sphere(n)
+    diverging = cmc_to_dict(data, pot)
+    diverging["g"][2][3][0] = 1e300
+    runs = []
+    for name, blob, pole in (
+            ("cmc-diverging", diverging, []),
+            ("cmc-s3-pole", cmc_to_dict(data, HPotential(1.0, (1.0, 1.0, 1.0))),
+             ["--pole", "1", "0", "0", "0"])):
+        path = f"{name}-{n}.cmc-input.json"
+        dump_json(blob, Path(out) / path)
+        runs.append(["cmc", path, *pole, "-v",
+                     "-o", f"{name}-{n}.leak-cmc.json"])
+    (Path(out) / LEAK_DIR).mkdir(exist_ok=True)
+    return runs + [[command, "--fixture", "sphere-r3", "--grid-n", str(n),
+                    "-v", "-o", output]
+                   for command in ("check-gcr", "reconstruct")
+                   for output in ("", LEAK_DIR)]
+
+
 def follow_up_runs(out):
     """check-algebra on every written algebra and export of every written
     surface, in sorted order of the files."""
@@ -214,7 +252,8 @@ def full_sweep_runs(src, out):
             + [["cmc", "--fixture", "cmc-sphere", "-v", "-o", "cmc.json"]]
             + cmc_file_runs(out)
             + ply_runs(fixtures)
-            + catalog_runs(sorted(lie_algebra.CATALOG)))
+            + catalog_runs(sorted(lie_algebra.CATALOG))
+            + leak_runs(out))
 
 
 def main(argv=None):
