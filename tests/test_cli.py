@@ -953,6 +953,15 @@ def test_an_option_the_command_does_not_read_exits_three(tmp_path, capsys,
     assert not list(tmp_path.iterdir())
 
 
+def test_nan_tolerance_exits_three(tmp_path, capsys):
+    code, err = _main_err(["check-gcr", "--fixture", "sphere-r3",
+                           "--grid-n", "9", "--tol=nan",
+                           "-o", str(tmp_path / "r.json")], capsys)
+    assert code == 3
+    assert "argument --tol: must be positive" in err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--fixture", "sphere-r3", "--grid-n", "abc"],
     ["no-such-command"],
