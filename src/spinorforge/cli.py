@@ -9,8 +9,11 @@ writes the report to -o and prints the line under -v.  All structured I/O
 is JSON against the schemas in `serialization` (print them with --schema);
 meshes are OBJ or binary PLY.  Exit codes: 0 success, 2 residual above
 tolerance / not integrable, 3 input error (usage errors included), 4
-numerical failure.  Exits 3 and 4 write no files, unless a write itself
-fails.  Outputs are deterministic for fixed inputs.
+numerical failure.  Malformed input raises `ValueError` wherever it is
+found, and `main` reports it as exit 3.  A command names each side file
+with `_side`, which rejects a directory, before it writes the first one, so
+exits 3 and 4 write no files, unless a write itself fails.  Outputs are
+deterministic for fixed inputs.
 """
 
 import argparse
@@ -29,10 +32,10 @@ from .immersion import frame_compat_residuals, gcr_residuals, hn_u_residual
 from .lie_group import (IntegrationError, darboux_integrate, model_for,
                         structure_residual)
 from .meshexport import FORMATS, check_r3_embedding, export_mesh
-from .serialization import (InputError, SCHEMAS, algebra_and_gamma,
-                            algebra_from_dict, cmc_from_dict, dump_json,
-                            field_report, problem_from_dict, read_json,
-                            surface_from_dict, write_surface)
+from .serialization import (SCHEMAS, algebra_and_gamma, algebra_from_dict,
+                            cmc_from_dict, dump_json, field_report,
+                            problem_from_dict, read_json, surface_from_dict,
+                            write_surface)
 from .spinor import (KillingProblem, NotIntegrableError, reconstruct_immersion,
                      solve_killing)
 
@@ -65,7 +68,7 @@ MIN_GRID_NODES = max(nodes_needed(edges) for _, edges in STENCILS.values())
 
 def _check_grid(args, shape):
     if min(shape) < MIN_GRID_NODES:
-        raise InputError(f"{args.command} needs at least {MIN_GRID_NODES} "
+        raise ValueError(f"{args.command} needs at least {MIN_GRID_NODES} "
                          f"nodes per axis; got a {shape[0]} x {shape[1]} grid")
 
 
@@ -79,13 +82,13 @@ def _fixture_n(args):
     """The grid size of args.fixture, or None to read args.input.  Exactly
     one of the two is given, and --grid-n only with --fixture."""
     if args.fixture and args.input:
-        raise InputError(f"{args.command} takes an input file or --fixture, "
+        raise ValueError(f"{args.command} takes an input file or --fixture, "
                          f"not both")
     if not args.fixture and not args.input:
-        raise InputError(f"{args.command} needs an input file or --fixture")
+        raise ValueError(f"{args.command} needs an input file or --fixture")
     if not args.fixture:
         if args.grid_n is not None:
-            raise InputError("--grid-n sizes a fixture; it needs --fixture")
+            raise ValueError("--grid-n sizes a fixture; it needs --fixture")
         return None
     n = GRID_N if args.grid_n is None else args.grid_n
     _check_grid(args, (n, n))     # before a fixture divides by n - 1
@@ -97,7 +100,7 @@ def _load_problem(args):
     if n is None:
         loaded = read_json(args.input, problem_from_dict)
     elif args.fixture not in SURFACE_FIXTURES:
-        raise InputError(f"unknown fixture {args.fixture!r}; known: "
+        raise ValueError(f"unknown fixture {args.fixture!r}; known: "
                          f"{sorted(SURFACE_FIXTURES)}")
     else:
         fx = SURFACE_FIXTURES[args.fixture](n)
@@ -110,9 +113,9 @@ def _residual_report(args, data, fields, what):
     """Dump each residual field beside the report and gate the worst one
     at --tol, by default 10 h^2."""
     tol = args.tol or residual_tolerance(data.grid)    # a given --tol is > 0
-    base, _ = os.path.splitext(args.output)
-    report = {"residuals": {name: field_report(fld, f"{base}.{name}.json")
-                            for name, fld in fields.items()}}
+    paths = {name: _side(args, f"{name}.json") for name in fields}
+    report = {"residuals": {name: field_report(fields[name], path)
+                            for name, path in paths.items()}}
     # np.max, unlike max(), keeps a NaN worst so that it fails the gate
     worst = float(np.max([r["max"] for r in report["residuals"].values()]))
     report.update({"tolerance": tol, "pass": bool(worst <= tol)})
@@ -126,19 +129,25 @@ def _check_output(path):
     if path is None:
         return
     if not path or os.path.isdir(path):
-        raise InputError(f"-o must name a file; got {path!r}")
+        raise ValueError(f"-o must name a file; got {path!r}")
     if not os.path.isdir(os.path.dirname(path) or "."):
-        raise InputError(f"-o {path}: no such directory")
+        raise ValueError(f"-o {path}: no such directory")
 
 
-def _write_surface(args, F, model, report):
-    """Write F as a mesh and as surface JSON beside the report, and name
-    both files in it."""
-    base, _ = os.path.splitext(args.output)
-    report["mesh_path"] = f"{base}.surface.{args.format}"
-    report["surface_path"] = f"{base}.surface.json"
-    write_surface(F, model, report["surface_path"], args.format,
-                  report["mesh_path"], pole=args.pole)
+def _side(args, suffix):
+    """The side file `suffix` beside the report (-o with its extension
+    replaced); a directory there is an input error, raised before a write."""
+    path = f"{os.path.splitext(args.output)[0]}.{suffix}"
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: it is a directory")
+    return path
+
+
+def _surface_paths(args):
+    """The mesh and the surface JSON beside the report, as the report
+    names them."""
+    return {"mesh_path": _side(args, f"surface.{args.format}"),
+            "surface_path": _side(args, "surface.json")}
 
 
 # =============================================================================
@@ -151,26 +160,21 @@ def cmd_catalog(args):
         try:
             given = json.loads(args.params)
         except json.JSONDecodeError as err:
-            raise InputError(f"--params is not valid JSON: {err}")
+            raise ValueError(f"--params is not valid JSON: {err}")
         # a non-object is left for the algebra schema to reject
         params = {**params, **given} if isinstance(given, dict) else given
     alg = algebra_from_dict({"tag": args.group, "params": params})
     print(f"{args.group}  (n = {alg.n}, params = "
           f"{json.dumps(params, sort_keys=True)})")
     print("nonzero structure constants [e_i, e_j] = sum c_ijk e_k:")
-    for i in range(alg.n):
-        for j in range(i + 1, alg.n):
-            terms = [f"{alg.c[i, j, k]:+g} e{k + 1}" for k in range(alg.n)
-                     if alg.c[i, j, k] != 0.0]
-            if terms:
-                print(f"  [e{i + 1}, e{j + 1}] = {' '.join(terms)}")
+    for i, j in zip(*np.triu_indices(alg.n, 1)):
+        terms = [f"{alg.c[i, j, k]:+g} e{k + 1}" for k in range(alg.n)
+                 if alg.c[i, j, k] != 0.0]
+        if terms:
+            print(f"  [e{i + 1}, e{j + 1}] = {' '.join(terms)}")
     print("nonzero connection coefficients Gamma_ij^k:")
-    for i in range(alg.n):
-        for j in range(alg.n):
-            for k in range(alg.n):
-                if alg.gamma[i, j, k] != 0.0:
-                    print(f"  Gamma[{i + 1},{j + 1}]^{k + 1} = "
-                          f"{alg.gamma[i, j, k]:g}")
+    for i, j, k in np.argwhere(alg.gamma != 0.0):
+        print(f"  Gamma[{i + 1},{j + 1}]^{k + 1} = {alg.gamma[i, j, k]:g}")
     return EXIT_OK, la.algebra_to_dict(alg) if args.output else None, None
 
 
@@ -207,10 +211,9 @@ def cmd_check_gcr(args):
 
 def cmd_solve(args):
     data, alg, base_spinor, _, _ = _load_problem(args)
+    spin_path = _side(args, "spinor.json")
     problem = KillingProblem(data, alg, base_spinor=base_spinor)
     field, report = solve_killing(problem, holonomy_tol=args.holonomy_tol)
-    base, _ = os.path.splitext(args.output)
-    spin_path = f"{base}.spinor.json"
     dump_json(field.values.reshape(-1).tolist(), spin_path)
     report["spinor_path"] = spin_path
     return (EXIT_OK if report["integrable"] else EXIT_RESIDUAL, report,
@@ -223,6 +226,7 @@ def cmd_reconstruct(args):
     # before any work: the surface needs a group model with an R^3 mesh
     model = model_for(alg)
     check_r3_embedding(model, model.payload_dim, args.pole)
+    paths = _surface_paths(args)
     problem = KillingProblem(data, alg, base_spinor=base_spinor)
     try:
         F, _, report = reconstruct_immersion(
@@ -231,7 +235,9 @@ def cmd_reconstruct(args):
     except NotIntegrableError as err:
         return (EXIT_RESIDUAL, {**err.report, "error": str(err)},
                 f"NOT-INTEGRABLE: {err}")
-    _write_surface(args, F, model, report)
+    write_surface(F, model, paths["surface_path"], args.format,
+                  paths["mesh_path"], pole=args.pole)
+    report.update(paths)
     return (EXIT_OK, report,
             f"isometry error {report['isometry_error']:.3e}, "
             f"|B_F - B| {report['second_fundamental_error']:.3e}")
@@ -242,7 +248,7 @@ def cmd_cmc(args):
     if n is None:
         data, pot = read_json(args.input, cmc_from_dict)
     elif args.fixture != "cmc-sphere":
-        raise InputError("the cmc command knows the fixture 'cmc-sphere'")
+        raise ValueError("the cmc command knows the fixture 'cmc-sphere'")
     else:
         data, pot = fixtures.cmc_sphere(n)
     _check_loaded(args, data.grid)
@@ -254,23 +260,26 @@ def cmd_cmc(args):
     if model is not None:    # before any work, as in reconstruct
         check_r3_embedding(model, model.payload_dim, args.pole)
     elif args.pole is not None:
-        raise InputError("a projection pole is read only for S^3 surfaces, "
+        raise ValueError("a projection pole is read only for S^3 surfaces, "
                          "and this potential's group has no model to "
                          "integrate a surface in")
+    report = {} if model is None else _surface_paths(args)
+    paths = {name: _side(args, f"{name}.json")
+             for name in ("pde", "companion", "structure")}
     f = weier_f_from_g(data, pot)
     xi = xi_from_weierstrass(data, pot, f)
-    report = {}
     if model is not None:    # first, as its integration or mesh may fail
-        _write_surface(args, darboux_integrate(xi, alg), model, report)
-    base, _ = os.path.splitext(args.output)
+        F = darboux_integrate(xi, alg)
+        write_surface(F, model, report["surface_path"], args.format,
+                      report["mesh_path"], pole=args.pole)
     pde = gauss_map_pde_residual(data, pot)
     companion = dirac2_residual(data, pot, f)
     sres = structure_residual(xi, alg)
     tol = args.structure_tol or structure_tolerance(data.grid)
     report.update({
-        "pde": field_report(pde, f"{base}.pde.json"),
-        "dirac_companion": field_report(companion, f"{base}.companion.json"),
-        "structure": field_report(sres, f"{base}.structure.json"),
+        "pde": field_report(pde, paths["pde"]),
+        "dirac_companion": field_report(companion, paths["companion"]),
+        "structure": field_report(sres, paths["structure"]),
         "structure_tolerance": tol,
         "pass": bool(np.max(sres) <= tol),
     })
@@ -294,7 +303,7 @@ class Parser(argparse.ArgumentParser):
     code 2 would read as a residual above tolerance."""
 
     def error(self, message):
-        raise InputError(message)
+        raise ValueError(message)
 
 
 def tolerance(text):
@@ -403,7 +412,7 @@ def main(argv=None):
     except (SingularPotentialError, IntegrationError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, MemoryError) as err:    # InputError included
+    except (ValueError, MemoryError) as err:
         # a MemoryError is an input too large to allocate
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -246,9 +246,9 @@ def _pseudoscalar_gathers(n):
 
 
 def bivector_exp_array(a, n):
-    """exp(b) of bivector fields b (..., 2**n) in closed form for n <= 4;
-    coefficients outside grade 2 are not read.  For n >= 5 this is
-    `exp_array`.
+    """exp(b) of bivector fields b (..., 2**n) in closed form for n <= 4,
+    where coefficients outside grade 2 are not read.  For n >= 5 this is
+    `exp_array`, which exponentiates every coefficient.
 
     For n <= 3 every bivector is simple: b^2 = -|b|^2 and
     exp(b) = cos|b| + (sin|b| / |b|) b.  For n = 4 the pseudoscalar

@@ -15,7 +15,9 @@ implements exactly the keywords those schemas use (`SCHEMA_KEYWORDS`), with
 JSON Schema semantics: an `integer` may be written `2.0`, booleans are
 neither numbers nor integers, and `enum` tells `true` from `1`.  A violation
 is reported with its path and rule, e.g.
-`grid.nx: 1 is less than the minimum of 2`.
+`grid.nx: 1 is less than the minimum of 2`.  Malformed input of any kind,
+and a file that cannot be read or written, raises `ValueError`; the command
+line's `main` reports it as an input error, exit 3.
 
 `read_json` reads an input file and converts it with the cyclic garbage
 collector paused.  A problem file decodes into some 10^5 small lists, and
@@ -40,10 +42,6 @@ from .immersion import ImmersionData
 from .lie_group import (MODELS, AbelianModel, model_for, model_from_params,
                         model_params)
 from .meshexport import embed_r3, write_mesh
-
-
-class InputError(ValueError):
-    """Malformed or schema-violating input."""
 
 
 _NUM = {"type": "number"}
@@ -268,18 +266,18 @@ def schema_violation(payload, schema):
 def _validated(payload, schema, what):
     problem = schema_violation(payload, schema)
     if problem is not None:
-        raise InputError(f"{what} does not match its schema: {problem}")
+        raise ValueError(f"{what} does not match its schema: {problem}")
     return payload
 
 
 def load_json(path):
-    """The JSON value in the file at `path`; InputError when the file
+    """The JSON value in the file at `path`; ValueError when the file
     cannot be read or decoded, nesting too deep for the decoder included."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError, RecursionError) as err:
-        raise InputError(f"cannot read JSON from {path}: {err}")
+        raise ValueError(f"cannot read JSON from {path}: {err}")
 
 
 def read_json(path, convert):
@@ -299,7 +297,7 @@ def _write_text(text, path):
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as err:
-        raise InputError(f"cannot write {path}: {err}")
+        raise ValueError(f"cannot write {path}: {err}")
 
 
 def dump_json(payload, path):
@@ -312,18 +310,9 @@ def dump_json(payload, path):
 # Domain objects <-> dicts
 # =============================================================================
 
-def _float_array(value, name):
-    """`value` as a float64 array; InputError naming `name` when the JSON
-    value is ragged or holds non-numbers (`lie_algebra.real_array`)."""
-    try:
-        return la.real_array(value, name)
-    except ValueError as err:
-        raise InputError(str(err)) from None
-
-
 def _finite(arr, name):
     if not np.all(np.isfinite(arr)):
-        raise InputError(f"{name} has non-finite entries")
+        raise ValueError(f"{name} has non-finite entries")
 
 
 def grid_from_dict(d):
@@ -331,13 +320,11 @@ def grid_from_dict(d):
     mu = d.get("mu")
     try:
         if mu is not None:
-            mu = _float_array(mu, "grid.mu")
+            mu = la.real_array(mu, "grid.mu")
         return ParamGrid(d["nx"], d["ny"], d["h"], mu=mu,
                          x0=d.get("x0", 0.0), y0=d.get("y0", 0.0))
     except OverflowError:   # float() of an integer beyond the float range
-        raise InputError("grid h, x0 and y0 must be within the float range")
-    except ValueError as err:
-        raise InputError(str(err))
+        raise ValueError("grid h, x0 and y0 must be within the float range")
 
 
 def grid_to_dict(grid):
@@ -353,10 +340,10 @@ def algebra_and_gamma(d):
         alg = la.algebra_from_dict(d) if "c" in d else \
             la.catalog_build(d["tag"], d.get("params"))
     except (TypeError, ValueError, KeyError, OverflowError) as err:
-        raise InputError(f"invalid algebra: {err}")
-    gamma = _float_array(d.get("gamma", alg.gamma), "algebra.gamma")
+        raise ValueError(f"invalid algebra: {err}")
+    gamma = la.real_array(d.get("gamma", alg.gamma), "algebra.gamma")
     if gamma.shape != alg.gamma.shape or not np.all(np.isfinite(gamma)):
-        raise InputError(f"algebra.gamma must be a finite {alg.gamma.shape} "
+        raise ValueError(f"algebra.gamma must be a finite {alg.gamma.shape} "
                          f"array; got shape {gamma.shape}")
     return alg, gamma
 
@@ -367,7 +354,7 @@ def algebra_from_dict(d):
     with np.errstate(over="ignore"):    # an overflow is inf: it fails too
         deviation = float(np.max(np.abs(gamma - alg.gamma)))
     if not deviation <= la.KOSZUL_TOL:
-        raise InputError(f"algebra.gamma deviates from Koszul(c) by "
+        raise ValueError(f"algebra.gamma deviates from Koszul(c) by "
                          f"{deviation:.3e} > {la.KOSZUL_TOL:g}")
     return alg
 
@@ -378,7 +365,7 @@ def problem_from_dict(d):
     _validated(d, PROBLEM_SCHEMA, "problem")
     grid = grid_from_dict(d["grid"])
     alg = algebra_from_dict(d["algebra"])
-    arrays = {key: _float_array(d[key], key)
+    arrays = {key: la.real_array(d[key], key)
               for key in ("frames", "S", "B", "theta_x", "theta_y",
                           "base_spinor", "base_point", "u_field") if key in d}
     try:
@@ -386,7 +373,7 @@ def problem_from_dict(d):
                              B=arrays.get("B"), theta_x=arrays.get("theta_x"),
                              theta_y=arrays.get("theta_y"))
     except ValueError as err:
-        raise InputError(f"invalid immersion data: {err}")
+        raise ValueError(f"invalid immersion data: {err}")
     base_spinor = None
     if "base_spinor" in arrays:
         coeffs = arrays["base_spinor"]
@@ -395,7 +382,7 @@ def problem_from_dict(d):
                 raise ValueError("coefficients must be a flat list")
             base_spinor = SpinElement(Multivector(alg.n, coeffs))
         except ValueError as err:
-            raise InputError(f"invalid base spinor: {err}")
+            raise ValueError(f"invalid base spinor: {err}")
     base_point = arrays.get("base_point")
     if base_point is not None:
         _finite(base_point, "base_point")
@@ -407,12 +394,9 @@ def problem_from_dict(d):
             model = AbelianModel(base_point.size)
         dim = model.payload_dim
         if base_point.shape != (dim,):
-            raise InputError(f"base_point must be a point of {dim} "
+            raise ValueError(f"base_point must be a point of {dim} "
                              f"coordinates; got shape {base_point.shape}")
-        try:
-            model.normalize(base_point)
-        except ValueError as err:
-            raise InputError(str(err))
+        model.normalize(base_point)
     u_field = arrays.get("u_field")
     if u_field is not None:
         _finite(u_field, "u_field")
@@ -446,17 +430,15 @@ def cmc_from_dict(d):
     from .cmc import HPotential, WeierstrassData
     _validated(d, CMC_SCHEMA, "cmc problem")
     grid = grid_from_dict(d["grid"])
-    g = _float_array(d["g"], "g")
+    g = la.real_array(d["g"], "g")
     if g.shape != grid.shape + (2,):
-        raise InputError("g samples must be (nx, ny, 2) re/im pairs")
+        raise ValueError("g samples must be (nx, ny, 2) re/im pairs")
     _finite(g, "g")     # before 1j * inf makes an inf * 0
     try:
         pot = HPotential(d["potential"]["H"], d["potential"]["mu"])
         data = WeierstrassData(grid, g[..., 0] + 1j * g[..., 1])
     except OverflowError:   # float() of an integer beyond the float range
-        raise InputError("potential H and mu must be within the float range")
-    except ValueError as err:
-        raise InputError(str(err))
+        raise ValueError("potential H and mu must be within the float range")
     return data, pot
 
 
@@ -506,20 +488,17 @@ def surface_from_dict(d):
         model = model_from_params(d["model"]["name"],
                                   d["model"].get("params", {}))
     except (TypeError, ValueError, OverflowError) as err:
-        raise InputError(f"invalid surface: {err}")
-    payload = _float_array(d["payload"], "payload")
+        raise ValueError(f"invalid surface: {err}")
+    payload = la.real_array(d["payload"], "payload")
     if payload.ndim != 1:
-        raise InputError(f"payload must be a flat list of coordinates; got "
+        raise ValueError(f"payload must be a flat list of coordinates; got "
                          f"shape {payload.shape}")
     try:
         F = payload.reshape(int(d["nx"]), int(d["ny"]), model.payload_dim)
     except ValueError:
-        raise InputError("surface payload length does not match the grid")
+        raise ValueError("surface payload length does not match the grid")
     _finite(F, "surface payload")
-    try:
-        model.normalize(F)
-    except ValueError as err:
-        raise InputError(str(err))
+    model.normalize(F)
     return F, model
 
 

@@ -519,12 +519,10 @@ def spinor_of_immersion(F, alg, grid):
     normals = frames[..., 2:]
     B = second_fundamental_form(zx, zy, normals, out_grid, alg, 2) \
         / mu[..., None, None, None] ** 2
-    if q > 1:
-        theta_x, theta_y = normal_connection(zx, zy, normals, out_grid, alg)
-        data = ImmersionData(out_grid, frames, B=B, theta_x=theta_x,
-                             theta_y=theta_y)
-    else:
-        data = ImmersionData(out_grid, frames, S=B[..., 0])
+    theta_x, theta_y = normal_connection(zx, zy, normals, out_grid, alg) \
+        if q > 1 else (None, None)
+    data = ImmersionData(out_grid, frames, B=B, theta_x=theta_x,
+                         theta_y=theta_y)
     values = _continuous_spin_lift(frames)
     field = SpinorField(out_grid, n, values)
     return field, data

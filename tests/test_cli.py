@@ -26,7 +26,7 @@ from spinorforge.cli import (MIN_GRID_NODES, SURFACE_FIXTURES, build_parser,
 from spinorforge.meshexport import export_mesh, grid_faces
 from spinorforge.grid import STENCILS, ParamGrid, difference
 from spinorforge.lie_group import model_for, model_params
-from spinorforge.serialization import (SURFACE_SCHEMA, InputError, cmc_to_dict,
+from spinorforge.serialization import (SURFACE_SCHEMA, cmc_to_dict,
                                        dump_json, load_json, problem_from_dict,
                                        problem_to_dict, surface_from_dict,
                                        surface_to_dict)
@@ -527,7 +527,7 @@ def test_nan_base_spinor_rejected(tmp_path, capsys):
     fx = fixtures.sphere_r3(9)
     blob = problem_to_dict(fx.data, fx.alg)
     blob["base_spinor"] = [float("nan")] + [0.0] * 7
-    with pytest.raises(InputError, match="deviates from 1"):
+    with pytest.raises(ValueError, match="deviates from 1"):
         problem_from_dict(blob)
     path = tmp_path / "nan.json"
     dump_json(blob, path)
@@ -1644,6 +1644,28 @@ def test_export_judges_its_default_path(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert err == "input error: -o must name a file; got 'surface.ply'\n"
     assert list((tmp_path / "surface.ply").iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, directory", [
+    (["check-gcr", "--fixture", "sphere-r3", "-o", "x.json"],
+     "x.codazzi.json"),
+    (["check-frame", "--fixture", "sphere-r3", "-o", "w.json"],
+     "w.normal.json"),
+    (["reconstruct", "--fixture", "sphere-r3", "-o", "y.json"],
+     "y.surface.json"),
+    (["cmc", "--fixture", "cmc-sphere", "-o", "z.json"], "z.structure.json"),
+], ids=["check-gcr", "check-frame", "reconstruct", "cmc"])
+def test_a_side_file_that_is_a_directory_exits_three_and_writes_nothing(
+        tmp_path, capsys, monkeypatch, argv, directory):
+    """Every side file is named, and judged, before the first is written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / directory).mkdir()
+    code = main(argv + ["--grid-n", "9", "-v"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert err == f"input error: cannot write {directory}: it is a directory\n"
+    assert out == ""
+    assert [p.name for p in tmp_path.rglob("*")] == [directory]
 
 
 def test_a_failing_cmc_surface_leaves_no_files(tmp_path, capsys):

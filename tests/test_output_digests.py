@@ -59,8 +59,8 @@ def test_the_leak_runs_fail_and_write_nothing(tmp_path):
     runs = tool.leak_runs(out)
     lines = tool.sweep(SRC, out, runs)
     done = [line.split() for line in lines if line.startswith("run ")]
-    assert len(done) == len(runs) == 6
-    assert [words[1] for words in done] == ["4", "3", "3", "3", "3", "3"]
+    assert len(done) == len(runs) == 9
+    assert [words[1] for words in done] == ["4"] + ["3"] * 8
     # only the two cmc inputs, which the runs read
     assert [line.split()[-1] for line in lines if line.startswith("file ")] \
         == ["cmc-diverging-9.cmc-input.json", "cmc-s3-pole-9.cmc-input.json"]

@@ -27,7 +27,7 @@ from spinorforge.lie_group import (MODELS, IntegrationError, LieValuedOneForm,
                                    model_from_params, model_params)
 from spinorforge import serialization
 from spinorforge.meshexport import embed_r3, grid_faces, write_obj, write_ply
-from spinorforge.serialization import (SCHEMA_KEYWORDS, SCHEMAS, InputError,
+from spinorforge.serialization import (SCHEMA_KEYWORDS, SCHEMAS,
                                        dump_json, load_json, problem_from_dict,
                                        problem_to_dict, read_json,
                                        schema_violation, surface_from_dict,
@@ -413,7 +413,7 @@ def test_schema_message_reaches_the_caller():
     fx = fixtures.sphere_r3(5)
     blob = problem_to_dict(fx.data, fx.alg)
     blob["grid"]["nx"] = 1
-    with pytest.raises(InputError, match=r"problem does not match its "
+    with pytest.raises(ValueError, match=r"problem does not match its "
                        r"schema: grid\.nx: 1 is less than the minimum of 2"):
         problem_from_dict(blob)
     assert "potential.mu[1]: 'x' is not of type 'number'" in schema_violation(
@@ -509,7 +509,7 @@ def test_problem_base_point_is_checked(point, match):
     fx = fixtures.sphere_r3(5)
     blob = problem_to_dict(fx.data, fx.alg)
     blob["base_point"] = point
-    with pytest.raises(InputError, match=match):
+    with pytest.raises(ValueError, match=match):
         problem_from_dict(blob)
 
 
@@ -526,7 +526,7 @@ def test_problem_base_point_off_the_group_is_an_input_error(name, point,
                                                             match):
     fx = (fixtures.s3_sphere if name == "s3" else fixtures.horosphere_h3)(5)
     blob = problem_to_dict(fx.data, fx.alg, base_point=point)
-    with pytest.raises(InputError, match=match):
+    with pytest.raises(ValueError, match=match):
         problem_from_dict(blob)
 
 
@@ -537,7 +537,7 @@ def test_surface_payload_off_the_group_is_an_input_error(name, point, match):
     F = np.broadcast_to(model.identity(), (2, 2, model.payload_dim)).copy()
     F[1, 0] = point
     blob = json.loads(json.dumps(surface_to_dict(F, model)))
-    with pytest.raises(InputError, match=match):
+    with pytest.raises(ValueError, match=match):
         surface_from_dict(blob)
 
 
@@ -605,14 +605,14 @@ def test_read_json_restores_the_collector(tmp_path, text, fails):
     def convert(value):
         paused.append(not gc.isenabled())
         if fails:
-            raise InputError("rejected by convert")
+            raise ValueError("rejected by convert")
         return value
 
     assert gc.isenabled()
     if fails is None:
         assert read_json(path, convert) == [1, 2]
     else:
-        with pytest.raises(InputError, match=fails):
+        with pytest.raises(ValueError, match=fails):
             read_json(path, convert)
     assert gc.isenabled()
     # convert ran, and with the collector paused, unless the decode failed
@@ -625,7 +625,7 @@ def test_read_json_leaves_a_disabled_collector_disabled(tmp_path, text):
     path.write_text(text)
     gc.disable()
     try:
-        with contextlib.suppress(InputError):
+        with contextlib.suppress(ValueError):
             read_json(path, list)
         assert not gc.isenabled()
     finally:

@@ -25,8 +25,9 @@ The sweep is:
   * catalog -o for every catalog tag, then check-algebra on each algebra
     file written;
   * runs that must write no file: cmc on two files of the cmc-sphere Gauss
-    map at --grid-n 9 whose surface fails (see `leak_runs`), and check-gcr
-    and reconstruct with -o '' and with -o an existing directory;
+    map at --grid-n 9 whose surface fails (see `leak_runs`), check-gcr
+    and reconstruct with -o '' and with -o an existing directory, and
+    check-gcr, reconstruct and cmc with one side file an existing directory;
   * export to PLY of every surface JSON written;
   * the library converse `spinor_of_immersion`, which no command runs, on
     every surface fixture at --grid-n 17 and 33, in this process with
@@ -142,6 +143,10 @@ def catalog_runs(tags):
 
 LEAK_SIZE = 9
 LEAK_DIR = "existing-dir"
+# command: (fixture, the side file that is made a directory)
+SIDE_DIRS = {"check-gcr": ("sphere-r3", "codazzi.json"),
+             "reconstruct": ("sphere-r3", "surface.json"),
+             "cmc": ("cmc-sphere", "structure.json")}
 
 
 def leak_runs(out):
@@ -151,7 +156,9 @@ def leak_runs(out):
     potential mu = (1, 1, 1) projected from the pole (1, 0, 0, 0), which
     the surface touches (both files written with SRC's `cmc_to_dict`);
     check-gcr and reconstruct with -o '' and with -o LEAK_DIR, a directory
-    made in out."""
+    made in out; each SIDE_DIRS command on its fixture with -o
+    COMMAND-side.json, whose side file SIDE_DIRS names is a directory made
+    in out."""
     from spinorforge.cmc import HPotential
     from spinorforge.fixtures import cmc_sphere
     from spinorforge.serialization import cmc_to_dict, dump_json
@@ -169,10 +176,15 @@ def leak_runs(out):
         runs.append(["cmc", path, *pole, "-v",
                      "-o", f"{name}-{n}.leak-cmc.json"])
     (Path(out) / LEAK_DIR).mkdir(exist_ok=True)
-    return runs + [[command, "--fixture", "sphere-r3", "--grid-n", str(n),
-                    "-v", "-o", output]
-                   for command in ("check-gcr", "reconstruct")
-                   for output in ("", LEAK_DIR)]
+    runs += [[command, "--fixture", "sphere-r3", "--grid-n", str(n),
+              "-v", "-o", output]
+             for command in ("check-gcr", "reconstruct")
+             for output in ("", LEAK_DIR)]
+    for command, (fixture, side) in SIDE_DIRS.items():
+        (Path(out) / f"{command}-side.{side}").mkdir(exist_ok=True)
+        runs.append([command, "--fixture", fixture, "--grid-n", str(n), "-v",
+                     "-o", f"{command}-side.json"])
+    return runs
 
 
 def follow_up_runs(out):
@@ -184,7 +196,8 @@ def follow_up_runs(out):
             for path in sorted(out.glob("algebra-*.json"))]
     runs += [["export", path.name, "--format", "ply", "-v",
               "-o", path.name[:-len(".json")] + ".export.ply"]
-             for path in sorted(out.glob("*.surface.json"))]
+             for path in sorted(out.glob("*.surface.json"))
+             if path.is_file()]     # not a SIDE_DIRS directory
     return runs
 
 
