@@ -9,11 +9,15 @@ writes the report to -o and prints the line under -v.  All structured I/O
 is JSON against the schemas in `serialization` (print them with --schema);
 meshes are OBJ or binary PLY.  Exit codes: 0 success, 2 residual above
 tolerance / not integrable, 3 input error (usage errors included), 4
-numerical failure.  Malformed input raises `ValueError` wherever it is
-found, and `main` reports it as exit 3.  A command names each side file
-with `_side`, which rejects a directory, before it writes the first one, so
-exits 3 and 4 write no files, unless a write itself fails.  Outputs are
-deterministic for fixed inputs.
+numerical failure.  No option sets a gate: residual fields and the
+holonomy are judged at `grid.residual_tolerance` (10 h^2), the structure
+equation at `grid.structure_tolerance` and a given gamma at
+`lie_algebra.KOSZUL_TOL`, and each report states the value it used.
+Malformed input raises `ValueError` wherever it is found, and `main`
+reports it as exit 3.  A command names each side file with `_side`, which
+rejects a directory, before it writes the first one, so exits 3 and 4 write
+no files, unless a write itself fails.  Outputs are deterministic for fixed
+inputs.
 """
 
 import argparse
@@ -111,8 +115,8 @@ def _load_problem(args):
 
 def _residual_report(args, data, fields, what):
     """Dump each residual field beside the report and gate the worst one
-    at --tol, by default 10 h^2."""
-    tol = args.tol or residual_tolerance(data.grid)    # a given --tol is > 0
+    at `residual_tolerance`, 10 h^2."""
+    tol = residual_tolerance(data.grid)
     paths = {name: _side(args, f"{name}.json") for name in fields}
     report = {"residuals": {name: field_report(fields[name], path)
                             for name, path in paths.items()}}
@@ -180,7 +184,7 @@ def cmd_catalog(args):
 
 def cmd_check_algebra(args):
     alg, gamma = read_json(args.input, algebra_and_gamma)
-    tol = args.tol or la.KOSZUL_TOL
+    tol = la.KOSZUL_TOL
     jac = la.jacobi_residual(alg.c)
     compat = float(np.max(np.abs(gamma + np.swapaxes(gamma, 1, 2))))
     koszul_dev = float(np.max(np.abs(alg.gamma - gamma)))
@@ -213,7 +217,7 @@ def cmd_solve(args):
     data, alg, base_spinor, _, _ = _load_problem(args)
     spin_path = _side(args, "spinor.json")
     problem = KillingProblem(data, alg, base_spinor=base_spinor)
-    field, report = solve_killing(problem, holonomy_tol=args.holonomy_tol)
+    field, report = solve_killing(problem)
     dump_json(field.values.reshape(-1).tolist(), spin_path)
     report["spinor_path"] = spin_path
     return (EXIT_OK if report["integrable"] else EXIT_RESIDUAL, report,
@@ -229,9 +233,7 @@ def cmd_reconstruct(args):
     paths = _surface_paths(args)
     problem = KillingProblem(data, alg, base_spinor=base_spinor)
     try:
-        F, _, report = reconstruct_immersion(
-            problem, base_point=base_point, holonomy_tol=args.holonomy_tol,
-            structure_tol=args.structure_tol)
+        F, _, report = reconstruct_immersion(problem, base_point=base_point)
     except NotIntegrableError as err:
         return (EXIT_RESIDUAL, {**err.report, "error": str(err)},
                 f"NOT-INTEGRABLE: {err}")
@@ -275,7 +277,7 @@ def cmd_cmc(args):
     pde = gauss_map_pde_residual(data, pot)
     companion = dirac2_residual(data, pot, f)
     sres = structure_residual(xi, alg)
-    tol = args.structure_tol or structure_tolerance(data.grid)
+    tol = structure_tolerance(data.grid)
     report.update({
         "pde": field_report(pde, paths["pde"]),
         "dirac_companion": field_report(companion, paths["companion"]),
@@ -306,16 +308,6 @@ class Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def tolerance(text):
-    """The type of the tolerance options: a finite float > 0, so not NaN;
-    1e400 parses to inf and is rejected too."""
-    value = float(text)
-    if not 0 < value < np.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite; "
-                                         f"got {text}")
-    return value
-
-
 # Every option of every command; `COMMANDS` says which command takes which.
 OPTIONS = {
     "input": {"help": "input JSON path"},
@@ -326,13 +318,6 @@ OPTIONS = {
                 "choices": sorted(la.CATALOG),
                 "help": "catalog tag, in any case"},
     "--params": {"help": "JSON object of variant parameters"},
-    "--tol": {"type": tolerance, "help": "residual tolerance (default 10 h^2; "
-                                         "1e-10 for check-algebra)"},
-    "--holonomy-tol": {"type": tolerance,
-                       "help": "plaquette holonomy tolerance (default 10 h^2)"},
-    "--structure-tol": {"type": tolerance,
-                        "help": "structure-equation residual tolerance "
-                                "(default 10 h^2 max(1, max mu)^2)"},
     "--format": {"choices": FORMATS, "default": "obj",
                  "help": "mesh format (default obj)"},
     "--pole": {"type": float, "nargs": 4, "metavar": ("W", "X", "Y", "Z"),
@@ -347,18 +332,17 @@ COMMANDS = {
     "catalog": (cmd_catalog, "print a catalog algebra's tables; -o also "
                              "writes its JSON", None, ("--group", "--params")),
     "check-algebra": (cmd_check_algebra, "validate an algebra JSON",
-                      "algebra-report.json", ("input", "--tol")),
+                      "algebra-report.json", ("input",)),
     "check-frame": (cmd_check_frame, "frame-equation residuals",
-                    "report.json", SOURCE + ("--tol",)),
+                    "report.json", SOURCE),
     "check-gcr": (cmd_check_gcr, "Gauss-Codazzi-Ricci residuals",
-                  "report.json", SOURCE + ("--tol",)),
+                  "report.json", SOURCE),
     "solve": (cmd_solve, "transport the Killing spinor and report holonomy",
-              "solve-report.json", SOURCE + ("--holonomy-tol",)),
+              "solve-report.json", SOURCE),
     "reconstruct": (cmd_reconstruct, "solve, integrate and export the surface",
-                    "reconstruct-report.json",
-                    SOURCE + ("--holonomy-tol", "--structure-tol") + MESH),
+                    "reconstruct-report.json", SOURCE + MESH),
     "cmc": (cmd_cmc, "run the Weierstrass pipeline on Gauss-map data",
-            "cmc-report.json", SOURCE + ("--structure-tol",) + MESH),
+            "cmc-report.json", SOURCE + MESH),
     "export": (cmd_export, "convert a saved surface JSON to OBJ/PLY "
                            "(default -o surface.FORMAT)", None,
                ("input",) + MESH),

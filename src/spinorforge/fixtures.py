@@ -85,8 +85,7 @@ def sphere_r3(n_nodes, radius=1.0, extent=0.5, codazzi_eps=0.0):
     if codazzi_eps:
         S[..., 0, 0] += codazzi_eps * np.sin(3.0 * U + 1.0) * np.cos(2.0 * V)
     data = ImmersionData(grid, frames, S=S)
-    return SurfaceFixture(alg=alg, data=data, F=P,
-                          extras={"radius": r, "codazzi_eps": codazzi_eps})
+    return SurfaceFixture(alg=alg, data=data, F=P)
 
 
 def sphere_r4_twisted(n_nodes, radius=1.0, extent=1.0, twist=1.0):
@@ -117,8 +116,7 @@ def sphere_r4_twisted(n_nodes, radius=1.0, extent=1.0, twist=1.0):
     theta_y = np.broadcast_to(2.0 * twist * J, grid.shape + (2, 2)).copy()
     data = ImmersionData(grid, frames, B=B, theta_x=theta_x, theta_y=theta_y)
     F = np.concatenate([base.F, z[..., None]], axis=-1)
-    return SurfaceFixture(alg=la.rn(4), data=data, F=F,
-                          extras={"radius": radius, "twist": twist})
+    return SurfaceFixture(alg=la.rn(4), data=data, F=F)
 
 
 # =============================================================================
@@ -166,8 +164,7 @@ def s3_sphere(n_nodes, rho=np.pi / 4, extent=0.5):
     F = np.concatenate([np.full(grid.shape + (1,), cr), sr * n], axis=-1)
     ekt = EKTData(grid, T=frames[..., 2, :2].copy(), f=frames[..., 2, 2].copy(),
                   S=S, kappa=4.0, tau=1.0)
-    return SurfaceFixture(alg=alg, data=data, F=F,
-                          extras={"rho": rho, "ekt": ekt})
+    return SurfaceFixture(alg=alg, data=data, F=F, extras={"ekt": ekt})
 
 
 def s3_equator(n_nodes, extent=0.5):

@@ -105,18 +105,18 @@ def difference(sample, size, h, derivative, order):
     return np.concatenate(blocks) / h ** derivative
 
 
-# The default gates scale with h^2, so they judge a grid only while its step
+# The gates scale with h^2, so they judge a grid only while its step
 # is short against the metric: a longest edge h max(mu) of at most MAX_STEP.
 MAX_STEP = 1.0
 
 
 def residual_tolerance(grid):
-    """The default gate of the O(h^2) residuals and the holonomy: 10 h^2."""
+    """The gate of the O(h^2) residuals and the holonomy: 10 h^2."""
     return 10.0 * grid.h ** 2
 
 
 def structure_tolerance(grid):
-    """The default gate of `structure_residual`: 10 h^2 max(1, max mu)^2, the
+    """The gate of `structure_residual`: 10 h^2 max(1, max mu)^2, the
     O(h^2) discretization error scaled by the largest metric factor."""
     return residual_tolerance(grid) * max(1.0, float(np.max(grid.mu))) ** 2
 

@@ -267,9 +267,13 @@ def unimodular(mu1, mu2, mu3):
     return MetricLieAlgebra(c, catalog_tag="Unimodular")
 
 
-def real_param(value, name, ndim=0):
-    """A params entry as float64 when it is a real number (ndim 0) or lists
-    of them nested ndim deep; ValueError for bools, strings, other nestings."""
+def real_param(params, name, ndim=0):
+    """params[name] as float64 when it is a real number (ndim 0) or lists
+    of them nested ndim deep; ValueError naming params.<name> when it is
+    absent, a bool, a string or another nesting."""
+    if name not in params:
+        raise ValueError(f"params.{name} is required")
+    value = params[name]
     items = np.asarray(value, dtype=object)
     if items.ndim != ndim or not all(isinstance(v, numbers.Real) and not
                                      isinstance(v, bool) for v in items.flat):
@@ -293,31 +297,39 @@ def real_array(value, name):
     return items.astype(np.float64, copy=False)
 
 
-def dimension_param(params, default=None):
-    """params["n"] (default when absent) as an int when it is an integral
-    number, 3 and 3.0 alike as the JSON schemas count integers."""
-    n = float(real_param(params.get("n", default), "n"))
+def dimension_param(params):
+    """params["n"] as an int when it is an integral number, 3 and 3.0 alike
+    as the JSON schemas count integers."""
+    n = float(real_param(params, "n"))
     if not n.is_integer():
         raise ValueError(f"params.n must be an integral number; got {n!r}")
     return int(n)
+
+
+def _milnor_param(params):
+    """params.mu of a unimodular algebra: exactly three real numbers."""
+    mu = real_param(params, "mu", 1)
+    if mu.shape != (3,):
+        raise ValueError(f"params.mu must be 3 real numbers; "
+                         f"got {params['mu']!r}")
+    return mu
 
 
 # tag: (builder from a params dict, the params the command line defaults to)
 CATALOG = {
     "Rn": (lambda params: rn(dimension_param(params)), {"n": 3}),
     "Hn": (lambda params: hn(dimension_param(params), real_param(
-        params["l"], "l", 1) if "l" in params else None), {"n": 3}),
+        params, "l", 1) if "l" in params else None), {"n": 3}),
     "S3": (lambda params: s3(), {}),
     "EKappaTau": (lambda params: e_kappa_tau(
-        float(real_param(params["kappa"], "kappa")),
-        float(real_param(params["tau"], "tau"))),
+        float(real_param(params, "kappa")), float(real_param(params, "tau"))),
                   {"kappa": -1.0, "tau": 0.5}),
-    "SemiDirect": (lambda params: semidirect(real_param(params["A"], "A", 2)),
+    "SemiDirect": (lambda params: semidirect(real_param(params, "A", 2)),
                    {"A": [[1.0, 0.0], [0.0, 1.0]]}),
     "Sol3": (lambda params: sol3(), {}),
     "H2xR": (lambda params: h2xr(), {}),
-    "Unimodular": (lambda params: unimodular(
-        *real_param(params["mu"], "mu", 1)), {"mu": [1.0, 1.0, 1.0]}),
+    "Unimodular": (lambda params: unimodular(*_milnor_param(params)),
+                   {"mu": [1.0, 1.0, 1.0]}),
 }
 
 

@@ -364,7 +364,7 @@ class HnModel:
 
 def _model_dimension(params):
     """The `n` of an abelian / H^n model, 3 when absent."""
-    n = la.dimension_param(params, 3)
+    n = la.dimension_param({"n": 3, **params})
     if n < 1:
         raise ValueError(f"model dimension n must be positive, got {n}")
     return n
@@ -376,7 +376,7 @@ def _model_matrix(params):
     if "A" not in params:
         raise ValueError("the semidirect model needs params.A")
     try:
-        A = la.real_param(params["A"], "A", 2)
+        A = la.real_param(params, "A", 2)
     except ValueError as err:
         raise ValueError(f"a finite 2x2 matrix is needed: {err}")
     if A.shape != (2, 2) or not np.all(np.isfinite(A)):

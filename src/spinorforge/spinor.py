@@ -15,7 +15,7 @@ the catalog connection pulled back through the frame.  The connection is
 flat exactly when the Gauss-Codazzi-Ricci equations hold; the solver
 reports the discrete holonomy, max |L - 1| per unit coordinate area over
 the plaquettes with L the transport around one, and flags the solution
-NOT-INTEGRABLE above threshold (default 10 h^2).
+NOT-INTEGRABLE above `grid.residual_tolerance`, 10 h^2.
 Every spinor field is even and unit to the one fixed SPIN_NORM_TOL.
 
 The 1-form xi(X) = <<X phi, phi>> = rev([phi]) [X] [phi] maps adapted-frame
@@ -237,7 +237,7 @@ def _transport_row(start, E, n):
     return row, drift
 
 
-def solve_killing(problem, holonomy_tol=None):
+def solve_killing(problem):
     """Integrate the flat-connection transport over the spanning tree
     (bottom row, then columns) and measure plaquette holonomy.
 
@@ -246,16 +246,15 @@ def solve_killing(problem, holonomy_tol=None):
 
     Returns (SpinorField, report) where report carries the holonomy (max
     loop-transport defect per unit coordinate area), the worst plaquette
-    `holonomy_argmax` as [i, j] of its lower-left node, the threshold used,
-    the NOT-INTEGRABLE flag and the unit-norm drift before renormalization.
+    `holonomy_argmax` as [i, j] of its lower-left node, the threshold
+    `holonomy_tol` = `residual_tolerance(grid)`, the NOT-INTEGRABLE flag and
+    the unit-norm drift before renormalization.
     """
     data, alg = problem.data, problem.alg
     grid = problem.grid
     n = alg.n
     h = grid.h
     ny = grid.shape[1]
-    if holonomy_tol is None:
-        holonomy_tol = residual_tolerance(grid)
     eta_x, eta_y = connection_coefficient_fields(problem)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         Ex = _edge_operators(eta_x, h, 0, n)      # (nx-1, ny, 2^n)
@@ -284,11 +283,12 @@ def solve_killing(problem, holonomy_tol=None):
     # the worst plaquette, named by its lower-left node (first NaN if any)
     worst = np.unravel_index(np.argmax(defect), defect.shape)
     holonomy = float(defect[worst]) / (h * h)
+    holonomy_tol = float(residual_tolerance(grid))
     field = SpinorField(grid, n, values)
     report = {
         "holonomy": holonomy,
         "holonomy_argmax": [int(i) for i in worst],
-        "holonomy_tol": float(holonomy_tol),
+        "holonomy_tol": holonomy_tol,
         "integrable": bool(holonomy <= holonomy_tol),
         "renorm_drift": drift,
     }
@@ -353,15 +353,15 @@ def mean_curvature_vector(data):
     return 0.5 * (data.B[:, :, 0, 0, :] + data.B[:, :, 1, 1, :])
 
 
-def reconstruct_immersion(problem, base_point=None, holonomy_tol=None,
-                          structure_tol=None):
+def reconstruct_immersion(problem, base_point=None):
     """Full pipeline: solve, normalize, build xi, check the structure
     equation, Darboux-integrate, and verify the result against the data.
 
-    Returns (F, field, report).  A holonomy or structure residual above
-    threshold raises NotIntegrableError carrying the report so far.
+    Returns (F, field, report).  A holonomy above `residual_tolerance` or a
+    structure residual above `structure_tolerance` (`structure_tol` in the
+    report) raises NotIntegrableError carrying the report so far.
     """
-    field, report = solve_killing(problem, holonomy_tol=holonomy_tol)
+    field, report = solve_killing(problem)
     if not report["integrable"]:
         i, j = report["holonomy_argmax"]
         raise NotIntegrableError(
@@ -370,16 +370,15 @@ def reconstruct_immersion(problem, base_point=None, holonomy_tol=None,
     field = normalize_spinor(field, problem)
     xi, xi_normals = xi_from_spinor(field, problem)
     sres = structure_residual(xi, problem.alg)
-    if structure_tol is None:
-        structure_tol = structure_tolerance(problem.grid)
     report["structure_max"] = float(np.max(sres))
-    report["structure_tol"] = float(structure_tol)
-    if not report["structure_max"] <= structure_tol:
+    report["structure_tol"] = float(structure_tolerance(problem.grid))
+    if not report["structure_max"] <= report["structure_tol"]:
         # the worst node (the first NaN if any), as for the holonomy
         i, j = np.unravel_index(np.argmax(sres), sres.shape)
         raise NotIntegrableError(
             f"structure residual {report['structure_max']:.3e} above "
-            f"threshold {structure_tol:.3e} at node ({i}, {j})", report)
+            f"threshold {report['structure_tol']:.3e} at node ({i}, {j})",
+            report)
     stats = {}
     F = darboux_integrate(xi, problem.alg, base=base_point, stats=stats)
     report.update(verify_reconstruction(F, problem, xi_normals))

@@ -351,6 +351,9 @@ def test_overflowing_jacobi_residual_rejected():
     ("EKappaTau", {"kappa": -1.0, "tau": [0.5]}),
     ("SemiDirect", {"A": [[1, 0], [0, True]]}), ("SemiDirect", {"A": "1001"}),
     ("Unimodular", {"mu": "123"}), ("Unimodular", {"mu": [1, 2, False]}),
+    # a missing parameter or a wrong count of mu is named too
+    ("EKappaTau", {"kappa": 1}), ("SemiDirect", {}),
+    ("Unimodular", {"mu": [1, 2]}), ("Unimodular", {"mu": [1, 2, 3, 4]}),
 ])
 def test_catalog_params_are_not_coerced(tag, params):
     with pytest.raises(ValueError, match="params"):

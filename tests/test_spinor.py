@@ -499,11 +499,13 @@ def test_not_integrable_raises():
     assert not err.value.report["integrable"]
 
 
-def test_structure_gate_rejects_nan_tolerance():
+def test_structure_gate_rejects_nan_tolerance(monkeypatch):
     fx = fixtures.sphere_r3(9)
     prob = KillingProblem(fx.data, fx.alg)
+    monkeypatch.setattr(spinor, "structure_tolerance",
+                        lambda grid: float("nan"))
     with pytest.raises(NotIntegrableError, match="structure residual"):
-        reconstruct_immersion(prob, structure_tol=float("nan"))
+        reconstruct_immersion(prob)
 
 
 # =============================================================================
