@@ -388,6 +388,32 @@ def test_a_tolerance_option_exits_three(tmp_path, capsys, command, flag):
     assert list(work.iterdir()) == []
 
 
+# each former tolerance option on a command that read it
+TOLERANCE_SOURCES = {"--tol": ["check-gcr", "--fixture", "sphere-r3"],
+                     "--holonomy-tol": ["solve", "--fixture", "sphere-r3"],
+                     "--structure-tol": ["cmc", "--fixture", "cmc-sphere"]}
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--tol", "nan"), ("--holonomy-tol", "nan"), ("--holonomy-tol", "-1"),
+    ("--tol", "inf"), ("--tol", "1e400"), ("--holonomy-tol", "inf"),
+    ("--holonomy-tol", "1e400"), ("--structure-tol", "inf"),
+    ("--structure-tol", "1e400"),
+], ids=["tol-nan", "holonomy-nan", "holonomy-negative", "tol-inf",
+        "tol-1e400", "holonomy-inf", "holonomy-1e400", "structure-inf",
+        "structure-1e400"])
+def test_tolerance_must_be_positive(tmp_path, capsys, flag, value):
+    # no tolerance value, and so no NaN, negative or infinite one, reaches
+    # a gate: the option itself is rejected before any work
+    code, err = _main_err(TOLERANCE_SOURCES[flag] + [
+        "--grid-n", "9", f"{flag}={value}", "-o", str(tmp_path / "r.json")],
+        capsys)
+    assert code == 3
+    assert err.splitlines() == [f"input error: unrecognized arguments: "
+                                f"{flag}={value}"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reconstruct_missing_input_is_input_error(tmp_path):
     assert main(["reconstruct"]) == 3
     assert main(["reconstruct", str(tmp_path / "absent.json")]) == 3
