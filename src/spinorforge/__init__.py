@@ -26,18 +26,17 @@ from .lie_group import (
 )
 from .immersion import (
     EKTData, ImmersionData, ekt_compat_residuals, ekt_integrability_residuals,
-    ekt_gamma_bivector, frame_compat_residuals, gamma_tilde, gcr_residuals,
-    hn_u_residual,
+    frame_compat_residuals, gcr_residuals, hn_u_residual,
 )
 from .spinor import (
     KillingProblem, NotIntegrableError, SpinorField, dirac_residual,
-    killing_rhs, pair_dirac_residual, normalize_spinor, reconstruct_immersion,
+    pair_dirac_residual, normalize_spinor, reconstruct_immersion,
     solve_killing, spinor_of_immersion, xi_from_spinor,
 )
 from .cmc import (
-    HPotential, WeierstrassData, dirac_system_residual, gauss_map_pde_residual,
-    h_potential, h_potential_wirtinger, inverse_stereographic, stereographic,
-    weier_f_from_g, xi_from_weierstrass,
+    HPotential, WeierstrassData, gauss_map_pde_residual, h_potential,
+    h_potential_wirtinger, inverse_stereographic, weier_f_from_g,
+    xi_from_weierstrass,
 )
 from .meshexport import export_mesh
 

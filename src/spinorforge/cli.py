@@ -373,8 +373,16 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            # the value argparse gave `input` may be an unknown option's
+            given = getattr(args, "input", None)
+            i = argv.index(given) if given in argv else 0
+            if i and argv[i - 1] in extra:
+                extra.insert(extra.index(argv[i - 1]) + 1, given)
+            raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
         if args.schema:
             print(json.dumps(SCHEMAS[args.schema], indent=1, sort_keys=True))
             return EXIT_OK

@@ -162,13 +162,6 @@ def reverse_array(a, n):
     return np.asarray(a, dtype=np.float64) * reversal_signs(n)
 
 
-def grade_project_array(a, n, k):
-    out = np.zeros_like(np.asarray(a, dtype=np.float64))
-    idx = grade_indices(n, k)
-    out[..., idx] = np.asarray(a)[..., idx]
-    return out
-
-
 def vector_part_array(a, n):
     """Grade-1 coefficients as a plain length-n vector (last axis)."""
     return np.asarray(a)[..., grade_indices(n, 1)]
@@ -323,10 +316,6 @@ class Multivector:
 
     # ---- constructors -------------------------------------------------
     @classmethod
-    def zero(cls, n):
-        return cls(n, np.zeros(1 << n))
-
-    @classmethod
     def scalar(cls, n, s):
         c = np.zeros(1 << n)
         c[0] = s
@@ -395,21 +384,9 @@ class Multivector:
     def reversal(self):
         return Multivector(self.n, reverse_array(self.coeffs, self.n))
 
-    def grade(self, k):
-        return Multivector(self.n, grade_project_array(self.coeffs, self.n, k))
-
-    def is_even(self, tol=0.0):
-        return non_grade_norm(self.coeffs, self.n, range(0, self.n + 1, 2)) <= tol
-
     def vector(self):
         """Grade-1 coefficients as a plain length-n array."""
         return vector_part_array(self.coeffs, self.n).copy()
-
-    def norm(self):
-        return float(np.linalg.norm(self.coeffs))
-
-    def max_norm(self):
-        return float(np.max(np.abs(self.coeffs)))
 
     def allclose(self, other, tol=1e-12):
         self._check(other)
@@ -544,15 +521,6 @@ def bivector_of_skew(u):
     return Multivector(m.shape[0], bivector_array(m))
 
 
-def skew_of_bivector(b):
-    """Inverse of bivector_of_skew (grade-1 commutator action as a matrix)."""
-    j, k, blade = _bivector_pairs(b.n)
-    m = np.zeros((b.n, b.n))
-    m[k, j] = b.coeffs[blade]
-    m[j, k] = -b.coeffs[blade]
-    return m
-
-
 def bivector_of_offdiag(u):
     """Bivector sum_{j<=p} e_j * u(e_j) of an off-diagonal block operator.
 
@@ -660,7 +628,8 @@ def spin_lift_array(T):
 
     Every node is factored into Givens rotations of the planes (i-1, i) in
     one order (columns j, rows i from n-1 down to j+1); the lift is the
-    product of their half-angle rotors, signed by `canonical_spin_sign`.
+    product of their half-angle rotors, signed so that its first nonzero
+    coefficient, the scalar part unless that vanishes, is positive.
     The orthogonality gate pins |det T| to 1, and a field with any
     reflection (det < 0) is rejected since it has no spin lift.
     """
@@ -716,8 +685,3 @@ def spin_lift(T):
     """The spin element of one T in SO(n): a node of `spin_lift_array`."""
     return SpinElement(Multivector(np.shape(T)[-1], spin_lift_array(T)))
 
-
-def canonical_spin_sign(a):
-    """Pick the representative of {a, -a} with nonnegative scalar part;
-    scalar-part ties broken by the first nonzero coefficient."""
-    return Multivector(a.n, _canonical_sign_array(a.coeffs))

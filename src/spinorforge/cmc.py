@@ -4,7 +4,7 @@ The left-invariant Gauss map g is the stereographic projection of the unit
 normal nu (expressed in the distinguished basis) from the south pole -e3;
 the H-potential of a group with connection constants (mu1, mu2, mu3) is
 
-    R(g) = H (1 + |g|^2)^2 - (i/2)(mu1 |1-g^2|^2 + mu2 |1+g^2|^2 + 4 mu3 |g|^4).
+    R(g) = H (1 + |g|^2)^2 - (i/2)(mu1 |1-g^2|^2 + mu2 |1+g^2|^2 + 4 mu3 |g|^2).
 
 A conformal CMC immersion is encoded by the pair (g, f) with f = 4 g_z / R(g);
 its left-trivialized derivative is the 1-form
@@ -26,9 +26,9 @@ The Gauss map of a genuine solution satisfies the second-order equation
     g_{z zbar} = (R_g / R) g_z g_zbar
                  + (R_gbar / R - conj(R_g) / conj(R)) |g_z|^2,
 
-whose discrete residual, together with the first-order Dirac system in
-(z1, z2), is what this module evaluates.  Only unimodular groups are
-covered; nothing here solves the PDE, validation and reconstruction only.
+whose discrete residual and the companion identity of f (`dirac2_residual`)
+are what this module evaluates.  Only unimodular groups are covered;
+nothing here solves the PDE, validation and reconstruction only.
 """
 
 import numpy as np
@@ -45,7 +45,7 @@ class SingularPotentialError(ValueError):
 
 
 # =============================================================================
-# Potential and stereographic dictionary
+# Potential and inverse stereographic projection
 # =============================================================================
 
 class HPotential:
@@ -99,20 +99,6 @@ def h_potential_wirtinger(pot, g):
                                 + 2.0 * m2 * gb * (1.0 + g ** 2)
                                 + 4.0 * m3 * g)
     return R_g, R_gb
-
-
-POLE_TOL = 0.0      # 1 + nu3 at or below which a normal is the south pole
-
-
-def stereographic(nu):
-    """g = (nu1 + i nu2) / (1 + nu3); rejected at the south pole -e3."""
-    nu = np.asarray(nu, dtype=np.float64)
-    if not np.all(np.isfinite(nu)):
-        raise ValueError("the normal nu has non-finite entries")
-    denom = 1.0 + nu[..., 2]
-    if np.min(denom) <= POLE_TOL:
-        raise ValueError("stereographic projection undefined at -e3")
-    return (nu[..., 0] + 1j * nu[..., 1]) / denom
 
 
 def inverse_stereographic(g):
@@ -230,32 +216,6 @@ def gauss_map_pde_residual(data, pot):
     return np.abs(gzzb - rhs)
 
 
-def dirac_system_residual(z1, z2, data, pot, f):
-    """Per-node residual pair of the first-order system satisfied by the
-    complex spinor components over a conformal chart:
-
-      (1/sqrt(mu)) d_zbar(sqrt(mu) conj(z1)) = i (mu/2) conj(R)/(1+|g|^2)^2 conj(z2)
-                                               + (mu/2)(A+iB) conj(z1)
-      (1/sqrt(mu)) d_zbar(sqrt(mu) z2)       = -i (mu/2) conj(R)/(1+|g|^2)^2 z1
-                                               + (mu/2)(A+iB) z2.
-    """
-    z1 = np.asarray(z1, dtype=complex)
-    z2 = np.asarray(z2, dtype=complex)
-    norm_dev = np.max(np.abs(np.abs(z1) ** 2 + np.abs(z2) ** 2 - 1.0))
-    if not norm_dev <= 1e-8:
-        raise ValueError(f"|z1|^2 + |z2|^2 = 1 violated by {norm_dev:.3e}")
-    grid = data.grid
-    mu = grid.mu
-    sq = np.sqrt(mu)
-    R = h_potential(pot, data.g)
-    coeff = 0.5j * mu * np.conj(R) / (1.0 + np.abs(data.g) ** 2) ** 2
-    ab = ab_scalars(data, pot, f)
-    r1 = grid.dzbar(sq * np.conj(z1)) / sq - coeff * np.conj(z2) \
-        - 0.5 * mu * ab * np.conj(z1)
-    r2 = grid.dzbar(sq * z2) / sq + coeff * z1 - 0.5 * mu * ab * z2
-    return np.abs(r1), np.abs(r2)
-
-
 # =============================================================================
 # Spinor identification
 # =============================================================================
@@ -274,15 +234,6 @@ def pair_from_weierstrass(g, f):
     z1 = np.conj(np.sqrt(-f / (2.0 * mu)))
     z2 = 1j * np.conj(g) * np.conj(z1)
     return z1, z2, mu
-
-
-def weierstrass_from_pair(z1, z2, mu):
-    """Inverse of pair_from_weierstrass: g = i conj(z2)/z1, f = -2 mu conj(z1)^2."""
-    z1 = np.asarray(z1, dtype=complex)
-    z2 = np.asarray(z2, dtype=complex)
-    if np.min(np.abs(z1)) == 0.0:
-        raise ValueError("the Gauss map leaves the chart where z1 vanishes")
-    return 1j * np.conj(z2) / z1, -2.0 * mu * np.conj(z1) ** 2
 
 
 # =============================================================================

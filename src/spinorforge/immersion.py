@@ -27,10 +27,6 @@ Residual evaluators implemented here:
         d f_j (X)   = sum_{i,k} Gamma_ij^k f_k <X, T_i> - h(X, T_j)
   * ekt_compat_residuals   -- the E(kappa, tau) reduction in terms of a
     single tangent field T and function f with |T|^2 + f^2 = 1
-  * gamma_tilde            -- the tangential Clifford representative of the
-    ambient connection for hypersurfaces, with the dim-3 shortcut through
-    the area element
-  * ekt_gamma_bivector     -- the E(kappa, tau) connection bivector
   * gcr_residuals          -- Gauss, Codazzi and Ricci equations with the
     ambient curvature pulled back through the frame
   * hn_u_residual          -- the distinguished-field equation of H^n
@@ -42,7 +38,7 @@ derivatives use the grid's second-order stencils.
 import numpy as np
 
 from . import lie_algebra as la
-from .clifford import Multivector, offdiag_skew_array
+from .clifford import offdiag_skew_array
 
 FRAME_TOL = 1e-10
 # how far |U| of an H^n structure field may stray from |l|
@@ -157,12 +153,6 @@ class EKTData:
         self.kappa = float(kappa)
         self.tau = float(tau)
 
-    @property
-    def sigma(self):
-        if self.tau == 0:
-            raise ValueError("sigma = kappa / (2 tau) undefined for tau = 0")
-        return self.kappa / (2.0 * self.tau)
-
 
 def _rotJ(v):
     """Rotation by +pi/2 of tangent frame components (..., 2)."""
@@ -256,65 +246,6 @@ def ekt_compat_residuals(data):
     return (norm_res,
             np.max(np.abs(res_T), axis=(2, 3)),
             np.max(np.abs(res_f), axis=2))
-
-
-# =============================================================================
-# Tangential connection representatives
-# =============================================================================
-
-def gamma_tilde(data, alg, X, vertex, method="general"):
-    """Tangential Clifford representative of the ambient connection at a
-    hypersurface node: an element of Cl_2 acting on intrinsic spinors.
-
-    X is a tangent vector in frame components.  `method` picks the general
-    tangent/normal expansion or the 3-dimensional shortcut through the area
-    element; the two agree and that agreement is a checked property.
-    """
-    if data.q != 1:
-        raise ValueError("gamma_tilde is defined for hypersurfaces (q = 1)")
-    i0, j0 = vertex
-    X = np.asarray(X, dtype=np.float64)
-    n = data.n
-    T = data.T[i0, j0]                # (n, 2)
-    f = data.f[i0, j0, :, 0]          # (n,)
-    G = alg.gamma_op(T @ X)           # G[k, j] = <Gamma(X) e_j, e_k>, skew
-    out = np.zeros(4)                 # Cl_2 coefficients of 1, e1, e2, e12
-    if method == "general":
-        # sum_{j<k} G[k, j] (T_j ^ T_k + f_k T_j - f_j T_k); G is skew
-        out[1:3] = (f @ G) @ T
-        out[3] = T[:, 1] @ G @ T[:, 0]
-    elif method == "dim3":
-        if n != 3:
-            raise ValueError("the shortcut form needs ambient dimension 3")
-        # sum_l c_l (f_l - T_l) e12, c the axial vector of G
-        c = np.array([G[2, 1], -G[2, 0], G[1, 0]])
-        w = c @ T
-        out[1:] = -w[1], w[0], c @ f
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return Multivector(2, out)
-
-
-def ekt_gamma_bivector(data, X, vertex):
-    """E(kappa, tau) connection bivector at a node, in the frame Clifford
-    algebra Cl_3 with generators (e1, e2, nu):
-
-        ((2 tau - sigma) <X, T> (T nu - f) - tau X nu) omega.
-    """
-    sigma = data.sigma  # raises for tau = 0
-    tau = data.tau
-    i0, j0 = vertex
-    X = np.asarray(X, dtype=np.float64)
-    T = data.T[i0, j0]
-    f = float(data.f[i0, j0])
-    nu = Multivector.basis_vector(3, 2)
-    omega = Multivector.blade(3, 0b011)
-    Tmv = Multivector.from_vector([T[0], T[1], 0.0], 3)
-    Xmv = Multivector.from_vector([X[0], X[1], 0.0], 3)
-    XdotT = float(X @ T)
-    head = (2.0 * tau - sigma) * XdotT * (Tmv * nu - Multivector.scalar(3, f)) \
-        - tau * (Xmv * nu)
-    return head * omega
 
 
 # =============================================================================

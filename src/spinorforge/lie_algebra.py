@@ -282,17 +282,20 @@ def real_param(params, name, ndim=0):
     return items.astype(np.float64)
 
 
+class BoolArray(list):
+    """A JSON array with a bool in it, as `serialization.load_json` marks it."""
+
+
 def real_array(value, name):
     """A JSON array of numbers as float64; ValueError naming `name` when it
-    is ragged or holds strings, bools or other non-numbers (one bool among
-    numbers still converts, as numpy reads it)."""
+    is ragged, a `BoolArray`, or holds strings, bools or other non-numbers."""
     try:
         items = np.array(value)
     except (TypeError, ValueError) as err:
         raise ValueError(f"{name} is not a numeric array: {err}") from None
-    if items.dtype.kind not in "iuf":
-        what = {"b": "booleans", "U": "strings"}.get(items.dtype.kind,
-                                                     "non-numbers")
+    kind = "b" if isinstance(value, BoolArray) else items.dtype.kind
+    if kind not in "iuf":
+        what = {"b": "booleans", "U": "strings"}.get(kind, "non-numbers")
         raise ValueError(f"{name} is not a numeric array: it holds {what}")
     return items.astype(np.float64, copy=False)
 

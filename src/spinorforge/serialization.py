@@ -272,12 +272,39 @@ def _validated(payload, schema, what):
 
 def load_json(path):
     """The JSON value in the file at `path`; ValueError when the file
-    cannot be read or decoded, nesting too deep for the decoder included."""
+    cannot be read or decoded, nesting too deep for the decoder included.
+    An array that holds a bool comes back a `la.BoolArray`."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            text = fh.read()
+        value = json.loads(text)
+        return _mark_bools(value) if _has_a_literal(text) else value
     except (OSError, json.JSONDecodeError, RecursionError) as err:
         raise ValueError(f"cannot read JSON from {path}: {err}")
+
+
+def _has_a_literal(text):
+    """Whether `true` or `false` is in `text`.  Their first letters are
+    found by memchr, and a file of numbers has them only in its keys."""
+    for word in ("true", "false"):
+        i = -1
+        while (i := text.find(word[0], i + 1)) >= 0:
+            if text.startswith(word, i):
+                return True
+    return False
+
+
+def _mark_bools(value):
+    """`value` with each array (a list in no list) that holds a bool a BoolArray."""
+    if isinstance(value, dict):
+        return {key: _mark_bools(item) for key, item in value.items()}
+    stack = [value] if isinstance(value, list) else []
+    while stack:
+        item = stack.pop()
+        if isinstance(item, bool):
+            return la.BoolArray(value)
+        stack += item if isinstance(item, list) else []
+    return value
 
 
 def read_json(path, convert):

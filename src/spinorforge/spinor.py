@@ -145,15 +145,6 @@ def pair_to_phi(z1, z2):
     return out
 
 
-def psi_from_phi_pair(z1, z2):
-    """[psi] = z1 - j i z2 = (z1, -i z2) in complex-pair form."""
-    return z1, -1j * z2
-
-
-def phi_from_psi_pair(p, q):
-    return p, 1j * q
-
-
 # =============================================================================
 # Connection assembly
 # =============================================================================
@@ -190,17 +181,6 @@ def connection_coefficient_fields(problem):
         etas.append(bivector_array(eta_matrix(alg, data.frames, data.B, X,
                                               spin)))
     return etas[0], etas[1]
-
-
-def killing_rhs(problem, phi, X, vertex):
-    """Right-hand side -1/2 sum_j e_j B(X, e_j) phi + 1/2 Gamma(X) phi of the
-    covariant spinor equation, at one node, X in tangent frame components."""
-    data = problem.data
-    if isinstance(phi, SpinElement):
-        phi = phi.value
-    m = eta_matrix(problem.alg, data.frames[vertex], data.B[vertex],
-                   np.asarray(X, dtype=np.float64))
-    return Multivector(data.n, bivector_array(m)) * phi
 
 
 # =============================================================================
@@ -585,7 +565,7 @@ def pair_dirac_residual(field, problem, H=0.0):
     grid = problem.grid
     mu = grid.mu
     z1, z2 = field.psi_pairs()
-    p, q = psi_from_phi_pair(z1, z2)
+    p, q = z1, -1j * z2         # [psi] = z1 - j i z2
     beta = grid.dy(mu) / (2.0 * mu)
     alpha = grid.dx(mu) / (2.0 * mu)
     P = grid.dx(p) - 1j * beta * p

@@ -15,12 +15,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinorforge
 from spinorforge import fixtures, lie_algebra as la
-from spinorforge import spinor
+from spinorforge import serialization, spinor
 from spinorforge.cli import (MIN_GRID_NODES, SURFACE_FIXTURES, build_parser,
                              main)
 from spinorforge.meshexport import export_mesh, grid_faces
@@ -876,6 +876,7 @@ def _reference_surface(name):
        st.sampled_from(sorted(la.CATALOG) + ["custom"]) | st.text(max_size=8),
        st.dictionaries(st.sampled_from(["A", "l", "n", "mu", "kappa"])
                        | st.text(max_size=3), _JSON_VALUES, max_size=3))
+@example("sphere-r3", "EKappaTau", {"A": [False, 0]})  # a bool among numbers
 @settings(max_examples=30, deadline=None)
 def test_reconstruct_surface_ignores_tag_and_params(name, tag, params):
     blob = json.loads(_surface_problem_text(name))
@@ -984,6 +985,90 @@ def test_nan_tolerance_exits_three(tmp_path, capsys):
     assert err.splitlines() == ["input error: unrecognized arguments: "
                                 "--tol=nan"]
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--fixture", "sphere-r3", "--grid-n", "9", "--bogus", "7"],
+    ["reconstruct", "--bogus", "7", "--fixture", "sphere-r3",
+     "--grid-n", "9"],
+], ids=["after-the-fixture", "before-the-fixture"])
+def test_an_unknown_options_value_is_named_with_it(tmp_path, capsys, argv):
+    # argparse gives the value to the optional input path; it may be the
+    # unknown option's, so the message names both
+    code, err = _main_err(argv + ["-o", str(tmp_path / "r.json")], capsys)
+    assert code == 3
+    assert err.splitlines() == ["input error: unrecognized arguments: "
+                                "--bogus 7"]
+    assert not list(tmp_path.iterdir())
+
+
+def _with_a_bool(blob, key):
+    """`blob` with the first entry of its array `key` that is 0 or 1
+    written as the JSON bool numpy would read as that number."""
+    array = blob[key]
+    flat = np.ravel(array)
+    at = np.unravel_index(int(np.flatnonzero((flat == 0) | (flat == 1))[0]),
+                          np.shape(array))
+    inner = array
+    for i in at[:-1]:
+        inner = inner[i]
+    inner[at[-1]] = bool(inner[at[-1]])
+    return blob
+
+
+def _bool_inputs(inputs):
+    """(argv without -o, the array that holds the bool) per command, on
+    files written to `inputs`."""
+    def problem(make, key):
+        fx = make(9)
+        return _with_a_bool(problem_to_dict(fx.data, fx.alg,
+                                            base_point=fx.F[0, 0]), key)
+
+    blobs = {
+        "solve": (problem(fixtures.sphere_r3, "S"), "S"),
+        "reconstruct": (problem(fixtures.sphere_r3, "frames"), "frames"),
+        "check-frame": (problem(fixtures.sphere_r4_twisted, "theta_x"),
+                        "theta_x"),
+        "check-gcr": (problem(fixtures.sphere_r4_twisted, "B"), "B"),
+        "check-algebra": (_with_a_bool(la.algebra_to_dict(la.sol3()), "c"),
+                          "c"),
+        "cmc": (_with_a_bool(cmc_to_dict(*fixtures.cmc_sphere(9)), "g"), "g"),
+        "export": (_with_a_bool({"model": {"name": "abelian"}, "nx": 2,
+                                 "ny": 2, "payload": [0.5, 0.0] * 6},
+                                "payload"), "payload"),
+    }
+    out = {}
+    for command, (blob, key) in blobs.items():
+        path = inputs / f"{command}.json"
+        dump_json(blob, path)
+        out[command] = ([command, str(path)], key)
+    return out
+
+
+@pytest.mark.parametrize("command", ["solve", "reconstruct", "check-frame",
+                                     "check-gcr", "check-algebra", "cmc",
+                                     "export"])
+def test_a_bool_among_numbers_exits_three(tmp_path, capsys, command):
+    inputs, work = tmp_path / "in", tmp_path / "work"
+    inputs.mkdir()
+    work.mkdir()
+    argv, key = _bool_inputs(inputs)[command]
+    code, err = _main_err(argv + ["-o", str(work / "r.out")], capsys)
+    assert code == 3
+    [line] = err.splitlines()
+    # check-algebra says "invalid algebra: " before the array's name
+    assert line.startswith("input error: ")
+    assert line.endswith(f" {key} is not a numeric array: it holds booleans")
+    assert list(work.iterdir()) == []
+
+
+def test_a_text_without_true_or_false_is_not_walked(tmp_path, monkeypatch):
+    def walk(value):
+        raise AssertionError("walked a text that holds no bool")
+
+    monkeypatch.setattr(serialization, "_mark_bools", walk)
+    path = write_problem(tmp_path, fixtures.sphere_r3(9))
+    assert main(["solve", str(path), "-o", str(tmp_path / "r.json")]) == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,13 +14,20 @@ import pytest
 from spinorforge.clifford import (
     Multivector, SpinElement, SkewOperator, OffDiagOperator,
     adjoint_action, adjoint_array, bivector_array, bivector_exp_array,
-    bivector_of_offdiag, bivector_of_skew, blade_tables, canonical_spin_sign,
-    commutator, cosh_sinhc, exp_array, gp_array, grade_indices,
-    non_grade_norm, offdiag_skew_array, reverse_array, skew_of_bivector,
-    spin_bracket, spin_lift, spin_lift_array,
+    _canonical_sign_array, bivector_of_offdiag, bivector_of_skew,
+    blade_tables, commutator, cosh_sinhc, exp_array, gp_array, grade_indices,
+    non_grade_norm, offdiag_skew_array, reverse_array, spin_bracket,
+    spin_lift, spin_lift_array,
 )
 
+from oracles import skew_of_bivector
+
 rng = np.random.default_rng(20240611)
+
+
+def max_abs(a):
+    """The largest coefficient magnitude of a multivector."""
+    return float(np.max(np.abs(a.coeffs)))
 
 
 # =============================================================================
@@ -158,7 +165,7 @@ def test_associativity_against_oracle(n):
         a, b, c = random_mv(n), random_mv(n), random_mv(n)
         left = (a * b) * c
         right = a * (b * c)
-        assert left.allclose(right, tol=1e-10 * max(1.0, left.max_norm()))
+        assert left.allclose(right, tol=1e-10 * max(1.0, max_abs(left)))
         assert (a * b).allclose(oracle_gp(a, b), tol=1e-10)
 
 
@@ -428,7 +435,8 @@ def test_rotation_generator_bivector():
 
 
 def test_zero_skew_maps_to_zero():
-    assert bivector_of_skew(np.zeros((4, 4))).allclose(Multivector.zero(4))
+    assert bivector_of_skew(np.zeros((4, 4))).allclose(
+        Multivector.scalar(4, 0.0))
 
 
 def test_non_antisymmetric_rejected():
@@ -464,11 +472,11 @@ def test_commutator_alternating_and_jacobi():
         a = bivector_of_skew(random_skew(n))
         b = bivector_of_skew(random_skew(n))
         c = bivector_of_skew(random_skew(n))
-        assert commutator(a, a).allclose(Multivector.zero(n), tol=0.0)
+        assert commutator(a, a).allclose(Multivector.scalar(n, 0.0), tol=0.0)
         jac = commutator(commutator(a, b), c) + \
             commutator(commutator(b, c), a) + \
             commutator(commutator(c, a), b)
-        assert jac.allclose(Multivector.zero(n), tol=1e-10)
+        assert jac.allclose(Multivector.scalar(n, 0.0), tol=1e-10)
 
 
 def test_skew_of_bivector_roundtrip():
@@ -541,7 +549,7 @@ def test_adjoint_field_kernel_matches_node_action(n):
 
 def test_offdiag_zero():
     u = OffDiagOperator(2, 2, np.zeros((2, 2)))
-    assert bivector_of_offdiag(u).allclose(Multivector.zero(4))
+    assert bivector_of_offdiag(u).allclose(Multivector.scalar(4, 0.0))
 
 
 def test_offdiag_shape_rejected():
@@ -640,7 +648,7 @@ def random_so(n):
 
 def test_spin_lift_identity():
     a = spin_lift(np.eye(4))
-    assert canonical_spin_sign(a.value).allclose(Multivector.scalar(4, 1.0))
+    assert a.value.allclose(Multivector.scalar(4, 1.0))
 
 
 def test_spin_lift_quarter_turn():
@@ -742,7 +750,7 @@ def test_canonical_sign_matches_reference_on_ties():
         c = rng.normal(size=16)
         c[:rng.integers(0, 17)] = 0.0
         a = Multivector(4, c)
-        assert np.array_equal(canonical_spin_sign(a).coeffs,
+        assert np.array_equal(_canonical_sign_array(a.coeffs),
                               reference_canonical_sign(a).coeffs)
 
 
@@ -773,7 +781,7 @@ def test_spin_element_closure_and_invariant():
     for _ in range(30):
         a, b = random_spin(4), random_spin(4)
         ab = a * b
-        assert ab.value.is_even(1e-12)
+        assert non_grade_norm(ab.value.coeffs, 4, (0, 2, 4)) <= 1e-12
         r = ab.value.reversal() * ab.value
         assert r.allclose(Multivector.scalar(4, 1.0), tol=1e-8)
 
@@ -802,14 +810,14 @@ mv3 = st.lists(coeff, min_size=8, max_size=8).map(lambda c: Multivector(3, c))
 def test_property_associative(a, b, c):
     lhs = (a * b) * c
     rhs = a * (b * c)
-    scale = max(1.0, a.max_norm() * b.max_norm() * c.max_norm())
+    scale = max(1.0, max_abs(a) * max_abs(b) * max_abs(c))
     assert lhs.allclose(rhs, tol=1e-10 * scale)
 
 
 @given(mv3, mv3)
 @settings(max_examples=200, deadline=None)
 def test_property_reversal_antiautomorphism(a, b):
-    scale = max(1.0, a.max_norm() * b.max_norm())
+    scale = max(1.0, max_abs(a) * max_abs(b))
     assert (a * b).reversal().allclose(b.reversal() * a.reversal(),
                                        tol=1e-12 * scale)
     assert a.reversal().reversal().allclose(a, tol=0.0)
@@ -818,7 +826,7 @@ def test_property_reversal_antiautomorphism(a, b):
 @given(mv3, mv3)
 @settings(max_examples=200, deadline=None)
 def test_property_pairing_symmetry(phi, psi):
-    scale = max(1.0, phi.max_norm() * psi.max_norm())
+    scale = max(1.0, max_abs(phi) * max_abs(psi))
     assert spin_bracket(phi, psi).allclose(
         spin_bracket(psi, phi).reversal(), tol=1e-12 * scale)
 
@@ -942,10 +950,10 @@ def former_adjoint_action(a, x):
         raise ValueError("adjoint_action expects a grade-1 argument")
     out = g * x * g.reversal()
     impurity = non_grade_norm(out.coeffs, out.n, (1,))
-    scale = max(1.0, x.max_norm())
+    scale = max(1.0, max_abs(x))
     if impurity > 1e-10 * scale:
         raise ValueError(f"adjoint action left grade-1: impurity {impurity:.3e}")
-    return out.grade(1)
+    return Multivector.from_vector(out.vector())
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -961,4 +969,5 @@ def test_adjoint_action_agrees_with_its_former_sandwich(n):
                                     * 10.0 ** local.uniform(-3, 3))
         got, want = adjoint_action(a, x), former_adjoint_action(a, x)
         assert got.n == want.n == n
-        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-14 * x.norm()
+        assert np.max(np.abs(got.coeffs - want.coeffs)) \
+            <= 1e-14 * np.linalg.norm(x.coeffs)

@@ -5,11 +5,10 @@ import pytest
 
 from spinorforge import fixtures, lie_algebra as la
 from spinorforge.cmc import (
-    HPotential, SingularPotentialError, WeierstrassData,
-    dirac2_residual, dirac_system_residual, gauss_map_pde_residual,
-    h_potential, h_potential_wirtinger, inverse_stereographic,
-    mesh_mean_curvature, pair_from_weierstrass, stereographic,
-    weier_f_from_g, weierstrass_from_pair, xi_from_weierstrass,
+    HPotential, SingularPotentialError, WeierstrassData, dirac2_residual,
+    gauss_map_pde_residual, h_potential, h_potential_wirtinger,
+    inverse_stereographic, mesh_mean_curvature, pair_from_weierstrass,
+    weier_f_from_g, xi_from_weierstrass,
 )
 from spinorforge.grid import ParamGrid
 from spinorforge.immersion import ImmersionData
@@ -18,6 +17,9 @@ from spinorforge.spinor import (
     KillingProblem, SpinorField, pair_to_phi, spinor_of_immersion,
     xi_from_spinor,
 )
+
+from oracles import (dirac_system_residual, stereographic,
+                     weierstrass_from_pair)
 
 rng = np.random.default_rng(424242)
 

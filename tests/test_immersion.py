@@ -9,11 +9,13 @@ from spinorforge.clifford import Multivector, bivector_of_skew
 from spinorforge.grid import ParamGrid
 from spinorforge.immersion import (
     U_NORM_TOL, EKTData, ImmersionData, _covariant_B, ambient_curvature_frame,
-    ekt_compat_residuals,
-    ekt_integrability_residuals, ekt_gamma_bivector, frame_compat_residual_fields,
-    frame_compat_residuals, gamma_tilde, gcr_residual_fields, gcr_residuals,
-    hn_u_residual,
+    ekt_compat_residuals, ekt_integrability_residuals,
+    frame_compat_residual_fields, frame_compat_residuals, gcr_residual_fields,
+    gcr_residuals, hn_u_residual,
 )
+from spinorforge.spinor import gamma_frame_matrix
+
+from oracles import ekt_gamma_bivector
 
 rng = np.random.default_rng(7311)
 
@@ -233,10 +235,31 @@ def one_vertex_data(alg, frames_mat, S_mat):
     return ImmersionData(grid, frames, S=S)
 
 
+def gamma_tilde(data, alg, X, vertex):
+    """The tangential Clifford representative of the ambient connection at a
+    hypersurface node, an element of Cl_2 acting on intrinsic spinors, as
+    the spinor connection holds it: the (e1, e2, nu) bivector of
+    U^T Gamma(X) U (`spinor.gamma_frame_matrix`), with e_a nu read as e_a
+    and e1 e2 as e12.  X is a tangent vector in frame components."""
+    m = gamma_frame_matrix(alg, data.frames[vertex],
+                           np.asarray(X, dtype=np.float64))
+    return Multivector(2, [0.0, m[2, 0], m[2, 1], m[1, 0]])
+
+
+def dim3_shortcut(data, alg, X, vertex):
+    """The same representative in ambient dimension 3 through the area
+    element: sum_l c_l (f_l - T_l) e12, c the axial vector of Gamma(X)."""
+    T, f = data.T[vertex], data.f[vertex][:, 0]
+    G = alg.gamma_op(T @ np.asarray(X, dtype=np.float64))
+    c = np.array([G[2, 1], -G[2, 0], G[1, 0]])
+    w = c @ T
+    return Multivector(2, [0.0, -w[1], w[0], c @ f])
+
+
 def test_gamma_tilde_abelian_zero():
     data = one_vertex_data(la.rn(3), np.eye(3), np.zeros((2, 2)))
     out = gamma_tilde(data, la.rn(3), [0.7, -0.2], (0, 0))
-    assert out.allclose(Multivector.zero(2))
+    assert out.allclose(Multivector.scalar(2, 0.0))
 
 
 def test_gamma_tilde_dim3_shortcut_agrees_with_general():
@@ -245,8 +268,8 @@ def test_gamma_tilde_dim3_shortcut_agrees_with_general():
             frames = random_frames(3, (2, 2))[0, 0]
             data = one_vertex_data(alg, frames, np.zeros((2, 2)))
             X = rng.normal(size=2)
-            a = gamma_tilde(data, alg, X, (0, 0), method="general")
-            b = gamma_tilde(data, alg, X, (0, 0), method="dim3")
+            a = gamma_tilde(data, alg, X, (0, 0))
+            b = dim3_shortcut(data, alg, X, (0, 0))
             assert a.allclose(b, tol=1e-12)
 
 
@@ -259,7 +282,7 @@ def test_gamma_tilde_sol3_closed_form():
         X = rng.normal(size=2)
         T, f = data.T[0, 0], data.f[0, 0, :, 0]
         XT = T @ X
-        want = Multivector.zero(2)
+        want = Multivector.scalar(2, 0.0)
         for (i, o) in ((0, 1), (1, 0)):
             vec = Multivector.from_vector(T[o], 2)
             want = want + XT[i] * ((f[o] - vec) * omega)
@@ -285,7 +308,7 @@ def ekt_operator_oracle(data, X, vertex):
     """Cross-product operator form of the ambient connection at a node,
     pushed through bivector_of_skew: the independent route."""
     i0, j0 = vertex
-    tau, sigma = data.tau, data.sigma
+    tau, sigma = data.tau, data.kappa / (2 * data.tau)
     e3 = np.array([data.T[i0, j0, 0], data.T[i0, j0, 1], data.f[i0, j0]])
     X3 = np.array([X[0], X[1], 0.0])
     axis = tau * (X3 - (X3 @ e3) * e3) + (sigma - tau) * (X3 @ e3) * e3
@@ -453,8 +476,10 @@ def test_hn_u_perturbation_scales_linearly():
     assert res[0] >= 1e-4
 
 def former_gamma_tilde(data, alg, X, vertex, method="general"):
-    """gamma_tilde as it read gamma entry by entry, before it went through
-    alg.gamma_op; kept verbatim below the docstring."""
+    """The library's former gamma_tilde, as it read gamma entry by entry
+    before it went through alg.gamma_op; kept verbatim below the docstring
+    but for its zero, Multivector.scalar(2, 0.0) where it read
+    Multivector.zero(2)."""
     if data.q != 1:
         raise ValueError("gamma_tilde is defined for hypersurfaces (q = 1)")
     i0, j0 = vertex
@@ -464,7 +489,7 @@ def former_gamma_tilde(data, alg, X, vertex, method="general"):
     f = data.f[i0, j0, :, 0]          # (n,)
     XT = T @ X                        # <X, T_i>
     gamma = alg.gamma
-    out = Multivector.zero(2)
+    out = Multivector.scalar(2, 0.0)
     if method == "general":
         for i in range(n):
             if XT[i] == 0.0:
@@ -509,8 +534,8 @@ def test_gamma_tilde_agrees_with_its_former_loops(tag):
         q[:, 0] *= np.linalg.det(q)               # orientation +1
         data = one_vertex_data(alg, q, np.zeros((2, 2)))
         X = local.normal(size=2)
+        got = gamma_tilde(data, alg, X, (0, 0))
         for method in ("general", "dim3"):
-            got = gamma_tilde(data, alg, X, (0, 0), method=method)
             want = former_gamma_tilde(data, alg, X, (0, 0), method=method)
             scale = max(1.0, float(np.max(np.abs(want.coeffs))))
             assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-14 * scale
