@@ -7,8 +7,9 @@ trailing.
 
 `STENCILS` is the one source of the finite-difference stencils, applied by
 `difference` to fields (`ParamGrid.dx`, ...) and to group maps
-(`lie_group.maurer_cartan_pullback`, which reads the nodes and offsets each
-will sample from `stencil_blocks`).  First derivatives are second-order
+(`lie_group.maurer_cartan_pullback`, which reads from `stencil_blocks` the
+interior row's offsets, logged over every node pair, and the edge rows'
+other node pairs, logged in one batch).  First derivatives are second-order
 central differences inside; at the boundary a one-sided 4-point stencil
 whose leading error term matches the interior one keeps the error a smooth
 O(h^2) field, and `order=4` selects 5-point verification stencils.

@@ -25,8 +25,12 @@ Path-independence is a checked property of the input, not an assumption:
 `structure_residual` evaluates |d xi (dx, dy) + [xi(dx), xi(dy)]| per node.
 
 Conversely, `maurer_cartan_pullback` applies the `grid.STENCILS` first
-derivatives to log differences of a group map F, and `second_fundamental_form`
-and `normal_connection` are the one extraction of (B, theta) from the result.
+derivatives to log differences log(F(x)^-1 F(x + k h)) of a group map F, and
+`second_fundamental_form` and `normal_connection` are the one extraction of
+(B, theta) from the result.  Each model's `quotients` forms those quotients
+with its per-node work (the inverse, and for R^2 x_A R the e^{-zA} of every
+node) done once, and each node pair is logged once: the negative offsets
+are the negated logs of the positive ones, log(g^-1) = -log g.
 """
 
 import numpy as np
@@ -50,7 +54,21 @@ UNIT_TOL = 1e-8         # the most by which an S^3 point's norm may miss 1
 # Models
 # =============================================================================
 
-class AbelianModel:
+class GroupModel:
+    """A group model: identity, multiply, inverse, exp, log, normalize and
+    prefix_products on payload arrays, broadcast over leading axes."""
+
+    def quotients(self, F):
+        """The function (a, b) -> F[a]^-1 F[b] for indices a, b (slices or
+        integer arrays) of the leading axis of F that select equally many
+        nodes, bit for bit `multiply(inverse(F[a]), F[b])`; the per-node
+        work, here `inverse`, is done once for every quotient."""
+        F = np.asarray(F, float)
+        inv = self.inverse(F)
+        return lambda a, b: self.multiply(inv[a], F[b])
+
+
+class AbelianModel(GroupModel):
     name = "abelian"
 
     def __init__(self, n):
@@ -82,7 +100,7 @@ class AbelianModel:
                                          steps]), axis=0)[1:]
 
 
-class S3Model:
+class S3Model(GroupModel):
     """Unit quaternions; vector part indexed by the orthonormal basis
     (e1, e2, e3), right-handed: e1 e2 = e3."""
 
@@ -229,7 +247,7 @@ def _phi_coefficients(u, q):
     return alpha, gamma
 
 
-class SemidirectModel:
+class SemidirectModel(GroupModel):
     """R^2 x_A R with (x, z)(x', z') = (x + e^{zA} x', z + z')."""
 
     name = "semidirect"
@@ -268,6 +286,21 @@ class SemidirectModel:
         x = -np.einsum("...ij,...j->...i", self._expA(-g[..., 2]), g[..., :2])
         return np.concatenate([x, -g[..., 2:3]], axis=-1)
 
+    def quotients(self, F):
+        """`GroupModel.quotients` with e^{-zA} formed once per node:
+        F[a]^-1 F[b] = (x'_a + e^{-z_a A} x_b, -z_a + z_b), with the
+        inverse's x'_a = -e^{-z_a A} x_a, as `inverse` and `multiply` form
+        it."""
+        F = np.asarray(F, float)
+        x, z = F[..., :2], F[..., 2]
+        E = self._expA(-z)
+        inv_x = -np.einsum("...ij,...j->...i", E, x)
+
+        def quotient(a, b):
+            qx = inv_x[a] + np.einsum("...ij,...j->...i", E[a], x[b])
+            return np.concatenate([qx, (-z[a] + z[b])[..., None]], axis=-1)
+        return quotient
+
     def exp(self, v, t=1.0):
         v = np.asarray(v, float)
         w, z = v[..., :2], t * v[..., 2]
@@ -300,7 +333,7 @@ class SemidirectModel:
         return np.concatenate([x[1:], z[1:, ..., None]], axis=-1)
 
 
-class HnModel:
+class HnModel(GroupModel):
     """H^n as homotheties-translations of R^{n-1}: a b = (a_n b' + a', a_n b_n).
 
     The coordinates are those of the bracket with l the e_n coordinate form;
@@ -525,30 +558,38 @@ def darboux_integrate(xi, alg, base=None, stats=None):
 def maurer_cartan_pullback(F, model, grid, order=2):
     """omega_G(F_* d/dx), omega_G(F_* d/dy): the `grid.STENCILS` first
     derivative at `order` of f_k = log(F(x)^-1 F(x + k h)), skipping the
-    vanishing f_0, with one model call for all the edge rows' samples and
-    one per interior offset.  order=2 has the same leading error +h^2/6 d^3
-    inside and at the edges, so the O(h^2) error field is smooth and
-    survives the second-fundamental-form extraction; order=4 is the
+    vanishing f_0.  Each axis forms its quotients through one
+    `model.quotients` and logs each node pair once: f_{-k}(x) is
+    -f_k(x - k h), since log(g^-1) = -log g.  The interior row's offsets
+    take one log call each over every pair (x, x + k h), and the edge rows'
+    other pairs one call together.  order=2 has the same leading error
+    +h^2/6 d^3 inside and at the edges, so the O(h^2) error field is smooth
+    and survives the second-fundamental-form extraction; order=4 is the
     verification grade, whose error stays far below the O(h^2) quantities a
     reconstruction check measures."""
     def along(axis):
         Fm = np.moveaxis(F, axis, 0)
-        inv = model.inverse(Fm)
         size = Fm.shape[0]
-        # one call for all the samples of the one-node blocks (edge rows):
-        # batching the interior offsets too was slower and took more memory
-        edge = [(lo, hi, k) for lo, hi, row in stencil_blocks(size, 1, order)
-                if hi - lo == 1 for k in row[0] if k]
-        lo, _, k = np.array(edge).T
-        logs = dict(zip(edge, model.log(model.multiply(inv[lo],
-                                                       Fm[lo + k]))[:, None]))
+        quotient = model.quotients(Fm)
+        blocks = stencil_blocks(size, 1, order)
+        # the interior row, between the edge rows and their mirror images
+        dense = {abs(k) for k in blocks[len(blocks) // 2][2][0] if k}
+        logs = {k: model.log(quotient(slice(0, size - k), slice(k, size)))
+                for k in dense}
+        # the edge rows' pairs (x, x + k h), k > 0, at no interior offset
+        pairs = sorted({(lo + min(k, 0), abs(k))
+                        for lo, hi, (offsets, _, _) in blocks if hi - lo == 1
+                        for k in offsets if k and abs(k) not in dense})
+        i, k = np.array(pairs).T
+        edge = dict(zip(pairs, model.log(quotient(i, i + k))[:, None]))
 
         def sample(lo, hi, k):
             if k == 0:
                 return None     # f_0 = log(identity) vanishes
-            if (lo, hi, k) in logs:
-                return logs[lo, hi, k]
-            return model.log(model.multiply(inv[lo:hi], Fm[lo + k:hi + k]))
+            i = lo + min(k, 0)  # f_k(lo) is +-log of the pair (i, i + |k|)
+            f = logs[abs(k)][i:i + hi - lo] if abs(k) in logs \
+                else edge[i, abs(k)]
+            return f if k > 0 else -f
 
         d = difference(sample, size, grid.h, 1, order)
         return np.moveaxis(d, 0, axis)
