@@ -28,7 +28,9 @@ the products are bit-identical to it.
 `exp_array` is the general exponential of any multivector (a Taylor series
 with scaling and squaring).  Bivector fields, the transport steps of the
 spinor solver, go through `bivector_exp_array`, which is exact and free of
-geometric products for n <= 4 (Spin(3) and Spin(4) = Sp(1) x Sp(1)).
+geometric products for n <= 4 (Spin(3) and Spin(4) = Sp(1) x Sp(1)), and
+so is the inverse of the adjoint action there, the spin lift of a rotation
+field (`spin_lift_array`).
 
 Multivectors are immutable values; all operations return new objects.
 """
@@ -542,7 +544,7 @@ PURITY_TOL = 1e-10      # off-grade mass of g x rev(g) that signals corruption
 class SpinElement:
     """Even multivector g with reversal(g) * g = 1 (max-norm tolerance).
 
-    Everything produced here (Givens lifts, bivector exponentials, products)
+    Everything produced here (spin lifts, bivector exponentials, products)
     lies in Spin(n) proper; the constructor enforces the checkable part of
     that membership.
     """
@@ -624,12 +626,17 @@ def adjoint_action(a, x):
 
 
 def spin_lift_array(T):
-    """Spin lifts a (..., 2**n), Ad(a) = T, of rotation fields T (..., n, n).
+    """Spin lifts a (..., 2**n), Ad(a) = T, of rotation fields T (..., n, n),
+    signed so that each node's first nonzero coefficient, the scalar part
+    unless that vanishes, is positive.
 
-    Every node is factored into Givens rotations of the planes (i-1, i) in
-    one order (columns j, rows i from n-1 down to j+1); the lift is the
-    product of their half-angle rotors, signed so that its first nonzero
-    coefficient, the scalar part unless that vanishes, is positive.
+    n = 3 and 4 have a closed form (`_closed_form_lift`): Ad(a) is
+    quadratic in the even coefficients of a, so one fixed linear map takes
+    T to an outer product of spin coordinates, a a^T for n = 3 and
+    a+ a-^T for the halves a+- = (1 +- I)/2 a, I = e1234, for n = 4, and
+    a is read off its largest row or column.  Other n factor every node
+    into Givens rotations of the planes (i-1, i) in one order (columns j,
+    rows i from n-1 down to j+1) and multiply their half-angle rotors.
     The orthogonality gate pins |det T| to 1, and a field with any
     reflection (det < 0) is rejected since it has no spin lift.
     """
@@ -637,14 +644,31 @@ def spin_lift_array(T):
     if T.ndim < 2 or T.shape[-2] != T.shape[-1]:
         raise ValueError("spin_lift needs a square matrix")
     n = T.shape[-1]
-    eye = np.eye(n)
-    ortho = np.max(np.abs(np.swapaxes(T, -1, -2) @ T - eye))
+    t = np.ascontiguousarray(T.reshape(-1, n * n).T)     # nodes last
+    m = t.reshape(n, n, -1)
+    ortho = np.max(np.abs(np.einsum("jin,jkn->ikn", m, m)
+                          - np.eye(n)[..., None]))
     if not ortho <= SPIN_TOL:
         raise ValueError(f"matrix is not orthogonal: |T^T T - I| = {ortho:.3e}")
-    det = np.linalg.det(T)
-    if np.any(det < 0):
-        raise ValueError(f"matrix is not special orthogonal "
-                         f"(det = {np.min(det):g})")
+    closed = n in (3, 4)
+    if closed:
+        a, miss = _closed_form_lift(t, n)
+    if not closed or not miss <= 1e-8:
+        # Ad(a) is a rotation for every a, so the closed form misses every
+        # reflection, and needs det only to name it
+        det = np.linalg.det(T)
+        if np.any(det < 0):
+            raise ValueError(f"matrix is not special orthogonal "
+                             f"(det = {np.min(det):g})")
+        if closed:
+            raise ValueError(f"spin lift failed: |Ad(a) - T| = {miss:.3e}; "
+                             f"input not special orthogonal within tolerance")
+        a = _givens_lift(T, n)
+    return _canonical_sign_array(a.reshape(T.shape[:-2] + (1 << n,)))
+
+
+def _givens_lift(T, n):
+    """The product of the half-angle rotors of T's Givens factorization."""
     work = T.copy()
     a = np.zeros(T.shape[:-2] + (1 << n,))
     a[..., 0] = 1.0
@@ -669,10 +693,117 @@ def spin_lift_array(T):
             a = gp_array(a, rotor, n)
     # work is now upper triangular and orthogonal => diagonal of +-1;
     # for det +1 input with clean factorization the diagonal is +1.
-    if not np.max(np.abs(work - eye)) <= 1e-8:
+    if not np.max(np.abs(work - np.eye(n))) <= 1e-8:
         raise ValueError("Givens factorization failed; input not special "
                          "orthogonal within tolerance")
-    return _canonical_sign_array(a)
+    return a
+
+
+def _sparse_map(table):
+    """A matrix with few nonzeros per row as (cols, weights), each
+    (rows, width): the columns of each row's nonzeros and their values,
+    padded with zero weights."""
+    width = int(np.max(np.count_nonzero(table, axis=1)))
+    cols = np.argsort(table == 0, axis=1, kind="stable")[:, :width]
+    weights = np.take_along_axis(table, cols, 1)
+    cols.flags.writeable = weights.flags.writeable = False
+    return cols, weights
+
+
+def _apply_sparse(sparse, x):
+    """A `_sparse_map` applied to x (columns, nodes): one row gather and
+    einsum's own loop, so no BLAS matrix product (which spreads over
+    threads) runs over the nodes."""
+    cols, weights = sparse
+    return np.einsum("rtn,rt->rn", x[cols], weights)
+
+
+@lru_cache(maxsize=None)
+def _closed_form_maps(n):
+    """The fixed linear maps of the closed-form lift for n = 3 or 4.
+
+    Ad(a) is the quadratic form T[r] = sum C[r, p, q] a_p a_q over even
+    blades, r = n i + k indexing the e_i coefficient of a e_k rev(a).  In
+    four coordinates u, v of the even algebra it is linear in the outer
+    product z = u v^T.  n = 3: u = v = a over h = (1, e12, e13, e23), and
+    the ten distinct entries of the symmetric z are fixed by T and
+    trace z = |a|^2 = 1.  n = 4: u, v are the halves a+- = (1 +- I)/2 a,
+    a[h] = (u + v)/2 and a[I ^ h] = s (u - v)/2 with I h = s e_{I^h}; the
+    vectors anticommute with I, so Ad(a) x = a+ x rev(a-) + a- x rev(a+)
+    and T depends on u v^T alone.  Returns the sparse maps (`_sparse_map`)
+    z -> T and (T, and a 1 for n = 3) -> z, both with entries +-1 or
+    +-1/4, and h, I ^ h, s.
+    """
+    signs, grades = blade_tables(n)
+    i, k = np.divmod(np.arange(n * n)[:, None], n)
+    p = np.flatnonzero(grades % 2 == 0)[None, :]
+    q = p ^ (1 << k) ^ (1 << i)     # p e_k rev(q) lands on e_i
+    C = np.zeros((n * n, 1 << n, 1 << n))
+    C[np.arange(n * n)[:, None], p, q] = \
+        signs[p, 1 << k] * signs[p ^ (1 << k), q] * reversal_signs(n)[q]
+    h = p[0, :4].copy()
+    top = (1 << n) - 1
+    sign = signs[top, h].astype(np.float64)
+    if n == 3:
+        D = C[:, h][:, :, h]
+        # the unknowns are the upper triangle of z, j <= l; unknown number
+        # upper[j, l] = upper[l, j] is the entry z[j, l] = z[l, j]
+        j, l = np.triu_indices(4)
+        L = np.vstack([D[:, j, l] + np.where(j < l, D[:, l, j], 0.0),
+                       j == l])
+        upper = np.zeros((4, 4), dtype=int)
+        upper[j, l] = upper[l, j] = range(len(j))
+        inverse = np.linalg.inv(L)[upper.reshape(-1)]
+    else:
+        plus, minus = np.zeros((2, 1 << n, 4))
+        plus[h, range(4)] = minus[h, range(4)] = 0.5
+        plus[top ^ h, range(4)] = 0.5 * sign
+        minus[top ^ h, range(4)] = -0.5 * sign
+        D = np.einsum("rpq,pj,ql->rjl", C, plus, minus) \
+            + np.einsum("rpq,pl,qj->rjl", C, minus, plus)
+        inverse = np.linalg.inv(D.reshape(16, 16))
+    blades = (h, top ^ h, sign[:, None])
+    for table in blades:
+        table.flags.writeable = False
+    return (_sparse_map(D.reshape(n * n, 16)), _sparse_map(inverse),
+            *blades)
+
+
+def _closed_form_lift(t, n):
+    """A spin lift (either sign) of rotation fields t (n * n, nodes), n = 3
+    or 4, as (a (nodes, 2**n), max |Ad(a) - t|), from the outer product
+    z of `_closed_form_maps` by Shepperd's pivot: the row or column of z
+    with the largest norm divides best.
+
+    n = 3: a[h] is the column of z = a a^T with the largest diagonal
+    entry, over that entry's square root.  n = 4: u is the largest column of
+    z = u v^T and v = z^T u / |u|^2, rescaled to equal norms.  Ad(a) is
+    the map z -> T of the u, v that a itself gives.
+    """
+    forward, inverse, h, ih, sign = _closed_form_maps(n)
+    nodes = np.arange(t.shape[-1])
+    x = np.vstack([t, np.ones((1, len(nodes)))]) if n == 3 else t
+    z = _apply_sparse(inverse, x).reshape(4, 4, -1)
+    # the diagonal of z = a a^T, or the squared column norms of z = u v^T
+    key = (np.einsum("jjn->jn", z) if n == 3
+           else np.einsum("jln,jln->ln", z, z))
+    pivot = np.argmax(key, axis=0)
+    # the pivot columns, gathered contiguous (z[:, pivot, nodes] is not)
+    u = z.reshape(4, -1)[:, pivot * len(nodes) + nodes]
+    u2 = key[pivot, nodes]
+    a = np.zeros((1 << n, len(nodes)))
+    if n == 3:
+        a[h] = u = v = u / np.sqrt(u2)
+    else:
+        v = np.einsum("jln,jn->ln", z, u) / u2
+        scale = np.sqrt(np.sqrt(np.einsum("ln,ln->n", v, v) / u2))
+        u, v = u * scale, v / scale
+        a[h] = 0.5 * (u + v)
+        a[ih] = 0.5 * sign * (u - v)
+        u, v = a[h] + sign * a[ih], a[h] - sign * a[ih]
+    miss = np.max(np.abs(_apply_sparse(forward, (u[:, None] * v).reshape(
+        16, -1)) - t))
+    return np.ascontiguousarray(a.T), miss
 
 
 def _canonical_sign_array(a):

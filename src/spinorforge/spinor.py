@@ -318,7 +318,7 @@ def normalize_spinor(field, problem):
     """
     T = frame_map_at(field, problem, (0, 0))
     dev = np.max(np.abs(T.T @ T - np.eye(field.n)))
-    if dev > ORTH_TOL:
+    if not dev <= ORTH_TOL:
         raise ValueError(f"xi o frame^-1 is not orthogonal (deviation "
                          f"{dev:.3e}); the solve did not produce a spin field")
     if np.linalg.det(T) < 0:
@@ -437,7 +437,7 @@ def _continuous_normal_frames(zx, zy, mu, n):
             for b in [t1, t2] + cols:
                 v = v - np.einsum("...i,...i->...", b, v)[..., None] * b
             nv = np.linalg.norm(v, axis=-1, keepdims=True)
-            if np.any(nv < 1e-8):
+            if not np.min(nv) >= 1e-8:
                 raise ValueError("degenerate normal completion; immersion "
                                  "nearly tangent to the seed frame")
             cols.append(v / nv)
@@ -484,11 +484,15 @@ def spinor_of_immersion(F, alg, grid):
     conformal_tol = max(CONFORMAL_TOL_H2 * grid.h ** 2, CONFORMAL_TOL_MIN)
     zx, zy = maurer_cartan_pullback(F, model, grid)
     gxx, gxy, gyy = first_fundamental_form(zx, zy)
-    if np.min(gxx) <= 0 or np.min(gyy) <= 0:
+    cell = first_non_finite(np.stack([gxx, gxy, gyy], axis=-1))
+    if cell is not None:
+        raise ValueError(f"the first fundamental form of F is not finite "
+                         f"at node {cell}")
+    if not (np.min(gxx) > 0 and np.min(gyy) > 0):
         raise ValueError("degenerate immersion: vanishing coordinate tangent")
     scale = float(np.max(gxx))
-    if float(np.max(np.abs(gxy))) > conformal_tol * scale or \
-            float(np.max(np.abs(gxx - gyy))) > conformal_tol * scale:
+    if not (float(np.max(np.abs(gxy))) <= conformal_tol * scale and
+            float(np.max(np.abs(gxx - gyy))) <= conformal_tol * scale):
         raise ValueError("the parametrization is not conformal; the grid "
                          "machinery requires mu^2 (dx^2 + dy^2) metrics")
     mu = np.sqrt(0.5 * (gxx + gyy))

@@ -10,15 +10,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spinorforge import clifford
 from spinorforge.clifford import (
     Multivector, SpinElement, SkewOperator, OffDiagOperator,
     adjoint_action, adjoint_array, bivector_array, bivector_exp_array,
     _canonical_sign_array, bivector_of_offdiag, bivector_of_skew,
     blade_tables, commutator, cosh_sinhc, exp_array, gp_array, grade_indices,
     non_grade_norm, offdiag_skew_array, reverse_array, spin_bracket,
-    spin_lift, spin_lift_array,
+    spin_lift, spin_lift_array, unit_defect,
 )
+
+from spinorforge.cli import SURFACE_FIXTURES
+from spinorforge.spinor import spinor_of_immersion
 
 from oracles import skew_of_bivector
 
@@ -762,6 +768,128 @@ def test_spin_lift_array_rejects_one_bad_node(bad):
         spin_lift_array(field)
 
 
+# =============================================================================
+# The closed-form lift of Spin(3) and Spin(4)
+# =============================================================================
+
+def assert_closed_form_lift(T, want=None):
+    """spin_lift_array(T) is a unit even a with Ad(a) = T, signed by the
+    canonical rule, and equal to want (when given) within 1e-14."""
+    n = T.shape[-1]
+    a = spin_lift_array(T)
+    assert np.max(np.abs(adjoint_array(a, n)[0] - T)) <= 1e-14
+    assert np.max(np.abs(unit_defect(a, n))) <= 1e-14
+    assert np.array_equal(a, _canonical_sign_array(a))
+    if want is not None:
+        assert np.max(np.abs(a - want)) <= 1e-14
+    return a
+
+
+def bivector_field(n, coeffs):
+    b = np.zeros(np.shape(coeffs)[:-1] + (1 << n,))
+    b[..., grade_indices(n, 2)] = coeffs
+    return b
+
+
+unit_coeff = st.floats(min_value=-1, max_value=1, allow_nan=False)
+
+
+@given(st.sampled_from([3, 4]), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_spin_lift_inverts_the_adjoint_of_bivector_exponentials(n, data):
+    """Random bivector fields with |b| < pi - 1e-3: the lift of
+    Ad(exp(b)) is the canonically signed exp(b)."""
+    size = len(grade_indices(n, 2))
+    nodes = data.draw(st.integers(min_value=1, max_value=6))
+    coeffs = np.zeros((nodes, size))
+    for node in range(nodes):
+        v = np.array(data.draw(st.lists(unit_coeff, min_size=size,
+                                        max_size=size)))
+        radius = data.draw(st.floats(min_value=0, max_value=np.pi - 1e-3))
+        if np.linalg.norm(v) > 0:
+            coeffs[node] = radius * v / np.linalg.norm(v)
+    g = bivector_exp_array(bivector_field(n, coeffs), n)
+    T = adjoint_array(g, n)[0]
+    assert_closed_form_lift(T, _canonical_sign_array(g))
+
+
+@pytest.mark.parametrize("name", sorted(SURFACE_FIXTURES))
+def test_closed_form_lift_matches_givens_on_converse_frames(name):
+    """The frames the converse lifts, at N = 17: the closed form agrees
+    with the per-node Givens lift to 1e-14."""
+    fx = SURFACE_FIXTURES[name](17)
+    frames = spinor_of_immersion(fx.F, fx.alg, fx.grid)[1].frames
+    want = np.array([reference_spin_lift(T) for T in frames.reshape(
+        (-1,) + frames.shape[2:])])
+    assert np.max(np.abs(spin_lift_array(frames).reshape(want.shape)
+                         - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_spin_lift_near_half_turns(n):
+    """A rotation by pi - 1e-9 in each coordinate plane."""
+    for blade in grade_indices(n, 2):
+        g = bivector_exp_array(Multivector.blade(
+            n, blade, (np.pi - 1e-9) / 2).coeffs, n)
+        T = adjoint_array(g, n)[0]
+        assert np.sum(np.diag(T) < -0.99) == 2
+        assert_closed_form_lift(T, _canonical_sign_array(g))
+        assert np.max(np.abs(spin_lift_array(T)
+                             - reference_spin_lift(T))) <= 1e-14
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("angle", [0.5, 2.0, 3.0])
+def test_spin_lift_isoclinic_rotations(sign, angle):
+    """Isoclinic rotations, e12 +- e34 at equal angles: one half of the
+    lift, a+ or a-, is (1 + I)/2 or (1 - I)/2 itself."""
+    coeffs = np.zeros(6)
+    coeffs[[0, 5]] = angle / 2, sign * angle / 2     # e12, e34
+    g = bivector_exp_array(bivector_field(4, coeffs), 4)
+    T = adjoint_array(g, 4)[0]
+    assert np.allclose(T[:2, :2], T[2:, 2:] * [[1, sign], [sign, 1]])
+    assert_closed_form_lift(T, _canonical_sign_array(g))
+    assert np.max(np.abs(spin_lift_array(T)
+                         - reference_spin_lift(T))) <= 1e-14
+
+
+def test_spin_lift_exact_half_turn_of_two_planes():
+    """diag(-1, 1, -1, 1) lifts to +-e13; the Givens product's sign was
+    decided by a 3.7e-33 scalar residue, the closed form's by the rule."""
+    T = np.diag([-1.0, 1.0, -1.0, 1.0])
+    a = assert_closed_form_lift(T)
+    ref = reference_spin_lift(T)
+    assert min(np.max(np.abs(a - ref)), np.max(np.abs(a + ref))) <= 1e-14
+    assert np.max(np.abs(np.abs(a) - np.abs(Multivector.blade(
+        4, 0b101).coeffs))) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("bad,message", [
+    ("nan", r"matrix is not orthogonal: \|T\^T T - I\| = nan"),
+    ("reflection", r"matrix is not special orthogonal \(det = -1\)")])
+def test_closed_form_lift_rejects_one_bad_node(n, bad, message):
+    field = np.array([random_so(n) for _ in range(6)]).reshape(2, 3, n, n)
+    field[1, 2, :, 0] = -field[1, 2, :, 0] if bad == "reflection" else np.nan
+    with pytest.raises(ValueError, match=message):
+        spin_lift_array(field)
+
+
+def test_spin_lift_takes_geometric_products_only_beyond_n_4(monkeypatch):
+    calls = []
+
+    def counted(a, b, n):
+        calls.append(n)
+        return gp_array(a, b, n)
+
+    monkeypatch.setattr(clifford, "gp_array", counted)
+    for n in (3, 4):
+        spin_lift_array(np.array([random_so(n) for _ in range(5)]))
+    assert calls == []
+    spin_lift_array(random_so(5))
+    assert len(calls) >= 1
+
+
 def test_spin_element_rejects_nan():
     with pytest.raises(ValueError, match="deviates from 1"):
         SpinElement(Multivector(3, [np.nan] + [0.0] * 7))
@@ -796,9 +924,6 @@ def test_spin_element_rejects_odd_or_nonunit():
 # =============================================================================
 # Algebra laws as property tests
 # =============================================================================
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 coeff = st.floats(min_value=-10, max_value=10, allow_nan=False,
                   allow_infinity=False)

@@ -1,6 +1,7 @@
 """Killing transport, holonomy, xi, normalization, reconstruction, Dirac."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -599,6 +600,21 @@ def test_nonconformal_rejected():
     F = np.stack([X, 2.0 * Y, np.zeros_like(X)], axis=-1)
     with pytest.raises(ValueError):
         spinor_of_immersion(F, la.rn(3), grid)
+
+
+@pytest.mark.parametrize("make", [fixtures.sphere_r3,
+                                  fixtures.sphere_r4_twisted])
+def test_converse_rejects_a_first_fundamental_form_beyond_the_float_range(
+        make):
+    """F * 1e300 has finite pullbacks whose inner products overflow: the
+    converse names the node, and no inf - inf reaches the conformality
+    gates (which a NaN would pass)."""
+    fx = make(9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"first fundamental form of F "
+                                             r"is not finite at node \(0, 0\)"):
+            spinor_of_immersion(fx.F * 1e300, fx.alg, fx.grid)
 
 
 def reference_normal_frames(e1, e2):
