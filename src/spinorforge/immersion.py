@@ -374,27 +374,34 @@ def ekt_integrability_residuals(data):
 # H^n distinguished field
 # =============================================================================
 
-def hn_u_residual(data, u_field, alg):
-    """Residual of the H^n structure-field equation
-
-        nabla_X U + |U|^2 X - <X, U> U + B(X, U^T) - B*(X, U^N) = 0
-
-    per node, maxed over the metric frame directions.  u_field holds the
-    frame components of U (length 2 + q per node); |U| must equal |l|, with
-    l read off the structure constants, l_i = c[i, j, j] for any j != i.
-    """
+def checked_u_field(data, u_field, alg):
+    """u_field as floats, once it is an H^n structure field U of data: frame
+    components (nx, ny, 2 + q) with |U| = |l| to U_NORM_TOL, l read off c
+    as l_i = c[i, j, j] for any j != i; a ValueError otherwise."""
     l = np.where(np.arange(alg.n) < alg.n - 1, alg.c[:, -1, -1],
                  alg.c[:, 0, 0])
     if not (np.any(l) and np.array_equal(alg.c, la.hn_constants(l))):
         raise ValueError("hn_u_residual expects an H^n algebra")
-    grid, q = data.grid, data.q
     u = np.asarray(u_field, dtype=np.float64)
-    if u.shape != grid.shape + (2 + q,):
+    if u.shape != data.grid.shape + (2 + data.q,):
         raise ValueError("u_field must have frame components (nx, ny, 2 + q)")
     norms = np.linalg.norm(u, axis=-1)
     dev = np.max(np.abs(norms - np.linalg.norm(l)))
     if not dev <= U_NORM_TOL:
         raise ValueError(f"|U| must equal |l| everywhere; off by {dev:.3e}")
+    return u
+
+
+def hn_u_residual(data, u_field, alg):
+    """Residual of the H^n structure-field equation
+
+        nabla_X U + |U|^2 X - <X, U> U + B(X, U^T) - B*(X, U^N) = 0
+
+    per node, maxed over the metric frame directions, for a u_field that
+    `checked_u_field` accepts: the frame components of U.
+    """
+    u = checked_u_field(data, u_field, alg)
+    grid = data.grid
     mu = grid.mu[..., None]
     u2 = np.sum(u * u, axis=-1)
     out = np.zeros(grid.shape)

@@ -20,7 +20,7 @@ model marches a whole branch of the tree in one `prefix_products` call: a
 cumulative sum for R^n, a cumulative product of a_n and sum of a_n b' for
 H^n, a cumulative sum of z and of e^{z_k A} x'_k for R^2 x_A R, each in the
 order of repeated `multiply`, so bit for bit its result; only S^3 steps a
-loop, renormalizing before each next product.
+loop, one `multiply` per step, whose unit drift `normalize` measures.
 Path-independence is a checked property of the input, not an assumption:
 `structure_residual` evaluates |d xi (dx, dy) + [xi(dx), xi(dy)]| per node.
 
@@ -142,27 +142,25 @@ class S3Model(GroupModel):
         return fac[..., None] * vec
 
     def normalize(self, g):
-        """(g / |g|, max ||g| - 1|); a ValueError unless that is at most
-        UNIT_TOL (so also when it is NaN)."""
+        """(g, max ||g| - 1|), g unchanged; a ValueError unless that drift
+        is at most UNIT_TOL (so also when it is NaN)."""
         g = np.asarray(g, float)
-        nrm = np.linalg.norm(g, axis=-1, keepdims=True)
+        nrm = np.linalg.norm(g, axis=-1)
         drift = float(np.max(np.abs(nrm - 1.0))) if g.size else 0.0
         if not drift <= UNIT_TOL:
             raise ValueError(f"S^3 points must be unit quaternions: |q| is "
                              f"off 1 by {drift:.3e} > {UNIT_TOL:g}")
-        return g / nrm, drift
+        return g, drift
 
     def prefix_products(self, start, steps):
-        """The running products of `start` and the steps along the leading
-        axis of `steps`, before `normalize`.  Quaternion products have no
-        closed form to scan, so a loop takes each product from the previous
-        one renormalized as `normalize` does; the caller's one `normalize`
-        of the result judges every product and gives the same values."""
+        """The running products start s_0, start s_0 s_1, ... of the steps
+        along the leading axis of `steps`, before `normalize`.  Quaternion
+        products have no closed form to scan, so a loop takes each product
+        from the previous one, one `multiply` per step."""
         out = np.empty(np.shape(steps))
         q = np.asarray(start, float)
         for k, s in enumerate(steps):
-            out[k] = g = self.multiply(q, s)
-            q = g / np.linalg.norm(g, axis=-1, keepdims=True)
+            out[k] = q = self.multiply(q, s)
         return out
 
 
@@ -526,7 +524,7 @@ def darboux_integrate(xi, alg, base=None, stats=None):
     bottom row, then all columns at once from it.
 
     Returns the (nx, ny, payload_dim) grid of group payloads.  `stats`, when
-    given, receives the unit-norm renormalization drift (S^3 only).  A base
+    given, receives the unit-norm drift of the products (S^3 only).  A base
     the model rejects is a ValueError; a step that leaves the group or
     overflows is an IntegrationError naming its cell, the first in the
     order of the march.

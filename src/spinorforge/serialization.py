@@ -38,7 +38,7 @@ import numpy as np
 from . import lie_algebra as la
 from .clifford import Multivector, SpinElement
 from .grid import ParamGrid
-from .immersion import ImmersionData
+from .immersion import ImmersionData, checked_u_field
 from .lie_group import (MODELS, AbelianModel, model_for, model_from_params,
                         model_params)
 from .meshexport import embed_r3, write_mesh
@@ -427,6 +427,7 @@ def problem_from_dict(d):
     u_field = arrays.get("u_field")
     if u_field is not None:
         _finite(u_field, "u_field")
+        checked_u_field(data, u_field, alg)
     return data, alg, base_spinor, base_point, u_field
 
 

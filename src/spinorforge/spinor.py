@@ -16,7 +16,8 @@ flat exactly when the Gauss-Codazzi-Ricci equations hold; the solver
 reports the discrete holonomy, max |L - 1| per unit coordinate area over
 the plaquettes with L the transport around one, and flags the solution
 NOT-INTEGRABLE above `grid.residual_tolerance`, 10 h^2.
-Every spinor field is even and unit to the one fixed SPIN_NORM_TOL.
+Every spinor field is even and unit to the one fixed SPIN_NORM_TOL, a gate
+that also measures the transport's unit drift, which nothing corrects.
 
 The 1-form xi(X) = <<X phi, phi>> = rev([phi]) [X] [phi] maps adapted-frame
 coordinates to Lie-algebra coordinates; after right-multiplying the field
@@ -36,7 +37,7 @@ import numpy as np
 from .clifford import (
     PURITY_TOL, Multivector, SpinElement, adjoint_array, bivector_array,
     bivector_exp_array, gp_array, reverse_array,
-    spin_defects, spin_lift, spin_lift_array, unit_defect, vector_array,
+    spin_defects, spin_lift, spin_lift_array, vector_array,
 )
 from .lie_group import (
     IntegrationError, LieValuedOneForm, darboux_integrate,
@@ -83,15 +84,15 @@ class KillingProblem:
 
 
 # the largest odd part and |rev(phi) phi - 1| of a spinor: six orders above
-# the transport's unit drift (<= 1.4e-14 on every surface fixture, N <= 257)
+# the transport's unit drift (<= 1.6e-14 on every surface fixture, N <= 257)
 SPIN_NORM_TOL = 1e-8
 
 
 class SpinorField:
     """Grid of spin-group representatives in the adapted spinorial frame,
-    each even and unit to SPIN_NORM_TOL."""
+    each even and unit to SPIN_NORM_TOL, off by `unit_drift`."""
 
-    __slots__ = ("grid", "n", "values")
+    __slots__ = ("grid", "n", "values", "unit_drift")
 
     def __init__(self, grid, n, values):
         values = np.asarray(values, dtype=np.float64)
@@ -105,6 +106,7 @@ class SpinorField:
         self.grid = grid
         self.n = n
         self.values = values
+        self.unit_drift = unit
 
     def at(self, vertex):
         return SpinElement(Multivector(self.n, self.values[vertex]),
@@ -187,16 +189,6 @@ def connection_coefficient_fields(problem):
 # Transport and holonomy
 # =============================================================================
 
-def _renormalize(values, n):
-    """One Newton-Schulz step g (3 - rev(g) g) / 2 toward rev(g) g = 1;
-    returns (values, drift), drift being the deviation before the step."""
-    dev = unit_defect(values, n)
-    drift = float(np.max(np.abs(dev)))
-    corr = -0.5 * dev
-    corr[..., 0] += 1.0
-    return gp_array(values, corr, n), drift
-
-
 def _edge_operators(eta, h, axis, n):
     """exp(h (eta_i + eta_{i+1}) / 2) along an axis, for all edges."""
     e = np.moveaxis(eta, axis, 0)
@@ -207,28 +199,27 @@ def _edge_operators(eta, h, axis, n):
 def _transport_row(start, E, n):
     """start, E[0] start, E[1] E[0] start, ...: the prefix products along
     one row by doubling (Hillis-Steele), ceil(log2 len) products of whole
-    row slices, then one renormalization; returns (row, drift)."""
+    row slices."""
     row = np.concatenate([start[None], E])
     d = 1
     while d < len(row):
         row[d:] = gp_array(row[d:], row[:-d], n)
         d *= 2
-    row[1:], drift = _renormalize(row[1:], n)
-    return row, drift
+    return row
 
 
 def solve_killing(problem):
     """Integrate the flat-connection transport over the spanning tree
     (bottom row, then columns) and measure plaquette holonomy.
 
-    The edge rotors are unit to rounding, so the bottom row and the column
-    sweep each get one renormalization of all the nodes they produced.
+    The edge rotors are exact exponentials, unit to rounding, and the
+    transport multiplies them uncorrected.
 
     Returns (SpinorField, report) where report carries the holonomy (max
     loop-transport defect per unit coordinate area), the worst plaquette
     `holonomy_argmax` as [i, j] of its lower-left node, the threshold
     `holonomy_tol` = `residual_tolerance(grid)`, the NOT-INTEGRABLE flag and
-    the unit-norm drift before renormalization.
+    the unit drift `renorm_drift`, max |rev(phi) phi - 1| of the field.
     """
     data, alg = problem.data, problem.alg
     grid = problem.grid
@@ -244,12 +235,10 @@ def solve_killing(problem):
         if cell is not None:
             raise IntegrationError("spin transport diverged", cell=cell)
     values = np.zeros(grid.shape + (1 << n,))
-    values[:, 0], drift = _transport_row(problem.base_spinor.value.coeffs,
-                                         Ex[:, 0], n)
+    values[:, 0] = _transport_row(problem.base_spinor.value.coeffs,
+                                  Ex[:, 0], n)
     for j in range(ny - 1):
         values[:, j + 1] = gp_array(Ey[:, j], values[:, j], n)
-    values[:, 1:], d = _renormalize(values[:, 1:], n)
-    drift = max(drift, d)
 
     # plaquette holonomy: A -> B -> C -> D -> A, defect per unit area
     # the edge operators are exponentials of bivectors: rev(exp(b)) = exp(-b)
@@ -270,7 +259,7 @@ def solve_killing(problem):
         "holonomy_argmax": [int(i) for i in worst],
         "holonomy_tol": holonomy_tol,
         "integrable": bool(holonomy <= holonomy_tol),
-        "renorm_drift": drift,
+        "renorm_drift": field.unit_drift,
     }
     return field, report
 

@@ -217,6 +217,38 @@ def test_check_frame_u_field_outside_hn_is_input_error(tmp_path, capsys):
     assert "expects an H^n algebra" in capsys.readouterr().err
 
 
+# problem files whose u_field check-frame rejects: (fixture, the u_field
+# for its grid shape, the stderr line)
+_U_FIELD_PROBES = {
+    "outside-hn": ("sphere-r3",
+                   lambda shape: np.broadcast_to([0.0, 0.0, 1.0], shape + (3,)),
+                   "input error: hn_u_residual expects an H^n algebra"),
+    "zero": ("horosphere-h3", lambda shape: np.zeros(shape + (3,)),
+             "input error: |U| must equal |l| everywhere; off by 1.000e+00"),
+    "one-node": ("horosphere-h3", lambda shape: np.zeros(4),
+                 "input error: u_field must have frame components "
+                 "(nx, ny, 2 + q)"),
+}
+
+
+@pytest.mark.parametrize("command", ["check-frame", "check-gcr", "solve",
+                                     "reconstruct"])
+@pytest.mark.parametrize("probe", _U_FIELD_PROBES)
+def test_every_grid_command_rejects_a_u_field_check_frame_rejects(
+        tmp_path, capsys, probe, command):
+    name, u_field, line = _U_FIELD_PROBES[probe]
+    fx = SURFACE_FIXTURES[name](9)
+    path = tmp_path / "problem.json"
+    dump_json(problem_to_dict(fx.data, fx.alg,
+                              u_field=u_field(fx.grid.shape)), path)
+    out = tmp_path / "out"
+    out.mkdir()
+    code, err = _main_err([command, str(path), "-o", str(out / "r.json")],
+                          capsys)
+    assert (code, err.splitlines()) == (3, [line])
+    assert list(out.iterdir()) == []
+
+
 def test_solve_and_reports(tmp_path):
     out = tmp_path / "solve.json"
     assert main(["solve", "--fixture", "s3-sphere", "--grid-n", "17",

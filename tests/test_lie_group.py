@@ -627,7 +627,7 @@ def test_darboux_marches_step_per_node_only_in_s3(monkeypatch, alg):
     xi = LieValuedOneForm(grid, rng.normal(size=grid.shape + (alg.n,)),
                           rng.normal(size=grid.shape + (alg.n,)))
     darboux_integrate(xi, alg)
-    # S^3 renormalizes before each next product: one call per step
+    # S^3 takes each product from the previous one: one call per step
     assert calls["multiply"] == (16 + 8 if model.name == "s3" else 0)
 
 

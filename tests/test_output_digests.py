@@ -1,8 +1,13 @@
-"""tools/output_digests.py: the output sweep gives the same listing twice."""
+"""tools/output_digests.py: the output sweep gives the same listing twice,
+and --compare sizes what moved between two sweeps."""
 
 import importlib.util
+import json
 import os
 import pathlib
+import shutil
+
+import numpy as np
 
 import spinorforge
 
@@ -64,3 +69,50 @@ def test_the_leak_runs_fail_and_write_nothing(tmp_path):
     # only the two cmc inputs, which the runs read
     assert [line.split()[-1] for line in lines if line.startswith("file ")] \
         == ["cmc-diverging-9.cmc-input.json", "cmc-s3-pole-9.cmc-input.json"]
+
+
+def _small_sweep(tool, out):
+    """reconstruct on sphere-r3 and s3-sphere at 9 nodes, which writes JSON
+    and OBJ, and the PLY exports of their surfaces."""
+    runs = tool.grid_runs(["sphere-r3", "s3-sphere"], sizes=(9,),
+                          commands=("reconstruct",))
+    return tool.sweep(SRC, out, runs)
+
+
+def test_a_sweep_compared_with_itself_moves_no_file(tmp_path):
+    tool = load_tool()
+    _small_sweep(tool, tmp_path / "a")
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    assert tool.compare(tmp_path / "a", tmp_path / "b") == []
+    # every format the sweep writes is read
+    for path in sorted((tmp_path / "a").iterdir()):
+        assert tool.file_numbers(path), path
+
+
+def test_compare_reports_a_one_ulp_nudge_exactly(tmp_path):
+    tool = load_tool()
+    _small_sweep(tool, tmp_path / "a")
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    report = tmp_path / "b" / "sphere-r3-9.reconstruct.json"
+    blob = json.loads(report.read_text())
+    x = blob["holonomy"]
+    blob["holonomy"] = float(np.nextafter(x, np.inf))
+    report.write_text(json.dumps(blob, sort_keys=True) + "\n")
+    # one PLY vertex double, and one OBJ vertex dropped
+    ply = tmp_path / "b" / "s3-sphere-9.reconstruct.surface.export.ply"
+    data = bytearray(ply.read_bytes())
+    at = data.index(b"end_header\n") + len(b"end_header\n") + 8 * 4
+    y = np.frombuffer(bytes(data[at:at + 8]), "<f8")[0]
+    y_down = np.nextafter(y, -np.inf)
+    data[at:at + 8] = np.array([y_down], "<f8").tobytes()
+    ply.write_bytes(bytes(data))
+    obj = tmp_path / "b" / "sphere-r3-9.reconstruct.surface.obj"
+    lines = obj.read_text().splitlines(keepends=True)
+    obj.write_text("".join(lines[1:]))
+    assert tool.compare(tmp_path / "a", tmp_path / "b") == [
+        f"moved {float(y - y_down)!r} "
+        "s3-sphere-9.reconstruct.surface.export.ply",
+        f"moved {float(np.nextafter(x, np.inf) - x)!r} "
+        "sphere-r3-9.reconstruct.json",
+        "count 243 240 sphere-r3-9.reconstruct.surface.obj",
+    ]

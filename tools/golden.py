@@ -65,7 +65,7 @@ BOUNDS = {
     "isometry_error": ("stencil", 16),
     "second_fundamental_error": ("stencil", 32), "gauss": ("stencil", 128),
     # the unit drift of the transport: measured moves below 6e-16, values
-    # below 2e-15 at --grid-n 17 and below 1.4e-14 up to --grid-n 257
+    # below 2.2e-15 at --grid-n 17 and below 1.6e-14 up to --grid-n 257
     "renorm_drift": ("absolute", 1e-14),
 }
 UNITS = {

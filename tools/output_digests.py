@@ -38,13 +38,26 @@ with OUT masked in stdout and stderr, then one line per file in OUT,
 `file SHA PATH`, in sorted order, then one line per converse output,
 `converse SHA NAME-N PART`.  Two checkouts that compute the same outputs
 give byte-identical listings, and so does one checkout run twice.
+
+    python3 tools/output_digests.py --compare OUT_A OUT_B
+
+sizes what moved between two such output directories.  For each file whose
+bytes differ it prints `moved DELTA PATH`, the largest |difference| of the
+two files' numbers (exact: the shortest repr of the float), or
+`count N_A N_B PATH` when they hold different numbers of values.  Numbers
+are read as JSON numbers in document order, OBJ `v` coordinates and PLY
+vertex doubles; another differing file is `unread PATH`, and a file in one
+directory alone is `only DIR PATH`.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 GRID_SIZES = (17, 33)
 GRID_COMMANDS = ("check-frame", "check-gcr", "solve", "reconstruct")
@@ -253,6 +266,66 @@ def converse_lines(fixtures, sizes=GRID_SIZES):
     return lines
 
 
+def file_numbers(path):
+    """The numbers of an output file in file order, as floats: a JSON
+    document's numbers (not its booleans), an OBJ file's `v` coordinates
+    or a PLY file's vertex doubles; None for any other file."""
+    path = Path(path)
+    if path.suffix == ".json":
+        numbers = []
+
+        def walk(node):
+            if isinstance(node, (dict, list)):
+                for child in node.values() if isinstance(node, dict) else node:
+                    walk(child)
+            elif isinstance(node, (int, float)) and not isinstance(node, bool):
+                numbers.append(float(node))
+        walk(json.loads(path.read_text()))
+        return numbers
+    if path.suffix == ".obj":
+        return [float(t) for line in path.read_text().splitlines()
+                if line.startswith("v ") for t in line.split()[1:]]
+    if path.suffix == ".ply":     # as meshexport writes it: x, y, z doubles
+        data = path.read_bytes()
+        end = data.index(b"end_header\n") + len(b"end_header\n")
+        count = next(int(line.split()[-1]) for line in
+                     data[:end].decode("ascii").splitlines()
+                     if line.startswith("element vertex "))
+        return np.frombuffer(data, "<f8", 3 * count, end).tolist()
+    return None
+
+
+def compare(out_a, out_b):
+    """The lines of `--compare`, one per file that differs between the
+    output directories out_a and out_b, in sorted order of the paths."""
+    out_a, out_b = Path(out_a), Path(out_b)
+
+    def files(out):
+        return {path.relative_to(out) for path in out.rglob("*")
+                if path.is_file()}
+    in_a, in_b = files(out_a), files(out_b)
+    lines = []
+    for rel in sorted(in_a | in_b):
+        if rel not in in_a or rel not in in_b:
+            lines.append(f"only {out_a if rel in in_a else out_b} {rel}")
+            continue
+        a, b = out_a / rel, out_b / rel
+        if a.read_bytes() == b.read_bytes():
+            continue
+        xa, xb = file_numbers(a), file_numbers(b)
+        if xa is None:
+            lines.append(f"unread {rel}")
+        elif len(xa) != len(xb):
+            lines.append(f"count {len(xa)} {len(xb)} {rel}")
+        else:
+            xa, xb = np.array(xa), np.array(xb)
+            with np.errstate(invalid="ignore"):     # inf - inf
+                delta = np.where((xa == xb) | (np.isnan(xa) & np.isnan(xb)),
+                                 0.0, np.abs(xa - xb))
+            lines.append(f"moved {float(np.max(delta, initial=0.0))!r} {rel}")
+    return lines
+
+
 def full_sweep_runs(src, out):
     """The runs of the full sweep, naming the fixtures and catalog tags of
     the checkout at src; writes its problem files to out."""
@@ -271,8 +344,14 @@ def full_sweep_runs(src, out):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 3 and argv[0] == "--compare":
+        for line in compare(*argv[1:]):
+            print(line)
+        return 0
     if len(argv) != 2:
-        print("usage: python3 tools/output_digests.py SRC OUT", file=sys.stderr)
+        print("usage: python3 tools/output_digests.py SRC OUT\n"
+              "       python3 tools/output_digests.py --compare OUT_A OUT_B",
+              file=sys.stderr)
         return 3
     src, out = argv
     lines = sweep(src, out, full_sweep_runs(src, out))
