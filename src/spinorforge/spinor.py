@@ -32,6 +32,8 @@ e3 e1) ~ (i, j, k) on bivectors, and quaternions are stored as pairs
 (a, b) = a + j b with (a, b)(c, d) = (ac - conj(b) d, conj(a) d + b c).
 """
 
+import math
+
 import numpy as np
 
 from .clifford import (
@@ -401,11 +403,20 @@ def verify_reconstruction(F, problem, xi_normals):
 
 def _continuous_normal_frames(zx, zy, mu, n):
     """Orthonormal frames [e1 | e2 | n_1 ... n_q] with det +1, the normal
-    part chosen continuously by marching from the origin node.
+    part chosen continuously along the spanning tree from the origin node
+    (the bottom row, then the columns).
 
     The discrete tangents are only conformal to O(h^2), so they are
     Gram-Schmidt orthonormalized exactly; the frame stays O(h^2) from the
     true one and satisfies the strict orthonormality invariant.
+
+    Each normal is its own chain down the tree, n_r = P_r n_r(parent) / |.|
+    with P_r = I - e1 e1^T - e2 e2^T - sum_{s<r} n_s n_s^T at the node: the
+    modified Gram-Schmidt step of the parent's frame, from a QR completion
+    at the origin.  The last normal is flipped afterwards for det +1 (its
+    chain is odd in its seed, and no other normal depends on it).  Any
+    normalizer |P_r v| below 1e-8 (a normal turning into the tangent plane)
+    raises "degenerate normal completion".
     """
     nx, ny = mu.shape
     q = n - 2
@@ -419,32 +430,30 @@ def _continuous_normal_frames(zx, zy, mu, n):
         frames[..., 2] = np.cross(e1, e2)
         return frames
 
-    def complete(t1, t2, seed):   # over a slice of nodes
-        cols = []
+    seed = np.linalg.qr(np.column_stack([e1[0, 0], e2[0, 0], np.eye(n)]))[0]
+    P = np.eye(n) - np.einsum("xyi,xyj->xyij", e1, e1)
+    P -= np.einsum("xyi,xyj->xyij", e2, e2)
+    norms = np.empty((q, nx, ny))
+    with np.errstate(divide="ignore", invalid="ignore"):
         for r in range(q):
-            v = seed[..., r]
-            for b in [t1, t2] + cols:
-                v = v - np.einsum("...i,...i->...", b, v)[..., None] * b
-            nv = np.linalg.norm(v, axis=-1, keepdims=True)
-            if not np.min(nv) >= 1e-8:
-                raise ValueError("degenerate normal completion; immersion "
-                                 "nearly tangent to the seed frame")
-            cols.append(v / nv)
-        return np.stack(cols, axis=-1)
-
-    # seed at the origin: complete the tangent pair by QR, fix orientation
-    A = np.column_stack([e1[0, 0], e2[0, 0], np.eye(n)])
-    qmat, _ = np.linalg.qr(A)
-    seed = qmat[:, 2:2 + q].copy()
-    frames[0, 0, :, 2:] = complete(e1[0, 0], e2[0, 0], seed)
+            c = np.empty((nx, ny, n))
+            v = seed[:, 2 + r]
+            for i in range(nx):
+                v = P[i, 0] @ v
+                norms[r, i, 0] = nv = math.sqrt(v @ v)
+                v = c[i, 0] = v / nv
+            for j in range(1, ny):
+                v = np.einsum("xij,xj->xi", P[:, j], c[:, j - 1])
+                nv = norms[r, :, j] = np.linalg.norm(v, axis=-1)
+                c[:, j] = v / nv[:, None]
+            frames[..., 2 + r] = c
+            if r + 1 < q:
+                P -= np.einsum("xyi,xyj->xyij", c, c)
+    if not np.min(norms) >= 1e-8:
+        raise ValueError("degenerate normal completion; immersion "
+                         "nearly tangent to the seed frame")
     if np.linalg.det(frames[0, 0]) < 0:
-        frames[0, 0, :, n - 1] *= -1.0
-    for i in range(1, nx):
-        frames[i, 0, :, 2:] = complete(e1[i, 0], e2[i, 0],
-                                       frames[i - 1, 0, :, 2:])
-    for j in range(1, ny):
-        frames[:, j, :, 2:] = complete(e1[:, j], e2[:, j],
-                                       frames[:, j - 1, :, 2:])
+        frames[..., n - 1] *= -1.0
     return frames
 
 
@@ -464,10 +473,14 @@ def spinor_of_immersion(F, alg, grid):
     the frame rotation.  The result satisfies the Killing equation to O(h^2)
     and round-trips with the reconstruction up to a rigid motion.
     """
+    model = model_for(alg)
+    shape = grid.shape + (model.payload_dim,)
+    if np.shape(F) != shape:
+        raise ValueError(f"the immersion F has shape {np.shape(F)}; the grid "
+                         f"and the group need {shape}")
     cell = first_non_finite(F)
     if cell is not None:
         raise ValueError(f"the immersion F is not finite at node {cell}")
-    model = model_for(alg)
     n = alg.n
     q = n - 2
     conformal_tol = max(CONFORMAL_TOL_H2 * grid.h ** 2, CONFORMAL_TOL_MIN)

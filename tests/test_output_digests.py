@@ -1,6 +1,7 @@
 """tools/output_digests.py: the output sweep gives the same listing twice,
 and --compare sizes what moved between two sweeps."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -116,3 +117,28 @@ def test_compare_reports_a_one_ulp_nudge_exactly(tmp_path):
         "sphere-r3-9.reconstruct.json",
         "count 243 240 sphere-r3-9.reconstruct.surface.obj",
     ]
+
+
+def test_compare_sizes_a_one_ulp_nudge_of_a_converse_part(tmp_path):
+    tool = load_tool()
+    from spinorforge.cli import SURFACE_FIXTURES
+    fixtures = {name: SURFACE_FIXTURES[name]
+                for name in ("sphere-r3", "sphere-r4-twisted")}
+    lines = tool.converse_lines(fixtures, sizes=(9,),
+                                save=tmp_path / "a" / "converse")
+    # one file per digest line, holding the digested bytes
+    for _, sha, name, part in map(str.split, lines):
+        array = np.load(tmp_path / "a" / "converse" / f"{name}.{part}.npy")
+        assert hashlib.sha256(array.tobytes()).hexdigest() == sha
+    assert len(list((tmp_path / "a" / "converse").iterdir())) == len(lines)
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    assert tool.compare(tmp_path / "a", tmp_path / "b") == []
+    path = tmp_path / "b" / "converse" / "sphere-r4-twisted-9.frames.npy"
+    frames = np.load(path)
+    x = frames[2, 7, 1, 2]
+    frames[2, 7, 1, 2] = np.nextafter(x, np.inf)
+    np.save(path, frames)
+    assert tool.file_numbers(path) == frames.ravel().tolist()
+    assert tool.compare(tmp_path / "a", tmp_path / "b") == [
+        f"moved {float(np.nextafter(x, np.inf) - x)!r} "
+        "converse/sphere-r4-twisted-9.frames.npy"]

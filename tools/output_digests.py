@@ -37,7 +37,9 @@ The listing has one line per run, `run EXIT SHA(stdout) SHA(stderr) ARGV`,
 with OUT masked in stdout and stderr, then one line per file in OUT,
 `file SHA PATH`, in sorted order, then one line per converse output,
 `converse SHA NAME-N PART`.  Two checkouts that compute the same outputs
-give byte-identical listings, and so does one checkout run twice.
+give byte-identical listings, and so does one checkout run twice.  After
+the files are listed, each converse output is also saved as
+OUT/converse/NAME-N.PART.npy, for `--compare`.
 
     python3 tools/output_digests.py --compare OUT_A OUT_B
 
@@ -45,9 +47,9 @@ sizes what moved between two such output directories.  For each file whose
 bytes differ it prints `moved DELTA PATH`, the largest |difference| of the
 two files' numbers (exact: the shortest repr of the float), or
 `count N_A N_B PATH` when they hold different numbers of values.  Numbers
-are read as JSON numbers in document order, OBJ `v` coordinates and PLY
-vertex doubles; another differing file is `unread PATH`, and a file in one
-directory alone is `only DIR PATH`.
+are read as JSON numbers in document order, OBJ `v` coordinates, PLY
+vertex doubles and the entries of a `.npy` array; another differing file
+is `unread PATH`, and a file in one directory alone is `only DIR PATH`.
 """
 
 import hashlib
@@ -242,12 +244,15 @@ def sweep(src, out, runs):
     return lines + file_lines(out)
 
 
-def converse_lines(fixtures, sizes=GRID_SIZES):
+def converse_lines(fixtures, sizes=GRID_SIZES, save=None):
     """Digest the converse `spinor_of_immersion` of each fixture's immersion
     at each size: its spinor values, frames, mu, B and theta as raw float
     bytes, one line `converse SHA NAME-N PART` each; a converse that fails
-    is one line `converse error SHA(message) NAME-N`."""
+    is one line `converse error SHA(message) NAME-N`.  With a directory
+    `save`, each part is also written there as NAME-N.PART.npy."""
     from spinorforge.spinor import spinor_of_immersion
+    if save is not None:
+        Path(save).mkdir(parents=True, exist_ok=True)
     lines = []
     for name, make in fixtures.items():
         for n in sizes:
@@ -263,14 +268,20 @@ def converse_lines(fixtures, sizes=GRID_SIZES):
                      "theta_x": data.theta_x, "theta_y": data.theta_y}
             lines += [f"converse {_sha(array.tobytes())} {name}-{n} {part}"
                       for part, array in parts.items()]
+            if save is not None:
+                for part, array in parts.items():
+                    np.save(Path(save) / f"{name}-{n}.{part}.npy", array)
     return lines
 
 
 def file_numbers(path):
     """The numbers of an output file in file order, as floats: a JSON
-    document's numbers (not its booleans), an OBJ file's `v` coordinates
-    or a PLY file's vertex doubles; None for any other file."""
+    document's numbers (not its booleans), an OBJ file's `v` coordinates,
+    a PLY file's vertex doubles or a `.npy` array's entries; None for any
+    other file."""
     path = Path(path)
+    if path.suffix == ".npy":
+        return np.load(path).ravel().tolist()
     if path.suffix == ".json":
         numbers = []
 
@@ -356,7 +367,8 @@ def main(argv=None):
     src, out = argv
     lines = sweep(src, out, full_sweep_runs(src, out))
     from spinorforge import cli     # SRC's, as full_sweep_runs put it first
-    lines += converse_lines(dict(sorted(cli.SURFACE_FIXTURES.items())))
+    lines += converse_lines(dict(sorted(cli.SURFACE_FIXTURES.items())),
+                            save=Path(out) / "converse")
     for line in lines:
         print(line)
     return 0
