@@ -1,36 +1,40 @@
 """Dense real Clifford algebras Cl_n with the convention e_i^2 = -1.
 
-A multivector of the rank-n algebra is a dense coefficient array of length
-2**n indexed by basis-blade bitmask: bit g of the index set means the blade
-contains the generator e_{g+1}, generators ordered ascending.  The single
-global sign convention, used by every other module, is
+A multivector of the rank-n algebra is a coefficient array indexed by
+basis-blade bitmask: bit g of the index set means the blade contains the
+generator e_{g+1}, generators ordered ascending.  The single global sign
+convention, used by every other module, is
 
     X * Y + Y * X = -2 <X, Y>   for vectors X, Y      (so e_i * e_i = -1).
 
 Blade product signs are precomputed once per algebra by popcount counting
 over the whole table at once (anticommutation swaps plus one factor -1 per
 contracted pair).
-n is capped at 8, i.e. 256 coefficients; everything is plain float64 numpy
-and the low-level kernels broadcast over leading axes so that fields of
-multivectors (grids) go through the same code path.
+n is capped at 8, i.e. 256 coefficients; everything is plain float64 numpy.
 
-`gp_array`, the geometric product every other kernel is built on, keeps
-this full layout but multiplies only live blades: a blade is live when some
-node has a nonzero or non-finite coefficient in it, found by one reduction
-per operand.  Spinor fields, edge rotors and holonomy loops are even, so a
-product of two of them touches a quarter of the 2**n x 2**n blade pairs
-(the quaternions for n = 3, Sp(1) x Sp(1) for n = 4).  The term table of
-each pattern of live blades is cached, and each live row of the left
-factor is one numpy call over all nodes.  Terms are added in the order of
-the dense loop over all blades, and the skipped ones are exact zeros, so
-the products are bit-identical to it.
+Two layouts.  `Multivector`, `SpinElement` and the `*_array` functions keep
+all 2**n coefficients on the last axis, broadcasting over leading axes.
+Spin-group fields (spinor fields, edge rotors, holonomy loops) lie in the
+even subalgebra and are kept as their 2**(n-1) even coefficients,
+blade-major: shape (2**(n-1), ...nodes), rows in ascending blade order, so
+row 0 is the scalar part (`to_even`, `from_even`).  An odd operand, such as
+a vector, has the same shape over the odd blades.
+
+`gp_blades` is the one product kernel.  Its term table per (n, parity of
+a, parity of b) is built from `blade_tables` on first use: per row i of a,
+the signs s(i, i ^ k) and the rows of b that meet it on each output blade
+k.  The rows are added in ascending order to a zero start, which is the
+order of the dense loop over all blades, so products are bit-identical to
+it: a small product in one numpy reduction over the rows, a large one a
+row at a time over all nodes.  `gp_array`, the product of full-layout
+arrays, splits its operands by parity and calls the kernel.
 
 `exp_array` is the general exponential of any multivector (a Taylor series
 with scaling and squaring).  Bivector fields, the transport steps of the
-spinor solver, go through `bivector_exp_array`, which is exact and free of
+spinor solver, go through `bivector_exp_even`, which is exact and free of
 geometric products for n <= 4 (Spin(3) and Spin(4) = Sp(1) x Sp(1)), and
-so is the inverse of the adjoint action there, the spin lift of a rotation
-field (`spin_lift_array`).
+so are the adjoint action `adjoint_even` and its inverse, the spin lift of
+a rotation field (`spin_lift_even`).
 
 Multivectors are immutable values; all operations return new objects.
 """
@@ -86,78 +90,170 @@ def grade_indices(n, k):
 
 
 # =============================================================================
-# Array kernels (broadcast over leading axes, last axis = 2**n coefficients)
+# The product kernel (blade-major parity parts) and the full-layout product
 # =============================================================================
 
-def _blade_weights(x, dim):
-    """Per-blade sums of |coefficient| over all nodes of x (..., dim): zero
-    exactly where every node's coefficient is zero, nan or inf where any
-    node is non-finite."""
-    flat = x.reshape(-1, dim)
-    return np.ones(flat.shape[0]) @ np.abs(flat)
+EVEN, ODD = 0, 1
 
 
-def _blade_major(x, blades, shape):
-    """The listed blades of x (..., dim) over the nodes of `shape`, which
-    x's leading axes broadcast to: a (len(blades), nodes) copy."""
-    out = x.reshape(-1, x.shape[-1]).T[blades]
-    if x.shape[:-1] != shape:
-        lead = (1,) * (len(shape) - x.ndim + 1) + x.shape[:-1]
-        out = np.broadcast_to(out.reshape(blades.shape + lead),
-                              blades.shape + shape)
-    return out.reshape(len(blades), math.prod(shape))
+@lru_cache(maxsize=None)
+def parity_blades(n, parity):
+    """The blades of one parity (EVEN or ODD) in ascending order, or every
+    blade for parity None (the full layout)."""
+    _, grades = blade_tables(n)
+    if parity is None:
+        blades = np.arange(1 << n)
+    else:
+        blades = np.flatnonzero(grades % 2 == parity)
+    blades.flags.writeable = False
+    return blades
 
 
-@lru_cache(maxsize=256)
-def _gp_terms(n, live_a, live_b):
-    """Term table of a product whose live blades are the boolean masks
-    live_a, live_b (as bytes): the live rows i and columns j, and per live
-    row, ascending, the signs s(i, j) over the live columns (a column
-    vector) and the output blades i ^ j they land on."""
+@lru_cache(maxsize=None)
+def _parity_rows(n):
+    """The row of each blade in the blade-major layout of its parity."""
+    rows = np.zeros(1 << n, dtype=np.intp)
+    for parity in (EVEN, ODD):
+        rows[parity_blades(n, parity)] = np.arange(1 << (n - 1))
+    rows.flags.writeable = False
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _product_terms(n, pa, pb):
+    """Term table of a product of layouts pa, pb (EVEN, ODD, or None with
+    None for the full layout), as (signs, rows), each (rows of a, output
+    blades): for row blade i of a, ascending, the signs s(i, i ^ k) over
+    the output blades k and the rows of b that hold the blades i ^ k."""
     signs, _ = blade_tables(n)
-    rows = np.flatnonzero(np.frombuffer(live_a, dtype=bool))
-    cols = np.flatnonzero(np.frombuffer(live_b, dtype=bool))
-    terms = tuple((signs[i, cols, None].astype(np.float64), i ^ cols)
-                  for i in rows)
-    for table in (rows, cols) + sum(terms, ()):
-        table.flags.writeable = False
-    return rows, cols, terms
+    i = parity_blades(n, pa)[:, None]
+    out = parity_blades(n, None if pa is None else pa ^ pb)
+    position = np.arange(1 << n) if pb is None else _parity_rows(n)
+    table = (signs[i, i ^ out].astype(np.float64), position[i ^ out])
+    for part in table:
+        part.flags.writeable = False
+    return table
+
+
+def _pad_nodes(x, nodes):
+    """x (blades, ...) with its node axes padded on the left to `nodes`
+    axes, so that node axes broadcast as leading axes do."""
+    return x.reshape(x.shape[:1] + (1,) * (nodes - x.ndim + 1) + x.shape[1:])
+
+
+# below this many terms times nodes a product is one numpy call per step
+# over every term at once, above it one per row of a: on 2 vCPUs the first
+# took 12 against 40 us for n = 3 on 65 nodes, and 580 against 130 us on
+# 65^2 nodes
+BATCH_TERMS = 1 << 15
+
+
+def _accumulate(a, b, signs, rows):
+    """sum over the rows i of a of (s_i a_i) b[J_i], row by row in the
+    order given, into a zero start: the kernel behind every geometric
+    product, for term tables (signs, rows) of `_product_terms`.  Small
+    products add the rows in one reduction over the row axis, which
+    numpy runs as the same row-by-row sums."""
+    nodes = max(a.ndim, b.ndim) - 1
+    a, b = _pad_nodes(a, nodes), _pad_nodes(b, nodes)
+    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    lift = (1,) * nodes
+    if signs.size * math.prod(shape) <= BATCH_TERMS:
+        terms = signs.reshape(signs.shape + lift) * a[:, None]
+        return np.add.reduce(terms * b[rows], axis=0, initial=0.0)
+    out = np.zeros(signs.shape[1:] + shape)
+    t = np.empty_like(out)
+    for ai, sign, row in zip(a, signs, rows):
+        np.multiply(sign.reshape(sign.shape + lift), ai, out=t)
+        t *= b[row]
+        out += t
+    return out
+
+
+def gp_blades(a, b, n, pa=EVEN, pb=EVEN):
+    """Geometric product of blade-major parity parts: a (2**(n-1), ...) over
+    the blades of parity pa, b likewise over pb, node axes broadcasting as
+    leading axes do.  The result is the part of parity pa ^ pb, the rest
+    being zero.  Output blade k is the sum of s(i, i ^ k) a_i b_(i ^ k),
+    added in ascending i to a zero start: the order of the dense loop over
+    all 2**n blades, whose other terms are exact zeros for finite inputs,
+    so the products are bit-identical to it."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return _accumulate(a, b, *_product_terms(n, pa, pb))
+
+
+def _parity(x, n):
+    """EVEN or ODD when x (blades, ...) is zero on every blade of the other
+    parity, None for a mixed x."""
+    for parity in (EVEN, ODD):
+        if not np.any(x[parity_blades(n, 1 - parity)]):
+            return parity
+    return None
 
 
 def gp_array(a, b, n):
-    """Geometric product of coefficient arrays, broadcasting leading axes.
+    """Geometric product of full-layout coefficient arrays (..., 2**n),
+    broadcasting leading axes, bit-identical to the dense row loop.
 
-    Only live blades are multiplied: a blade is live when some node has a
-    nonzero (or non-finite) coefficient in it.  Output blade k is the sum of
-    s(i, j) a_i b_j over the live pairs i ^ j = k, added in ascending i to a
-    zero start, which is the order of the dense row loop over all 2**n
-    blades; the pairs left out contribute exact +-0, so finite inputs give
-    bit-identical results.  When a is non-finite every column stays live,
-    so inf * 0 makes the same nan the dense loop makes.  Each live row of a
-    is one numpy call over all nodes and live columns, on blade-major
-    copies, added into the output blades i ^ cols, distinct within a row.
+    Operands of one parity each take one `gp_blades` product of their
+    parts.  A mixed operand takes the full-layout table, whose rows
+    interleave both parities in the dense loop's order (summing two
+    parity products would change that order).  A non-finite operand takes
+    it too, over the rows of a that are nonzero at some node, as the dense
+    loop skips the others: inf * 0 then makes the loop's nan, and no more.
     """
     dim = 1 << n
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    shape = a.shape[:-1]
-    if b.shape[:-1] != shape:
-        shape = np.broadcast_shapes(shape, b.shape[:-1])
-    weights = _blade_weights(a, dim)
-    live_a = weights != 0
-    if math.isfinite(weights.sum()):   # an overflow only costs speed
-        live_b = _blade_weights(b, dim) != 0
-    else:
-        live_b = np.ones(dim, dtype=bool)
-    rows, cols, terms = _gp_terms(n, live_a.tobytes(), live_b.tobytes())
-    at = _blade_major(a, rows, shape)
-    bt = _blade_major(b, cols, shape)
-    out = np.zeros((dim, math.prod(shape)))
-    for ai, (sign, blades) in zip(at, terms):
-        t = sign * ai
-        t *= bt
-        out[blades] += t
-    return np.ascontiguousarray(out.T).reshape(shape + (dim,))
+    a = np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)
+    b = np.moveaxis(np.asarray(b, dtype=np.float64), -1, 0)
+    finite = np.all(np.isfinite(a)) and np.all(np.isfinite(b))
+    pa, pb = (_parity(a, n), _parity(b, n)) if finite else (None, None)
+    if pa is None or pb is None:
+        signs, rows = _product_terms(n, None, None)
+        live = np.arange(dim) if finite else np.flatnonzero(
+            np.any(a.reshape(dim, -1) != 0, axis=1))
+        if not len(live):
+            shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+            return np.zeros(shape + (dim,))
+        out = _accumulate(a[live], b, signs[live], rows[live])
+        return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+    part = gp_blades(a[parity_blades(n, pa)], b[parity_blades(n, pb)], n,
+                     pa, pb)
+    out = np.zeros(part.shape[1:] + (dim,))
+    out[..., parity_blades(n, pa ^ pb)] = np.moveaxis(part, 0, -1)
+    return out
+
+
+def to_even(a, n):
+    """The even part of full-layout arrays a (..., 2**n), blade-major:
+    (2**(n-1), ...)."""
+    return np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)[
+        parity_blades(n, EVEN)]
+
+
+def from_even(e, n):
+    """Full-layout arrays (..., 2**n) of blade-major even parts e."""
+    e = np.asarray(e, dtype=np.float64)
+    out = np.zeros(e.shape[1:] + (1 << n,))
+    out[..., parity_blades(n, EVEN)] = np.moveaxis(e, 0, -1)
+    return out
+
+
+def reverse_even(e, n):
+    """rev(e) of a blade-major even e: a fixed sign per row."""
+    e = np.asarray(e, dtype=np.float64)
+    signs = reversal_signs(n)[parity_blades(n, EVEN)]
+    return e * signs.reshape((-1,) + (1,) * (e.ndim - 1))
+
+
+def even_unit_defect(e, n):
+    """max |rev(e) e - 1| of a blade-major even field e; nan for a
+    non-finite e, decided before the product, where inf * 0 would raise."""
+    if not np.all(np.isfinite(e)):
+        return math.nan
+    out = gp_blades(reverse_even(e, n), e, n)
+    out[0] -= 1.0
+    return float(np.max(np.abs(out)))
 
 
 def reverse_array(a, n):
@@ -211,7 +307,7 @@ def exp_array(a, n, terms=18):
 
     This is the general series, `terms` geometric products per field plus
     one per squaring; the series converges fast after scaling to max-norm
-    <= 0.5.  Bivector fields have the closed form `bivector_exp_array`.
+    <= 0.5.  Bivector fields have the closed form `bivector_exp_even`.
     """
     a = np.asarray(a, dtype=np.float64)
     m = float(np.max(np.abs(a))) if a.size else 0.0
@@ -231,19 +327,22 @@ def exp_array(a, n, terms=18):
 
 @lru_cache(maxsize=None)
 def _pseudoscalar_gathers(n):
-    """With I the top blade of Cl_n, per bivector blade: its complement
-    I ^ blade, the sign of blade * complement (the I part of b^2 pairs each
-    blade with its complement) and the sign of I * blade."""
+    """With I the top blade of Cl_n, per bivector blade: its row in the even
+    layout, the row of its complement I ^ blade, the sign of blade *
+    complement (the I part of b^2 pairs each blade with its complement) and
+    the sign of I * blade."""
     signs, _ = blade_tables(n)
     top = (1 << n) - 1
     biv = grade_indices(n, 2)
-    return top ^ biv, signs[biv, top ^ biv], signs[top, biv]
+    rows = _parity_rows(n)
+    return rows[biv], rows[top ^ biv], signs[biv, top ^ biv], signs[top, biv]
 
 
-def bivector_exp_array(a, n):
-    """exp(b) of bivector fields b (..., 2**n) in closed form for n <= 4,
-    where coefficients outside grade 2 are not read.  For n >= 5 this is
-    `exp_array`, which exponentiates every coefficient.
+def bivector_exp_even(e, n):
+    """exp(b) of bivector fields, blade-major even in and out: e
+    (2**(n-1), ...), of which only the grade-2 rows are read, in closed form
+    for n <= 4.  For n >= 5 this is `exp_array`, which exponentiates every
+    coefficient, on the full layout.
 
     For n <= 3 every bivector is simple: b^2 = -|b|^2 and
     exp(b) = cos|b| + (sin|b| / |b|) b.  For n = 4 the pseudoscalar
@@ -254,28 +353,28 @@ def bivector_exp_array(a, n):
         exp(b) = (C+ + C-)/2 + (C+ - C-)/2 I + (S+ + S-)/2 b + (S+ - S-)/2 I b
 
     (the invariant decomposition of Roelfs & De Keninck, arXiv:2107.03771).
-    p and I b are index/sign gathers; no geometric product is taken.
+    p and I b are row/sign gathers; no geometric product is taken.
     """
     if n >= 5:
-        return exp_array(a, n)
-    a = np.asarray(a, dtype=np.float64)
-    biv = grade_indices(n, 2)
-    b = a[..., biv]
-    out = np.zeros(a.shape)
-    s = -np.sum(b * b, axis=-1)
+        return to_even(exp_array(from_even(e, n), n), n)
+    e = np.asarray(e, dtype=np.float64)
+    rows, comp, pair_sign, i_sign = _pseudoscalar_gathers(n)
+    lift = (-1,) + (1,) * (e.ndim - 1)
+    b = e[rows]
+    out = np.zeros(e.shape)
+    s = -np.sum(b * b, axis=0)
     if n < 4:
         c, sc = cosh_sinhc(s)
-        out[..., 0] = c
-        out[..., biv] = sc[..., None] * b
+        out[0] = c
+        out[rows] = sc * b
         return out
-    comp, pair_sign, i_sign = _pseudoscalar_gathers(n)
-    p = np.sum(pair_sign * b * a[..., comp], axis=-1)
+    p = np.sum(pair_sign.reshape(lift) * b * e[comp], axis=0)
     cp, sp = cosh_sinhc(s + p)
     cm, sm = cosh_sinhc(s - p)
-    out[..., 0] = 0.5 * (cp + cm)
-    out[..., -1] = 0.5 * (cp - cm)
-    out[..., biv] = 0.5 * (sp + sm)[..., None] * b
-    out[..., comp] += 0.5 * (sp - sm)[..., None] * i_sign * b
+    out[0] = 0.5 * (cp + cm)
+    out[-1] = 0.5 * (cp - cm)
+    out[rows] = 0.5 * (sp + sm) * b
+    out[comp] += 0.5 * (sp - sm) * i_sign.reshape(lift) * b
     return out
 
 
@@ -494,8 +593,9 @@ def _bivector_pairs(n):
     return j, k, (1 << j) | (1 << k)
 
 
-def bivector_array(m):
-    """Bivector coefficients (..., 2**n) of skew matrix fields (..., n, n).
+def bivector_even(m):
+    """Blade-major even bivector fields (2**(n-1), ...) of skew matrix
+    fields (..., n, n).
 
     The coefficient of e_j e_k (j < k) is m[..., k, j]; only the strictly
     lower triangle is read, so a matrix that is skew up to rounding maps as
@@ -504,9 +604,14 @@ def bivector_array(m):
     m = np.asarray(m, dtype=np.float64)
     n = m.shape[-1]
     j, k, blade = _bivector_pairs(n)
-    out = np.zeros(m.shape[:-2] + (1 << n,))
-    out[..., blade] = m[..., k, j]
+    out = np.zeros((1 << (n - 1),) + m.shape[:-2])
+    out[_parity_rows(n)[blade]] = np.moveaxis(m[..., k, j], -1, 0)
     return out
+
+
+def bivector_array(m):
+    """`bivector_even` in the full layout (..., 2**n)."""
+    return from_even(bivector_even(m), np.shape(m)[-1])
 
 
 def bivector_of_skew(u):
@@ -593,20 +698,40 @@ class SpinElement:
 
 
 def adjoint_array(g, n):
-    """Matrices (..., n, n) of x -> g * x * reversal(g) on vectors, for a
-    field of multivectors g (..., 2**n); column k is the image of e_k.
+    """`adjoint_even` of full-layout fields g (..., 2**n), whose odd
+    coefficients are not read (a spin element is even)."""
+    return adjoint_even(to_even(g, n), n)
+
+
+def adjoint_even(e, n):
+    """Matrices (..., n, n) of x -> a * x * reversal(a) on vectors, for
+    blade-major even fields a (2**(n-1), ...); column k is the image of e_k.
 
     Returns (matrices, impurity), impurity being the largest coefficient the
-    images carry outside grade 1 (zero up to rounding for spin elements).
+    images carry outside grade 1.  For n = 3 and 4 the images of vectors
+    under any even a are vectors, and Ad(a) is the quadratic form in a of
+    `_closed_form_maps`: one gather and one einsum over the outer product
+    z, with impurity 0.  Other n take the two products a e_k and
+    (a e_k) rev(a) per k, the first with odd tables.
     """
-    g = np.asarray(g, dtype=np.float64)
-    rev = reverse_array(g, n)
-    cols, impurity = [], []
+    e = np.asarray(e, dtype=np.float64)
+    lead = e.shape[1:]
+    if n in (3, 4):
+        T = _closed_form_adjoint(e.reshape(len(e), -1), n)
+        return np.moveaxis(T.reshape((n, n) + lead), (0, 1), (-2, -1)), 0.0
+    rev = reverse_even(e, n)
+    vectors = _parity_rows(n)[1 << np.arange(n)]
+    other = np.ones(1 << (n - 1), dtype=bool)
+    other[vectors] = False
+    cols, impurity = [], 0.0
     for k in range(n):
-        out = gp_array(gp_array(g, vector_array(np.eye(n)[k], n), n), rev, n)
-        impurity.append(non_grade_norm(out, n, (1,)))
-        cols.append(vector_part_array(out, n))
-    return np.stack(cols, axis=-1), float(np.max(impurity))
+        x = np.zeros(1 << (n - 1))
+        x[vectors[k]] = 1.0
+        out = gp_blades(gp_blades(e, x, n, EVEN, ODD), rev, n, ODD, EVEN)
+        if other.any():
+            impurity = max(impurity, float(np.max(np.abs(out[other]))))
+        cols.append(out[vectors])
+    return np.moveaxis(np.stack(cols, axis=-1), 0, -2), impurity
 
 
 def adjoint_action(a, x):
@@ -625,10 +750,28 @@ def adjoint_action(a, x):
     return Multivector.from_vector(a.adjoint_matrix() @ x.vector())
 
 
+def worst_node(defect):
+    """The index tuple of the largest entry of a defect field, or of its
+    first nan."""
+    return tuple(int(i) for i in np.unravel_index(np.argmax(defect),
+                                                  np.shape(defect)))
+
+
+def _at_node(defect, shape):
+    """' at node (i, j)' for the worst node of a flat defect over the nodes
+    of `shape`; empty for a single matrix."""
+    return f" at node {worst_node(defect.reshape(shape))}" if shape else ""
+
+
 def spin_lift_array(T):
-    """Spin lifts a (..., 2**n), Ad(a) = T, of rotation fields T (..., n, n),
-    signed so that each node's first nonzero coefficient, the scalar part
-    unless that vanishes, is positive.
+    """`spin_lift_even` in the full layout (..., 2**n)."""
+    return from_even(spin_lift_even(T), np.shape(T)[-1])
+
+
+def spin_lift_even(T):
+    """Spin lifts a, Ad(a) = T, of rotation fields T (..., n, n), blade-major
+    even (2**(n-1), ...), signed so that each node's first nonzero
+    coefficient, the scalar part unless that vanishes, is positive.
 
     n = 3 and 4 have a closed form (`_closed_form_lift`): Ad(a) is
     quadratic in the even coefficients of a, so one fixed linear map takes
@@ -638,22 +781,26 @@ def spin_lift_array(T):
     into Givens rotations of the planes (i-1, i) in one order (columns j,
     rows i from n-1 down to j+1) and multiply their half-angle rotors.
     The orthogonality gate pins |det T| to 1, and a field with any
-    reflection (det < 0) is rejected since it has no spin lift.
+    reflection (det < 0) is rejected since it has no spin lift.  A failed
+    gate names its worst node (the first nan if any).
     """
     T = np.asarray(T, dtype=np.float64)
     if T.ndim < 2 or T.shape[-2] != T.shape[-1]:
         raise ValueError("spin_lift needs a square matrix")
     n = T.shape[-1]
+    lead = T.shape[:-2]
     t = np.ascontiguousarray(T.reshape(-1, n * n).T)     # nodes last
     m = t.reshape(n, n, -1)
     ortho = np.max(np.abs(np.einsum("jin,jkn->ikn", m, m)
-                          - np.eye(n)[..., None]))
-    if not ortho <= SPIN_TOL:
-        raise ValueError(f"matrix is not orthogonal: |T^T T - I| = {ortho:.3e}")
+                          - np.eye(n)[..., None]), axis=(0, 1))
+    if not np.max(ortho) <= SPIN_TOL:
+        raise ValueError(f"matrix is not orthogonal: |T^T T - I| = "
+                         f"{np.max(ortho):.3e}{_at_node(ortho, lead)}")
     closed = n in (3, 4)
     if closed:
-        a, miss = _closed_form_lift(t, n)
-    if not closed or not miss <= 1e-8:
+        a = _closed_form_lift(t, n)
+        miss = np.max(np.abs(_closed_form_adjoint(a, n) - t), axis=0)
+    if not closed or not np.max(miss) <= 1e-8:
         # Ad(a) is a rotation for every a, so the closed form misses every
         # reflection, and needs det only to name it
         det = np.linalg.det(T)
@@ -661,10 +808,12 @@ def spin_lift_array(T):
             raise ValueError(f"matrix is not special orthogonal "
                              f"(det = {np.min(det):g})")
         if closed:
-            raise ValueError(f"spin lift failed: |Ad(a) - T| = {miss:.3e}; "
-                             f"input not special orthogonal within tolerance")
-        a = _givens_lift(T, n)
-    return _canonical_sign_array(a.reshape(T.shape[:-2] + (1 << n,)))
+            raise ValueError(f"spin lift failed: |Ad(a) - T| = "
+                             f"{np.max(miss):.3e}; input not special "
+                             f"orthogonal within tolerance"
+                             f"{_at_node(miss, lead)}")
+        a = to_even(_givens_lift(T, n), n).reshape(1 << (n - 1), -1)
+    return _canonical_sign_array(a.T).T.reshape((1 << (n - 1),) + lead)
 
 
 def _givens_lift(T, n):
@@ -711,11 +860,15 @@ def _sparse_map(table):
 
 
 def _apply_sparse(sparse, x):
-    """A `_sparse_map` applied to x (columns, nodes): one row gather and
-    einsum's own loop, so no BLAS matrix product (which spreads over
-    threads) runs over the nodes."""
+    """A `_sparse_map` applied to x (columns, nodes): each row's terms
+    added in order to a zero start, so every node gets the same sums
+    whatever the number of nodes, and no BLAS matrix product (which spreads
+    over threads) runs over the nodes."""
     cols, weights = sparse
-    return np.einsum("rtn,rt->rn", x[cols], weights)
+    out = np.zeros((len(cols),) + x.shape[1:])
+    for t in range(cols.shape[1]):
+        out += x[cols[:, t]] * weights[:, t:t + 1]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -732,7 +885,7 @@ def _closed_form_maps(n):
     vectors anticommute with I, so Ad(a) x = a+ x rev(a-) + a- x rev(a+)
     and T depends on u v^T alone.  Returns the sparse maps (`_sparse_map`)
     z -> T and (T, and a 1 for n = 3) -> z, both with entries +-1 or
-    +-1/4, and h, I ^ h, s.
+    +-1/4, and the rows of h and I ^ h in the even layout, and s.
     """
     signs, grades = blade_tables(n)
     i, k = np.divmod(np.arange(n * n)[:, None], n)
@@ -762,25 +915,33 @@ def _closed_form_maps(n):
         D = np.einsum("rpq,pj,ql->rjl", C, plus, minus) \
             + np.einsum("rpq,pl,qj->rjl", C, minus, plus)
         inverse = np.linalg.inv(D.reshape(16, 16))
-    blades = (h, top ^ h, sign[:, None])
+    blades = (_parity_rows(n)[h], _parity_rows(n)[top ^ h], sign[:, None])
     for table in blades:
         table.flags.writeable = False
     return (_sparse_map(D.reshape(n * n, 16)), _sparse_map(inverse),
             *blades)
 
 
+def _closed_form_adjoint(a, n):
+    """Ad(a) of even fields a (2**(n-1), nodes), n = 3 or 4, as the rows
+    T[n i + k] (n * n, nodes): the map z -> T of `_closed_form_maps` on
+    the outer product z of the u, v that a gives."""
+    forward, _, h, ih, sign = _closed_form_maps(n)
+    u, v = (a, a) if n == 3 else (a[h] + sign * a[ih], a[h] - sign * a[ih])
+    return _apply_sparse(forward, (u[:, None] * v).reshape(16, -1))
+
+
 def _closed_form_lift(t, n):
     """A spin lift (either sign) of rotation fields t (n * n, nodes), n = 3
-    or 4, as (a (nodes, 2**n), max |Ad(a) - t|), from the outer product
-    z of `_closed_form_maps` by Shepperd's pivot: the row or column of z
-    with the largest norm divides best.
+    or 4, as even rows a (2**(n-1), nodes), from the outer product z of
+    `_closed_form_maps` by Shepperd's pivot: the row or column of z with
+    the largest norm divides best.
 
-    n = 3: a[h] is the column of z = a a^T with the largest diagonal
-    entry, over that entry's square root.  n = 4: u is the largest column of
-    z = u v^T and v = z^T u / |u|^2, rescaled to equal norms.  Ad(a) is
-    the map z -> T of the u, v that a itself gives.
+    n = 3: a is the column of z = a a^T with the largest diagonal entry,
+    over that entry's square root.  n = 4: u is the largest column of
+    z = u v^T and v = z^T u / |u|^2, rescaled to equal norms.
     """
-    forward, inverse, h, ih, sign = _closed_form_maps(n)
+    _, inverse, h, ih, sign = _closed_form_maps(n)
     nodes = np.arange(t.shape[-1])
     x = np.vstack([t, np.ones((1, len(nodes)))]) if n == 3 else t
     z = _apply_sparse(inverse, x).reshape(4, 4, -1)
@@ -791,25 +952,27 @@ def _closed_form_lift(t, n):
     # the pivot columns, gathered contiguous (z[:, pivot, nodes] is not)
     u = z.reshape(4, -1)[:, pivot * len(nodes) + nodes]
     u2 = key[pivot, nodes]
-    a = np.zeros((1 << n, len(nodes)))
     if n == 3:
-        a[h] = u = v = u / np.sqrt(u2)
-    else:
-        v = np.einsum("jln,jn->ln", z, u) / u2
-        scale = np.sqrt(np.sqrt(np.einsum("ln,ln->n", v, v) / u2))
-        u, v = u * scale, v / scale
-        a[h] = 0.5 * (u + v)
-        a[ih] = 0.5 * sign * (u - v)
-        u, v = a[h] + sign * a[ih], a[h] - sign * a[ih]
-    miss = np.max(np.abs(_apply_sparse(forward, (u[:, None] * v).reshape(
-        16, -1)) - t))
-    return np.ascontiguousarray(a.T), miss
+        return u / np.sqrt(u2)
+    v = np.einsum("jln,jn->ln", z, u) / u2
+    scale = np.sqrt(np.sqrt(np.einsum("ln,ln->n", v, v) / u2))
+    u, v = u * scale, v / scale
+    a = np.zeros((1 << (n - 1), len(nodes)))
+    a[h] = 0.5 * (u + v)
+    a[ih] = 0.5 * sign * (u - v)
+    return a
 
 
 def _canonical_sign_array(a):
-    """a (..., 2**n) times the sign of each node's first nonzero entry."""
-    lead = np.take_along_axis(a, np.argmax(a != 0, axis=-1)[..., None], -1)
-    return np.where(lead < 0, -a, a)
+    """a (..., k) times the sign of each node's first nonzero entry: the
+    scalar part, entry 0, wherever it is nonzero, and elsewhere (half
+    turns) the first nonzero entry that a scan of those nodes finds."""
+    lead = a[..., 0].copy()
+    zero = lead == 0
+    if np.any(zero):
+        rest = a[zero]
+        lead[zero] = rest[np.arange(len(rest)), np.argmax(rest != 0, axis=-1)]
+    return np.where(lead[..., None] < 0, -a, a)
 
 
 def spin_lift(T):

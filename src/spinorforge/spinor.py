@@ -19,8 +19,15 @@ NOT-INTEGRABLE above `grid.residual_tolerance`, 10 h^2.
 Every spinor field is even and unit to the one fixed SPIN_NORM_TOL, a gate
 that also measures the transport's unit drift, which nothing corrects.
 
+Spinor fields, edge rotors and holonomy loops are kept as their 2**(n-1)
+even coefficients, blade-major (`clifford.to_even`), and multiplied with
+the one product kernel `clifford.gp_blades`; reversal is a fixed sign per
+row.  From the connection fields to xi no array of 2**n coefficients is
+formed: those appear only in `SpinorField.values`, for the file writer.
+
 The 1-form xi(X) = <<X phi, phi>> = rev([phi]) [X] [phi] maps adapted-frame
-coordinates to Lie-algebra coordinates; after right-multiplying the field
+coordinates to Lie-algebra coordinates, read off Ad(rev [phi]) in closed
+form for n = 3, 4 (`clifford.adjoint_even`); after right-multiplying the field
 by the spin lift of the orthogonal matrix xi o frame^{-1} measured at the
 base node, xi coincides with the frame isometry and its Darboux integral
 is the immersion.
@@ -37,9 +44,10 @@ import math
 import numpy as np
 
 from .clifford import (
-    PURITY_TOL, Multivector, SpinElement, adjoint_array, bivector_array,
-    bivector_exp_array, gp_array, reverse_array,
-    spin_defects, spin_lift, spin_lift_array, vector_array,
+    PURITY_TOL, Multivector, SpinElement, adjoint_even, bivector_array,
+    bivector_even, bivector_exp_even, even_unit_defect, from_even, gp_array,
+    gp_blades, non_grade_norm, reverse_even, spin_lift, spin_lift_even,
+    to_even, vector_array, worst_node,
 )
 from .lie_group import (
     IntegrationError, LieValuedOneForm, darboux_integrate,
@@ -92,34 +100,50 @@ SPIN_NORM_TOL = 1e-8
 
 class SpinorField:
     """Grid of spin-group representatives in the adapted spinorial frame,
-    each even and unit to SPIN_NORM_TOL, off by `unit_drift`."""
+    each even and unit to SPIN_NORM_TOL, off by `unit_drift`.
 
-    __slots__ = ("grid", "n", "values", "unit_drift")
+    The field is kept as its even coefficients, blade-major: `even` is
+    (2**(n-1), nx, ny).  It is built from that layout or from the full one,
+    (nx, ny, 2**n), whose odd coefficients must vanish; `values` gives the
+    full layout back.
+    """
+
+    __slots__ = ("grid", "n", "even", "unit_drift")
 
     def __init__(self, grid, n, values):
         values = np.asarray(values, dtype=np.float64)
-        if values.shape != grid.shape + (1 << n,):
-            raise ValueError("spinor values must be (nx, ny, 2**n)")
-        odd, unit = spin_defects(values, n)
-        if not odd <= SPIN_NORM_TOL:
-            raise ValueError("spinor representatives must be even")
+        if values.shape == grid.shape + (1 << n,):
+            odd = non_grade_norm(values, n, range(0, n + 1, 2))
+            if not odd <= SPIN_NORM_TOL:
+                raise ValueError("spinor representatives must be even")
+            values = np.ascontiguousarray(to_even(values, n))
+        elif values.shape != (1 << (n - 1),) + grid.shape:
+            raise ValueError("spinor values must be (nx, ny, 2**n) or "
+                             "(2**(n-1), nx, ny)")
+        unit = even_unit_defect(values, n)
         if not unit <= SPIN_NORM_TOL:
             raise ValueError(f"rev(phi) phi = 1 violated by {unit:.3e}")
         self.grid = grid
         self.n = n
-        self.values = values
+        self.even = values
         self.unit_drift = unit
 
+    @property
+    def values(self):
+        """The full-layout coefficients (nx, ny, 2**n)."""
+        return from_even(self.even, self.n)
+
     def at(self, vertex):
-        return SpinElement(Multivector(self.n, self.values[vertex]),
-                           tol=SPIN_NORM_TOL)
+        return SpinElement(Multivector(self.n, from_even(
+            self.even[(slice(None),) + tuple(vertex)], self.n)),
+            tol=SPIN_NORM_TOL)
 
     def right_multiplied(self, a):
         """The field phi . a for a spin element a."""
         if isinstance(a, SpinElement):
             a = a.value
-        return SpinorField(self.grid, self.n,
-                           gp_array(self.values, a.coeffs, self.n))
+        return SpinorField(self.grid, self.n, gp_blades(
+            self.even, to_even(a.coeffs, self.n), self.n))
 
     def psi_pairs(self):
         if self.n != 3:
@@ -177,13 +201,14 @@ def _coordinate_direction(mu, a):
 
 
 def connection_coefficient_fields(problem):
-    """eta(dx), eta(dy) as coefficient arrays: d_a [phi] = eta_a [phi]."""
+    """eta(dx), eta(dy) as blade-major even bivector fields
+    (2**(n-1), nx, ny): d_a [phi] = eta_a [phi]."""
     data, alg = problem.data, problem.alg
     etas = []
     for a, spin in enumerate(frame_connection(data)):
         X = _coordinate_direction(data.grid.mu, a)
-        etas.append(bivector_array(eta_matrix(alg, data.frames, data.B, X,
-                                              spin)))
+        etas.append(bivector_even(eta_matrix(alg, data.frames, data.B, X,
+                                             spin)))
     return etas[0], etas[1]
 
 
@@ -192,20 +217,21 @@ def connection_coefficient_fields(problem):
 # =============================================================================
 
 def _edge_operators(eta, h, axis, n):
-    """exp(h (eta_i + eta_{i+1}) / 2) along an axis, for all edges."""
-    e = np.moveaxis(eta, axis, 0)
-    mid = 0.5 * (e[:-1] + e[1:]) * h
-    return np.moveaxis(bivector_exp_array(mid, n), 0, axis)
+    """exp(h (eta_i + eta_{i+1}) / 2) along a grid axis, for all edges, of
+    a blade-major even field eta (2**(n-1), nx, ny)."""
+    e = np.moveaxis(eta, axis + 1, 1)
+    mid = 0.5 * (e[:, :-1] + e[:, 1:]) * h
+    return np.moveaxis(bivector_exp_even(mid, n), 1, axis + 1)
 
 
 def _transport_row(start, E, n):
     """start, E[0] start, E[1] E[0] start, ...: the prefix products along
-    one row by doubling (Hillis-Steele), ceil(log2 len) products of whole
-    row slices."""
-    row = np.concatenate([start[None], E])
+    one row of blade-major even rotors E (2**(n-1), nx - 1) by doubling
+    (Hillis-Steele), ceil(log2 nx) products of whole row slices."""
+    row = np.concatenate([start[:, None], E], axis=1)
     d = 1
-    while d < len(row):
-        row[d:] = gp_array(row[d:], row[:-d], n)
+    while d < row.shape[1]:
+        row[:, d:] = gp_blades(row[:, d:], row[:, :-d], n)
         d *= 2
     return row
 
@@ -230,35 +256,35 @@ def solve_killing(problem):
     ny = grid.shape[1]
     eta_x, eta_y = connection_coefficient_fields(problem)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        Ex = _edge_operators(eta_x, h, 0, n)      # (nx-1, ny, 2^n)
-        Ey = _edge_operators(eta_y, h, 1, n)      # (nx, ny-1, 2^n)
+        Ex = _edge_operators(eta_x, h, 0, n)      # (2^(n-1), nx-1, ny)
+        Ey = _edge_operators(eta_y, h, 1, n)      # (2^(n-1), nx, ny-1)
     for E in (Ex, Ey):
-        cell = first_non_finite(E)
+        cell = first_non_finite(np.moveaxis(E, 0, -1))
         if cell is not None:
             raise IntegrationError("spin transport diverged", cell=cell)
-    values = np.zeros(grid.shape + (1 << n,))
-    values[:, 0] = _transport_row(problem.base_spinor.value.coeffs,
-                                  Ex[:, 0], n)
+    values = np.zeros((1 << (n - 1),) + grid.shape)
+    values[:, :, 0] = _transport_row(
+        to_even(problem.base_spinor.value.coeffs, n), Ex[:, :, 0], n)
     for j in range(ny - 1):
-        values[:, j + 1] = gp_array(Ey[:, j], values[:, j], n)
+        values[:, :, j + 1] = gp_blades(Ey[:, :, j], values[:, :, j], n)
 
     # plaquette holonomy: A -> B -> C -> D -> A, defect per unit area
     # the edge operators are exponentials of bivectors: rev(exp(b)) = exp(-b)
-    loop = gp_array(Ey[1:, :], Ex[:, :-1], n)                 # BC after AB
-    loop = gp_array(reverse_array(Ex[:, 1:], n), loop, n)     # CD
-    loop = gp_array(reverse_array(Ey[:-1, :], n), loop, n)    # DA
+    loop = gp_blades(Ey[:, 1:, :], Ex[:, :, :-1], n)            # BC after AB
+    loop = gp_blades(reverse_even(Ex[:, :, 1:], n), loop, n)    # CD
+    loop = gp_blades(reverse_even(Ey[:, :-1, :], n), loop, n)   # DA
     # |L phi - phi| = |L - 1|: right multiplication by a unit spinor is an
     # isometry of the coefficient space, so the field drops out
-    loop[..., 0] -= 1.0
-    defect = np.linalg.norm(loop, axis=-1)
+    loop[0] -= 1.0
+    defect = np.linalg.norm(loop, axis=0)
     # the worst plaquette, named by its lower-left node (first NaN if any)
-    worst = np.unravel_index(np.argmax(defect), defect.shape)
+    worst = worst_node(defect)
     holonomy = float(defect[worst]) / (h * h)
     holonomy_tol = float(residual_tolerance(grid))
     field = SpinorField(grid, n, values)
     report = {
         "holonomy": holonomy,
-        "holonomy_argmax": [int(i) for i in worst],
+        "holonomy_argmax": list(worst),
         "holonomy_tol": holonomy_tol,
         "integrable": bool(holonomy <= holonomy_tol),
         "renorm_drift": field.unit_drift,
@@ -282,7 +308,7 @@ def xi_from_spinor(field, problem):
     grid = field.grid
     n = field.n
     mu = grid.mu
-    adj, impurity = adjoint_array(reverse_array(field.values, n), n)
+    adj, impurity = adjoint_even(reverse_even(field.even, n), n)
     if not impurity <= PURITY_TOL:
         raise ValueError(f"xi output is not a vector: off-grade mass "
                          f"{impurity:.3e} signals spinor corruption")
@@ -295,8 +321,9 @@ def xi_from_spinor(field, problem):
 def frame_map_at(field, problem, vertex):
     """The matrix xi o frame^{-1} at a node: columns are xi(underline-e_i)
     against the distinguished basis; orthogonal for a clean solve."""
-    adj, _ = adjoint_array(reverse_array(field.values[vertex], field.n),
-                           field.n)
+    n = field.n
+    adj, _ = adjoint_even(reverse_even(
+        field.even[(slice(None),) + tuple(vertex)], n), n)
     return adj @ problem.data.frames[vertex].T
 
 
@@ -401,7 +428,7 @@ def verify_reconstruction(F, problem, xi_normals):
 # Converse: immersion -> data + spinor
 # =============================================================================
 
-def _continuous_normal_frames(zx, zy, mu, n):
+def _continuous_normal_frames(zx, zy, n):
     """Orthonormal frames [e1 | e2 | n_1 ... n_q] with det +1, the normal
     part chosen continuously along the spanning tree from the origin node
     (the bottom row, then the columns).
@@ -416,9 +443,10 @@ def _continuous_normal_frames(zx, zy, mu, n):
     at the origin.  The last normal is flipped afterwards for det +1 (its
     chain is odd in its seed, and no other normal depends on it).  Any
     normalizer |P_r v| below 1e-8 (a normal turning into the tangent plane)
-    raises "degenerate normal completion".
+    raises "degenerate normal completion" at the node of the smallest one
+    (a nan one comes only after it, down the tree).
     """
-    nx, ny = mu.shape
+    nx, ny = zx.shape[:2]
     q = n - 2
     e1 = zx / np.linalg.norm(zx, axis=-1, keepdims=True)
     e2 = zy - np.einsum("xyi,xyi->xy", zy, e1)[..., None] * e1
@@ -450,8 +478,10 @@ def _continuous_normal_frames(zx, zy, mu, n):
             if r + 1 < q:
                 P -= np.einsum("xyi,xyj->xyij", c, c)
     if not np.min(norms) >= 1e-8:
-        raise ValueError("degenerate normal completion; immersion "
-                         "nearly tangent to the seed frame")
+        least = np.fmin.reduce(norms, axis=0)     # nan only down the tree
+        worst = worst_node(-np.nan_to_num(least, nan=np.inf))
+        raise ValueError(f"degenerate normal completion; immersion nearly "
+                         f"tangent to the seed frame at node {worst}")
     if np.linalg.det(frames[0, 0]) < 0:
         frames[..., n - 1] *= -1.0
     return frames
@@ -493,14 +523,15 @@ def spinor_of_immersion(F, alg, grid):
     if not (np.min(gxx) > 0 and np.min(gyy) > 0):
         raise ValueError("degenerate immersion: vanishing coordinate tangent")
     scale = float(np.max(gxx))
-    if not (float(np.max(np.abs(gxy))) <= conformal_tol * scale and
-            float(np.max(np.abs(gxx - gyy))) <= conformal_tol * scale):
-        raise ValueError("the parametrization is not conformal; the grid "
-                         "machinery requires mu^2 (dx^2 + dy^2) metrics")
+    skew = np.maximum(np.abs(gxy), np.abs(gxx - gyy))
+    if not float(np.max(skew)) <= conformal_tol * scale:
+        raise ValueError(f"the parametrization is not conformal; the grid "
+                         f"machinery requires mu^2 (dx^2 + dy^2) metrics "
+                         f"at node {worst_node(skew)}")
     mu = np.sqrt(0.5 * (gxx + gyy))
     out_grid = type(grid)(grid.nx, grid.ny, grid.h, mu=mu, x0=grid.x0,
                           y0=grid.y0)
-    frames = _continuous_normal_frames(zx, zy, mu, n)
+    frames = _continuous_normal_frames(zx, zy, n)
     normals = frames[..., 2:]
     B = second_fundamental_form(zx, zy, normals, out_grid, alg, 2) \
         / mu[..., None, None, None] ** 2
@@ -514,18 +545,19 @@ def spinor_of_immersion(F, alg, grid):
 
 
 def _continuous_spin_lift(frames):
-    """Reversed spin lifts of the frame rotations, sign-matched along the
-    spanning tree so the field is continuous: a node flips when its dot
-    product with its tree parent is negative; the flips compose down it."""
+    """Reversed spin lifts of the frame rotations, blade-major even,
+    sign-matched along the spanning tree so the field is continuous: a node
+    flips when its dot product with its tree parent is negative; the flips
+    compose down it."""
     n = frames.shape[-1]
-    values = reverse_array(spin_lift_array(frames), n)
+    values = reverse_even(spin_lift_even(frames), n)
     flip = np.ones(frames.shape[:2])
     flip[1:, 0] = np.where(np.einsum(
-        "xk,xk->x", values[1:, 0], values[:-1, 0]) < 0, -1.0, 1.0)
+        "kx,kx->x", values[:, 1:, 0], values[:, :-1, 0]) < 0, -1.0, 1.0)
     flip[:, 1:] = np.where(np.einsum(
-        "xyk,xyk->xy", values[:, 1:], values[:, :-1]) < 0, -1.0, 1.0)
+        "kxy,kxy->xy", values[:, :, 1:], values[:, :, :-1]) < 0, -1.0, 1.0)
     flip[:, 0] = np.cumprod(flip[:, 0])
-    return values * np.cumprod(flip, axis=1)[..., None]
+    return values * np.cumprod(flip, axis=1)
 
 
 # =============================================================================

@@ -11,11 +11,18 @@ the two.
   * weierstrass_from_pair  -- the inverse of `cmc.pair_from_weierstrass`
   * dirac_system_residual  -- the first-order system of the complex spinor
     pair behind a Weierstrass representation
+  * dense_row_gp           -- the geometric product as the dense loop over
+    all 2**n rows, which `clifford.gp_blades` and `gp_array` reproduce bit
+    for bit
+  * bivector_exp_array     -- `clifford.bivector_exp_even` in the full
+    layout (..., 2**n), for the tests written on that layout
 """
 
 import numpy as np
 
-from spinorforge.clifford import Multivector
+from spinorforge.clifford import (
+    Multivector, bivector_exp_even, blade_tables, from_even, to_even,
+)
 from spinorforge.cmc import ab_scalars, h_potential
 
 
@@ -101,3 +108,31 @@ def dirac_system_residual(z1, z2, data, pot, f):
         - 0.5 * mu * ab * np.conj(z1)
     r2 = grid.dzbar(sq * z2) / sq + coeff * z1 - 0.5 * mu * ab * z2
     return np.abs(r1), np.abs(r2)
+
+
+def dense_row_gp(a, b, n):
+    """The geometric product of full-layout arrays (..., 2**n) as the dense
+    row loop over all blades, broadcasting leading axes: rows of a that are
+    zero at every node are skipped, and each other row adds
+    (s(i, j) a_i) b_j onto blade i ^ j."""
+    signs, _ = blade_tables(n)
+    dim = 1 << n
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    out = np.zeros(shape + (dim,))
+    all_idx = np.arange(dim)
+    for i in range(dim):
+        ai = a[..., i]
+        if not np.any(ai):
+            continue
+        # for fixed i, j -> i ^ j permutes the blades; gather instead of scatter
+        contrib = signs[i] * ai[..., None] * b
+        out += contrib[..., i ^ all_idx]
+    return out
+
+
+def bivector_exp_array(a, n):
+    """exp(b) of full-layout bivector fields b (..., 2**n): the pipeline's
+    `bivector_exp_even` between `to_even` and `from_even`."""
+    return from_even(bivector_exp_even(to_even(a, n), n), n)

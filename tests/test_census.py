@@ -91,7 +91,7 @@ def test_the_census_follows_references_through_the_package():
     # main reaches cmd_solve through the COMMANDS table, and solve_killing
     # reaches the bivector exponential through _edge_operators
     assert {"cmd_solve", "solve_killing", "_edge_operators",
-            "bivector_exp_array"} <= reached
+            "bivector_exp_even"} <= reached
     # only test_acceptance.py uses gamma_as_bivector, and only a string of
     # perfbench/trace.py names surface_to_dict
     assert {"gamma_as_bivector", "surface_to_dict"} <= reached

@@ -388,7 +388,7 @@ def surface_blobs(draw):
 
 
 @given(surface_blobs(), st.sampled_from(["obj", "ply"]))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 def test_export_fuzz_exits_cleanly(blob, fmt):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "surface.json")
@@ -909,7 +909,7 @@ def _reference_surface(name):
        st.dictionaries(st.sampled_from(["A", "l", "n", "mu", "kappa"])
                        | st.text(max_size=3), _JSON_VALUES, max_size=3))
 @example("sphere-r3", "EKappaTau", {"A": [False, 0]})  # a bool among numbers
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 def test_reconstruct_surface_ignores_tag_and_params(name, tag, params):
     blob = json.loads(_surface_problem_text(name))
     blob["algebra"].update(tag=tag, params=params)
@@ -917,7 +917,7 @@ def test_reconstruct_surface_ignores_tag_and_params(name, tag, params):
 
 
 @given(broken_inputs())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 def test_broken_inputs_exit_three_or_four(case):
     command, text = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -1209,7 +1209,7 @@ def test_catalog_bad_params_exit_three(capsys, group, params):
        st.dictionaries(st.sampled_from(["n", "l", "A", "mu", "kappa", "tau"])
                        | st.text(max_size=3), _JSON_VALUES, max_size=3)
        | _JSON_VALUES)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_catalog_params_fuzz_exits_cleanly(group, params):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \

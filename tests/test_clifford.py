@@ -15,18 +15,19 @@ from hypothesis import strategies as st
 
 from spinorforge import clifford
 from spinorforge.clifford import (
-    Multivector, SpinElement, SkewOperator, OffDiagOperator,
-    adjoint_action, adjoint_array, bivector_array, bivector_exp_array,
+    EVEN, ODD, Multivector, SpinElement, SkewOperator, OffDiagOperator,
+    adjoint_action, adjoint_array, adjoint_even, bivector_array,
     _canonical_sign_array, bivector_of_offdiag, bivector_of_skew,
-    blade_tables, commutator, cosh_sinhc, exp_array, gp_array, grade_indices,
-    non_grade_norm, offdiag_skew_array, reverse_array, spin_bracket,
-    spin_lift, spin_lift_array, unit_defect,
+    blade_tables, commutator, cosh_sinhc, exp_array, gp_array, gp_blades,
+    grade_indices, non_grade_norm, offdiag_skew_array, parity_blades,
+    reverse_array, spin_bracket, spin_lift, spin_lift_array, to_even,
+    unit_defect, vector_array, vector_part_array, worst_node,
 )
 
 from spinorforge.cli import SURFACE_FIXTURES
 from spinorforge.spinor import spinor_of_immersion
 
-from oracles import skew_of_bivector
+from oracles import bivector_exp_array, dense_row_gp, skew_of_bivector
 
 rng = np.random.default_rng(20240611)
 
@@ -960,25 +961,6 @@ def test_property_pairing_symmetry(phi, psi):
 # gp_array against the dense row loop it replaced
 # =============================================================================
 
-def dense_row_gp(a, b, n):
-    """gp_array before it multiplied only live blades, verbatim."""
-    signs, _ = blade_tables(n)
-    dim = 1 << n
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    out = np.zeros(shape + (dim,))
-    all_idx = np.arange(dim)
-    for i in range(dim):
-        ai = a[..., i]
-        if not np.any(ai):
-            continue
-        # for fixed i, j -> i ^ j permutes the blades; gather instead of scatter
-        contrib = signs[i] * ai[..., None] * b
-        out += contrib[..., i ^ all_idx]
-    return out
-
-
 def assert_bit_identical(got, want):
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()     # zero signs included
@@ -1096,3 +1078,134 @@ def test_adjoint_action_agrees_with_its_former_sandwich(n):
         assert got.n == want.n == n
         assert np.max(np.abs(got.coeffs - want.coeffs)) \
             <= 1e-14 * np.linalg.norm(x.coeffs)
+
+
+# =============================================================================
+# The parity kernel, the closed-form adjoint, the sign rule, the lift's gates
+# =============================================================================
+
+def parity_operand(parity, n, shape, local):
+    """Random blade-major coefficients (2**(n-1), *shape) of one parity,
+    with exact zeros and negative zeros mixed in."""
+    x = local.normal(size=(1 << (n - 1),) + shape)
+    x[local.random(x.shape) < 0.2] = 0.0
+    x[local.random(x.shape) < 0.1] = -0.0
+    return x
+
+
+def full_of(x, parity, n):
+    out = np.zeros(x.shape[1:] + (1 << n,))
+    out[..., parity_blades(n, parity)] = np.moveaxis(x, 0, -1)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("pa,pb", [(EVEN, EVEN), (EVEN, ODD), (ODD, EVEN),
+                                   (ODD, ODD)])
+def test_gp_blades_is_the_dense_row_loop_bit_for_bit(n, pa, pb):
+    local = np.random.default_rng(100 * n + 10 * pa + pb)
+    for shape_a, shape_b in (((5, 3), (5, 3)), ((4, 1), (1, 6)), ((), (7,)),
+                             ((6,), ())):
+        a = parity_operand(pa, n, shape_a, local)
+        b = parity_operand(pb, n, shape_b, local)
+        want = dense_row_gp(full_of(a, pa, n), full_of(b, pb, n), n)
+        got = gp_blades(a, b, n, pa, pb)
+        assert_bit_identical(got, np.ascontiguousarray(np.moveaxis(
+            want[..., parity_blades(n, pa ^ pb)], -1, 0)))
+        # the other parity of the dense product is exactly +0
+        rest = want[..., parity_blades(n, 1 - (pa ^ pb))]
+        assert rest.tobytes() == np.zeros_like(rest).tobytes()
+
+
+def product_adjoint(g, n):
+    """Ad(g) on vectors by the 2n whole-field products g e_k and
+    (g e_k) rev(g), the form the closed form replaced."""
+    rev = reverse_array(g, n)
+    return np.stack([vector_part_array(gp_array(gp_array(
+        g, vector_array(np.eye(n)[k], n), n), rev, n), n) for k in range(n)],
+        axis=-1)
+
+
+# over 20 random unit fields of 33 x 33 nodes with |b| up to 4 sqrt(dim)
+# the closed form and the products differed by at most 2.2e-16 (n = 3) and
+# 4.4e-16 (n = 4)
+CLOSED_FORM_AD_BOUND = 1e-15
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_closed_form_adjoint_is_the_product_adjoint(n):
+    local = np.random.default_rng(70 + n)
+    idx = grade_indices(n, 2)
+    for _ in range(5):
+        b = np.zeros((33, 33, 1 << n))
+        b[..., idx] = local.uniform(-4, 4, size=(33, 33, len(idx)))
+        g = bivector_exp_array(b, n)
+        got, impurity = adjoint_even(to_even(g, n), n)
+        assert impurity == 0.0
+        assert np.max(np.abs(got - product_adjoint(g, n))) \
+            <= CLOSED_FORM_AD_BOUND
+        # one node at a time gives the field's bits
+        assert np.array_equal(adjoint_even(to_even(g[7, 9], n), n)[0],
+                              got[7, 9])
+    # an even field that is not unit: the quadratic form still is Ad
+    e = local.normal(size=(1 << (n - 1), 9, 9))
+    want = product_adjoint(full_of(e, EVEN, n), n)
+    assert np.max(np.abs(adjoint_even(e, n)[0] - want)) \
+        <= CLOSED_FORM_AD_BOUND * np.max(np.abs(want))
+
+
+def parent_canonical_sign(a):
+    """The sign rule before it read the scalar part first: the sign of each
+    node's first nonzero entry, found by a scan of every entry."""
+    lead = np.take_along_axis(a, np.argmax(a != 0, axis=-1)[..., None], -1)
+    return np.where(lead < 0, -a, a)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sign_rule_on_half_turns_is_the_parent_rule(n):
+    # T = diag(1, -1, -1) lifts to e23, which has no scalar part
+    local = np.random.default_rng(90 + n)
+    Ts = np.array([random_so(n) for _ in range(12)])
+    Ts[[2, 5, 11]] = np.diag([1.0] + [-1.0] * 2 + [1.0] * (n - 3))
+    Ts[7] = np.diag([-1.0, 1.0, -1.0] + [1.0] * (n - 3))
+    a = spin_lift_array(Ts.reshape(3, 4, n, n))
+    assert np.array_equal(a, parent_canonical_sign(a))
+    assert np.count_nonzero(a[..., 0] == 0) == 4
+    signs = np.where(local.random((3, 4, 1)) < 0.5, -1.0, 1.0)
+    for x in (a * signs, to_even(a * signs, n).T):
+        assert _canonical_sign_array(x).tobytes() \
+            == parent_canonical_sign(x).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_orthogonality_gate_names_the_worst_node(n):
+    field = np.array([random_so(n) for _ in range(12)]).reshape(3, 4, n, n)
+    field[1, 2] *= 1.5
+    field[2, 0] *= 1.1
+    defect = np.max(np.abs(np.einsum("...ji,...jk->...ik", field, field)
+                           - np.eye(n)), axis=(-2, -1))
+    assert worst_node(defect) == (1, 2)
+    with pytest.raises(ValueError, match=r"matrix is not orthogonal: "
+                       r"\|T\^T T - I\| = 1\.250e\+00 at node \(1, 2\)$"):
+        spin_lift_array(field)
+    field[0, 3, :, 1] = np.nan     # the first nan comes before the worst
+    with pytest.raises(ValueError, match=r"= nan at node \(0, 3\)$"):
+        spin_lift_array(field)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_spin_lift_gate_names_the_worst_node(n, monkeypatch):
+    # with the orthogonality gate opened to 1e-2, matrices off SO(n) by
+    # 1e-5 and 1e-4 pass it, and the closed form misses them
+    field = np.array([random_so(n) for _ in range(12)]).reshape(3, 4, n, n)
+    field[0, 1, 0, 0] += 1e-5
+    field[2, 3, 1, 1] += 1e-4
+    t = np.ascontiguousarray(field.reshape(-1, n * n).T)
+    a = clifford._closed_form_lift(t, n)
+    miss = np.max(np.abs(clifford._closed_form_adjoint(a, n) - t), axis=0)
+    assert worst_node(miss.reshape(3, 4)) == (2, 3)
+    monkeypatch.setattr(clifford, "SPIN_TOL", 1e-2)
+    with pytest.raises(ValueError, match=r"^spin lift failed: \|Ad\(a\) - T\| "
+                       r"= .*; input not special orthogonal within tolerance "
+                       r"at node \(2, 3\)$"):
+        spin_lift_array(field)

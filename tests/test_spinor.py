@@ -9,14 +9,15 @@ import pytest
 from spinorforge import clifford, fixtures, lie_algebra as la, spinor
 from spinorforge.clifford import (
     Multivector, OffDiagOperator, SpinElement, bivector_array,
-    bivector_exp_array, bivector_of_offdiag, bivector_of_skew, exp_array,
-    gp_array, grade_indices, reverse_array, spin_lift, unit_defect,
-    vector_array, vector_part_array,
+    bivector_of_offdiag, bivector_of_skew, exp_array,
+    from_even, gp_array, grade_indices, reverse_array, spin_lift, to_even,
+    unit_defect, vector_array, vector_part_array, worst_node,
 )
 from spinorforge.grid import ParamGrid
 from spinorforge.immersion import ImmersionData
 from spinorforge.lie_group import (
-    maurer_cartan_pullback, model_for, structure_residual,
+    first_fundamental_form, maurer_cartan_pullback, model_for,
+    structure_residual,
 )
 from spinorforge.spinor import (
     KillingProblem, NotIntegrableError, SpinorField,
@@ -27,7 +28,7 @@ from spinorforge.spinor import (
     solve_killing, spinor_of_immersion, xi_from_spinor,
 )
 
-from oracles import ekt_gamma_bivector
+from oracles import bivector_exp_array, ekt_gamma_bivector
 
 rng = np.random.default_rng(271828)
 
@@ -124,7 +125,7 @@ def test_connection_fields_match_node_assembly(make):
     data, grid, alg = fx.data, fx.grid, fx.alg
     n, q = data.n, data.q
     prob = KillingProblem(data, alg)
-    etas = connection_coefficient_fields(prob)
+    etas = [from_even(eta, n) for eta in connection_coefficient_fields(prob)]
     ws = grid.rotation_coefficients()
     thetas = (data.theta_x, data.theta_y)
     phi = random_spin(n).value
@@ -216,7 +217,8 @@ def test_row_scan_matches_the_loop(n, nx):
     values = np.zeros((nx, 1, 1 << n))
     values[0, 0] = start
     want = loop_bottom_row(Ex, values, n)
-    got = _transport_row(start, Ex[:, 0], n)
+    got = from_even(_transport_row(to_even(start, n), to_even(Ex[:, 0], n), n),
+                    n)
     assert np.array_equal(got[0], start)
     assert np.max(np.abs(got - want[:, 0])) <= 1e-13
 
@@ -253,16 +255,16 @@ def test_uncorrected_transport_stays_unit_at_257_nodes(make):
 
 @pytest.fixture
 def gp_calls(monkeypatch):
-    """Counts geometric products taken through spinor's and clifford's
-    gp_array."""
+    """Counts geometric products: the calls of the one kernel behind
+    gp_blades and gp_array."""
     calls = []
+    kernel = clifford._accumulate
 
-    def counted(a, b, n):
-        calls.append(n)
-        return gp_array(a, b, n)
+    def counted(a, b, signs, rows):
+        calls.append(len(signs))
+        return kernel(a, b, signs, rows)
 
-    monkeypatch.setattr(spinor, "gp_array", counted)
-    monkeypatch.setattr(clifford, "gp_array", counted)
+    monkeypatch.setattr(clifford, "_accumulate", counted)
     return calls
 
 
@@ -272,18 +274,19 @@ def test_edge_operators_take_no_geometric_product(gp_calls):
         eta[..., grade_indices(n, 2)] = rng.normal(
             size=(9, 7, len(grade_indices(n, 2))))
         for axis in (0, 1):
-            _edge_operators(eta, 0.1, axis, n)
+            _edge_operators(to_even(eta, n), 0.1, axis, n)
     assert gp_calls == []
     # the series for n >= 5 is seen by the counter
     eta = np.zeros((3, 3, 32))
     eta[..., grade_indices(5, 2)] = 0.1
-    _edge_operators(eta, 0.1, 0, 5)
+    _edge_operators(to_even(eta, 5), 0.1, 0, 5)
     assert len(gp_calls) >= 18
 
 
 @pytest.mark.parametrize("nx", [5, 6, 17, 33, 100])
 def test_row_scan_takes_log_depth_products(gp_calls, nx):
     start, E = random_spin(3).value.coeffs, random_edge_rotors(3, nx - 1)
+    start, E = to_even(start, 3), to_even(E, 3)
     gp_calls.clear()
     _transport_row(start, E, 3)
     assert len(gp_calls) == math.ceil(math.log2(nx))
@@ -294,11 +297,12 @@ def per_column_transport(problem):
     defect taken as |L phi - phi|, the form |L - 1| replaced."""
     grid, n, h = problem.grid, problem.alg.n, problem.grid.h
     eta_x, eta_y = connection_coefficient_fields(problem)
-    Ex = _edge_operators(eta_x, h, 0, n)
-    Ey = _edge_operators(eta_y, h, 1, n)
+    Ex = from_even(_edge_operators(eta_x, h, 0, n), n)
+    Ey = from_even(_edge_operators(eta_y, h, 1, n), n)
     values = np.zeros(grid.shape + (1 << n,))
-    values[:, 0] = _transport_row(problem.base_spinor.value.coeffs,
-                                  Ex[:, 0], n)
+    values[:, 0] = from_even(_transport_row(
+        to_even(problem.base_spinor.value.coeffs, n), to_even(Ex[:, 0], n), n),
+        n)
     for j in range(grid.shape[1] - 1):
         values[:, j + 1] = gp_array(Ey[:, j], values[:, j], n)
     loop = gp_array(Ey[1:, :], Ex[:, :-1], n)
@@ -429,13 +433,25 @@ def test_xi_sign_invariance():
 
 
 def test_xi_corruption_detected():
+    # a field given with odd coefficients is refused when it is built, since
+    # the even layout the pipeline keeps cannot hold them
     prob = flat_problem(5)
     vals = np.zeros(prob.grid.shape + (8,))
     vals[..., 0] = 1.0
-    field = SpinorField(prob.grid, 3, vals)
-    field.values.flags.writeable = True
-    field.values[2, 2, 0b001] = 0.3   # vector junk past validation
-    with pytest.raises(ValueError):
+    vals[2, 2, 0b001] = 0.3   # vector junk
+    with pytest.raises(ValueError,
+                       match="spinor representatives must be even"):
+        SpinorField(prob.grid, 3, vals)
+    # n = 5: an even coefficient written past validation takes e5 under
+    # Ad(rev phi) out of the vectors, which the xi gate catches
+    prob = flat_problem(5, n=5)
+    one = np.zeros((16,) + prob.grid.shape)
+    one[0] = 1.0
+    field = SpinorField(prob.grid, 5, one)
+    junk = np.zeros(32)
+    junk[0b1111] = 0.3        # e1234
+    field.even[:, 2, 2] += to_even(junk, 5)
+    with pytest.raises(ValueError, match="xi output is not a vector"):
         xi_from_spinor(field, prob)
 
 
@@ -579,7 +595,8 @@ def test_extracted_spinor_satisfies_killing_equation():
         fx = fixtures.s3_sphere(n)
         field, _ = spinor_of_immersion(fx.F, fx.alg, fx.grid)
         prob = KillingProblem(fx.data, fx.alg)
-        ex, ey = connection_coefficient_fields(prob)
+        ex, ey = (from_even(eta, 3)
+                  for eta in connection_coefficient_fields(prob))
         rx = fx.grid.dx(field.values) - gp_array(ex, field.values, 3)
         ry = fx.grid.dy(field.values) - gp_array(ey, field.values, 3)
         devs.append(max(np.max(np.abs(rx)), np.max(np.abs(ry))))
@@ -717,7 +734,7 @@ def test_normal_frames_of_rough_pullbacks_match_node_reference(noise):
     noisy = np.random.default_rng(30)
     zx = zx + noise * noisy.standard_normal(zx.shape)
     zy = zy + noise * noisy.standard_normal(zy.shape)
-    frames = _continuous_normal_frames(zx, zy, fx.grid.mu, 4)
+    frames = _continuous_normal_frames(zx, zy, 4)
     want = reference_normal_frames(frames[..., 0], frames[..., 1])
     assert np.max(np.abs(frames - want)) <= ROUGH_BOUNDS[noise]
 
@@ -754,7 +771,35 @@ def test_normal_frames_reject_a_tangent_plane_turning_into_the_normals(node):
         with pytest.raises(ValueError, match="degenerate normal completion; "
                                              "immersion nearly tangent to "
                                              "the seed frame"):
-            _continuous_normal_frames(zx, zy, np.ones((5, 4)), 4)
+            _continuous_normal_frames(zx, zy, 4)
+
+
+@pytest.mark.parametrize("node", [(1, 0), (2, 1), (4, 3)])
+def test_degenerate_normal_gate_names_the_node(node):
+    """As above: the normals reach `node` with a zero normalizer, and every
+    node after it down the tree gets nan ones; the gate names `node`."""
+    eye = np.eye(4)
+    zx = np.broadcast_to(eye[0], (5, 4, 4)).copy()
+    zy = np.broadcast_to(eye[1], (5, 4, 4)).copy()
+    zx[node], zy[node] = eye[2], eye[3]
+    i, j = node
+    with pytest.raises(ValueError, match=rf"the seed frame at node "
+                                         rf"\({i}, {j}\)$"):
+        _continuous_normal_frames(zx, zy, 4)
+
+
+def test_conformal_gate_names_the_worst_node():
+    grid = ParamGrid(9, 9, 0.1)
+    X, Y = grid.mesh()
+    F = np.stack([X, Y * (1.0 + X * X), np.zeros_like(X)], axis=-1)
+    gxx, gxy, gyy = first_fundamental_form(
+        *maurer_cartan_pullback(F, model_for(la.rn(3)), grid))
+    i, j = worst_node(np.maximum(np.abs(gxy), np.abs(gxx - gyy)))
+    assert (i, j) != (0, 0)
+    with pytest.raises(ValueError, match=rf"^the parametrization is not "
+                                         rf"conformal; .* at node "
+                                         rf"\({i}, {j}\)$"):
+        spinor_of_immersion(F, la.rn(3), grid)
 
 
 def test_spinor_of_immersion_names_a_malformed_F():
