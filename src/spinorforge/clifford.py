@@ -154,10 +154,12 @@ def _accumulate(a, b, signs, rows):
     product, for term tables (signs, rows) of `_product_terms`.  Small
     products add the rows in one reduction over the row axis, which
     numpy runs as the same row-by-row sums."""
-    nodes = max(a.ndim, b.ndim) - 1
-    a, b = _pad_nodes(a, nodes), _pad_nodes(b, nodes)
-    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-    lift = (1,) * nodes
+    shape = a.shape[1:]
+    if b.shape[1:] != shape:
+        nodes = max(a.ndim, b.ndim) - 1
+        a, b = _pad_nodes(a, nodes), _pad_nodes(b, nodes)
+        shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    lift = (1,) * len(shape)
     if signs.size * math.prod(shape) <= BATCH_TERMS:
         terms = signs.reshape(signs.shape + lift) * a[:, None]
         return np.add.reduce(terms * b[rows], axis=0, initial=0.0)
