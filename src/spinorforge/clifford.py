@@ -712,9 +712,9 @@ def adjoint_even(e, n):
     Returns (matrices, impurity), impurity being the largest coefficient the
     images carry outside grade 1.  For n = 3 and 4 the images of vectors
     under any even a are vectors, and Ad(a) is the quadratic form in a of
-    `_closed_form_maps`: one gather and one einsum over the outer product
-    z, with impurity 0.  Other n take the two products a e_k and
-    (a e_k) rev(a) per k, the first with odd tables.
+    `_closed_form_maps`: at most four signed row gathers of the outer
+    product z, with impurity 0.  Other n take the two products a e_k and
+    (a e_k) rev(a) per k, through the kernel's odd tables.
     """
     e = np.asarray(e, dtype=np.float64)
     lead = e.shape[1:]
