@@ -25,9 +25,9 @@ a, parity of b) is built from `blade_tables` on first use: per row i of a,
 the signs s(i, i ^ k) and the rows of b that meet it on each output blade
 k.  The rows are added in ascending order to a zero start, which is the
 order of the dense loop over all blades, so products are bit-identical to
-it: a small product in one numpy reduction over the rows, a large one a
-row at a time over all nodes.  `gp_array`, the product of full-layout
-arrays, splits its operands by parity and calls the kernel.
+it, a row at a time over all nodes.  `gp_array`, the product of
+full-layout arrays, calls the kernel with the full-layout table over the
+rows of a that are nonzero somewhere.
 
 `exp_array` is the general exponential of any multivector (a Taylor series
 with scaling and squaring).  Bivector fields, the transport steps of the
@@ -141,28 +141,17 @@ def _pad_nodes(x, nodes):
     return x.reshape(x.shape[:1] + (1,) * (nodes - x.ndim + 1) + x.shape[1:])
 
 
-# below this many terms times nodes a product is one numpy call per step
-# over every term at once, above it one per row of a: on 2 vCPUs the first
-# took 12 against 40 us for n = 3 on 65 nodes, and 580 against 130 us on
-# 65^2 nodes
-BATCH_TERMS = 1 << 15
-
-
 def _accumulate(a, b, signs, rows):
-    """sum over the rows i of a of (s_i a_i) b[J_i], row by row in the
-    order given, into a zero start: the kernel behind every geometric
-    product, for term tables (signs, rows) of `_product_terms`.  Small
-    products add the rows in one reduction over the row axis, which
-    numpy runs as the same row-by-row sums."""
+    """sum over the rows i of a of (s_i a_i) b[J_i], a row at a time over
+    all nodes in the order given, into a zero start: the kernel behind
+    every geometric product, for term tables (signs, rows) of
+    `_product_terms`."""
     shape = a.shape[1:]
     if b.shape[1:] != shape:
         nodes = max(a.ndim, b.ndim) - 1
         a, b = _pad_nodes(a, nodes), _pad_nodes(b, nodes)
         shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
     lift = (1,) * len(shape)
-    if signs.size * math.prod(shape) <= BATCH_TERMS:
-        terms = signs.reshape(signs.shape + lift) * a[:, None]
-        return np.add.reduce(terms * b[rows], axis=0, initial=0.0)
     out = np.zeros(signs.shape[1:] + shape)
     t = np.empty_like(out)
     for ai, sign, row in zip(a, signs, rows):
@@ -185,45 +174,19 @@ def gp_blades(a, b, n, pa=EVEN, pb=EVEN):
     return _accumulate(a, b, *_product_terms(n, pa, pb))
 
 
-def _parity(x, n):
-    """EVEN or ODD when x (blades, ...) is zero on every blade of the other
-    parity, None for a mixed x."""
-    for parity in (EVEN, ODD):
-        if not np.any(x[parity_blades(n, 1 - parity)]):
-            return parity
-    return None
-
-
 def gp_array(a, b, n):
     """Geometric product of full-layout coefficient arrays (..., 2**n),
-    broadcasting leading axes, bit-identical to the dense row loop.
-
-    Operands of one parity each take one `gp_blades` product of their
-    parts.  A mixed operand takes the full-layout table, whose rows
-    interleave both parities in the dense loop's order (summing two
-    parity products would change that order).  A non-finite operand takes
-    it too, over the rows of a that are nonzero at some node, as the dense
-    loop skips the others: inf * 0 then makes the loop's nan, and no more.
-    """
-    dim = 1 << n
+    broadcasting leading axes: the kernel over the full-layout table,
+    restricted to the rows of a that are nonzero at some node.  Those are
+    the rows the dense loop adds, in its order, so products are
+    bit-identical to it, non-finite ones included: inf * 0 makes the
+    loop's nan, and no more."""
     a = np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)
     b = np.moveaxis(np.asarray(b, dtype=np.float64), -1, 0)
-    finite = np.all(np.isfinite(a)) and np.all(np.isfinite(b))
-    pa, pb = (_parity(a, n), _parity(b, n)) if finite else (None, None)
-    if pa is None or pb is None:
-        signs, rows = _product_terms(n, None, None)
-        live = np.arange(dim) if finite else np.flatnonzero(
-            np.any(a.reshape(dim, -1) != 0, axis=1))
-        if not len(live):
-            shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-            return np.zeros(shape + (dim,))
-        out = _accumulate(a[live], b, signs[live], rows[live])
-        return np.ascontiguousarray(np.moveaxis(out, 0, -1))
-    part = gp_blades(a[parity_blades(n, pa)], b[parity_blades(n, pb)], n,
-                     pa, pb)
-    out = np.zeros(part.shape[1:] + (dim,))
-    out[..., parity_blades(n, pa ^ pb)] = np.moveaxis(part, 0, -1)
-    return out
+    live = np.flatnonzero(np.any(a != 0, axis=tuple(range(1, a.ndim))))
+    signs, rows = _product_terms(n, None, None)
+    out = _accumulate(a[live], b, signs[live], rows[live])
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
 def to_even(a, n):
@@ -700,9 +663,12 @@ class SpinElement:
 
 
 def adjoint_array(g, n):
-    """`adjoint_even` of full-layout fields g (..., 2**n), whose odd
-    coefficients are not read (a spin element is even)."""
-    return adjoint_even(to_even(g, n), n)
+    """`adjoint_even` of full-layout fields g (..., 2**n).  Their odd
+    coefficients are not read (a spin element is even); the largest of
+    them counts as impurity, so that an odd part is reported, not dropped."""
+    m, impurity = adjoint_even(to_even(g, n), n)
+    return m, float(np.maximum(impurity,
+                               non_grade_norm(g, n, range(0, n + 1, 2))))
 
 
 def adjoint_even(e, n):

@@ -139,9 +139,13 @@ class SpinorField:
             tol=SPIN_NORM_TOL)
 
     def right_multiplied(self, a):
-        """The field phi . a for a spin element a."""
+        """The field phi . a for a spin element a; an a with odd
+        coefficients fails the field's even gate."""
         if isinstance(a, SpinElement):
             a = a.value
+        if not non_grade_norm(a.coeffs, self.n,
+                              range(0, self.n + 1, 2)) <= SPIN_NORM_TOL:
+            raise ValueError("spinor representatives must be even")
         return SpinorField(self.grid, self.n, gp_blades(
             self.even, to_even(a.coeffs, self.n), self.n))
 
@@ -371,12 +375,10 @@ def reconstruct_immersion(problem, base_point=None):
     report["structure_max"] = float(np.max(sres))
     report["structure_tol"] = float(structure_tolerance(problem.grid))
     if not report["structure_max"] <= report["structure_tol"]:
-        # the worst node (the first NaN if any), as for the holonomy
-        i, j = np.unravel_index(np.argmax(sres), sres.shape)
         raise NotIntegrableError(
             f"structure residual {report['structure_max']:.3e} above "
-            f"threshold {report['structure_tol']:.3e} at node ({i}, {j})",
-            report)
+            f"threshold {report['structure_tol']:.3e} at node "
+            f"{worst_node(sres)}", report)
     stats = {}
     F = darboux_integrate(xi, problem.alg, base=base_point, stats=stats)
     report.update(verify_reconstruction(F, problem, xi_normals))

@@ -548,6 +548,9 @@ def test_adjoint_field_kernel_matches_node_action(n):
             for k in range(n)])
         assert np.max(np.abs(mats[idx] - want)) <= 1e-14
         assert np.array_equal(a.adjoint_matrix(), mats[idx])
+    # odd coefficients are not read but count as impurity
+    g[1, 2, grade_indices(n, 1)[0]] = -3e-6
+    assert adjoint_array(g, n)[1] == 3e-6
 
 
 # =============================================================================

@@ -472,6 +472,14 @@ def test_normalize_roundtrip_recovers_xi():
         assert np.max(np.abs(xi_re.xi_y - xi_base.xi_y)) <= 1e-9
 
 
+def test_right_multiplied_rejects_an_odd_factor():
+    _, afield = analytic_problem(fixtures.s3_sphere(9))
+    a = random_spin(3).value + Multivector.from_vector([0.0, 1e-6, 0.0], 3)
+    with pytest.raises(ValueError, match="spinor representatives must be "
+                                         "even"):
+        afield.right_multiplied(a)
+
+
 def test_normalized_xi_matches_frame_map_at_base():
     fx = fixtures.sol3_plane(9)
     prob, _ = analytic_problem(fx)
