@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import spinorforge
@@ -1217,6 +1217,76 @@ def test_catalog_params_fuzz_exits_cleanly(group, params):
         code = main(["catalog", "--group", group,
                      "--params", json.dumps(params)])
     assert code in (0, 3), err.getvalue()
+
+
+_ODD_NUMBERS = st.sampled_from([1e308, -1e308, 1e300, 5e-324, 0.0, 1.0])
+_NOT_NUMBERS = st.sampled_from([True, False, "x", "", None, [], {}])
+_TAG_PARAMS = {
+    "Rn": st.fixed_dictionaries({"n": st.sampled_from([9, 0, 8.5, 1e300, 4])}),
+    "Hn": st.fixed_dictionaries({"n": st.sampled_from([9, 3]),
+                                 "l": st.lists(_ODD_NUMBERS, max_size=9)}),
+    "EKappaTau": st.fixed_dictionaries(
+        {"kappa": _ODD_NUMBERS | _NOT_NUMBERS, "tau": _ODD_NUMBERS}),
+    "SemiDirect": st.fixed_dictionaries({"A": st.lists(
+        st.lists(_ODD_NUMBERS | _NOT_NUMBERS, max_size=3), max_size=3)}),
+    "Unimodular": st.fixed_dictionaries(
+        {"mu": st.lists(_ODD_NUMBERS | _NOT_NUMBERS, max_size=4)}),
+}
+# the mutations of a catalog algebra file, those that index into it first
+_ALGEBRA_MUTATIONS = ("huge-c", "gamma-entry", "ragged-c", "c-of-9", "gamma",
+                      "params")
+
+
+@st.composite
+def mutated_catalog_files(draw):
+    """A catalog algebra file as `catalog -o` writes it, with one or two of:
+    an odd entry of `c`, a bool or string in `gamma` or as `gamma`, a
+    ragged `c`, a `c` of dimension 9, a non-object `params`."""
+    tag = draw(st.sampled_from(sorted(la.CATALOG)))
+    blob = la.algebra_to_dict(la.catalog_build(tag, la.CATALOG[tag][1]))
+    index = st.integers(0, 2)
+    hows = draw(st.lists(st.sampled_from(_ALGEBRA_MUTATIONS),
+                         min_size=1, max_size=2))
+    for how in sorted(hows, key=_ALGEBRA_MUTATIONS.index):
+        if how == "huge-c":
+            blob["c"][draw(index)][draw(index)][draw(index)] = \
+                draw(_ODD_NUMBERS)
+        elif how == "gamma-entry":
+            blob["gamma"][draw(index)][draw(index)][draw(index)] = \
+                draw(_NOT_NUMBERS)
+        elif how == "ragged-c":
+            i = draw(index)
+            blob["c"][i] = blob["c"][i][:draw(index)]
+        elif how == "c-of-9":
+            blob["c"] = np.zeros((9, 9, 9)).tolist()
+        elif how == "gamma":
+            blob["gamma"] = draw(_NOT_NUMBERS)
+        else:
+            blob["params"] = draw(st.sampled_from([True, "x", None, [], 3]))
+    return blob
+
+
+# an algebra file without `c` and `gamma`, for its tag to build from params
+_TAG_BUILT_ALGEBRAS = st.sampled_from(sorted(_TAG_PARAMS)).flatmap(
+    lambda tag: st.fixed_dictionaries({"tag": st.just(tag),
+                                       "params": _TAG_PARAMS[tag]}))
+
+
+@given(mutated_catalog_files() | _TAG_BUILT_ALGEBRAS)
+@settings(max_examples=80, deadline=None, derandomize=True)
+@seed(20261020)
+def test_check_algebra_fuzz_exits_cleanly(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "alg.json"), os.path.join(tmp, "r.json")
+        with open(path, "w") as fh:
+            json.dump(blob, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["check-algebra", path, "-o", out])
+        assert code in (0, 2, 3), err.getvalue()
+        assert err.getvalue().count("\n") <= 1, err.getvalue()
+        assert os.path.exists(out) == (code != 3), (code, err.getvalue())
 
 
 def test_tag_only_hn_of_dimension_zero_is_input_error(tmp_path, capsys):

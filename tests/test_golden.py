@@ -1,17 +1,18 @@
-"""The CLI's outputs at --grid-n 17 match tests/golden/ (tools/golden.py).
+"""The CLI's outputs at --grid-n 17 match tests/golden/ (tools/outputs.py).
 
-Regenerate with `python3 tools/golden.py --write`, and name every value
+Regenerate with `python3 tools/outputs.py --write`, and name every value
 that moved in CHANGES.md.
 """
 
 import importlib.util
 import json
+import math
 import pathlib
 
 import pytest
 
-TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "golden.py"
-spec = importlib.util.spec_from_file_location("golden", TOOL)
+TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "outputs.py"
+spec = importlib.util.spec_from_file_location("outputs", TOOL)
 golden = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(golden)
 
@@ -66,3 +67,17 @@ def test_compare_holds_each_value_to_its_bound():
     got["values"]["out.json:holonomy_argmax"]["values"][0] += 1
     got["stderr"] = "x"
     assert len(golden.compare(want, got)) == 3
+
+
+def test_every_bound_is_twice_the_measured_move(tmp_path):
+    # the rule above BOUNDS: at least twice the largest move that --measure
+    # finds, and for the relative units the smallest such power of two, at
+    # least 4
+    moves = golden.measure(tmp_path)
+    assert set(moves) <= set(golden.BOUNDS)
+    for q, move in moves.items():
+        unit, multiple = golden.BOUNDS[q]
+        assert 2 * move <= multiple, (q, move, multiple)
+        if unit != "absolute":
+            assert multiple == max(4, 2 ** math.ceil(math.log2(
+                max(2 * move, 1.0)))), (q, move, multiple)

@@ -1,5 +1,5 @@
-"""tools/output_digests.py: the output sweep gives the same listing twice,
-and --compare sizes what moved between two sweeps."""
+"""tools/outputs.py --digest and --compare: the output sweep gives the same
+listing twice, and --compare sizes what moved between two sweeps."""
 
 import hashlib
 import importlib.util
@@ -12,12 +12,12 @@ import numpy as np
 
 import spinorforge
 
-TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "outputs.py"
 SRC = os.path.dirname(spinorforge.__path__[0])
 
 
 def load_tool():
-    spec = importlib.util.spec_from_file_location("output_digests", TOOL)
+    spec = importlib.util.spec_from_file_location("outputs", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
@@ -84,7 +84,7 @@ def test_a_sweep_compared_with_itself_moves_no_file(tmp_path):
     tool = load_tool()
     _small_sweep(tool, tmp_path / "a")
     shutil.copytree(tmp_path / "a", tmp_path / "b")
-    assert tool.compare(tmp_path / "a", tmp_path / "b") == []
+    assert tool.compare_dirs(tmp_path / "a", tmp_path / "b") == []
     # every format the sweep writes is read
     for path in sorted((tmp_path / "a").iterdir()):
         assert tool.file_numbers(path), path
@@ -110,7 +110,7 @@ def test_compare_reports_a_one_ulp_nudge_exactly(tmp_path):
     obj = tmp_path / "b" / "sphere-r3-9.reconstruct.surface.obj"
     lines = obj.read_text().splitlines(keepends=True)
     obj.write_text("".join(lines[1:]))
-    assert tool.compare(tmp_path / "a", tmp_path / "b") == [
+    assert tool.compare_dirs(tmp_path / "a", tmp_path / "b") == [
         f"moved {float(y - y_down)!r} "
         "s3-sphere-9.reconstruct.surface.export.ply",
         f"moved {float(np.nextafter(x, np.inf) - x)!r} "
@@ -132,13 +132,43 @@ def test_compare_sizes_a_one_ulp_nudge_of_a_converse_part(tmp_path):
         assert hashlib.sha256(array.tobytes()).hexdigest() == sha
     assert len(list((tmp_path / "a" / "converse").iterdir())) == len(lines)
     shutil.copytree(tmp_path / "a", tmp_path / "b")
-    assert tool.compare(tmp_path / "a", tmp_path / "b") == []
+    assert tool.compare_dirs(tmp_path / "a", tmp_path / "b") == []
     path = tmp_path / "b" / "converse" / "sphere-r4-twisted-9.frames.npy"
     frames = np.load(path)
     x = frames[2, 7, 1, 2]
     frames[2, 7, 1, 2] = np.nextafter(x, np.inf)
     np.save(path, frames)
     assert tool.file_numbers(path) == frames.ravel().tolist()
-    assert tool.compare(tmp_path / "a", tmp_path / "b") == [
+    assert tool.compare_dirs(tmp_path / "a", tmp_path / "b") == [
         f"moved {float(np.nextafter(x, np.inf) - x)!r} "
         "converse/sphere-r4-twisted-9.frames.npy"]
+
+
+def test_compare_names_a_file_whose_numbers_are_equal_but_bytes_differ(
+        tmp_path):
+    tool = load_tool()
+    runs = tool.grid_runs(["sphere-r3", "sphere-r3-broken"], sizes=(17,),
+                          commands=("reconstruct",))
+    tool.sweep(SRC, tmp_path / "a", runs)
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    # a verdict flipped, an error naming another plaquette, two faces swapped
+    report = tmp_path / "b" / "sphere-r3-17.reconstruct.json"
+    blob = json.loads(report.read_text())
+    assert blob["integrable"] is True
+    blob["integrable"] = False
+    report.write_text(json.dumps(blob, sort_keys=True) + "\n")
+    report = tmp_path / "b" / "sphere-r3-broken-17.reconstruct.json"
+    blob = json.loads(report.read_text())
+    assert blob["error"].endswith("at plaquette (11, 8)")
+    blob["error"] = blob["error"].replace("(11, 8)", "(8, 11)")
+    report.write_text(json.dumps(blob, sort_keys=True) + "\n")
+    obj = tmp_path / "b" / "sphere-r3-17.reconstruct.surface.obj"
+    lines = obj.read_text().splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if line.startswith("f "))
+    lines[first], lines[first + 1] = lines[first + 1], lines[first]
+    obj.write_text("".join(lines))
+    assert tool.compare_dirs(tmp_path / "a", tmp_path / "b") == [
+        "differs sphere-r3-17.reconstruct.json",
+        "differs sphere-r3-17.reconstruct.surface.obj",
+        "differs sphere-r3-broken-17.reconstruct.json",
+    ]
