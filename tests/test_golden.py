@@ -74,7 +74,7 @@ def test_every_bound_is_twice_the_measured_move(tmp_path):
     # finds, and for the relative units the smallest such power of two, at
     # least 4
     moves = golden.measure(tmp_path)
-    assert set(moves) <= set(golden.BOUNDS)
+    assert set(moves) == set(golden.BOUNDS)
     for q, move in moves.items():
         unit, multiple = golden.BOUNDS[q]
         assert 2 * move <= multiple, (q, move, multiple)

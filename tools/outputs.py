@@ -164,15 +164,6 @@ def file_numbers(path):
             for x in np.ravel(value).tolist()]
 
 
-def _array_summary(values):
-    flat = values.reshape(-1)
-    if flat.size <= SAMPLES:
-        return {"shape": list(values.shape), "values": flat.tolist()}
-    at = np.linspace(0, flat.size - 1, SAMPLES).round().astype(int)
-    return {"shape": list(values.shape), "max": flat.max().item(),
-            "mean": flat.mean().item(), "sample": flat[at].tolist()}
-
-
 # =============================================================================
 # Golden records and their bounds
 # =============================================================================
@@ -241,6 +232,15 @@ def spacing(argv):
     if name == "cmc-sphere":
         return fixtures.cmc_sphere(GRID_N)[0].grid.h
     return SURFACE_FIXTURES[name](GRID_N).grid.h
+
+
+def _array_summary(values):
+    flat = values.reshape(-1)
+    if flat.size <= SAMPLES:
+        return {"shape": list(values.shape), "values": flat.tolist()}
+    at = np.linspace(0, flat.size - 1, SAMPLES).round().astype(int)
+    return {"shape": list(values.shape), "max": flat.max().item(),
+            "mean": flat.mean().item(), "sample": flat[at].tolist()}
 
 
 def record(argv, workdir):
