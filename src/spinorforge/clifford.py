@@ -18,7 +18,9 @@ Spin-group fields (spinor fields, edge rotors, holonomy loops) lie in the
 even subalgebra and are kept as their 2**(n-1) even coefficients,
 blade-major: shape (2**(n-1), ...nodes), rows in ascending blade order, so
 row 0 is the scalar part (`to_even`, `from_even`).  An odd operand, such as
-a vector, has the same shape over the odd blades.
+a vector, has the same shape over the odd blades.  At every n, the
+exponential of a bivector field and the spin lift of a rotation field run
+in the even layout alone.
 
 `gp_blades` is the one product kernel.  Its term table per (n, parity of
 a, parity of b) is built from `blade_tables` on first use: per row i of a,
@@ -29,12 +31,15 @@ it, a row at a time over all nodes.  `gp_array`, the product of
 full-layout arrays, calls the kernel with the full-layout table over the
 rows of a that are nonzero somewhere.
 
-`exp_array` is the general exponential of any multivector (a Taylor series
-with scaling and squaring).  Bivector fields, the transport steps of the
-spinor solver, go through `bivector_exp_even`, which is exact and free of
-geometric products for n <= 4 (Spin(3) and Spin(4) = Sp(1) x Sp(1)), and
-so are the adjoint action `adjoint_even` and its inverse, the spin lift of
-a rotation field (`spin_lift_even`).
+One Taylor series with scaling and squaring (`_series_exp`) serves both
+layouts, given the layout's product and unit.  `exp_array` is the general
+exponential of full-layout multivectors through `gp_array`.  Bivector
+fields, the transport steps of the spinor solver, go through
+`bivector_exp_even`: a closed form free of geometric products for n <= 4
+(Spin(3) and Spin(4) = Sp(1) x Sp(1)), and the series through `gp_blades`
+for n >= 5.  So do the adjoint action `adjoint_even` and its inverse, the
+spin lift of a rotation field (`spin_lift_even`): closed forms for n = 3
+and 4, and `gp_blades` products otherwise (of Givens rotors, for the lift).
 
 Multivectors are immutable values; all operations return new objects.
 """
@@ -266,28 +271,33 @@ def non_grade_norm(a, n, keep):
     return float(np.max(np.abs(outside))) if outside.size else 0.0
 
 
-def exp_array(a, n, terms=18):
-    """Clifford exponential of any multivector field by scaling-and-squaring
-    plus Taylor series.
-
-    This is the general series, `terms` geometric products per field plus
-    one per squaring; the series converges fast after scaling to max-norm
-    <= 0.5.  Bivector fields have the closed form `bivector_exp_even`.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    m = float(np.max(np.abs(a))) if a.size else 0.0
-    s = max(0, int(math.ceil(math.log2(m / 0.5))) if m > 0.5 else 0)
-    x = a / (1 << s)
-    dim = 1 << n
-    out = np.zeros_like(x)
-    out[..., 0] = 1.0
-    term = out.copy()
+def _series_exp(x, product, unit, terms=18):
+    """exp(x) by scaling and squaring plus Taylor series in either layout:
+    `product` is the layout's geometric product and `unit` its 1, an array
+    of x's shape.  The series of x / 2**s, scaled to max-norm <= 0.5 where
+    it converges fast, takes `terms` products, and its sum is squared s
+    times.  A non-finite x is not scaled: its series is non-finite at the
+    same nodes.  s is at most 1025, which scales every finite x."""
+    m = float(np.max(np.abs(x))) if x.size else 0.0
+    s = math.ceil(min(math.log2(m / 0.5), 1025)) if 0.5 < m < math.inf else 0
+    x = x * math.ldexp(1.0, -s)
+    out = term = unit
     for k in range(1, terms + 1):
-        term = gp_array(term, x, n) / k
+        term = product(term, x) / k
         out = out + term
     for _ in range(s):
-        out = gp_array(out, out, n)
+        out = product(out, out)
     return out
+
+
+def exp_array(a, n, terms=18):
+    """Clifford exponential of any full-layout multivector field a
+    (..., 2**n): `_series_exp` with `gp_array`, `terms` products per field
+    plus one per squaring.  Bivector fields have `bivector_exp_even`."""
+    a = np.asarray(a, dtype=np.float64)
+    unit = np.zeros_like(a)
+    unit[..., 0] = 1.0
+    return _series_exp(a, lambda p, q: gp_array(p, q, n), unit, terms)
 
 
 @lru_cache(maxsize=None)
@@ -305,9 +315,10 @@ def _pseudoscalar_gathers(n):
 
 def bivector_exp_even(e, n):
     """exp(b) of bivector fields, blade-major even in and out: e
-    (2**(n-1), ...), of which only the grade-2 rows are read, in closed form
-    for n <= 4.  For n >= 5 this is `exp_array`, which exponentiates every
-    coefficient, on the full layout.
+    (2**(n-1), ...).  For n <= 4 a closed form, which reads only the
+    grade-2 rows.  For n >= 5 the series `_series_exp` through `gp_blades`,
+    which exponentiates every even row, with the products and sums of
+    `exp_array` on the full layout, so bit-identical to it on finite e.
 
     For n <= 3 every bivector is simple: b^2 = -|b|^2 and
     exp(b) = cos|b| + (sin|b| / |b|) b.  For n = 4 the pseudoscalar
@@ -320,9 +331,11 @@ def bivector_exp_even(e, n):
     (the invariant decomposition of Roelfs & De Keninck, arXiv:2107.03771).
     p and I b are row/sign gathers; no geometric product is taken.
     """
-    if n >= 5:
-        return to_even(exp_array(from_even(e, n), n), n)
     e = np.asarray(e, dtype=np.float64)
+    if n >= 5:
+        unit = np.zeros_like(e)
+        unit[0] = 1.0
+        return _series_exp(e, lambda p, q: gp_blades(p, q, n), unit)
     rows, comp, pair_sign, i_sign = _pseudoscalar_gathers(n)
     lift = (-1,) + (1,) * (e.ndim - 1)
     b = e[rows]
@@ -747,7 +760,8 @@ def spin_lift_even(T):
     a+ a-^T for the halves a+- = (1 +- I)/2 a, I = e1234, for n = 4, and
     a is read off its largest row or column.  Other n factor every node
     into Givens rotations of the planes (i-1, i) in one order (columns j,
-    rows i from n-1 down to j+1) and multiply their half-angle rotors.
+    rows i from n-1 down to j+1) and multiply their half-angle rotors, even
+    rows, with `gp_blades`.
     The orthogonality gate pins |det T| to 1, and a field with any
     reflection (det < 0) is rejected since it has no spin lift.  A failed
     gate names its worst node (the first nan if any).
@@ -780,15 +794,17 @@ def spin_lift_even(T):
                              f"{np.max(miss):.3e}; input not special "
                              f"orthogonal within tolerance"
                              f"{_at_node(miss, lead)}")
-        a = to_even(_givens_lift(T, n), n).reshape(1 << (n - 1), -1)
+        a = _givens_lift(T, n).reshape(1 << (n - 1), -1)
     return _canonical_sign_array(a.T).T.reshape((1 << (n - 1),) + lead)
 
 
 def _givens_lift(T, n):
-    """The product of the half-angle rotors of T's Givens factorization."""
+    """The product of the half-angle rotors of T's Givens factorization,
+    blade-major even (2**(n-1), ...)."""
     work = T.copy()
-    a = np.zeros(T.shape[:-2] + (1 << n,))
-    a[..., 0] = 1.0
+    rows = _parity_rows(n)
+    a = np.zeros((1 << (n - 1),) + T.shape[:-2])
+    a[0] = 1.0
     for j in range(n - 1):
         for i in range(n - 1, j, -1):
             # copies: the row update below writes to the entries read here
@@ -803,11 +819,11 @@ def _givens_lift(T, n):
             work[..., i, :] = -s * row0 + c * row1
             half = np.where(live, np.arctan2(y, x), 0.0) / 2
             rotor = np.zeros_like(a)
-            rotor[..., 0] = np.cos(half)
-            rotor[..., (1 << (i - 1)) | (1 << i)] = np.sin(half)
+            rotor[0] = np.cos(half)
+            rotor[rows[(1 << (i - 1)) | (1 << i)]] = np.sin(half)
             # G_m ... G_1 T = I with G_k = R(i-1, i, -theta_k), so
             # T = R_1 R_2 ... R_m: the rotors multiply in the order applied
-            a = gp_array(a, rotor, n)
+            a = gp_blades(a, rotor, n)
     # work is now upper triangular and orthogonal => diagonal of +-1;
     # for det +1 input with clean factorization the diagonal is +1.
     if not np.max(np.abs(work - np.eye(n))) <= 1e-8:

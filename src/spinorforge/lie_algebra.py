@@ -309,6 +309,15 @@ def dimension_param(params):
     return int(n)
 
 
+def _catalog_dimension(params):
+    """`dimension_param` of a catalog algebra, within 1..MAX_DIM, and named
+    as given when it is not: int(1e300) would spell out all of its digits.
+    Group models take any positive n."""
+    n = dimension_param(params)
+    _check_dim(params["n"])
+    return n
+
+
 def _milnor_param(params):
     """params.mu of a unimodular algebra: exactly three real numbers."""
     mu = real_param(params, "mu", 1)
@@ -320,8 +329,8 @@ def _milnor_param(params):
 
 # tag: (builder from a params dict, the params the command line defaults to)
 CATALOG = {
-    "Rn": (lambda params: rn(dimension_param(params)), {"n": 3}),
-    "Hn": (lambda params: hn(dimension_param(params), real_param(
+    "Rn": (lambda params: rn(_catalog_dimension(params)), {"n": 3}),
+    "Hn": (lambda params: hn(_catalog_dimension(params), real_param(
         params, "l", 1) if "l" in params else None), {"n": 3}),
     "S3": (lambda params: s3(), {}),
     "EKappaTau": (lambda params: e_kappa_tau(

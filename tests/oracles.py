@@ -16,14 +16,23 @@ the two.
     for bit
   * bivector_exp_array     -- `clifford.bivector_exp_even` in the full
     layout (..., 2**n), for the tests written on that layout
+  * givens_lift_full       -- the Givens spin lift on the full layout, as
+    `clifford._givens_lift` computed it before it moved to the even
+    kernel, which reproduces it bit for bit
+  * padded                 -- a surface fixture in R^n as the same surface
+    in R^(n + 1), whose solve and reconstruction embed the R^n ones
 """
 
 import numpy as np
 
 from spinorforge.clifford import (
-    Multivector, bivector_exp_even, blade_tables, from_even, to_even,
+    Multivector, bivector_exp_even, blade_tables, from_even, gp_array,
+    to_even,
 )
 from spinorforge.cmc import ab_scalars, h_potential
+from spinorforge.fixtures import SurfaceFixture
+from spinorforge.immersion import ImmersionData
+from spinorforge.lie_algebra import rn
 
 
 def ekt_gamma_bivector(data, X, vertex):
@@ -136,3 +145,55 @@ def bivector_exp_array(a, n):
     """exp(b) of full-layout bivector fields b (..., 2**n): the pipeline's
     `bivector_exp_even` between `to_even` and `from_even`."""
     return from_even(bivector_exp_even(to_even(a, n), n), n)
+
+
+def givens_lift_full(T, n):
+    """The product of the half-angle rotors of T's Givens factorization,
+    full layout (..., 2**n): `clifford._givens_lift` as it was on that
+    layout, verbatim."""
+    work = T.copy()
+    a = np.zeros(T.shape[:-2] + (1 << n,))
+    a[..., 0] = 1.0
+    for j in range(n - 1):
+        for i in range(n - 1, j, -1):
+            # copies: the row update below writes to the entries read here
+            x, y = work[..., i - 1, j].copy(), work[..., i, j].copy()
+            r = np.hypot(x, y)
+            live = r > 1e-300   # a vanishing pair needs no rotation
+            c = np.divide(x, r, out=np.ones_like(r), where=live)[..., None]
+            s = np.divide(y, r, out=np.zeros_like(r), where=live)[..., None]
+            # rotate rows (i-1, i) so that work[i, j] -> 0
+            row0, row1 = work[..., i - 1, :].copy(), work[..., i, :].copy()
+            work[..., i - 1, :] = c * row0 + s * row1
+            work[..., i, :] = -s * row0 + c * row1
+            half = np.where(live, np.arctan2(y, x), 0.0) / 2
+            rotor = np.zeros_like(a)
+            rotor[..., 0] = np.cos(half)
+            rotor[..., (1 << (i - 1)) | (1 << i)] = np.sin(half)
+            # G_m ... G_1 T = I with G_k = R(i-1, i, -theta_k), so
+            # T = R_1 R_2 ... R_m: the rotors multiply in the order applied
+            a = gp_array(a, rotor, n)
+    # work is now upper triangular and orthogonal => diagonal of +-1;
+    # for det +1 input with clean factorization the diagonal is +1.
+    if not np.max(np.abs(work - np.eye(n))) <= 1e-8:
+        raise ValueError("Givens factorization failed; input not special "
+                         "orthogonal within tolerance")
+    return a
+
+
+def padded(fx):
+    """A surface fixture in R^n as the same surface in R^(n + 1): e_(n+1)
+    is one more normal, with zero B and normal connection entries, and F
+    gains a zero coordinate."""
+    data, n = fx.data, fx.data.n
+    frames = np.zeros(data.frames.shape[:2] + (n + 1, n + 1))
+    frames[..., :n, :n] = data.frames
+    frames[..., n, n] = 1.0
+    B = np.pad(data.B, [(0, 0)] * 4 + [(0, 1)])
+    theta_x, theta_y = (np.pad(t, [(0, 0)] * 2 + [(0, 1)] * 2)
+                        for t in (data.theta_x, data.theta_y))
+    return SurfaceFixture(
+        alg=rn(n + 1),
+        data=ImmersionData(data.grid, frames, B=B, theta_x=theta_x,
+                           theta_y=theta_y),
+        F=np.pad(fx.F, [(0, 0)] * 2 + [(0, 1)]))

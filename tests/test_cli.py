@@ -31,6 +31,8 @@ from spinorforge.serialization import (SURFACE_SCHEMA, cmc_to_dict,
                                        problem_to_dict, surface_from_dict,
                                        surface_to_dict)
 
+from oracles import padded
+
 
 def write_problem(tmp_path, fx, name="problem.json"):
     path = tmp_path / name
@@ -716,6 +718,33 @@ def test_overflowing_transport_exits_four_and_names_the_edge(tmp_path, capsys,
     assert "must be even" not in err
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_overflowing_connection_exits_as_in_r4_at_n_5(tmp_path, capsys, n):
+    """sphere-r4-twisted, and the same surface padded into R^5 (e5 a third
+    normal with zero B and theta), with one B entry at 1e308.  solve exits
+    4 naming the cell at both n, and writes no report and no spinor file;
+    reconstruct stops at its R^3 embedding check before any work."""
+    fx = fixtures.sphere_r4_twisted(9)
+    if n == 5:
+        fx = padded(fx)
+    blob = problem_to_dict(fx.data, fx.alg, base_point=fx.F[0, 0])
+    B = np.array(blob["B"])
+    B[4, 4, 0, 0, 0] = 1e308
+    blob["B"] = B.tolist()
+    path = tmp_path / "overflow.json"
+    dump_json(blob, path)
+    out = tmp_path / "out"
+    out.mkdir()
+    for command, code, message in [
+            ("solve", 4, "numerical failure: spin transport diverged at "
+                         "cell (3, 4)"),
+            ("reconstruct", 3, f"input error: no R^3 embedding for abelian "
+                               f"payloads of dimension {n}")]:
+        assert _main_err([command, str(path), "-o", str(out / "r.json")],
+                         capsys) == (code, message + "\n")
+        assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["solve", "reconstruct"])
 def test_huge_but_finite_transport_is_not_integrable(tmp_path, capsys,
                                                       command):
@@ -1203,6 +1232,14 @@ def test_catalog_bad_params_exit_three(capsys, group, params):
                           capsys)
     assert code == 3
     assert err.startswith("input error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("given", ["1e300", "-1e300", "100000", "9.0"])
+def test_catalog_names_an_oversized_dimension_as_given(capsys, given):
+    code, err = _main_err(["catalog", "--group", "Rn", "--params",
+                           f'{{"n": {given}}}'], capsys)
+    assert (code, err) == (3, f"input error: invalid algebra: dimension must "
+                              f"be 1..8; got {json.loads(given)!r}\n")
 
 
 @given(st.sampled_from(sorted(la.CATALOG)),

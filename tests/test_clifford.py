@@ -27,7 +27,8 @@ from spinorforge.clifford import (
 from spinorforge.cli import SURFACE_FIXTURES
 from spinorforge.spinor import spinor_of_immersion
 
-from oracles import bivector_exp_array, dense_row_gp, skew_of_bivector
+from oracles import (bivector_exp_array, dense_row_gp, givens_lift_full,
+                     skew_of_bivector)
 
 rng = np.random.default_rng(20240611)
 
@@ -346,9 +347,38 @@ def test_bivector_exp_in_one_dimension_is_one():
                           np.array([1.0, 0.0]))
 
 
-def test_bivector_exp_in_five_dimensions_is_the_series():
-    b = random_bivector_field(5, (4, 3), 2.0)
-    assert np.array_equal(bivector_exp_array(b, 5), exp_array(b, 5))
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_bivector_exp_from_five_dimensions_is_the_series(n, gp_calls):
+    """The even-layout series is exp_array's bit for bit, with no squaring
+    at max-norm 0.5 and with the 7 that max-norm 40 takes."""
+    large = random_bivector_field(n, (4, 3), 2.0)
+    large[1, 2, grade_indices(n, 2)[-1]] = -40.0
+    for b, squarings in [(random_bivector_field(n, (4, 3), 0.5), 0),
+                         (large, 7)]:
+        gp_calls.clear()
+        got = bivector_exp_array(b, n)
+        assert len(gp_calls) == 18 + squarings
+        assert np.array_equal(got, exp_array(b, n))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_series_of_a_non_finite_field_is_non_finite_at_its_node(value):
+    """A field with a non-finite node is not scaled (log2 of inf has no
+    ceiling), and the series is non-finite at that node alone."""
+    b = random_bivector_field(5, (3, 4), 2.0)
+    b[2, 1, grade_indices(5, 2)[3]] = value
+    finite = np.all(np.isfinite(bivector_exp_array(b, 5)), axis=-1)
+    assert np.flatnonzero(~finite).tolist() == [2 * 4 + 1]
+
+
+@pytest.mark.parametrize("m", [5e307, 1.5e308])
+def test_series_scales_a_finite_max_norm_past_two_to_the_1023(m):
+    """2**s for s >= 1024 is no float; the scaling 2**-s of max-norm m,
+    at most 2**-1025, is."""
+    b = np.zeros(32)
+    b[grade_indices(5, 2)[3]] = m
+    assert np.all(np.isfinite(bivector_exp_array(b, 5)))
 
 
 def former_cos_sinc(lam):
@@ -879,19 +909,44 @@ def test_closed_form_lift_rejects_one_bad_node(n, bad, message):
         spin_lift_array(field)
 
 
-def test_spin_lift_takes_geometric_products_only_beyond_n_4(monkeypatch):
-    calls = []
-
-    def counted(a, b, n):
-        calls.append(n)
-        return gp_array(a, b, n)
-
-    monkeypatch.setattr(clifford, "gp_array", counted)
+def test_spin_lift_takes_geometric_products_only_beyond_n_4(gp_calls):
     for n in (3, 4):
         spin_lift_array(np.array([random_so(n) for _ in range(5)]))
-    assert calls == []
+    assert gp_calls == []
     spin_lift_array(random_so(5))
-    assert len(calls) >= 1
+    assert len(gp_calls) >= 1
+
+
+def half_turns(n):
+    """diag(+-1) rotations of SO(n) by pi in two or more planes: adjacent,
+    apart, and every pair of axes but the last (n odd)."""
+    flips = [(0, 1), (n - 2, n - 1), (0, n - 1), tuple(range(n - n % 2))]
+    T = np.array([np.eye(n)] * len(flips))
+    for t, axes in zip(T, flips):
+        t[axes, axes] = -1.0
+    return T
+
+
+@pytest.mark.parametrize("n", [2, 5, 6, 7, 8])
+def test_givens_spin_lift_is_the_full_layout_lift(n):
+    """The even-layout Givens lift is the full-layout one, bit for bit, on
+    random rotations, half turns and a (2, 3) field."""
+    Ts = np.concatenate([[random_so(n) for _ in range(12)], half_turns(n)])
+    for T in (Ts, Ts[:6].reshape(2, 3, n, n), Ts[-1]):
+        want = _canonical_sign_array(givens_lift_full(T, n))
+        assert np.array_equal(spin_lift_array(T), want)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("bad,message", [
+    ("nan", r"matrix is not orthogonal: \|T\^T T - I\| = nan at node "
+            r"\(1, 2\)$"),
+    ("reflection", r"matrix is not special orthogonal \(det = -1\)$")])
+def test_givens_lift_rejects_one_bad_node(n, bad, message):
+    field = np.array([random_so(n) for _ in range(6)]).reshape(2, 3, n, n)
+    field[1, 2, :, 0] = -field[1, 2, :, 0] if bad == "reflection" else np.nan
+    with pytest.raises(ValueError, match=message):
+        spin_lift_array(field)
 
 
 def test_spin_element_rejects_nan():
