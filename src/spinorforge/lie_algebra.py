@@ -312,7 +312,8 @@ def dimension_param(params):
 def _catalog_dimension(params):
     """`dimension_param` of a catalog algebra, within 1..MAX_DIM, and named
     as given when it is not: int(1e300) would spell out all of its digits.
-    Group models take any positive n."""
+    Group models bound and name their n the same way
+    (`lie_group._model_dimension`)."""
     n = dimension_param(params)
     _check_dim(params["n"])
     return n

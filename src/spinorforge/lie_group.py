@@ -7,7 +7,9 @@ with closed-form product, one-parameter subgroups and logarithm:
   * S^3                   -- payload: unit quaternion (w, v1, v2, v3) in the
                              basis (1, e1, e2, e3) with e1 e2 = e3 cyclic
   * R^2 x_A R             -- payload: (x1, x2, z), product
-                             (x, z)(x', z') = (x + e^{zA} x', z + z')
+                             (x, z)(x', z') = (x + e^{zA} x', z + z');
+                             per axis, e^{z a_i} x'_i, when A = diag(a)
+                             (Sol_3, H^2 x R), else by 2x2 matrices
   * H^n (l = e_n-dual)    -- payload: (a', a_n), a_n > 0, product
                              a b = (a_n b' + a', a_n b_n)
 
@@ -36,14 +38,15 @@ are the negated logs of the positive ones, log(g^-1) = -log g.
 import numpy as np
 
 from . import lie_algebra as la
-from .clifford import cosh_sinhc
+from .clifford import MAX_DIM, cosh_sinhc
 from .grid import difference, stencil_blocks
 
-# phi(zA) = alpha I + beta N switches from the eigenvalue form to the
-# near-repeated forms when |z^2 d| (half the eigenvalue gap, squared) is below
-# _NEAR_REPEATED, and to the Taylor series when also |z tr A / 2| < _SMALL_MEAN.
-# The thresholds balance the cancellation of each closed form (a few ulp at
-# most) against the length of the series.
+# For a non-diagonal A, phi(zA) = alpha I + beta N switches from the
+# eigenvalue form to the near-repeated forms when |z^2 d| (half the eigenvalue
+# gap, squared) is below _NEAR_REPEATED, and to the Taylor series when also
+# |z tr A / 2| < _SMALL_MEAN.  The thresholds balance the cancellation of each
+# closed form (a few ulp at most) against the length of the series.  A
+# diagonal A needs none of them: phi(zA) is _phi1(z a_i) on each axis.
 _NEAR_REPEATED = 0.01
 _SMALL_MEAN = 0.25
 _TAYLOR_TERMS = 14
@@ -246,7 +249,11 @@ def _phi_coefficients(u, q):
 
 
 class SemidirectModel(GroupModel):
-    """R^2 x_A R with (x, z)(x', z') = (x + e^{zA} x', z + z')."""
+    """R^2 x_A R with (x, z)(x', z') = (x + e^{zA} x', z + z').
+
+    A diagonal A acts on its axes a = (A_00, A_11): e^{zA} x is e^{z a_i} x_i
+    and phi(zA) w is _phi1(z a_i) w_i, so every operation is elementwise.
+    Any other A takes the 2x2 forms: `expm` and phi(zA) = alpha I + beta N."""
 
     name = "semidirect"
     n = 3
@@ -254,6 +261,8 @@ class SemidirectModel(GroupModel):
 
     def __init__(self, A):
         self.A = np.asarray(A, dtype=np.float64).reshape(2, 2)
+        self._axes = (np.diag(self.A).copy()
+                      if self.A[0, 1] == self.A[1, 0] == 0 else None)
         # A = s I + N with N traceless, so N^2 = d I
         self._s = 0.5 * np.trace(self.A)
         self._N = self.A - self._s * np.eye(2)
@@ -263,7 +272,18 @@ class SemidirectModel(GroupModel):
         return np.zeros(3)
 
     def _expA(self, z):
-        return expm(np.asarray(z, float)[..., None, None] * self.A)
+        """e^{zA} per node: its axis factors (..., 2) for a diagonal A, the
+        matrices (..., 2, 2) otherwise."""
+        z = np.asarray(z, float)
+        if self._axes is not None:
+            return np.exp(z[..., None] * self._axes)
+        return expm(z[..., None, None] * self.A)
+
+    def _act(self, E, x):
+        """e^{zA} x from the factors E = `_expA(z)`."""
+        if self._axes is not None:
+            return E * x
+        return np.einsum("...ij,...j->...i", E, x)
 
     def _phi(self, z):
         """alpha, beta with phi(zA) = (e^{zA} - I)(zA)^{-1} = alpha I + beta N."""
@@ -274,14 +294,13 @@ class SemidirectModel(GroupModel):
         g = np.asarray(g, float)
         h = np.asarray(h, float)
         g, h = np.broadcast_arrays(g, h)
-        x = g[..., :2] + np.einsum("...ij,...j->...i", self._expA(g[..., 2]),
-                                   h[..., :2])
+        x = g[..., :2] + self._act(self._expA(g[..., 2]), h[..., :2])
         z = g[..., 2] + h[..., 2]
         return np.concatenate([x, z[..., None]], axis=-1)
 
     def inverse(self, g):
         g = np.asarray(g, float)
-        x = -np.einsum("...ij,...j->...i", self._expA(-g[..., 2]), g[..., :2])
+        x = -self._act(self._expA(-g[..., 2]), g[..., :2])
         return np.concatenate([x, -g[..., 2:3]], axis=-1)
 
     def quotients(self, F):
@@ -292,27 +311,34 @@ class SemidirectModel(GroupModel):
         F = np.asarray(F, float)
         x, z = F[..., :2], F[..., 2]
         E = self._expA(-z)
-        inv_x = -np.einsum("...ij,...j->...i", E, x)
+        inv_x = -self._act(E, x)
 
         def quotient(a, b):
-            qx = inv_x[a] + np.einsum("...ij,...j->...i", E[a], x[b])
+            qx = inv_x[a] + self._act(E[a], x[b])
             return np.concatenate([qx, (-z[a] + z[b])[..., None]], axis=-1)
         return quotient
 
     def exp(self, v, t=1.0):
         v = np.asarray(v, float)
         w, z = v[..., :2], t * v[..., 2]
-        alpha, beta = self._phi(z)
-        x = t * (alpha[..., None] * w + beta[..., None] * (w @ self._N.T))
+        if self._axes is not None:
+            x = t * (_phi1(z[..., None] * self._axes) * w)
+        else:
+            alpha, beta = self._phi(z)
+            x = t * (alpha[..., None] * w + beta[..., None] * (w @ self._N.T))
         return np.concatenate([x, z[..., None]], axis=-1)
 
     def log(self, g):
         g = np.asarray(g, float)
         x, z = g[..., :2], g[..., 2]
-        alpha, beta = self._phi(z)
-        # (alpha I + beta N)^{-1} = (alpha I - beta N) / (alpha^2 - beta^2 d)
-        det = alpha * alpha - beta * beta * self._d
-        w = (alpha / det)[..., None] * x - (beta / det)[..., None] * (x @ self._N.T)
+        if self._axes is not None:
+            w = x / _phi1(z[..., None] * self._axes)
+        else:
+            alpha, beta = self._phi(z)
+            # (alpha I + beta N)^{-1} = (alpha I - beta N) / (alpha^2 - beta^2 d)
+            det = alpha * alpha - beta * beta * self._d
+            w = ((alpha / det)[..., None] * x
+                 - (beta / det)[..., None] * (x @ self._N.T))
         return np.concatenate([w, z[..., None]], axis=-1)
 
     def normalize(self, g):
@@ -326,7 +352,7 @@ class SemidirectModel(GroupModel):
         start, steps = np.asarray(start, float), np.asarray(steps, float)
         z = np.cumsum(np.concatenate([start[None, ..., 2], steps[..., 2]]),
                       axis=0)
-        t = np.einsum("...ij,...j->...i", self._expA(z[:-1]), steps[..., :2])
+        t = self._act(self._expA(z[:-1]), steps[..., :2])
         x = np.cumsum(np.concatenate([start[None, ..., :2], t]), axis=0)
         return np.concatenate([x[1:], z[1:, ..., None]], axis=-1)
 
@@ -394,10 +420,14 @@ class HnModel(GroupModel):
 
 
 def _model_dimension(params):
-    """The `n` of an abelian / H^n model, 3 when absent."""
-    n = la.dimension_param({"n": 3, **params})
-    if n < 1:
-        raise ValueError(f"model dimension n must be positive, got {n}")
+    """The `n` of an abelian / H^n model, 3 when absent, within 1..MAX_DIM
+    (no command writes a larger model) and named as given when it is not:
+    int(1e300) would spell out all of its digits."""
+    params = {"n": 3, **params}
+    n = la.dimension_param(params)
+    if not 1 <= n <= MAX_DIM:
+        raise ValueError(f"model dimension n must be positive and at most "
+                         f"{MAX_DIM}; got {params['n']}")
     return n
 
 
@@ -435,8 +465,8 @@ def model_params(model):
 
 def model_from_params(name, params):
     """The group model named by `name` (a key of MODELS) and its params;
-    ValueError for unknown names and for an n < 1 or an A that is not a
-    finite 2x2 matrix of real numbers."""
+    ValueError for unknown names and for an n outside 1..MAX_DIM or an A
+    that is not a finite 2x2 matrix of real numbers."""
     if name not in MODELS:
         raise ValueError(f"unknown model {name!r}")
     return MODELS[name](params)

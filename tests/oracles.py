@@ -21,7 +21,13 @@ the two.
     kernel, which reproduces it bit for bit
   * padded                 -- a surface fixture in R^n as the same surface
     in R^(n + 1), whose solve and reconstruction embed the R^n ones
+  * AxisSemidirect         -- R^2 x_A R for a diagonal A, one node at a
+    time in scalar arithmetic (`math.exp`, `math.expm1`)
+  * general_semidirect     -- `lie_group.SemidirectModel` on its 2x2 path
+    whatever A is, the route every A took before a diagonal A went per axis
 """
+
+import math
 
 import numpy as np
 
@@ -33,6 +39,7 @@ from spinorforge.cmc import ab_scalars, h_potential
 from spinorforge.fixtures import SurfaceFixture
 from spinorforge.immersion import ImmersionData
 from spinorforge.lie_algebra import rn
+from spinorforge.lie_group import SemidirectModel
 
 
 def ekt_gamma_bivector(data, X, vertex):
@@ -197,3 +204,40 @@ def padded(fx):
         data=ImmersionData(data.grid, frames, B=B, theta_x=theta_x,
                            theta_y=theta_y),
         F=np.pad(fx.F, [(0, 0)] * 2 + [(0, 1)]))
+
+
+class AxisSemidirect:
+    """R^2 x_A R for A = diag(a), one payload (x1, x2, z) at a time in
+    scalar arithmetic: e^{zA} x is e^{z a_i} x_i by `math.exp`, and
+    phi(zA) w is ((e^{z a_i} - 1)/(z a_i)) w_i by `math.expm1`, 1 at 0."""
+
+    def __init__(self, a):
+        self.a = [float(a_i) for a_i in a]
+
+    def _phi(self, z):
+        return [math.expm1(z * a) / (z * a) if z * a else 1.0
+                for a in self.a]
+
+    def multiply(self, g, h):
+        return [g[i] + math.exp(g[2] * a) * h[i]
+                for i, a in enumerate(self.a)] + [g[2] + h[2]]
+
+    def inverse(self, g):
+        return [-(math.exp(-g[2] * a) * g[i])
+                for i, a in enumerate(self.a)] + [-g[2]]
+
+    def exp(self, v, t=1.0):
+        z = t * v[2]
+        return [t * (p * v[i]) for i, p in enumerate(self._phi(z))] + [z]
+
+    def log(self, g):
+        return [g[i] / p for i, p in enumerate(self._phi(g[2]))] + [g[2]]
+
+
+def general_semidirect(A):
+    """`SemidirectModel(A)` with its diagonal path cleared, so that every
+    operation takes the 2x2 forms (`expm`, phi(zA) = alpha I + beta N),
+    as every A did before a diagonal A went per axis."""
+    model = SemidirectModel(A)
+    model._axes = None
+    return model

@@ -351,6 +351,24 @@ def test_export_rejects_a_nested_payload(tmp_path, capsys, nest):
     assert not mesh.exists()
 
 
+@pytest.mark.parametrize("n,message", [
+    (1e300, "model dimension n must be positive and at most 8; got 1e+300"),
+    (4, "surface payload length does not match the grid"),
+], ids=["oversized", "four-on-three"])
+def test_export_names_the_model_dimension_as_given(tmp_path, capsys, n,
+                                                   message):
+    fx = fixtures.sphere_r3(5)
+    blob = surface_to_dict(fx.F, fx.model)
+    blob["model"]["params"]["n"] = n
+    path = tmp_path / "surface.json"
+    dump_json(blob, path)
+    mesh = tmp_path / "m.obj"
+    assert main(["export", str(path), "-o", str(mesh)]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert message in line
+    assert not mesh.exists()
+
+
 _NONFINITE = [float("nan"), float("inf"), float("-inf")]
 _WRONG_PARAM = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 6), st.text(max_size=3),

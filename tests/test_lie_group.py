@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spinorforge import fixtures
+from spinorforge import fixtures, lie_group
 from spinorforge.grid import ParamGrid
 from spinorforge.immersion import frame_compat_residual_fields
 from spinorforge.lie_algebra import (
@@ -17,7 +17,10 @@ from spinorforge.lie_group import (
     second_fundamental_form, structure_residual,
 )
 
+from oracles import AxisSemidirect, general_semidirect
+
 rng = np.random.default_rng(97)
+EPS = np.finfo(float).eps
 
 ALGS = [rn(3), s3(), sol3(), semidirect([[0.4, -0.3], [1.1, 0.2]]), hn(3)]
 
@@ -279,12 +282,13 @@ def series_phi(M):
 
 
 # catalog A's (Sol3, H2xR; A = c[2, :2, :2]^T), the ones of the tests above
-# and of the acceptance suite, a rotation (complex eigenvalues) and a Jordan
-# block (repeated)
+# and of the acceptance suite, a rotation (complex eigenvalues), a Jordan
+# block (repeated) and a diagonal A with widely separated axes
 SEMIDIRECT_AS = [*(alg.c[2, :2, :2].T.tolist() for alg in (sol3(), h2xr())),
                  [[0.4, -0.3], [1.1, 0.2]], [[0.3, -0.7], [0.5, 0.1]],
                  [[1.2, -0.4], [0.9, 2.0]], [[0.5, 1.0], [-0.2, 0.7]],
-                 [[0.0, -1.0], [1.0, 0.0]], [[0.7, 1.0], [0.0, 0.7]]]
+                 [[0.0, -1.0], [1.0, 0.0]], [[0.7, 1.0], [0.0, 0.7]],
+                 [[0.3, 0.0], [0.0, -2.0]]]
 # z = 0.2, -0.7 reach the near-repeated closed form and the short series
 # for some of the A's above, 2 the eigenvalue form for all but the Jordan block
 SEMIDIRECT_ZS = [0.0, 1e-12, 1e-6, 0.2, -0.7, 2.0]
@@ -308,6 +312,94 @@ def test_semidirect_exp_log_match_series_batched(A):
         <= 1e-13 * max(1.0, np.max(np.abs(want_exp)))
     assert np.max(np.abs(got_log[..., :2] - want_log)) \
         <= 1e-13 * max(1.0, np.max(np.abs(want_log)))
+
+
+# the axes a of diagonal A's: Sol3, H2xR (a zero axis) and a wide pair
+DIAGONAL_AXES = [[-1.0, 1.0], [1.0, 0.0], [0.3, -2.0]]
+
+
+def axis_payloads(a, count, reach):
+    """`count` payloads (x1, x2, z) with |z a_i| up to `reach`, the first
+    three at z = 0, 1e-12 and -1e-300."""
+    z = rng.uniform(-reach, reach, count) / np.max(np.abs(a))
+    z[:3] = 0.0, 1e-12, -1e-300
+    return np.column_stack([rng.normal(size=(count, 2)), z])
+
+
+def assert_within(got, want, ulps, scale=None):
+    """|got - want| within `ulps` relative units of rounding eps of `scale`
+    (|want| when None), entry by entry."""
+    scale = np.abs(want) if scale is None else scale
+    assert np.all(np.abs(got - want) <= ulps * EPS * scale)
+
+
+def sum_scale(a, g, h):
+    """|x| + |e^{zA} x'|, the terms of the x of the product (x, z)(x', z')
+    of a diagonal A = diag(a), and |z| + |z'|."""
+    return np.column_stack([np.abs(g[:, :2])
+                            + np.abs(np.exp(g[:, 2:] * a) * h[:, :2]),
+                            np.abs(g[:, 2]) + np.abs(h[:, 2])])
+
+
+@pytest.mark.parametrize("a", DIAGONAL_AXES, ids=str)
+def test_diagonal_semidirect_is_the_scalar_form_per_axis(a):
+    # numpy's exp and expm1 and the math module's differ by an ulp at some
+    # arguments, and each side rounds every later step on its own: so the
+    # two agree within one eps per rounded step, the exp or expm1 counted
+    model, oracle = SemidirectModel(np.diag(a)), AxisSemidirect(a)
+    g, h = axis_payloads(a, 400, 30.0), axis_payloads(a, 400, 30.0)
+    # expm1, / z a_i, * w_i, then * t when t != 1
+    assert_within(model.exp(g), [oracle.exp(v) for v in g], 3)
+    assert_within(model.exp(g, 0.7), [oracle.exp(v, 0.7) for v in g], 4)
+    # expm1, / z a_i, x_i / phi
+    assert_within(model.log(g), [oracle.log(v) for v in g], 3)
+    # exp, * x_i
+    assert_within(model.inverse(g), [oracle.inverse(v) for v in g], 2)
+    # exp, * x'_i, + x_i: a sum, whose terms may cancel
+    assert_within(model.multiply(g, h),
+                  [oracle.multiply(p, q) for p, q in zip(g, h)], 3,
+                  sum_scale(a, g, h))
+
+
+@pytest.mark.parametrize("a", DIAGONAL_AXES, ids=str)
+def test_diagonal_semidirect_agrees_with_the_general_form(a):
+    model, general = SemidirectModel(np.diag(a)), general_semidirect(np.diag(a))
+    g, h = axis_payloads(a, 400, 1.0), axis_payloads(a, 400, 1.0)
+
+    def close(got, want, scale=None):
+        scale = np.abs(want) if scale is None else scale
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)
+    for t in (1.0, 0.7):
+        close(model.exp(g, t), general.exp(g, t))
+    close(model.log(g), general.log(g))
+    close(model.inverse(g), general.inverse(g))
+    close(model.multiply(g, h), general.multiply(g, h), sum_scale(a, g, h))
+
+
+@pytest.mark.parametrize("alg", [sol3(), h2xr()], ids=["Sol3", "H2xR"])
+def test_diagonal_semidirect_pullback_and_darboux_take_no_matrix_form(
+        monkeypatch, alg):
+    def run(alg):
+        calls = dict.fromkeys(["einsum", "expm", "_phi_coefficients"], 0)
+        model = model_for(alg)
+        grid = ParamGrid(17, 9, 1.0 / 16)
+        F = curved_map(alg, grid)
+        with monkeypatch.context() as patch:
+            for module, name in ((np, "einsum"), (lie_group, "expm"),
+                                 (lie_group, "_phi_coefficients")):
+                def counted(*args, _name=name, _f=getattr(module, name),
+                            **kwargs):
+                    calls[_name] += 1
+                    return _f(*args, **kwargs)
+                patch.setattr(module, name, counted)
+            for order in (2, 4):
+                xi_x, xi_y = maurer_cartan_pullback(F, model, grid, order)
+                darboux_integrate(LieValuedOneForm(grid, xi_x, xi_y), alg,
+                                  F[0, 0])
+        return calls
+    assert run(alg) == {"einsum": 0, "expm": 0, "_phi_coefficients": 0}
+    # the counters see the 2x2 forms where A is not diagonal
+    assert all(run(semidirect([[0.4, -0.3], [1.1, 0.2]])).values())
 
 
 def test_hn_exp_log_agree_with_their_former_small_argument_branches():
@@ -605,6 +697,22 @@ def test_a_march_that_leaves_the_group_fails_as_the_step_loop_did(
         assert message.endswith(str(loop.value))
     if "half space" in message:     # the march stops at the first failure
         assert cell == ((5, 0) if where == "row" else (4, 5))
+
+
+@pytest.mark.parametrize("value,cell", [
+    (1420.0, (2, 3)), (2839.0, (2, 2)), (2840.0, (2, 1))])
+def test_sol3_overflow_names_the_cell_of_the_matrix_form(value, cell):
+    # column steps of z = value h from row 2 on: 355 overflows e^{z_k A} at
+    # the third step, 709.75 the product at the second, 710 the first
+    # step's phi(zA); the cells are those the 2x2 forms gave
+    grid = ParamGrid(5, 5, 0.25)
+    xi_y = np.zeros(grid.shape + (3,))
+    xi_y[..., 1] = 0.5
+    xi_y[2:, :, 2] = value
+    xi = LieValuedOneForm(grid, np.zeros(grid.shape + (3,)), xi_y)
+    with pytest.raises(IntegrationError, match="diverged") as err:
+        darboux_integrate(xi, sol3())
+    assert err.value.cell == cell
 
 
 def _counted(monkeypatch, cls, names):
