@@ -66,7 +66,7 @@ GRID_N = 33
 
 # One minimum for every grid command, so that a problem file one command
 # accepts the others accept too: the widest reach of any stencil's edge rows
-# (the order-4 verification stencils of reconstruct).
+# (the order-4 stencils that every group map is differentiated with).
 MIN_GRID_NODES = max(nodes_needed(edges) for _, edges in STENCILS.values())
 
 

@@ -764,7 +764,8 @@ def spin_lift_even(T):
     rows, with `gp_blades`.
     The orthogonality gate pins |det T| to 1, and a field with any
     reflection (det < 0) is rejected since it has no spin lift.  A failed
-    gate names its worst node (the first nan if any).
+    gate names its worst node (the first nan if any), the reflection gate
+    its first reflection.
     """
     T = np.asarray(T, dtype=np.float64)
     if T.ndim < 2 or T.shape[-2] != T.shape[-1]:
@@ -788,7 +789,8 @@ def spin_lift_even(T):
         det = np.linalg.det(T)
         if np.any(det < 0):
             raise ValueError(f"matrix is not special orthogonal "
-                             f"(det = {np.min(det):g})")
+                             f"(det = {np.min(det):g})"
+                             f"{_at_node(det < 0, lead)}")
         if closed:
             raise ValueError(f"spin lift failed: |Ad(a) - T| = "
                              f"{np.max(miss):.3e}; input not special "

@@ -249,13 +249,13 @@ def mesh_mean_curvature(F, alg, grid, orient_to=None):
     of H is well defined.
     """
     model = model_for(alg)
-    zx, zy = maurer_cartan_pullback(F, model, grid, order=4)
+    zx, zy = maurer_cartan_pullback(F, model, grid)
     E, Ff, G = first_fundamental_form(zx, zy)
     nu = np.cross(zx, zy)
     nu /= np.linalg.norm(nu, axis=-1, keepdims=True)
     if orient_to is not None:
         flip = np.sign(np.einsum("xyi,xyi->xy", nu, orient_to))
         nu *= flip[..., None]
-    B = second_fundamental_form(zx, zy, nu[..., None], grid, alg, 4)[..., 0]
+    B = second_fundamental_form(zx, zy, nu[..., None], grid, alg)[..., 0]
     L, M, N = B[..., 0, 0], B[..., 0, 1], B[..., 1, 1]
     return (G * L - 2.0 * Ff * M + E * N) / (2.0 * (E * G - Ff ** 2))

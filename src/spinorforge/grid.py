@@ -7,12 +7,13 @@ trailing.
 
 `STENCILS` is the one source of the finite-difference stencils, applied by
 `difference` to fields (`ParamGrid.dx`, ...) and to group maps
-(`lie_group.maurer_cartan_pullback`, which reads from `stencil_blocks` the
-interior row's offsets, logged over every node pair, and the edge rows'
-other node pairs, logged in one batch).  First derivatives are second-order
-central differences inside; at the boundary a one-sided 4-point stencil
-whose leading error term matches the interior one keeps the error a smooth
-O(h^2) field, and `order=4` selects 5-point verification stencils.
+(`lie_group.maurer_cartan_pullback`, always at order 4, which reads from
+`stencil_blocks` the interior row's offsets, logged over every node pair,
+and the edge rows' other node pairs, logged in one batch).  Field first
+derivatives are second-order central differences inside; at the boundary a
+one-sided 4-point stencil whose leading error term matches the interior one
+keeps the error a smooth O(h^2) field, and `order=4` selects the 5-point
+stencils that group maps take.
 
 The induced metric is restricted to the conformal form mu^2 (dx^2 + dy^2),
 which keeps the frame geometry closed-form: with e1 = dx/mu, e2 = dy/mu,

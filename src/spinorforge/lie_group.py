@@ -26,13 +26,16 @@ loop, one `multiply` per step, whose unit drift `normalize` measures.
 Path-independence is a checked property of the input, not an assumption:
 `structure_residual` evaluates |d xi (dx, dy) + [xi(dx), xi(dy)]| per node.
 
-Conversely, `maurer_cartan_pullback` applies the `grid.STENCILS` first
-derivatives to log differences log(F(x)^-1 F(x + k h)) of a group map F, and
-`second_fundamental_form` and `normal_connection` are the one extraction of
-(B, theta) from the result.  Each model's `quotients` forms those quotients
-with its per-node work (the inverse, and for R^2 x_A R the e^{-zA} of every
-node) done once, and each node pair is logged once: the negative offsets
-are the negated logs of the positive ones, log(g^-1) = -log g.
+Conversely, `maurer_cartan_pullback` applies the fourth-order
+`grid.STENCILS` first derivatives to log differences log(F(x)^-1 F(x + k h))
+of a group map F, and `second_fundamental_form` (its d_a at the same order)
+and `normal_connection` are the one extraction of (B, theta) from the
+result.  The converse, verification and the mesh curvature all
+differentiate F this one way; only this module knows the order.  Each
+model's `quotients` forms those quotients with its per-node work (the
+inverse, and for R^2 x_A R the e^{-zA} of every node) done once, and each
+node pair is logged once: the negative offsets are the negated logs of the
+positive ones, log(g^-1) = -log g.
 """
 
 import numpy as np
@@ -583,23 +586,21 @@ def darboux_integrate(xi, alg, base=None, stats=None):
     return F
 
 
-def maurer_cartan_pullback(F, model, grid, order=2):
-    """omega_G(F_* d/dx), omega_G(F_* d/dy): the `grid.STENCILS` first
-    derivative at `order` of f_k = log(F(x)^-1 F(x + k h)), skipping the
-    vanishing f_0.  Each axis forms its quotients through one
+def maurer_cartan_pullback(F, model, grid):
+    """omega_G(F_* d/dx), omega_G(F_* d/dy): the fourth-order
+    `grid.STENCILS` first derivative of f_k = log(F(x)^-1 F(x + k h)),
+    skipping the vanishing f_0.  Each axis forms its quotients through one
     `model.quotients` and logs each node pair once: f_{-k}(x) is
     -f_k(x - k h), since log(g^-1) = -log g.  The interior row's offsets
     take one log call each over every pair (x, x + k h), and the edge rows'
-    other pairs one call together.  order=2 has the same leading error
-    +h^2/6 d^3 inside and at the edges, so the O(h^2) error field is smooth
-    and survives the second-fundamental-form extraction; order=4 is the
-    verification grade, whose error stays far below the O(h^2) quantities a
+    other pairs one call together.  The converse and verification share
+    this one grade, whose error stays far below the O(h^2) quantities a
     reconstruction check measures."""
     def along(axis):
         Fm = np.moveaxis(F, axis, 0)
         size = Fm.shape[0]
         quotient = model.quotients(Fm)
-        blocks = stencil_blocks(size, 1, order)
+        blocks = stencil_blocks(size, 1, 4)
         # the interior row, between the edge rows and their mirror images
         dense = {abs(k) for k in blocks[len(blocks) // 2][2][0] if k}
         logs = {k: model.log(quotient(slice(0, size - k), slice(k, size)))
@@ -619,7 +620,7 @@ def maurer_cartan_pullback(F, model, grid, order=2):
                 else edge[i, abs(k)]
             return f if k > 0 else -f
 
-        d = difference(sample, size, grid.h, 1, order)
+        d = difference(sample, size, grid.h, 1, 4)
         return np.moveaxis(d, 0, axis)
 
     return along(0), along(1)
@@ -632,13 +633,15 @@ def first_fundamental_form(zx, zy):
             np.einsum("xyi,xyi->xy", zy, zy))
 
 
-def second_fundamental_form(zx, zy, normals, grid, alg, order):
+def second_fundamental_form(zx, zy, normals, grid, alg):
     """<(D_ab + D_ba)/2, n_r>, (nx, ny, 2, 2, q) and not divided by the
     metric, with D_ab = nabla^G_{d_a} F_* d_b = d_a z_b + Gamma(z_a) z_b from
-    the pullbacks z_a, normals (nx, ny, n, q) and derivatives at `order`."""
+    the pullbacks z_a and normals (nx, ny, n, q); d_a at the pullback's
+    fourth order, taken once per axis of the stacked (nx, ny, n, 2)."""
     z = (zx, zy)
-    d = (grid.dx, grid.dy)
-    D = {(a, b): d[a](z[b], order) + alg.connection(z[a], z[b])
+    stacked = np.stack(z, axis=-1)
+    dz = (grid.dx(stacked, 4), grid.dy(stacked, 4))
+    D = {(a, b): dz[a][..., b] + alg.connection(z[a], z[b])
          for a in range(2) for b in range(2)}
     B = np.empty(zx.shape[:2] + (2, 2, normals.shape[-1]))
     for a, b in D:

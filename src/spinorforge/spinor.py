@@ -396,7 +396,7 @@ def verify_reconstruction(F, problem, xi_normals):
     q = data.q
     mu2 = grid.mu ** 2
     model = model_for(alg)
-    zx, zy = maurer_cartan_pullback(F, model, grid, order=4)
+    zx, zy = maurer_cartan_pullback(F, model, grid)
     gxx, gxy, gyy = first_fundamental_form(zx, zy)
     # isometry defect on unit tangent frames: |<F_* e_a, F_* e_b> - delta_ab|
     iso = max(float(np.max(np.abs(gxx / mu2 - 1.0))),
@@ -414,7 +414,7 @@ def verify_reconstruction(F, problem, xi_normals):
             v -= np.einsum("xyi,xyi->xy", normals[..., s], v)[..., None] \
                 * normals[..., s]
         normals[..., r] = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    B = second_fundamental_form(zx, zy, normals, grid, alg, 4) \
+    B = second_fundamental_form(zx, zy, normals, grid, alg) \
         / mu2[..., None, None, None]
     B_err = float(np.max(np.abs(B - data.B)))
     theta_err = 0.0
@@ -489,9 +489,9 @@ def _continuous_normal_frames(zx, zy, n):
     return frames
 
 
-# the discrete pullback of an exactly conformal chart deviates by O(h^2):
-# gate the conformality defect at max(25 h^2, 1e-4), well above that but far
-# below order-one anisotropy
+# a reconstructed F is conformal only to O(h^2): gate the conformality
+# defect at max(25 h^2, 1e-4), well above that but far below order-one
+# anisotropy
 CONFORMAL_TOL_H2, CONFORMAL_TOL_MIN = 25.0, 1e-4
 
 
@@ -502,8 +502,10 @@ def spinor_of_immersion(F, alg, grid):
     conformal), the adapted frames (normal part marched continuously), the
     second fundamental form and normal connection by discrete ambient
     differentiation, and the spinor as the reversed continuous spin lift of
-    the frame rotation.  The result satisfies the Killing equation to O(h^2)
-    and round-trips with the reconstruction up to a rigid motion.
+    the frame rotation.  The pullback and the second fundamental form take
+    the fourth-order stencils, as `verify_reconstruction` does, so F needs
+    at least 5 nodes per axis.  The result satisfies the Killing equation to
+    O(h^2) and round-trips with the reconstruction up to a rigid motion.
     """
     model = model_for(alg)
     shape = grid.shape + (model.payload_dim,)
@@ -523,7 +525,9 @@ def spinor_of_immersion(F, alg, grid):
         raise ValueError(f"the first fundamental form of F is not finite "
                          f"at node {cell}")
     if not (np.min(gxx) > 0 and np.min(gyy) > 0):
-        raise ValueError("degenerate immersion: vanishing coordinate tangent")
+        raise ValueError(f"degenerate immersion: vanishing coordinate "
+                         f"tangent at node "
+                         f"{worst_node(-np.minimum(gxx, gyy))}")
     scale = float(np.max(gxx))
     skew = np.maximum(np.abs(gxy), np.abs(gxx - gyy))
     if not float(np.max(skew)) <= conformal_tol * scale:
@@ -535,7 +539,7 @@ def spinor_of_immersion(F, alg, grid):
                           y0=grid.y0)
     frames = _continuous_normal_frames(zx, zy, n)
     normals = frames[..., 2:]
-    B = second_fundamental_form(zx, zy, normals, out_grid, alg, 2) \
+    B = second_fundamental_form(zx, zy, normals, out_grid, alg) \
         / mu[..., None, None, None] ** 2
     theta_x, theta_y = normal_connection(zx, zy, normals, out_grid, alg) \
         if q > 1 else (None, None)

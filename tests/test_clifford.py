@@ -900,8 +900,10 @@ def test_spin_lift_exact_half_turn_of_two_planes():
 
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("bad,message", [
-    ("nan", r"matrix is not orthogonal: \|T\^T T - I\| = nan"),
-    ("reflection", r"matrix is not special orthogonal \(det = -1\)")])
+    ("nan", r"matrix is not orthogonal: \|T\^T T - I\| = nan at node "
+            r"\(1, 2\)$"),
+    ("reflection", r"matrix is not special orthogonal \(det = -1\) at node "
+                   r"\(1, 2\)$")])
 def test_closed_form_lift_rejects_one_bad_node(n, bad, message):
     field = np.array([random_so(n) for _ in range(6)]).reshape(2, 3, n, n)
     field[1, 2, :, 0] = -field[1, 2, :, 0] if bad == "reflection" else np.nan
@@ -941,12 +943,22 @@ def test_givens_spin_lift_is_the_full_layout_lift(n):
 @pytest.mark.parametrize("bad,message", [
     ("nan", r"matrix is not orthogonal: \|T\^T T - I\| = nan at node "
             r"\(1, 2\)$"),
-    ("reflection", r"matrix is not special orthogonal \(det = -1\)$")])
+    ("reflection", r"matrix is not special orthogonal \(det = -1\) at node "
+                   r"\(1, 2\)$")])
 def test_givens_lift_rejects_one_bad_node(n, bad, message):
     field = np.array([random_so(n) for _ in range(6)]).reshape(2, 3, n, n)
     field[1, 2, :, 0] = -field[1, 2, :, 0] if bad == "reflection" else np.nan
     with pytest.raises(ValueError, match=message):
         spin_lift_array(field)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_reflection_of_a_single_matrix_names_no_node(n):
+    T = random_so(n)
+    T[:, 0] = -T[:, 0]
+    with pytest.raises(ValueError, match=r"^matrix is not special "
+                                         r"orthogonal \(det = -1\)$"):
+        spin_lift_array(T)
 
 
 def test_spin_element_rejects_nan():

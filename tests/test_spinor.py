@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spinorforge import fixtures, lie_algebra as la, spinor
+from spinorforge.cli import SURFACE_FIXTURES
 from spinorforge.clifford import (
     Multivector, OffDiagOperator, SpinElement, bivector_array,
     bivector_of_offdiag, bivector_of_skew, exp_array,
@@ -562,13 +563,38 @@ def test_identity_chart_gives_constant_spinor():
 
 
 def test_sphere_extraction_recovers_shape_operator():
+    # S from the fourth-order pullback and B over the second-order mu: the
+    # error is O(h^3), measured 1.0e-3, 1.4e-4 and 1.8e-5 (ratios 7.1, 7.7)
     devs = []
-    for n in (17, 33):
+    for n in (17, 33, 65):
         fx = fixtures.sphere_r3(n, radius=0.8)
         _, data = spinor_of_immersion(fx.F, fx.alg, fx.grid)
         devs.append(np.max(np.abs(data.S - fx.data.S)))
-    assert 2.5 <= devs[0] / devs[1] <= 6.5
-    assert devs[1] <= 5e-3
+    for coarse, fine in zip(devs, devs[1:]):
+        assert 5.0 <= coarse / fine <= 13.0
+    assert devs[-1] <= 5e-5
+
+
+# the converse's data through solve_killing, holonomy over h^2 at N = 17,
+# 33 and 65: at most 26.3 (sphere-r3 at 17), against the gate's 10
+CONVERSE_HOLONOMY_H2 = 30.0
+
+
+@pytest.mark.parametrize("name", [name for name in SURFACE_FIXTURES
+                                  if name != "sphere-r3-broken"])
+def test_converse_data_keeps_the_killing_holonomy_of_order_h2(name):
+    for n in (17, 33, 65):
+        fx = SURFACE_FIXTURES[name](n)
+        _, data = spinor_of_immersion(fx.F, fx.alg, fx.grid)
+        _, report = solve_killing(KillingProblem(data, fx.alg))
+        assert report["holonomy"] <= CONVERSE_HOLONOMY_H2 * fx.grid.h ** 2, n
+
+
+def test_converse_needs_the_fourth_order_stencils_reach():
+    fx = fixtures.sphere_r3(4)
+    with pytest.raises(ValueError, match=r"^order-4 derivatives need at "
+                                         r"least 5 nodes per axis; got 4$"):
+        spinor_of_immersion(fx.F, fx.alg, fx.grid)
 
 
 def test_sol3_plane_extraction_matches_analytic_frames():
@@ -615,6 +641,18 @@ def test_degenerate_immersion_rejected():
     F = np.zeros(grid.shape + (3,))   # constant map, F_* = 0
     with pytest.raises(ValueError):
         spinor_of_immersion(F, la.rn(3), grid)
+
+
+def test_vanishing_tangent_gate_names_the_node():
+    # F is constant on i, j >= 5: the first node, in index order, whose
+    # fourth-order stencil reads only that block is (5, 7) along y
+    fx = fixtures.sphere_r3(17)
+    F = np.array(fx.F)
+    F[5:, 5:] = F[5, 5]
+    with pytest.raises(ValueError, match=r"^degenerate immersion: vanishing "
+                                         r"coordinate tangent at node "
+                                         r"\(5, 7\)$"):
+        spinor_of_immersion(F, fx.alg, fx.grid)
 
 
 def test_nonconformal_rejected():

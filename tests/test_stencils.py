@@ -58,26 +58,13 @@ def _d2(f, axis, h):
     return np.moveaxis(out, 0, axis) / h ** 2
 
 
-def _old_pullback(F, model, grid, order=2):
+def _old_pullback(F, model, grid):
     h = grid.h
 
     def _shift_log(Fm, inv, k):
         if k > 0:
             return model.log(model.multiply(inv[:-k], Fm[k:]))
         return model.log(model.multiply(inv[-k:], Fm[:k]))
-
-    def _d2nd(axis):
-        Fm = np.moveaxis(F, axis, 0)
-        inv = model.inverse(Fm)
-        out = np.empty(Fm.shape[:-1] + (model.n,))
-        fwd = _shift_log(Fm, inv, 1)
-        bwd = _shift_log(Fm, inv, -1)
-        out[1:-1] = (fwd[1:] - bwd[:-1]) / (2 * h)
-        out[0] = (3.5 * fwd[0] - 2.0 * _shift_log(Fm, inv, 2)[0]
-                  + 0.5 * _shift_log(Fm, inv, 3)[0]) / h
-        out[-1] = -(3.5 * bwd[-1] - 2.0 * _shift_log(Fm, inv, -2)[-1]
-                    + 0.5 * _shift_log(Fm, inv, -3)[-1]) / h
-        return np.moveaxis(out, 0, axis)
 
     def _d4th(axis):
         Fm = np.moveaxis(F, axis, 0)
@@ -99,8 +86,7 @@ def _old_pullback(F, model, grid, order=2):
                     + 1.0 / 12.0 * m3[-2]) / h
         return np.moveaxis(out, 0, axis)
 
-    d = _d4th if order == 4 else _d2nd
-    return d(0), d(1)
+    return _d4th(0), _d4th(1)
 
 
 def _same_bits(a, b):
@@ -258,26 +244,23 @@ def _exact_negation(model):
 @pytest.mark.parametrize("h", SPACINGS)
 @pytest.mark.parametrize("model", _models(), ids=lambda m: m.name)
 def test_pullback_matches_the_written_out_log_differences(model, h):
-    # 5 and 4 nodes are the fewest of order 4 and 2: at 5 the interior block
-    # is one node wide and the edge rows' pairs coincide with each other
-    for nx, ny in ((5, 9), (17, 6), (5, 5), (4, 4), (4, 9), (9, 4)):
+    # 5 nodes are the fewest: the interior block is one node wide and the
+    # edge rows' pairs coincide with each other
+    for nx, ny in ((5, 9), (17, 6), (5, 5), (9, 5)):
         grid = ParamGrid(nx, ny, h)
         F = _group_map(model, nx, ny, h, nx + ny)
-        for order in (2, 4) if min(nx, ny) >= 5 else (2,):
-            new, old = maurer_cartan_pullback(F, model, grid, order), \
-                _old_pullback(F, model, grid, order)
-            for a, b in zip(new, old):
-                assert a.shape == b.shape
-                if not _exact_negation(model):
-                    assert np.max(np.abs(a - b)) \
-                        <= PULLBACK_BOUND * EPS * np.max(np.abs(F)) / h
-                elif order == 2:
-                    assert _same_bits(a, b)
-                else:
-                    # order 4 divides by 12 and then by h, where the
-                    # written-out form divided by 12 h: the two differ by
-                    # rounding when h is not a power of two
-                    assert np.all(np.abs(a - b) <= 2.0 * np.spacing(np.abs(b)))
+        new, old = maurer_cartan_pullback(F, model, grid), \
+            _old_pullback(F, model, grid)
+        for a, b in zip(new, old):
+            assert a.shape == b.shape
+            if not _exact_negation(model):
+                assert np.max(np.abs(a - b)) \
+                    <= PULLBACK_BOUND * EPS * np.max(np.abs(F)) / h
+            else:
+                # the stencil divides by 12 and then by h, where the
+                # written-out form divided by 12 h: the two differ by
+                # rounding when h is not a power of two
+                assert np.all(np.abs(a - b) <= 2.0 * np.spacing(np.abs(b)))
 
 
 @pytest.mark.parametrize("model", _models(), ids=lambda m: m.name)
@@ -313,15 +296,8 @@ def test_log_of_the_reversed_quotient_is_minus_the_log(model):
                     <= PAIR_BOUND * EPS * np.max(np.abs(F))
 
 
-def test_pullback_unknown_order_raises():
-    grid = ParamGrid(9, 9, 0.1)
-    F = _group_map(S3Model(), 9, 9, 0.1, 0)
-    with pytest.raises(ValueError, match="no order-3"):
-        maurer_cartan_pullback(F, S3Model(), grid, order=3)
-
-
 @pytest.mark.parametrize("nodes", [9, 129])
-@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("order", [4])    # the pullback's one grade
 def test_pullback_logs_only_the_rows_its_stencils_use(nodes, order):
     model = SemidirectModel(np.diag([1.0, -1.0]))
     rows = []
@@ -334,22 +310,22 @@ def test_pullback_logs_only_the_rows_its_stencils_use(nodes, order):
     model.log = counting_log
     grid = ParamGrid(nodes, nodes, 1.0 / (nodes - 1))
     maurer_cartan_pullback(_group_map(model, nodes, nodes, grid.h, 1), model,
-                           grid, order=order)
-    # per column of each axis: every pair (x, x + 1), at order 4 also every
-    # (x, x + 2), and the edge rows' other pairs (4 at order 2, 6 at order 4)
+                           grid)
+    # per column of each axis: every pair (x, x + k) for the order / 2
+    # interior offsets k and the edge rows' 6 other pairs, 2 N + 3 in all
     N = nodes
-    want = 2 * (N + 3) * N if order == 2 else 2 * (2 * N + 3) * N
+    want = 2 * (order // 2 * N + 3) * N
     assert sum(rows) == want
     if N == 129:
-        assert want == (34056 if order == 2 else 67338)
+        assert want == 67338
 
 
 # =============================================================================
 # Reference: the written-out (B, theta) loops
 # =============================================================================
 
-def _ambient_derivative(zeta_a, zeta_b, grid, alg, axis, order=2):
-    d = grid.dx(zeta_b, order) if axis == 0 else grid.dy(zeta_b, order)
+def _ambient_derivative(zeta_a, zeta_b, grid, alg, axis):
+    d = grid.dx(zeta_b, 4) if axis == 0 else grid.dy(zeta_b, 4)
     return d + np.einsum("xyi,ijk,xyj->xyk", zeta_a, alg.gamma, zeta_b)
 
 
@@ -374,7 +350,7 @@ def _old_b_theta(zx, zy, normals, mu, out_grid, alg):
 
 def _old_mesh_mean_curvature(F, alg, grid, orient_to=None):
     model = model_for(alg)
-    zx, zy = maurer_cartan_pullback(F, model, grid, order=4)
+    zx, zy = maurer_cartan_pullback(F, model, grid)
     E = np.einsum("xyi,xyi->xy", zx, zx)
     Ff = np.einsum("xyi,xyi->xy", zx, zy)
     G = np.einsum("xyi,xyi->xy", zy, zy)
