@@ -22,14 +22,15 @@ a vector, has the same shape over the odd blades.  At every n, the
 exponential of a bivector field and the spin lift of a rotation field run
 in the even layout alone.
 
-`gp_blades` is the one product kernel.  Its term table per (n, parity of
-a, parity of b) is built from `blade_tables` on first use: per row i of a,
-the signs s(i, i ^ k) and the rows of b that meet it on each output blade
-k.  The rows are added in ascending order to a zero start, which is the
-order of the dense loop over all blades, so products are bit-identical to
-it, a row at a time over all nodes.  `gp_array`, the product of
-full-layout arrays, calls the kernel with the full-layout table over the
-rows of a that are nonzero somewhere.
+`_accumulate` is the one summation kernel, used for geometric products
+and for the closed-form maps: it adds the terms of a table (signs, rows)
+in the listed order to a zero start, a row at a time over all nodes, so
+no sum depends on the node count.  `gp_blades` gives it the product table
+per (n, parity of a, parity of b), built from `blade_tables` on first
+use: per row i of a, ascending as in the dense loop over all blades (so
+products are bit-identical to it), the signs s(i, i ^ k) and the rows of b
+that meet it on each output blade k.  `gp_array` gives it the full-layout
+table over the rows of a that are nonzero somewhere.
 
 One Taylor series with scaling and squaring (`_series_exp`) serves both
 layouts, given the layout's product and unit.  `exp_array` is the general
@@ -38,8 +39,8 @@ fields, the transport steps of the spinor solver, go through
 `bivector_exp_even`: a closed form free of geometric products for n <= 4
 (Spin(3) and Spin(4) = Sp(1) x Sp(1)), and the series through `gp_blades`
 for n >= 5.  So do the adjoint action `adjoint_even` and its inverse, the
-spin lift of a rotation field (`spin_lift_even`): closed forms for n = 3
-and 4, and `gp_blades` products otherwise (of Givens rotors, for the lift).
+spin lift of a rotation field (`spin_lift_even`): closed-form term tables
+for n = 3 and 4, and `gp_blades` products otherwise (of Givens rotors).
 
 Multivectors are immutable values; all operations return new objects.
 """
@@ -148,9 +149,9 @@ def _pad_nodes(x, nodes):
 
 def _accumulate(a, b, signs, rows):
     """sum over the rows i of a of (s_i a_i) b[J_i], a row at a time over
-    all nodes in the order given, into a zero start: the kernel behind
-    every geometric product, for term tables (signs, rows) of
-    `_product_terms`."""
+    all nodes in the order given, into a zero start: the one summation
+    kernel, for the product tables of `_product_terms` and the map tables
+    of `_closed_form_maps` (module docstring)."""
     shape = a.shape[1:]
     if b.shape[1:] != shape:
         nodes = max(a.ndim, b.ndim) - 1
@@ -691,8 +692,8 @@ def adjoint_even(e, n):
     Returns (matrices, impurity), impurity being the largest coefficient the
     images carry outside grade 1.  For n = 3 and 4 the images of vectors
     under any even a are vectors, and Ad(a) is the quadratic form in a of
-    `_closed_form_maps`: at most four signed row gathers of the outer
-    product z, with impurity 0.  Other n take the two products a e_k and
+    `_closed_form_maps`: one `_accumulate` call on its bilinear term
+    table, with impurity 0.  Other n take the two products a e_k and
     (a e_k) rev(a) per k, through the kernel's odd tables.
     """
     e = np.asarray(e, dtype=np.float64)
@@ -755,13 +756,13 @@ def spin_lift_even(T):
     coefficient, the scalar part unless that vanishes, is positive.
 
     n = 3 and 4 have a closed form (`_closed_form_lift`): Ad(a) is
-    quadratic in the even coefficients of a, so one fixed linear map takes
-    T to an outer product of spin coordinates, a a^T for n = 3 and
-    a+ a-^T for the halves a+- = (1 +- I)/2 a, I = e1234, for n = 4, and
-    a is read off its largest row or column.  Other n factor every node
-    into Givens rotations of the planes (i-1, i) in one order (columns j,
-    rows i from n-1 down to j+1) and multiply their half-angle rotors, even
-    rows, with `gp_blades`.
+    quadratic in the even coefficients of a, so one linear term table on
+    `_accumulate` takes T to an outer product of spin coordinates, a a^T
+    for n = 3 and a+ a-^T for the halves a+- = (1 +- I)/2 a, I = e1234,
+    for n = 4, and a is read off its largest row or column.  Other n
+    factor every node into Givens rotations of the planes (i-1, i) in one
+    order (columns j, rows i from n-1 down to j+1) and multiply their
+    half-angle rotors, even rows, with `gp_blades`.
     The orthogonality gate pins |det T| to 1, and a field with any
     reflection (det < 0) is rejected since it has no spin lift.  A failed
     gate names its worst node (the first nan if any), the reflection gate
@@ -834,27 +835,14 @@ def _givens_lift(T, n):
     return a
 
 
-def _sparse_map(table):
-    """A matrix with few nonzeros per row as (cols, weights), each
-    (rows, width): the columns of each row's nonzeros and their values,
-    padded with zero weights."""
-    width = int(np.max(np.count_nonzero(table, axis=1)))
-    cols = np.argsort(table == 0, axis=1, kind="stable")[:, :width]
-    weights = np.take_along_axis(table, cols, 1)
-    cols.flags.writeable = weights.flags.writeable = False
-    return cols, weights
-
-
-def _apply_sparse(sparse, x):
-    """A `_sparse_map` applied to x (columns, nodes): each row's terms
-    added in order to a zero start, so every node gets the same sums
-    whatever the number of nodes, and no BLAS matrix product (which spreads
-    over threads) runs over the nodes."""
-    cols, weights = sparse
-    out = np.zeros((len(cols),) + x.shape[1:])
-    for t in range(cols.shape[1]):
-        out += x[cols[:, t]] * weights[:, t:t + 1]
-    return out
+def _term_table(matrix):
+    """A matrix with few nonzeros per row as a linear term table (weights,
+    cols), each (terms, rows of the matrix): term t of row r is
+    weights[t, r] x[cols[t, r]], the nonzeros in ascending column order,
+    then zero weights up to the widest row."""
+    width = int(np.max(np.count_nonzero(matrix, axis=1)))
+    cols = np.argsort(matrix == 0, axis=1, kind="stable")[:, :width]
+    return np.take_along_axis(matrix, cols, 1).T, cols.T
 
 
 @lru_cache(maxsize=None)
@@ -869,9 +857,12 @@ def _closed_form_maps(n):
     trace z = |a|^2 = 1.  n = 4: u, v are the halves a+- = (1 +- I)/2 a,
     a[h] = (u + v)/2 and a[I ^ h] = s (u - v)/2 with I h = s e_{I^h}; the
     vectors anticommute with I, so Ad(a) x = a+ x rev(a-) + a- x rev(a+)
-    and T depends on u v^T alone.  Returns the sparse maps (`_sparse_map`)
-    z -> T and (T, and a 1 for n = 3) -> z, both with entries +-1 or
-    +-1/4, and the rows of h and I ^ h in the even layout, and s.
+    and T depends on u v^T alone.  Returns the two maps as term tables of
+    `_accumulate`: z -> T as (signs, rows), each (4, n * n), since for each
+    row r and row j of u one row l of v has a weight D[r, j, l] = +-1;
+    (T, and a 1 for n = 3) -> z as (weights, cols), each (4, 16), weights
+    +-1/4, on a row of ones.  Then the rows of h and I ^ h in the even
+    layout, and s.
     """
     signs, grades = blade_tables(n)
     i, k = np.divmod(np.arange(n * n)[:, None], n)
@@ -901,20 +892,22 @@ def _closed_form_maps(n):
         D = np.einsum("rpq,pj,ql->rjl", C, plus, minus) \
             + np.einsum("rpq,pl,qj->rjl", C, minus, plus)
         inverse = np.linalg.inv(D.reshape(16, 16))
+    # the weight of u_j v_l sits at column 4 j + l, one per j
+    signs, cols = _term_table(D.reshape(n * n, 16))
+    forward, inverse = (signs, cols % 4), _term_table(inverse)
     blades = (_parity_rows(n)[h], _parity_rows(n)[top ^ h], sign[:, None])
-    for table in blades:
+    for table in (*forward, *inverse, *blades):
         table.flags.writeable = False
-    return (_sparse_map(D.reshape(n * n, 16)), _sparse_map(inverse),
-            *blades)
+    return forward, inverse, *blades
 
 
 def _closed_form_adjoint(a, n):
     """Ad(a) of even fields a (2**(n-1), nodes), n = 3 or 4, as the rows
-    T[n i + k] (n * n, nodes): the map z -> T of `_closed_form_maps` on
-    the outer product z of the u, v that a gives."""
+    T[n i + k] (n * n, nodes): the bilinear table z -> T of
+    `_closed_form_maps` on the u, v that a gives."""
     forward, _, h, ih, sign = _closed_form_maps(n)
     u, v = (a, a) if n == 3 else (a[h] + sign * a[ih], a[h] - sign * a[ih])
-    return _apply_sparse(forward, (u[:, None] * v).reshape(16, -1))
+    return _accumulate(u, v, *forward)
 
 
 def _closed_form_lift(t, n):
@@ -925,23 +918,24 @@ def _closed_form_lift(t, n):
 
     n = 3: a is the column of z = a a^T with the largest diagonal entry,
     over that entry's square root.  n = 4: u is the largest column of
-    z = u v^T and v = z^T u / |u|^2, rescaled to equal norms.
+    z = u v^T and v = z^T u / |u|^2, rescaled to equal norms.  The sums
+    over j or l run in ascending order, whatever the node count.
     """
     _, inverse, h, ih, sign = _closed_form_maps(n)
     nodes = np.arange(t.shape[-1])
     x = np.vstack([t, np.ones((1, len(nodes)))]) if n == 3 else t
-    z = _apply_sparse(inverse, x).reshape(4, 4, -1)
+    z = _accumulate(np.ones((len(inverse[0]), 1)), x, *inverse)
+    z = z.reshape(4, 4, -1)
     # the diagonal of z = a a^T, or the squared column norms of z = u v^T
-    key = (np.einsum("jjn->jn", z) if n == 3
-           else np.einsum("jln,jln->ln", z, z))
+    key = z[range(4), range(4)] if n == 3 else sum(zj * zj for zj in z)
     pivot = np.argmax(key, axis=0)
     # the pivot columns, gathered contiguous (z[:, pivot, nodes] is not)
     u = z.reshape(4, -1)[:, pivot * len(nodes) + nodes]
     u2 = key[pivot, nodes]
     if n == 3:
         return u / np.sqrt(u2)
-    v = np.einsum("jln,jn->ln", z, u) / u2
-    scale = np.sqrt(np.sqrt(np.einsum("ln,ln->n", v, v) / u2))
+    v = sum(zj * uj for zj, uj in zip(z, u)) / u2
+    scale = np.sqrt(np.sqrt(sum(vl * vl for vl in v) / u2))
     u, v = u * scale, v / scale
     a = np.zeros((1 << (n - 1), len(nodes)))
     a[h] = 0.5 * (u + v)

@@ -644,9 +644,10 @@ def second_fundamental_form(zx, zy, normals, grid, alg):
     D = {(a, b): dz[a][..., b] + alg.connection(z[a], z[b])
          for a in range(2) for b in range(2)}
     B = np.empty(zx.shape[:2] + (2, 2, normals.shape[-1]))
-    for a, b in D:
+    for a, b in ((0, 0), (0, 1), (1, 1)):
         B[:, :, a, b] = np.einsum("xyi,xyir->xyr", 0.5 * (D[a, b] + D[b, a]),
                                   normals)
+    B[:, :, 1, 0] = B[:, :, 0, 1]     # as D_10 + D_01 = D_01 + D_10
     return B
 
 

@@ -6,14 +6,29 @@ from spinorforge import clifford
 
 
 @pytest.fixture
-def gp_calls(monkeypatch):
-    """Counts geometric products: the calls of the one kernel behind
-    gp_blades and gp_array."""
+def map_calls():
+    """The closed-form map applications that `gp_calls` sets apart, as
+    (n, "forward" or "inverse") in call order."""
+    return []
+
+
+@pytest.fixture
+def gp_calls(monkeypatch, map_calls):
+    """Counts geometric products: the calls of `clifford._accumulate`, the
+    one summation kernel behind gp_blades and gp_array, save those on a
+    table of `clifford._closed_form_maps`.  Those tables are cached, so
+    they are known by identity, and their calls go to `map_calls`.
+    (gp_array passes the rows of a product table that it needs, a copy.)"""
+    maps = {id(table[0]): (n, kind) for n in (3, 4) for kind, table in
+            zip(("forward", "inverse"), clifford._closed_form_maps(n))}
     calls = []
     kernel = clifford._accumulate
 
     def counted(a, b, signs, rows):
-        calls.append(len(signs))
+        if id(signs) in maps:
+            map_calls.append(maps[id(signs)])
+        else:
+            calls.append(len(signs))
         return kernel(a, b, signs, rows)
 
     monkeypatch.setattr(clifford, "_accumulate", counted)

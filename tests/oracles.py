@@ -19,6 +19,11 @@ the two.
   * givens_lift_full       -- the Givens spin lift on the full layout, as
     `clifford._givens_lift` computed it before it moved to the even
     kernel, which reproduces it bit for bit
+  * sparse_map, apply_sparse -- the second summation kernel the closed-form
+    Spin(3)/Spin(4) maps ran on before they became term tables of
+    `clifford._accumulate`, which reproduces it bit for bit
+  * sparse_closed_form_adjoint, sparse_closed_form_inverse -- the two
+    closed-form maps of `clifford._closed_form_maps` through that kernel
   * padded                 -- a surface fixture in R^n as the same surface
     in R^(n + 1), whose solve and reconstruction embed the R^n ones
   * AxisSemidirect         -- R^2 x_A R for a diagonal A, one node at a
@@ -32,8 +37,8 @@ import math
 import numpy as np
 
 from spinorforge.clifford import (
-    Multivector, bivector_exp_even, blade_tables, from_even, gp_array,
-    to_even,
+    Multivector, _closed_form_maps, bivector_exp_even, blade_tables,
+    from_even, gp_array, to_even,
 )
 from spinorforge.cmc import ab_scalars, h_potential
 from spinorforge.fixtures import SurfaceFixture
@@ -186,6 +191,58 @@ def givens_lift_full(T, n):
         raise ValueError("Givens factorization failed; input not special "
                          "orthogonal within tolerance")
     return a
+
+
+def sparse_map(table):
+    """A matrix with few nonzeros per row as (cols, weights), each
+    (rows, width): the columns of each row's nonzeros and their values,
+    padded with zero weights."""
+    width = int(np.max(np.count_nonzero(table, axis=1)))
+    cols = np.argsort(table == 0, axis=1, kind="stable")[:, :width]
+    weights = np.take_along_axis(table, cols, 1)
+    cols.flags.writeable = weights.flags.writeable = False
+    return cols, weights
+
+
+def apply_sparse(sparse, x):
+    """A `sparse_map` applied to x (columns, nodes): each row's terms
+    added in order to a zero start, so every node gets the same sums
+    whatever the number of nodes, and no BLAS matrix product (which spreads
+    over threads) runs over the nodes."""
+    cols, weights = sparse
+    out = np.zeros((len(cols),) + x.shape[1:])
+    for t in range(cols.shape[1]):
+        out += x[cols[:, t]] * weights[:, t:t + 1]
+    return out
+
+
+def closed_form_matrices(n):
+    """The term tables of `clifford._closed_form_maps(n)` as matrices:
+    z -> T (n * n, 16), over the outer product z = u v^T flattened, and
+    (T, and a 1 for n = 3) -> z (16, n * n + 1 or n * n)."""
+    (signs, rows), (weights, cols), *_ = _closed_form_maps(n)
+    forward = np.zeros((n * n, 16))
+    for j, (s, l) in enumerate(zip(signs, rows)):
+        forward[np.arange(n * n), 4 * j + l] = s
+    inverse = np.zeros((16, n * n + (n == 3)))
+    for w, c in zip(weights, cols):
+        inverse[np.arange(16), c] += w
+    return forward, inverse
+
+
+def sparse_closed_form_adjoint(a, n):
+    """`clifford._closed_form_adjoint` as it was: the outer product z of
+    the u, v that a (2**(n-1), nodes) gives, through `apply_sparse`."""
+    _, _, h, ih, sign = _closed_form_maps(n)
+    u, v = (a, a) if n == 3 else (a[h] + sign * a[ih], a[h] - sign * a[ih])
+    return apply_sparse(sparse_map(closed_form_matrices(n)[0]),
+                        (u[:, None] * v).reshape(16, -1))
+
+
+def sparse_closed_form_inverse(x, n):
+    """The map (T, and a 1 for n = 3) -> z of the closed-form lift on x
+    (n * n + 1 or n * n, nodes), through `apply_sparse`."""
+    return apply_sparse(sparse_map(closed_form_matrices(n)[1]), x)
 
 
 def padded(fx):

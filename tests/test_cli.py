@@ -412,10 +412,15 @@ def surface_blobs(draw):
 def test_export_fuzz_exits_cleanly(blob, fmt):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "surface.json")
+        mesh = os.path.join(tmp, "mesh." + fmt)
         dump_json(blob, path)
-        code = main(["export", path, "--format", fmt,
-                     "-o", os.path.join(tmp, "mesh." + fmt)])
-    assert code in (0, 3)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["export", path, "--format", fmt, "-o", mesh])
+        assert code in (0, 3), err.getvalue()
+        assert err.getvalue().count("\n") <= 1, err.getvalue()
+        assert os.path.exists(mesh) == (code == 0), (code, err.getvalue())
 
 
 # each gate has one tolerance, which no option overrides

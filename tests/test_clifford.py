@@ -20,15 +20,16 @@ from spinorforge.clifford import (
     _canonical_sign_array, bivector_of_offdiag, bivector_of_skew,
     blade_tables, commutator, cosh_sinhc, exp_array, gp_array, gp_blades,
     grade_indices, non_grade_norm, offdiag_skew_array, parity_blades,
-    reverse_array, spin_bracket, spin_lift, spin_lift_array, to_even,
-    unit_defect, vector_array, vector_part_array, worst_node,
+    reverse_array, spin_bracket, spin_lift, spin_lift_array, spin_lift_even,
+    to_even, unit_defect, vector_array, vector_part_array, worst_node,
 )
 
 from spinorforge.cli import SURFACE_FIXTURES
 from spinorforge.spinor import spinor_of_immersion
 
 from oracles import (bivector_exp_array, dense_row_gp, givens_lift_full,
-                     skew_of_bivector)
+                     skew_of_bivector, sparse_closed_form_adjoint,
+                     sparse_closed_form_inverse)
 
 rng = np.random.default_rng(20240611)
 
@@ -911,12 +912,98 @@ def test_closed_form_lift_rejects_one_bad_node(n, bad, message):
         spin_lift_array(field)
 
 
-def test_spin_lift_takes_geometric_products_only_beyond_n_4(gp_calls):
+def test_spin_lift_takes_geometric_products_only_beyond_n_4(gp_calls,
+                                                            map_calls):
     for n in (3, 4):
+        map_calls.clear()
         spin_lift_array(np.array([random_so(n) for _ in range(5)]))
+        # the inverse map, then the forward map of the miss check
+        assert map_calls == [(n, "inverse"), (n, "forward")]
     assert gp_calls == []
     spin_lift_array(random_so(5))
     assert len(gp_calls) >= 1
+
+
+# the fixtures whose converse lifts take the closed form: n = 3 and 4
+CLOSED_FORM_FIXTURES = ["sphere-r3", "sphere-r4-twisted", "s3-sphere",
+                        "sol3-plane"]
+
+
+def converse_frames(name, N):
+    """The frames the converse lifts on a fixture at N, as the rows
+    t (n * n, nodes) of `clifford._closed_form_lift`."""
+    fx = SURFACE_FIXTURES[name](N)
+    frames = spinor_of_immersion(fx.F, fx.alg, fx.grid)[1].frames
+    n = frames.shape[-1]
+    return np.ascontiguousarray(frames.reshape(-1, n * n).T)
+
+
+def lift_map_output(t, n, monkeypatch):
+    """z, what the inverse map gives inside `_closed_form_lift(t, n)`."""
+    inverse = clifford._closed_form_maps(n)[1]
+    kernel, seen = clifford._accumulate, []
+
+    def spy(a, b, signs, rows):
+        out = kernel(a, b, signs, rows)
+        if signs is inverse[0]:
+            seen.append(out)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(clifford, "_accumulate", spy)
+        clifford._closed_form_lift(t, n)
+    (z,) = seen
+    return z
+
+
+def assert_maps_are_the_sparse_oracle(t, monkeypatch):
+    """On rotation rows t (n * n, nodes), at the first node alone, the
+    next two, and all: the lift's map and the adjoint of the lift are
+    the bits of the former sparse kernel."""
+    n = math.isqrt(len(t))
+    for part in (t[:, :1], t[:, 1:3], t):
+        part = np.ascontiguousarray(part)
+        x = np.vstack([part, np.ones((1, part.shape[1]))]) if n == 3 \
+            else part
+        assert lift_map_output(part, n, monkeypatch).tobytes() \
+            == sparse_closed_form_inverse(x, n).tobytes()
+        a = clifford._closed_form_lift(part, n)
+        assert clifford._closed_form_adjoint(a, n).tobytes() \
+            == sparse_closed_form_adjoint(a, n).tobytes()
+
+
+@pytest.mark.parametrize("N", [33, 129])
+@pytest.mark.parametrize("name", CLOSED_FORM_FIXTURES)
+def test_closed_form_maps_are_the_sparse_oracle_on_converse_frames(
+        name, N, monkeypatch):
+    assert_maps_are_the_sparse_oracle(converse_frames(name, N), monkeypatch)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_closed_form_maps_are_the_sparse_oracle_on_random_fields(
+        n, monkeypatch):
+    local = np.random.default_rng(30 + n)
+    T = np.array([random_so(n) for _ in range(300)])
+    assert_maps_are_the_sparse_oracle(
+        np.ascontiguousarray(T.reshape(-1, n * n).T), monkeypatch)
+    # the adjoint of even fields that are not unit, and of a single node
+    e = local.normal(size=(1 << (n - 1), 500))
+    for part in (e[:, :1], e):
+        assert clifford._closed_form_adjoint(part, n).tobytes() \
+            == sparse_closed_form_adjoint(part, n).tobytes()
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_FIXTURES)
+def test_closed_form_lift_of_a_node_alone_is_its_field_bits(name):
+    """Each node lifted alone gives the bits the whole field gives it: on
+    random rotations and on the converse's frames at N = 33."""
+    t = converse_frames(name, 33)
+    n = math.isqrt(len(t))
+    T = np.concatenate([t.T.reshape(-1, n, n),
+                        [random_so(n) for _ in range(500)]])
+    field = spin_lift_even(T)
+    for k, node in enumerate(T):
+        assert spin_lift_even(node).tobytes() == field[:, k].tobytes(), k
 
 
 def half_turns(n):
