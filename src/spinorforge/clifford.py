@@ -244,21 +244,11 @@ def vector_array(v, n):
     return out
 
 
-def unit_defect(a, n):
-    """rev(a) a - 1 for fields of multivectors a (..., 2**n)."""
-    out = gp_array(reverse_array(a, n), a, n)
-    out[..., 0] -= 1.0
-    return out
-
-
 def spin_defects(a, n):
     """(odd, unit): the largest |coefficient| of a field a (..., 2**n)
-    outside the even grades and of `unit_defect`; unit is nan for a
-    non-finite a, decided before the product, where inf * 0 would raise."""
-    odd = non_grade_norm(a, n, range(0, n + 1, 2))
-    if not np.all(np.isfinite(a)):
-        return odd, math.nan
-    return odd, float(np.max(np.abs(unit_defect(a, n))))
+    outside the even grades, and the `even_unit_defect` of its even part."""
+    return (non_grade_norm(a, n, range(0, n + 1, 2)),
+            even_unit_defect(to_even(a, n), n))
 
 
 def non_grade_norm(a, n, keep):

@@ -417,7 +417,10 @@ def problem_from_dict(d):
             model = model_for(alg)
         except ValueError:
             # no group model: only reconstruct uses the point, and it
-            # rejects the algebra itself; R^n asks only for a vector
+            # rejects the algebra itself; here a point is any flat list
+            if base_point.ndim != 1:
+                raise ValueError(f"base_point must be a flat list of "
+                                 f"coordinates; got shape {base_point.shape}")
             model = AbelianModel(base_point.size)
         dim = model.payload_dim
         if base_point.shape != (dim,):

@@ -46,8 +46,8 @@ import numpy as np
 from .clifford import (
     PURITY_TOL, Multivector, SpinElement, adjoint_even, bivector_array,
     bivector_even, bivector_exp_even, even_unit_defect, from_even, gp_array,
-    gp_blades, non_grade_norm, reverse_even, spin_lift, spin_lift_even,
-    to_even, vector_array, worst_node,
+    gp_blades, non_grade_norm, reverse_even, spin_lift_even, to_even,
+    vector_array, worst_node,
 )
 from .lie_group import (
     IntegrationError, LieValuedOneForm, darboux_integrate,
@@ -84,6 +84,9 @@ class KillingProblem:
             base_spinor = SpinElement.identity(alg.n)
         if not isinstance(base_spinor, SpinElement):
             base_spinor = SpinElement(base_spinor)
+        if base_spinor.n != alg.n:
+            raise ValueError(f"base spinor of Cl_{base_spinor.n} for an "
+                             f"algebra of Cl_{alg.n}")
         self.data = data
         self.alg = alg
         self.base_spinor = base_spinor
@@ -139,15 +142,15 @@ class SpinorField:
             tol=SPIN_NORM_TOL)
 
     def right_multiplied(self, a):
-        """The field phi . a for a spin element a; an a with odd
-        coefficients fails the field's even gate."""
-        if isinstance(a, SpinElement):
-            a = a.value
-        if not non_grade_norm(a.coeffs, self.n,
-                              range(0, self.n + 1, 2)) <= SPIN_NORM_TOL:
-            raise ValueError("spinor representatives must be even")
+        """The field phi . a for a spin element a of Cl_n; a Multivector a
+        is judged as SpinElement(a, tol=SPIN_NORM_TOL) first."""
+        if not isinstance(a, SpinElement):
+            a = SpinElement(a, tol=SPIN_NORM_TOL)
+        if a.n != self.n:
+            raise ValueError(f"spin element of Cl_{a.n} for a spinor field "
+                             f"of Cl_{self.n}")
         return SpinorField(self.grid, self.n, gp_blades(
-            self.even, to_even(a.coeffs, self.n), self.n))
+            self.even, to_even(a.value.coeffs, self.n), self.n))
 
     def psi_pairs(self):
         if self.n != 3:
@@ -336,7 +339,8 @@ def normalize_spinor(field, problem):
     measured at the base node, after which xi matches the frame isometry.
 
     T is checked orthogonal to ORTH_TOL (discretization-level), projected
-    to the nearest rotation, and lifted with the deterministic sign rule.
+    to the nearest rotation, and lifted with the deterministic sign rule
+    (`spin_lift_even`); the product passes the field's own gate.
     """
     T = frame_map_at(field, problem, (0, 0))
     dev = np.max(np.abs(T.T @ T - np.eye(field.n)))
@@ -346,8 +350,8 @@ def normalize_spinor(field, problem):
     if np.linalg.det(T) < 0:
         raise ValueError("xi o frame^-1 is orientation reversing")
     u, _, vt = np.linalg.svd(T)
-    a = spin_lift(u @ vt)
-    return field.right_multiplied(a)
+    return SpinorField(field.grid, field.n, gp_blades(
+        field.even, spin_lift_even(u @ vt), field.n))
 
 
 def mean_curvature_vector(data):

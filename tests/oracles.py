@@ -14,6 +14,9 @@ the two.
   * dense_row_gp           -- the geometric product as the dense loop over
     all 2**n rows, which `clifford.gp_blades` and `gp_array` reproduce bit
     for bit
+  * unit_defect            -- rev(a) a - 1 on the full layout through
+    `clifford.gp_array`, which `clifford.even_unit_defect` measures on
+    the even rows
   * bivector_exp_array     -- `clifford.bivector_exp_even` in the full
     layout (..., 2**n), for the tests written on that layout
   * givens_lift_full       -- the Givens spin lift on the full layout, as
@@ -38,7 +41,7 @@ import numpy as np
 
 from spinorforge.clifford import (
     Multivector, _closed_form_maps, bivector_exp_even, blade_tables,
-    from_even, gp_array, to_even,
+    from_even, gp_array, reverse_array, to_even,
 )
 from spinorforge.cmc import ab_scalars, h_potential
 from spinorforge.fixtures import SurfaceFixture
@@ -150,6 +153,13 @@ def dense_row_gp(a, b, n):
         # for fixed i, j -> i ^ j permutes the blades; gather instead of scatter
         contrib = signs[i] * ai[..., None] * b
         out += contrib[..., i ^ all_idx]
+    return out
+
+
+def unit_defect(a, n):
+    """rev(a) a - 1 for fields of multivectors a (..., 2**n)."""
+    out = gp_array(reverse_array(a, n), a, n)
+    out[..., 0] -= 1.0
     return out
 
 

@@ -979,8 +979,11 @@ def test_broken_inputs_exit_three_or_four(case):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main([command, path, "-o", os.path.join(tmp, "r.json")])
+        written = sorted(os.listdir(tmp))
     assert code in (3, 4), (code, err.getvalue())
+    assert len(err.getvalue().splitlines()) == 1, err.getvalue()
     assert "Traceback" not in err.getvalue()
+    assert written == ["input.json"], (code, written)
 
 
 @pytest.mark.parametrize("name", _SURFACE_NAMES)
@@ -1277,6 +1280,8 @@ def test_catalog_params_fuzz_exits_cleanly(group, params):
         code = main(["catalog", "--group", group,
                      "--params", json.dumps(params)])
     assert code in (0, 3), err.getvalue()
+    assert len(err.getvalue().splitlines()) == (code == 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 _ODD_NUMBERS = st.sampled_from([1e308, -1e308, 1e300, 5e-324, 0.0, 1.0])

@@ -21,7 +21,7 @@ from spinorforge.clifford import (
     blade_tables, commutator, cosh_sinhc, exp_array, gp_array, gp_blades,
     grade_indices, non_grade_norm, offdiag_skew_array, parity_blades,
     reverse_array, spin_bracket, spin_lift, spin_lift_array, spin_lift_even,
-    to_even, unit_defect, vector_array, vector_part_array, worst_node,
+    to_even, vector_array, vector_part_array, worst_node,
 )
 
 from spinorforge.cli import SURFACE_FIXTURES

@@ -513,6 +513,35 @@ def test_problem_base_point_is_checked(point, match):
         problem_from_dict(blob)
 
 
+def _ekt_problem(point):
+    """A problem file on E(kappa, tau), which has no group model, with
+    `point` as its base point."""
+    fx = fixtures.sphere_r3(9)
+    blob = problem_to_dict(fx.data, fx.alg)
+    blob["algebra"] = {"tag": "EKappaTau",
+                       "params": {"kappa": -1.0, "tau": 0.5}}
+    blob["base_point"] = point
+    return blob
+
+
+def test_a_flat_base_point_loads_for_an_algebra_without_a_group_model():
+    point = problem_from_dict(_ekt_problem([0.0, 0.0, 1.0, 2.0]))[3]
+    assert np.array_equal(point, [0.0, 0.0, 1.0, 2.0])
+
+
+def test_a_nested_base_point_without_a_group_model_exits_three(tmp_path,
+                                                               capsys):
+    from spinorforge.cli import main
+    path = tmp_path / "ekt.json"
+    dump_json(_ekt_problem([[0.0, 0.0], [1.0, 2.0]]), path)
+    assert main(["reconstruct", str(path), "-o", str(tmp_path / "r.json")]) \
+        == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "input error: base_point must be a flat list of coordinates; got "
+        "shape (2, 2)"]
+    assert [p.name for p in tmp_path.iterdir()] == ["ekt.json"]
+
+
 OFF_GROUP = [("s3", [1.0 + 1e-7, 0.0, 0.0, 0.0],
               r"^S\^3 points must be unit quaternions: \|q\| is off 1 by"),
              ("s3", [0.0, 0.0, 0.0, 0.0],

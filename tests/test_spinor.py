@@ -12,7 +12,7 @@ from spinorforge.clifford import (
     Multivector, OffDiagOperator, SpinElement, bivector_array,
     bivector_of_offdiag, bivector_of_skew, exp_array,
     from_even, gp_array, grade_indices, reverse_array, spin_lift, to_even,
-    unit_defect, vector_array, vector_part_array, worst_node,
+    vector_array, vector_part_array, worst_node,
 )
 from spinorforge.grid import ParamGrid
 from spinorforge.immersion import ImmersionData
@@ -29,7 +29,8 @@ from spinorforge.spinor import (
     solve_killing, spinor_of_immersion, xi_from_spinor,
 )
 
-from oracles import bivector_exp_array, ekt_gamma_bivector, padded
+from oracles import (bivector_exp_array, ekt_gamma_bivector, padded,
+                     unit_defect)
 
 rng = np.random.default_rng(271828)
 
@@ -461,9 +462,42 @@ def test_normalize_roundtrip_recovers_xi():
 def test_right_multiplied_rejects_an_odd_factor():
     _, afield = analytic_problem(fixtures.s3_sphere(9))
     a = random_spin(3).value + Multivector.from_vector([0.0, 1e-6, 0.0], 3)
-    with pytest.raises(ValueError, match="spinor representatives must be "
-                                         "even"):
+    with pytest.raises(ValueError, match="spin element has odd-grade "
+                                         "coefficients"):
         afield.right_multiplied(a)
+
+
+@pytest.mark.parametrize("make,m", [(fixtures.sphere_r3, 4),
+                                    (fixtures.sphere_r4_twisted, 3)])
+def test_a_base_spinor_of_another_dimension_is_rejected(make, m):
+    fx = make(9)
+    with pytest.raises(ValueError, match=rf"^base spinor of Cl_{m} for an "
+                                         rf"algebra of Cl_{fx.alg.n}$"):
+        KillingProblem(fx.data, fx.alg, base_spinor=SpinElement.identity(m))
+
+
+@pytest.mark.parametrize("make,m", [(fixtures.sphere_r3, 4),
+                                    (fixtures.sphere_r4_twisted, 3)])
+def test_right_multiplied_rejects_a_factor_of_another_dimension(make, m):
+    fx = make(9)
+    field, _ = solve_killing(KillingProblem(fx.data, fx.alg))
+    with pytest.raises(ValueError, match=rf"^spin element of Cl_{m} for a "
+                                         rf"spinor field of Cl_{fx.alg.n}$"):
+        field.right_multiplied(SpinElement.identity(m))
+
+
+def test_normalize_rejects_an_even_unit_field_outside_the_spin_group():
+    # (1 + e123456)/sqrt(2) is even and unit, but Ad of it maps vectors to
+    # 5-vectors: xi o frame^-1 is zero, and the orthogonality gate fires
+    fx = padded(padded(padded(fixtures.sphere_r3(5))))
+    values = np.zeros(fx.grid.shape + (64,))
+    values[..., 0] = values[..., 63] = 1.0 / math.sqrt(2.0)
+    field = SpinorField(fx.grid, 6, values)
+    with pytest.raises(ValueError, match=r"^xi o frame\^-1 is not orthogonal "
+                                         r"\(deviation 1\.000e\+00\); the "
+                                         r"solve did not produce a spin "
+                                         r"field$"):
+        normalize_spinor(field, KillingProblem(fx.data, fx.alg))
 
 
 def test_normalized_xi_matches_frame_map_at_base():
