@@ -370,8 +370,7 @@ class Multivector:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n, coeffs):
-        if not 1 <= n <= MAX_DIM:
-            raise ValueError(f"algebra dimension must be in 1..{MAX_DIM}, got {n}")
+        blade_tables(n)     # ValueError for n outside 1..MAX_DIM
         coeffs = np.array(coeffs, dtype=np.float64).reshape(-1)
         if coeffs.shape != (1 << n,):
             raise ValueError(

@@ -33,6 +33,7 @@ nothing here solves the PDE, validation and reconstruction only.
 
 import numpy as np
 
+from .grid import real_numbers
 from .lie_group import (LieValuedOneForm, first_fundamental_form,
                         maurer_cartan_pullback, model_for,
                         second_fundamental_form)
@@ -54,13 +55,13 @@ class HPotential:
     __slots__ = ("H", "mu")
 
     def __init__(self, H, mu):
-        self.H = float(H)
+        self.H = float(real_numbers(H, "potential H"))
         if not np.isfinite(self.H):
             raise ValueError("the mean curvature H must be finite")
-        mu = tuple(float(m) for m in mu)
+        mu = real_numbers(mu, "potential mu", 1)
         if len(mu) != 3 or not all(np.isfinite(mu)):
             raise ValueError("the potential needs three finite constants")
-        self.mu = mu
+        self.mu = tuple(mu.tolist())
 
 
 def h_potential(pot, g):

@@ -24,6 +24,8 @@ the rotation coefficient w(X) = <nabla_X e1, e2> is
 and the Gaussian curvature is K = -Laplacian(log mu) / mu^2.
 """
 
+import numbers
+
 import numpy as np
 
 # (derivative, order) -> (interior row, edge rows); a row (offsets, weights,
@@ -45,6 +47,31 @@ STENCILS = {
     (2, 2): (((1, 0, -1), (1.0, -2.0, 1.0), 1.0),
              [((0, 1, 2, 3), (2.0, -5.0, 4.0, -1.0), 1.0)]),
 }
+
+
+def real_numbers(value, name, ndim=0):
+    """`value` as float64 when it is a real number (ndim 0) or lists of them
+    nested ndim deep, not bools or strings, each within the float range; else
+    a ValueError naming `name`.  The one rule for an input's numbers, here as
+    this module imports no other: `ParamGrid`, `HPotential`, `real_param`."""
+    items = np.asarray(value, dtype=object)
+    if items.ndim != ndim or not all(isinstance(v, numbers.Real) and not
+                                     isinstance(v, bool) for v in items.flat):
+        what = f"{ndim}-deep lists of reals" if ndim else "a real number"
+        raise ValueError(f"{name} must be {what}; got {value!r}")
+    try:
+        return items.astype(np.float64)
+    except OverflowError:   # an integer beyond the float range
+        raise ValueError(f"{name} must be within the float range") from None
+
+
+def whole_number(value, name):
+    """`real_numbers` of an integral number as an int, 3 and 3.0 alike as
+    the JSON schemas count integers; ValueError naming `name` otherwise."""
+    x = float(real_numbers(value, name))
+    if not x.is_integer():
+        raise ValueError(f"{name} must be an integral number; got {value!r}")
+    return int(x)
 
 
 # the smallest normal float: a square below it has an overflowing reciprocal
@@ -139,21 +166,19 @@ class ParamGrid:
     __slots__ = ("nx", "ny", "h", "x0", "y0", "mu")
 
     def __init__(self, nx, ny, h, mu=None, x0=0.0, y0=0.0):
-        if nx < 2 or ny < 2:
+        self.nx = whole_number(nx, "grid nx")
+        self.ny = whole_number(ny, "grid ny")
+        if self.nx < 2 or self.ny < 2:
             raise ValueError("grids need nx, ny >= 2")
         # the stencils and tolerances divide by h^2 and mu^2, so the squares
         # must be finite normal floats, whose reciprocals do not overflow;
         # an overflow is inf: it fails
-        with np.errstate(over="ignore"):
-            h2 = h * h
-        if not (h > 0 and _TINY <= h2 < np.inf):
+        self.h = float(real_numbers(h, "grid h"))
+        if not (self.h > 0 and _TINY <= self.h * self.h < np.inf):
             raise ValueError(f"grid spacing h must be positive with h^2 "
                              f"normal and finite; got h = {h!r}")
-        self.nx = int(nx)
-        self.ny = int(ny)
-        self.h = float(h)
-        self.x0 = float(x0)
-        self.y0 = float(y0)
+        self.x0 = float(real_numbers(x0, "grid x0"))
+        self.y0 = float(real_numbers(y0, "grid y0"))
         if not np.isfinite([self.x0, self.y0]).all():
             raise ValueError("grid origin must be finite")
         if mu is None:

@@ -23,11 +23,10 @@ structure constants and a tag that labels them.  In JSON an algebra is
 that `catalog_build` reads to build c.
 """
 
-import numbers
-
 import numpy as np
 
 from .clifford import MAX_DIM, SkewOperator, bivector_of_skew
+from .grid import real_numbers, whole_number
 
 JACOBI_TOL = 1e-12
 KOSZUL_TOL = 1e-10      # how far a given gamma may lie from Koszul(c)
@@ -268,18 +267,11 @@ def unimodular(mu1, mu2, mu3):
 
 
 def real_param(params, name, ndim=0):
-    """params[name] as float64 when it is a real number (ndim 0) or lists
-    of them nested ndim deep; ValueError naming params.<name> when it is
-    absent, a bool, a string or another nesting."""
+    """`grid.real_numbers` of params[name], named params.<name>; a
+    ValueError also when it is absent."""
     if name not in params:
         raise ValueError(f"params.{name} is required")
-    value = params[name]
-    items = np.asarray(value, dtype=object)
-    if items.ndim != ndim or not all(isinstance(v, numbers.Real) and not
-                                     isinstance(v, bool) for v in items.flat):
-        what = f"{ndim}-deep lists of reals" if ndim else "a real number"
-        raise ValueError(f"params.{name} must be {what}; got {value!r}")
-    return items.astype(np.float64)
+    return real_numbers(params[name], f"params.{name}", ndim)
 
 
 class BoolArray(list):
@@ -301,22 +293,27 @@ def real_array(value, name):
 
 
 def dimension_param(params):
-    """params["n"] as an int when it is an integral number, 3 and 3.0 alike
-    as the JSON schemas count integers."""
-    n = float(real_param(params, "n"))
-    if not n.is_integer():
-        raise ValueError(f"params.n must be an integral number; got {n!r}")
-    return int(n)
-
-
-def _catalog_dimension(params):
-    """`dimension_param` of a catalog algebra, within 1..MAX_DIM, and named
-    as given when it is not: int(1e300) would spell out all of its digits.
-    Group models bound and name their n the same way
-    (`lie_group._model_dimension`)."""
-    n = dimension_param(params)
+    """`grid.whole_number` of params["n"] within 1..MAX_DIM, named as given
+    when it is not: int(1e300) would spell out all of its digits."""
+    n = whole_number(float(real_param(params, "n")), "params.n")
     _check_dim(params["n"])
     return n
+
+
+def matrix_param(params):
+    """params["A"], a finite 2x2 matrix of real numbers, of the catalog's
+    SemiDirect and of the semidirect group model."""
+    A = real_param(params, "A", 2)
+    if A.shape != (2, 2) or not np.all(np.isfinite(A)):
+        raise ValueError("params.A must be a finite 2x2 matrix")
+    return A
+
+
+def check_all_read(params, reads, what):
+    """ValueError naming each key of `params` that `what` does not read."""
+    unread = sorted(map(repr, set(params) - set(reads)))
+    if unread:
+        raise ValueError(f"{what} reads no params {', '.join(unread)}")
 
 
 def _milnor_param(params):
@@ -328,16 +325,17 @@ def _milnor_param(params):
     return mu
 
 
-# tag: (builder from a params dict, the params the command line defaults to)
+# tag: (builder from a params dict, the params the command line defaults to);
+# a builder reads the keys of its defaults, and Hn also an optional l
 CATALOG = {
-    "Rn": (lambda params: rn(_catalog_dimension(params)), {"n": 3}),
-    "Hn": (lambda params: hn(_catalog_dimension(params), real_param(
+    "Rn": (lambda params: rn(dimension_param(params)), {"n": 3}),
+    "Hn": (lambda params: hn(dimension_param(params), real_param(
         params, "l", 1) if "l" in params else None), {"n": 3}),
     "S3": (lambda params: s3(), {}),
     "EKappaTau": (lambda params: e_kappa_tau(
         float(real_param(params, "kappa")), float(real_param(params, "tau"))),
                   {"kappa": -1.0, "tau": 0.5}),
-    "SemiDirect": (lambda params: semidirect(real_param(params, "A", 2)),
+    "SemiDirect": (lambda params: semidirect(matrix_param(params)),
                    {"A": [[1.0, 0.0], [0.0, 1.0]]}),
     "Sol3": (lambda params: sol3(), {}),
     "H2xR": (lambda params: h2xr(), {}),
@@ -353,13 +351,16 @@ def catalog_tag(text):
 
 
 def catalog_build(tag, params=None):
-    """Build a catalog algebra by tag, in any case; params is the
-    variant-specific dict."""
+    """Build a catalog algebra by tag, in any case, from the params its
+    builder reads; a key it does not read is a ValueError."""
     key = catalog_tag(tag)
     if key not in CATALOG:
         raise ValueError(f"unknown catalog tag {tag!r}; "
                          f"known: {sorted(CATALOG)}")
-    return CATALOG[key][0](params or {})
+    build, defaults = CATALOG[key]
+    params = params or {}
+    check_all_read(params, {*defaults, "l"} if key == "Hn" else defaults, key)
+    return build(params)
 
 
 # =============================================================================

@@ -41,7 +41,7 @@ positive ones, log(g^-1) = -log g.
 import numpy as np
 
 from . import lie_algebra as la
-from .clifford import MAX_DIM, cosh_sinhc
+from .clifford import cosh_sinhc
 from .grid import difference, stencil_blocks
 
 # For a non-diagonal A, phi(zA) = alpha I + beta N switches from the
@@ -422,37 +422,14 @@ class HnModel(GroupModel):
         return np.concatenate([a[1:], an[1:]], axis=-1)
 
 
-def _model_dimension(params):
-    """The `n` of an abelian / H^n model, 3 when absent, within 1..MAX_DIM
-    (no command writes a larger model) and named as given when it is not:
-    int(1e300) would spell out all of its digits."""
-    params = {"n": 3, **params}
-    n = la.dimension_param(params)
-    if not 1 <= n <= MAX_DIM:
-        raise ValueError(f"model dimension n must be positive and at most "
-                         f"{MAX_DIM}; got {params['n']}")
-    return n
-
-
-def _model_matrix(params):
-    """The matrix A of a semidirect model: real numbers, not strings or
-    bools, that JSON nests as a 2x2 matrix."""
-    if "A" not in params:
-        raise ValueError("the semidirect model needs params.A")
-    try:
-        A = la.real_param(params, "A", 2)
-    except ValueError as err:
-        raise ValueError(f"a finite 2x2 matrix is needed: {err}")
-    if A.shape != (2, 2) or not np.all(np.isfinite(A)):
-        raise ValueError("params.A must be a finite 2x2 matrix")
-    return A
-
-
+# name: the model from its params dict, whose numbers `lie_algebra` judges:
+# n by `dimension_param` (3 when absent), A by `matrix_param`
 MODELS = {
-    "abelian": lambda params: AbelianModel(_model_dimension(params)),
+    "abelian": lambda params: AbelianModel(
+        la.dimension_param({"n": 3, **params})),
     "s3": lambda params: S3Model(),
-    "semidirect": lambda params: SemidirectModel(_model_matrix(params)),
-    "hn": lambda params: HnModel(_model_dimension(params)),
+    "semidirect": lambda params: SemidirectModel(la.matrix_param(params)),
+    "hn": lambda params: HnModel(la.dimension_param({"n": 3, **params})),
 }
 
 
@@ -468,11 +445,13 @@ def model_params(model):
 
 def model_from_params(name, params):
     """The group model named by `name` (a key of MODELS) and its params;
-    ValueError for unknown names and for an n outside 1..MAX_DIM or an A
-    that is not a finite 2x2 matrix of real numbers."""
+    ValueError for unknown names, malformed params (see MODELS), and keys
+    that the model's `model_params` does not hold."""
     if name not in MODELS:
         raise ValueError(f"unknown model {name!r}")
-    return MODELS[name](params)
+    model = MODELS[name](params)
+    la.check_all_read(params, model_params(model), f"the {name} model")
+    return model
 
 
 _S3_C = la.s3().c

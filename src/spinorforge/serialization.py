@@ -16,8 +16,10 @@ JSON Schema semantics: an `integer` may be written `2.0`, booleans are
 neither numbers nor integers, and `enum` tells `true` from `1`.  A violation
 is reported with its path and rule, e.g.
 `grid.nx: 1 is less than the minimum of 2`.  Malformed input of any kind,
-and a file that cannot be read or written, raises `ValueError`; the command
-line's `main` reports it as an input error, exit 3.
+an integer beyond the float range included (the constructors the loaders
+call judge their numbers with `grid.real_numbers`), and a file that cannot
+be read or written, raises `ValueError`; the command line's `main` reports
+it as an input error, exit 3.
 
 `read_json` reads an input file and converts it with the cyclic garbage
 collector paused.  A problem file decodes into some 10^5 small lists, and
@@ -345,13 +347,10 @@ def _finite(arr, name):
 def grid_from_dict(d):
     _validated(d, GRID_SCHEMA, "grid")
     mu = d.get("mu")
-    try:
-        if mu is not None:
-            mu = la.real_array(mu, "grid.mu")
-        return ParamGrid(d["nx"], d["ny"], d["h"], mu=mu,
-                         x0=d.get("x0", 0.0), y0=d.get("y0", 0.0))
-    except OverflowError:   # float() of an integer beyond the float range
-        raise ValueError("grid h, x0 and y0 must be within the float range")
+    if mu is not None:
+        mu = la.real_array(mu, "grid.mu")
+    return ParamGrid(d["nx"], d["ny"], d["h"], mu=mu,
+                     x0=d.get("x0", 0.0), y0=d.get("y0", 0.0))
 
 
 def grid_to_dict(grid):
@@ -366,7 +365,7 @@ def algebra_and_gamma(d):
     try:
         alg = la.algebra_from_dict(d) if "c" in d else \
             la.catalog_build(d["tag"], d.get("params"))
-    except (TypeError, ValueError, KeyError, OverflowError) as err:
+    except ValueError as err:
         raise ValueError(f"invalid algebra: {err}")
     gamma = la.real_array(d.get("gamma", alg.gamma), "algebra.gamma")
     if gamma.shape != alg.gamma.shape or not np.all(np.isfinite(gamma)):
@@ -465,12 +464,8 @@ def cmc_from_dict(d):
     if g.shape != grid.shape + (2,):
         raise ValueError("g samples must be (nx, ny, 2) re/im pairs")
     _finite(g, "g")     # before 1j * inf makes an inf * 0
-    try:
-        pot = HPotential(d["potential"]["H"], d["potential"]["mu"])
-        data = WeierstrassData(grid, g[..., 0] + 1j * g[..., 1])
-    except OverflowError:   # float() of an integer beyond the float range
-        raise ValueError("potential H and mu must be within the float range")
-    return data, pot
+    pot = HPotential(d["potential"]["H"], d["potential"]["mu"])
+    return WeierstrassData(grid, g[..., 0] + 1j * g[..., 1]), pot
 
 
 def cmc_to_dict(data, pot):
@@ -518,7 +513,7 @@ def surface_from_dict(d):
     try:
         model = model_from_params(d["model"]["name"],
                                   d["model"].get("params", {}))
-    except (TypeError, ValueError, OverflowError) as err:
+    except ValueError as err:
         raise ValueError(f"invalid surface: {err}")
     payload = la.real_array(d["payload"], "payload")
     if payload.ndim != 1:

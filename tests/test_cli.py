@@ -352,7 +352,7 @@ def test_export_rejects_a_nested_payload(tmp_path, capsys, nest):
 
 
 @pytest.mark.parametrize("n,message", [
-    (1e300, "model dimension n must be positive and at most 8; got 1e+300"),
+    (1e300, "dimension must be 1..8; got 1e+300"),
     (4, "surface payload length does not match the grid"),
 ], ids=["oversized", "four-on-three"])
 def test_export_names_the_model_dimension_as_given(tmp_path, capsys, n,
@@ -535,7 +535,7 @@ def test_grid_integers_beyond_the_float_range_are_input_errors(tmp_path, capsys,
     dump_json(blob, path)
     assert main(["check-gcr", str(path), "-o", str(tmp_path / "r.json")]) == 3
     assert capsys.readouterr().err.splitlines() == [
-        "input error: grid h, x0 and y0 must be within the float range"]
+        f"input error: grid {key} must be within the float range"]
 
 
 @pytest.mark.parametrize("command", ["solve", "check-algebra", "cmc",
@@ -1392,6 +1392,47 @@ def test_catalog_overflowing_constants_fail_jacobi_without_warning(
         code, err = _main_err(["catalog", "--group", group,
                                "--params", params], capsys)
     assert code == 3 and "Jacobi" in err
+
+
+@pytest.mark.parametrize("group,params,line", [
+    ("EKappaTau", '{"kapa": 2}', "EKappaTau reads no params 'kapa'"),
+    ("S3", '{"n": 7}', "S3 reads no params 'n'"),
+], ids=["misspelt-kappa", "s3-n"])
+def test_catalog_params_no_builder_reads_exit_three(tmp_path, capsys, group,
+                                                    params, line):
+    out = tmp_path / "alg.json"
+    assert main(["catalog", "--group", group, "--params", params,
+                 "-o", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: invalid algebra: {line}\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("params,line", [
+    ({"kapa": 2, "kappa": 1, "tau": 1}, "EKappaTau reads no params 'kapa'"),
+    ({"kappa": 10 ** 400, "tau": 1},
+     "params.kappa must be within the float range"),
+], ids=["misspelt-kappa", "huge-kappa"])
+def test_check_algebra_tag_params_are_judged(tmp_path, capsys, params, line):
+    path, out = tmp_path / "alg.json", tmp_path / "r.json"
+    with open(path, "w") as fh:
+        json.dump({"tag": "EKappaTau", "params": params}, fh)
+    code, err = _main_err(["check-algebra", str(path), "-o", str(out)],
+                          capsys)
+    assert (code, err) == (3, f"input error: invalid algebra: {line}\n")
+    assert not out.exists()
+
+
+def test_export_names_a_model_param_it_does_not_read(tmp_path, capsys):
+    fx = fixtures.sphere_r3(5)
+    blob = surface_to_dict(fx.F, fx.model)
+    blob["model"]["params"]["m"] = 1
+    path, mesh = tmp_path / "surface.json", tmp_path / "m.obj"
+    dump_json(blob, path)
+    code, err = _main_err(["export", str(path), "-o", str(mesh)], capsys)
+    assert (code, err) == (3, "input error: invalid surface: the abelian "
+                              "model reads no params 'm'\n")
+    assert not mesh.exists()
 
 
 _ORDINARY_MU = [123.456, 789.012, 345.678]

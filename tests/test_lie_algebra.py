@@ -369,6 +369,21 @@ def test_catalog_params_take_integral_and_real_numbers(tag, params, n):
     assert catalog_build(tag, params).n == n
 
 
+@pytest.mark.parametrize("tag,params,message", [
+    ("EKappaTau", {"kappa": -1.0, "tau": 0.5, "kapa": 2},
+     "EKappaTau reads no params 'kapa'"),
+    ("S3", {"n": 7}, "S3 reads no params 'n'"),
+    ("Rn", {"n": 3, "l": [0, 0, 1]}, "Rn reads no params 'l'"),
+    ("unimodular", {"mu": [1, 1, 1], "H": 1, "A": 0},
+     "Unimodular reads no params 'A', 'H'"),
+])
+def test_catalog_names_the_params_its_builder_does_not_read(tag, params,
+                                                            message):
+    with pytest.raises(ValueError) as err:
+        catalog_build(tag, params)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("tag", sorted(CATALOG))
 def test_catalog_defaults_build(tag):
     builder, defaults = CATALOG[tag]

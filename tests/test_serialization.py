@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import spinorforge
 from spinorforge import fixtures, lie_algebra as la
 from spinorforge.cli import SURFACE_FIXTURES
-from spinorforge.cmc import WeierstrassData
+from spinorforge.cmc import HPotential, WeierstrassData
 from spinorforge.grid import ParamGrid
 from spinorforge.immersion import ImmersionData
 from spinorforge.lie_group import (MODELS, IntegrationError, LieValuedOneForm,
@@ -451,15 +451,28 @@ def test_model_params_round_trip(alg):
 
 
 @pytest.mark.parametrize("name,params,match", [
-    ("abelian", {"n": 0}, "positive"),
-    ("hn", {"n": -2}, "positive"),
-    ("semidirect", {}, "needs params.A"),
+    ("abelian", {"n": 0}, "dimension must be 1..8"),
+    ("hn", {"n": -2}, "dimension must be 1..8"),
+    ("semidirect", {}, "params.A is required"),
     ("semidirect", {"A": [[1.0, float("inf")], [0.0, 1.0]]}, "finite 2x2"),
-    ("semidirect", {"A": [1.0, 2.0, 3.0]}, "finite 2x2"),
+    ("semidirect", {"A": [1.0, 2.0, 3.0]}, "params.A must be 2-deep lists"),
     ("sol3", {}, "unknown model"),
-    ("semidirect", {"A": [["1", "0"], ["0", "-1"]]}, "finite 2x2"),
-    ("semidirect", {"A": [[True, False], [False, True]]}, "finite 2x2"),
-])
+    ("semidirect", {"A": [["1", "0"], ["0", "-1"]]},
+     "params.A must be 2-deep lists"),
+    ("semidirect", {"A": [[True, False], [False, True]]},
+     "params.A must be 2-deep lists"),
+    # a key that the model does not read is named, not dropped
+    ("abelian", {"n": 3, "m": 1}, "^the abelian model reads no params 'm'$"),
+    ("s3", {"n": 7}, "^the s3 model reads no params 'n'$"),
+    ("semidirect", {"A": [[1.0, 0.0], [0.0, 1.0]], "a": 1, "B": 2},
+     "^the semidirect model reads no params 'B', 'a'$"),
+], ids=[  # each names the rule its case breaks
+    "abelian-params0-positive", "hn-params1-positive",
+    "semidirect-params2-needs params.A", "semidirect-params3-finite 2x2",
+    "semidirect-params4-finite 2x2", "sol3-params5-unknown model",
+    "semidirect-params6-finite 2x2", "semidirect-params7-finite 2x2",
+    "abelian-params8-unread", "s3-params9-unread",
+    "semidirect-params10-unread"])
 def test_model_from_params_gates(name, params, match):
     with pytest.raises(ValueError, match=match):
         model_from_params(name, params)
@@ -577,6 +590,85 @@ def test_integration_error_names_cell_with_plain_integers():
     xi = LieValuedOneForm(grid, xi_x, np.zeros((3, 3, 3)))
     with pytest.raises(IntegrationError, match=r"at cell \(1, 0\)$"):
         darboux_integrate(xi, la.rn(3))
+
+
+# =============================================================================
+# One rule for the numbers of an input: ParamGrid, HPotential, real_param
+# =============================================================================
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: ParamGrid(3.7, 3, 0.1),
+     "grid nx must be an integral number; got 3.7"),
+    (lambda: ParamGrid("5", 5, 0.1), "grid nx must be a real number; got '5'"),
+    (lambda: ParamGrid(5, 5, 0.1, x0=None),
+     "grid x0 must be a real number; got None"),
+    (lambda: ParamGrid(5, 5, True), "grid h must be a real number; got True"),
+    (lambda: ParamGrid(5, 10 ** 400, 0.1),
+     "grid ny must be within the float range"),
+    (lambda: HPotential(1.0, "123"),
+     "potential mu must be 1-deep lists of reals; got '123'"),
+    (lambda: HPotential("1", (0, 0, 0)),
+     "potential H must be a real number; got '1'"),
+    (lambda: HPotential(True, (0, 0, 0)),
+     "potential H must be a real number; got True"),
+    (lambda: HPotential(1.0, (0, 10 ** 400, 0)),
+     "potential mu must be within the float range"),
+    (lambda: la.catalog_build("EKappaTau", {"kappa": 10 ** 400, "tau": 1}),
+     "params.kappa must be within the float range"),
+], ids=["grid-non-integral-nx", "grid-string-nx", "grid-none-x0",
+        "grid-bool-h", "grid-huge-ny", "potential-string-mu",
+        "potential-string-H", "potential-bool-H", "potential-huge-mu",
+        "catalog-huge-kappa"])
+def test_input_numbers_are_value_errors_that_name_them(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=3), st.integers(-1, 6),
+    st.sampled_from([3.7, 10 ** 400, float("nan"), float("inf"),
+                     float("-inf"), 0.25, 2.0]))
+_GRID_ARGS = {"nx": st.integers(2, 6) | st.just(4.0),
+              "ny": st.integers(2, 6) | st.just(4.0),
+              "h": st.sampled_from([0.1, 0.25, 1]),
+              "x0": st.sampled_from([0, -0.75, 2.5]),
+              "y0": st.sampled_from([0, -0.75, 2.5])}
+_POTENTIAL_ARGS = {"H": st.sampled_from([0, 1.0, -2]),
+                   "mu": st.lists(st.sampled_from([0, 1.0, -0.5]),
+                                  min_size=3, max_size=3)}
+
+
+@st.composite
+def _arguments(draw, valid):
+    """Arguments drawn from `valid`, with none, one or two of them replaced
+    by a JSON-like scalar (or, for mu, a list of three)."""
+    args = {key: draw(values) for key, values in valid.items()}
+    for key in draw(st.lists(st.sampled_from(sorted(valid)), max_size=2)):
+        args[key] = draw(_SCALARS | st.lists(_SCALARS, min_size=3,
+                                              max_size=3)
+                         if key == "mu" else _SCALARS)
+    return args
+
+
+@given(_arguments(_GRID_ARGS), _arguments(_POTENTIAL_ARGS))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_grid_and_potential_numbers_build_or_are_value_errors(grid_args,
+                                                              pot_args):
+    try:
+        grid = ParamGrid(**grid_args)
+    except ValueError:
+        pass
+    else:
+        assert (grid.nx, grid.ny) == (grid_args["nx"], grid_args["ny"])
+        assert type(grid.nx) is int and type(grid.ny) is int
+    try:
+        pot = HPotential(**pot_args)
+    except ValueError:
+        pass
+    else:
+        assert (pot.H, pot.mu) == (pot_args["H"], tuple(pot_args["mu"]))
 
 
 # =============================================================================
