@@ -53,6 +53,14 @@ import numpy as np
 MAX_DIM = 8
 
 
+def check_dimension(n):
+    """ValueError unless 1 <= n <= MAX_DIM, with n as given: the one bound
+    on the dimension of Clifford tables, algebras and group models, judged
+    before any table of that size is built."""
+    if not 1 <= n <= MAX_DIM:
+        raise ValueError(f"dimension must be 1..{MAX_DIM}; got {n}")
+
+
 # =============================================================================
 # Blade tables
 # =============================================================================
@@ -67,8 +75,7 @@ def blade_tables(n):
     be moved past (the grade of i >> (g + 1)), and adds one factor -1 per
     generator shared by i and j (the grade of i & j).
     """
-    if not 1 <= n <= MAX_DIM:
-        raise ValueError(f"algebra dimension must be in 1..{MAX_DIM}, got {n}")
+    check_dimension(n)
     idx = np.arange(1 << n)
     grades = sum((idx >> g) & 1 for g in range(n))
     i, j = idx[:, None], idx[None, :]
@@ -587,12 +594,7 @@ def bivector_of_skew(u):
 
     The half-commutator action [biv, x] recovers u(x) on vectors.
     """
-    if isinstance(u, SkewOperator):
-        m = u.matrix
-    else:
-        m = np.asarray(u, dtype=np.float64)
-        if not np.array_equal(m, -m.T):
-            raise ValueError("matrix is not antisymmetric")
+    m = (u if isinstance(u, SkewOperator) else SkewOperator(u)).matrix
     return Multivector(m.shape[0], bivector_array(m))
 
 

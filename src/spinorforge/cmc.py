@@ -33,7 +33,7 @@ nothing here solves the PDE, validation and reconstruction only.
 
 import numpy as np
 
-from .grid import real_numbers
+from .grid import real_numbers, short_repr
 from .lie_group import (LieValuedOneForm, first_fundamental_form,
                         maurer_cartan_pullback, model_for,
                         second_fundamental_form)
@@ -60,7 +60,8 @@ class HPotential:
             raise ValueError("the mean curvature H must be finite")
         mu = real_numbers(mu, "potential mu", 1)
         if len(mu) != 3 or not all(np.isfinite(mu)):
-            raise ValueError("the potential needs three finite constants")
+            raise ValueError(f"potential mu must be 3 finite numbers; got "
+                             f"{short_repr.repr(mu.tolist())}")
         self.mu = tuple(mu.tolist())
 
 

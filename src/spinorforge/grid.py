@@ -25,6 +25,7 @@ and the Gaussian curvature is K = -Laplacian(log mu) / mu^2.
 """
 
 import numbers
+import reprlib
 
 import numpy as np
 
@@ -49,19 +50,35 @@ STENCILS = {
 }
 
 
+# the repr of an input value in a message: a long list is cut to its head
+short_repr = reprlib.Repr()
+short_repr.maxlist = short_repr.maxdict = 4
+
+
 def real_numbers(value, name, ndim=0):
     """`value` as float64 when it is a real number (ndim 0) or lists of them
     nested ndim deep, not bools or strings, each within the float range; else
     a ValueError naming `name`.  The one rule for an input's numbers, here as
-    this module imports no other: `ParamGrid`, `HPotential`, `real_param`."""
+    this module imports no other: `ParamGrid`, `HPotential`, `real_param`,
+    and `lie_algebra.real_array` for the items numpy cannot type."""
     items = np.asarray(value, dtype=object)
-    if items.ndim != ndim or not all(isinstance(v, numbers.Real) and not
-                                     isinstance(v, bool) for v in items.flat):
+    reals = real_items(items, name) if items.ndim == ndim else None
+    if reals is None:
         what = f"{ndim}-deep lists of reals" if ndim else "a real number"
-        raise ValueError(f"{name} must be {what}; got {value!r}")
+        raise ValueError(f"{name} must be {what}; got {short_repr.repr(value)}")
+    return reals
+
+
+def real_items(items, name):
+    """An object array as float64 when each item is a real number, not a
+    bool; None when one is not, and a ValueError naming `name` when one is
+    an integer beyond the float range."""
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               for v in items.flat):
+        return None
     try:
         return items.astype(np.float64)
-    except OverflowError:   # an integer beyond the float range
+    except OverflowError:
         raise ValueError(f"{name} must be within the float range") from None
 
 
@@ -72,6 +89,15 @@ def whole_number(value, name):
     if not x.is_integer():
         raise ValueError(f"{name} must be an integral number; got {value!r}")
     return int(x)
+
+
+def node_count(value, name):
+    """`whole_number` of the nodes along a grid axis, at least 2; ValueError
+    naming `name` and the value as given otherwise."""
+    n = whole_number(value, name)
+    if n < 2:
+        raise ValueError(f"{name} must be at least 2; got {value!r}")
+    return n
 
 
 # the smallest normal float: a square below it has an overflowing reciprocal
@@ -166,10 +192,8 @@ class ParamGrid:
     __slots__ = ("nx", "ny", "h", "x0", "y0", "mu")
 
     def __init__(self, nx, ny, h, mu=None, x0=0.0, y0=0.0):
-        self.nx = whole_number(nx, "grid nx")
-        self.ny = whole_number(ny, "grid ny")
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError("grids need nx, ny >= 2")
+        self.nx = node_count(nx, "grid nx")
+        self.ny = node_count(ny, "grid ny")
         # the stencils and tolerances divide by h^2 and mu^2, so the squares
         # must be finite normal floats, whose reciprocals do not overflow;
         # an overflow is inf: it fails

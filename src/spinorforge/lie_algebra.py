@@ -25,8 +25,8 @@ that `catalog_build` reads to build c.
 
 import numpy as np
 
-from .clifford import MAX_DIM, SkewOperator, bivector_of_skew
-from .grid import real_numbers, whole_number
+from .clifford import SkewOperator, bivector_of_skew, check_dimension
+from .grid import real_items, real_numbers, whole_number
 
 JACOBI_TOL = 1e-12
 KOSZUL_TOL = 1e-10      # how far a given gamma may lie from Koszul(c)
@@ -47,8 +47,9 @@ class MetricLieAlgebra:
     def __init__(self, c, catalog_tag="custom"):
         c = np.array(c, dtype=np.float64)
         n = c.shape[0] if c.ndim else 0
-        if c.shape != (n, n, n) or not 1 <= n <= MAX_DIM:
-            raise ValueError(f"structure constants must be (n,n,n), n<=8; got {c.shape}")
+        if c.shape != (n, n, n):
+            raise ValueError(f"structure constants must be (n,n,n); got {c.shape}")
+        check_dimension(n)
         if not np.all(np.isfinite(c)):
             raise ValueError("structure constants have non-finite entries")
         if not np.array_equal(c, -np.swapaxes(c, 0, 1)):
@@ -157,15 +158,9 @@ def gamma_as_bivector(alg, X):
 # Catalog
 # =============================================================================
 
-def _check_dim(n):
-    # before any (n, n, n) array is allocated
-    if not 1 <= n <= MAX_DIM:
-        raise ValueError(f"dimension must be 1..{MAX_DIM}; got {n}")
-
-
 def rn(n):
     """Abelian R^n."""
-    _check_dim(n)
+    check_dimension(n)
     return MetricLieAlgebra(np.zeros((n, n, n)), catalog_tag="Rn")
 
 
@@ -175,7 +170,7 @@ def hn(n, l=None):
     Default l is the e_n coordinate form; any nonzero l is accepted.
     Every left-invariant metric here has constant curvature -|l|^2.
     """
-    _check_dim(n)
+    check_dimension(n)
     if l is None:
         l = np.zeros(n)
         l[n - 1] = 1.0
@@ -280,12 +275,16 @@ class BoolArray(list):
 
 def real_array(value, name):
     """A JSON array of numbers as float64; ValueError naming `name` when it
-    is ragged, a `BoolArray`, or holds strings, bools or other non-numbers."""
+    is ragged, a `BoolArray`, or holds strings, bools or other non-numbers.
+    An array numpy cannot type, as of integers beyond 64 bits, is judged
+    item by item by `grid.real_items`."""
     try:
         items = np.array(value)
     except (TypeError, ValueError) as err:
         raise ValueError(f"{name} is not a numeric array: {err}") from None
     kind = "b" if isinstance(value, BoolArray) else items.dtype.kind
+    if kind == "O" and (reals := real_items(items, name)) is not None:
+        return reals
     if kind not in "iuf":
         what = {"b": "booleans", "U": "strings"}.get(kind, "non-numbers")
         raise ValueError(f"{name} is not a numeric array: it holds {what}")
@@ -296,7 +295,7 @@ def dimension_param(params):
     """`grid.whole_number` of params["n"] within 1..MAX_DIM, named as given
     when it is not: int(1e300) would spell out all of its digits."""
     n = whole_number(float(real_param(params, "n")), "params.n")
-    _check_dim(params["n"])
+    check_dimension(params["n"])
     return n
 
 

@@ -10,16 +10,18 @@ text is its `repr`, made once and shared by the surface JSON and an OBJ
 whose vertices are the payload (`meshexport`).
 
 Inputs are checked against the JSON schemas in `SCHEMAS` (also printed by
-the command line's --schema flag) by a small built-in checker.  It
-implements exactly the keywords those schemas use (`SCHEMA_KEYWORDS`), with
-JSON Schema semantics: an `integer` may be written `2.0`, booleans are
-neither numbers nor integers, and `enum` tells `true` from `1`.  A violation
-is reported with its path and rule, e.g.
-`grid.nx: 1 is less than the minimum of 2`.  Malformed input of any kind,
-an integer beyond the float range included (the constructors the loaders
-call judge their numbers with `grid.real_numbers`), and a file that cannot
-be read or written, raises `ValueError`; the command line's `main` reports
-it as an input error, exit 3.
+the command line's --schema flag) by a small built-in checker.  The schemas
+state an input's shape, which keys it has and what kind of value each
+holds, with the keywords `type`, `properties` and `required`
+(`SCHEMA_KEYWORDS`) and JSON Schema semantics: an `integer` may be written
+`2.0`, and booleans are neither numbers nor integers.  A violation is
+reported with its path and rule, e.g.
+`grid.mu: 1 is not of type 'array' or 'null'`.  The values are judged by
+the constructors the loaders call (`ParamGrid`, `HPotential`, the group
+models, ...), which hold each bound and count, and judge their numbers
+with `grid.real_numbers`.  Malformed input of any kind, an integer beyond
+the float range included, and a file that cannot be read or written, raises
+`ValueError`; the command line's `main` reports it as an input error, exit 3.
 
 `read_json` reads an input file and converts it with the cyclic garbage
 collector paused.  A problem file decodes into some 10^5 small lists, and
@@ -33,28 +35,28 @@ it was enabled on entry, whatever the outcome of the read.
 
 import gc
 import json
-import reprlib
 
 import numpy as np
 
 from . import lie_algebra as la
 from .clifford import Multivector, SpinElement
-from .grid import ParamGrid
+from .grid import ParamGrid, node_count, short_repr
 from .immersion import ImmersionData, checked_u_field
-from .lie_group import (MODELS, AbelianModel, model_for, model_from_params,
+from .lie_group import (AbelianModel, model_for, model_from_params,
                         model_params)
 from .meshexport import embed_r3, write_mesh
 
 
 _NUM = {"type": "number"}
+_INT = {"type": "integer"}
 _ARRAY = {"type": "array"}
 
 GRID_SCHEMA = {
     "type": "object",
     "properties": {
-        "nx": {"type": "integer", "minimum": 2},
-        "ny": {"type": "integer", "minimum": 2},
-        "h": {"type": "number", "exclusiveMinimum": 0},
+        "nx": _INT,
+        "ny": _INT,
+        "h": _NUM,
         "x0": _NUM,
         "y0": _NUM,
         "mu": {"type": ["array", "null"]},
@@ -98,8 +100,7 @@ CMC_SCHEMA = {
             "type": "object",
             "properties": {
                 "H": _NUM,
-                "mu": {"type": "array", "items": _NUM,
-                       "minItems": 3, "maxItems": 3},
+                "mu": _ARRAY,
             },
             "required": ["H", "mu"],
         },
@@ -115,13 +116,13 @@ SURFACE_SCHEMA = {
         "model": {
             "type": "object",
             "properties": {
-                "name": {"enum": list(MODELS)},
+                "name": {"type": "string"},
                 "params": {"type": "object"},
             },
             "required": ["name"],
         },
-        "nx": {"type": "integer", "minimum": 2},
-        "ny": {"type": "integer", "minimum": 2},
+        "nx": _INT,
+        "ny": _INT,
         "payload": _ARRAY,
     },
     "required": ["model", "nx", "ny", "payload"],
@@ -166,20 +167,6 @@ _TYPES = {
                                             or v.is_integer()),
 }
 
-_short = reprlib.Repr()
-_short.maxlist = _short.maxdict = 4
-
-
-def _same(a, b):
-    """JSON value equality: true and 1 differ, 1 and 1.0 do not."""
-    if isinstance(a, bool) or isinstance(b, bool):
-        return a is b
-    if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(map(_same, a, b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
-    return a == b
-
 
 # Each keyword yields (path, message) per violation; the type-specific ones
 # ignore values of other types, as in JSON Schema.
@@ -187,7 +174,7 @@ def _same(a, b):
 def _check_type(value, types, path):
     types = [types] if isinstance(types, str) else types
     if not any(_TYPES[t](value) for t in types):
-        yield path, (f"{_short.repr(value)} is not of type "
+        yield path, (f"{short_repr.repr(value)} is not of type "
                      f"{' or '.join(map(repr, types))}")
 
 
@@ -205,48 +192,10 @@ def _check_required(value, keys, path):
                 yield path, f"{key!r} is a required property"
 
 
-def _check_minimum(value, bound, path):
-    if _is_number(value) and value < bound:
-        yield path, f"{value!r} is less than the minimum of {bound!r}"
-
-
-def _check_exclusive_minimum(value, bound, path):
-    if _is_number(value) and value <= bound:
-        yield path, (f"{value!r} is less than or equal to the minimum of "
-                     f"{bound!r}")
-
-
-def _check_enum(value, options, path):
-    if not any(_same(value, option) for option in options):
-        yield path, f"{_short.repr(value)} is not one of {options!r}"
-
-
-def _check_items(value, schema, path):
-    if isinstance(value, list):
-        for index, item in enumerate(value):
-            yield from _violations(item, schema, path + (index,))
-
-
-def _check_min_items(value, count, path):
-    if isinstance(value, list) and len(value) < count:
-        yield path, f"{_short.repr(value)} has fewer than {count} items"
-
-
-def _check_max_items(value, count, path):
-    if isinstance(value, list) and len(value) > count:
-        yield path, f"{_short.repr(value)} has more than {count} items"
-
-
 SCHEMA_KEYWORDS = {
     "type": _check_type,
     "properties": _check_properties,
     "required": _check_required,
-    "minimum": _check_minimum,
-    "exclusiveMinimum": _check_exclusive_minimum,
-    "enum": _check_enum,
-    "items": _check_items,
-    "minItems": _check_min_items,
-    "maxItems": _check_max_items,
 }
 
 
@@ -519,8 +468,10 @@ def surface_from_dict(d):
     if payload.ndim != 1:
         raise ValueError(f"payload must be a flat list of coordinates; got "
                          f"shape {payload.shape}")
+    shape = (node_count(d["nx"], "surface nx"),
+             node_count(d["ny"], "surface ny"), model.payload_dim)
     try:
-        F = payload.reshape(int(d["nx"]), int(d["ny"]), model.payload_dim)
+        F = payload.reshape(shape)
     except ValueError:
         raise ValueError("surface payload length does not match the grid")
     _finite(F, "surface payload")

@@ -25,11 +25,10 @@ from spinorforge.cli import (MIN_GRID_NODES, SURFACE_FIXTURES, build_parser,
                              main)
 from spinorforge.meshexport import export_mesh, grid_faces
 from spinorforge.grid import STENCILS, ParamGrid, difference
-from spinorforge.lie_group import model_for, model_params
-from spinorforge.serialization import (SURFACE_SCHEMA, cmc_to_dict,
-                                       dump_json, load_json, problem_from_dict,
-                                       problem_to_dict, surface_from_dict,
-                                       surface_to_dict)
+from spinorforge.lie_group import MODELS, model_for, model_params
+from spinorforge.serialization import (cmc_to_dict, dump_json, load_json,
+                                       problem_from_dict, problem_to_dict,
+                                       surface_from_dict, surface_to_dict)
 
 from oracles import padded
 
@@ -379,11 +378,10 @@ _WRONG_PARAM = st.one_of(
 
 @st.composite
 def surface_blobs(draw):
-    """Surface JSON for every schema model name, starting from params valid
+    """Surface JSON for every group model name, starting from params valid
     for all of them; each param may be dropped or given a wrong value, the
     payload length may be off by one and one entry may be non-finite."""
-    model = {"name": draw(st.sampled_from(
-        SURFACE_SCHEMA["properties"]["model"]["properties"]["name"]["enum"]))}
+    model = {"name": draw(st.sampled_from(list(MODELS)))}
     params = {"n": 3, "A": [[-1.0, 0.0], [0.0, 1.0]]}
     for key in list(params):
         how = draw(st.sampled_from(["keep", "keep", "drop", "wrong"]))

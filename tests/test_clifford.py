@@ -480,8 +480,13 @@ def test_zero_skew_maps_to_zero():
 def test_non_antisymmetric_rejected():
     with pytest.raises(ValueError):
         SkewOperator(np.eye(3))
-    with pytest.raises(ValueError):
-        bivector_of_skew(np.eye(3))
+    # bivector_of_skew judges a matrix as SkewOperator does, in its words
+    for m in (np.eye(3), np.zeros((2, 3)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError) as want:
+            SkewOperator(m)
+        with pytest.raises(ValueError) as got:
+            bivector_of_skew(m)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

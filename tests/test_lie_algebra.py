@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from spinorforge.clifford import Multivector, commutator, non_grade_norm
+from spinorforge.clifford import (Multivector, blade_tables, commutator,
+                                  non_grade_norm)
 from spinorforge.lie_algebra import (
-    CATALOG, MetricLieAlgebra, algebra_from_dict, algebra_to_dict,
-    catalog_build,
+    CATALOG, BoolArray, MetricLieAlgebra, algebra_from_dict, algebra_to_dict,
+    catalog_build, real_array,
     curvature, curvature_array, e_kappa_tau, gamma_as_bivector, h2xr, hn, hn_constants,
     jacobi_residual,
     koszul_connection, rn, s3, sectional_curvature, semidirect, sol3,
@@ -337,6 +338,17 @@ def test_dimension_outside_one_to_eight_rejected(build, n):
         build(n)
 
 
+def test_dimension_bound_has_one_message():
+    builds = [lambda: blade_tables(9), lambda: rn(9),
+              lambda: MetricLieAlgebra(np.zeros((9, 9, 9)))]
+    messages = set()
+    for build in builds:
+        with pytest.raises(ValueError) as err:
+            build()
+        messages.add(str(err.value))
+    assert messages == {"dimension must be 1..8; got 9"}
+
+
 def test_overflowing_jacobi_residual_rejected():
     # sigma = kappa / (2 tau) is finite, but c * c overflows to a NaN residual
     with np.errstate(over="ignore", invalid="ignore"), \
@@ -398,6 +410,32 @@ def test_catalog_defaults_build(tag):
 def test_structure_constants_of_a_blob_are_not_coerced(c, match):
     with pytest.raises(ValueError, match="c is not a numeric array: " + match):
         algebra_from_dict({"tag": "x", "c": c})
+
+
+@pytest.mark.parametrize("value,want", [
+    ([1, 2 ** 64], [1.0, 2.0 ** 64]),
+    ([[1.0, 2 ** 64]], [[1.0, 2.0 ** 64]]),
+    ([-2 ** 63 - 1, 0.5], [-2.0 ** 63, 0.5]),
+], ids=["int-and-2**64", "float-and-2**64", "below-int64"])
+def test_real_array_takes_integers_beyond_64_bits(value, want):
+    got = real_array(value, "S")
+    assert got.dtype == np.float64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("value,message", [
+    ([1, 10 ** 400], "S must be within the float range"),
+    ([10 ** 400] + [0.5] * 1000, "S must be within the float range"),
+    ([[1.0, None]], "S is not a numeric array: it holds non-numbers"),
+    ([2 ** 64, None] * 500, "S is not a numeric array: it holds non-numbers"),
+    ([1.0, "x"], "S is not a numeric array: it holds strings"),
+    ([2 ** 64, "x"], "S is not a numeric array: it holds non-numbers"),
+    (BoolArray([2 ** 64, True]), "S is not a numeric array: it holds booleans"),
+], ids=["beyond-float", "long-beyond-float", "none", "long-none", "string",
+        "string-and-2**64", "bool"])
+def test_real_array_messages_are_one_short_line(value, message):
+    with pytest.raises(ValueError) as err:
+        real_array(value, "S")
+    assert str(err.value) == message
 
 
 def test_structure_constants_of_a_blob_take_integers_and_floats():
