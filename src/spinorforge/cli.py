@@ -21,6 +21,7 @@ inputs.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -371,8 +372,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The process's one `build_parser()`, built on the first `main` and
+    not at import: a parse leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args, extra = parser.parse_known_args(argv)

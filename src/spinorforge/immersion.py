@@ -192,26 +192,27 @@ def frame_compat_residual_fields(data, alg):
     """Signed residuals of the frame equations nabla^G_{e_a} E_j =
     Gamma(e_a) E_j, row j of U being E_j in frame components:
 
-        R_a = (d_a U + U Omega_a^T) / mu - G_a^T U + U shape_matrix(B, e_a)^T
+        R_a = (d_a U + U Omega_a^T) / mu + G_a U + U shape_matrix(B, e_a)^T
 
-    with G_a = Gamma(e_a) on G-coordinates.  Returns the tangent and normal
-    columns, indexed [node, j, b, a] and [node, j, r, a]."""
+    with G_a = Gamma(e_a) on G-coordinates, skew, so that G_a U = -G_a^T U.
+    Returns the tangent and normal columns, indexed [node, j, b, a] and
+    [node, j, r, a]."""
     if alg.n != data.n:
         raise ValueError("algebra dimension does not match the data")
     grid = data.grid
     mu = grid.mu[..., None, None]
     U = data.frames
+    columns = np.swapaxes(U, 2, 3)
     R = np.empty(U.shape + (2,))
     for a, (d, omega) in enumerate(zip((grid.dx, grid.dy),
                                        frame_connection(data))):
-        # column a of U holds the G-coordinates of e_a, so G[..., k, j] is
-        # <Gamma(e_a) E_j, E_k>
-        G = alg.gamma_op(U[..., a])
+        # column a of U holds the G-coordinates of e_a; G_a U is Gamma(e_a)
+        # applied to each column of U
+        GU = np.swapaxes(alg.connection(U[:, :, None, :, a], columns), 2, 3)
         shape = shape_matrix(data.B, np.eye(2)[a])
         # U M^T moves each row E_j by M
         R[..., a] = (d(U) + np.einsum("xyjc,xydc->xyjd", U, omega)) / mu \
-            - np.einsum("xykj,xykc->xyjc", G, U) \
-            + np.einsum("xyjc,xydc->xyjd", U, shape)
+            + GU + np.einsum("xyjc,xydc->xyjd", U, shape)
     return R[..., :2, :], R[..., 2:, :]
 
 
@@ -256,6 +257,8 @@ def ambient_curvature_frame(data, alg):
     """R^G(e1, e2) pulled back through the frame, as per-node skew matrices
     acting on frame components."""
     U = data.frames
+    if not alg.gamma_terms:         # R^n is flat
+        return np.zeros(U.shape)
     # the G-coordinates of f(e1), f(e2) are the columns 0 and 1
     Rhat = la.curvature_array(alg, U[..., 0], U[..., 1])
     return np.swapaxes(U, 2, 3) @ Rhat @ U

@@ -12,6 +12,12 @@ the only input: gamma is always derived from them by the Koszul formula
 
     <Gamma(X) Y, Z> = (<[X,Y],Z> + <[Z,X],Y> - <[Y,Z],X>) / 2.
 
+An algebra also keeps read-only term tables of the nonzero entries of c
+and gamma (`term_table`), built once; every contraction of c or gamma runs
+on them (`_operator`, `_contract`), so R^n, whose tables are empty, forms
+no operator field, and a sparse algebra does work in proportion to its few
+terms.  The sums are those of the dense einsums they replace, bit for bit.
+
 The catalog covers the models used downstream: abelian R^n, the hyperbolic
 group H^n with bracket l(X)Y - l(Y)X, the unit quaternions S^3 with bracket
 2 X x Y, E(kappa, tau) with tau != 0, plane-by-line semi-direct products
@@ -22,6 +28,8 @@ structure constants and a tag that labels them.  In JSON an algebra is
 {tag, c, gamma}; a blob without c names a catalog tag and the `params`
 that `catalog_build` reads to build c.
 """
+
+import numbers
 
 import numpy as np
 
@@ -42,7 +50,7 @@ class MetricLieAlgebra:
     the Levi-Civita connection gamma that the Koszul formula derives from
     them (it is not an input)."""
 
-    __slots__ = ("n", "c", "gamma", "catalog_tag")
+    __slots__ = ("n", "c", "gamma", "catalog_tag", "c_terms", "gamma_terms")
 
     def __init__(self, c, catalog_tag="custom"):
         c = np.array(c, dtype=np.float64)
@@ -64,29 +72,79 @@ class MetricLieAlgebra:
         gamma = koszul_connection(c)
         gamma.flags.writeable = False
         self.gamma = gamma
+        self.c_terms = term_table(c)
+        self.gamma_terms = term_table(gamma)
 
     # ---- pointwise algebra ------------------------------------------------
     def bracket(self, X, Y):
         """[X, Y]; X and Y may be fields (..., n) that broadcast together."""
-        return np.einsum("...kj,...j->...k", _operator(X, self.c), Y)
+        return _contract(X, Y, self.c_terms, self.n)
 
     def gamma_op(self, X):
         """Matrix of Y -> Gamma(X) Y in the distinguished basis; X may be a
         field of vectors (..., n), giving matrices (..., n, n)."""
-        return _operator(X, self.gamma)
+        return _operator(X, self.gamma_terms, self.n)
 
     def connection(self, X, Y):
         """Gamma(X) Y, broadcasting like `bracket`."""
-        return np.einsum("...kj,...j->...k", self.gamma_op(X), Y)
+        return _contract(X, Y, self.gamma_terms, self.n)
 
     def __repr__(self):
         return f"MetricLieAlgebra(n={self.n}, tag={self.catalog_tag!r})"
 
 
-def _operator(X, t):
-    """Matrices (..., n, n) of Y -> sum_ij X_i Y_j t[i, j, :]: with `bracket`
-    and `connection`, the only code that contracts c or gamma."""
-    return np.einsum("...i,ijk->...kj", np.asarray(X, float), t)
+def term_table(t):
+    """The nonzero terms of t (n, n, n) by entry (k, j) of the operator
+    Y -> sum_ij X_i Y_j t[i, j, :]: a tuple of ((k, j), ((i, t[i, j, k]),
+    ...)), entries in ascending (k, j) and each entry's terms in ascending
+    i.  Empty when t is zero."""
+    entries = {}
+    for i, j, k in zip(*np.nonzero(t)):     # in ascending (i, j, k)
+        entries.setdefault((int(k), int(j)), []).append(
+            (int(i), float(t[i, j, k])))
+    return tuple((kj, tuple(terms)) for kj, terms in sorted(entries.items()))
+
+
+def _operator(X, terms, n):
+    """Matrices (..., n, n) of Y -> sum_ij X_i Y_j t[i, j, :] from the
+    `term_table` of t: with `_contract`, the only code that contracts c or
+    gamma.  Each entry (k, j) adds its products X_i t[i, j, k] in ascending
+    i into a zero start, as the dense einsum over i did, so its bits are
+    the einsum's; an entry that no term reaches stays 0, even where X is
+    not finite (the einsum's 0 * inf was NaN)."""
+    X = _vectors(X, n)
+    out = np.zeros(X.shape[:-1] + (n, n))
+    for (k, j), entry_terms in terms:
+        entry = out[..., k, j]
+        for i, v in entry_terms:
+            entry += X[..., i] * v
+    return out
+
+
+def _contract(X, Y, terms, n):
+    """sum_j A_kj Y_j for A the `_operator` of X on the same table, X and Y
+    fields (..., n) that broadcast, without forming A: each k adds A_kj Y_j
+    over ascending j into a zero start, skipping the entries that no term
+    reaches, as the dense einsum over j did.  0 for an empty table."""
+    X, Y = _vectors(X, n), _vectors(Y, n)
+    out = np.zeros(np.broadcast_shapes(X.shape, Y.shape))
+    for (k, j), ((i, v), *rest) in terms:
+        # A_kj without its zero start, which would only turn a -0 into +0:
+        # the zero start of out does that for the product
+        entry = X[..., i] * v
+        for i, v in rest:
+            entry += X[..., i] * v
+        out[..., k] += entry * Y[..., j]
+    return out
+
+
+def _vectors(field, n):
+    """field as a float array of vectors (..., n): a last axis of length 1
+    broadcasts, as in the dense einsums, and any other is a ValueError."""
+    field = np.asarray(field, float)
+    if field.shape[-1:] != (n,):
+        field = np.broadcast_to(field, field.shape[:-1] + (n,))
+    return field
 
 
 def jacobi_residual(c):
@@ -277,18 +335,32 @@ def real_array(value, name):
     """A JSON array of numbers as float64; ValueError naming `name` when it
     is ragged, a `BoolArray`, or holds strings, bools or other non-numbers.
     An array numpy cannot type, as of integers beyond 64 bits, is judged
-    item by item by `grid.real_items`."""
+    item by item by `grid.real_items`, and its non-numbers are worded as
+    in a typed array (`_item_kind`)."""
     try:
         items = np.array(value)
     except (TypeError, ValueError) as err:
         raise ValueError(f"{name} is not a numeric array: {err}") from None
     kind = "b" if isinstance(value, BoolArray) else items.dtype.kind
-    if kind == "O" and (reals := real_items(items, name)) is not None:
-        return reals
+    if kind == "O":
+        if (reals := real_items(items, name)) is not None:
+            return reals
+        kind = _item_kind(items)
     if kind not in "iuf":
         what = {"b": "booleans", "U": "strings"}.get(kind, "non-numbers")
         raise ValueError(f"{name} is not a numeric array: it holds {what}")
     return items.astype(np.float64, copy=False)
+
+
+def _item_kind(items):
+    """The kind that words an object array of items not all real numbers,
+    as a typed array's dtype would: "U" when a string is among them, as
+    numpy types strings beside numbers, else "b" when the others are bools,
+    else "O" (a None, say)."""
+    kinds = {"U" if isinstance(v, str) else "b" if isinstance(v, bool)
+             else "f" if isinstance(v, numbers.Real) else "O"
+             for v in items.flat}
+    return "O" if "O" in kinds else "U" if "U" in kinds else "b"
 
 
 def dimension_param(params):

@@ -634,9 +634,11 @@ def normal_connection(zx, zy, normals, grid, alg):
     """theta_x, theta_y: the skew part of <nabla^G_{d_a} n_s, n_r>, each
     (nx, ny, q, q), for normals (nx, ny, n, q) along the pullbacks z_x, z_y."""
     out = []
+    columns = np.swapaxes(normals, 2, 3)
     for za, d in ((zx, grid.dx), (zy, grid.dy)):
-        dn = d(normals) + np.einsum("xykj,xyjr->xykr", alg.gamma_op(za),
-                                    normals)
+        # Gamma(z_a) n_r, each normal column a vector of the contraction
+        dn = d(normals) + np.swapaxes(
+            alg.connection(za[:, :, None], columns), 2, 3)
         th = np.einsum("xyis,xyir->xyrs", dn, normals)
         out.append(0.5 * (th - np.swapaxes(th, 2, 3)))
     return out[0], out[1]

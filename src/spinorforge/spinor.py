@@ -187,7 +187,13 @@ def pair_to_phi(z1, z2):
 def gamma_frame_matrix(alg, frames, X):
     """U^T Gamma(f(X)) U: the catalog connection along the frame image of X
     (tangent frame components (..., 2)), pulled back to frame coordinates;
-    skew up to rounding."""
+    skew up to rounding; exactly 0 for the flat connection of R^n.  The two
+    matmuls stay dense: sparse sums over Gamma's terms would move the last
+    bit of U^T Gamma U."""
+    if not alg.gamma_terms:
+        return np.zeros(np.broadcast_shapes(frames.shape[:-2],
+                                            np.shape(X)[:-1])
+                        + frames.shape[-2:])
     fX = np.einsum("...ia,...a->...i", frames[..., :2], X)
     return np.swapaxes(frames, -1, -2) @ alg.gamma_op(fX) @ frames
 

@@ -1,8 +1,9 @@
 """Fixtures shared by the test modules."""
 
+import numpy as np
 import pytest
 
-from spinorforge import clifford
+from spinorforge import clifford, lie_algebra
 
 
 @pytest.fixture
@@ -33,3 +34,35 @@ def gp_calls(monkeypatch, map_calls):
 
     monkeypatch.setattr(clifford, "_accumulate", counted)
     return calls
+
+
+@pytest.fixture
+def connection_work(monkeypatch):
+    """What contracting c and gamma costs: "operators", the shape of each
+    operator field that `lie_algebra._operator` forms, and "einsums", the
+    subscripts of every `np.einsum` call, each in call order."""
+    work = {"operators": [], "einsums": []}
+    operator = lie_algebra._operator
+    einsum = np.einsum
+
+    def counted_operator(X, terms, n):
+        out = operator(X, terms, n)
+        work["operators"].append(out.shape)
+        return out
+
+    def counted_einsum(subscripts, *operands, **kwargs):
+        work["einsums"].append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(lie_algebra, "_operator", counted_operator)
+    monkeypatch.setattr(np, "einsum", counted_einsum)
+    return work
+
+
+@pytest.fixture
+def no_connection(monkeypatch):
+    """Fails the test on any contraction of c or gamma."""
+    def formed(*args):
+        raise AssertionError("a connection was formed")
+    monkeypatch.setattr(lie_algebra, "_operator", formed)
+    monkeypatch.setattr(lie_algebra, "_contract", formed)

@@ -33,6 +33,10 @@ the two.
     time in scalar arithmetic (`math.exp`, `math.expm1`)
   * general_semidirect     -- `lie_group.SemidirectModel` on its 2x2 path
     whatever A is, the route every A took before a diagonal A went per axis
+  * dense_operator, dense_bracket, dense_connection -- the dense einsums
+    over all of c or gamma that `lie_algebra._operator`, `bracket` and
+    `connection` were before they read the algebra's term tables, which
+    reproduce them bit for bit on finite fields
 """
 
 import math
@@ -308,3 +312,18 @@ def general_semidirect(A):
     model = SemidirectModel(A)
     model._axes = None
     return model
+
+
+def dense_operator(X, t):
+    """Matrices (..., n, n) of Y -> sum_ij X_i Y_j t[i, j, :]."""
+    return np.einsum("...i,ijk->...kj", np.asarray(X, float), t)
+
+
+def dense_bracket(alg, X, Y):
+    """[X, Y]; X and Y may be fields (..., n) that broadcast together."""
+    return np.einsum("...kj,...j->...k", dense_operator(X, alg.c), Y)
+
+
+def dense_connection(alg, X, Y):
+    """Gamma(X) Y, broadcasting like `dense_bracket`."""
+    return np.einsum("...kj,...j->...k", dense_operator(X, alg.gamma), Y)

@@ -19,7 +19,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import spinorforge
-from spinorforge import fixtures, lie_algebra as la
+from spinorforge import cli, fixtures, lie_algebra as la
 from spinorforge import serialization, spinor
 from spinorforge.cli import (MIN_GRID_NODES, SURFACE_FIXTURES, build_parser,
                              main)
@@ -1046,6 +1046,30 @@ def _main_err(argv, capsys):
     return code, capsys.readouterr().err
 
 
+def test_main_calls_share_one_parser_that_a_usage_error_leaves_as_it_was(
+        tmp_path, capsys, monkeypatch, request):
+    builds = []
+
+    def counted():
+        builds.append(build_parser())
+        return builds[-1]
+    monkeypatch.setattr(cli, "build_parser", counted)
+    request.addfinalizer(cli._parser.cache_clear)
+    out = tmp_path / "S3.json"
+    argv = ["catalog", "--group", "s3", "-o", str(out)]
+
+    def outcome():
+        return main(argv), capsys.readouterr(), out.read_bytes()
+    cli._parser.cache_clear()           # as a new process starts
+    want = outcome()
+    cli._parser.cache_clear()
+    code, err = _main_err(["catalog", "--group", "nope", "-o", str(out)],
+                          capsys)
+    assert code == 3 and "invalid choice: 'nope'" in err
+    assert outcome() == want
+    assert len(builds) == 2             # one per process
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--fixture", "sphere-r3", "--grid-n", "9", "--tol=1"],
     ["check-gcr", "--fixture", "sphere-r3", "--grid-n", "9",
@@ -2000,3 +2024,65 @@ def test_a_failing_cmc_surface_leaves_no_files(tmp_path, capsys):
         assert _main_err(["cmc", *argv, "-o", str(out / "r.json")],
                          capsys) == (code, message + "\n")
         assert list(out.iterdir()) == []
+
+
+# =============================================================================
+# A non-finite field is rejected before any connection is formed
+# =============================================================================
+# An empty term table (R^n) contracts a non-finite field to a flat 0, so the
+# loaders must reject the field before any contraction of c or gamma runs.
+
+def _first_number(blob, key):
+    """The path to the first number of blob[key], a nested list."""
+    path, value = [key], blob[key]
+    while isinstance(value, list):
+        path.append(0)
+        value = value[0]
+    return path
+
+
+def _non_finite_input(tmp_path, command, field):
+    """The input file of `command` with one entry of `field` infinite."""
+    if command == "cmc":
+        blob = json.loads(_cmc_text(9))
+    elif command == "export":
+        fx = fixtures.sol3_plane(9)
+        blob = surface_to_dict(fx.F, fx.model)
+    else:
+        fx = (fixtures.sphere_r4_twisted if field in ("B", "theta_x")
+              else fixtures.sol3_plane)(9)
+        blob = problem_to_dict(fx.data, fx.alg, base_point=fx.F[0, 0])
+        if command == "check-algebra":
+            blob = blob["algebra"]
+    *keys, last = _first_number(blob["grid"] if field == "mu" else blob,
+                                field)
+    node = blob["grid"] if field == "mu" else blob
+    for key in keys:
+        node = node[key]
+    node[last] = float("inf")
+    path = tmp_path / "in.json"
+    dump_json(blob, path)
+    return path
+
+
+@pytest.mark.parametrize("command,field", [
+    *((command, field)
+      for command in ("check-frame", "check-gcr", "solve", "reconstruct")
+      for field in ("frames", "S", "B", "mu", "theta_x", "base_point")),
+    ("cmc", "g"), ("export", "payload"), ("check-algebra", "c")])
+def test_a_non_finite_field_is_rejected_before_any_connection(
+        tmp_path, capsys, no_connection, command, field):
+    path = _non_finite_input(tmp_path, command, field)
+    code, err = _main_err([command, str(path),
+                           "-o", str(tmp_path / "r.json")], capsys)
+    assert code == 3 and err.startswith("input error: ") and "finite" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_a_finite_problem_trips_the_no_connection_wire(tmp_path, capsys,
+                                                       no_connection):
+    fx = fixtures.sol3_plane(9)
+    path = tmp_path / "in.json"
+    dump_json(problem_to_dict(fx.data, fx.alg), path)
+    with pytest.raises(AssertionError, match="a connection was formed"):
+        main(["solve", str(path), "-o", str(tmp_path / "r.json")])

@@ -4,12 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import dense_bracket, dense_connection, dense_operator
 from spinorforge.clifford import (Multivector, blade_tables, commutator,
                                   non_grade_norm)
 from spinorforge.lie_algebra import (
     CATALOG, BoolArray, MetricLieAlgebra, algebra_from_dict, algebra_to_dict,
-    catalog_build, real_array,
+    _operator, catalog_build, real_array,
     curvature, curvature_array, e_kappa_tau, gamma_as_bivector, h2xr, hn, hn_constants,
     jacobi_residual,
     koszul_connection, rn, s3, sectional_curvature, semidirect, sol3,
@@ -428,10 +431,14 @@ def test_real_array_takes_integers_beyond_64_bits(value, want):
     ([[1.0, None]], "S is not a numeric array: it holds non-numbers"),
     ([2 ** 64, None] * 500, "S is not a numeric array: it holds non-numbers"),
     ([1.0, "x"], "S is not a numeric array: it holds strings"),
-    ([2 ** 64, "x"], "S is not a numeric array: it holds non-numbers"),
+    ([2 ** 64, "x"], "S is not a numeric array: it holds strings"),
     (BoolArray([2 ** 64, True]), "S is not a numeric array: it holds booleans"),
+    ([2 ** 64, True], "S is not a numeric array: it holds booleans"),
+    ([[2 ** 64, True], [1.0, "x"]], "S is not a numeric array: it holds strings"),
+    ([2 ** 64, "x", None], "S is not a numeric array: it holds non-numbers"),
 ], ids=["beyond-float", "long-beyond-float", "none", "long-none", "string",
-        "string-and-2**64", "bool"])
+        "string-and-2**64", "bool", "bool-and-2**64", "string-bool-and-2**64",
+        "string-none-and-2**64"])
 def test_real_array_messages_are_one_short_line(value, message):
     with pytest.raises(ValueError) as err:
         real_array(value, "S")
@@ -472,3 +479,103 @@ def test_unimodular_koszul_connection_is_the_milnor_form():
         got = unimodular(*mu).gamma_op(np.eye(3))
         want = former_unimodular_gamma_matrix(mu, np.eye(3))
         assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, *map(abs, mu))
+
+
+# =============================================================================
+# Term tables: the dense einsums, bit for bit
+# =============================================================================
+
+def _with_zeros(field, draw):
+    """field with about a fifth of its entries 0.0 and a fifth -0.0."""
+    where = draw.uniform(size=field.shape)
+    field[where < 0.2] = 0.0
+    field[where > 0.8] = -0.0
+    return field
+
+
+def _random_algebra(tag, draw):
+    """The catalog algebra `tag` on random params, some of them 0.0 or
+    -0.0."""
+    def numbers(size):
+        return _with_zeros(draw.normal(size=size), draw)
+    n = int(draw.integers(1, 9))
+    params = {"Rn": {"n": n},
+              "Hn": {"n": n, "l": numbers(n - 1).tolist() + [1.0]},
+              "EKappaTau": {"kappa": float(numbers(1)[0]),
+                            "tau": float(draw.normal()) or 1.0},
+              "SemiDirect": {"A": numbers((2, 2)).tolist()},
+              "Unimodular": {"mu": numbers(3).tolist()}}.get(tag, {})
+    return catalog_build(tag, params)
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tag=st.sampled_from(sorted(CATALOG)), seed=st.integers(0, 2 ** 32 - 1))
+def test_term_tables_reproduce_the_dense_einsums_bit_for_bit(tag, seed):
+    draw = np.random.default_rng(seed)
+    alg = _random_algebra(tag, draw)
+    n = alg.n
+    pairs = [((n,), (n,)), ((5, n), (5, n)), ((33, 33, n), (33, 33, n)),
+             # as normal_connection and frame_compat_residual_fields pair a
+             # vector with the columns of a frame, and as pairs broadcast
+             ((33, 33, 1, n), (33, 33, 3, n)), ((n,), (5, n)),
+             ((5, 1, n), (1, 4, n)),
+             # a vector axis of length 1 broadcasts, as in the einsums
+             ((1,), (5, n)), ((5, n), (5, 1))]
+    for x_shape, y_shape in pairs:
+        X = _with_zeros(draw.normal(size=x_shape), draw)
+        Y = _with_zeros(draw.normal(size=y_shape), draw)
+        _assert_same_bits(alg.gamma_op(X), dense_operator(X, alg.gamma))
+        _assert_same_bits(_operator(X, alg.c_terms, n),
+                          dense_operator(X, alg.c))
+        _assert_same_bits(alg.bracket(X, Y), dense_bracket(alg, X, Y))
+        _assert_same_bits(alg.connection(X, Y), dense_connection(alg, X, Y))
+
+
+@pytest.mark.parametrize("alg", [rn(3), h2xr(), s3()],
+                         ids=lambda a: a.catalog_tag)
+def test_a_vector_of_another_length_is_refused_as_by_the_einsums(alg):
+    for X, Y in ((np.ones(2), np.ones(3)), (np.ones(3), np.ones(4))):
+        for got, want in ((alg.connection, dense_connection),
+                          (alg.bracket, dense_bracket)):
+            with pytest.raises(ValueError):
+                want(alg, X, Y)
+            with pytest.raises(ValueError):
+                got(X, Y)
+    with pytest.raises(ValueError):
+        alg.gamma_op(np.ones(2))
+
+
+def test_term_tables_hold_the_nonzero_entries_read_only():
+    assert rn(4).c_terms == rn(4).gamma_terms == ()
+    # H^2 x R: Gamma(e_1) e_1 = e_3 and Gamma(e_1) e_3 = -e_1
+    assert h2xr().gamma_terms == (((0, 2), ((0, -1.0),)),
+                                  ((2, 0), ((0, 1.0),)))
+    for alg in ALL_ALGEBRAS:
+        for t, terms in ((alg.c, alg.c_terms), (alg.gamma, alg.gamma_terms)):
+            assert isinstance(terms, tuple)
+            assert sum(len(entry) for _, entry in terms) \
+                == np.count_nonzero(t)
+            for (k, j), entry in terms:
+                assert [i for i, _ in entry] == sorted(i for i, _ in entry)
+                assert all(t[i, j, k] == v for i, v in entry)
+
+
+def test_a_term_no_table_holds_stays_zero_where_the_field_is_not_finite():
+    X = np.array([np.inf, 0.0, np.nan])
+    Y = np.array([1.0, np.inf, 2.0])
+    flat = rn(3)
+    with np.errstate(invalid="ignore"):
+        assert np.all(np.isnan(dense_connection(flat, X, Y)))
+        assert np.all(np.isnan(dense_operator(X, flat.gamma)))
+        want = dense_operator(X, h2xr().gamma)
+    for got in (flat.connection(X, Y), flat.bracket(X, Y),
+                flat.gamma_op(X)):
+        assert np.all(got == 0.0) and not np.any(np.signbit(got))
+    # H^2 x R reaches the entries (0, 2) and (2, 0) only, from X_1
+    got = h2xr().gamma_op(X)
+    assert np.isnan(want).all() and got[0, 2] == -np.inf and got[2, 0] == np.inf
+    assert np.count_nonzero(got) == 2

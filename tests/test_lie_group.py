@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from spinorforge import fixtures, lie_group
+from spinorforge.cli import SURFACE_FIXTURES
 from spinorforge.grid import ParamGrid
-from spinorforge.immersion import frame_compat_residual_fields
+from spinorforge.immersion import (ambient_curvature_frame,
+                                   frame_compat_residual_fields,
+                                   frame_connection, shape_matrix)
 from spinorforge.lie_algebra import (
     CATALOG, algebra_from_dict, algebra_to_dict, catalog_build, e_kappa_tau,
     h2xr, hn, rn, s3, sol3, semidirect, unimodular,
@@ -16,8 +19,9 @@ from spinorforge.lie_group import (
     maurer_cartan_pullback, model_for, normal_connection,
     second_fundamental_form, structure_residual,
 )
+from spinorforge.spinor import gamma_frame_matrix
 
-from oracles import AxisSemidirect, general_semidirect
+from oracles import AxisSemidirect, dense_operator, general_semidirect
 
 rng = np.random.default_rng(97)
 EPS = np.finfo(float).eps
@@ -918,3 +922,88 @@ def test_contractions_agree_with_their_former_einsums(tag, alg):
             # bit; the algebra multiplies in the latter order
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= 1e-15 * scale, name
+
+
+# =============================================================================
+# The call sites of the term tables keep the bits of the dense operator
+# =============================================================================
+# Each `dense_*` below is a site as it multiplied the dense operator field
+# into frames or normals, kept verbatim but for dense_operator in place of
+# alg.gamma_op.
+
+def dense_normal_connection(zx, zy, normals, grid, alg):
+    out = []
+    for za, d in ((zx, grid.dx), (zy, grid.dy)):
+        dn = d(normals) + np.einsum("xykj,xyjr->xykr",
+                                    dense_operator(za, alg.gamma), normals)
+        th = np.einsum("xyis,xyir->xyrs", dn, normals)
+        out.append(0.5 * (th - np.swapaxes(th, 2, 3)))
+    return out[0], out[1]
+
+
+def dense_frame_compat_residual_fields(data, alg):
+    grid = data.grid
+    mu = grid.mu[..., None, None]
+    U = data.frames
+    R = np.empty(U.shape + (2,))
+    for a, (d, omega) in enumerate(zip((grid.dx, grid.dy),
+                                       frame_connection(data))):
+        G = dense_operator(U[..., a], alg.gamma)
+        shape = shape_matrix(data.B, np.eye(2)[a])
+        R[..., a] = (d(U) + np.einsum("xyjc,xydc->xyjd", U, omega)) / mu \
+            - np.einsum("xykj,xykc->xyjc", G, U) \
+            + np.einsum("xyjc,xydc->xyjd", U, shape)
+    return R[..., :2, :], R[..., 2:, :]
+
+
+def dense_gamma_frame_matrix(alg, frames, X):
+    fX = np.einsum("...ia,...a->...i", frames[..., :2], X)
+    return np.swapaxes(frames, -1, -2) @ dense_operator(fX, alg.gamma) \
+        @ frames
+
+
+def dense_ambient_curvature_frame(data, alg):
+    U = data.frames
+    X, Y = U[..., 0], U[..., 1]
+    P = dense_operator(X, alg.gamma) @ dense_operator(Y, alg.gamma)
+    Rhat = P - np.swapaxes(P, -1, -2) - dense_operator(
+        np.einsum("...kj,...j->...k", dense_operator(X, alg.c), Y), alg.gamma)
+    return np.swapaxes(U, 2, 3) @ Rhat @ U
+
+
+SITE_FIXTURES = ("sphere-r3", "sphere-r4-twisted", "s3-sphere", "sol3-plane",
+                 "h2xr-slice", "horosphere-h3")
+
+
+@pytest.mark.parametrize("name", SITE_FIXTURES)
+def test_the_term_table_sites_keep_the_dense_bits(name):
+    fx = SURFACE_FIXTURES[name](17)
+    n = fx.alg.n
+    local = np.random.default_rng(4027)
+    # the fixture's own algebra, and the sparse and full ones of its n
+    algs = [fx.alg, hn(n, local.normal(size=n))] + (
+        [sol3(), h2xr(), s3(), semidirect(local.normal(size=(2, 2)))]
+        if n == 3 else [])
+    grid = fx.data.grid
+    zx, zy = local.normal(size=(2, 17, 17, n))
+    zx[local.uniform(size=zx.shape) < 0.2] = -0.0
+    normals = local.normal(size=(17, 17, n, 2))
+    X = local.normal(size=(17, 17, 2))
+    for alg in algs:
+        sites = {
+            "normal_connection": (normal_connection(zx, zy, normals, grid, alg),
+                                  dense_normal_connection(zx, zy, normals,
+                                                          grid, alg)),
+            "frame_compat": (frame_compat_residual_fields(fx.data, alg),
+                             dense_frame_compat_residual_fields(fx.data, alg)),
+            "gamma_frame_matrix": (
+                [gamma_frame_matrix(alg, fx.data.frames, X)],
+                [dense_gamma_frame_matrix(alg, fx.data.frames, X)]),
+            "ambient_curvature_frame": (
+                [ambient_curvature_frame(fx.data, alg)],
+                [dense_ambient_curvature_frame(fx.data, alg)]),
+        }
+        for site, (got, want) in sites.items():
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes(), \
+                    (site, alg)

@@ -7,6 +7,8 @@ import json
 import os
 import pathlib
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 
@@ -78,6 +80,41 @@ def _small_sweep(tool, out):
     runs = tool.grid_runs(["sphere-r3", "s3-sphere"], sizes=(9,),
                           commands=("reconstruct",))
     return tool.sweep(SRC, out, runs)
+
+
+# One listing: the small sweep, then the converse of every surface fixture at
+# 9 nodes, printed by a process of its own.
+LISTING = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import test_output_digests as digests
+from spinorforge.cli import SURFACE_FIXTURES
+tool = digests.load_tool()
+lines = digests._small_sweep(tool, sys.argv[2])
+lines += tool.converse_lines(dict(sorted(SURFACE_FIXTURES.items())),
+                             sizes=(9,))
+print("\\n".join(lines))
+"""
+
+
+def test_the_listing_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """OpenBLAS reads OPENBLAS_NUM_THREADS when it loads, so each thread
+    count lists in a process of its own."""
+    listings = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [SRC, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", LISTING, str(pathlib.Path(__file__).parent),
+             str(tmp_path / threads)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        listings.append(done.stdout)
+    assert listings[0] == listings[1]
+    lines = listings[0].splitlines()
+    assert sum(line.startswith("run 0 ") for line in lines) == 4
+    assert sum(line.startswith("converse ") for line in lines) >= 6
 
 
 def test_a_sweep_compared_with_itself_moves_no_file(tmp_path):

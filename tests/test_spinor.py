@@ -926,13 +926,31 @@ def test_mean_curvature_vector():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-def test_spinor_of_immersion_names_a_non_finite_node(bad):
-    fx = fixtures.s3_sphere(9)
-    F = np.array(fx.F)
-    F[3, 5, 2] = bad
-    with pytest.raises(ValueError, match=r"the immersion F is not finite at "
-                                         r"node \(3, 5\)"):
-        spinor_of_immersion(F, fx.alg, fx.grid)
+def test_spinor_of_immersion_names_a_non_finite_node(bad, no_connection):
+    # and forms no connection first: an empty term table would read the
+    # non-finite node as a flat 0
+    for fx in (fixtures.s3_sphere(9), fixtures.sphere_r4_twisted(9)):
+        F = np.array(fx.F)
+        F[3, 5, 2] = bad
+        with pytest.raises(ValueError, match=r"the immersion F is not finite "
+                                             r"at node \(3, 5\)"):
+            spinor_of_immersion(F, fx.alg, fx.grid)
+
+
+# the dense connection contractions before the term tables: the operator
+# field, its product with a vector, and normal_connection's with the normals
+DENSE_CONTRACTIONS = {"...i,ijk->...kj", "...kj,...j->...k", "xykj,xyjr->xykr"}
+
+
+@pytest.mark.parametrize("name", ["sphere-r3", "sphere-r4-twisted",
+                                  "sol3-plane"])
+def test_the_converse_forms_no_connection_operator(name, connection_work):
+    # R^n's tables are empty, and Sol_3's contract without an operator field
+    fx = SURFACE_FIXTURES[name](17)
+    spinor_of_immersion(fx.F, fx.alg, fx.grid)
+    assert connection_work["operators"] == []
+    assert connection_work["einsums"]       # the counter sees the others
+    assert not DENSE_CONTRACTIONS & set(connection_work["einsums"])
 
 
 @pytest.mark.parametrize("N", [17, 33])
