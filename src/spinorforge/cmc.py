@@ -193,14 +193,14 @@ def dirac2_residual(data, pot, f):
 
 def xi_from_weierstrass(data, pot, f=None):
     """The Lie-algebra-valued 1-form of the representation, expanded into
-    (xi(dx), xi(dy)) via dz = dx + i dy."""
+    xi(dx), xi(dy) on the tangent axis via dz = dx + i dy."""
     if f is None:
         f = weier_f_from_g(data, pot)
     gb2 = np.conj(data.g) ** 2
     V = np.stack([0.5 * f * (gb2 - 1.0),
                   0.5j * f * (gb2 + 1.0),
                   f * np.conj(data.g)], axis=-1)
-    return LieValuedOneForm(data.grid, np.real(V), np.real(1j * V))
+    return LieValuedOneForm(data.grid, np.stack([V.real, (1j * V).real], 2))
 
 
 def gauss_map_pde_residual(data, pot):
@@ -251,13 +251,14 @@ def mesh_mean_curvature(F, alg, grid, orient_to=None):
     of H is well defined.
     """
     model = model_for(alg)
-    zx, zy = maurer_cartan_pullback(F, model, grid)
-    E, Ff, G = first_fundamental_form(zx, zy)
-    nu = np.cross(zx, zy)
+    z = maurer_cartan_pullback(F, model, grid)
+    g = first_fundamental_form(z)
+    E, Ff, G = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
+    nu = np.cross(z[:, :, 0], z[:, :, 1])
     nu /= np.linalg.norm(nu, axis=-1, keepdims=True)
     if orient_to is not None:
         flip = np.sign(np.einsum("xyi,xyi->xy", nu, orient_to))
         nu *= flip[..., None]
-    B = second_fundamental_form(zx, zy, nu[..., None], grid, alg)[..., 0]
+    B = second_fundamental_form(z, nu[..., None], grid, alg)[..., 0]
     L, M, N = B[..., 0, 0], B[..., 0, 1], B[..., 1, 1]
     return (G * L - 2.0 * Ff * M + E * N) / (2.0 * (E * G - Ff ** 2))

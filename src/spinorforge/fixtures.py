@@ -75,8 +75,7 @@ def sphere_r3(n_nodes, radius=1.0, extent=0.5, codazzi_eps=0.0):
         * (r / d ** 2)[..., None]
     Pv = np.stack([-4.0 * U * V, 2.0 * d - 4.0 * V ** 2, 4.0 * V], axis=-1) \
         * (r / d ** 2)[..., None]
-    e1 = Pu / grid.mu[..., None]
-    e2 = Pv / grid.mu[..., None]
+    e1, e2 = (dP / grid.mu[..., None] for dP in (Pu, Pv))
     nu = np.cross(e1, e2)             # inward: equals -P / r
     frames = np.stack([e1, e2, nu], axis=-1)
     S = np.zeros(grid.shape + (2, 2))
@@ -93,29 +92,27 @@ def sphere_r4_twisted(n_nodes, radius=1.0, extent=1.0, twist=1.0):
     pointwise by alpha(u, v) = twist * (u + 2v): exercises corank 2 with a
     nonzero (though flat) normal connection.
 
-    B(X, Y) = h(X, Y) (cos a, -sin a), theta_x = twist * J, theta_y = 2 twist * J.
+    B(X, Y) = h(X, Y) (cos a, -sin a), theta[a] = (d_a alpha) J.
     """
     base = sphere_r3(n_nodes, radius=radius, extent=extent)
     grid = base.grid
     U, V = grid.mesh()
     alpha = twist * (U + 2.0 * V)
     ca, sa = np.cos(alpha), np.sin(alpha)
-    z = np.zeros(grid.shape)
-    e1 = np.concatenate([base.data.frames[..., 0], z[..., None]], axis=-1)
-    e2 = np.concatenate([base.data.frames[..., 1], z[..., None]], axis=-1)
-    nu3 = np.concatenate([base.data.frames[..., 2], z[..., None]], axis=-1)
-    e4 = np.zeros(grid.shape + (4,))
-    e4[..., 3] = 1.0
+    # the R^3 frame columns e1, e2, nu3, with a fourth coordinate 0
+    e1, e2, nu3 = np.moveaxis(np.pad(base.data.frames, [(0, 0)] * 2
+                                     + [(0, 1), (0, 0)]), -1, 0)
+    e4 = np.eye(4)[3]
     n1 = ca[..., None] * nu3 + sa[..., None] * e4
     n2 = -sa[..., None] * nu3 + ca[..., None] * e4
     frames = np.stack([e1, e2, n1, n2], axis=-1)
     h = base.data.S
     B = np.stack([h * ca[..., None, None], -h * sa[..., None, None]], axis=-1)
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
-    theta_x = np.broadcast_to(twist * J, grid.shape + (2, 2)).copy()
-    theta_y = np.broadcast_to(2.0 * twist * J, grid.shape + (2, 2)).copy()
+    theta_x, theta_y = (np.broadcast_to(rate * J, grid.shape + (2, 2))
+                        for rate in (twist, 2.0 * twist))     # d_a alpha
     data = ImmersionData(grid, frames, B=B, theta_x=theta_x, theta_y=theta_y)
-    F = np.concatenate([base.F, z[..., None]], axis=-1)
+    F = np.pad(base.F, [(0, 0)] * 2 + [(0, 1)])
     return SurfaceFixture(alg=la.rn(4), data=data, F=F)
 
 
@@ -151,11 +148,9 @@ def s3_sphere(n_nodes, rho=np.pi / 4, extent=0.5):
     n, nu_u, nu_v, d = _stereo_sphere_chart(grid)
     mu = 2.0 * sr / d
     grid = ParamGrid(grid.nx, grid.ny, grid.h, mu=mu, x0=grid.x0, y0=grid.y0)
-    # omega_G(F_* du) = sin(rho) (cos(rho) dn - sin(rho) n x dn)
-    xi_u = sr * (cr * nu_u - sr * np.cross(n, nu_u))
-    xi_v = sr * (cr * nu_v - sr * np.cross(n, nu_v))
-    e1 = xi_u / mu[..., None]
-    e2 = xi_v / mu[..., None]
+    # omega_G(F_* d_a) = sin(rho) (cos(rho) d_a n - sin(rho) n x d_a n)
+    e1, e2 = (sr * (cr * dn - sr * np.cross(n, dn)) / mu[..., None]
+              for dn in (nu_u, nu_v))
     frames = np.stack([e1, e2, n], axis=-1)
     S = np.zeros(grid.shape + (2, 2))
     S[..., 0, 0] = -cr / sr
@@ -184,10 +179,8 @@ def s3_equator(n_nodes, extent=0.5):
     Fv = np.stack([-4.0 * V, -4.0 * U * V, 2.0 * d - 4.0 * V ** 2,
                    np.zeros_like(w)], axis=-1) / (d ** 2)[..., None]
     model = model_for(alg)
-    xi_u = model.multiply(model.inverse(F), Fu)[..., 1:]
-    xi_v = model.multiply(model.inverse(F), Fv)[..., 1:]
-    e1 = xi_u / mu[..., None]
-    e2 = xi_v / mu[..., None]
+    e1, e2 = (model.multiply(model.inverse(F), dF)[..., 1:] / mu[..., None]
+              for dF in (Fu, Fv))
     nu = np.cross(e1, e2)
     frames = np.stack([e1, e2, nu], axis=-1)
     S = np.zeros(grid.shape + (2, 2))

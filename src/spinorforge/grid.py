@@ -2,8 +2,8 @@
 
 Fields live on the nodes of a uniform grid over [x0, x0+Lx] x [y0, y0+Ly]
 with equal spacing h in both directions; arrays are indexed [i, j] for the
-node (x0 + i h, y0 + j h), grid axes leading and any component axes
-trailing.
+node (x0 + i h, y0 + j h), grid axes leading, then the tangent axis a = 0, 1
+(d_a = dx, dy) of a field that has one (`tangent_stack`), then components.
 
 `STENCILS` is the one source of the finite-difference stencils, applied by
 `difference` to fields (`ParamGrid.dx`, ...) and to group maps
@@ -160,6 +160,13 @@ def difference(sample, size, h, derivative, order):
     return np.concatenate(blocks) / h ** derivative
 
 
+def tangent_stack(blocks):
+    """The fields blocks[a] (nx, ny, ...) of the tangent directions d_a
+    copied into one array (nx, ny, 2, ...), its tangent axis outermost in
+    memory so that each block [:, :, a] is one contiguous array."""
+    return np.moveaxis(np.stack(blocks), 0, 2)
+
+
 # The gates scale with h^2, so they judge a grid only while its step
 # is short against the metric: a longest edge h max(mu) of at most MAX_STEP.
 MAX_STEP = 1.0
@@ -246,6 +253,10 @@ class ParamGrid:
     def dy(self, f, order=2):
         return self._diff(f, 1, 1, order)
 
+    def partial(self, f, axis, order=2):
+        """d_axis f: `dx` along grid axis 0, `dy` along axis 1."""
+        return (self.dx, self.dy)[axis](f, order)
+
     def dz(self, f):
         """Wirtinger d/dz = (d/dx - i d/dy) / 2 on complex fields."""
         return 0.5 * (self.dx(f) - 1j * self.dy(f))
@@ -261,27 +272,21 @@ class ParamGrid:
 
     # ---- conformal frame geometry -----------------------------------------
     def rotation_coefficients(self):
-        """w(dx), w(dy) with w(X) = <nabla_X e1, e2> for the metric frame."""
-        return self._rotation(0), self._rotation(1)
+        """[w(dx), w(dy)], w(X) = <nabla_X e1, e2> for the metric frame."""
+        return [self._rotation(axis) for axis in range(2)]
 
     def _rotation(self, axis):
         """w(d_axis): -mu_y / mu along dx, +mu_x / mu along dy."""
-        return (-self.dy(self.mu) if axis == 0 else self.dx(self.mu)) / self.mu
+        return (2 * axis - 1) * self.partial(self.mu, 1 - axis) / self.mu
 
     def gauss_curvature(self):
         lm = np.log(self.mu)
         return -(self.d2x(lm) + self.d2y(lm)) / self.mu ** 2
 
-    def covariant_dx(self, v):
-        """nabla_{dx} of a tangent field given in frame components (..., 2)."""
-        return self._cov(v, 0)
-
-    def covariant_dy(self, v):
-        return self._cov(v, 1)
-
-    def _cov(self, v, axis):
+    def covariant(self, v, axis):
+        """nabla_{d_axis} of a tangent field in frame components (..., 2)."""
         v = np.asarray(v, dtype=np.float64)
-        out = (self.dx, self.dy)[axis](v)
+        out = self.partial(v, axis)
         w = self._rotation(axis).reshape(self.shape + (1,) * (v.ndim - 3))
         out[..., 0] -= w * v[..., 1]
         out[..., 1] += w * v[..., 0]

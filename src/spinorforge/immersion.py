@@ -10,7 +10,9 @@ T_i + f_i nu familiar from the hypersurface case q = 1.
 The second fundamental form is stored in frame components,
 B[a, b, r] = <B(e_a, e_b), n_r> (for q = 1 this is the shape operator S),
 and rank-q normal bundles additionally carry per-node skew connection
-coefficients theta_x, theta_y with (nabla^N_{dx} n)_r = dx n_r + theta_x[r,s] n_s.
+coefficients theta (nx, ny, 2, q, q) on the tangent axis a = 0, 1 (dx, dy),
+(nabla^N_{d_a} n)_r = d_a n_r + theta[a, r, s] n_s, whose blocks the files
+and the constructor name theta_x and theta_y.
 
 The frame moves by one matrix rule: nabla^G_X eps_c = sum_d
 (Omega(X) + shape_matrix(B, X))[d, c] eps_d on eps = (e1, e2, n_1, ...,
@@ -39,6 +41,7 @@ import numpy as np
 
 from . import lie_algebra as la
 from .clifford import offdiag_skew_array
+from .grid import tangent_stack
 
 FRAME_TOL = 1e-10
 # how far |U| of an H^n structure field may stray from |l|
@@ -50,9 +53,10 @@ U_NORM_TOL = 1e-8
 # =============================================================================
 
 class ImmersionData:
-    """Adapted frames + second fundamental form on a conformal grid."""
+    """Adapted frames, second fundamental form and normal connection theta
+    (its blocks theta_x, theta_y zero when not given) on a conformal grid."""
 
-    __slots__ = ("grid", "n", "q", "frames", "B", "theta_x", "theta_y")
+    __slots__ = ("grid", "n", "q", "frames", "B", "theta")
 
     def __init__(self, grid, frames, B=None, S=None, theta_x=None,
                  theta_y=None):
@@ -94,25 +98,25 @@ class ImmersionData:
                 raise ValueError(f"B must be (nx, ny, 2, 2, {q})")
         if not np.max(np.abs(B - np.swapaxes(B, 2, 3))) <= FRAME_TOL:
             raise ValueError("second fundamental form must be symmetric")
-        zeros = np.zeros((nx, ny, q, q))
-        theta_x = zeros if theta_x is None else np.array(theta_x, dtype=np.float64)
-        theta_y = zeros.copy() if theta_y is None else np.array(theta_y, dtype=np.float64)
-        for th in (theta_x, theta_y):
+        blocks = [np.zeros((nx, ny, q, q)) if th is None
+                  else np.asarray(th, dtype=np.float64)
+                  for th in (theta_x, theta_y)]
+        for th in blocks:
             if th.shape != (nx, ny, q, q):
                 raise ValueError("normal connection coefficients must be (nx, ny, q, q)")
             if not np.max(np.abs(th + np.swapaxes(th, 2, 3))) <= FRAME_TOL:
                 raise ValueError("normal connection coefficients must be skew")
+        theta = tangent_stack(blocks)
         # immutable value semantics: residual evaluators never mutate data
         B = np.array(B, dtype=np.float64)
-        for arr in (frames, B, theta_x, theta_y):
+        for arr in (frames, B, theta):
             arr.flags.writeable = False
         self.grid = grid
         self.n = n
         self.q = q
         self.frames = frames
         self.B = B
-        self.theta_x = theta_x
-        self.theta_y = theta_y
+        self.theta = theta
 
     # tangent / normal parts of the distinguished directions
     @property
@@ -164,21 +168,15 @@ def _rotJ(v):
 # =============================================================================
 
 def frame_connection(data):
-    """(Omega_x, Omega_y): skew matrices of the Levi-Civita + normal
-    connection along the coordinate directions dx, dy, acting on frame
-    components: nabla_{d_a} eps_c = sum_d Omega_a[d, c] eps_d, with
-    nabla e1 = w e2 and the normal block theta."""
-    grid = data.grid
-    n = data.n
-    wx, wy = grid.rotation_coefficients()
-    out = []
-    for w, theta in ((wx, data.theta_x), (wy, data.theta_y)):
-        m = np.zeros(grid.shape + (n, n))
-        m[..., 1, 0] = w
-        m[..., 0, 1] = -w
-        m[..., 2:, 2:] = theta
-        out.append(m)
-    return out[0], out[1]
+    """[Omega_0, Omega_1]: skew matrices of the Levi-Civita + normal
+    connection along the coordinate directions d_0 = dx, d_1 = dy, acting
+    on frame components: nabla_{d_a} eps_c = sum_d Omega_a[d, c] eps_d,
+    with nabla e1 = w e2 and the normal block theta[:, :, a]."""
+    m = np.zeros((2,) + data.grid.shape + (data.n, data.n))
+    m[..., 1, 0] = data.grid.rotation_coefficients()
+    m[..., 0, 1] = -m[..., 1, 0]
+    m[..., 2:, 2:] = np.moveaxis(data.theta, 2, 0)
+    return list(m)
 
 
 def shape_matrix(B, X):
@@ -204,14 +202,14 @@ def frame_compat_residual_fields(data, alg):
     U = data.frames
     columns = np.swapaxes(U, 2, 3)
     R = np.empty(U.shape + (2,))
-    for a, (d, omega) in enumerate(zip((grid.dx, grid.dy),
-                                       frame_connection(data))):
+    for a, omega in enumerate(frame_connection(data)):
         # column a of U holds the G-coordinates of e_a; G_a U is Gamma(e_a)
         # applied to each column of U
         GU = np.swapaxes(alg.connection(U[:, :, None, :, a], columns), 2, 3)
         shape = shape_matrix(data.B, np.eye(2)[a])
         # U M^T moves each row E_j by M
-        R[..., a] = (d(U) + np.einsum("xyjc,xydc->xyjd", U, omega)) / mu \
+        R[..., a] = (grid.partial(U, a)
+                     + np.einsum("xyjc,xydc->xyjd", U, omega)) / mu \
             + GU + np.einsum("xyjc,xydc->xyjd", U, shape)
     return R[..., :2, :], R[..., 2:, :]
 
@@ -231,19 +229,13 @@ def ekt_compat_residuals(data):
     mu = grid.mu
     T, f, S, tau = data.T, data.f, data.S, data.tau
     norm_res = np.abs(np.sum(T * T, axis=-1) + f * f - 1.0)
-    dT = np.stack([grid.covariant_dx(T), grid.covariant_dy(T)], axis=-1)
-    dT /= mu[..., None, None]
-    df = np.stack([grid.dx(f), grid.dy(f)], axis=-1) / mu[..., None]
-    res_T = np.zeros_like(dT)
-    res_f = np.zeros_like(df)
+    res_T = np.empty(T.shape + (2,))
+    res_f = np.empty(f.shape + (2,))
     for a in range(2):
-        X = np.zeros((2,))
-        X[a] = 1.0
-        SX = S[..., :, a]
-        JX = _rotJ(np.broadcast_to(X, T.shape))
-        drive = SX - tau * JX
-        res_T[..., a] = dT[..., a] - f[..., None] * drive
-        res_f[..., a] = df[..., a] + np.sum(drive * T, axis=-1)
+        drive = S[..., :, a] - tau * _rotJ(np.eye(2)[a])  # S e_a - tau J e_a
+        res_T[..., a] = grid.covariant(T, a) / mu[..., None] \
+            - f[..., None] * drive
+        res_f[..., a] = grid.partial(f, a) / mu + np.sum(drive * T, axis=-1)
     return (norm_res,
             np.max(np.abs(res_T), axis=(2, 3)),
             np.max(np.abs(res_f), axis=2))
@@ -268,14 +260,11 @@ def _covariant_B(data):
     """(tilde nabla_{e_a} B)(e_b, e_c) for all a, b, c: (nx, ny, a, b, c, q)."""
     grid, mu = data.grid, data.grid.mu
     B = data.B
-    wx, wy = grid.rotation_coefficients()
-    thetas = (data.theta_x, data.theta_y)
-    ws = (wx, wy)
-    dB = np.stack([grid.dx(B), grid.dy(B)], axis=2)  # (nx,ny,a,b,c,q)
-    out = np.empty_like(dB)
-    for a in range(2):
-        term = dB[:, :, a] + np.einsum("xyrs,xybcs->xybcr", thetas[a], B)
-        w = ws[a][..., None]
+    out = np.empty(B.shape[:2] + (2,) + B.shape[2:])
+    for a, w in enumerate(grid.rotation_coefficients()):
+        term = grid.partial(B, a) + np.einsum("xyrs,xybcs->xybcr",
+                                              data.theta[:, :, a], B)
+        w = w[..., None]
         # -B(nabla e_b, e_c) - B(e_b, nabla e_c); nabla_{d_a} e1 = w e2, e2 -> -w e1
         corr = np.empty_like(term)
         corr[:, :, 0, 0] = -w * (B[:, :, 1, 0] + B[:, :, 0, 1])
@@ -303,29 +292,27 @@ def gcr_residual_fields(data, alg):
     grid = data.grid
     # RG[..., c, d] = <R^G(e1, e2) eps_c, eps_d>
     RG = np.swapaxes(ambient_curvature_frame(data, alg), 2, 3)
-    B0, B1 = data.B[:, :, 0], data.B[:, :, 1]    # B(e1, .), B(e2, .)
     K = grid.gauss_curvature()
     RT = np.zeros(grid.shape + (2, 2))           # [z, b] of R^T(e1,e2) e_z
     RT[..., 0, 1] = -K
     RT[..., 1, 0] = K
     covB = _covariant_B(data)
-    # The B products run on nodes-last copies of B0 and B1, where einsum's
-    # inner loop is over the nodes and not over a length-q axis.
-    Bt0, Bt1 = (np.ascontiguousarray(np.moveaxis(b, (0, 1), (2, 3)))
-                for b in (B0, B1))
+    # The B products run on the nodes-last copy Bt, Bt[a] = B(e_a, .), where
+    # einsum's inner loop is over the nodes and not over a length-q axis.
+    Bt = np.ascontiguousarray(np.moveaxis(data.B, (0, 1), (3, 4)))
     # B*(X, B(Y, Z)) - B*(Y, B(X, Z)) = M - M^T with B*(e_a, N)_b =
     # sum_r B[a, b, r] N_r
-    M = np.moveaxis(np.einsum("brxy,zrxy->zbxy", Bt0, Bt1), (2, 3), (0, 1))
+    M = np.moveaxis(np.einsum("brxy,zrxy->zbxy", *Bt), (2, 3), (0, 1))
     gauss = RG[..., :2, :2] - RT + M - np.swapaxes(M, 2, 3)
     codazzi = RG[..., :2, 2:] - covB[:, :, 0, 1] + covB[:, :, 1, 0]
     if data.q == 1:
         ricci = np.zeros(grid.shape + (1, 1))
     else:
-        thx, thy = data.theta_x, data.theta_y
-        RN = (grid.dx(thy) - grid.dy(thx) + thx @ thy - thy @ thx) \
-            / grid.mu[..., None, None] ** 2
+        th = [data.theta[:, :, a] for a in range(2)]
+        RN = (grid.partial(th[1], 0) - grid.partial(th[0], 1)
+              + th[0] @ th[1] - th[1] @ th[0]) / grid.mu[..., None, None] ** 2
         # B(e1, B*(e2, n_r)) - B(e2, B*(e1, n_r)) = P - P^T
-        P = np.moveaxis(np.einsum("bsxy,brxy->rsxy", Bt0, Bt1), (2, 3),
+        P = np.moveaxis(np.einsum("bsxy,brxy->rsxy", *Bt), (2, 3),
                         (0, 1))
         ricci = RG[..., 2:, 2:] - RN + (P - np.swapaxes(P, 2, 3))
     return gauss, codazzi, ricci
@@ -358,17 +345,12 @@ def ekt_integrability_residuals(data):
     kt = data.kappa - 4.0 * data.tau ** 2
     K = grid.gauss_curvature()
     gauss = K - np.linalg.det(S) - data.tau ** 2 - kt * f ** 2
-    Se1 = S[..., :, 0]
-    Se2 = S[..., :, 1]
-    d1 = grid.covariant_dx(Se2) / mu[..., None]
-    d2 = grid.covariant_dy(Se1) / mu[..., None]
-    wx, wy = grid.rotation_coefficients()
-    # [e1, e2] = nabla_{e1} e2 - nabla_{e2} e1 = -(wx/mu) e1 - (wy/mu) e2
-    br = np.stack([-wx / mu, -wy / mu], axis=-1)
+    d1 = grid.covariant(S[..., :, 1], 0) / mu[..., None]     # nabla_1 (S e2)
+    d2 = grid.covariant(S[..., :, 0], 1) / mu[..., None]     # nabla_2 (S e1)
+    # [e1, e2] = nabla_{e1} e2 - nabla_{e2} e1 = -(w_a / mu) e_a summed
+    br = np.stack([-w / mu for w in grid.rotation_coefficients()], axis=-1)
     Sbr = np.einsum("xyab,xyb->xya", S, br)
-    drive = np.zeros(grid.shape + (2,))
-    drive[..., 0] = kt * f * T[..., 1]
-    drive[..., 1] = -kt * f * T[..., 0]
+    drive = -(kt * f)[..., None] * _rotJ(T)
     codazzi = d1 - d2 - Sbr - drive
     return gauss, codazzi
 
@@ -408,10 +390,9 @@ def hn_u_residual(data, u_field, alg):
     mu = grid.mu[..., None]
     u2 = np.sum(u * u, axis=-1)
     out = np.zeros(grid.shape)
-    for a, (d, omega) in enumerate(zip((grid.dx, grid.dy),
-                                       frame_connection(data))):
+    for a, omega in enumerate(frame_connection(data)):
         shape = shape_matrix(data.B, np.eye(2)[a])
-        res = (d(u) + np.einsum("xycd,xyd->xyc", omega, u)) / mu
+        res = (grid.partial(u, a) + np.einsum("xycd,xyd->xyc", omega, u)) / mu
         res[..., a] += u2                                  # |U|^2 X
         res -= u[..., a:a + 1] * u                         # -<X,U> U
         res += np.einsum("xycd,xyd->xyc", shape, u)  # B(X, U^T) - B*(X, U^N)

@@ -14,11 +14,12 @@ with closed-form product, one-parameter subgroups and logarithm:
                              a b = (a_n b' + a', a_n b_n)
 
 All model operations broadcast over leading axes so whole grid rows step at
-once.  A Lie-algebra-valued 1-form xi on a grid is Darboux-integrated by the
-per-edge midpoint step F -> F * exp(h * xi_mid) (trapezoidal average of the
-vertex values), a Magnus step with O(h^3) local and O(h^2) global error,
-along the fixed spanning tree "bottom row first, then every column".  Each
-model marches a whole branch of the tree in one `prefix_products` call: a
+once.  A Lie-algebra-valued 1-form xi (nx, ny, 2, n) on a grid, its
+tangent axis a = 0, 1 for dx, dy, is Darboux-integrated by the per-edge
+midpoint step F -> F * exp(h * xi_mid) (trapezoidal average of the vertex
+values), a Magnus step with O(h^3) local and O(h^2) global error, along
+the fixed spanning tree "bottom row first, then every column".  Each model
+marches a whole branch of the tree in one `prefix_products` call: a
 cumulative sum for R^n, a cumulative product of a_n and sum of a_n b' for
 H^n, a cumulative sum of z and of e^{z_k A} x'_k for R^2 x_A R, each in the
 order of repeated `multiply`, so bit for bit its result; only S^3 steps a
@@ -28,21 +29,23 @@ Path-independence is a checked property of the input, not an assumption:
 
 Conversely, `maurer_cartan_pullback` applies the fourth-order
 `grid.STENCILS` first derivatives to log differences log(F(x)^-1 F(x + k h))
-of a group map F, and `second_fundamental_form` (its d_a at the same order)
-and `normal_connection` are the one extraction of (B, theta) from the
-result.  The converse, verification and the mesh curvature all
-differentiate F this one way; only this module knows the order.  Each
-model's `quotients` forms those quotients with its per-node work (the
-inverse, and for R^2 x_A R the e^{-zA} of every node) done once, and each
-node pair is logged once: the negative offsets are the negated logs of the
-positive ones, log(g^-1) = -log g.
+of a group map F into z (nx, ny, 2, n), z[:, :, a] = omega_G(F_* d_a).
+`first_fundamental_form`, `second_fundamental_form` (its d_a at the same
+order) and `normal_connection` loop over that tangent axis of z: g
+(nx, ny, 2, 2), B and theta (nx, ny, 2, q, q) are the one extraction of
+the data from it.  The converse, verification and the mesh
+curvature all differentiate F this one way; only this module knows the
+order.  Each model's `quotients` forms those quotients with its per-node
+work (the inverse, and for R^2 x_A R the e^{-zA} of every node) done once,
+and each node pair is logged once: the negative offsets are the negated
+logs of the positive ones, log(g^-1) = -log g.
 """
 
 import numpy as np
 
 from . import lie_algebra as la
 from .clifford import cosh_sinhc
-from .grid import difference, stencil_blocks
+from .grid import difference, stencil_blocks, tangent_stack
 
 # For a non-diagonal A, phi(zA) = alpha I + beta N switches from the
 # eigenvalue form to the near-repeated forms when |z^2 d| (half the eigenvalue
@@ -481,22 +484,35 @@ def model_for(alg):
 # =============================================================================
 
 class LieValuedOneForm:
-    """Per-vertex pair (xi(dx), xi(dy)) of Lie-algebra values on a grid."""
+    """Lie-algebra values xi (nx, ny, 2, n) on a grid, xi[i, j, a] = xi(d_a)
+    at node (i, j) on the tangent axis a = 0, 1 (dx, dy); `xi_x` and `xi_y`
+    are read-only views of its two blocks."""
 
-    __slots__ = ("grid", "xi_x", "xi_y")
+    __slots__ = ("grid", "xi")
 
-    def __init__(self, grid, xi_x, xi_y):
-        xi_x = np.asarray(xi_x, dtype=np.float64)
-        xi_y = np.asarray(xi_y, dtype=np.float64)
-        if xi_x.shape != xi_y.shape or xi_x.shape[:2] != grid.shape:
-            raise ValueError("1-form values must both be (nx, ny, n) on the grid")
+    def __init__(self, grid, xi):
+        xi = np.asarray(xi, dtype=np.float64)
+        if xi.ndim != 4 or xi.shape[:3] != grid.shape + (2,):
+            raise ValueError(f"1-form values must be (nx, ny, 2, n) on the "
+                             f"{grid.shape} grid; got shape {xi.shape}")
+        xi = tangent_stack(np.moveaxis(xi, 2, 0))     # a copy, made read-only
+        xi.flags.writeable = False
         self.grid = grid
-        self.xi_x = xi_x
-        self.xi_y = xi_y
+        self.xi = xi
 
     @property
     def n(self):
-        return self.xi_x.shape[-1]
+        return self.xi.shape[-1]
+
+    xi_x = property(lambda self: self.xi[:, :, 0])
+    xi_y = property(lambda self: self.xi[:, :, 1])
+
+
+def _checked_form(xi, alg):
+    """ValueError unless the 1-form xi takes values in the algebra alg."""
+    if xi.n != alg.n:
+        raise ValueError(f"1-form values in R^{xi.n} for an algebra of "
+                         f"dimension {alg.n}")
 
 
 class IntegrationError(RuntimeError):
@@ -541,6 +557,7 @@ def darboux_integrate(xi, alg, base=None, stats=None):
     overflows is an IntegrationError naming its cell, the first in the
     order of the march.
     """
+    _checked_form(xi, alg)
     model = model_for(alg)
     grid, h = xi.grid, xi.grid.h
     nx, ny = grid.shape
@@ -549,8 +566,8 @@ def darboux_integrate(xi, alg, base=None, stats=None):
     model.normalize(F[0, 0])    # a base point off the group is a ValueError
     # an overflow is inf or NaN, judged below rather than warned of
     with np.errstate(over="ignore", invalid="ignore"):
-        row = model.exp(0.5 * (xi.xi_x[:-1, 0] + xi.xi_x[1:, 0]), h)
-        cols = model.exp(0.5 * (xi.xi_y[:, :-1] + xi.xi_y[:, 1:]), h)
+        row = model.exp(0.5 * (xi.xi[:-1, 0, 0] + xi.xi[1:, 0, 0]), h)
+        cols = model.exp(0.5 * (xi.xi[:, :-1, 1] + xi.xi[:, 1:, 1]), h)
         F[1:, 0], drift = _judged(model, model.prefix_products(F[0, 0], row),
                                   ((i, 0) for i in range(1, nx)))
         G, d = _judged(model, model.prefix_products(F[:, 0],
@@ -566,7 +583,7 @@ def darboux_integrate(xi, alg, base=None, stats=None):
 
 
 def maurer_cartan_pullback(F, model, grid):
-    """omega_G(F_* d/dx), omega_G(F_* d/dy): the fourth-order
+    """z (nx, ny, 2, n) with z[:, :, a] = omega_G(F_* d_a): the fourth-order
     `grid.STENCILS` first derivative of f_k = log(F(x)^-1 F(x + k h)),
     skipping the vanishing f_0.  Each axis forms its quotients through one
     `model.quotients` and logs each node pair once: f_{-k}(x) is
@@ -602,27 +619,32 @@ def maurer_cartan_pullback(F, model, grid):
         d = difference(sample, size, grid.h, 1, 4)
         return np.moveaxis(d, 0, axis)
 
-    return along(0), along(1)
+    return tangent_stack([along(0), along(1)])
 
 
-def first_fundamental_form(zx, zy):
-    """(gxx, gxy, gyy), the inner products of the pullbacks z_x, z_y
-    (nx, ny, n), each (nx, ny)."""
-    return (np.einsum("xyi,xyi->xy", zx, zx), np.einsum("xyi,xyi->xy", zx, zy),
-            np.einsum("xyi,xyi->xy", zy, zy))
+def first_fundamental_form(z):
+    """g (nx, ny, 2, 2), g[:, :, a, b] = <z_a, z_b> of the pullback z
+    (nx, ny, 2, n), one einsum per pair a <= b (one einsum over both axes
+    takes a slower general path)."""
+    g = np.empty(z.shape[:2] + (2, 2))
+    for a, b in ((0, 0), (0, 1), (1, 1)):
+        g[:, :, a, b] = g[:, :, b, a] = np.einsum("xyi,xyi->xy", z[:, :, a],
+                                                  z[:, :, b])
+    return g
 
 
-def second_fundamental_form(zx, zy, normals, grid, alg):
+def second_fundamental_form(z, normals, grid, alg):
     """<(D_ab + D_ba)/2, n_r>, (nx, ny, 2, 2, q) and not divided by the
     metric, with D_ab = nabla^G_{d_a} F_* d_b = d_a z_b + Gamma(z_a) z_b from
-    the pullbacks z_a and normals (nx, ny, n, q); d_a at the pullback's
-    fourth order, taken once per axis of the stacked (nx, ny, n, 2)."""
-    z = (zx, zy)
-    stacked = np.stack(z, axis=-1)
-    dz = (grid.dx(stacked, 4), grid.dy(stacked, 4))
-    D = {(a, b): dz[a][..., b] + alg.connection(z[a], z[b])
+    the pullback z (nx, ny, 2, n) and normals (nx, ny, n, q); d_a at the
+    pullback's fourth order, taken once per grid axis of a contiguous copy
+    of z with its tangent axis last (nx, ny, n, 2), on which the stencils
+    run fastest and each dz[a][..., b] is one strided run."""
+    last = np.ascontiguousarray(np.moveaxis(z, 2, -1))
+    dz = [grid.partial(last, a, 4) for a in range(2)]
+    D = {(a, b): dz[a][..., b] + alg.connection(z[:, :, a], z[:, :, b])
          for a in range(2) for b in range(2)}
-    B = np.empty(zx.shape[:2] + (2, 2, normals.shape[-1]))
+    B = np.empty(z.shape[:2] + (2, 2, normals.shape[-1]))
     for a, b in ((0, 0), (0, 1), (1, 1)):
         B[:, :, a, b] = np.einsum("xyi,xyir->xyr", 0.5 * (D[a, b] + D[b, a]),
                                   normals)
@@ -630,18 +652,19 @@ def second_fundamental_form(zx, zy, normals, grid, alg):
     return B
 
 
-def normal_connection(zx, zy, normals, grid, alg):
-    """theta_x, theta_y: the skew part of <nabla^G_{d_a} n_s, n_r>, each
-    (nx, ny, q, q), for normals (nx, ny, n, q) along the pullbacks z_x, z_y."""
-    out = []
+def normal_connection(z, normals, grid, alg):
+    """theta (nx, ny, 2, q, q), theta[:, :, a] the skew part of
+    <nabla^G_{d_a} n_s, n_r>, for normals (nx, ny, n, q) along the
+    pullback z (nx, ny, 2, n)."""
+    theta = []
     columns = np.swapaxes(normals, 2, 3)
-    for za, d in ((zx, grid.dx), (zy, grid.dy)):
+    for a in range(2):
         # Gamma(z_a) n_r, each normal column a vector of the contraction
-        dn = d(normals) + np.swapaxes(
-            alg.connection(za[:, :, None], columns), 2, 3)
+        dn = grid.partial(normals, a) + np.swapaxes(
+            alg.connection(z[:, :, a, None], columns), 2, 3)
         th = np.einsum("xyis,xyir->xyrs", dn, normals)
-        out.append(0.5 * (th - np.swapaxes(th, 2, 3)))
-    return out[0], out[1]
+        theta.append(0.5 * (th - np.swapaxes(th, 2, 3)))
+    return tangent_stack(theta)
 
 
 def structure_residual(xi, alg):
@@ -651,7 +674,8 @@ def structure_residual(xi, alg):
     [xi, xi](X, Y) = [xi(X), xi(Y)] (no 1/2) is the one under which pullbacks
     of the Maurer-Cartan form are exact solutions.
     """
-    grid = xi.grid
-    dxi = grid.dx(xi.xi_y) - grid.dy(xi.xi_x)
-    return np.linalg.norm(dxi + alg.bracket(xi.xi_x, xi.xi_y), axis=-1)
+    _checked_form(xi, alg)
+    grid, v = xi.grid, xi.xi
+    dxi = grid.partial(v[:, :, 1], 0) - grid.partial(v[:, :, 0], 1)
+    return np.linalg.norm(dxi + alg.bracket(v[:, :, 0], v[:, :, 1]), axis=-1)
 

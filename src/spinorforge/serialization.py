@@ -392,8 +392,8 @@ def problem_to_dict(data, alg, base_spinor=None, base_point=None, u_field=None):
         out["S"] = data.S.tolist()
     else:
         out["B"] = data.B.tolist()
-        out["theta_x"] = data.theta_x.tolist()
-        out["theta_y"] = data.theta_y.tolist()
+        out["theta_x"], out["theta_y"] = (
+            data.theta[:, :, a].tolist() for a in range(2))
     if base_spinor is not None:
         coeffs = base_spinor.value.coeffs if isinstance(base_spinor, SpinElement) \
             else np.asarray(base_spinor)

@@ -22,8 +22,10 @@ that also measures the transport's unit drift, which nothing corrects.
 Spinor fields, edge rotors and holonomy loops are kept as their 2**(n-1)
 even coefficients, blade-major (`clifford.to_even`), and multiplied with
 the one product kernel `clifford.gp_blades`; reversal is a fixed sign per
-row.  From the connection fields to xi no array of 2**n coefficients is
-formed: those appear only in `SpinorField.values`, for the file writer.
+row.  The connection fields eta_a and edge rotors are lists over the tangent
+axis a = 0, 1 (dx, dy), xi one array (nx, ny, 2, n).  From the connection
+fields to xi no array of 2**n coefficients is formed: those appear only in
+`SpinorField.values`, for the file writer.
 
 The 1-form xi(X) = <<X phi, phi>> = rev([phi]) [X] [phi] maps adapted-frame
 coordinates to Lie-algebra coordinates, read off Ad(rev [phi]) in closed
@@ -206,23 +208,14 @@ def eta_matrix(alg, frames, B, X, spin=0.0):
         + 0.5 * gamma_frame_matrix(alg, frames, X)
 
 
-def _coordinate_direction(mu, a):
-    """Tangent frame components mu e_a of the coordinate vector d_a."""
-    X = np.zeros(mu.shape + (2,))
-    X[..., a] = mu
-    return X
-
-
 def connection_coefficient_fields(problem):
-    """eta(dx), eta(dy) as blade-major even bivector fields
-    (2**(n-1), nx, ny): d_a [phi] = eta_a [phi]."""
+    """[eta(dx), eta(dy)], one blade-major even bivector field
+    (2**(n-1), nx, ny) per tangent axis a: d_a [phi] = eta_a [phi], eta_a
+    taken at d_a = mu e_a in tangent frame components."""
     data, alg = problem.data, problem.alg
-    etas = []
-    for a, spin in enumerate(frame_connection(data)):
-        X = _coordinate_direction(data.grid.mu, a)
-        etas.append(bivector_even(eta_matrix(alg, data.frames, data.B, X,
-                                             spin)))
-    return etas[0], etas[1]
+    return [bivector_even(eta_matrix(
+        alg, data.frames, data.B, data.grid.mu[..., None] * np.eye(2)[a],
+        spin)) for a, spin in enumerate(frame_connection(data))]
 
 
 # =============================================================================
@@ -267,25 +260,25 @@ def solve_killing(problem):
     n = alg.n
     h = grid.h
     ny = grid.shape[1]
-    eta_x, eta_y = connection_coefficient_fields(problem)
+    # E[a]: the rotors of the edges along grid axis a
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        Ex = _edge_operators(eta_x, h, 0, n)      # (2^(n-1), nx-1, ny)
-        Ey = _edge_operators(eta_y, h, 1, n)      # (2^(n-1), nx, ny-1)
-    for E in (Ex, Ey):
-        cell = first_non_finite(np.moveaxis(E, 0, -1))
+        E = [_edge_operators(eta, h, a, n)
+             for a, eta in enumerate(connection_coefficient_fields(problem))]
+    for rotors in E:
+        cell = first_non_finite(np.moveaxis(rotors, 0, -1))
         if cell is not None:
             raise IntegrationError("spin transport diverged", cell=cell)
     values = np.zeros((1 << (n - 1),) + grid.shape)
     values[:, :, 0] = _transport_row(
-        to_even(problem.base_spinor.value.coeffs, n), Ex[:, :, 0], n)
+        to_even(problem.base_spinor.value.coeffs, n), E[0][:, :, 0], n)
     for j in range(ny - 1):
-        values[:, :, j + 1] = gp_blades(Ey[:, :, j], values[:, :, j], n)
+        values[:, :, j + 1] = gp_blades(E[1][:, :, j], values[:, :, j], n)
 
     # plaquette holonomy: A -> B -> C -> D -> A, defect per unit area
     # the edge operators are exponentials of bivectors: rev(exp(b)) = exp(-b)
-    loop = gp_blades(Ey[:, 1:, :], Ex[:, :, :-1], n)            # BC after AB
-    loop = gp_blades(reverse_even(Ex[:, :, 1:], n), loop, n)    # CD
-    loop = gp_blades(reverse_even(Ey[:, :-1, :], n), loop, n)   # DA
+    loop = gp_blades(E[1][:, 1:, :], E[0][:, :, :-1], n)          # BC after AB
+    loop = gp_blades(reverse_even(E[0][:, :, 1:], n), loop, n)    # CD
+    loop = gp_blades(reverse_even(E[1][:, :-1, :], n), loop, n)   # DA
     # |L phi - phi| = |L - 1|: right multiplication by a unit spinor is an
     # isometry of the coefficient space, so the field drops out
     loop[0] -= 1.0
@@ -313,7 +306,7 @@ ORTH_TOL = 1e-6         # largest defect of xi o frame^-1 at the base node
 
 
 def xi_from_spinor(field, problem):
-    """xi(dx), xi(dy) = rev([phi]) [X] [phi] plus the normal-direction values
+    """xi(d_a) = rev([phi]) [X] [phi] plus the normal-direction values
     xi(n_r); raises if the output fails grade-1 purity (spinor corruption).
 
     Returns (LieValuedOneForm, normals) with normals shaped (nx, ny, q, n).
@@ -326,9 +319,8 @@ def xi_from_spinor(field, problem):
         raise ValueError(f"xi output is not a vector: off-grade mass "
                          f"{impurity:.3e} signals spinor corruption")
     results = np.swapaxes(adj, 2, 3)          # (nx, ny, frame index, G index)
-    xi_x = mu[..., None] * results[:, :, 0]
-    xi_y = mu[..., None] * results[:, :, 1]
-    return LieValuedOneForm(grid, xi_x, xi_y), results[:, :, 2:]
+    xi = mu[..., None, None] * results[:, :, :2]
+    return LieValuedOneForm(grid, xi), results[:, :, 2:]
 
 
 def frame_map_at(field, problem, vertex):
@@ -406,15 +398,15 @@ def verify_reconstruction(F, problem, xi_normals):
     q = data.q
     mu2 = grid.mu ** 2
     model = model_for(alg)
-    zx, zy = maurer_cartan_pullback(F, model, grid)
-    gxx, gxy, gyy = first_fundamental_form(zx, zy)
+    z = maurer_cartan_pullback(F, model, grid)
+    g = first_fundamental_form(z)
     # isometry defect on unit tangent frames: |<F_* e_a, F_* e_b> - delta_ab|
-    iso = max(float(np.max(np.abs(gxx / mu2 - 1.0))),
-              float(np.max(np.abs(gxy / mu2))),
-              float(np.max(np.abs(gyy / mu2 - 1.0))))
+    iso = max(float(np.max(np.abs(g[..., a, b] / mu2 - float(a == b))))
+              for a, b in ((0, 0), (0, 1), (1, 1)))
     # normal frame of the reconstruction: the xi-images of n_r projected off
     # the reconstructed tangent plane and re-orthonormalized
-    tangents = np.stack([zx, zy], axis=-1) / grid.mu[..., None, None]
+    tangents = np.ascontiguousarray(np.swapaxes(z, 2, 3)) \
+        / grid.mu[..., None, None]
     normals = np.swapaxes(xi_normals, 2, 3).copy()    # (nx, ny, G, r)
     for r in range(q):
         v = normals[..., r]
@@ -424,14 +416,14 @@ def verify_reconstruction(F, problem, xi_normals):
             v -= np.einsum("xyi,xyi->xy", normals[..., s], v)[..., None] \
                 * normals[..., s]
         normals[..., r] = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    B = second_fundamental_form(zx, zy, normals, grid, alg) \
+    B = second_fundamental_form(z, normals, grid, alg) \
         / mu2[..., None, None, None]
     B_err = float(np.max(np.abs(B - data.B)))
     theta_err = 0.0
     if q > 1:
-        for got, want in zip(normal_connection(zx, zy, normals, grid, alg),
-                             (data.theta_x, data.theta_y)):
-            theta_err = max(theta_err, float(np.max(np.abs(got - want))))
+        # per axis, so that a NaN on one axis leaves the other's error
+        gap = np.abs(normal_connection(z, normals, grid, alg) - data.theta)
+        theta_err = max(theta_err, *map(float, np.max(gap, axis=(0, 1, 3, 4))))
     return {"isometry_error": iso, "second_fundamental_error": B_err,
             "normal_connection_error": theta_err}
 
@@ -440,7 +432,7 @@ def verify_reconstruction(F, problem, xi_normals):
 # Converse: immersion -> data + spinor
 # =============================================================================
 
-def _continuous_normal_frames(zx, zy, n):
+def _continuous_normal_frames(z, n):
     """Orthonormal frames [e1 | e2 | n_1 ... n_q] with det +1, the normal
     part chosen continuously along the spanning tree from the origin node
     (the bottom row, then the columns).
@@ -458,10 +450,10 @@ def _continuous_normal_frames(zx, zy, n):
     raises "degenerate normal completion" at the node of the smallest one
     (a nan one comes only after it, down the tree).
     """
-    nx, ny = zx.shape[:2]
+    nx, ny = z.shape[:2]
     q = n - 2
-    e1 = zx / np.linalg.norm(zx, axis=-1, keepdims=True)
-    e2 = zy - np.einsum("xyi,xyi->xy", zy, e1)[..., None] * e1
+    e1 = z[:, :, 0] / np.linalg.norm(z[:, :, 0], axis=-1, keepdims=True)
+    e2 = z[:, :, 1] - np.einsum("xyi,xyi->xy", z[:, :, 1], e1)[..., None] * e1
     e2 = e2 / np.linalg.norm(e2, axis=-1, keepdims=True)
     frames = np.zeros((nx, ny, n, n))
     frames[..., 0] = e1
@@ -528,33 +520,35 @@ def spinor_of_immersion(F, alg, grid):
     n = alg.n
     q = n - 2
     conformal_tol = max(CONFORMAL_TOL_H2 * grid.h ** 2, CONFORMAL_TOL_MIN)
-    zx, zy = maurer_cartan_pullback(F, model, grid)
-    gxx, gxy, gyy = first_fundamental_form(zx, zy)
-    cell = first_non_finite(np.stack([gxx, gxy, gyy], axis=-1))
+    z = maurer_cartan_pullback(F, model, grid)
+    g = first_fundamental_form(z)
+    cell = first_non_finite(g.reshape(grid.shape + (4,)))
     if cell is not None:
         raise ValueError(f"the first fundamental form of F is not finite "
                          f"at node {cell}")
-    if not (np.min(gxx) > 0 and np.min(gyy) > 0):
+    diag = np.diagonal(g, axis1=2, axis2=3)        # <z_a, z_a>, (nx, ny, 2)
+    if not np.min(diag) > 0:
         raise ValueError(f"degenerate immersion: vanishing coordinate "
                          f"tangent at node "
-                         f"{worst_node(-np.minimum(gxx, gyy))}")
-    scale = float(np.max(gxx))
-    skew = np.maximum(np.abs(gxy), np.abs(gxx - gyy))
+                         f"{worst_node(-np.min(diag, axis=-1))}")
+    scale = float(np.max(diag[..., 0]))
+    skew = np.maximum(np.abs(g[..., 0, 1]),
+                      np.abs(diag[..., 0] - diag[..., 1]))
     if not float(np.max(skew)) <= conformal_tol * scale:
         raise ValueError(f"the parametrization is not conformal; the grid "
                          f"machinery requires mu^2 (dx^2 + dy^2) metrics "
                          f"at node {worst_node(skew)}")
-    mu = np.sqrt(0.5 * (gxx + gyy))
+    mu = np.sqrt(0.5 * (diag[..., 0] + diag[..., 1]))
     out_grid = type(grid)(grid.nx, grid.ny, grid.h, mu=mu, x0=grid.x0,
                           y0=grid.y0)
-    frames = _continuous_normal_frames(zx, zy, n)
+    frames = _continuous_normal_frames(z, n)
     normals = frames[..., 2:]
-    B = second_fundamental_form(zx, zy, normals, out_grid, alg) \
+    B = second_fundamental_form(z, normals, out_grid, alg) \
         / mu[..., None, None, None] ** 2
-    theta_x, theta_y = normal_connection(zx, zy, normals, out_grid, alg) \
+    blocks = np.moveaxis(normal_connection(z, normals, out_grid, alg), 2, 0) \
         if q > 1 else (None, None)
-    data = ImmersionData(out_grid, frames, B=B, theta_x=theta_x,
-                         theta_y=theta_y)
+    data = ImmersionData(out_grid, frames, B=B, theta_x=blocks[0],
+                         theta_y=blocks[1])
     values = _continuous_spin_lift(frames)
     field = SpinorField(out_grid, n, values)
     return field, data
@@ -588,17 +582,18 @@ def dirac_residual(field, problem):
     grid = problem.grid
     n = alg.n
     mu = grid.mu
-    sx, sy = map(bivector_array, frame_connection(data))
-    gx, gy = (bivector_array(gamma_frame_matrix(
-        alg, data.frames, _coordinate_direction(mu, a))) for a in range(2))
     vals = field.values
-    e1 = vector_array(np.eye(n)[0], n)
-    e2 = vector_array(np.eye(n)[1], n)
-    nab_x = grid.dx(vals) + 0.5 * gp_array(sx, vals, n)
-    nab_y = grid.dy(vals) + 0.5 * gp_array(sy, vals, n)
-    D = (gp_array(e1, nab_x, n) + gp_array(e2, nab_y, n)) / mu[..., None]
-    gamma_el = 0.5 * (gp_array(e1, gx, n) + gp_array(e2, gy, n)) \
-        / mu[..., None]
+    # per tangent axis a, mu times the terms of e_a = d_a / mu
+    D, gamma = [], []
+    for a, spin in enumerate(frame_connection(data)):
+        e = vector_array(np.eye(n)[a], n)
+        nab = grid.partial(vals, a) \
+            + 0.5 * gp_array(bivector_array(spin), vals, n)
+        D.append(gp_array(e, nab, n))
+        gamma.append(gp_array(e, bivector_array(gamma_frame_matrix(
+            alg, data.frames, mu[..., None] * np.eye(2)[a])), n))
+    D = sum(D[1:], D[0]) / mu[..., None]
+    gamma_el = 0.5 * sum(gamma[1:], gamma[0]) / mu[..., None]
     Hcoords = np.zeros(grid.shape + (n,))
     Hcoords[..., 2:] = mean_curvature_vector(data)
     rhs = gp_array(vector_array(Hcoords, n) + gamma_el, vals, n)

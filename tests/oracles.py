@@ -37,6 +37,9 @@ the two.
     over all of c or gamma that `lie_algebra._operator`, `bracket` and
     `connection` were before they read the algebra's term tables, which
     reproduce them bit for bit on finite fields
+  * written_out_dirac_residual -- `spinor.dirac_residual` with its two
+    tangent directions written out as x and y terms, as it was before it
+    looped over the tangent axis, which reproduces it bit for bit
 """
 
 import math
@@ -44,14 +47,15 @@ import math
 import numpy as np
 
 from spinorforge.clifford import (
-    Multivector, _closed_form_maps, bivector_exp_even, blade_tables,
-    from_even, gp_array, reverse_array, to_even,
+    Multivector, _closed_form_maps, bivector_array, bivector_exp_even,
+    blade_tables, from_even, gp_array, reverse_array, to_even, vector_array,
 )
 from spinorforge.cmc import ab_scalars, h_potential
 from spinorforge.fixtures import SurfaceFixture
-from spinorforge.immersion import ImmersionData
+from spinorforge.immersion import ImmersionData, frame_connection
 from spinorforge.lie_algebra import rn
 from spinorforge.lie_group import SemidirectModel
+from spinorforge.spinor import gamma_frame_matrix, mean_curvature_vector
 
 
 def ekt_gamma_bivector(data, X, vertex):
@@ -268,8 +272,8 @@ def padded(fx):
     frames[..., :n, :n] = data.frames
     frames[..., n, n] = 1.0
     B = np.pad(data.B, [(0, 0)] * 4 + [(0, 1)])
-    theta_x, theta_y = (np.pad(t, [(0, 0)] * 2 + [(0, 1)] * 2)
-                        for t in (data.theta_x, data.theta_y))
+    theta_x, theta_y = (np.pad(data.theta[:, :, a],
+                               [(0, 0)] * 2 + [(0, 1)] * 2) for a in range(2))
     return SurfaceFixture(
         alg=rn(n + 1),
         data=ImmersionData(data.grid, frames, B=B, theta_x=theta_x,
@@ -327,3 +331,30 @@ def dense_bracket(alg, X, Y):
 def dense_connection(alg, X, Y):
     """Gamma(X) Y, broadcasting like `dense_bracket`."""
     return np.einsum("...kj,...j->...k", dense_operator(X, alg.gamma), Y)
+
+
+def written_out_dirac_residual(field, problem):
+    """|D phi - (H + gamma) phi| per node with the x and y terms of D and
+    gamma written out, as `spinor.dirac_residual` formed them before it
+    looped over the tangent axis."""
+    data, alg = problem.data, problem.alg
+    grid = problem.grid
+    n = alg.n
+    mu = grid.mu
+    sx, sy = map(bivector_array, frame_connection(data))
+    directions = np.zeros((2,) + mu.shape + (2,))   # mu e_a, the d_a
+    directions[0, ..., 0] = directions[1, ..., 1] = mu
+    gx, gy = (bivector_array(gamma_frame_matrix(alg, data.frames, X))
+              for X in directions)
+    vals = field.values
+    e1 = vector_array(np.eye(n)[0], n)
+    e2 = vector_array(np.eye(n)[1], n)
+    nab_x = grid.dx(vals) + 0.5 * gp_array(sx, vals, n)
+    nab_y = grid.dy(vals) + 0.5 * gp_array(sy, vals, n)
+    D = (gp_array(e1, nab_x, n) + gp_array(e2, nab_y, n)) / mu[..., None]
+    gamma_el = 0.5 * (gp_array(e1, gx, n) + gp_array(e2, gy, n)) \
+        / mu[..., None]
+    Hcoords = np.zeros(grid.shape + (n,))
+    Hcoords[..., 2:] = mean_curvature_vector(data)
+    rhs = gp_array(vector_array(Hcoords, n) + gamma_el, vals, n)
+    return np.linalg.norm(D - rhs, axis=-1)

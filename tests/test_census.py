@@ -25,7 +25,6 @@ ROOTS = {"main", "spinor_of_immersion"}
 ALLOWED = {
     "nil_cylinder": "item 9's Nil Hopf cylinder fixture starts from it",
     "ekt_compat_residuals": "item 9 runs it on its E(kappa, tau) fixtures",
-    "_rotJ": "ekt_compat_residuals's rotation, reached with it by item 9",
 }
 
 

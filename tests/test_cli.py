@@ -1138,6 +1138,8 @@ def _bool_inputs(inputs):
         "reconstruct": (problem(fixtures.sphere_r3, "frames"), "frames"),
         "check-frame": (problem(fixtures.sphere_r4_twisted, "theta_x"),
                         "theta_x"),
+        "check-frame/theta_y": (problem(fixtures.sphere_r4_twisted,
+                                        "theta_y"), "theta_y"),
         "check-gcr": (problem(fixtures.sphere_r4_twisted, "B"), "B"),
         "check-algebra": (_with_a_bool(la.algebra_to_dict(la.sol3()), "c"),
                           "c"),
@@ -1147,21 +1149,22 @@ def _bool_inputs(inputs):
                                 "payload"), "payload"),
     }
     out = {}
-    for command, (blob, key) in blobs.items():
-        path = inputs / f"{command}.json"
+    for case, (blob, key) in blobs.items():
+        command = case.partition("/")[0]
+        path = inputs / f"{command}-{key}.json"
         dump_json(blob, path)
-        out[command] = ([command, str(path)], key)
+        out[case] = ([command, str(path)], key)
     return out
 
 
-@pytest.mark.parametrize("command", ["solve", "reconstruct", "check-frame",
-                                     "check-gcr", "check-algebra", "cmc",
-                                     "export"])
-def test_a_bool_among_numbers_exits_three(tmp_path, capsys, command):
+@pytest.mark.parametrize("case", ["solve", "reconstruct", "check-frame",
+                                  "check-frame/theta_y", "check-gcr",
+                                  "check-algebra", "cmc", "export"])
+def test_a_bool_among_numbers_exits_three(tmp_path, capsys, case):
     inputs, work = tmp_path / "in", tmp_path / "work"
     inputs.mkdir()
     work.mkdir()
-    argv, key = _bool_inputs(inputs)[command]
+    argv, key = _bool_inputs(inputs)[case]
     code, err = _main_err(argv + ["-o", str(work / "r.out")], capsys)
     assert code == 3
     [line] = err.splitlines()
@@ -1873,6 +1876,9 @@ _FP_CASES = {
                        ("theta_x", 3, 8, 0, 0), 1e308, 3),
     "solve-overflow": ("solve", lambda: _fp_problem("sphere-r4-twisted"),
                        ("theta_x", 3, 8, 0, 0), 1e308, 3),
+    "solve-overflow-theta-y": ("solve",
+                               lambda: _fp_problem("sphere-r4-twisted"),
+                               ("theta_y", 3, 8, 0, 0), 1e308, 3),
     "u-field-overflow": ("check-frame", lambda: _fp_problem("horosphere-h3"),
                          ("u_field", 1, 7, 0), 1e308, 3),
     "s3-payload-overflow": ("export", _fp_s3_surface, ("payload", 10),
@@ -2049,7 +2055,8 @@ def _non_finite_input(tmp_path, command, field):
         fx = fixtures.sol3_plane(9)
         blob = surface_to_dict(fx.F, fx.model)
     else:
-        fx = (fixtures.sphere_r4_twisted if field in ("B", "theta_x")
+        fx = (fixtures.sphere_r4_twisted
+              if field in ("B", "theta_x", "theta_y")
               else fixtures.sol3_plane)(9)
         blob = problem_to_dict(fx.data, fx.alg, base_point=fx.F[0, 0])
         if command == "check-algebra":
@@ -2068,7 +2075,8 @@ def _non_finite_input(tmp_path, command, field):
 @pytest.mark.parametrize("command,field", [
     *((command, field)
       for command in ("check-frame", "check-gcr", "solve", "reconstruct")
-      for field in ("frames", "S", "B", "mu", "theta_x", "base_point")),
+      for field in ("frames", "S", "B", "mu", "theta_x", "theta_y",
+                    "base_point")),
     ("cmc", "g"), ("export", "payload"), ("check-algebra", "c")])
 def test_a_non_finite_field_is_rejected_before_any_connection(
         tmp_path, capsys, no_connection, command, field):

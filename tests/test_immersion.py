@@ -79,6 +79,44 @@ def test_rejects_nan_second_fundamental_form_and_normal_connection():
         ImmersionData(grid, frames, B=np.zeros((3, 3, 2, 2, 2)), theta_x=theta)
 
 
+@pytest.mark.parametrize("key", ["theta_x", "theta_y"])
+@pytest.mark.parametrize("bad,message", [
+    ("shape", r"^normal connection coefficients must be \(nx, ny, q, q\)$"),
+    ("skew", r"^normal connection coefficients must be skew$"),
+    ("nan", r"^{key} has non-finite entries, so it fails the skew check$"),
+], ids=["shape", "skew", "nan"])
+def test_one_bad_normal_connection_block_meets_its_gate(key, bad, message):
+    data = fixtures.sphere_r4_twisted(5).data
+    blocks = {"theta_x": np.array(data.theta[:, :, 0]),
+              "theta_y": np.array(data.theta[:, :, 1])}
+    if bad == "shape":
+        blocks[key] = blocks[key][:, :, :1]
+    elif bad == "skew":
+        blocks[key][2, 3, 0, 1] += 1.0
+    else:
+        blocks[key][2, 3, 0, 1] = np.nan
+    with pytest.raises(ValueError, match=message.format(key=key)):
+        ImmersionData(data.grid, data.frames, B=data.B, **blocks)
+
+
+def test_theta_stacks_its_blocks_on_the_tangent_axis_read_only():
+    data = fixtures.sphere_r4_twisted(5).data
+    noise = rng.normal(size=data.grid.shape + (2, 2, 2))
+    skew = noise - np.swapaxes(noise, 3, 4)
+    kept = skew.copy()
+    got = ImmersionData(data.grid, data.frames, B=data.B,
+                        theta_x=skew[:, :, 0], theta_y=skew[:, :, 1])
+    skew[0, 0, 0, 0, 1] = 9.0
+    assert got.theta.shape == data.grid.shape + (2, 2, 2)
+    assert np.array_equal(got.theta, kept) and not got.theta.flags.writeable
+    assert all(got.theta[:, :, a].flags.c_contiguous for a in range(2))
+    # a block not given is zero
+    only_y = ImmersionData(data.grid, data.frames, B=data.B,
+                           theta_y=kept[:, :, 1])
+    assert not only_y.theta[:, :, 0].any()
+    assert np.array_equal(only_y.theta[:, :, 1], kept[:, :, 1])
+
+
 def test_ekt_norm_invariant_enforced():
     grid = ParamGrid(3, 3, 0.5)
     T = np.zeros((3, 3, 2))
@@ -115,7 +153,7 @@ def sol3_specialized_fields(data, alg):
     as an oracle: same grid operators, independently coded right sides."""
     grid, mu = data.grid, data.grid.mu
     T, f, S = data.T, data.f[..., 0], data.S
-    dT = np.stack([grid.covariant_dx(T), grid.covariant_dy(T)], axis=-1)
+    dT = np.stack([grid.covariant(T, 0), grid.covariant(T, 1)], axis=-1)
     dT /= mu[..., None, None, None]
     df = np.stack([grid.dx(f), grid.dy(f)], axis=-1) / mu[..., None, None]
     res_T = np.empty_like(dT)
@@ -573,7 +611,7 @@ def former_gcr_residual_fields(data, alg):
     if q == 1:
         ricci = np.zeros(grid.shape + (1, 1))
     else:
-        thx, thy = data.theta_x, data.theta_y
+        thx, thy = data.theta[:, :, 0], data.theta[:, :, 1]
         RN = (grid.dx(thy) - grid.dy(thx) + thx @ thy - thy @ thx) \
             / grid.mu[..., None, None] ** 2
         ricci = np.zeros(grid.shape + (q, q))
@@ -607,13 +645,14 @@ def former_hn_u_residual(data, u_field, alg):
     uT = u[..., :2]
     uN = u[..., 2:]
     # direct-sum connection: rotate the tangent part, twist the normal part
-    du = np.stack([np.concatenate([grid.covariant_dx(uT),
+    thx, thy = data.theta[:, :, 0], data.theta[:, :, 1]
+    du = np.stack([np.concatenate([grid.covariant(uT, 0),
                                    grid.dx(uN) + np.einsum("xyrs,xys->xyr",
-                                                           data.theta_x, uN)],
+                                                           thx, uN)],
                                   axis=-1),
-                   np.concatenate([grid.covariant_dy(uT),
+                   np.concatenate([grid.covariant(uT, 1),
                                    grid.dy(uN) + np.einsum("xyrs,xys->xyr",
-                                                           data.theta_y, uN)],
+                                                           thy, uN)],
                                   axis=-1)], axis=-1)
     du /= mu[..., None, None]
     B = data.B
@@ -659,7 +698,7 @@ def nodes_first_gcr_residual_fields(data, alg):
     if data.q == 1:
         ricci = np.zeros(grid.shape + (1, 1))
     else:
-        thx, thy = data.theta_x, data.theta_y
+        thx, thy = data.theta[:, :, 0], data.theta[:, :, 1]
         RN = (grid.dx(thy) - grid.dy(thx) + thx @ thy - thy @ thx) \
             / grid.mu[..., None, None] ** 2
         # B(e1, B*(e2, n_r)) - B(e2, B*(e1, n_r)) = P - P^T
@@ -686,7 +725,8 @@ def test_gcr_b_products_on_nodes_last_copies_agree_at_corank_two(
         noise = np.random.default_rng(7).normal(size=data.B.shape)
         B = data.B + 0.1 * (noise + np.swapaxes(noise, 2, 3))
         data = ImmersionData(data.grid, data.frames, B=B,
-                             theta_x=data.theta_x, theta_y=data.theta_y)
+                             theta_x=data.theta[:, :, 0],
+                             theta_y=data.theta[:, :, 1])
     gauss, _, ricci = gcr_residual_fields(data, fx.alg)
     want_gauss, _, want_ricci = nodes_first_gcr_residual_fields(data, fx.alg)
     assert np.array_equal(gauss, want_gauss)

@@ -396,9 +396,8 @@ def test_diagonal_semidirect_pullback_and_darboux_take_no_matrix_form(
                     calls[_name] += 1
                     return _f(*args, **kwargs)
                 patch.setattr(module, name, counted)
-            xi_x, xi_y = maurer_cartan_pullback(F, model, grid)
-            darboux_integrate(LieValuedOneForm(grid, xi_x, xi_y), alg,
-                              F[0, 0])
+            z = maurer_cartan_pullback(F, model, grid)
+            darboux_integrate(LieValuedOneForm(grid, z), alg, F[0, 0])
         return calls
     assert run(alg) == {"einsum": 0, "expm": 0, "_phi_coefficients": 0}
     # the counters see the 2x2 forms where A is not diagonal
@@ -443,9 +442,9 @@ def test_log_inverts_exp(alg):
 
 def constant_form(grid, alg, vx, vy):
     nx, ny = grid.shape
-    return LieValuedOneForm(grid,
-                            np.broadcast_to(vx, (nx, ny, len(vx))).copy(),
-                            np.broadcast_to(vy, (nx, ny, len(vy))).copy())
+    return LieValuedOneForm(grid, np.stack(
+        [np.broadcast_to(vx, (nx, ny, len(vx))).copy(),
+         np.broadcast_to(vy, (nx, ny, len(vy))).copy()], axis=2))
 
 
 def test_zero_form_gives_constant_map():
@@ -499,8 +498,7 @@ def test_roundtrip_reconstruct_then_pullback():
         for n_nodes in (17, 33):
             grid = ParamGrid(n_nodes, n_nodes, 1.0 / (n_nodes - 1))
             F = curved_map(alg, grid)
-            xi_x, xi_y = maurer_cartan_pullback(F, model, grid)
-            xi = LieValuedOneForm(grid, xi_x, xi_y)
+            xi = LieValuedOneForm(grid, maurer_cartan_pullback(F, model, grid))
             G = darboux_integrate(xi, alg, F[0, 0])
             errs.append(np.max(np.abs(G - F)))
         ratio = errs[0] / errs[1]
@@ -519,7 +517,7 @@ def test_left_invariance_exact_group_identity():
     grid = ParamGrid(9, 9, 0.125)
     xi_x = rng.normal(size=grid.shape + (3,)) * 0.3
     xi_y = rng.normal(size=grid.shape + (3,)) * 0.3
-    xi = LieValuedOneForm(grid, xi_x, xi_y)
+    xi = LieValuedOneForm(grid, np.stack([xi_x, xi_y], axis=2))
     base = random_payload(model)
     b = random_payload(model)
     F1 = darboux_integrate(xi, alg, base)
@@ -562,9 +560,9 @@ def test_batched_darboux_steps_match_the_loop_bit_for_bit(alg):
     model = model_for(alg)
     for nx, ny, scale in ((5, 5, 0.3), (17, 9, 1.0), (33, 40, 0.3)):
         grid = ParamGrid(nx, ny, 1.0 / (nx - 1))
-        xi = LieValuedOneForm(grid,
-                              rng.normal(size=grid.shape + (alg.n,)) * scale,
-                              rng.normal(size=grid.shape + (alg.n,)) * scale)
+        xi = LieValuedOneForm(grid, np.stack(
+            [rng.normal(size=grid.shape + (alg.n,)) * scale,
+             rng.normal(size=grid.shape + (alg.n,)) * scale], axis=2))
         base = random_payload(model)
         stats, want_stats = {}, {}
         got = darboux_integrate(xi, alg, base, stats=stats)
@@ -593,7 +591,8 @@ def test_leaving_the_half_space_is_an_integration_error_naming_its_cell():
     # in the column sweep the cell is the first node of the failing column
     xi_y = np.zeros(grid.shape + (3,))
     xi_y[4:, :, 2] = -3000.0
-    xi = LieValuedOneForm(grid, np.zeros(grid.shape + (3,)), xi_y)
+    xi = LieValuedOneForm(grid, np.stack([np.zeros(grid.shape + (3,)), xi_y],
+                                         axis=2))
     with pytest.raises(IntegrationError) as err:
         darboux_integrate(xi, alg, None)
     assert err.value.cell == (4, 2)
@@ -668,7 +667,7 @@ def escaping_form(alg, value, where):
         xi_y[4:, 3:, -1] = value
         xi_y[2, 6:, -1] = value
         xi_y[5:, 6:, -1] = 100 * value
-    return LieValuedOneForm(grid, xi_x, xi_y)
+    return LieValuedOneForm(grid, np.stack([xi_x, xi_y], axis=2))
 
 
 @pytest.mark.parametrize("where", ["row", "column"])
@@ -712,7 +711,8 @@ def test_sol3_overflow_names_the_cell_of_the_matrix_form(value, cell):
     xi_y = np.zeros(grid.shape + (3,))
     xi_y[..., 1] = 0.5
     xi_y[2:, :, 2] = value
-    xi = LieValuedOneForm(grid, np.zeros(grid.shape + (3,)), xi_y)
+    xi = LieValuedOneForm(grid, np.stack([np.zeros(grid.shape + (3,)), xi_y],
+                                         axis=2))
     with pytest.raises(IntegrationError, match="diverged") as err:
         darboux_integrate(xi, sol3())
     assert err.value.cell == cell
@@ -735,8 +735,9 @@ def test_darboux_marches_step_per_node_only_in_s3(monkeypatch, alg):
     model = model_for(alg)
     calls = _counted(monkeypatch, type(model), ["multiply"])
     grid = ParamGrid(17, 9, 1.0 / 16)
-    xi = LieValuedOneForm(grid, rng.normal(size=grid.shape + (alg.n,)),
-                          rng.normal(size=grid.shape + (alg.n,)))
+    xi = LieValuedOneForm(grid, np.stack(
+        [rng.normal(size=grid.shape + (alg.n,)),
+         rng.normal(size=grid.shape + (alg.n,))], axis=2))
     darboux_integrate(xi, alg)
     # S^3 takes each product from the previous one: one call per step
     assert calls["multiply"] == (16 + 8 if model.name == "s3" else 0)
@@ -771,6 +772,50 @@ def test_pullback_makes_one_model_call_per_offset_and_one_for_the_edges(
 # Structure equation
 # =============================================================================
 
+# =============================================================================
+# The 1-form: one tangent axis of length 2, values of the algebra's dimension
+# =============================================================================
+
+@pytest.mark.parametrize("shape", [(9, 9), (9, 9, 3), (9, 9, 3, 2),
+                                   (9, 9, 1, 3), (8, 9, 2, 3),
+                                   (9, 9, 2, 3, 1)])
+def test_a_malformed_one_form_is_refused(shape):
+    # (nx, ny) values once passed and reported n = ny; (nx, ny, n) ones
+    # are the former per-axis layout
+    grid = ParamGrid(9, 9, 0.125)
+    with pytest.raises(ValueError, match=r"^1-form values must be "
+                                         r"\(nx, ny, 2, n\) on the \(9, 9\) "
+                                         rf"grid; got shape \({shape[0]}, "):
+        LieValuedOneForm(grid, np.zeros(shape))
+
+
+@pytest.mark.parametrize("alg", [rn(3), s3()], ids=["R3", "S3"])
+@pytest.mark.parametrize("n", [2, 4])
+def test_a_one_form_of_another_dimension_is_refused_by_name(alg, n):
+    # these failed inside numpy with "could not broadcast" errors
+    grid = ParamGrid(5, 5, 0.25)
+    xi = LieValuedOneForm(grid, rng.normal(size=grid.shape + (2, n)))
+    for judge in (darboux_integrate, structure_residual):
+        with pytest.raises(ValueError, match=rf"^1-form values in R\^{n} "
+                                             rf"for an algebra of dimension "
+                                             rf"3$"):
+            judge(xi, alg)
+
+
+def test_the_one_form_blocks_are_read_only_views_of_its_copy():
+    grid = ParamGrid(5, 4, 0.25)
+    values = rng.normal(size=grid.shape + (2, 3))
+    kept = values.copy()
+    xi = LieValuedOneForm(grid, values)
+    values[1, 2, 0, 1] = 7.0
+    assert np.array_equal(xi.xi, kept) and xi.n == 3
+    for a, block in enumerate((xi.xi_x, xi.xi_y)):
+        assert np.array_equal(block, kept[:, :, a])
+        assert np.shares_memory(block, xi.xi) and block.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0, 0] = 1.0
+
+
 def test_structure_residual_zero_form():
     alg = sol3()
     grid = ParamGrid(9, 9, 0.1)
@@ -784,7 +829,7 @@ def test_structure_residual_abelian_is_curl():
     X, Y = grid.mesh()
     xi_x = np.stack([Y, X * 0, X * 0], axis=-1)   # not closed: curl = -1
     xi_y = np.zeros(grid.shape + (3,))
-    xi = LieValuedOneForm(grid, xi_x, xi_y)
+    xi = LieValuedOneForm(grid, np.stack([xi_x, xi_y], axis=2))
     res = structure_residual(xi, alg)
     assert np.max(np.abs(res - 1.0)) <= 1e-10
 
@@ -802,11 +847,11 @@ def test_structure_residual_refinement_on_exact_pullback():
                 ga = model.exp(a, grid.xs()[i])
                 F[i] = model.multiply(
                     ga, np.stack([model.exp(b, y) for y in grid.ys()]))
-            xi_x, xi_y = maurer_cartan_pullback(F, model, grid)
+            z = maurer_cartan_pullback(F, model, grid)
             # the pullback itself carries an O(h^2) difference error, and the
             # structure residual of the exact form is another O(h^2)
             res.append(np.max(structure_residual(
-                LieValuedOneForm(grid, xi_x, xi_y), alg)))
+                LieValuedOneForm(grid, z), alg)))
         ratio = res[0] / res[1]
         assert 2.5 <= ratio <= 6.5
 
@@ -861,7 +906,7 @@ def former_frame_compat_residual_fields(data, alg):
     S = data.S                        # (nx, ny, 2, 2)
     gamma = alg.gamma
     # covariant derivative of each T_j along e_a = d_a / mu
-    dT = np.stack([grid.covariant_dx(T), grid.covariant_dy(T)], axis=-1)
+    dT = np.stack([grid.covariant(T, 0), grid.covariant(T, 1)], axis=-1)
     dT /= mu[..., None, None, None]   # (nx, ny, n, 2, a)
     df = np.stack([grid.dx(f), grid.dy(f)], axis=-1) / mu[..., None, None]
     # <e_a, T_i> is the a-th frame component of T_i
@@ -890,7 +935,8 @@ def test_contractions_agree_with_their_former_einsums(tag, alg):
     X, Y = local.normal(size=(2, 17, 17, n))
     normals = local.normal(size=(17, 17, n, 2))
     data = fixtures.sphere_r3(17).data          # q = 1 and n = 3
-    xi = LieValuedOneForm(grid, X, Y)
+    z = np.stack([X, Y], axis=2)
+    xi = LieValuedOneForm(grid, z)
     pairs = {
         "bracket": (alg.bracket(X, Y),
                     np.einsum("...i,...j,ijk->...k", X, Y, alg.c)),
@@ -905,10 +951,10 @@ def test_contractions_agree_with_their_former_einsums(tag, alg):
                             former_frame_compat_residual_fields(data, alg)])),
     }
     pairs["second_fundamental_form"] = (
-        second_fundamental_form(X, Y, normals, grid, alg),
+        second_fundamental_form(z, normals, grid, alg),
         former_second_fundamental_form(X, Y, normals, grid, alg, 4))
     pairs["normal_connection"] = (
-        np.stack(normal_connection(X, Y, normals, grid, alg)),
+        np.moveaxis(normal_connection(z, normals, grid, alg), 2, 0),
         np.stack(former_normal_connection(X, Y, normals, grid, alg)))
     for name, (got, want) in pairs.items():
         assert got.shape == want.shape, name
@@ -991,9 +1037,10 @@ def test_the_term_table_sites_keep_the_dense_bits(name):
     X = local.normal(size=(17, 17, 2))
     for alg in algs:
         sites = {
-            "normal_connection": (normal_connection(zx, zy, normals, grid, alg),
-                                  dense_normal_connection(zx, zy, normals,
-                                                          grid, alg)),
+            "normal_connection": (
+                np.moveaxis(normal_connection(np.stack([zx, zy], axis=2),
+                                              normals, grid, alg), 2, 0),
+                dense_normal_connection(zx, zy, normals, grid, alg)),
             "frame_compat": (frame_compat_residual_fields(fx.data, alg),
                              dense_frame_compat_residual_fields(fx.data, alg)),
             "gamma_frame_matrix": (

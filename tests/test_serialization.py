@@ -518,11 +518,11 @@ def test_immersion_data_names_the_non_finite_array():
     with pytest.raises(ValueError, match="^S has non-finite entries"):
         ImmersionData(fx.grid, fx.data.frames, S=S)
     r4 = fixtures.sphere_r4_twisted(5)
-    theta = np.array(r4.data.theta_y)
+    theta = np.array(r4.data.theta[:, :, 1])
     theta[1, 1, 0, 1] = -np.inf
     with pytest.raises(ValueError, match="^theta_y has non-finite entries"):
         ImmersionData(r4.grid, r4.data.frames, B=r4.data.B,
-                      theta_x=r4.data.theta_x, theta_y=theta)
+                      theta_x=r4.data.theta[:, :, 0], theta_y=theta)
 
 
 def test_weierstrass_data_rejects_non_finite_g():
@@ -606,7 +606,7 @@ def test_integration_error_names_cell_with_plain_integers():
     grid = ParamGrid(3, 3, 0.5)
     xi_x = np.zeros((3, 3, 3))
     xi_x[1, 0, 2] = np.inf
-    xi = LieValuedOneForm(grid, xi_x, np.zeros((3, 3, 3)))
+    xi = LieValuedOneForm(grid, np.stack([xi_x, np.zeros((3, 3, 3))], axis=2))
     with pytest.raises(IntegrationError, match=r"at cell \(1, 0\)$"):
         darboux_integrate(xi, la.rn(3))
 

@@ -30,7 +30,7 @@ from spinorforge.spinor import (
 )
 
 from oracles import (bivector_exp_array, ekt_gamma_bivector, padded,
-                     unit_defect)
+                     unit_defect, written_out_dirac_residual)
 
 rng = np.random.default_rng(271828)
 
@@ -129,7 +129,7 @@ def test_connection_fields_match_node_assembly(make):
     prob = KillingProblem(data, alg)
     etas = [from_even(eta, n) for eta in connection_coefficient_fields(prob)]
     ws = grid.rotation_coefficients()
-    thetas = (data.theta_x, data.theta_y)
+    thetas = (data.theta[:, :, 0], data.theta[:, :, 1])
     phi = random_spin(n).value
     for idx in np.ndindex(grid.shape):
         U, mu = data.frames[idx], grid.mu[idx]
@@ -795,11 +795,12 @@ ROUGH_BOUNDS = {0.05: 1e-14, 0.3: 5e-14, 1.0: 5e-11}
 @pytest.mark.parametrize("noise", sorted(ROUGH_BOUNDS))
 def test_normal_frames_of_rough_pullbacks_match_node_reference(noise):
     fx = fixtures.sphere_r4_twisted(33)
-    zx, zy = maurer_cartan_pullback(fx.F, model_for(fx.alg), fx.grid)
+    zx, zy = np.moveaxis(
+        maurer_cartan_pullback(fx.F, model_for(fx.alg), fx.grid), 2, 0)
     noisy = np.random.default_rng(30)
     zx = zx + noise * noisy.standard_normal(zx.shape)
     zy = zy + noise * noisy.standard_normal(zy.shape)
-    frames = _continuous_normal_frames(zx, zy, 4)
+    frames = _continuous_normal_frames(np.stack([zx, zy], axis=2), 4)
     want = reference_normal_frames(frames[..., 0], frames[..., 1])
     assert np.max(np.abs(frames - want)) <= ROUGH_BOUNDS[noise]
 
@@ -836,7 +837,7 @@ def test_normal_frames_reject_a_tangent_plane_turning_into_the_normals(node):
         with pytest.raises(ValueError, match="degenerate normal completion; "
                                              "immersion nearly tangent to "
                                              "the seed frame"):
-            _continuous_normal_frames(zx, zy, 4)
+            _continuous_normal_frames(np.stack([zx, zy], axis=2), 4)
 
 
 @pytest.mark.parametrize("node", [(1, 0), (2, 1), (4, 3)])
@@ -850,15 +851,16 @@ def test_degenerate_normal_gate_names_the_node(node):
     i, j = node
     with pytest.raises(ValueError, match=rf"the seed frame at node "
                                          rf"\({i}, {j}\)$"):
-        _continuous_normal_frames(zx, zy, 4)
+        _continuous_normal_frames(np.stack([zx, zy], axis=2), 4)
 
 
 def test_conformal_gate_names_the_worst_node():
     grid = ParamGrid(9, 9, 0.1)
     X, Y = grid.mesh()
     F = np.stack([X, Y * (1.0 + X * X), np.zeros_like(X)], axis=-1)
-    gxx, gxy, gyy = first_fundamental_form(
-        *maurer_cartan_pullback(F, model_for(la.rn(3)), grid))
+    g = first_fundamental_form(
+        maurer_cartan_pullback(F, model_for(la.rn(3)), grid))
+    gxx, gxy, gyy = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
     i, j = worst_node(np.maximum(np.abs(gxy), np.abs(gxx - gyy)))
     assert (i, j) != (0, 0)
     with pytest.raises(ValueError, match=rf"^the parametrization is not "
@@ -906,6 +908,18 @@ def test_random_field_fails_dirac():
     prob, _ = analytic_problem(fx)
     field = random_unit_field(fx.grid, 3)
     assert np.max(dirac_residual(field, prob)) >= 0.5
+
+
+@pytest.mark.parametrize("name", ["sphere-r3", "s3-sphere",
+                                  "sphere-r4-twisted"])
+def test_dirac_residual_matches_the_written_out_loop(name):
+    fx = SURFACE_FIXTURES[name](17)
+    prob = KillingProblem(fx.data, fx.alg)
+    field = normalize_spinor(solve_killing(prob)[0], prob)
+    got = dirac_residual(field, prob)
+    want = written_out_dirac_residual(field, prob)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_equator_pair_dirac_residual_quadratic():
@@ -984,7 +998,8 @@ def test_overflowing_connection_in_r5_names_the_cell():
         B = np.array(fx.data.B)
         B[4, 4, 0, 0, 0] = 1e308
         data = ImmersionData(fx.data.grid, fx.data.frames, B=B,
-                             theta_x=fx.data.theta_x, theta_y=fx.data.theta_y)
+                             theta_x=fx.data.theta[:, :, 0],
+                             theta_y=fx.data.theta[:, :, 1])
         with pytest.raises(spinor.IntegrationError,
                            match=r"spin transport diverged at cell \(3, 4\)"):
             reconstruct_immersion(KillingProblem(data, fx.alg))

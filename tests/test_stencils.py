@@ -251,7 +251,7 @@ def test_pullback_matches_the_written_out_log_differences(model, h):
         F = _group_map(model, nx, ny, h, nx + ny)
         new, old = maurer_cartan_pullback(F, model, grid), \
             _old_pullback(F, model, grid)
-        for a, b in zip(new, old):
+        for a, b in zip(np.moveaxis(new, 2, 0), old):
             assert a.shape == b.shape
             if not _exact_negation(model):
                 assert np.max(np.abs(a - b)) \
@@ -350,7 +350,7 @@ def _old_b_theta(zx, zy, normals, mu, out_grid, alg):
 
 def _old_mesh_mean_curvature(F, alg, grid, orient_to=None):
     model = model_for(alg)
-    zx, zy = maurer_cartan_pullback(F, model, grid)
+    zx, zy = np.moveaxis(maurer_cartan_pullback(F, model, grid), 2, 0)
     E = np.einsum("xyi,xyi->xy", zx, zx)
     Ff = np.einsum("xyi,xyi->xy", zx, zy)
     G = np.einsum("xyi,xyi->xy", zy, zy)
@@ -377,12 +377,13 @@ def _old_mesh_mean_curvature(F, alg, grid, orient_to=None):
 def test_converse_b_theta_match_the_written_out_loops(name):
     fx = getattr(fixtures, name)(33)
     _, data = spinor_of_immersion(fx.F, fx.alg, fx.grid)
-    zx, zy = maurer_cartan_pullback(fx.F, model_for(fx.alg), fx.grid)
+    zx, zy = np.moveaxis(
+        maurer_cartan_pullback(fx.F, model_for(fx.alg), fx.grid), 2, 0)
     B, theta = _old_b_theta(zx, zy, data.frames[..., 2:], data.grid.mu,
                             data.grid, fx.alg)
     assert np.max(np.abs(data.B - B)) <= 1e-15
-    for key, want in theta.items():
-        assert np.max(np.abs(getattr(data, key) - want)) <= 1e-15
+    for a, want in enumerate(theta.values()):      # theta_x, theta_y
+        assert np.max(np.abs(data.theta[:, :, a] - want)) <= 1e-15
 
 
 @pytest.mark.parametrize("name", ["sphere_r3", "s3_sphere", "sol3_plane",
@@ -415,10 +416,9 @@ def test_covariant_derivatives_differentiate_mu_once_each(monkeypatch):
         return diff(self, f, *args)
 
     monkeypatch.setattr(ParamGrid, "_diff", counted)
-    for covariant, expected in zip((grid.covariant_dx, grid.covariant_dy),
-                                   want):
+    for axis, expected in enumerate(want):
         calls.clear()
-        assert np.array_equal(covariant(v), expected)
+        assert np.array_equal(grid.covariant(v, axis), expected)
         assert calls.count(True) == 1
 
 

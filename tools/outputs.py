@@ -358,8 +358,8 @@ def _noisy_fixtures(rng):
             d = fx.data
             data = ImmersionData(grid_of(d.grid), _ulp_noise(d.frames, rng),
                                  B=_ulp_noise(d.B, rng),
-                                 theta_x=_ulp_noise(d.theta_x, rng),
-                                 theta_y=_ulp_noise(d.theta_y, rng))
+                                 theta_x=_ulp_noise(d.theta[:, :, 0], rng),
+                                 theta_y=_ulp_noise(d.theta[:, :, 1], rng))
             extras = {k: _ulp_noise(v, rng) if k == "u_field" else v
                       for k, v in fx.extras.items()}
             return SurfaceFixture(fx.alg, data, _ulp_noise(fx.F, rng), extras)
@@ -543,7 +543,8 @@ def converse_lines(fixtures, sizes=GRID_SIZES, save=None):
                 continue
             parts = {"values": field.values, "frames": data.frames,
                      "mu": data.grid.mu, "B": data.B,
-                     "theta_x": data.theta_x, "theta_y": data.theta_y}
+                     "theta_x": data.theta[:, :, 0],
+                     "theta_y": data.theta[:, :, 1]}
             lines += [f"converse {_sha(array.tobytes())} {name}-{n} {part}"
                       for part, array in parts.items()]
             if save is not None:
