@@ -40,7 +40,7 @@ derivatives use the grid's second-order stencils.
 import numpy as np
 
 from . import lie_algebra as la
-from .clifford import offdiag_skew_array
+from .clifford import offdiag_skew_array, worst_node
 from .grid import tangent_stack
 
 FRAME_TOL = 1e-10
@@ -52,9 +52,40 @@ U_NORM_TOL = 1e-8
 # Data bundles
 # =============================================================================
 
+def frame_determinants(frames):
+    """det U per node of a frame field (nx, ny, n, n), n >= 3: written out
+    for n = 3 (the triple product of the rows) and n = 4 (the Laplace
+    expansion in the 2 x 2 minors of rows 0, 1 and of rows 2, 3), the split
+    `spin_lift_even` makes; LAPACK for larger n."""
+    n = frames.shape[-1]
+    if n > 4:
+        return np.linalg.det(frames)
+
+    def minor(u, v, i, j):
+        return u[..., i] * v[..., j] - u[..., j] * v[..., i]
+
+    rows = [frames[:, :, i] for i in range(n)]
+    if n == 3:                                  # a . (b x c)
+        a, b, c = rows
+        return (a[..., 0] * minor(b, c, 1, 2) - a[..., 1] * minor(b, c, 0, 2)
+                + a[..., 2] * minor(b, c, 0, 1))
+    a, b, c, d = rows
+    return (minor(a, b, 0, 1) * minor(c, d, 2, 3)
+            - minor(a, b, 0, 2) * minor(c, d, 1, 3)
+            + minor(a, b, 0, 3) * minor(c, d, 1, 2)
+            + minor(a, b, 1, 2) * minor(c, d, 0, 3)
+            - minor(a, b, 1, 3) * minor(c, d, 0, 2)
+            + minor(a, b, 2, 3) * minor(c, d, 0, 1))
+
+
 class ImmersionData:
     """Adapted frames, second fundamental form and normal connection theta
-    (its blocks theta_x, theta_y zero when not given) on a conformal grid."""
+    (its blocks theta_x, theta_y zero when not given) on a conformal grid.
+
+    The frames are judged as whole node fields: orthonormality by one
+    stacked product U U^T against the identity, to FRAME_TOL, and
+    orientation by the sign of `frame_determinants`; a failed gate names
+    its worst node, the orientation gate its first reflection."""
 
     __slots__ = ("grid", "n", "q", "frames", "B", "theta")
 
@@ -77,12 +108,17 @@ class ImmersionData:
         q = n - 2
         if q < 1:
             raise ValueError("ambient dimension must be at least 3")
-        gram = np.einsum("xyia,xyja->xyij", frames, frames)
-        dev = np.max(np.abs(gram - np.eye(n)))
+        # U U^T: the product on the transposed view takes a slower loop
+        transposed = np.ascontiguousarray(np.swapaxes(frames, 2, 3))
+        defect = np.abs(frames @ transposed - np.eye(n))
+        dev = np.max(defect)
         if not dev <= FRAME_TOL:
-            raise ValueError(f"frame orthonormality violated by {dev:.3e}")
-        if np.any(np.linalg.det(frames) < 0):
-            raise ValueError("frames must be positively oriented (det +1)")
+            raise ValueError(f"frame orthonormality violated by {dev:.3e} at "
+                             f"node {worst_node(np.max(defect, axis=(2, 3)))}")
+        reflected = frame_determinants(frames) < 0
+        if np.any(reflected):
+            raise ValueError(f"frames must be positively oriented (det +1) "
+                             f"at node {worst_node(reflected)}")
         if (B is None) == (S is None):
             raise ValueError("provide exactly one of B (general q) or S (q = 1)")
         if S is not None:
@@ -96,7 +132,7 @@ class ImmersionData:
             B = np.asarray(B, dtype=np.float64)
             if B.shape != (nx, ny, 2, 2, q):
                 raise ValueError(f"B must be (nx, ny, 2, 2, {q})")
-        if not np.max(np.abs(B - np.swapaxes(B, 2, 3))) <= FRAME_TOL:
+        if not np.max(np.abs(B[:, :, 0, 1] - B[:, :, 1, 0])) <= FRAME_TOL:
             raise ValueError("second fundamental form must be symmetric")
         blocks = [np.zeros((nx, ny, q, q)) if th is None
                   else np.asarray(th, dtype=np.float64)

@@ -524,8 +524,10 @@ class IntegrationError(RuntimeError):
 def first_non_finite(values):
     """Grid index (a tuple) of the first node of values (..., k) with a
     non-finite entry, None when all are finite."""
-    bad = np.argwhere(~np.isfinite(values).all(axis=-1))
-    return tuple(bad[0].tolist()) if len(bad) else None
+    finite = np.isfinite(values)
+    if finite.all():
+        return None
+    return tuple(np.argwhere(~finite.all(axis=-1))[0].tolist())
 
 
 def _judged(model, g, cells):

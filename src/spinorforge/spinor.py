@@ -432,6 +432,11 @@ def verify_reconstruction(F, problem, xi_normals):
 # Converse: immersion -> data + spinor
 # =============================================================================
 
+def _norm(v):
+    """|v| along the last axis, in `np.linalg.norm`'s own arithmetic."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
+
+
 def _continuous_normal_frames(z, n):
     """Orthonormal frames [e1 | e2 | n_1 ... n_q] with det +1, the normal
     part chosen continuously along the spanning tree from the origin node
@@ -452,14 +457,18 @@ def _continuous_normal_frames(z, n):
     """
     nx, ny = z.shape[:2]
     q = n - 2
-    e1 = z[:, :, 0] / np.linalg.norm(z[:, :, 0], axis=-1, keepdims=True)
+    e1 = z[:, :, 0] / _norm(z[:, :, 0])[..., None]
     e2 = z[:, :, 1] - np.einsum("xyi,xyi->xy", z[:, :, 1], e1)[..., None] * e1
-    e2 = e2 / np.linalg.norm(e2, axis=-1, keepdims=True)
+    e2 = e2 / _norm(e2)[..., None]
     frames = np.zeros((nx, ny, n, n))
     frames[..., 0] = e1
     frames[..., 1] = e2
     if n == 3:
-        frames[..., 2] = np.cross(e1, e2)
+        # e1 x e2 in np.cross's operand order, which keeps its bits
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            frames[..., i, 2] = (e1[..., j] * e2[..., k]
+                                 - e1[..., k] * e2[..., j])
         return frames
 
     seed = np.linalg.qr(np.column_stack([e1[0, 0], e2[0, 0], np.eye(n)]))[0]
@@ -476,7 +485,7 @@ def _continuous_normal_frames(z, n):
                 v = c[i, 0] = v / nv
             for j in range(1, ny):
                 v = np.einsum("xij,xj->xi", P[:, j], c[:, j - 1])
-                nv = norms[r, :, j] = np.linalg.norm(v, axis=-1)
+                nv = norms[r, :, j] = _norm(v)
                 c[:, j] = v / nv[:, None]
             frames[..., 2 + r] = c
             if r + 1 < q:

@@ -40,6 +40,12 @@ the two.
   * written_out_dirac_residual -- `spinor.dirac_residual` with its two
     tangent directions written out as x and y terms, as it was before it
     looped over the tangent axis, which reproduces it bit for bit
+  * dense_frame_deviation, dense_frame_determinants -- the general einsum
+    Gram matrix and LAPACK's det per node, with which `ImmersionData`
+    judged its frames before its stacked product and
+    `immersion.frame_determinants`
+  * argwhere_first_non_finite -- `lie_group.first_non_finite` as one
+    `np.argwhere` over every node, finite input too
 """
 
 import math
@@ -358,3 +364,22 @@ def written_out_dirac_residual(field, problem):
     Hcoords[..., 2:] = mean_curvature_vector(data)
     rhs = gp_array(vector_array(Hcoords, n) + gamma_el, vals, n)
     return np.linalg.norm(D - rhs, axis=-1)
+
+
+def dense_frame_deviation(frames):
+    """max |U U^T - I| per node of a frame field (nx, ny, n, n), the Gram
+    matrix on the general einsum path."""
+    gram = np.einsum("xyia,xyja->xyij", frames, frames)
+    return np.max(np.abs(gram - np.eye(frames.shape[-1])), axis=(2, 3))
+
+
+def dense_frame_determinants(frames):
+    """det U per node by one LAPACK factorization each."""
+    return np.linalg.det(frames)
+
+
+def argwhere_first_non_finite(values):
+    """Grid index of the first node of values (..., k) with a non-finite
+    entry, None when all are finite."""
+    bad = np.argwhere(~np.isfinite(values).all(axis=-1))
+    return tuple(bad[0].tolist()) if len(bad) else None

@@ -1,5 +1,7 @@
 """Frame equations, tangential connection representatives, GCR residuals."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,17 @@ from spinorforge.cli import SURFACE_FIXTURES
 from spinorforge.clifford import Multivector, bivector_of_skew
 from spinorforge.grid import ParamGrid
 from spinorforge.immersion import (
-    U_NORM_TOL, EKTData, ImmersionData, _covariant_B, ambient_curvature_frame,
-    ekt_compat_residuals, ekt_integrability_residuals,
-    frame_compat_residual_fields, frame_compat_residuals, gcr_residual_fields,
+    FRAME_TOL, U_NORM_TOL, EKTData, ImmersionData, _covariant_B,
+    ambient_curvature_frame, ekt_compat_residuals,
+    ekt_integrability_residuals, frame_compat_residual_fields,
+    frame_compat_residuals, frame_determinants, gcr_residual_fields,
     gcr_residuals, hn_u_residual,
 )
 from spinorforge.spinor import gamma_frame_matrix
 
-from oracles import ekt_gamma_bivector
+from oracles import (
+    dense_frame_determinants, dense_frame_deviation, ekt_gamma_bivector,
+)
 
 rng = np.random.default_rng(7311)
 
@@ -115,6 +120,125 @@ def test_theta_stacks_its_blocks_on_the_tangent_axis_read_only():
                            theta_y=kept[:, :, 1])
     assert not only_y.theta[:, :, 0].any()
     assert np.array_equal(only_y.theta[:, :, 1], kept[:, :, 1])
+
+
+def rotation_field(n, shape):
+    """Random special-orthogonal frames, a different one at each node."""
+    q, r = np.linalg.qr(rng.normal(size=shape + (n, n)))
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    q[..., 0] *= np.sign(dense_frame_determinants(q))[..., None]
+    return q
+
+
+def frame_data(frames):
+    """ImmersionData with zero B on frames (nx, ny, n, n) of a unit grid."""
+    nx, ny, n = frames.shape[:3]
+    return ImmersionData(ParamGrid(nx, ny, 0.5), frames,
+                         B=np.zeros((nx, ny, 2, 2, n - 2)))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("group", ["SO", "O"])
+def test_closed_form_orientation_has_the_sign_of_lapack(n, group):
+    frames = rotation_field(n, (7, 6))
+    if group == "SO":
+        frames[3, 2, :, 1] *= -1.0              # one interior reflection
+    else:
+        flips = rng.choice([-1.0, 1.0], size=(7, 6))
+        frames[..., 1] *= flips[..., None]
+    want = dense_frame_determinants(frames)
+    got = frame_determinants(frames)
+    assert got.shape == (7, 6)
+    assert np.array_equal(np.sign(got), np.sign(want))
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("n,lapack", [(3, 0), (4, 0), (5, 1)])
+def test_only_five_dimensions_and_up_judge_orientation_by_lapack(
+        n, lapack, monkeypatch):
+    frames = rotation_field(n, (5, 4))
+    calls = []
+    det = np.linalg.det
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    frame_data(frames)
+    assert calls == [(5, 4, n, n)] * lapack
+    monkeypatch.undo()
+    assert np.array_equal(np.sign(frame_determinants(frames)),
+                          np.sign(dense_frame_determinants(frames)))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("node", [(0, 0), (3, 2), (6, 5)])
+def test_a_reflected_frame_is_named_by_its_node(n, node):
+    frames = rotation_field(n, (7, 6))
+    frames[node][:, n - 1] *= -1.0
+    at = r"\(%d, %d\)" % node
+    with pytest.raises(ValueError, match=r"^frames must be positively "
+                       rf"oriented \(det \+1\) at node {at}$"):
+        frame_data(frames)
+
+
+def scaled_at(frames, node, deviation):
+    """frames with the one at `node` scaled so that U U^T - I is about
+    `deviation` on its diagonal."""
+    out = frames.copy()
+    out[node] *= math.sqrt(1.0 + deviation)
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("node", [(0, 0), (3, 2), (6, 5)])
+def test_orthonormality_fails_at_twice_the_tolerance_and_names_the_node(
+        n, node):
+    frames = rotation_field(n, (7, 6))
+    frame_data(scaled_at(frames, node, 0.5 * FRAME_TOL))
+    bad = scaled_at(frames, node, 2.0 * FRAME_TOL)
+    oracle = dense_frame_deviation(bad)
+    assert 1.9 * FRAME_TOL < np.max(oracle) < 2.1 * FRAME_TOL
+    at = r"\(%d, %d\)" % node
+    with pytest.raises(ValueError, match=rf"^frame orthonormality violated "
+                       rf"by {np.max(oracle):.3e} at node {at}$"):
+        frame_data(bad)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("defect", ["scaled", "sheared", "everywhere"])
+def test_the_orthonormality_message_prints_the_oracle_deviation(n, defect):
+    frames = rotation_field(n, (6, 5))
+    if defect == "scaled":
+        frames[2, 3] *= 1.25
+    elif defect == "sheared":
+        frames[4, 1, 0] += 1e-6 * frames[4, 1, 1]
+    else:
+        frames *= 1.0 + rng.uniform(1e-9, 1e-3, size=(6, 5, 1, 1))
+    oracle = dense_frame_deviation(frames)
+    node = tuple(int(i) for i in np.unravel_index(np.argmax(oracle),
+                                                  oracle.shape))
+    with pytest.raises(ValueError) as err:
+        frame_data(frames)
+    assert str(err.value) == (f"frame orthonormality violated by "
+                              f"{np.max(oracle):.3e} at node {node}")
+
+
+def test_the_symmetry_gate_reads_the_off_diagonal_blocks():
+    frames = rotation_field(4, (5, 4))
+    B = rng.normal(size=(5, 4, 2, 2, 2))
+    B = B + np.swapaxes(B, 2, 3)
+    ImmersionData(ParamGrid(5, 4, 0.5), frames, B=B)
+    for size, passes in ((0.5 * FRAME_TOL, True), (2.0 * FRAME_TOL, False)):
+        bad = B.copy()
+        bad[3, 1, 1, 0, 1] += size
+        if passes:
+            ImmersionData(ParamGrid(5, 4, 0.5), frames, B=bad)
+        else:
+            with pytest.raises(ValueError, match="^second fundamental form "
+                               "must be symmetric$"):
+                ImmersionData(ParamGrid(5, 4, 0.5), frames, B=bad)
 
 
 def test_ekt_norm_invariant_enforced():

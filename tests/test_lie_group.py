@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinorforge import fixtures, lie_group
 from spinorforge.cli import SURFACE_FIXTURES
@@ -21,7 +23,10 @@ from spinorforge.lie_group import (
 )
 from spinorforge.spinor import gamma_frame_matrix
 
-from oracles import AxisSemidirect, dense_operator, general_semidirect
+from oracles import (
+    AxisSemidirect, argwhere_first_non_finite, dense_operator,
+    general_semidirect,
+)
 
 rng = np.random.default_rng(97)
 EPS = np.finfo(float).eps
@@ -766,6 +771,32 @@ def test_pullback_makes_one_model_call_per_offset_and_one_for_the_edges(
     if semidirect:      # the quotient is inv_x + e^{-z_a A} x_b
         want.update(inverse=0, multiply=0, _expA=2)
     assert calls == want
+
+
+@st.composite
+def node_fields(draw):
+    """Arrays (..., k) of finite values with NaN, +inf or -inf at random
+    entries, none at all in some draws."""
+    shape = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=4)))
+    values = np.arange(float(np.prod(shape))).reshape(shape) - 7.5
+    if values.size:
+        spots = st.tuples(st.integers(0, values.size - 1),
+                          st.sampled_from([np.nan, np.inf, -np.inf]))
+        for flat, bad in draw(st.lists(spots, max_size=4)):
+            values.flat[flat] = bad
+    return values
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(node_fields())
+def test_first_non_finite_is_the_first_node_argwhere_finds(values):
+    got = first_non_finite(values)
+    assert got == argwhere_first_non_finite(values)
+    if np.isfinite(values).all():
+        assert got is None
+    else:
+        assert type(got) is tuple and len(got) == values.ndim - 1
+        assert all(type(i) is int for i in got)
 
 
 # =============================================================================

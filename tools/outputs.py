@@ -25,11 +25,12 @@ The digest sweep: `--digest SRC OUT` imports the package from SRC, the
 every path a run names is relative.  It prints one line per run, `run EXIT SHA(stdout) SHA(stderr)
 ARGV`, with OUT masked, then one line per file in OUT, `file SHA PATH`, in
 sorted order, then the `converse_lines` of the library converse, which no
-command runs, saving its outputs in OUT/converse.  Two checkouts that
-compute the same outputs give byte-identical listings, and so does one
-checkout run twice.  An exception that escapes `main` is a defect: it
-stops the sweep (exit 1) and names the argv.  `--compare` sizes what moved
-between two such directories (`compare_dirs`).
+command runs, at 17 and 33 nodes and then at 9, saving its outputs in
+OUT/converse.  Two checkouts that compute the same outputs give
+byte-identical listings, and so does one checkout run twice.  An exception
+that escapes `main` is a defect: it stops the sweep (exit 1) and names the
+argv.  `--compare` sizes what moved between two such directories
+(`compare_dirs`).
 """
 
 import contextlib
@@ -632,8 +633,11 @@ def digest(src, out):
         return 3
     from spinorforge import cli
     lines = sweep(src, out, full_sweep_runs(out))
-    lines += converse_lines(dict(sorted(cli.SURFACE_FIXTURES.items())),
-                            save=Path(out) / "converse")
+    fixtures = dict(sorted(cli.SURFACE_FIXTURES.items()))
+    lines += converse_lines(fixtures, save=Path(out) / "converse")
+    # last, so that the lines before keep their places: at 9 nodes the
+    # edge stencils are most of the grid
+    lines += converse_lines(fixtures, sizes=(9,), save=Path(out) / "converse")
     for line in lines:
         print(line)
     return 0
